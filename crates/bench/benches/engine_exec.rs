@@ -1,12 +1,9 @@
 //! Criterion micro-benchmark: CoddDB query execution across operator
 //! classes (the paper's observation that subquery-bearing queries cost
-//! ~7x expression-only queries is the target shape), plus the
-//! `bind_vs_walk` comparison of the bind-once pipeline against the
-//! per-row rebinding baseline on the same query shapes.
+//! ~7x expression-only queries is the target shape).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
-use coddb::BindMode;
 use coddtest_bench::{engine_setup as setup, QUERY_SHAPES};
 
 fn bench_engine(c: &mut Criterion) {
@@ -21,22 +18,5 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bind-once pipeline vs. the per-row rebinding (tree-walking) baseline
-/// on identical machinery — the speedup the binding pass buys.
-fn bench_bind_vs_walk(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bind_vs_walk");
-    for (name, sql) in QUERY_SHAPES {
-        let q = coddb::parser::parse_select(sql).unwrap();
-        for (mode, label) in [(BindMode::PerQuery, "bound"), (BindMode::PerRow, "walk")] {
-            let mut db = setup();
-            db.set_bind_mode(mode);
-            group.bench_with_input(BenchmarkId::new(*name, label), &q, |b, q| {
-                b.iter(|| std::hint::black_box(db.query(q).unwrap()))
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_engine, bench_bind_vs_walk);
+criterion_group!(benches, bench_engine);
 criterion_main!(benches);

@@ -1,12 +1,10 @@
-//! Perf-trajectory runner: times the engine benchmark shapes in both
-//! bind modes and writes `BENCH_engine.json` so successive PRs can track
-//! the execution pipeline's speed (and the bind-once speedup) over time.
-//! Join shapes are additionally timed with the nested loop forced
-//! (hash-join speedup), scan shapes with cloning scans forced (zero-copy
-//! speedup), vectorization-dominated shapes with row-at-a-time
-//! evaluation forced (`vectorized_vs_row_speedup`), and index-seek
-//! shapes with `AccessMode::ScanOnly` forced
-//! (`indexed_vs_scan_speedup`).
+//! Perf-trajectory runner: times the engine benchmark shapes and writes
+//! `BENCH_engine.json` so successive PRs can track the execution
+//! pipeline's speed over time. Join shapes are additionally timed with
+//! the nested loop forced (hash-join speedup), vectorization-dominated
+//! shapes with row-at-a-time evaluation forced
+//! (`vectorized_vs_row_speedup`), and index-seek shapes with
+//! `AccessMode::ScanOnly` forced (`indexed_vs_scan_speedup`).
 //!
 //! Run with: `cargo run --release -p coddtest-bench --bin bench_engine`
 //! (optionally `-- --out <path>`; `-- --quick` shrinks the measurement
@@ -21,12 +19,12 @@ use coddb::ast::Select;
 use coddb::bugs::BugRegistry;
 use coddb::recovery::scrub_images;
 use coddb::wal::{MediaMode, MediaPlan, StorageMode};
-use coddb::{AccessMode, BindMode, Database, Dialect, EvalMode, JoinMode, ScanMode, StorageSite};
+use coddb::{AccessMode, Database, Dialect, EvalMode, JoinMode, StorageSite};
 use coddtest::make_oracle;
 use coddtest::runner::{run_campaign, run_campaign_parallel, CampaignConfig};
 use coddtest_bench::{
-    engine_setup as setup, is_indexed_shape, is_join_shape, is_scan_shape, is_vec_shape,
-    CAMPAIGN_PARALLEL_SHAPE, CHECKPOINT_WRITE_SHAPE, DML_INDEX_MAINTENANCE_SHAPE, QUERY_SHAPES,
+    engine_setup as setup, is_indexed_shape, is_join_shape, is_vec_shape, CAMPAIGN_PARALLEL_SHAPE,
+    CHECKPOINT_WRITE_SHAPE, DML_INDEX_MAINTENANCE_SHAPE, QUERY_SHAPES,
     RECOVERY_REPLAY_CHECKPOINTED_SHAPE, RECOVERY_REPLAY_SHAPE, SCRUB_THROUGHPUT_SHAPE,
     WAL_COMMIT_NOSPACE_SHAPE, WAL_COMMIT_SHAPE,
 };
@@ -149,37 +147,14 @@ fn main() {
         let q = coddb::parser::parse_select(sql).unwrap();
 
         let mut bound_db = setup();
-        bound_db.set_bind_mode(BindMode::PerQuery);
         let bound_ns = measure(&mut bound_db, &q, &windows);
 
-        let mut walk_db = setup();
-        walk_db.set_bind_mode(BindMode::PerRow);
-        let walk_ns = measure(&mut walk_db, &q, &windows);
-
-        let speedup = walk_ns / bound_ns;
         let mut extra = String::new();
         let mut extra_log = String::new();
-        if is_scan_shape(name) {
-            // The cloning-scan baseline isolates the zero-copy pipeline's
-            // contribution: same bind-once machinery, rows deep-cloned and
-            // FROM results rematerialized per instantiation.
-            let mut cloning_db = setup();
-            cloning_db.set_bind_mode(BindMode::PerQuery);
-            cloning_db.set_scan_mode(ScanMode::Cloning);
-            let cloning_ns = measure(&mut cloning_db, &q, &windows);
-            let scan_speedup = cloning_ns / bound_ns;
-            extra.push_str(&format!(
-                ",\n      \"cloning_scan_ns_per_iter\": {cloning_ns:.0},\n      \"shared_vs_cloning_speedup\": {scan_speedup:.2}"
-            ));
-            extra_log.push_str(&format!(
-                "   cloning {cloning_ns:>12.0} ns/iter   shared speedup {scan_speedup:>5.2}x"
-            ));
-        }
         if is_join_shape(name) {
-            // The bound nested loop isolates the hash join's contribution
-            // from the bind-once speedup.
+            // The forced nested loop isolates the hash join's
+            // contribution.
             let mut nested_db = setup();
-            nested_db.set_bind_mode(BindMode::PerQuery);
             nested_db.set_join_mode(JoinMode::NestedLoop);
             let nested_ns = measure(&mut nested_db, &q, &windows);
             let hash_speedup = nested_ns / bound_ns;
@@ -196,7 +171,6 @@ fn main() {
             // to full scans (plus the un-eliminated sort where the seek
             // order satisfied ORDER BY).
             let mut scan_db = setup();
-            scan_db.set_bind_mode(BindMode::PerQuery);
             scan_db.set_access_mode(AccessMode::ScanOnly);
             let scan_ns = measure(&mut scan_db, &q, &windows);
             let idx_speedup = scan_ns / bound_ns;
@@ -211,7 +185,6 @@ fn main() {
             // The row-at-a-time interpreter isolates the chunked
             // evaluator's contribution on otherwise identical machinery.
             let mut row_db = setup();
-            row_db.set_bind_mode(BindMode::PerQuery);
             row_db.set_eval_mode(EvalMode::RowAtATime);
             let row_ns = measure(&mut row_db, &q, &windows);
             let vec_speedup = row_ns / bound_ns;
@@ -222,12 +195,10 @@ fn main() {
                 "   row-eval {row_ns:>12.0} ns/iter   vec speedup {vec_speedup:>5.2}x"
             ));
         }
-        println!(
-            "{name:<24} bound {bound_ns:>12.0} ns/iter   walk {walk_ns:>12.0} ns/iter   speedup {speedup:>5.2}x{extra_log}"
-        );
+        println!("{name:<24} bound {bound_ns:>12.0} ns/iter{extra_log}");
         entries.push(format!(
-            "    {:?}: {{\n      \"bound_ns_per_iter\": {:.0},\n      \"walk_ns_per_iter\": {:.0},\n      \"speedup\": {:.2}{}\n    }}",
-            name, bound_ns, walk_ns, speedup, extra
+            "    {:?}: {{\n      \"bound_ns_per_iter\": {:.0}{}\n    }}",
+            name, bound_ns, extra
         ));
     }
 
@@ -560,7 +531,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"benchmark\": \"engine_exec bind_vs_walk\",\n  \"unit\": \"ns/iter\",\n  \"shapes\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"engine_exec\",\n  \"unit\": \"ns/iter\",\n  \"shapes\": {{\n{}\n  }}\n}}\n",
         entries.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_engine.json");

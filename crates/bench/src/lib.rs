@@ -8,10 +8,11 @@
 
 use coddb::{Database, Dialect};
 
-/// The engine benchmark query shapes, shared by the `engine_exec` /
-/// `bind_vs_walk` criterion benches and the `bench_engine` runner that
-/// records the checked-in perf trajectory (`BENCH_engine.json`) — one
-/// definition so the trajectory stays comparable across PRs.
+/// The engine benchmark query shapes, shared by the `engine_exec`
+/// criterion bench, the `bench_engine` runner that records the
+/// checked-in perf trajectory (`BENCH_engine.json`) and the `durable-sql`
+/// benchmark workload — one definition so the trajectory stays
+/// comparable across PRs.
 pub const QUERY_SHAPES: &[(&str, &str)] = &[
     (
         "seq_filter",
@@ -133,16 +134,6 @@ pub const DML_INDEX_MAINTENANCE_SHAPE: &str = "dml_index_maintenance";
 /// hash-join speedup over the bound nested loop.
 pub fn is_join_shape(name: &str) -> bool {
     name.starts_with("join")
-}
-
-/// Shapes dominated by scan traffic — `bench_engine` additionally times
-/// these with [`coddb::ScanMode::Cloning`] forced, recording the
-/// zero-copy pipeline's speedup over per-row deep cloning.
-pub fn is_scan_shape(name: &str) -> bool {
-    matches!(
-        name,
-        "seq_filter" | "seq_filter_wide" | "subquery_correlated" | "subquery_correlated_lowcard"
-    )
 }
 
 /// Shapes whose access path is an index seek — `bench_engine`

@@ -43,11 +43,7 @@
 //!    [`crate::value::Row`]s make that a refcount bump per row).
 //!    Subtrees that scan CTEs, nest
 //!    derived tables, or embed subqueries are conservatively excluded
-//!    (see `exec::from_result_cacheable`); [`crate::exec::ScanMode::Cloning`]
-//!    disables this layer together with row sharing.
-//!
-//! The caches are bypassed entirely in [`crate::exec::BindMode::PerRow`]
-//! (the benchmarking baseline re-binds per row by design).
+//!    (see `exec::from_result_cacheable`).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -231,8 +227,7 @@ pub(crate) type PtrCache<T> = RefCell<HashMap<usize, Rc<T>>>;
 /// The single get-or-build used by every pointer-keyed binding cache.
 /// `cacheable` must come from `EngineCtx::bindings_cacheable` — it owns
 /// the soundness gate (depth > 0, so the site re-executes and its plan is
-/// retained; never the PerRow baseline, whose plans are not retained and
-/// whose addresses may be reused mid-statement).
+/// retained).
 pub(crate) fn get_or_build<T>(
     map: &PtrCache<T>,
     cacheable: bool,

@@ -13,8 +13,7 @@ use crate::dialect::Dialect;
 use crate::error::{Error, Result, StorageError};
 use crate::eval::{eval_expr, truthiness, Clause, ExprCtx};
 use crate::exec::{
-    self, BindMode, CteEnv, EngineCtx, EvalEnv, EvalMode, Frame, JoinMode, Prepared, ScanMode,
-    Schema, StmtKind,
+    self, CteEnv, EngineCtx, EvalEnv, EvalMode, Frame, JoinMode, Prepared, Schema, StmtKind,
 };
 use crate::recovery::ScrubReport;
 use crate::value::{Relation, Row, Value};
@@ -73,9 +72,7 @@ pub struct Database {
     bugs: BugRegistry,
     coverage: Coverage,
     fuel_limit: u64,
-    bind_mode: BindMode,
     join_mode: JoinMode,
-    scan_mode: ScanMode,
     eval_mode: EvalMode,
     access_mode: AccessMode,
     last_plan_fp: Option<u64>,
@@ -108,9 +105,7 @@ impl Database {
             bugs,
             coverage: Coverage::new(),
             fuel_limit: DEFAULT_FUEL,
-            bind_mode: BindMode::default(),
             join_mode: JoinMode::default(),
-            scan_mode: ScanMode::default(),
             eval_mode: EvalMode::default(),
             access_mode: AccessMode::default(),
             last_plan_fp: None,
@@ -142,17 +137,6 @@ impl Database {
         self.fuel_limit = fuel;
     }
 
-    /// Select the bind-once pipeline (default) or the per-row rebinding
-    /// baseline; see [`BindMode`]. The baseline exists for benchmarking
-    /// the bind-once speedup on identical machinery.
-    pub fn set_bind_mode(&mut self, mode: BindMode) {
-        self.bind_mode = mode;
-    }
-
-    pub fn bind_mode(&self) -> BindMode {
-        self.bind_mode
-    }
-
     /// Select the physical join strategy: [`JoinMode::Auto`] (default)
     /// hash-joins recognized equality keys, [`JoinMode::NestedLoop`]
     /// forces the nested loop everywhere — kept for differential testing
@@ -165,25 +149,12 @@ impl Database {
         self.join_mode
     }
 
-    /// Select how scans hand rows to the pipeline: [`ScanMode::Shared`]
-    /// (default) is zero-copy, [`ScanMode::Cloning`] deep-clones every
-    /// scanned row and rematerializes FROM subtrees per instantiation —
-    /// the pre-shared-row pipeline, kept for differential testing
-    /// (mirroring [`Database::set_join_mode`]) and as a baseline.
-    pub fn set_scan_mode(&mut self, mode: ScanMode) {
-        self.scan_mode = mode;
-    }
-
-    pub fn scan_mode(&self) -> ScanMode {
-        self.scan_mode
-    }
-
     /// Select how clause expressions evaluate over operator input rows:
     /// [`EvalMode::Vectorized`] (default) runs classified-vectorizable
     /// expressions chunk-at-a-time through [`crate::vec_eval`],
     /// [`EvalMode::RowAtATime`] forces the row-at-a-time interpreter
     /// everywhere — kept for differential testing of the vectorized path
-    /// (mirroring [`Database::set_scan_mode`]) and as a baseline.
+    /// (mirroring [`Database::set_join_mode`]) and as a baseline.
     pub fn set_eval_mode(&mut self, mode: EvalMode) {
         self.eval_mode = mode;
     }
@@ -215,8 +186,7 @@ impl Database {
 
     /// Subquery result-memo accounting accumulated across statements:
     /// `(hits, misses)`. A hit is a full-result or keyed-memo reuse; a
-    /// miss is an actual subquery execution through the cached path (the
-    /// [`BindMode::PerRow`] baseline counts nothing).
+    /// miss is an actual subquery execution.
     pub fn subquery_memo_stats(&self) -> (u64, u64) {
         (self.subq_memo_hits, self.subq_memo_misses)
     }
@@ -234,7 +204,7 @@ impl Database {
     /// Switch storage modes. Entering `Durable` attaches a fresh WAL
     /// (under a no-fault plan) that logs every subsequent DML/DDL effect;
     /// the in-memory catalog remains the baseline store either way,
-    /// mirroring how the bind/join/scan/eval mode switches keep one
+    /// mirroring how the join/eval/access mode switches keep one
     /// behavioural baseline per axis. Returning to `Volatile` drops the
     /// log.
     pub fn set_storage_mode(&mut self, mode: StorageMode) {
@@ -497,9 +467,7 @@ impl Database {
             stmt,
             self.fuel_limit,
         );
-        ctx.rebind_per_row = self.bind_mode == BindMode::PerRow;
         ctx.force_nested_loop = self.join_mode == JoinMode::NestedLoop;
-        ctx.clone_scans = self.scan_mode == ScanMode::Cloning;
         ctx.vectorize = self.eval_mode == EvalMode::Vectorized;
         ctx.scan_only = self.access_mode == AccessMode::ScanOnly;
         ctx
@@ -641,13 +609,10 @@ impl Database {
             optimize: true,
         };
         let plan = crate::plan::plan_select(q, &pctx, &std::collections::BTreeSet::new())?;
-        // Subqueries are annotated with their predicted memo strategy (the
-        // PerRow baseline bypasses every cache, so it annotates NONE), and
+        // Subqueries are annotated with their predicted memo strategy, and
         // each clause with its predicted evaluation mode: [VEC] or
         // [ROW(<reason>)].
-        let vec = if self.bind_mode == BindMode::PerRow {
-            crate::plan::VecNote::Disabled("per-row bind mode")
-        } else if self.eval_mode == EvalMode::RowAtATime {
+        let vec = if self.eval_mode == EvalMode::RowAtATime {
             crate::plan::VecNote::Disabled("row-at-a-time eval mode")
         } else {
             crate::plan::VecNote::Predict {
@@ -655,12 +620,7 @@ impl Database {
                 dialect: self.dialect,
             }
         };
-        Ok(crate::plan::explain_full(
-            &plan,
-            self.bind_mode != BindMode::PerRow,
-            Some(&self.catalog),
-            vec,
-        ))
+        Ok(crate::plan::explain_full(&plan, Some(&self.catalog), vec))
     }
 
     /// Statically verify a SELECT's physical plan against the engine's

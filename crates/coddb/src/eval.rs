@@ -10,8 +10,7 @@
 //! ordinal)` pairs resolved once per query by the binder, so
 //! [`eval_bound`] performs no name resolution — and no heap allocation
 //! for it — per row. [`eval_expr`] is the bind-and-evaluate convenience
-//! wrapper for expressions evaluated once per statement (and the per-row
-//! baseline behind [`crate::exec::BindMode::PerRow`]).
+//! wrapper for expressions evaluated once per statement.
 //!
 //! Evaluation threads an [`ExprCtx`] carrying the *context* of the
 //! expression — clause, statement kind, whether rows arrived via an index
@@ -152,11 +151,9 @@ pub fn eval_const(expr: &Expr, pctx: &PlanCtx) -> Result<Value> {
 
 /// Bind and evaluate an AST expression in one step.
 ///
-/// This is the *tree-walking* path: it re-resolves every column name on
-/// every call. The executor uses it only for expressions evaluated once
-/// per statement and as the per-row baseline behind
-/// [`crate::Database::set_bind_mode`]; hot loops bind once with
-/// [`Binder`] and then call [`eval_bound`] per row.
+/// This re-resolves every column name on every call, so the executor
+/// uses it only for expressions evaluated once per statement; hot loops
+/// bind once with [`Binder`] and then call [`eval_bound`] per row.
 pub fn eval_expr(expr: &Expr, env: EvalEnv) -> Result<Value> {
     let schemas: Vec<&crate::exec::Schema> = env.scopes.iter().map(|f| f.schema).collect();
     let mut binder = Binder::new(&schemas, env.info.depth);

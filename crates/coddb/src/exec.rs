@@ -3,10 +3,9 @@
 //! A materializing executor: each operator produces a vector of shared
 //! copy-on-write rows ([`Row`]). Scans are zero-copy — a base-table,
 //! index or CTE scan hands out refcount bumps to storage instead of
-//! cloning values ([`ScanMode::Cloning`] restores the deep-cloning
-//! baseline for differential testing) — and cacheable FROM subtrees are
-//! materialized once per statement and reused across a correlated
-//! subquery's re-instantiations ([`exec_from`]). Joins with
+//! cloning values — and cacheable FROM subtrees are materialized once
+//! per statement and reused across a correlated subquery's
+//! re-instantiations ([`exec_from`]). Joins with
 //! planner-recognized equality keys run as build/probe hash joins over
 //! bound key ordinals ([`hash_join`]), falling back to the nested loop
 //! for non-equi predicates, mutant-forced ON rewrites, and runtime
@@ -39,22 +38,6 @@ use crate::eval::{
 use crate::plan::{self, BodyPlan, CorePlan, FromPlan, PlanCtx, SelectPlan};
 use crate::value::{OrdRow, OrdValue, Relation, Row, Value};
 
-/// How often clause expressions are bound during execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BindMode {
-    /// Bind once per operator instantiation, evaluate per row (default).
-    #[default]
-    PerQuery,
-    /// Re-bind (re-resolve every column name) for every row. This is the
-    /// tree-walking baseline the bind-once pipeline replaced; it exists so
-    /// benchmarks can compare the two on identical machinery. Note the
-    /// baseline allocates a fresh bound tree per row, which is more work
-    /// than the original by-name interpreter's per-ColumnRef allocation —
-    /// `bind_vs_walk` numbers measure bind-once vs. per-row binding, not
-    /// vs. the historical implementation bit for bit.
-    PerRow,
-}
-
 /// Physical join strategy selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinMode {
@@ -65,21 +48,6 @@ pub enum JoinMode {
     /// Force the nested loop everywhere — kept for differential testing
     /// of the hash-join path and as a benchmarking baseline.
     NestedLoop,
-}
-
-/// How scans hand rows to the operator pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanMode {
-    /// Zero-copy: scans hand out refcount bumps to table / CTE storage
-    /// (rows are [`Row`]-shared), and FROM subtrees re-instantiated by
-    /// correlated subqueries reuse their materialized result (default).
-    #[default]
-    Shared,
-    /// Deep-clone every scanned row and rematerialize FROM subtrees on
-    /// every instantiation — the pre-shared-row pipeline, kept for
-    /// differential testing of the zero-copy path
-    /// (`coddb/tests/scan_differential.rs`) and as a baseline.
-    Cloning,
 }
 
 /// How clause expressions are evaluated over operator input rows.
@@ -113,13 +81,8 @@ pub struct EngineCtx<'a> {
     pub cov: &'a Coverage,
     pub optimize: bool,
     pub stmt: StmtKind,
-    /// Baseline mode: re-bind clause expressions for every row (see
-    /// [`BindMode::PerRow`]).
-    pub rebind_per_row: bool,
     /// Force nested-loop joins (see [`JoinMode::NestedLoop`]).
     pub force_nested_loop: bool,
-    /// Baseline mode: deep-clone scanned rows (see [`ScanMode::Cloning`]).
-    pub clone_scans: bool,
     /// Baseline mode: execute `IndexSeek` nodes as full sequential scans
     /// (see [`crate::database::AccessMode::ScanOnly`]).
     pub scan_only: bool,
@@ -163,9 +126,7 @@ impl<'a> EngineCtx<'a> {
             cov,
             optimize,
             stmt,
-            rebind_per_row: false,
             force_nested_loop: false,
-            clone_scans: false,
             scan_only: false,
             vectorize: true,
             vec_pool: RefCell::new(crate::vec_eval::Pool::default()),
@@ -194,14 +155,6 @@ impl<'a> EngineCtx<'a> {
         }
     }
 
-    /// May vectorized chunk evaluation run? The per-row rebinding
-    /// baseline re-binds from the AST every row, which the kernels
-    /// (which walk the bound form) would not reproduce.
-    #[inline]
-    pub(crate) fn vec_enabled(&self) -> bool {
-        self.vectorize && !self.rebind_per_row
-    }
-
     /// Fuel still available (the chunked paths check the budget covers a
     /// whole chunk before charging it, so exhaustion mid-chunk falls back
     /// to the per-row loop and hangs at exactly the scalar row).
@@ -224,10 +177,9 @@ impl<'a> EngineCtx<'a> {
     /// May a binding built at this subquery depth enter the pointer-keyed
     /// caches? Depth-0 operators execute exactly once per statement (only
     /// `exec_subquery` re-enters execution, and it bumps the depth), so
-    /// caching them is pure overhead — and the PerRow baseline's plans
-    /// are not retained, so their addresses must never become keys.
+    /// caching them is pure overhead.
     pub(crate) fn bindings_cacheable(&self, depth: u32) -> bool {
-        depth > 0 && !self.rebind_per_row
+        depth > 0
     }
 
     /// Run `f` with the correlation tracker suspended. FROM-clause
@@ -465,16 +417,10 @@ impl<'p> Prepared<'p> {
         &self.bound
     }
 
-    /// Evaluate for one row. In the default mode this is a bound-form
-    /// walk with zero name resolution; in [`BindMode::PerRow`] it re-binds
-    /// from the AST first (the tree-walking baseline).
+    /// Evaluate for one row: a bound-form walk with zero name resolution.
     #[inline]
     pub(crate) fn eval(&self, env: EvalEnv) -> Result<Value> {
-        if env.ctx.rebind_per_row {
-            eval_expr(self.ast, env)
-        } else {
-            eval_bound(&self.bound, env)
-        }
+        eval_bound(&self.bound, env)
     }
 }
 
@@ -522,18 +468,8 @@ fn set_local_row<'a>(frames: &mut [Frame<'a>], schema: &'a Schema, row: &'a [Val
 ///   value it actually read must follow the identical path (including
 ///   reads redirected by the name-collision mutant, which the detector
 ///   tracks at the load site and therefore folds into the key).
-///
-/// All caches are bypassed in the [`BindMode::PerRow`] baseline.
 pub fn exec_subquery(query: &Select, env: EvalEnv) -> Result<Rc<Relation>> {
     let ctx = env.ctx;
-    if ctx.rebind_per_row {
-        // Baseline: plan + bind + execute from scratch on every call.
-        let pctx = ctx.plan_ctx();
-        let plan = plan::plan_select(query, &pctx, &env.ctes.names())?;
-        let rel = exec_select_plan(&plan, ctx, env.ctes, env.scopes, env.info.depth + 1)?;
-        return Ok(Rc::new(rel));
-    }
-
     let key = query as *const Select as usize;
     let entry = match ctx
         .caches
@@ -1192,7 +1128,7 @@ fn exec_core(
             clause: Clause::SelectList,
             ..base_info
         };
-        let use_vec = ctx.vec_enabled()
+        let use_vec = ctx.vectorize
             && !rows.is_empty()
             && prepared
                 .iter()
@@ -1413,7 +1349,7 @@ fn exec_grouped(
             clause: Clause::GroupBy,
             ..base_info
         };
-        let use_vec = ctx.vec_enabled()
+        let use_vec = ctx.vectorize
             && !rows.is_empty()
             && group_preds
                 .iter()
@@ -1582,7 +1518,7 @@ fn exec_grouped(
     let spec_modes: Vec<BatchedArg> = agg_specs
         .iter()
         .map(|spec| {
-            if !ctx.vec_enabled() {
+            if !ctx.vectorize {
                 return BatchedArg::Scalar;
             }
             if spec.func == AggFunc::CountStar {
@@ -1811,8 +1747,6 @@ fn expand_items_grouped(core: &CorePlan) -> Result<(Vec<String>, Vec<Expr>)> {
 /// Expand and bind a plain projection, once per statement. Keyed by the
 /// core plan's address (stable: the executing plan lives for the whole
 /// statement, and subquery plans are retained by the statement cache).
-/// The [`BindMode::PerRow`] baseline rebuilds from scratch every call —
-/// its plans are not retained, so their addresses must not become keys.
 fn projection_bindings(
     core: &CorePlan,
     schema: &Schema,
@@ -1889,9 +1823,7 @@ fn grouped_bindings(
                 .collect::<Result<_>>()?;
             // Bind projection items and HAVING through one binder so every
             // distinct aggregate expression gets a single slot; the per-group
-            // value table is indexed by those slots. (These always evaluate
-            // the bound form — slot assignment belongs to this binder, so the
-            // per-row rebinding baseline does not apply here.)
+            // value table is indexed by those slots.
             let (columns, proj_exprs) = expand_items_grouped(core)?;
             let mut binder = Binder::new(&scopes, depth);
             let bound_projs: Vec<BoundExpr> = proj_exprs
@@ -2016,7 +1948,7 @@ fn apply_cmp_filter_fast(
 ) -> Result<Option<Vec<Row>>> {
     use crate::eval::cmp_matches;
 
-    if ctx.rebind_per_row || rows.is_empty() {
+    if rows.is_empty() {
         return Ok(None);
     }
     if info.via_index && ctx.bugs.active(BugId::SqliteIndexedCmpNullTrue) {
@@ -2157,7 +2089,7 @@ pub(crate) fn apply_filter(
     // Vectorize only when no filter-site mutant can fire (the chunk
     // kernels do not model the keep-on-NULL hooks) and the predicate
     // classifies as vectorizable under the active mutant set.
-    let use_vec = ctx.vec_enabled()
+    let use_vec = ctx.vectorize
         && !rows.is_empty()
         && !(info.via_index && cmp_shape && ctx.bugs.active(BugId::SqliteIndexedCmpNullTrue))
         && !(and_shape && ctx.bugs.active(BugId::CockroachAndNullTopConjunct))
@@ -2326,8 +2258,7 @@ fn seek_filter(
     // scan would use. Either regime charges exactly `seek.total`.
     let local_col =
         |e: &BoundExpr| matches!(e, BoundExpr::Column(c) if c.up == 0 && c.collision_alt.is_none());
-    let bulk_charge = !(ctx.rebind_per_row
-        || (info.via_index && ctx.bugs.active(BugId::SqliteIndexedCmpNullTrue)))
+    let bulk_charge = !(info.via_index && ctx.bugs.active(BugId::SqliteIndexedCmpNullTrue))
         && matches!(pred.bound(), BoundExpr::Binary { op, left, right }
             if op.is_comparison()
                 && ((local_col(left) && row_invariant(right))
@@ -2558,16 +2489,14 @@ fn from_result_cacheable(from: &FromPlan, ctx: &EngineCtx) -> bool {
 /// function of table state — for cacheable subtrees (see
 /// [`from_result_cacheable`]) it is materialized once per statement and
 /// shared across the per-outer-key re-instantiations of a correlated
-/// subquery. [`ScanMode::Cloning`] disables the cache along with row
-/// sharing.
+/// subquery.
 fn exec_from(
     from: &FromPlan,
     ctx: &EngineCtx,
     ctes: &CteEnv,
     depth: u32,
 ) -> Result<Rc<FromResult>> {
-    let cacheable =
-        ctx.bindings_cacheable(depth) && !ctx.clone_scans && from_result_cacheable(from, ctx);
+    let cacheable = ctx.bindings_cacheable(depth) && from_result_cacheable(from, ctx);
     get_or_build(
         &ctx.caches.from_results,
         cacheable,
@@ -2593,17 +2522,10 @@ fn exec_from_uncached(
                     .map(|c| ColMeta::new(Some(alias), &c.name))
                     .collect(),
             };
-            // Zero-copy scan: hand out shared references to table
-            // storage (the Cloning baseline deep-copies, as the pipeline
-            // did before rows were shared).
-            let rows = if ctx.clone_scans {
-                t.rows.iter().map(Row::deep_clone).collect()
-            } else {
-                t.rows.clone()
-            };
+            // Zero-copy scan: hand out shared references to table storage.
             Ok(FromResult {
                 schema,
-                rows,
+                rows: t.rows.clone(),
                 via_index: false,
                 has_cte: false,
                 has_full_join: false,
@@ -2664,16 +2586,7 @@ fn exec_from_uncached(
             if *reverse {
                 keyed.reverse();
             }
-            let rows = keyed
-                .into_iter()
-                .map(|(_, i)| {
-                    if ctx.clone_scans {
-                        t.rows[i].deep_clone()
-                    } else {
-                        t.rows[i].clone()
-                    }
-                })
-                .collect();
+            let rows = keyed.into_iter().map(|(_, i)| t.rows[i].clone()).collect();
             Ok(FromResult {
                 schema,
                 rows,
@@ -2726,14 +2639,9 @@ fn exec_from_uncached(
             if ctx.scan_only || !exact {
                 // Plain scan, no seek metadata — the filter runs the
                 // baseline path and ORDER BY still sorts.
-                let rows = if ctx.clone_scans {
-                    t.rows.iter().map(Row::deep_clone).collect()
-                } else {
-                    t.rows.clone()
-                };
                 return Ok(FromResult {
                     schema,
-                    rows,
+                    rows: t.rows.clone(),
                     via_index: false,
                     has_cte: false,
                     has_full_join: false,
@@ -2749,17 +2657,7 @@ fn exec_from_uncached(
             // only the first row of each duplicate key group.
             let dedup = ctx.bugs.index_active(IndexBugId::EqSeekMissesDuplicates);
             let out = data.seek(eq, range.clone(), *ordered, *reverse, dedup);
-            let rows: Vec<Row> = out
-                .emit
-                .iter()
-                .map(|&p| {
-                    if ctx.clone_scans {
-                        t.rows[p].deep_clone()
-                    } else {
-                        t.rows[p].clone()
-                    }
-                })
-                .collect();
+            let rows: Vec<Row> = out.emit.iter().map(|&p| t.rows[p].clone()).collect();
             Ok(FromResult {
                 schema,
                 rows,
@@ -2880,14 +2778,9 @@ fn exec_from_uncached(
                     .map(|c| ColMeta::new(Some(alias), c).from_cte(true))
                     .collect(),
             };
-            let rows = if ctx.clone_scans {
-                data.rel.rows.iter().map(Row::deep_clone).collect()
-            } else {
-                data.rel.rows.clone()
-            };
             Ok(FromResult {
                 schema,
-                rows,
+                rows: data.rel.rows.clone(),
                 via_index: false,
                 has_cte: true,
                 has_full_join: false,
@@ -3085,9 +2978,9 @@ fn exec_join(
     // Hash path: the planner recognized equality keys. Falls through to
     // the nested loop when the mutant above forces the ON true (the
     // nested loop implements that), when nested loops are forced for
-    // differential testing / the per-row baseline, or when the key
+    // differential testing, or when the key
     // values' storage classes break hash-key transitivity at runtime.
-    if !hash_keys.is_empty() && !on_forced_true && !ctx.force_nested_loop && !ctx.rebind_per_row {
+    if !hash_keys.is_empty() && !on_forced_true && !ctx.force_nested_loop {
         if let Some(rows) = hash_join(
             kind, hash_keys, residual, left, right, &schema, ctx, ctes, depth, info,
         )? {

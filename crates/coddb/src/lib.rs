@@ -96,24 +96,22 @@
 //!    outer key** (the values of precisely those slots), so a
 //!    correlated subquery over K distinct outer keys executes K times,
 //!    not once per outer row — `EXPLAIN` annotates the predicted
-//!    strategy (`MEMO(full)` / `MEMO(keyed: n slots)` / `NONE`) and
+//!    strategy (`MEMO(full)` / `MEMO(keyed: n slots)`) and
 //!    [`Database::subquery_memo_stats`] counts hits and misses.
 //!    Cacheable FROM subtrees (no CTE scans, derived tables or embedded
 //!    subqueries) also materialize once per statement and are shared
 //!    across a correlated subquery's re-instantiations. All caches die
 //!    at the statement boundary, so DML can never leak stale results.
 //!
-//! [`exec::BindMode::PerRow`] (via [`Database::set_bind_mode`]) re-binds
-//! every row instead — the tree-walking baseline kept for benchmarking
-//! the bind-once speedup on otherwise identical machinery. It bypasses
-//! the per-statement caches and the hash join, so it also preserves the
-//! pre-cache execution profile as a comparison point. Orthogonally,
-//! [`exec::ScanMode::Cloning`] (via [`Database::set_scan_mode`]) deep-
-//! clones every scanned row and rematerializes FROM subtrees per
-//! instantiation — the pre-shared-row pipeline, kept for differential
-//! testing (`coddb/tests/scan_differential.rs` checks byte-identical
-//! results and identical coverage bitsets) and as the cloning baseline
-//! in `BENCH_engine.json`.
+//! Three execution-mode switches select a non-optimizing *reference
+//! engine* per axis, in the NoREC sense: [`JoinMode::NestedLoop`] (via
+//! [`Database::set_join_mode`]) disables the hash join,
+//! [`EvalMode::RowAtATime`] (via [`Database::set_eval_mode`]) disables
+//! the vectorized kernels, and [`AccessMode::ScanOnly`] (via
+//! [`Database::set_access_mode`]) disables index seeks. Each reference
+//! must agree with the default engine on results and coverage bitsets
+//! (`join_differential.rs`), and the latter two on fuel as well
+//! (`eval_differential.rs`, `index_differential.rs`).
 //!
 //! ## Ordered index access paths
 //!
@@ -340,7 +338,7 @@ pub use bugs::{BugId, BugKind, BugRegistry, IndexBugId, MediaBugId, RecoveryBugI
 pub use database::{AccessMode, Database, ExecOutcome};
 pub use dialect::Dialect;
 pub use error::{Error, Result, Severity, StorageError, StorageFaultKind, StorageSite};
-pub use exec::{BindMode, EvalMode, JoinMode, ScanMode};
+pub use exec::{EvalMode, JoinMode};
 pub use recovery::{
     recover_with_policy, recovery_divergence_media, scrub_images, RecoveryPolicy, ScrubFinding,
     ScrubReport,

@@ -1296,7 +1296,7 @@ fn normalize_for_index(expr: &Expr, alias: &str) -> Expr {
 /// output). The text intentionally shows what the fingerprint hashes:
 /// access paths, join kinds, aggregation and subplan structure.
 pub fn explain(plan: &SelectPlan) -> String {
-    explain_with_memo(plan, true, None)
+    explain_full(plan, None, VecNote::Off)
 }
 
 /// How EXPLAIN annotates clause vectorization.
@@ -1304,8 +1304,8 @@ pub fn explain(plan: &SelectPlan) -> String {
 pub enum VecNote<'a> {
     /// No vectorization annotations (bare [`explain`]).
     Off,
-    /// Vectorized evaluation disabled wholesale (per-row bind mode or
-    /// [`crate::exec::EvalMode::RowAtATime`]); every clause annotates
+    /// Vectorized evaluation disabled wholesale
+    /// ([`crate::exec::EvalMode::RowAtATime`]); every clause annotates
     /// `ROW(<reason>)`.
     Disabled(&'static str),
     /// Classify each clause expression against the active mutant set —
@@ -1318,47 +1318,26 @@ pub enum VecNote<'a> {
     },
 }
 
-/// How EXPLAIN renders: whether subquery memoization is enabled (the
-/// `BindMode::PerRow` baseline bypasses every cache and annotates
-/// `NONE`), the catalog — when present, bare column references
-/// classify against the actual columns of the subquery's relations —
-/// and the vectorization annotation mode.
+/// How EXPLAIN renders: the catalog — when present, bare column
+/// references classify against the actual columns of the subquery's
+/// relations — and the vectorization annotation mode.
 #[derive(Clone, Copy)]
 struct ExplainCtx<'a> {
-    memo: bool,
     catalog: Option<&'a Catalog>,
     vec: VecNote<'a>,
 }
 
 /// [`explain`], annotating every subquery with its predicted result-memo
-/// strategy (`MEMO(full)` / `MEMO(keyed: n slots)` / `NONE`). The
+/// strategy (`MEMO(full)` / `MEMO(keyed: n slots)`) and each clause
+/// expression `[VEC]` or `[ROW(<reason>)]` per `vec`. The memo
 /// prediction is the static mirror of the runtime correlation detector:
 /// column references that cannot resolve against any relation named
 /// inside the subquery are outer slots and become the memo key (the
 /// runtime detector — which also sees mutant-redirected reads — stays
 /// authoritative).
-pub fn explain_with_memo(
-    plan: &SelectPlan,
-    memo_enabled: bool,
-    catalog: Option<&Catalog>,
-) -> String {
-    explain_full(plan, memo_enabled, catalog, VecNote::Off)
-}
-
-/// [`explain_with_memo`], additionally annotating each clause expression
-/// `[VEC]` or `[ROW(<reason>)]` per the vectorization prediction.
-pub fn explain_full(
-    plan: &SelectPlan,
-    memo_enabled: bool,
-    catalog: Option<&Catalog>,
-    vec: VecNote,
-) -> String {
+pub fn explain_full(plan: &SelectPlan, catalog: Option<&Catalog>, vec: VecNote) -> String {
     let mut out = String::new();
-    let ectx = ExplainCtx {
-        memo: memo_enabled,
-        catalog,
-        vec,
-    };
+    let ectx = ExplainCtx { catalog, vec };
     explain_select(plan, 0, ectx, &mut out);
     out.pop(); // trailing newline
     out
@@ -1645,9 +1624,6 @@ fn static_outer_slots(q: &Select, catalog: Option<&Catalog>) -> usize {
 
 /// The EXPLAIN annotation line for one subquery.
 fn memo_note(q: &Select, ectx: ExplainCtx) -> String {
-    if !ectx.memo {
-        return "SUBQUERY NONE".into();
-    }
     match static_outer_slots(q, ectx.catalog) {
         0 => "SUBQUERY MEMO(full)".into(),
         n => format!("SUBQUERY MEMO(keyed: {n} slots)"),

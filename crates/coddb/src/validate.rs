@@ -589,7 +589,7 @@ struct OpCounts {
 /// may *exceed* the walk (SQL text literals can contain operator-shaped
 /// text), so only under-rendering is a violation.
 fn check_explain(plan: &SelectPlan, catalog: &Catalog, out: &mut Vec<Violation>) {
-    let text = explain_full(plan, true, Some(catalog), VecNote::Off);
+    let text = explain_full(plan, Some(catalog), VecNote::Off);
     let mut want = OpCounts::default();
     count_select(plan, &mut want);
     let rendered = |prefix: &str| {

@@ -313,13 +313,6 @@ impl Row {
         }
     }
 
-    /// A deep copy with fresh storage (the [`crate::exec::ScanMode::Cloning`]
-    /// differential baseline re-clones rows the way the pipeline did
-    /// before rows were shared).
-    pub fn deep_clone(&self) -> Row {
-        Row(self.0.to_vec().into())
-    }
-
     /// Do `self` and `other` share the same storage?
     pub fn shares_storage_with(&self, other: &Row) -> bool {
         Rc::ptr_eq(&self.0, &other.0)
@@ -482,14 +475,6 @@ impl Relation {
         a.iter()
             .zip(b.iter())
             .all(|(x, y)| row_total_cmp(x, y) == Ordering::Equal)
-    }
-
-    /// Deep-copy every row into fresh storage (differential baselines).
-    pub fn deep_clone(&self) -> Relation {
-        Relation {
-            columns: self.columns.clone(),
-            rows: self.rows.iter().map(Row::deep_clone).collect(),
-        }
     }
 
     /// Canonical display for reports: `col1|col2` header then rows.

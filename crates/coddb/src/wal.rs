@@ -1,7 +1,7 @@
 //! Write-ahead log over a simulated disk with deterministic fault injection.
 //!
 //! The durable storage layer follows the engine's differential-mode
-//! pattern (`set_bind_mode` / `set_scan_mode` / ...): when a [`Database`]
+//! pattern (`set_join_mode` / `set_eval_mode` / ...): when a [`Database`]
 //! runs with [`StorageMode::Durable`], every DML/DDL *effect* is appended
 //! to a [`Wal`] as a checksummed, length-prefixed redo record, followed by
 //! a commit marker per statement — while the in-memory catalog remains the

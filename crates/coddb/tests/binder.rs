@@ -1,9 +1,9 @@
 //! Integration tests for the binding pass: name-resolution errors, outer
-//! (correlated) references, bound/walk mode agreement, and regression
-//! proofs that the context-sensitive bug hooks survive binding.
+//! (correlated) references, expected results across query shapes, and
+//! regression proofs that the context-sensitive bug hooks survive binding.
 
 use coddb::bugs::{BugId, BugRegistry};
-use coddb::{BindMode, Database, Dialect, Error};
+use coddb::{Database, Dialect, Error, Value};
 
 fn db_with(setup: &str) -> Database {
     let mut db = Database::new(Dialect::Sqlite);
@@ -41,7 +41,7 @@ fn ambiguous_bare_column_is_rejected_and_qualification_fixes_it() {
         other => panic!("expected ambiguity error, got {other:?}"),
     }
     let rel = db.query_sql("SELECT t1.c0 FROM t0, t1").unwrap();
-    assert_eq!(rel.rows, vec![vec![coddb::Value::Int(2)]]);
+    assert_eq!(rel.rows, vec![vec![Value::Int(2)]]);
 }
 
 #[test]
@@ -56,37 +56,58 @@ fn correlated_outer_references_bind_across_scopes() {
             "SELECT c0 FROM t0 WHERE EXISTS (SELECT 1 FROM t1 WHERE t1.c0 = t0.c0) ORDER BY 1",
         )
         .unwrap();
-    assert_eq!(
-        rel.rows,
-        vec![vec![coddb::Value::Int(2)], vec![coddb::Value::Int(3)]]
-    );
+    assert_eq!(rel.rows, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
 }
 
 #[test]
-fn bound_and_per_row_modes_agree_across_query_shapes() {
-    let setup = "CREATE TABLE t0 (c0 INT, c1 TEXT, c2 REAL);
+fn bound_pipeline_returns_expected_rows_across_query_shapes() {
+    let mut db = db_with(
+        "CREATE TABLE t0 (c0 INT, c1 TEXT, c2 REAL);
          CREATE TABLE t1 (c0 INT, c1 TEXT);
          CREATE INDEX i0 ON t0 (c0);
          INSERT INTO t0 VALUES (1, 'a', 1.5), (2, 'b', 22.5), (17, 'c', 7.25), (NULL, 'd', NULL);
-         INSERT INTO t1 VALUES (2, 'x'), (17, 'y'), (99, 'z')";
-    let shapes = [
-        "SELECT COUNT(*) FROM t0 WHERE c0 % 3 = 1 AND c2 > 10.0",
-        "SELECT COUNT(*) FROM t0 WHERE c0 > 1",
-        "SELECT t0.c1, t1.c1 FROM t0 INNER JOIN t1 ON t0.c0 = t1.c0 ORDER BY 1",
-        "SELECT c0 % 7, COUNT(*), AVG(c2) FROM t0 GROUP BY c0 % 7 HAVING COUNT(*) >= 1",
-        "SELECT COUNT(*) FROM t1 WHERE t1.c0 < (SELECT AVG(t0.c0) FROM t0 WHERE t0.c0 = t1.c0) + 10",
-        "SELECT c0 FROM t0 WHERE c0 IN (SELECT c0 FROM t1) ORDER BY c0 DESC",
-        "SELECT c0 FROM t0 WHERE c0 < 30 UNION SELECT c0 FROM t1 ORDER BY 1",
-        "SELECT DISTINCT CASE WHEN c0 > 2 THEN 'hi' ELSE c1 END FROM t0 ORDER BY 1 LIMIT 3",
+         INSERT INTO t1 VALUES (2, 'x'), (17, 'y'), (99, 'z')",
+    );
+    let int = Value::Int;
+    let text = |s: &str| Value::Text(s.into());
+    let shapes: [(&str, Vec<Vec<Value>>); 8] = [
+        (
+            "SELECT COUNT(*) FROM t0 WHERE c0 % 3 = 1 AND c2 > 10.0",
+            vec![vec![int(0)]],
+        ),
+        ("SELECT COUNT(*) FROM t0 WHERE c0 > 1", vec![vec![int(2)]]),
+        (
+            "SELECT t0.c1, t1.c1 FROM t0 INNER JOIN t1 ON t0.c0 = t1.c0 ORDER BY 1",
+            vec![vec![text("b"), text("x")], vec![text("c"), text("y")]],
+        ),
+        (
+            "SELECT c0 % 7, COUNT(*), AVG(c2) FROM t0 GROUP BY c0 % 7 HAVING COUNT(*) >= 1",
+            vec![
+                vec![Value::Null, int(1), Value::Null],
+                vec![int(1), int(1), Value::Real(1.5)],
+                vec![int(2), int(1), Value::Real(22.5)],
+                vec![int(3), int(1), Value::Real(7.25)],
+            ],
+        ),
+        (
+            "SELECT COUNT(*) FROM t1 WHERE t1.c0 < (SELECT AVG(t0.c0) FROM t0 WHERE t0.c0 = t1.c0) + 10",
+            vec![vec![int(2)]],
+        ),
+        (
+            "SELECT c0 FROM t0 WHERE c0 IN (SELECT c0 FROM t1) ORDER BY c0 DESC",
+            vec![vec![int(17)], vec![int(2)]],
+        ),
+        (
+            "SELECT c0 FROM t0 WHERE c0 < 30 UNION SELECT c0 FROM t1 ORDER BY 1",
+            vec![vec![int(1)], vec![int(2)], vec![int(17)], vec![int(99)]],
+        ),
+        (
+            "SELECT DISTINCT CASE WHEN c0 > 2 THEN 'hi' ELSE c1 END FROM t0 ORDER BY 1 LIMIT 3",
+            vec![vec![text("a")], vec![text("b")], vec![text("d")]],
+        ),
     ];
-    let mut bound = db_with(setup);
-    let mut walk = db_with(setup);
-    walk.set_bind_mode(BindMode::PerRow);
-    assert_eq!(walk.bind_mode(), BindMode::PerRow);
-    for sql in shapes {
-        let a = bound.query_sql(sql).unwrap();
-        let b = walk.query_sql(sql).unwrap();
-        assert_eq!(a, b, "bind modes disagree on {sql}");
+    for (sql, want) in shapes {
+        assert_eq!(db.query_sql(sql).unwrap().rows, want, "{sql}");
     }
 }
 
@@ -102,7 +123,7 @@ fn correlated_name_collision_hook_survives_binding() {
 
     let mut clean = db_with(setup);
     let clean_rel = clean.query_sql(sql).unwrap();
-    assert_eq!(clean_rel.rows, vec![vec![coddb::Value::Int(2)]]);
+    assert_eq!(clean_rel.rows, vec![vec![Value::Int(2)]]);
 
     let mut buggy = Database::with_bugs(
         Dialect::Tidb,
@@ -112,7 +133,7 @@ fn correlated_name_collision_hook_survives_binding() {
     let buggy_rel = buggy.query_sql(sql).unwrap();
     assert_eq!(
         buggy_rel.rows,
-        vec![vec![coddb::Value::Int(5)]],
+        vec![vec![Value::Int(5)]],
         "mutant must bind the bare c0 to the outer t0 row"
     );
 }
@@ -141,10 +162,7 @@ fn dml_binds_once_and_still_fires_statement_hooks() {
     db.execute_sql("UPDATE t SET w = v * 100 WHERE v = 2")
         .unwrap();
     let rel = db.query_sql("SELECT w FROM t ORDER BY v").unwrap();
-    assert_eq!(
-        rel.rows,
-        vec![vec![coddb::Value::Int(10)], vec![coddb::Value::Int(200)]]
-    );
+    assert_eq!(rel.rows, vec![vec![Value::Int(10)], vec![Value::Int(200)]]);
     // Unknown column in a DML WHERE is a bind-time catalog error.
     assert!(matches!(
         db.execute_sql("DELETE FROM t WHERE nope = 1"),

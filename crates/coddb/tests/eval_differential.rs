@@ -144,6 +144,52 @@ fn vectorized_matches_row_at_a_time_on_every_dialect() {
     }
 }
 
+/// A DML-interleaved script: SELECT shapes that stress row sharing
+/// (scans, joins over duplicates, correlated and non-correlated
+/// subqueries, CTE reuse, sorting on shared rows) alternate with
+/// INSERT/UPDATE/DELETE that mutate the very rows earlier statements
+/// shared — copy-on-write must keep each statement's view isolated.
+const SHARED_ROW_SCRIPT: &[&str] = &[
+    "CREATE TABLE t (a INT, b TEXT, c REAL)",
+    "CREATE TABLE u (a INT, b TEXT)",
+    // Duplicate rows on purpose: shared scans must not collapse them.
+    "INSERT INTO t VALUES (1, 'x', 1.5), (1, 'x', 1.5), (2, 'y', 2.5), \
+     (2, 'y', 2.5), (3, 'z', 3.5), (NULL, 'n', 0.5)",
+    "INSERT INTO u VALUES (1, 'x'), (2, 'q'), (2, 'q'), (4, 'w'), (NULL, 'n')",
+    "SELECT * FROM t",
+    "SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY 1",
+    "SELECT DISTINCT a, b FROM t ORDER BY a, b",
+    "SELECT * FROM t INNER JOIN u ON t.a = u.a",
+    "SELECT * FROM t LEFT JOIN u ON t.a = u.a ORDER BY t.c",
+    // Correlated subquery: per-outer-key memo + shared FROM result.
+    "SELECT a, (SELECT COUNT(*) FROM u WHERE u.a = t.a) FROM t ORDER BY a",
+    // Non-correlated subquery: full result memo.
+    "SELECT COUNT(*) FROM t WHERE a IN (SELECT a FROM u WHERE a > 1)",
+    "SELECT a FROM t WHERE c < (SELECT 2.6) ORDER BY a",
+    // CTE scanned twice (reuse counter must advance identically).
+    "WITH w (k) AS (SELECT a FROM u WHERE a > 1) \
+     SELECT * FROM w INNER JOIN w AS w2 ON w.k = w2.k",
+    "SELECT a FROM t UNION SELECT a FROM u ORDER BY 1",
+    // DML between the SELECTs: COW writes against previously shared rows.
+    "UPDATE t SET b = 'updated' WHERE a = 1",
+    "SELECT * FROM t ORDER BY a, c",
+    "DELETE FROM u WHERE a = 2",
+    "SELECT COUNT(*) FROM u",
+    "INSERT INTO t VALUES (5, 'v', 5.5)",
+    "SELECT a, (SELECT COUNT(*) FROM u WHERE u.a = t.a) FROM t ORDER BY a",
+    "UPDATE t SET c = c + 1.0 WHERE a IN (SELECT a FROM u)",
+    "SELECT * FROM t ORDER BY a, c",
+    "DELETE FROM t WHERE a IS NULL",
+    "SELECT COUNT(*) FROM t",
+];
+
+#[test]
+fn vectorized_matches_row_at_a_time_over_shared_rows_and_dml() {
+    for dialect in Dialect::ALL {
+        assert_modes_agree(dialect, BugRegistry::none, SHARED_ROW_SCRIPT, "shared-rows");
+    }
+}
+
 /// Trigger contexts for the context-sensitive mutants: index scans,
 /// views, CTEs, joins, subqueries, set operations — so an active mutant
 /// actually fires during the differential run (the classifier must then

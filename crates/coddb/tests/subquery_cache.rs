@@ -6,7 +6,7 @@
 //! redirect, which turns a seemingly non-correlated subquery correlated).
 
 use coddb::bugs::BugRegistry;
-use coddb::{BindMode, BugId, Database, Dialect};
+use coddb::{BugId, Database, Dialect, Value};
 
 fn setup() -> Database {
     let mut db = Database::new(Dialect::Sqlite);
@@ -228,11 +228,6 @@ fn memo_counters_accumulate_across_statements() {
     db.query_sql("SELECT a, (SELECT COUNT(*) FROM inner_t WHERE b > a * 10) FROM outer_t")
         .unwrap();
     assert_eq!(db.subquery_memo_stats(), (3, 5));
-    // The PerRow baseline bypasses the caches and counts nothing.
-    db.set_bind_mode(BindMode::PerRow);
-    db.query_sql("SELECT a FROM outer_t WHERE a * 10 <= (SELECT MAX(b) FROM inner_t)")
-        .unwrap();
-    assert_eq!(db.subquery_memo_stats(), (3, 5));
 }
 
 #[test]
@@ -260,45 +255,32 @@ fn explain_prints_the_memo_strategy() {
         .explain_sql("SELECT a FROM outer_t WHERE a < (SELECT MAX(b) FROM inner_t)")
         .unwrap();
     assert!(full.contains("SUBQUERY MEMO(full)"), "{full}");
-    db.set_bind_mode(BindMode::PerRow);
-    let none = db
-        .explain_sql("SELECT a FROM outer_t WHERE a < (SELECT MAX(b) FROM inner_t)")
-        .unwrap();
-    assert!(none.contains("SUBQUERY NONE"), "{none}");
 }
 
 #[test]
-fn per_row_baseline_bypasses_every_cache() {
-    let mut db = setup();
-    db.set_bind_mode(BindMode::PerRow);
-    let rel = db
-        .query_sql("SELECT COUNT(*) FROM outer_t WHERE a * 10 <= (SELECT MAX(b) FROM inner_t)")
-        .unwrap();
-    assert_eq!(rel.scalar().unwrap().as_i64(), Some(3));
-    let hits = db.coverage().hit_points();
-    assert!(
-        !hits.contains(&"exec::subq_result_memo_hit"),
-        "the per-row rebinding baseline must not use the caches: {hits:?}"
-    );
-    assert!(!hits.contains(&"exec::subq_plan_cache_hit"), "{hits:?}");
-}
-
-#[test]
-fn memoized_and_unmemoized_results_agree() {
-    // Differential: the same statement with caches (PerQuery) and without
-    // (PerRow baseline) must agree on a cache-heavy workload.
-    let queries = [
-        "SELECT a FROM outer_t WHERE a IN (SELECT b / 10 FROM inner_t) ORDER BY a",
-        "SELECT a, (SELECT COUNT(*) FROM inner_t) FROM outer_t ORDER BY a",
-        "SELECT a FROM outer_t WHERE EXISTS (SELECT 1 FROM inner_t WHERE b = a * 10) ORDER BY a",
-        "SELECT a FROM outer_t WHERE a < (SELECT AVG(b) FROM inner_t WHERE b >= a) ORDER BY a",
+fn memoized_results_match_expected_rows() {
+    // A cache-heavy workload: IN-list, scalar, EXISTS and correlated
+    // aggregate subqueries, each checked against its literal answer.
+    let int = Value::Int;
+    let queries: [(&str, Vec<Vec<Value>>); 4] = [
+        (
+            "SELECT a FROM outer_t WHERE a IN (SELECT b / 10 FROM inner_t) ORDER BY a",
+            vec![vec![int(1)], vec![int(2)], vec![int(3)]],
+        ),
+        (
+            "SELECT a, (SELECT COUNT(*) FROM inner_t) FROM outer_t ORDER BY a",
+            (1..=4).map(|a| vec![int(a), int(3)]).collect(),
+        ),
+        (
+            "SELECT a FROM outer_t WHERE EXISTS (SELECT 1 FROM inner_t WHERE b = a * 10) ORDER BY a",
+            vec![vec![int(1)], vec![int(2)], vec![int(3)]],
+        ),
+        (
+            "SELECT a FROM outer_t WHERE a < (SELECT AVG(b) FROM inner_t WHERE b >= a) ORDER BY a",
+            (1..=4).map(|a| vec![int(a)]).collect(),
+        ),
     ];
-    for sql in queries {
-        let mut cached = setup();
-        let mut baseline = setup();
-        baseline.set_bind_mode(BindMode::PerRow);
-        let c = cached.query_sql(sql).unwrap();
-        let b = baseline.query_sql(sql).unwrap();
-        assert_eq!(c.rows, b.rows, "cache changed semantics of {sql}");
+    for (sql, want) in queries {
+        assert_eq!(setup().query_sql(sql).unwrap().rows, want, "{sql}");
     }
 }

@@ -707,8 +707,8 @@ impl IndexBugId {
 /// class of bugs where a system *mishandles its own fault handling*: the
 /// media fault itself is injected environment, the bug is reacting to it
 /// with silent wrong behavior instead of detection or graceful
-/// degradation. Hunted by the `recovery_divergence_media`
-/// detect-or-identical oracle.
+/// degradation. Hunted by the detect-or-identical contract of
+/// `recovery_divergence`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MediaBugId {
     /// Scrub skips frame-checksum verification, reporting a damaged image

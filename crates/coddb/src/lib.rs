@@ -191,8 +191,8 @@
 //! genesis replay. The contract is exact, not best-effort: the chosen
 //! base must equal the writer-side ground truth
 //! ([`wal::Wal::durable_snapshot_stmts`] — the newest seal that reached
-//! the disk before the crash), and the checkpointed differential
-//! ([`recovery::recovery_divergence_checkpointed`]) reports a mismatch
+//! the disk before the crash), and the crash-recovery differential
+//! ([`recovery::recovery_divergence`]) reports a mismatch
 //! as a divergence even when the final state happens to agree.
 //!
 //! **Checkpoint determinism.** Checkpoints are part of a scenario's
@@ -258,8 +258,8 @@
 //! invent effects past the damage: salvaged state must equal **some**
 //! committed prefix of the original history.
 //!
-//! **The detect-or-identical oracle.** The media differential
-//! ([`recovery::recovery_divergence_media`]) holds every injected media
+//! **The detect-or-identical oracle.** Under a media plan, the same
+//! differential ([`recovery::recovery_divergence`]) holds every injected media
 //! fault to one standard: it must be *detected* (a scrub finding or a
 //! structured storage error) or *harmless* (recovery byte-identical to
 //! the committed-prefix reference). Detected-and-degraded is fine —
@@ -340,7 +340,7 @@ pub use dialect::Dialect;
 pub use error::{Error, Result, Severity, StorageError, StorageFaultKind, StorageSite};
 pub use exec::{EvalMode, JoinMode};
 pub use recovery::{
-    recover_with_policy, recovery_divergence_media, scrub_images, RecoveryPolicy, ScrubFinding,
+    recover_with_policy, recovery_divergence, scrub_images, RecoveryPolicy, ScrubFinding,
     ScrubReport,
 };
 pub use value::{DataType, Relation, Row, Value};

@@ -35,7 +35,8 @@ use crate::dialect::Dialect;
 use crate::error::{Error, Result, StorageError, StorageFaultKind, StorageSite};
 use crate::value::Row;
 use crate::wal::{
-    checksum, decode_record, MediaMode, ReadFault, SimDisk, WalRecord, FRAME_HEADER, READ_RETRY_CAP,
+    checksum, decode_record, FaultPlan, MediaMode, MediaPlan, ReadFault, SimDisk, StorageMode,
+    WalRecord, FRAME_HEADER, READ_RETRY_CAP,
 };
 
 /// Parse the surviving log image into the sequence of intact records,
@@ -406,51 +407,50 @@ pub fn recover_detailed(
     Ok((db, info))
 }
 
-/// The crash-recovery differential, shared by the `recover` oracle and the
-/// reducer: execute `script` on a durable engine under `plan`, recover the
-/// surviving image, and compare against a never-crashed engine that
-/// executed only the committed prefix. Returns `Some(detail)` when
-/// recovery diverges (wrong state or a recovery error), `None` when it is
-/// byte-identical.
+/// The crash-recovery differential, shared by the `recover` oracle, the
+/// reducer and the recovery suites: execute `script` on a durable engine
+/// under the write-path crash `plan` and the orthogonal `media` plan,
+/// calling [`Database::checkpoint`] after each statement index listed in
+/// `checkpoints` (0-based; indices past the script are ignored), recover
+/// the surviving images, and compare against a never-crashed, never-
+/// checkpointed engine that executed only the committed prefix.
+/// Returns `Some(detail)` on a divergence, `None` otherwise.
 ///
 /// Both executions run under the same `bugs` registry, so injected
 /// *engine* mutants corrupt both sides identically and cancel out; only
-/// *recovery* mutants (or a genuine recovery defect) can produce a
-/// divergence.
+/// *recovery* and *media* mutants (or a genuine storage defect) can
+/// produce a divergence.
+///
+/// **Crash-only contract** (`media` injects nothing): recovery must
+/// succeed, base itself on exactly the newest snapshot whose seal became
+/// durable before the crash ([`crate::wal::Wal::durable_snapshot_stmts`]
+/// — recovering correct bytes from genesis when a valid checkpoint
+/// survived is a divergence too), and reproduce the committed prefix
+/// byte for byte. Any failure is a divergence.
+///
+/// **Detect-or-identical contract** (`media` injects at-rest bit rot, read
+/// faults with bounded retry, or disk-full appends): every injected fault
+/// is either **detected** (a scrub finding or a structured
+/// [`StorageError`]) or **harmless** (the live writer and the recovered
+/// engine are byte-identical to the committed prefix). When damage is
+/// detected and the recovered state is not the full prefix, the salvage
+/// must still equal *some* committed prefix — a recovered state matching
+/// no prefix means salvage resurrected or corrupted effects past the
+/// damage. Silent wrong recovery is the finding.
 pub fn recovery_divergence(
     script: &[crate::ast::Statement],
-    plan: &crate::wal::FaultPlan,
-    dialect: Dialect,
-    bugs: &BugRegistry,
-) -> Option<String> {
-    recovery_divergence_checkpointed(script, &[], plan, dialect, bugs)
-}
-
-/// The checkpointed crash-recovery differential: like
-/// [`recovery_divergence`], but the faulted run calls
-/// [`Database::checkpoint`] after each statement index listed in
-/// `checkpoints` (0-based; indices past the script are ignored). The
-/// reference run never checkpoints — checkpointing is a pure storage-layer
-/// operation, so the committed-prefix state it must match is unchanged.
-///
-/// Beyond the state diff, this also checks the snapshot contract against
-/// writer-side ground truth: recovery must base itself on exactly the
-/// newest snapshot whose seal became durable before the crash
-/// ([`crate::wal::Wal::durable_snapshot_stmts`]) — recovering correct
-/// bytes from genesis when a valid checkpoint survived (or from a stale
-/// or torn snapshot) is a divergence even if the final state matches.
-pub fn recovery_divergence_checkpointed(
-    script: &[crate::ast::Statement],
     checkpoints: &[usize],
-    plan: &crate::wal::FaultPlan,
+    plan: &FaultPlan,
+    media: &MediaPlan,
     dialect: Dialect,
     bugs: &BugRegistry,
 ) -> Option<String> {
     let durable_run =
-        |plan: crate::wal::FaultPlan, ckpts: &[usize], stop_at: Option<u64>| -> Database {
+        |plan: FaultPlan, media: MediaPlan, ckpts: &[usize], stop_at: Option<u64>| -> Database {
             let mut db = Database::with_bugs(dialect, bugs.clone());
-            db.set_storage_mode(crate::wal::StorageMode::Durable);
+            db.set_storage_mode(StorageMode::Durable);
             db.set_fault_plan(plan);
+            db.set_media_plan(media);
             for (i, s) in script.iter().enumerate() {
                 if let Some(c) = stop_at {
                     if db.wal().map(|w| w.committed_statements()) == Some(c) {
@@ -464,14 +464,25 @@ pub fn recovery_divergence_checkpointed(
             }
             db
         };
+    // The committed-prefix oracle: the same script with no faults and no
+    // checkpoints (a pure storage-layer operation), stopped after `k`
+    // commits.
+    let reference = |k: u64| -> Option<Database> {
+        let db = durable_run(FaultPlan::none(), MediaPlan::none(), &[], Some(k));
+        (db.wal().expect("durable").committed_statements() == k).then_some(db)
+    };
 
-    let faulted = durable_run(plan.clone(), checkpoints, None);
+    let faults = media.faults();
+    let faulted = durable_run(plan.clone(), *media, checkpoints, None);
     let wal = faulted.wal().expect("durable");
     let committed = wal.committed_statements();
-    let log_image = wal.image().to_vec();
-    let snap_image = wal.snapshot_image().to_vec();
     let durable_snap = wal.durable_snapshot_stmts();
     let context = {
+        let media = if faults {
+            format!(", {}", media.describe())
+        } else {
+            String::new()
+        };
         let site = wal
             .crash_site()
             .map(|s| format!(", crashed during {}", s.label()))
@@ -481,15 +492,88 @@ pub fn recovery_divergence_checkpointed(
         } else {
             format!(", checkpoints after stmts {checkpoints:?}")
         };
-        format!("{}{site}{ckpts}", plan.describe())
+        format!("{}{media}{site}{ckpts}", plan.describe())
     };
 
-    let (recovered, info) = match recover_detailed(&log_image, &snap_image, dialect, bugs) {
+    // Live-writer check: a media fault on the append path (disk full)
+    // must abort the statement cleanly — the serving engine stays exactly
+    // at the committed prefix. Only meaningful when the writer survived.
+    if faults && !wal.crashed() {
+        let Some(refdb) = reference(committed) else {
+            return Some(format!(
+                "reference run cannot reach {committed} commits ({context})"
+            ));
+        };
+        let want = refdb.dump_state();
+        let live = faulted.dump_state();
+        if live != want {
+            return Some(format!(
+                "writer state diverges from the committed prefix after a media fault \
+                 (committed={committed}, {context}):\n--- expected ---\n{want}\n--- live ---\n{live}"
+            ));
+        }
+    }
+
+    // At-rest degradation between shutdown and recovery: bit rot lands in
+    // the images, read faults arm on the faulted site's disk (both are
+    // no-ops without a media fault).
+    let mut log_image = wal.image().to_vec();
+    let mut snap_image = wal.snapshot_image().to_vec();
+    media.rot_images(&mut log_image, &mut snap_image);
+    let mut log_disk = SimDisk::from_bytes(log_image);
+    let mut snap_disk = SimDisk::from_bytes(snap_image);
+    let fault = match media.mode {
+        MediaMode::TransientRead { failures } => Some(ReadFault::Transient { failures }),
+        MediaMode::PermanentRead => Some(ReadFault::Permanent),
+        _ => None,
+    };
+    match media.site {
+        StorageSite::Log => log_disk.set_read_fault(fault),
+        StorageSite::Snapshot => snap_disk.set_read_fault(fault),
+    }
+    let must_fail = media.read_must_fail();
+    let log_read = log_disk.read_with_retry(StorageSite::Log, bugs);
+    let snap_read = snap_disk.read_with_retry(StorageSite::Snapshot, bugs);
+    let (log_bytes, snap_bytes) = match (log_read, snap_read) {
+        (Ok(l), Ok(s)) => {
+            if must_fail {
+                // The fault cannot heal within the bounded schedule, yet
+                // the read came back: the retry cap was ignored.
+                return Some(format!(
+                    "retry contract violated: a read that must exceed the retry cap \
+                     (cap {READ_RETRY_CAP}) succeeded ({context})"
+                ));
+            }
+            (l, s)
+        }
+        (Err(e), _) | (_, Err(e)) => {
+            if must_fail {
+                // Graceful fail-stop on an unreadable medium: detected.
+                return None;
+            }
+            // A transient fault within the retry budget must heal.
+            return Some(format!(
+                "recovery failed: {} ({context})",
+                Error::Storage(e)
+            ));
+        }
+    };
+
+    // Scrub decides detection, and only under a media fault: a crash's
+    // torn tail is a finding too, but it never excuses a crash-only
+    // divergence.
+    let detected = faults && !scrub_images(log_bytes, snap_bytes, bugs).clean();
+
+    let (recovered, info) = match recover_detailed(log_bytes, snap_bytes, dialect, bugs) {
         Ok(x) => x,
+        // Fail-stop on damage scrub also saw: detected.
+        Err(_) if detected => return None,
         Err(e) => return Some(format!("recovery failed: {e} ({context})")),
     };
 
-    if info.snapshot_stmts != durable_snap {
+    // With damage detected, it may legitimately have forced a different
+    // snapshot base.
+    if !detected && info.snapshot_stmts != durable_snap {
         return Some(format!(
             "recovery based itself on snapshot {:?} but the newest durable \
              snapshot covers {:?} ({context})",
@@ -497,22 +581,40 @@ pub fn recovery_divergence_checkpointed(
         ));
     }
 
-    let reference = durable_run(crate::wal::FaultPlan::none(), &[], Some(committed));
-    let got_committed = reference.wal().expect("durable").committed_statements();
-    if got_committed != committed {
+    let Some(refdb) = reference(committed) else {
         return Some(format!(
-            "reference run reached {got_committed} commits, expected {committed}"
+            "reference run cannot reach {committed} commits ({context})"
         ));
-    }
-    let want = reference.dump_state();
+    };
+    let want = refdb.dump_state();
     let got = recovered.dump_state();
-    if want != got {
+    if got == want {
+        return None;
+    }
+    if !detected {
+        let what = if faults {
+            "silent wrong recovery: media damage went undetected and recovery diverged"
+        } else {
+            "recovered state diverges"
+        };
         return Some(format!(
-            "recovered state diverges from the committed prefix \
-             (committed={committed}, {context}):\n--- expected ---\n{want}\n--- recovered ---\n{got}",
+            "{what} from the committed prefix (committed={committed}, {context}):\n\
+             --- expected ---\n{want}\n--- recovered ---\n{got}"
         ));
     }
-    None
+    // Damage was detected and the full prefix is gone: the salvage must
+    // equal SOME shorter committed prefix — never a state no committed
+    // history ever produced.
+    for k in (0..committed).rev() {
+        if reference(k).is_some_and(|r| r.dump_state() == got) {
+            return None;
+        }
+    }
+    Some(format!(
+        "salvage resurrected or corrupted state past the damage: recovered state \
+         matches no committed prefix (committed={committed}, {context}):\n\
+         --- committed prefix ---\n{want}\n--- recovered ---\n{got}"
+    ))
 }
 
 /// One damaged or suspicious region found by [`scrub_images`].
@@ -749,212 +851,10 @@ pub fn recover_with_policy(
     recover_detailed(log_image, snap_image, dialect, bugs)
 }
 
-/// The media-fault differential: the detect-or-identical contract.
-///
-/// Execute `script` on a durable engine under both a write-path crash
-/// `plan` and an orthogonal media `plan` (at-rest bit rot, read faults
-/// with bounded retry, disk-full appends), then demand that every
-/// injected media fault is either **detected** (a scrub finding or a
-/// structured [`StorageError`]) or **harmless** (the live writer and the
-/// recovered engine are byte-identical to the committed-prefix oracle).
-/// When damage is detected and the recovered state is not the full
-/// prefix, the salvage must still equal *some* committed prefix — a
-/// recovered state matching no prefix means salvage resurrected or
-/// corrupted effects past the damage. Silent wrong recovery is the
-/// finding.
-pub fn recovery_divergence_media(
-    script: &[crate::ast::Statement],
-    checkpoints: &[usize],
-    plan: &crate::wal::FaultPlan,
-    media: &crate::wal::MediaPlan,
-    dialect: Dialect,
-    bugs: &BugRegistry,
-) -> Option<String> {
-    if !media.faults() {
-        return recovery_divergence_checkpointed(script, checkpoints, plan, dialect, bugs);
-    }
-    let durable_run = |plan: crate::wal::FaultPlan,
-                       media: crate::wal::MediaPlan,
-                       ckpts: &[usize],
-                       stop_at: Option<u64>|
-     -> Database {
-        let mut db = Database::with_bugs(dialect, bugs.clone());
-        db.set_storage_mode(crate::wal::StorageMode::Durable);
-        db.set_fault_plan(plan);
-        db.set_media_plan(media);
-        for (i, s) in script.iter().enumerate() {
-            if let Some(c) = stop_at {
-                if db.wal().map(|w| w.committed_statements()) == Some(c) {
-                    break;
-                }
-            }
-            let _ = db.execute(s);
-            if ckpts.contains(&i) {
-                let _ = db.checkpoint();
-            }
-        }
-        db
-    };
-
-    let faulted = durable_run(plan.clone(), *media, checkpoints, None);
-    let wal = faulted.wal().expect("durable");
-    let committed = wal.committed_statements();
-    let crashed = wal.crashed();
-    let durable_snap = wal.durable_snapshot_stmts();
-    let mut log_image = wal.image().to_vec();
-    let mut snap_image = wal.snapshot_image().to_vec();
-    let context = {
-        let site = wal
-            .crash_site()
-            .map(|s| format!(", crashed during {}", s.label()))
-            .unwrap_or_default();
-        let ckpts = if checkpoints.is_empty() {
-            String::new()
-        } else {
-            format!(", checkpoints after stmts {checkpoints:?}")
-        };
-        format!("{}, {}{site}{ckpts}", plan.describe(), media.describe())
-    };
-
-    // A clean engine executing the same script (same bugs registry, so
-    // engine mutants cancel out) with no faults, stopped after `k`
-    // commits: the committed-prefix oracle.
-    let reference = |k: u64| -> Option<Database> {
-        let db = durable_run(
-            crate::wal::FaultPlan::none(),
-            crate::wal::MediaPlan::none(),
-            &[],
-            Some(k),
-        );
-        (db.wal().expect("durable").committed_statements() == k).then_some(db)
-    };
-
-    // Live-writer check: a media fault on the append path (disk full)
-    // must abort the statement cleanly — the serving engine stays exactly
-    // at the committed prefix. Only meaningful when the writer survived.
-    if !crashed {
-        let Some(refdb) = reference(committed) else {
-            return Some(format!(
-                "reference run cannot reach {committed} commits ({context})"
-            ));
-        };
-        let want = refdb.dump_state();
-        let live = faulted.dump_state();
-        if live != want {
-            return Some(format!(
-                "writer state diverges from the committed prefix after a media fault \
-                 (committed={committed}, {context}):\n--- expected ---\n{want}\n--- live ---\n{live}"
-            ));
-        }
-    }
-
-    // At-rest degradation between shutdown and recovery: bit rot lands in
-    // the images, read faults arm on the faulted site's disk.
-    media.rot_images(&mut log_image, &mut snap_image);
-    let mut log_disk = SimDisk::from_bytes(log_image);
-    let mut snap_disk = SimDisk::from_bytes(snap_image);
-    let fault = match media.mode {
-        MediaMode::TransientRead { failures } => Some(ReadFault::Transient { failures }),
-        MediaMode::PermanentRead => Some(ReadFault::Permanent),
-        _ => None,
-    };
-    match media.site {
-        StorageSite::Log => log_disk.set_read_fault(fault),
-        StorageSite::Snapshot => snap_disk.set_read_fault(fault),
-    }
-    let must_fail = media.read_must_fail();
-    let log_read = log_disk
-        .read_with_retry(StorageSite::Log, bugs)
-        .map(|b| b.to_vec());
-    let snap_read = snap_disk
-        .read_with_retry(StorageSite::Snapshot, bugs)
-        .map(|b| b.to_vec());
-    let (log_bytes, snap_bytes) = match (log_read, snap_read) {
-        (Ok(l), Ok(s)) => {
-            if must_fail {
-                // The fault cannot heal within the bounded schedule, yet
-                // the read came back: the retry cap was ignored.
-                return Some(format!(
-                    "retry contract violated: a read that must exceed the retry cap \
-                     (cap {READ_RETRY_CAP}) succeeded ({context})"
-                ));
-            }
-            (l, s)
-        }
-        (Err(e), _) | (_, Err(e)) => {
-            if must_fail {
-                // Graceful fail-stop on an unreadable medium: detected.
-                return None;
-            }
-            // A transient fault within the retry budget must heal.
-            return Some(format!(
-                "recovery failed: {} ({context})",
-                Error::Storage(e)
-            ));
-        }
-    };
-
-    let report = scrub_images(&log_bytes, &snap_bytes, bugs);
-
-    let (recovered, info) = match recover_detailed(&log_bytes, &snap_bytes, dialect, bugs) {
-        Ok(x) => x,
-        Err(e) => {
-            if !report.clean() {
-                // Fail-stop on damage scrub also saw: detected.
-                return None;
-            }
-            return Some(format!("recovery failed: {e} ({context})"));
-        }
-    };
-
-    let Some(refdb) = reference(committed) else {
-        return Some(format!(
-            "reference run cannot reach {committed} commits ({context})"
-        ));
-    };
-    let want = refdb.dump_state();
-    let got = recovered.dump_state();
-    if got == want {
-        // Harmless (byte-identical). With a clean scrub the snapshot base
-        // contract still applies; with findings, damage may legitimately
-        // have forced a different base.
-        if report.clean() && info.snapshot_stmts != durable_snap {
-            return Some(format!(
-                "recovery based itself on snapshot {:?} but the newest durable \
-                 snapshot covers {:?} ({context})",
-                info.snapshot_stmts, durable_snap
-            ));
-        }
-        return None;
-    }
-    if report.clean() {
-        return Some(format!(
-            "silent wrong recovery: media damage went undetected and recovery \
-             diverged from the committed prefix (committed={committed}, {context}):\n\
-             --- expected ---\n{want}\n--- recovered ---\n{got}"
-        ));
-    }
-    // Damage was detected and the full prefix is gone: the salvage must
-    // equal SOME shorter committed prefix — never a state no committed
-    // history ever produced.
-    for k in (0..committed).rev() {
-        if let Some(r) = reference(k) {
-            if r.dump_state() == got {
-                return None;
-            }
-        }
-    }
-    Some(format!(
-        "salvage resurrected or corrupted state past the damage: recovered state \
-         matches no committed prefix (committed={committed}, {context}):\n\
-         --- committed prefix ---\n{want}\n--- recovered ---\n{got}"
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{encode_record, FaultMode, FaultPlan, StorageMode, Wal};
+    use crate::wal::{encode_record, FaultMode, Wal};
 
     fn durable_db() -> Database {
         let mut db = Database::new(Dialect::Sqlite);
@@ -1163,7 +1063,14 @@ mod tests {
             ] {
                 let plan = FaultPlan { crash_op: op, mode };
                 assert_eq!(
-                    recovery_divergence(&script, &plan, Dialect::Sqlite, &BugRegistry::none()),
+                    recovery_divergence(
+                        &script,
+                        &[],
+                        &plan,
+                        &MediaPlan::none(),
+                        Dialect::Sqlite,
+                        &BugRegistry::none()
+                    ),
                     None,
                     "divergence at {plan:?}"
                 );
@@ -1265,10 +1172,11 @@ mod tests {
                 mode: FaultMode::Lost,
             };
             assert_eq!(
-                recovery_divergence_checkpointed(
+                recovery_divergence(
                     &script,
                     &[1, 3],
                     &plan,
+                    &MediaPlan::none(),
                     Dialect::Sqlite,
                     &BugRegistry::none()
                 ),
@@ -1534,10 +1442,11 @@ mod tests {
                     } else {
                         FaultPlan { crash_op: op, mode }
                     };
-                    if recovery_divergence_checkpointed(
+                    if recovery_divergence(
                         &script,
                         &[1, 2],
                         &plan,
+                        &MediaPlan::none(),
                         Dialect::Sqlite,
                         &bugs,
                     )

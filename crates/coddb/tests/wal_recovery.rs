@@ -11,10 +11,7 @@
 
 use coddb::bugs::{BugRegistry, MediaBugId};
 use coddb::error::StorageSite;
-use coddb::recovery::{
-    recover_detailed, recovery_divergence, recovery_divergence_checkpointed,
-    recovery_divergence_media,
-};
+use coddb::recovery::{recover_detailed, recovery_divergence};
 use coddb::wal::{FaultMode, FaultPlan, MediaMode, MediaPlan, StorageMode, READ_RETRY_CAP};
 use coddb::{ast::Statement, AccessMode, Database, Dialect, RecoveryBugId};
 
@@ -113,7 +110,14 @@ fn exhaustive_fault_grid_recovers_exactly_the_committed_prefix() {
         for op in 0..=total {
             for mode in modes_at(op) {
                 let plan = FaultPlan { crash_op: op, mode };
-                let diverged = recovery_divergence(&stmts, &plan, dialect, &BugRegistry::none());
+                let diverged = recovery_divergence(
+                    &stmts,
+                    &[],
+                    &plan,
+                    &MediaPlan::none(),
+                    dialect,
+                    &BugRegistry::none(),
+                );
                 assert_eq!(
                     diverged,
                     None,
@@ -144,10 +148,11 @@ fn exhaustive_checkpointed_grid_recovers_exactly_the_committed_prefix() {
             for op in 0..=total {
                 for mode in modes_at(op) {
                     let plan = FaultPlan { crash_op: op, mode };
-                    let diverged = recovery_divergence_checkpointed(
+                    let diverged = recovery_divergence(
                         &stmts,
                         checkpoints,
                         &plan,
+                        &MediaPlan::none(),
                         dialect,
                         &BugRegistry::none(),
                     );
@@ -228,8 +233,15 @@ fn every_recovery_mutant_diverges_somewhere_in_the_grid() {
                     } else {
                         FaultPlan { crash_op: op, mode }
                     };
-                    if recovery_divergence_checkpointed(&stmts, checkpoints, &plan, dialect, &bugs)
-                        .is_some()
+                    if recovery_divergence(
+                        &stmts,
+                        checkpoints,
+                        &plan,
+                        &MediaPlan::none(),
+                        dialect,
+                        &bugs,
+                    )
+                    .is_some()
                     {
                         hit = true;
                         break 'grid;
@@ -290,7 +302,7 @@ fn exhaustive_media_grid_is_detected_or_identical() {
     for dialect in DIALECTS {
         let total = total_ops_with(&stmts, dialect, checkpoints);
         for media in media_cells(total) {
-            let diverged = recovery_divergence_media(
+            let diverged = recovery_divergence(
                 &stmts,
                 checkpoints,
                 &FaultPlan::none(),
@@ -344,7 +356,7 @@ fn crash_and_media_faults_compose_in_the_same_grid() {
                     mode: MediaMode::NoSpace { at_op: op / 2 },
                 },
             ] {
-                let diverged = recovery_divergence_media(
+                let diverged = recovery_divergence(
                     &stmts,
                     checkpoints,
                     &plan,
@@ -377,7 +389,7 @@ fn every_media_mutant_diverges_somewhere_in_the_media_grid() {
         let bugs = BugRegistry::only_media(bug);
         let mut witness = None;
         for media in media_cells(total) {
-            if recovery_divergence_media(
+            if recovery_divergence(
                 &stmts,
                 checkpoints,
                 &FaultPlan::none(),
@@ -394,13 +406,13 @@ fn every_media_mutant_diverges_somewhere_in_the_media_grid() {
         let media = witness
             .unwrap_or_else(|| panic!("{} never diverged across the media grid", bug.name()));
         assert_eq!(
-            recovery_divergence_media(
+            recovery_divergence(
                 &stmts,
                 checkpoints,
                 &FaultPlan::none(),
                 &media,
                 dialect,
-                &BugRegistry::none(),
+                &BugRegistry::none()
             ),
             None,
             "{}: witness cell {} also fails on a clean engine",
@@ -429,7 +441,14 @@ fn engine_mutants_cancel_out_of_the_checkpointed_differential() {
                     FaultPlan { crash_op: op, mode }
                 };
                 assert_eq!(
-                    recovery_divergence_checkpointed(&stmts, checkpoints, &plan, dialect, &bugs),
+                    recovery_divergence(
+                        &stmts,
+                        checkpoints,
+                        &plan,
+                        &MediaPlan::none(),
+                        dialect,
+                        &bugs
+                    ),
                     None,
                     "engine mutant leaked into the checkpointed differential at op {op}"
                 );
@@ -494,7 +513,14 @@ fn indexed_table_grid_recovers_and_seeks_match_scan_only() {
                 mode: FaultMode::Lost,
             };
             assert_eq!(
-                recovery_divergence(&stmts, &plan, dialect, &BugRegistry::none()),
+                recovery_divergence(
+                    &stmts,
+                    &[],
+                    &plan,
+                    &MediaPlan::none(),
+                    dialect,
+                    &BugRegistry::none()
+                ),
                 None,
                 "{dialect}: indexed-table recovery diverged under {}",
                 plan.describe()

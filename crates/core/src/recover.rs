@@ -6,8 +6,7 @@
 //! count the WAL operations the checkpointed run produces, draw a
 //! deterministic [`FaultPlan`] over that range — so seeded crashes land
 //! inside snapshot writes and the truncation step, not just DML traffic —
-//! and check, via
-//! [`coddb::recovery::recovery_divergence_checkpointed`], that recovering
+//! and check, via [`coddb::recovery::recovery_divergence`], that recovering
 //! the surviving snapshot + log-suffix images reconstructs *exactly* the
 //! committed prefix a never-crashed engine would hold, from exactly the
 //! newest durable snapshot.
@@ -26,7 +25,7 @@
 //! and every finding records both seeds.
 
 use coddb::ast::{Expr, InsertSource, Statement};
-use coddb::recovery::recovery_divergence_media;
+use coddb::recovery::recovery_divergence;
 use coddb::wal::{FaultPlan, MediaPlan, StorageMode};
 use coddb::Database;
 use rand::rngs::StdRng;
@@ -164,7 +163,7 @@ impl Oracle for Recover {
 
         let plan = FaultPlan::seeded(fault_seed, total_ops);
         let mplan = MediaPlan::seeded(media_seed, total_ops);
-        match recovery_divergence_media(&script, &checkpoints, &plan, &mplan, dialect, &bugs) {
+        match recovery_divergence(&script, &checkpoints, &plan, &mplan, dialect, &bugs) {
             None => TestOutcome::Pass,
             Some(detail) => {
                 // A recovery *error* is always a bug here — unlike query

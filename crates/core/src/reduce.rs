@@ -19,7 +19,7 @@
 
 use coddb::ast::{Expr, Select, Statement};
 use coddb::bugs::BugRegistry;
-use coddb::recovery::recovery_divergence_media;
+use coddb::recovery::recovery_divergence;
 use coddb::value::Value;
 use coddb::wal::{FaultMode, FaultPlan, MediaMode, MediaPlan};
 use coddb::{Database, Dialect};
@@ -157,10 +157,9 @@ impl RecoveryCase {
 /// 2. on a clean engine the same scenario recovers exactly (otherwise the
 ///    shrink produced a script that fails for an unrelated reason).
 pub fn recovery_still_failing(case: &RecoveryCase, dialect: Dialect, bugs: &BugRegistry) -> bool {
-    // `recovery_divergence_media` delegates to the pure checkpointed
-    // differential when the case carries no media fault, so one entry
-    // point serves both kinds of case.
-    recovery_divergence_media(
+    // One differential serves both kinds of case: without a media fault
+    // it holds the case to the crash-only contract.
+    recovery_divergence(
         &case.script,
         &case.checkpoints,
         &case.plan,
@@ -169,7 +168,7 @@ pub fn recovery_still_failing(case: &RecoveryCase, dialect: Dialect, bugs: &BugR
         bugs,
     )
     .is_some()
-        && recovery_divergence_media(
+        && recovery_divergence(
             &case.script,
             &case.checkpoints,
             &case.plan,

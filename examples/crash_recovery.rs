@@ -21,8 +21,7 @@
 
 use coddb::bugs::BugRegistry;
 use coddb::recovery::{
-    recover_detailed, recover_with_policy, recovery_divergence_checkpointed, scrub_images,
-    RecoveryPolicy,
+    recover_detailed, recover_with_policy, recovery_divergence, scrub_images, RecoveryPolicy,
 };
 use coddb::wal::{FaultMode, FaultPlan, MediaPlan, StorageMode, FRAME_HEADER};
 use coddb::{Database, Dialect, MediaBugId, RecoveryBugId};
@@ -171,10 +170,11 @@ fn main() {
     for s in &reduced.script {
         println!("  {s};");
     }
-    assert!(recovery_divergence_checkpointed(
+    assert!(recovery_divergence(
         &reduced.script,
         &reduced.checkpoints,
         &reduced.plan,
+        &MediaPlan::none(),
         Dialect::Sqlite,
         &bugs
     )

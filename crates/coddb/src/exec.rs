@@ -2536,7 +2536,6 @@ fn exec_from_uncached(
             table,
             alias,
             index,
-            reverse,
         } => {
             let t = ctx.catalog.table(table)?;
             let idx = ctx
@@ -2551,45 +2550,37 @@ fn exec_from_uncached(
                     .map(|c| ColMeta::new(Some(alias), &c.name))
                     .collect(),
             };
-            // Evaluate the indexed expressions (bound once) per row and
-            // visit rows in index order — row-identical to a seq scan,
-            // different order. Multi-expression indexes order by the
-            // composite key.
+            // Evaluate the indexed expressions (bound once) per row — their
+            // errors and coverage are the scan's observable index work —
+            // but emit rows in storage order, row- and order-identical to
+            // a seq scan, so ORDER BY ties resolve the same either way.
             let prepared: Vec<Prepared> = idx
                 .exprs
                 .iter()
                 .map(|e| Prepared::new(e, &[&schema], depth, ctx))
                 .collect::<Result<_>>()?;
-            let mut keyed: Vec<(Vec<OrdValue>, usize)> = Vec::with_capacity(t.rows.len());
-            for (i, row) in t.rows.iter().enumerate() {
+            let info = ExprCtx {
+                depth,
+                ..ExprCtx::new(Clause::IndexExpr)
+            };
+            for row in &t.rows {
                 let frames = [Frame {
                     schema: &schema,
                     row,
                 }];
-                let mut key = Vec::with_capacity(prepared.len());
                 for p in &prepared {
-                    let env = EvalEnv {
+                    p.eval(EvalEnv {
                         ctx,
                         scopes: &frames,
                         aggs: None,
                         ctes,
-                        info: ExprCtx {
-                            depth,
-                            ..ExprCtx::new(Clause::IndexExpr)
-                        },
-                    };
-                    key.push(OrdValue(p.eval(env)?));
+                        info,
+                    })?;
                 }
-                keyed.push((key, i));
             }
-            keyed.sort_by(|(a, ia), (b, ib)| a.cmp(b).then(ia.cmp(ib)));
-            if *reverse {
-                keyed.reverse();
-            }
-            let rows = keyed.into_iter().map(|(_, i)| t.rows[i].clone()).collect();
             Ok(FromResult {
                 schema,
-                rows,
+                rows: t.rows.clone(),
                 via_index: true,
                 has_cte: false,
                 has_full_join: false,

@@ -43,14 +43,15 @@ pub struct PlanCtx<'a> {
 pub enum FromPlan {
     /// Full scan of a base table in storage order.
     SeqScan { table: String, alias: String },
-    /// Scan of a base table in index order (CoddDB indexes provide an
-    /// ordering over an indexed expression; results are row-identical to a
-    /// sequential scan but arrive in a different order).
+    /// Scan of a base table through an expression index: the executor
+    /// evaluates the index expressions per row (the index-scan context
+    /// several mutants key on) and emits rows in storage order, exactly
+    /// like a sequential scan — so `ORDER BY` ties resolve the same way
+    /// whether or not a predicate matched the index.
     IndexScan {
         table: String,
         alias: String,
         index: String,
-        reverse: bool,
     },
     /// Range/point seek on a physical ordered index (bare-column keys
     /// only). The executor probes the index's `OrdIndex` for the rows the
@@ -313,7 +314,7 @@ fn plan_core(core: &SelectCore, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> Resu
         }
         // Access-path selection on single-table scans: first try a
         // physical index seek over a sargable conjunct prefix, then the
-        // legacy expression-index ordered scan.
+        // expression-index scan.
         if let Some(f) = from.take() {
             let f = select_seek(f, where_clause.as_ref(), pctx);
             from = Some(select_index(f, where_clause.as_ref(), pctx)?);
@@ -401,7 +402,6 @@ fn plan_table_expr(te: &TableExpr, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> R
                             table: key,
                             alias: alias_name,
                             index: idx.to_ascii_lowercase(),
-                            reverse: false,
                         };
                     }
                     Ok(plan)
@@ -1183,13 +1183,12 @@ fn select_index(plan: FromPlan, where_clause: Option<&Expr>, pctx: &PlanCtx) -> 
     };
     for conj in split_conjuncts(filter) {
         for index in pctx.catalog.indexes_for_table(table) {
-            if let Some(reverse) = index_matches(&conj, &index.exprs[0], alias) {
+            if index_matches(&conj, &index.exprs[0], alias) {
                 pctx.cov.hit(pt::PLAN_INDEX_SCAN);
                 return Ok(FromPlan::IndexScan {
                     table: table.clone(),
                     alias: alias.clone(),
                     index: index.name.to_ascii_lowercase(),
-                    reverse,
                 });
             }
         }
@@ -1197,26 +1196,18 @@ fn select_index(plan: FromPlan, where_clause: Option<&Expr>, pctx: &PlanCtx) -> 
     Ok(plan)
 }
 
-/// Does a conjunct make the given index usable? Returns the scan direction
-/// (descending for `>`/`>=` probes) or `None`.
-fn index_matches(conj: &Expr, index_expr: &Expr, alias: &str) -> Option<bool> {
+/// Does a conjunct make the given index usable? Either the conjunct *is*
+/// the indexed expression, or it is a `col op literal` probe against an
+/// index on `col`.
+fn index_matches(conj: &Expr, index_expr: &Expr, alias: &str) -> bool {
     let norm = normalize_for_index(conj, alias);
     let idx = normalize_for_index(index_expr, alias);
-    // Whole-expression match: the conjunct *is* the indexed expression.
-    if norm == idx {
-        return Some(false);
-    }
-    // Column-probe match: `col op literal` against an index on `col`.
-    if let Expr::Binary { op, left, right } = &norm {
-        if op.is_comparison()
-            && matches!(left.as_ref(), Expr::Column(_))
-            && matches!(right.as_ref(), Expr::Literal(_))
-            && *left.as_ref() == idx
-        {
-            return Some(matches!(op, BinaryOp::Gt | BinaryOp::Ge));
-        }
-    }
-    None
+    norm == idx
+        || matches!(&norm, Expr::Binary { op, left, right }
+            if op.is_comparison()
+                && matches!(left.as_ref(), Expr::Column(_))
+                && matches!(right.as_ref(), Expr::Literal(_))
+                && *left.as_ref() == idx)
 }
 
 /// Strip table qualifiers equal to `alias` so index expressions (stored
@@ -1764,13 +1755,9 @@ fn explain_from(from: &FromPlan, indent: usize, ectx: ExplainCtx, out: &mut Stri
             table,
             alias,
             index,
-            reverse,
         } => {
             pad(indent, out);
-            out.push_str(&format!(
-                "INDEX SCAN {table} AS {alias} USING {index}{}\n",
-                if *reverse { " (reverse)" } else { "" }
-            ));
+            out.push_str(&format!("INDEX SCAN {table} AS {alias} USING {index}\n"));
         }
         FromPlan::IndexSeek {
             table,
@@ -1951,16 +1938,10 @@ fn hash_from(from: &FromPlan, h: &mut impl Hasher) {
             0xC0u8.hash(h);
             table.hash(h);
         }
-        FromPlan::IndexScan {
-            table,
-            index,
-            reverse,
-            ..
-        } => {
+        FromPlan::IndexScan { table, index, .. } => {
             0xC1u8.hash(h);
             table.hash(h);
             index.hash(h);
-            reverse.hash(h);
         }
         FromPlan::IndexSeek {
             table,
@@ -2279,8 +2260,8 @@ mod tests {
     #[test]
     fn index_selected_for_matching_probe() {
         // A bare-column index on the probed column upgrades the scan to
-        // a range seek (the legacy ordered IndexScan remains for
-        // expression indexes — see `expr_index_keeps_ordered_scan`).
+        // a range seek (the IndexScan remains for expression indexes —
+        // see `expr_index_keeps_index_scan`).
         let cat = setup();
         let bugs = BugRegistry::none();
         let cov = Coverage::new();
@@ -2312,9 +2293,9 @@ mod tests {
     }
 
     #[test]
-    fn expr_index_keeps_ordered_scan() {
+    fn expr_index_keeps_index_scan() {
         // Expression indexes have no physical ordered structure: the
-        // probe-match heuristic still picks the legacy ordered IndexScan.
+        // probe-match heuristic still picks the IndexScan.
         let mut cat = setup();
         cat.create_index(
             "i1",

@@ -269,6 +269,29 @@ fn indexed_by_does_not_change_results() {
     assert!(plain.multiset_eq(&forced));
 }
 
+/// An index scan emits rows in storage order, like a plain scan, so
+/// `ORDER BY` ties resolve identically on both. Here `WHERE t1.c1` is the
+/// indexed expression (an INDEX SCAN) and its double negation is not (a
+/// SCAN); both keep the rows c1 = -60, -70, -86, and the two NULL-c0 rows
+/// tie for the first place under `ORDER BY c0`.
+#[test]
+fn index_scan_breaks_order_by_ties_like_a_plain_scan() {
+    let mut db = db();
+    db.execute_sql(
+        "CREATE TABLE t1 (c0 INT, c1 INT);
+         INSERT INTO t1 VALUES (64, NULL), (NULL, -60), (-40, -70), (NULL, -86);
+         CREATE INDEX i1 ON t1 (c1)",
+    )
+    .unwrap();
+    let indexed = "SELECT * FROM t1 WHERE t1.c1 ORDER BY c0 ASC LIMIT 1";
+    let scanned = "SELECT * FROM t1 WHERE (NOT (NOT t1.c1)) ORDER BY c0 ASC LIMIT 1";
+    assert!(db.explain_sql(indexed).unwrap().contains("INDEX SCAN"));
+    assert!(!db.explain_sql(scanned).unwrap().contains("INDEX SCAN"));
+    let first = vec![vec![Value::Null, Value::Int(-60)]];
+    assert_eq!(rows(&mut db, indexed), first);
+    assert_eq!(rows(&mut db, scanned), first);
+}
+
 #[test]
 fn optimized_and_unoptimized_agree_on_clean_engine() {
     let mut db = db();

@@ -83,6 +83,29 @@ fn rerun_test_is_deterministic() {
     ));
 }
 
+/// Two clean-engine false alarms from campaign seeds: each original query
+/// ran as an INDEX SCAN, which used to emit rows in index-key order,
+/// while its folded (`codd`) or transformed (`eet`) twin no longer
+/// matched the index and ran as a plain SCAN. `ORDER BY <non-unique
+/// column> LIMIT k` then kept a different tied row on each side. Index
+/// scans now emit in storage order, so both coordinates pass.
+#[test]
+fn index_scan_tie_order_raises_no_false_alarm() {
+    for (oracle, seed, state_idx, test_idx) in [
+        ("codd", 0xafdb8dfd2ef8ecf5, 35, 15),
+        ("eet", 0x9557dc7572c2361a, 29, 13),
+    ] {
+        let cfg = CampaignConfig {
+            seed,
+            ..CampaignConfig::new(Dialect::Sqlite)
+        };
+        assert!(
+            !rerun_test(oracle, &cfg, state_idx, test_idx, &BugRegistry::none()),
+            "{oracle} false alarm at seed {seed:#x} state {state_idx} test {test_idx}"
+        );
+    }
+}
+
 #[test]
 fn campaign_skips_are_bounded() {
     // Skipped tests (expected errors, empty joins) must stay a modest

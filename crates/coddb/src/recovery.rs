@@ -495,16 +495,16 @@ pub fn recovery_divergence(
         format!("{}{media}{site}{ckpts}", plan.describe())
     };
 
+    let Some(want) = reference(committed).map(|db| db.dump_state()) else {
+        return Some(format!(
+            "reference run cannot reach {committed} commits ({context})"
+        ));
+    };
+
     // Live-writer check: a media fault on the append path (disk full)
     // must abort the statement cleanly — the serving engine stays exactly
     // at the committed prefix. Only meaningful when the writer survived.
     if faults && !wal.crashed() {
-        let Some(refdb) = reference(committed) else {
-            return Some(format!(
-                "reference run cannot reach {committed} commits ({context})"
-            ));
-        };
-        let want = refdb.dump_state();
         let live = faulted.dump_state();
         if live != want {
             return Some(format!(
@@ -581,12 +581,6 @@ pub fn recovery_divergence(
         ));
     }
 
-    let Some(refdb) = reference(committed) else {
-        return Some(format!(
-            "reference run cannot reach {committed} commits ({context})"
-        ));
-    };
-    let want = refdb.dump_state();
     let got = recovered.dump_state();
     if got == want {
         return None;

@@ -4,7 +4,8 @@
 //! [`EvalMode::RowAtATime`] (the interpreter baseline) — and must
 //! produce byte-identical results, identical coverage bitsets and
 //! **identical fuel consumption**, over NULL-heavy data, erroring
-//! expressions, every dialect, and every injected mutant.
+//! expressions, DML-interleaved shared rows, every dialect, and every
+//! injected mutant.
 
 use coddb::bugs::BugRegistry;
 use coddb::{BugId, Database, Dialect, EvalMode};
@@ -137,13 +138,6 @@ fn assert_modes_agree(dialect: Dialect, bugs: fn() -> BugRegistry, script: &[&st
     );
 }
 
-#[test]
-fn vectorized_matches_row_at_a_time_on_every_dialect() {
-    for dialect in Dialect::ALL {
-        assert_modes_agree(dialect, BugRegistry::none, SCRIPT, "clean");
-    }
-}
-
 /// A DML-interleaved script: SELECT shapes that stress row sharing
 /// (scans, joins over duplicates, correlated and non-correlated
 /// subqueries, CTE reuse, sorting on shared rows) alternate with
@@ -184,8 +178,9 @@ const SHARED_ROW_SCRIPT: &[&str] = &[
 ];
 
 #[test]
-fn vectorized_matches_row_at_a_time_over_shared_rows_and_dml() {
+fn vectorized_matches_row_at_a_time_on_every_dialect() {
     for dialect in Dialect::ALL {
+        assert_modes_agree(dialect, BugRegistry::none, SCRIPT, "clean");
         assert_modes_agree(dialect, BugRegistry::none, SHARED_ROW_SCRIPT, "shared-rows");
     }
 }

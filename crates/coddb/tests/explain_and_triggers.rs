@@ -38,7 +38,7 @@ fn explain_shows_access_paths() {
         desc.contains("INDEX SEEK t AS t USING iv (0 key(s), full, ordered, reverse)"),
         "{desc}"
     );
-    // Expression indexes keep the legacy ordered scan.
+    // Expression indexes keep the plain index scan.
     db.execute_sql("CREATE INDEX ie ON t (v > 0)").unwrap();
     let legacy = db.explain_sql("SELECT * FROM t WHERE v IS NULL").unwrap();
     assert!(legacy.contains("SCAN t AS t"), "{legacy}");

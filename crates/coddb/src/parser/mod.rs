@@ -20,8 +20,7 @@ use crate::value::{DataType, Value};
 
 /// Parse a script of `;`-separated statements.
 pub fn parse_statements(sql: &str) -> Result<Vec<Statement>> {
-    let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(sql)?;
     let mut out = Vec::new();
     loop {
         while p.eat_sym(Sym::Semi) {}
@@ -35,8 +34,7 @@ pub fn parse_statements(sql: &str) -> Result<Vec<Statement>> {
 
 /// Parse a single expression (useful in tests and the REPL example).
 pub fn parse_expr(sql: &str) -> Result<Expr> {
-    let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(sql)?;
     let e = p.parse_expr()?;
     p.expect_end()?;
     Ok(e)
@@ -44,20 +42,49 @@ pub fn parse_expr(sql: &str) -> Result<Expr> {
 
 /// Parse a single SELECT statement.
 pub fn parse_select(sql: &str) -> Result<Select> {
-    let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(sql)?;
     let s = p.parse_select()?;
     while p.eat_sym(Sym::Semi) {}
     p.expect_end()?;
     Ok(s)
 }
 
+/// Deepest nesting of expressions, SELECTs and parenthesised join trees
+/// the parser accepts: deeper input is a parse error instead of a stack
+/// overflow, which would abort the process. In a debug build the costliest
+/// shape (a derived table per level) needs about 1.3 MiB of stack to reach
+/// this depth, inside a default 2 MiB thread stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels entered through [`Parser::nested`].
+    depth: usize,
 }
 
 impl Parser {
+    fn new(sql: &str) -> Result<Parser> {
+        Ok(Parser {
+            tokens: lex(sql)?,
+            pos: 0,
+            depth: 0,
+        })
+    }
+
+    /// Run `f` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::Parse(format!(
+                "nesting exceeds the maximum depth of {MAX_DEPTH}"
+            )));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
@@ -388,6 +415,16 @@ impl Parser {
     // -- SELECT -----------------------------------------------------------
 
     fn parse_select(&mut self) -> Result<Select> {
+        self.nested(Self::parse_query)
+    }
+
+    /// A subquery, boxed here so that the recursive callers keep no
+    /// `Select` in their own stack frames.
+    fn parse_subquery(&mut self) -> Result<Box<Select>> {
+        Ok(Box::new(self.parse_select()?))
+    }
+
+    fn parse_query(&mut self) -> Result<Select> {
         let mut with = Vec::new();
         if self.eat_kw("WITH") {
             loop {
@@ -615,14 +652,11 @@ impl Parser {
     fn parse_table_primary(&mut self) -> Result<TableExpr> {
         if self.eat_sym(Sym::LParen) {
             if self.peek_kw("SELECT") || self.peek_kw("WITH") {
-                let q = self.parse_select()?;
+                let query = self.parse_subquery()?;
                 self.expect_sym(Sym::RParen)?;
                 self.eat_kw("AS");
                 let alias = self.parse_identifier()?;
-                return Ok(TableExpr::Derived {
-                    query: Box::new(q),
-                    alias,
-                });
+                return Ok(TableExpr::Derived { query, alias });
             }
             if self.eat_kw("VALUES") {
                 let rows = self.parse_value_rows()?;
@@ -646,7 +680,7 @@ impl Parser {
                 });
             }
             // Parenthesized join tree.
-            let inner = self.parse_table_expr()?;
+            let inner = self.nested(Self::parse_table_expr)?;
             self.expect_sym(Sym::RParen)?;
             return Ok(inner);
         }
@@ -679,7 +713,7 @@ impl Parser {
     // -- expressions --------------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
@@ -704,7 +738,7 @@ impl Parser {
         // `NOT EXISTS` binds at the primary level; plain `NOT` here.
         if self.peek_kw("NOT") && !self.peek_at(1).is_some_and(|t| t.is_kw("EXISTS")) {
             self.pos += 1;
-            let e = self.parse_not()?;
+            let e = self.nested(Self::parse_not)?;
             return Ok(Expr::not(e));
         }
         self.parse_predicate()
@@ -757,11 +791,11 @@ impl Parser {
             if self.eat_kw("IN") {
                 self.expect_sym(Sym::LParen)?;
                 if self.peek_kw("SELECT") || self.peek_kw("WITH") || self.peek_kw("VALUES") {
-                    let q = self.parse_select()?;
+                    let query = self.parse_subquery()?;
                     self.expect_sym(Sym::RParen)?;
                     left = Expr::InSubquery {
                         expr: Box::new(left),
-                        query: Box::new(q),
+                        query,
                         negated,
                     };
                 } else {
@@ -818,13 +852,13 @@ impl Parser {
             };
             if let Some(q) = quantifier {
                 self.expect_sym(Sym::LParen)?;
-                let sub = self.parse_select()?;
+                let query = self.parse_subquery()?;
                 self.expect_sym(Sym::RParen)?;
                 left = Expr::Quantified {
                     op,
                     quantifier: q,
                     expr: Box::new(left),
-                    query: Box::new(sub),
+                    query,
                 };
             } else {
                 let right = self.parse_additive()?;
@@ -882,7 +916,7 @@ impl Parser {
                     return Ok(Expr::lit(-v));
                 }
                 _ => {
-                    let e = self.parse_unary()?;
+                    let e = self.nested(Self::parse_unary)?;
                     return Ok(Expr::Unary {
                         op: UnaryOp::Neg,
                         expr: Box::new(e),
@@ -891,7 +925,7 @@ impl Parser {
             }
         }
         if self.eat_sym(Sym::Plus) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
@@ -913,9 +947,9 @@ impl Parser {
             Some(Token::Sym(Sym::LParen)) => {
                 self.pos += 1;
                 if self.peek_kw("SELECT") || self.peek_kw("WITH") || self.peek_kw("VALUES") {
-                    let q = self.parse_select()?;
+                    let q = self.parse_subquery()?;
                     self.expect_sym(Sym::RParen)?;
-                    return Ok(Expr::Scalar(Box::new(q)));
+                    return Ok(Expr::Scalar(q));
                 }
                 let e = self.parse_expr()?;
                 self.expect_sym(Sym::RParen)?;
@@ -945,20 +979,20 @@ impl Parser {
             self.pos += 1;
             self.expect_kw("EXISTS")?;
             self.expect_sym(Sym::LParen)?;
-            let q = self.parse_select()?;
+            let query = self.parse_subquery()?;
             self.expect_sym(Sym::RParen)?;
             return Ok(Expr::Exists {
-                query: Box::new(q),
+                query,
                 negated: true,
             });
         }
         if w.eq_ignore_ascii_case("EXISTS") {
             self.pos += 1;
             self.expect_sym(Sym::LParen)?;
-            let q = self.parse_select()?;
+            let query = self.parse_subquery()?;
             self.expect_sym(Sym::RParen)?;
             return Ok(Expr::Exists {
-                query: Box::new(q),
+                query,
                 negated: false,
             });
         }
@@ -1272,6 +1306,51 @@ mod tests {
         assert!(parse_select("SELECT 1 nonsense extra ,").is_err());
         assert!(parse_expr("1 +").is_err());
         assert!(parse_statements("FROB x").is_err());
+    }
+
+    /// Every recursive construct counts toward [`MAX_DEPTH`]: input nested
+    /// far past it is a parse error, not a stack overflow that aborts the
+    /// process — on a 2 MiB thread, in a debug build too — while moderately
+    /// nested SQL still parses.
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        // (prefix, opening, innermost, closing) of one nesting level.
+        const SHAPES: &[(&str, &str, &str, &str)] = &[
+            ("SELECT ", "(", "1", ")"),
+            ("SELECT ", "NOT ", "1", ""),
+            ("SELECT ", "- ", "c", ""),
+            ("SELECT ", "(SELECT ", "1", ")"),
+            ("SELECT ", "EXISTS (SELECT ", "1", ")"),
+            ("SELECT ", "1 IN (SELECT ", "1", ")"),
+            ("SELECT ", "CASE WHEN ", "1", " THEN 1 END"),
+            ("SELECT ", "ABS(", "1", ")"),
+            ("SELECT * FROM ", "(", "t", ")"),
+            ("", "SELECT * FROM (", "SELECT 1", ") AS d"),
+            ("", "WITH a AS (", "SELECT 1", ") SELECT 1"),
+        ];
+        let check = || {
+            for (prefix, open, inner, close) in SHAPES {
+                let sql =
+                    |n: usize| format!("{prefix}{}{inner}{}", open.repeat(n), close.repeat(n));
+                parse_statements(&sql(20)).unwrap_or_else(|e| panic!("{}: {e}", sql(20)));
+                match parse_statements(&sql(10_000)) {
+                    Err(Error::Parse(m)) => assert!(m.contains("maximum depth"), "{m}"),
+                    other => panic!("{prefix}{open}...: {other:?}"),
+                }
+            }
+            let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+            assert!(parse_expr(&parens(MAX_DEPTH - 1)).is_ok());
+            assert!(matches!(
+                parse_expr(&parens(MAX_DEPTH)),
+                Err(Error::Parse(_))
+            ));
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(check)
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

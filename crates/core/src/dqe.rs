@@ -25,8 +25,6 @@ const TABLE: &str = "dqe0";
 /// The DQE oracle.
 pub struct Dqe {
     config: GenConfig,
-    /// The data columns of the private table, rebuilt per database.
-    table: Option<TableInfo>,
 }
 
 impl Default for Dqe {
@@ -36,7 +34,6 @@ impl Default for Dqe {
                 allow_joins: false,
                 ..GenConfig::expressions_only()
             },
-            table: None,
         }
     }
 }
@@ -46,7 +43,7 @@ impl Dqe {
     /// The published DQE tool re-stages its tables and marker columns per
     /// test — the reason the paper measures its QPT at 17.0.
     fn ensure_table(
-        &mut self,
+        &self,
         s: &mut Session,
         rng: &mut dyn rand::Rng,
     ) -> Result<TableInfo, TestOutcome> {
@@ -112,14 +109,12 @@ impl Dqe {
                 ));
             }
         }
-        let info = TableInfo {
+        Ok(TableInfo {
             name: TABLE.into(),
             columns: data_cols,
             is_view: false,
             row_count: n_rows,
-        };
-        self.table = Some(info.clone());
-        Ok(info)
+        })
     }
 
     fn select_ids(&self, s: &mut Session, where_clause: Option<Expr>) -> coddb::Result<Vec<i64>> {

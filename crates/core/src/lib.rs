@@ -212,6 +212,17 @@ pub fn value_is_true(v: &Value) -> bool {
 
 /// A test oracle: generates one metamorphic test against the session's
 /// database (whose state is described by `schema`) per call.
+///
+/// # Test independence
+///
+/// A test's outcome must depend only on the session's applied state, its
+/// `rng` and the active mutants, never on the tests that ran before it:
+/// [`runner::rerun_test`] reproduces a finding by running its test alone.
+/// So an implementation leaves the session catalog as it found it (it
+/// only reads, undoes DML with [`Database::snapshot`] and
+/// [`Database::restore`], drops what it creates) or rebuilds its private
+/// tables before reading them, as [`dqe`] does. It keeps no per-test
+/// state, only its fixed configuration.
 pub trait Oracle {
     fn name(&self) -> &'static str;
 

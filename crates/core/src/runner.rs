@@ -17,6 +17,11 @@
 //! configuration. [`attribute_bugs`] uses this to map each finding back to
 //! the injected [`BugId`] that caused it — the Table 1 accounting.
 //!
+//! Tests are **independent**: a test's outcome depends only on the applied
+//! state, its `test_seed` and the mutant set, never on the tests that ran
+//! before it on the same session (the [`Oracle`] contract). So
+//! [`rerun_test`] reproduces any coordinate by running that test alone.
+//!
 //! # Shard/merge determinism scheme
 //!
 //! Per-state work is isolated in [`run_state`]: it builds the state's
@@ -65,7 +70,7 @@
 //! both numerator and denominator.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use coddb::bugs::{BugId, BugKind, BugRegistry, IndexBugId, MediaBugId, RecoveryBugId};
@@ -706,6 +711,11 @@ pub fn run_campaign_parallel(
 
 /// Re-run one specific campaign test under a given mutant configuration;
 /// returns whether it reports a bug.
+///
+/// Generates and applies the state, then runs only the target test: by
+/// test independence (module docs) the state's earlier tests cannot change
+/// its outcome. A panic counts as reproduced, as the campaign records it
+/// as a `Crash` finding.
 pub fn rerun_test(
     oracle_name: &str,
     cfg: &CampaignConfig,
@@ -725,16 +735,11 @@ pub fn rerun_test(
         return true;
     }
     let mut session = Session::new(&mut db);
-    // Replay the *whole* state's tests up to and including the target:
-    // earlier tests may have mutated the DQE-style private tables.
-    for t in 0..=test_idx {
-        let mut trng = StdRng::seed_from_u64(test_seed(cfg.seed, state_idx, t));
-        let outcome = oracle.run_one(&mut session, &schema, &mut trng);
-        if t == test_idx {
-            return outcome.is_bug();
-        }
-    }
-    false
+    let mut trng = StdRng::seed_from_u64(test_seed(cfg.seed, state_idx, test_idx));
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        oracle.run_one(&mut session, &schema, &mut trng).is_bug()
+    }))
+    .unwrap_or(true)
 }
 
 /// Attribute every finding of a campaign to the injected mutant(s) that
@@ -783,22 +788,13 @@ pub fn attribute_bugs_parallel(
         .chain(cfg.bugs.enabled_index().map(Mutant::Index))
         .chain(cfg.bugs.enabled_media().map(Mutant::Media))
         .collect();
-    let coords: Vec<(u64, u64)> = result
-        .findings
-        .iter()
-        .map(|f| (f.state_idx, f.test_idx))
-        .collect();
-    let jobs: Vec<(usize, Mutant)> = coords
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, _)| enabled.iter().map(move |&bug| (fi, bug)))
+    let jobs: Vec<(usize, Mutant)> = (0..result.findings.len())
+        .flat_map(|fi| enabled.iter().map(move |&bug| (fi, bug)))
         .collect();
 
     let next_job = AtomicUsize::new(0);
-    let hits: Vec<std::sync::atomic::AtomicBool> = jobs
-        .iter()
-        .map(|_| std::sync::atomic::AtomicBool::new(false))
-        .collect();
+    let hits: Vec<AtomicBool> = jobs.iter().map(|_| AtomicBool::new(false)).collect();
+    let findings = &result.findings;
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
             scope.spawn(|| loop {
@@ -806,8 +802,8 @@ pub fn attribute_bugs_parallel(
                 let Some(&(fi, bug)) = jobs.get(j) else {
                     break;
                 };
-                let (state_idx, test_idx) = coords[fi];
-                if rerun_test(oracle_name, cfg, state_idx, test_idx, &bug.registry()) {
+                let f = &findings[fi];
+                if rerun_test(oracle_name, cfg, f.state_idx, f.test_idx, &bug.registry()) {
                     hits[j].store(true, Ordering::Relaxed);
                 }
             });
@@ -1023,24 +1019,35 @@ mod tests {
         );
     }
 
+    /// Run `f` with the default panic hook's backtrace spam silenced for
+    /// injected panics (worker threads aren't under test output capture).
+    /// Serialized, so two tests cannot restore each other's hook, and
+    /// restored before a panic escaping `f` is re-raised.
+    fn with_silent_panics<T>(f: impl FnOnce() -> T) -> T {
+        static HOOK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = HOOK.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        std::panic::set_hook(prev);
+        out.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+
     /// Regression for panic isolation: a panicking oracle surfaces as
     /// counted `Crash`-kind findings carrying `(state_seed, test_seed)`
     /// repro coordinates — in both runners, byte-identically — instead of
     /// aborting the campaign.
     #[test]
     fn panicking_oracle_becomes_counted_crash_findings() {
-        // Silence the default hook's backtrace spam for the injected
-        // panics (worker threads aren't under test output capture).
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let cfg = CampaignConfig {
             tests: 200,
             ..CampaignConfig::new(Dialect::Sqlite)
         };
-        let mut oracle = make_oracle("panic-probe").unwrap();
-        let seq = run_campaign(oracle.as_mut(), &cfg);
-        let par = run_campaign_parallel("panic-probe", &cfg, 4).unwrap();
-        std::panic::set_hook(prev);
+        let (seq, par) = with_silent_panics(|| {
+            let mut oracle = make_oracle("panic-probe").unwrap();
+            let seq = run_campaign(oracle.as_mut(), &cfg);
+            (seq, run_campaign_parallel("panic-probe", &cfg, 4).unwrap())
+        });
 
         assert!(!seq.findings.is_empty(), "probe never panicked");
         for f in &seq.findings {
@@ -1064,6 +1071,30 @@ mod tests {
         };
         assert_eq!(seq.tests_run, par.tests_run);
         assert_eq!(coords(&seq), coords(&par));
+    }
+
+    /// Attribution replays a finding with the same panic isolation as the
+    /// campaign: re-running a test that panics counts as reproduced instead
+    /// of unwinding out of the attribution workers.
+    #[test]
+    fn attributing_a_panic_finding_counts_it_as_reproduced() {
+        let bug = BugId::SqliteBetweenTextAffinity;
+        let cfg = CampaignConfig {
+            bugs: BugRegistry::only(bug),
+            tests: 200,
+            ..CampaignConfig::new(Dialect::Sqlite)
+        };
+        let result = with_silent_panics(|| {
+            let mut oracle = make_oracle("panic-probe").unwrap();
+            let mut result = run_campaign(oracle.as_mut(), &cfg);
+            attribute_bugs(&mut result, &cfg, "panic-probe");
+            result
+        });
+        assert!(!result.findings.is_empty(), "probe never panicked");
+        for f in &result.findings {
+            assert_eq!(f.report.kind, ReportKind::Crash);
+            assert_eq!(f.attributed, [bug], "{}", f.report.detail);
+        }
     }
 
     /// The setup-retry cap turns a hopeless configuration (every generated

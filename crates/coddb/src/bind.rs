@@ -24,6 +24,8 @@
 //! time — once per query — matching real engines, where name resolution
 //! is static.
 
+use std::rc::Rc;
+
 use crate::ast::{
     AggFunc, BinaryOp, ColumnRef, CompareOp, Expr, FuncName, Quantifier, Select, SelectItem,
     UnaryOp,
@@ -86,15 +88,15 @@ pub enum BoundExpr {
     },
     InSubquery {
         expr: Box<BoundExpr>,
-        query: Box<Select>,
+        query: Rc<Select>,
         negated: bool,
     },
     Exists {
-        query: Box<Select>,
+        query: Rc<Select>,
         negated: bool,
     },
     Scalar {
-        query: Box<Select>,
+        query: Rc<Select>,
         /// Precomputed trigger shape for `SqliteAggSubqueryIndexedWhere`
         /// (the evaluator previously re-walked the subquery per row).
         has_aggregate: bool,
@@ -103,7 +105,7 @@ pub enum BoundExpr {
         op: CompareOp,
         quantifier: Quantifier,
         expr: Box<BoundExpr>,
-        query: Box<Select>,
+        query: Rc<Select>,
     },
     Case {
         operand: Option<Box<BoundExpr>>,
@@ -266,16 +268,16 @@ impl<'a> Binder<'a> {
                 negated,
             } => BoundExpr::InSubquery {
                 expr: Box::new(self.bind_expr(expr)?),
-                query: query.clone(),
+                query: Rc::new(Select::clone(query)),
                 negated: *negated,
             },
             Expr::Exists { query, negated } => BoundExpr::Exists {
-                query: query.clone(),
+                query: Rc::new(Select::clone(query)),
                 negated: *negated,
             },
             Expr::Scalar(query) => BoundExpr::Scalar {
                 has_aggregate: subquery_has_aggregate(query),
-                query: query.clone(),
+                query: Rc::new(Select::clone(query)),
             },
             Expr::Quantified {
                 op,
@@ -286,7 +288,7 @@ impl<'a> Binder<'a> {
                 op: *op,
                 quantifier: *quantifier,
                 expr: Box::new(self.bind_expr(expr)?),
-                query: query.clone(),
+                query: Rc::new(Select::clone(query)),
             },
             Expr::Case {
                 operand,

@@ -8,9 +8,14 @@
 //! 1. **Subquery plans** ([`SubqEntry::plan`]): `exec::exec_subquery`
 //!    previously re-planned a subquery on every evaluation — once per
 //!    outer row for correlated predicates. Plans are now compiled once
-//!    per statement, keyed by the subquery AST's heap address and
-//!    verified against a stored AST clone (the allocator may reuse an
-//!    address within a statement; a stale hit must never be trusted).
+//!    per statement, keyed by the address of the bound subquery node's
+//!    `Rc<Select>`. The entry holds that `Rc`, so every key is a live
+//!    allocation until the statement ends: no other subquery can take
+//!    its address, and a hit (`Rc::ptr_eq`) is the very node that built
+//!    the entry. Equal subqueries bound separately (depth-0 bound forms
+//!    are not cached, so each operator instantiation binds anew) get
+//!    separate entries, which keeps memo sharing — and with it fuel —
+//!    independent of the allocator.
 //! 2. **Bindings**: clause expressions that live inside a retained plan
 //!    (or the statement AST) are bound once per statement instead of once
 //!    per operator instantiation — see `exec::Prepared` and the
@@ -102,8 +107,9 @@ pub(crate) struct KeyedMemo {
 /// per-outer-key relations keyed by the slots a correlated evaluation
 /// actually read (see [`crate::exec::exec_subquery`]).
 pub(crate) struct SubqEntry {
-    /// AST identity check for the pointer key (see module docs).
-    pub ast: Select,
+    /// The bound subquery node's AST: held here, its allocation — the
+    /// entry's key — stays live for the whole statement (module docs).
+    pub ast: Rc<Select>,
     /// CTE names visible when the plan was compiled. A plan is a function
     /// of the AST *and* this set (a name may resolve to a CTE scan in one
     /// scope and a base table in another), so a hit must match both.
@@ -121,8 +127,8 @@ pub(crate) struct SubqEntry {
 }
 
 /// Fill `key` with the current values of `slots` from the outer scope
-/// stack. `false` when a slot does not exist in this stack (an AST-equal
-/// subquery re-planned at a different nesting — never a valid hit).
+/// stack. `false` when a slot does not exist in this stack (never a
+/// valid hit).
 fn slot_values(slots: &[(u32, u32)], scopes: &[Frame], key: &mut Vec<MemoKey>) -> bool {
     key.clear();
     for &(fi, ci) in slots {
@@ -139,7 +145,7 @@ fn slot_values(slots: &[(u32, u32)], scopes: &[Frame], key: &mut Vec<MemoKey>) -
 
 impl SubqEntry {
     pub fn new(
-        ast: Select,
+        ast: Rc<Select>,
         cte_names: std::collections::BTreeSet<String>,
         plan: Rc<SelectPlan>,
     ) -> SubqEntry {
@@ -268,21 +274,21 @@ pub(crate) struct StmtCaches {
 }
 
 impl StmtCaches {
-    /// Verified lookup: the entry counts only if the stored AST still
-    /// matches what lives at the key address.
-    pub fn subq_get(&self, key: usize, ast: &Select) -> Option<Rc<SubqEntry>> {
-        let entry = self.subq.borrow().get(&key).cloned()?;
-        if entry.ast == *ast {
-            Some(entry)
-        } else {
-            None
-        }
+    /// The entry of this very bound subquery node, if any.
+    pub fn subq_get(&self, ast: &Rc<Select>) -> Option<Rc<SubqEntry>> {
+        let entry = self.subq.borrow().get(&subq_key(ast)).cloned()?;
+        Rc::ptr_eq(&entry.ast, ast).then_some(entry)
     }
 
     /// Insert a fresh entry; a replaced entry is retired, not dropped.
-    pub fn subq_insert(&self, key: usize, entry: Rc<SubqEntry>) {
-        if let Some(old) = self.subq.borrow_mut().insert(key, entry) {
+    pub fn subq_insert(&self, entry: Rc<SubqEntry>) {
+        if let Some(old) = self.subq.borrow_mut().insert(subq_key(&entry.ast), entry) {
             self.retired.borrow_mut().push(old);
         }
     }
+}
+
+/// A subquery entry's key: the address of its bound node's AST.
+fn subq_key(ast: &Rc<Select>) -> usize {
+    Rc::as_ptr(ast) as usize
 }

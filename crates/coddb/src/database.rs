@@ -1070,7 +1070,7 @@ fn row_matches(
         info: ExprCtx::new(Clause::Where),
     };
     let v = pred.eval(env)?;
-    let t = truthiness(&v, ctx)?;
+    let t = truthiness(&v, ctx.dialect, ctx.cov)?;
     // Bug hook: CockroachAndNullTopConjunct applies to every statement's
     // WHERE filter.
     if t.is_none()

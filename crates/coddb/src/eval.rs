@@ -17,13 +17,28 @@
 //! scan, whether the FROM reads a CTE, and the subquery nesting depth.
 //! Real DBMS logic bugs are context-sensitive in exactly these dimensions,
 //! which is what the mutants key on.
+//!
+//! ## Value rules
+//!
+//! What one operator or function makes of its operand *values* —
+//! truthiness, comparison, arithmetic, casts, text conversion, LIKE, IN,
+//! BETWEEN and the function bodies — lives in one place: the `pub(crate)`
+//! rule functions below ([`truthiness`], [`compare`], `eval_arith`,
+//! `eval_cast`, `func_value`, ...). The interpreter calls them once
+//! per row and the chunk kernels ([`crate::vec_eval`]) once per lane, so
+//! the two evaluators cannot drift apart. A rule takes the dialect and the
+//! [`Coverage`] to record into, returns the interpreter's `Result`, and
+//! never reads the clause context: the mutant hooks, which do, stay at
+//! their call sites in [`eval_bound`].
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use crate::ast::{AggFunc, BinaryOp, Expr, FuncName, Quantifier, SelectBody, UnaryOp};
 use crate::bind::{Binder, BoundExpr};
 use crate::bugs::BugId;
-use crate::coverage::pt;
+use crate::coverage::{pt, Coverage};
+use crate::dialect::Dialect;
 use crate::error::{Error, Result};
 use crate::exec::{EngineCtx, EvalEnv, StmtKind};
 use crate::plan::PlanCtx;
@@ -82,25 +97,26 @@ impl ExprCtx {
 /// SQL truth values.
 pub type Bool3 = Option<bool>;
 
-/// Convert a value to a SQL truth value under the active dialect.
-pub fn truthiness(v: &Value, ctx: &EngineCtx) -> Result<Bool3> {
+/// Convert a value to a SQL truth value under the dialect.
+#[inline]
+pub fn truthiness(v: &Value, dialect: Dialect, cov: &Coverage) -> Result<Bool3> {
     match v {
         Value::Null => {
-            ctx.cov.hit(pt::EVAL_TRUTHY_NULL);
+            cov.hit(pt::EVAL_TRUTHY_NULL);
             Ok(None)
         }
         Value::Bool(b) => {
-            ctx.cov.hit(pt::EVAL_TRUTHY_BOOL);
+            cov.hit(pt::EVAL_TRUTHY_BOOL);
             Ok(Some(*b))
         }
         other => {
-            if ctx.dialect.strict_types() {
+            if dialect.strict_types() {
                 return Err(Error::Type(format!(
                     "expected a boolean predicate, got {}",
                     other.data_type()
                 )));
             }
-            ctx.cov.hit(pt::EVAL_TRUTHY_NUMERIC);
+            cov.hit(pt::EVAL_TRUTHY_NUMERIC);
             Ok(Some(other.coerce_f64() != 0.0))
         }
     }
@@ -109,11 +125,12 @@ pub fn truthiness(v: &Value, ctx: &EngineCtx) -> Result<Bool3> {
 /// Render a truth value as a SQL value (INTEGER 0/1 on flexible-typing
 /// dialects, BOOLEAN on strict ones — matching what the emulated systems
 /// return for comparisons).
-pub fn bool3_to_value(b: Bool3, ctx: &EngineCtx) -> Value {
+#[inline]
+pub fn bool3_to_value(b: Bool3, dialect: Dialect) -> Value {
     match b {
         None => Value::Null,
         Some(t) => {
-            if ctx.dialect.strict_types() {
+            if dialect.strict_types() {
                 Value::Bool(t)
             } else {
                 Value::Int(t as i64)
@@ -122,7 +139,7 @@ pub fn bool3_to_value(b: Bool3, ctx: &EngineCtx) -> Value {
     }
 }
 
-pub(crate) fn not3(b: Bool3) -> Bool3 {
+fn not3(b: Bool3) -> Bool3 {
     b.map(|t| !t)
 }
 
@@ -195,31 +212,7 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
         }
         BoundExpr::Unary { op, expr } => {
             let v = eval_bound(expr, env.child())?;
-            match op {
-                UnaryOp::Neg => {
-                    ctx.cov.hit(pt::EVAL_NEG);
-                    match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => i
-                            .checked_neg()
-                            .map(Value::Int)
-                            .ok_or_else(|| Error::Eval("integer overflow in negation".into())),
-                        Value::Real(r) => Ok(Value::Real(-r)),
-                        other => {
-                            if ctx.dialect.strict_types() {
-                                Err(Error::Type(format!("cannot negate {}", other.data_type())))
-                            } else {
-                                Ok(Value::Real(-other.coerce_f64()))
-                            }
-                        }
-                    }
-                }
-                UnaryOp::Not => {
-                    ctx.cov.hit(pt::EVAL_NOT);
-                    let b = truthiness(&v, ctx)?;
-                    Ok(bool3_to_value(not3(b), ctx))
-                }
-            }
+            eval_unary(*op, &v, ctx.dialect, ctx.cov)
         }
         BoundExpr::Binary { op, left, right } => eval_binary(*op, left, right, env),
         BoundExpr::Between {
@@ -249,13 +242,10 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
             {
                 if let (Some(lo), Some(hi)) = (lo.as_f64(), hi.as_f64()) {
                     let x = v.coerce_f64();
-                    return Ok(bool3_to_value(Some(x >= lo && x <= hi), ctx));
+                    return Ok(bool3_to_value(Some(x >= lo && x <= hi), ctx.dialect));
                 }
             }
-            let ge_low = compare(&v, &lo, ctx, env.info)?.map(|o| o != Ordering::Less);
-            let le_high = compare(&v, &hi, ctx, env.info)?.map(|o| o != Ordering::Greater);
-            let b = and3(ge_low, le_high);
-            Ok(bool3_to_value(if *negated { not3(b) } else { b }, ctx))
+            between_value(&v, &lo, &hi, *negated, ctx.dialect)
         }
         BoundExpr::InList {
             expr: e,
@@ -277,12 +267,12 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
             // SQL: `x IN (empty set)` is FALSE even for NULL x.
             if rel.rows.is_empty() {
                 ctx.cov.hit(pt::EVAL_IN_SUBQ_MISS);
-                return Ok(bool3_to_value(Some(*negated), ctx));
+                return Ok(bool3_to_value(Some(*negated), ctx.dialect));
             }
             let mut any_null = false;
             let mut hit = false;
             for row in &rel.rows {
-                match compare(&v, &row[0], ctx, env.info)? {
+                match compare(&v, &row[0], ctx.dialect)? {
                     Some(Ordering::Equal) => {
                         hit = true;
                         break;
@@ -301,7 +291,10 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
                 ctx.cov.hit(pt::EVAL_IN_SUBQ_MISS);
                 Some(false)
             };
-            Ok(bool3_to_value(if *negated { not3(b) } else { b }, ctx))
+            Ok(bool3_to_value(
+                if *negated { not3(b) } else { b },
+                ctx.dialect,
+            ))
         }
         BoundExpr::Exists { query, negated } => {
             let rel = crate::exec::exec_subquery(query, env)?;
@@ -319,8 +312,7 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
             } else {
                 pt::EVAL_EXISTS_FALSE
             });
-            let b = Some(exists != *negated);
-            Ok(bool3_to_value(b, ctx))
+            Ok(bool3_to_value(Some(exists != *negated), ctx.dialect))
         }
         BoundExpr::Scalar {
             query,
@@ -391,7 +383,7 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
             let mut any_true = false;
             let mut any_false = false;
             for row in &rel.rows {
-                match compare(&v, &row[0], ctx, env.info)? {
+                match compare(&v, &row[0], ctx.dialect)? {
                     None => any_null = true,
                     Some(ord) => {
                         if cmp_matches(op.as_binary(), ord) {
@@ -422,7 +414,7 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
                     }
                 }
             };
-            Ok(bool3_to_value(b, ctx))
+            Ok(bool3_to_value(b, ctx.dialect))
         }
         BoundExpr::Case {
             operand,
@@ -452,7 +444,7 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
                     let base = eval_bound(op, env.child())?;
                     for (w, t) in whens {
                         let wv = eval_bound(w, env.child())?;
-                        if compare(&base, &wv, ctx, env.info)? == Some(Ordering::Equal) {
+                        if compare(&base, &wv, ctx.dialect)? == Some(Ordering::Equal) {
                             return eval_bound(t, env.child());
                         }
                     }
@@ -470,7 +462,7 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
                             return eval_bound(t, env.child());
                         }
                         let wv = eval_bound(w, env.child())?;
-                        if truthiness(&wv, ctx)? == Some(true) {
+                        if truthiness(&wv, ctx.dialect, ctx.cov)? == Some(true) {
                             return eval_bound(t, env.child());
                         }
                     }
@@ -497,7 +489,17 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
         },
         BoundExpr::Cast { expr: e, ty } => {
             let v = eval_bound(e, env.child())?;
-            eval_cast(v, *ty, ctx)
+            let cast = eval_cast(&v, *ty, ctx.dialect, ctx.cov);
+            // Bug hook: CockroachInternalCastTextInt — a TEXT that fails
+            // to parse as INT raises an internal error.
+            if let (Err(_), DataType::Int, Value::Text(s)) = (&cast, ty, &v) {
+                if ctx.bugs.active(BugId::CockroachInternalCastTextInt) {
+                    return Err(Error::Internal(format!(
+                        "could not lower cast of {s:?} to INT"
+                    )));
+                }
+            }
+            cast
         }
         BoundExpr::IsNull { expr: e, negated } => {
             let v = eval_bound(e, env.child())?;
@@ -510,7 +512,7 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
             {
                 b = !b;
             }
-            Ok(bool3_to_value(Some(b != *negated), ctx))
+            Ok(bool3_to_value(Some(b != *negated), ctx.dialect))
         }
         BoundExpr::Like {
             expr: e,
@@ -519,12 +521,9 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
         } => {
             let v = eval_bound(e, env.child())?;
             let p = eval_bound(pattern, env.child())?;
-            if v.is_null() || p.is_null() {
-                ctx.cov.hit(pt::EVAL_LIKE_NULL);
+            let Some((text, pat)) = like_operands(&v, &p, ctx.dialect, ctx.cov)? else {
                 return Ok(Value::Null);
-            }
-            let text = value_to_text(&v, ctx, "LIKE")?;
-            let pat = value_to_text(&p, ctx, "LIKE")?;
+            };
             // Bug hook: TidbInternalLikeEscape.
             if ctx.bugs.active(BugId::TidbInternalLikeEscape) && pat.ends_with('\\') {
                 return Err(Error::Internal("dangling escape in LIKE pattern".into()));
@@ -543,31 +542,25 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
             {
                 case_insensitive = false;
             }
-            let mut matched = like_match(&text, &pat, case_insensitive);
-            ctx.cov.hit(if matched {
-                pt::EVAL_LIKE_MATCH
-            } else {
-                pt::EVAL_LIKE_NOMATCH
-            });
-            let mut neg = *negated;
             // Bug hook: DuckdbNotLikeTopLevel — top-level NOT LIKE in WHERE
             // evaluates as plain LIKE.
-            if ctx.bugs.active(BugId::DuckdbNotLikeTopLevel)
-                && env.info.top_level
-                && env.info.clause == Clause::Where
-                && *negated
-            {
-                neg = false;
-            }
-            if neg {
-                matched = !matched;
-            }
-            Ok(bool3_to_value(Some(matched), ctx))
+            let negated = *negated
+                && !(ctx.bugs.active(BugId::DuckdbNotLikeTopLevel)
+                    && env.info.top_level
+                    && env.info.clause == Clause::Where);
+            Ok(like_value(
+                &text,
+                &pat,
+                case_insensitive,
+                negated,
+                ctx.dialect,
+                ctx.cov,
+            ))
         }
     }
 }
 
-pub(crate) fn and3(a: Bool3, b: Bool3) -> Bool3 {
+fn and3(a: Bool3, b: Bool3) -> Bool3 {
     match (a, b) {
         (Some(false), _) | (_, Some(false)) => Some(false),
         (Some(true), Some(true)) => Some(true),
@@ -575,7 +568,7 @@ pub(crate) fn and3(a: Bool3, b: Bool3) -> Bool3 {
     }
 }
 
-pub(crate) fn or3(a: Bool3, b: Bool3) -> Bool3 {
+fn or3(a: Bool3, b: Bool3) -> Bool3 {
     match (a, b) {
         (Some(true), _) | (_, Some(true)) => Some(true),
         (Some(false), Some(false)) => Some(false),
@@ -585,57 +578,41 @@ pub(crate) fn or3(a: Bool3, b: Bool3) -> Bool3 {
 
 fn eval_binary(op: BinaryOp, left: &BoundExpr, right: &BoundExpr, env: EvalEnv) -> Result<Value> {
     let ctx = env.ctx;
+    let (dialect, cov) = (ctx.dialect, ctx.cov);
     match op {
-        BinaryOp::And => {
-            let lv = eval_bound(left, env.child())?;
-            let lb = truthiness(&lv, ctx)?;
-            if lb == Some(false) {
-                ctx.cov.hit(pt::EVAL_AND_SHORT);
-                return Ok(bool3_to_value(Some(false), ctx));
-            }
-            let rv = eval_bound(right, env.child())?;
-            let rb = truthiness(&rv, ctx)?;
-            let b = and3(lb, rb);
-            if b.is_none() {
-                ctx.cov.hit(pt::EVAL_AND_NULL);
-            }
-            Ok(bool3_to_value(b, ctx))
-        }
-        BinaryOp::Or => {
+        BinaryOp::And | BinaryOp::Or => {
             // Bug hook: CockroachOrShortCircuitFalse — a top-level OR in a
             // SELECT's WHERE whose left arm is a constant FALSE literal
             // short-circuits the whole filter to FALSE.
-            if ctx.bugs.active(BugId::CockroachOrShortCircuitFalse)
+            if op == BinaryOp::Or
+                && ctx.bugs.active(BugId::CockroachOrShortCircuitFalse)
                 && env.info.top_level
                 && env.info.clause == Clause::Where
                 && ctx.stmt == StmtKind::Select
             {
                 if let BoundExpr::Literal(v) = left {
                     if matches!(v, Value::Bool(false) | Value::Int(0)) {
-                        return Ok(bool3_to_value(Some(false), ctx));
+                        return Ok(bool3_to_value(Some(false), dialect));
                     }
                 }
             }
-            let lv = eval_bound(left, env.child())?;
-            let lb = truthiness(&lv, ctx)?;
-            if lb == Some(true) {
-                ctx.cov.hit(pt::EVAL_OR_SHORT);
-                return Ok(bool3_to_value(Some(true), ctx));
+            let lb = truthiness(&eval_bound(left, env.child())?, dialect, cov)?;
+            if lb == short_circuit_truth(op) {
+                cov.hit(if op == BinaryOp::And {
+                    pt::EVAL_AND_SHORT
+                } else {
+                    pt::EVAL_OR_SHORT
+                });
+                return Ok(bool3_to_value(lb, dialect));
             }
-            let rv = eval_bound(right, env.child())?;
-            let rb = truthiness(&rv, ctx)?;
-            let b = or3(lb, rb);
-            if b.is_none() {
-                ctx.cov.hit(pt::EVAL_OR_NULL);
-            }
-            Ok(bool3_to_value(b, ctx))
+            let rb = truthiness(&eval_bound(right, env.child())?, dialect, cov)?;
+            Ok(and_or_value(op, lb, rb, dialect, cov))
         }
         BinaryOp::Is | BinaryOp::IsNot => {
-            ctx.cov.hit(pt::EVAL_IS_OP);
+            cov.hit(pt::EVAL_IS_OP);
             let lv = eval_bound(left, env.child())?;
             let rv = eval_bound(right, env.child())?;
-            let same = lv.is_identical(&rv);
-            Ok(bool3_to_value(Some(same == (op == BinaryOp::Is)), ctx))
+            Ok(is_value(op, &lv, &rv, dialect))
         }
         _ if op.is_comparison() => {
             let lv = eval_bound(left, env.child())?;
@@ -646,21 +623,12 @@ fn eval_binary(op: BinaryOp, left: &BoundExpr, right: &BoundExpr, env: EvalEnv) 
             let lv = coerce_subquery_bool(lv, left, ctx);
             let rv = coerce_subquery_bool(rv, right, ctx);
             let ord = compare_with_bugs(&lv, &rv, ctx, env)?;
-            let b = ord.map(|o| cmp_matches(op, o));
-            ctx.cov.hit(match b {
-                Some(true) => pt::EVAL_CMP_TRUE,
-                Some(false) => pt::EVAL_CMP_FALSE,
-                None => pt::EVAL_CMP_NULL,
-            });
-            Ok(bool3_to_value(b, ctx))
+            Ok(cmp_value(op, ord, dialect, cov))
         }
         BinaryOp::Concat => {
-            ctx.cov.hit(pt::EVAL_CONCAT);
+            cov.hit(pt::EVAL_CONCAT);
             let lv = eval_bound(left, env.child())?;
             let rv = eval_bound(right, env.child())?;
-            if lv.is_null() || rv.is_null() {
-                return Ok(Value::Null);
-            }
             // Bug hook: SqliteInternalConcatIndexedExpr.
             if ctx.bugs.active(BugId::SqliteInternalConcatIndexedExpr)
                 && env.info.clause == Clause::IndexExpr
@@ -673,15 +641,97 @@ fn eval_binary(op: BinaryOp, left: &BoundExpr, right: &BoundExpr, env: EvalEnv) 
                     "affinity confusion in indexed expression".into(),
                 ));
             }
-            let l = value_to_text(&lv, ctx, "||")?;
-            let r = value_to_text(&rv, ctx, "||")?;
-            Ok(Value::Text(format!("{l}{r}")))
+            eval_concat(&lv, &rv, dialect)
         }
         _ => {
             debug_assert!(op.is_arithmetic());
             let lv = eval_bound(left, env.child())?;
             let rv = eval_bound(right, env.child())?;
-            eval_arith(op, lv, rv, env)
+            let out = eval_arith(op, &lv, &rv, dialect, cov);
+            // Bug hook: DuckdbInternalOverflowAddProj (Listing 11) —
+            // overflow in a projection raises an internal error instead
+            // of a clean one (`+` fails with `Error::Eval` only on
+            // overflow).
+            if let (Err(Error::Eval(_)), Some(a), Some(b)) = (&out, lv.as_i64(), rv.as_i64()) {
+                if op == BinaryOp::Add
+                    && ctx.bugs.active(BugId::DuckdbInternalOverflowAddProj)
+                    && env.info.clause == Clause::SelectList
+                {
+                    return Err(Error::Internal(format!(
+                        "Overflow in addition of INT64 ({a} + {b})!"
+                    )));
+                }
+            }
+            out
+        }
+    }
+}
+
+/// The left-operand truth value that decides `AND` (FALSE) or `OR`
+/// (TRUE) without evaluating the right operand.
+#[inline]
+pub(crate) fn short_circuit_truth(op: BinaryOp) -> Bool3 {
+    Some(op == BinaryOp::Or)
+}
+
+/// `AND` / `OR` over two truth values (the left one did not
+/// short-circuit).
+#[inline]
+pub(crate) fn and_or_value(
+    op: BinaryOp,
+    l: Bool3,
+    r: Bool3,
+    dialect: Dialect,
+    cov: &Coverage,
+) -> Value {
+    let b = if op == BinaryOp::And {
+        and3(l, r)
+    } else {
+        or3(l, r)
+    };
+    if b.is_none() {
+        cov.hit(if op == BinaryOp::And {
+            pt::EVAL_AND_NULL
+        } else {
+            pt::EVAL_OR_NULL
+        });
+    }
+    bool3_to_value(b, dialect)
+}
+
+/// `IS` / `IS NOT`: identity, so `NULL IS NULL` holds.
+#[inline]
+pub(crate) fn is_value(op: BinaryOp, a: &Value, b: &Value, dialect: Dialect) -> Value {
+    bool3_to_value(Some(a.is_identical(b) == (op == BinaryOp::Is)), dialect)
+}
+
+/// Unary `-` and `NOT`.
+pub(crate) fn eval_unary(
+    op: UnaryOp,
+    v: &Value,
+    dialect: Dialect,
+    cov: &Coverage,
+) -> Result<Value> {
+    match op {
+        UnaryOp::Neg => {
+            cov.hit(pt::EVAL_NEG);
+            match v {
+                Value::Null => Ok(Value::Null),
+                Value::Int(i) => i
+                    .checked_neg()
+                    .map(Value::Int)
+                    .ok_or_else(|| Error::Eval("integer overflow in negation".into())),
+                Value::Real(r) => Ok(Value::Real(-r)),
+                other if dialect.strict_types() => {
+                    Err(Error::Type(format!("cannot negate {}", other.data_type())))
+                }
+                other => Ok(Value::Real(-other.coerce_f64())),
+            }
+        }
+        UnaryOp::Not => {
+            cov.hit(pt::EVAL_NOT);
+            let b = truthiness(v, dialect, cov)?;
+            Ok(bool3_to_value(not3(b), dialect))
         }
     }
 }
@@ -711,28 +761,52 @@ pub(crate) fn cmp_matches(op: BinaryOp, ord: Ordering) -> bool {
     }
 }
 
+/// A comparison's result from its operands' ordering (`None`: a NULL
+/// operand).
+#[inline]
+pub(crate) fn cmp_value(
+    op: BinaryOp,
+    ord: Option<Ordering>,
+    dialect: Dialect,
+    cov: &Coverage,
+) -> Value {
+    let b = ord.map(|o| cmp_matches(op, o));
+    cov.hit(match b {
+        Some(true) => pt::EVAL_CMP_TRUE,
+        Some(false) => pt::EVAL_CMP_FALSE,
+        None => pt::EVAL_CMP_NULL,
+    });
+    bool3_to_value(b, dialect)
+}
+
 /// Dialect-aware SQL comparison.
 ///
 /// * Strict dialects demand compatible operand classes.
 /// * MySQL/TiDB coerce TEXT numerically when compared with a number.
 /// * SQLite compares across storage classes by class rank.
-pub fn compare(a: &Value, b: &Value, ctx: &EngineCtx, _info: ExprCtx) -> Result<Option<Ordering>> {
-    if a.is_null() || b.is_null() {
-        return Ok(None);
+#[inline]
+pub fn compare(a: &Value, b: &Value, dialect: Dialect) -> Result<Option<Ordering>> {
+    // Numeric pairs compare the same way in every dialect (strict
+    // dialects accept them, MySQL-family coercion only touches TEXT):
+    // these arms are `sql_cmp` without the class dispatch below.
+    match (a, b) {
+        (Value::Null, _) | (_, Value::Null) => return Ok(None),
+        (Value::Int(x), Value::Int(y)) => return Ok(Some(x.cmp(y))),
+        (Value::Int(x), Value::Real(y)) => return Ok(Some((*x as f64).total_cmp(y))),
+        (Value::Real(x), Value::Int(y)) => return Ok(Some(x.total_cmp(&(*y as f64)))),
+        (Value::Real(x), Value::Real(y)) => return Ok(Some(x.total_cmp(y))),
+        _ => {}
     }
     let (at, bt) = (a.data_type(), b.data_type());
     let numeric = |t: DataType| matches!(t, DataType::Int | DataType::Real | DataType::Bool);
-    if ctx.dialect.strict_types() {
+    if dialect.strict_types() {
         let compatible = at == bt || (numeric(at) && numeric(bt));
         if !compatible {
             return Err(Error::Type(format!("cannot compare {at} with {bt}")));
         }
     }
     // MySQL-family numeric coercion of text.
-    if matches!(
-        ctx.dialect,
-        crate::dialect::Dialect::Mysql | crate::dialect::Dialect::Tidb
-    ) {
+    if matches!(dialect, Dialect::Mysql | Dialect::Tidb) {
         let is_text = |v: &Value| matches!(v, Value::Text(_));
         if (is_text(a) && numeric(bt)) || (numeric(at) && is_text(b)) {
             return Ok(Some(a.coerce_f64().total_cmp(&b.coerce_f64())));
@@ -751,7 +825,7 @@ fn compare_with_bugs(
     // are rejected in UPDATE/DELETE (§4.2: the DQE semantic-error case).
     let is_text = |v: &Value| matches!(v, Value::Text(_));
     let is_num = |v: &Value| matches!(v, Value::Int(_) | Value::Real(_));
-    if ctx.dialect == crate::dialect::Dialect::Mysql
+    if ctx.dialect == Dialect::Mysql
         && matches!(ctx.stmt, StmtKind::Update | StmtKind::Delete)
         && env.info.clause == Clause::Where
         && ((is_text(a) && is_num(b)) || (is_num(a) && is_text(b)))
@@ -770,7 +844,21 @@ fn compare_with_bugs(
     {
         return Ok(a.sql_cmp(b)); // class-rank comparison: text > number
     }
-    compare(a, b, ctx, env.info)
+    compare(a, b, ctx.dialect)
+}
+
+/// `v [NOT] BETWEEN lo AND hi`.
+pub(crate) fn between_value(
+    v: &Value,
+    lo: &Value,
+    hi: &Value,
+    negated: bool,
+    dialect: Dialect,
+) -> Result<Value> {
+    let ge_low = compare(v, lo, dialect)?.map(|o| o != Ordering::Less);
+    let le_high = compare(v, hi, dialect)?.map(|o| o != Ordering::Greater);
+    let b = and3(ge_low, le_high);
+    Ok(bool3_to_value(if negated { not3(b) } else { b }, dialect))
 }
 
 fn eval_in_list(e: &BoundExpr, list: &[BoundExpr], negated: bool, env: EvalEnv) -> Result<Value> {
@@ -785,14 +873,9 @@ fn eval_in_list(e: &BoundExpr, list: &[BoundExpr], negated: bool, env: EvalEnv) 
         && env.info.clause == Clause::Where
         && !negated
     {
-        return Ok(bool3_to_value(Some(false), ctx));
+        return Ok(bool3_to_value(Some(false), ctx.dialect));
     }
 
-    // SQL: `x IN ()` over an empty list is FALSE even for NULL x.
-    if list.is_empty() {
-        ctx.cov.hit(pt::EVAL_IN_LIST_MISS);
-        return Ok(bool3_to_value(Some(negated), ctx));
-    }
     // Evaluate all items up front (lists are short); the Listing-9 bug
     // hook below is keyed on the item *values*.
     let mut items = Vec::with_capacity(list.len());
@@ -813,14 +896,26 @@ fn eval_in_list(e: &BoundExpr, list: &[BoundExpr], negated: bool, env: EvalEnv) 
             .iter()
             .any(|i| matches!(i, Value::Int(k) if k.unsigned_abs() > u32::MAX as u64))
     {
-        return Ok(bool3_to_value(Some(negated), ctx));
+        return Ok(bool3_to_value(Some(negated), ctx.dialect));
     }
+    in_list_value(&v, items.iter(), negated, ctx.dialect, ctx.cov)
+}
 
-    let mut any_null = v.is_null();
+/// `v [NOT] IN (items)` over evaluated items. SQL: `x IN ()` over an
+/// empty list is FALSE even for NULL x.
+pub(crate) fn in_list_value<'i>(
+    v: &Value,
+    items: impl ExactSizeIterator<Item = &'i Value>,
+    negated: bool,
+    dialect: Dialect,
+    cov: &Coverage,
+) -> Result<Value> {
+    let empty = items.len() == 0;
+    let mut any_null = v.is_null() && !empty;
     let mut hit = false;
     if !v.is_null() {
-        for iv in &items {
-            match compare(&v, iv, ctx, env.info)? {
+        for iv in items {
+            match compare(v, iv, dialect)? {
                 Some(Ordering::Equal) => {
                     hit = true;
                     break;
@@ -831,67 +926,72 @@ fn eval_in_list(e: &BoundExpr, list: &[BoundExpr], negated: bool, env: EvalEnv) 
         }
     }
     let b = if hit {
-        ctx.cov.hit(pt::EVAL_IN_LIST_HIT);
+        cov.hit(pt::EVAL_IN_LIST_HIT);
         Some(true)
     } else if any_null {
-        ctx.cov.hit(pt::EVAL_IN_LIST_NULL);
+        cov.hit(pt::EVAL_IN_LIST_NULL);
         None
     } else {
-        ctx.cov.hit(pt::EVAL_IN_LIST_MISS);
+        cov.hit(pt::EVAL_IN_LIST_MISS);
         Some(false)
     };
-    Ok(bool3_to_value(if negated { not3(b) } else { b }, ctx))
+    Ok(bool3_to_value(if negated { not3(b) } else { b }, dialect))
 }
 
-fn eval_arith(op: BinaryOp, lv: Value, rv: Value, env: EvalEnv) -> Result<Value> {
-    let ctx = env.ctx;
-    if lv.is_null() || rv.is_null() {
-        ctx.cov.hit(pt::EVAL_ARITH_NULL);
-        return Ok(Value::Null);
-    }
-    if ctx.dialect.strict_types() {
-        let numeric = |v: &Value| matches!(v, Value::Int(_) | Value::Real(_));
-        if !numeric(&lv) || !numeric(&rv) {
-            return Err(Error::Type(format!(
-                "cannot apply {op} to {} and {}",
-                lv.data_type(),
-                rv.data_type()
-            )));
+/// Binary arithmetic (`+ - * / %`). Every error — strict type errors,
+/// overflow, erroring division by zero — is `Err`; integer overflow also
+/// records its coverage point first.
+#[inline]
+pub(crate) fn eval_arith(
+    op: BinaryOp,
+    lv: &Value,
+    rv: &Value,
+    dialect: Dialect,
+    cov: &Coverage,
+) -> Result<Value> {
+    // Integer operands of an integer operation; an INTEGER pair needs
+    // none of the NULL, strictness or class checks.
+    let ints = match (lv, rv) {
+        (Value::Int(a), Value::Int(b)) => Some((*a, *b)),
+        _ => {
+            if lv.is_null() || rv.is_null() {
+                cov.hit(pt::EVAL_ARITH_NULL);
+                return Ok(Value::Null);
+            }
+            if dialect.strict_types() {
+                let numeric = |v: &Value| matches!(v, Value::Int(_) | Value::Real(_));
+                if !numeric(lv) || !numeric(rv) {
+                    return Err(Error::Type(format!(
+                        "cannot apply {op} to {} and {}",
+                        lv.data_type(),
+                        rv.data_type()
+                    )));
+                }
+            }
+            match (lv, rv) {
+                (Value::Int(_) | Value::Bool(_), Value::Int(_) | Value::Bool(_)) => {
+                    Some((lv.as_i64().unwrap(), rv.as_i64().unwrap()))
+                }
+                _ => None,
+            }
         }
-    }
-    let both_int = matches!(lv, Value::Int(_) | Value::Bool(_))
-        && matches!(rv, Value::Int(_) | Value::Bool(_));
+    };
     match op {
-        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul => {
-            if both_int {
-                ctx.cov.hit(pt::EVAL_ARITH_INT);
-                let a = lv.as_i64().unwrap();
-                let b = rv.as_i64().unwrap();
+        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul => match ints {
+            Some((a, b)) => {
+                cov.hit(pt::EVAL_ARITH_INT);
                 let r = match op {
                     BinaryOp::Add => a.checked_add(b),
                     BinaryOp::Sub => a.checked_sub(b),
                     _ => a.checked_mul(b),
                 };
-                match r {
-                    Some(v) => Ok(Value::Int(v)),
-                    None => {
-                        ctx.cov.hit(pt::EVAL_ARITH_OVERFLOW);
-                        // Bug hook: DuckdbInternalOverflowAddProj
-                        // (Listing 11) — overflow in a projection raises an
-                        // internal error instead of a clean one.
-                        if ctx.bugs.active(BugId::DuckdbInternalOverflowAddProj)
-                            && op == BinaryOp::Add
-                            && env.info.clause == Clause::SelectList
-                        {
-                            return Err(Error::Internal(format!(
-                                "Overflow in addition of INT64 ({a} + {b})!"
-                            )));
-                        }
-                        Err(Error::Eval(format!("integer overflow: {a} {op} {b}")))
-                    }
-                }
-            } else {
-                ctx.cov.hit(pt::EVAL_ARITH_REAL);
+                r.map(Value::Int).ok_or_else(|| {
+                    cov.hit(pt::EVAL_ARITH_OVERFLOW);
+                    Error::Eval(format!("integer overflow: {a} {op} {b}"))
+                })
+            }
+            None => {
+                cov.hit(pt::EVAL_ARITH_REAL);
                 let a = lv.coerce_f64();
                 let b = rv.coerce_f64();
                 let r = match op {
@@ -901,37 +1001,32 @@ fn eval_arith(op: BinaryOp, lv: Value, rv: Value, env: EvalEnv) -> Result<Value>
                 };
                 Ok(finite_or_null(r))
             }
-        }
+        },
         BinaryOp::Div => {
             let b_num = rv.coerce_f64();
             if b_num == 0.0 {
-                return div_by_zero(ctx);
+                return div_by_zero(dialect, cov);
             }
-            if both_int && !ctx.dialect.int_div_yields_real() {
-                ctx.cov.hit(pt::EVAL_ARITH_INT);
-                let a = lv.as_i64().unwrap();
-                let b = rv.as_i64().unwrap();
-                a.checked_div(b)
-                    .map(Value::Int)
-                    .ok_or_else(|| Error::Eval("integer overflow in division".into()))
-            } else {
-                ctx.cov.hit(pt::EVAL_ARITH_REAL);
-                Ok(finite_or_null(lv.coerce_f64() / b_num))
+            match ints {
+                Some((a, b)) if !dialect.int_div_yields_real() => {
+                    cov.hit(pt::EVAL_ARITH_INT);
+                    a.checked_div(b)
+                        .map(Value::Int)
+                        .ok_or_else(|| Error::Eval("integer overflow in division".into()))
+                }
+                _ => {
+                    cov.hit(pt::EVAL_ARITH_REAL);
+                    Ok(finite_or_null(lv.coerce_f64() / b_num))
+                }
             }
         }
         BinaryOp::Mod => {
-            let a = lv
-                .as_i64()
-                .or_else(|| Some(lv.coerce_f64() as i64))
-                .unwrap();
-            let b = rv
-                .as_i64()
-                .or_else(|| Some(rv.coerce_f64() as i64))
-                .unwrap();
+            let int = |v: &Value| v.as_i64().unwrap_or_else(|| v.coerce_f64() as i64);
+            let (a, b) = ints.unwrap_or_else(|| (int(lv), int(rv)));
             if b == 0 {
-                return div_by_zero(ctx);
+                return div_by_zero(dialect, cov);
             }
-            ctx.cov.hit(pt::EVAL_ARITH_INT);
+            cov.hit(pt::EVAL_ARITH_INT);
             a.checked_rem(b)
                 .map(Value::Int)
                 .ok_or_else(|| Error::Eval("integer overflow in modulo".into()))
@@ -940,12 +1035,12 @@ fn eval_arith(op: BinaryOp, lv: Value, rv: Value, env: EvalEnv) -> Result<Value>
     }
 }
 
-fn div_by_zero(ctx: &EngineCtx) -> Result<Value> {
-    if ctx.dialect.div_by_zero_is_null() {
-        ctx.cov.hit(pt::EVAL_DIV_ZERO_NULL);
+fn div_by_zero(dialect: Dialect, cov: &Coverage) -> Result<Value> {
+    if dialect.div_by_zero_is_null() {
+        cov.hit(pt::EVAL_DIV_ZERO_NULL);
         Ok(Value::Null)
     } else {
-        ctx.cov.hit(pt::EVAL_DIV_ZERO_ERROR);
+        cov.hit(pt::EVAL_DIV_ZERO_ERROR);
         Err(Error::Eval("division by zero".into()))
     }
 }
@@ -961,10 +1056,12 @@ fn finite_or_null(r: f64) -> Value {
     }
 }
 
-fn value_to_text(v: &Value, ctx: &EngineCtx, op: &str) -> Result<String> {
+/// The text of a string operand of `op` (strict dialects reject
+/// non-TEXT operands).
+pub(crate) fn value_to_text<'v>(v: &'v Value, dialect: Dialect, op: &str) -> Result<Cow<'v, str>> {
     match v {
-        Value::Text(s) => Ok(s.clone()),
-        other if !ctx.dialect.strict_types() => Ok(other.to_string()),
+        Value::Text(s) => Ok(Cow::Borrowed(s)),
+        other if !dialect.strict_types() => Ok(Cow::Owned(other.to_string())),
         other => Err(Error::Type(format!(
             "{op} expects TEXT, got {}",
             other.data_type()
@@ -972,150 +1069,150 @@ fn value_to_text(v: &Value, ctx: &EngineCtx, op: &str) -> Result<String> {
     }
 }
 
-fn eval_cast(v: Value, ty: DataType, ctx: &EngineCtx) -> Result<Value> {
+/// `a || b`.
+pub(crate) fn eval_concat(a: &Value, b: &Value, dialect: Dialect) -> Result<Value> {
+    if a.is_null() || b.is_null() {
+        return Ok(Value::Null);
+    }
+    let l = value_to_text(a, dialect, "||")?;
+    let r = value_to_text(b, dialect, "||")?;
+    Ok(Value::Text(format!("{l}{r}")))
+}
+
+/// LIKE's text operands, or `None` (recorded) when either is NULL.
+pub(crate) fn like_operands<'v>(
+    v: &'v Value,
+    p: &'v Value,
+    dialect: Dialect,
+    cov: &Coverage,
+) -> Result<Option<(Cow<'v, str>, Cow<'v, str>)>> {
+    if v.is_null() || p.is_null() {
+        cov.hit(pt::EVAL_LIKE_NULL);
+        return Ok(None);
+    }
+    Ok(Some((
+        value_to_text(v, dialect, "LIKE")?,
+        value_to_text(p, dialect, "LIKE")?,
+    )))
+}
+
+/// `text [NOT] LIKE pat` over [`like_operands`].
+pub(crate) fn like_value(
+    text: &str,
+    pat: &str,
+    case_insensitive: bool,
+    negated: bool,
+    dialect: Dialect,
+    cov: &Coverage,
+) -> Value {
+    let matched = like_match(text, pat, case_insensitive);
+    cov.hit(if matched {
+        pt::EVAL_LIKE_MATCH
+    } else {
+        pt::EVAL_LIKE_NOMATCH
+    });
+    bool3_to_value(Some(matched != negated), dialect)
+}
+
+/// `CAST(v AS ty)`: NULL casts to NULL before any coverage is recorded.
+pub(crate) fn eval_cast(
+    v: &Value,
+    ty: DataType,
+    dialect: Dialect,
+    cov: &Coverage,
+) -> Result<Value> {
     if v.is_null() {
         return Ok(Value::Null);
     }
+    let strict = dialect.strict_types();
     match ty {
         DataType::Int => {
-            ctx.cov.hit(pt::EVAL_CAST_INT);
-            match &v {
+            cov.hit(pt::EVAL_CAST_INT);
+            match v {
                 Value::Int(i) => Ok(Value::Int(*i)),
                 Value::Bool(b) => Ok(Value::Int(*b as i64)),
                 Value::Real(r) => Ok(Value::Int(*r as i64)),
-                Value::Text(s) => {
-                    if ctx.dialect.strict_types() {
-                        match s.trim().parse::<i64>() {
-                            Ok(i) => Ok(Value::Int(i)),
-                            Err(_) => {
-                                // Bug hook: CockroachInternalCastTextInt.
-                                if ctx.bugs.active(BugId::CockroachInternalCastTextInt) {
-                                    Err(Error::Internal(format!(
-                                        "could not lower cast of {s:?} to INT"
-                                    )))
-                                } else {
-                                    Err(Error::Eval(format!("could not parse {s:?} as INT")))
-                                }
-                            }
-                        }
-                    } else {
-                        Ok(Value::Int(v.coerce_f64() as i64))
-                    }
-                }
-                Value::Null => unreachable!(),
+                Value::Text(s) if strict => s
+                    .trim()
+                    .parse::<i64>()
+                    .map(Value::Int)
+                    .map_err(|_| Error::Eval(format!("could not parse {s:?} as INT"))),
+                _ => Ok(Value::Int(v.coerce_f64() as i64)),
             }
         }
         DataType::Real => {
-            ctx.cov.hit(pt::EVAL_CAST_REAL);
-            match &v {
+            cov.hit(pt::EVAL_CAST_REAL);
+            match v {
                 Value::Real(r) => Ok(Value::Real(*r)),
                 Value::Int(i) => Ok(Value::Real(*i as f64)),
                 Value::Bool(b) => Ok(Value::Real(*b as i64 as f64)),
-                Value::Text(s) => {
-                    if ctx.dialect.strict_types() {
-                        s.trim()
-                            .parse::<f64>()
-                            .map(Value::Real)
-                            .map_err(|_| Error::Eval(format!("could not parse {s:?} as REAL")))
-                    } else {
-                        Ok(Value::Real(v.coerce_f64()))
-                    }
-                }
-                Value::Null => unreachable!(),
+                Value::Text(s) if strict => s
+                    .trim()
+                    .parse::<f64>()
+                    .map(Value::Real)
+                    .map_err(|_| Error::Eval(format!("could not parse {s:?} as REAL"))),
+                _ => Ok(Value::Real(v.coerce_f64())),
             }
         }
         DataType::Text => {
-            ctx.cov.hit(pt::EVAL_CAST_TEXT);
+            cov.hit(pt::EVAL_CAST_TEXT);
             Ok(Value::Text(v.to_string()))
         }
         DataType::Bool => {
-            ctx.cov.hit(pt::EVAL_CAST_BOOL);
-            match &v {
+            cov.hit(pt::EVAL_CAST_BOOL);
+            match v {
                 Value::Bool(b) => Ok(Value::Bool(*b)),
                 Value::Int(i) => Ok(Value::Bool(*i != 0)),
                 Value::Real(r) => Ok(Value::Bool(*r != 0.0)),
-                Value::Text(s) => {
-                    let t = s.trim().to_ascii_lowercase();
-                    match t.as_str() {
-                        "true" | "t" | "1" => Ok(Value::Bool(true)),
-                        "false" | "f" | "0" => Ok(Value::Bool(false)),
-                        _ if !ctx.dialect.strict_types() => Ok(Value::Bool(v.coerce_f64() != 0.0)),
-                        _ => Err(Error::Eval(format!("could not parse {s:?} as BOOLEAN"))),
-                    }
-                }
+                Value::Text(s) => match s.trim().to_ascii_lowercase().as_str() {
+                    "true" | "t" | "1" => Ok(Value::Bool(true)),
+                    "false" | "f" | "0" => Ok(Value::Bool(false)),
+                    _ if !strict => Ok(Value::Bool(v.coerce_f64() != 0.0)),
+                    _ => Err(Error::Eval(format!("could not parse {s:?} as BOOLEAN"))),
+                },
                 Value::Null => unreachable!(),
             }
         }
-        DataType::Any => Ok(v),
+        DataType::Any => Ok(v.clone()),
     }
+}
+
+/// Check a call's argument count and record the function's coverage
+/// point — the one arity table both evaluators consult before any
+/// argument evaluates.
+pub(crate) fn enter_func(func: FuncName, nargs: usize, cov: &Coverage) -> Result<()> {
+    use FuncName::*;
+    let (ok, want, point) = match func {
+        Length => (nargs == 1, "1", pt::EVAL_FUNC_LENGTH),
+        Abs => (nargs == 1, "1", pt::EVAL_FUNC_ABS),
+        Upper => (nargs == 1, "1", pt::EVAL_FUNC_UPPER),
+        Lower => (nargs == 1, "1", pt::EVAL_FUNC_LOWER),
+        Typeof => (nargs == 1, "1", pt::EVAL_FUNC_TYPEOF),
+        Sign => (nargs == 1, "1", pt::EVAL_FUNC_SIGN),
+        Nullif => (nargs == 2, "2", pt::EVAL_FUNC_NULLIF),
+        Instr => (nargs == 2, "2", pt::EVAL_FUNC_INSTR),
+        Iif => (nargs == 3, "3", pt::EVAL_FUNC_IIF),
+        Coalesce => (nargs >= 1, ">=1", pt::EVAL_FUNC_COALESCE),
+        Version => (nargs == 0, "0", pt::EVAL_FUNC_VERSION),
+        Round => ((1..=2).contains(&nargs), "1 or 2", pt::EVAL_FUNC_ROUND),
+        Substr => ((2..=3).contains(&nargs), "2 or 3", pt::EVAL_FUNC_SUBSTR),
+    };
+    if !ok {
+        return Err(Error::Eval(format!(
+            "wrong number of arguments to function {}() (expected {want}, got {nargs})",
+            func.sql_name()
+        )));
+    }
+    cov.hit(point);
+    Ok(())
 }
 
 fn eval_func(func: FuncName, args: &[BoundExpr], env: EvalEnv) -> Result<Value> {
     let ctx = env.ctx;
-    let arity_err = |want: &str| {
-        Err(Error::Eval(format!(
-            "wrong number of arguments to function {}() (expected {want}, got {})",
-            func.sql_name(),
-            args.len()
-        )))
-    };
+    enter_func(func, args.len(), ctx.cov)?;
+    let arg = |i: usize| eval_bound(&args[i], env.child());
     match func {
-        FuncName::Length => {
-            if args.len() != 1 {
-                return arity_err("1");
-            }
-            ctx.cov.hit(pt::EVAL_FUNC_LENGTH);
-            let v = eval_bound(&args[0], env.child())?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let s = value_to_text(&v, ctx, "LENGTH")?;
-            Ok(Value::Int(s.chars().count() as i64))
-        }
-        FuncName::Abs => {
-            if args.len() != 1 {
-                return arity_err("1");
-            }
-            ctx.cov.hit(pt::EVAL_FUNC_ABS);
-            match eval_bound(&args[0], env.child())? {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => i
-                    .checked_abs()
-                    .map(Value::Int)
-                    .ok_or_else(|| Error::Eval("integer overflow in ABS".into())),
-                Value::Real(r) => Ok(Value::Real(r.abs())),
-                other if !ctx.dialect.strict_types() => Ok(Value::Real(other.coerce_f64().abs())),
-                other => Err(Error::Type(format!(
-                    "ABS expects a number, got {}",
-                    other.data_type()
-                ))),
-            }
-        }
-        FuncName::Upper | FuncName::Lower => {
-            if args.len() != 1 {
-                return arity_err("1");
-            }
-            ctx.cov.hit(if func == FuncName::Upper {
-                pt::EVAL_FUNC_UPPER
-            } else {
-                pt::EVAL_FUNC_LOWER
-            });
-            let v = eval_bound(&args[0], env.child())?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let s = value_to_text(&v, ctx, func.sql_name())?;
-            Ok(Value::Text(if func == FuncName::Upper {
-                s.to_uppercase()
-            } else {
-                s.to_lowercase()
-            }))
-        }
         FuncName::Coalesce => {
-            if args.is_empty() {
-                return arity_err(">=1");
-            }
-            ctx.cov.hit(pt::EVAL_FUNC_COALESCE);
             for a in args {
                 let v = eval_bound(a, env.child())?;
                 if !v.is_null() {
@@ -1124,109 +1221,113 @@ fn eval_func(func: FuncName, args: &[BoundExpr], env: EvalEnv) -> Result<Value> 
             }
             Ok(Value::Null)
         }
-        FuncName::Nullif => {
-            if args.len() != 2 {
-                return arity_err("2");
+        FuncName::Iif => {
+            if truthiness(&arg(0)?, ctx.dialect, ctx.cov)? == Some(true) {
+                arg(1)
+            } else {
+                arg(2)
             }
-            ctx.cov.hit(pt::EVAL_FUNC_NULLIF);
-            let a = eval_bound(&args[0], env.child())?;
-            let b = eval_bound(&args[1], env.child())?;
-            if compare(&a, &b, ctx, env.info)? == Some(Ordering::Equal) {
+        }
+        FuncName::Round => {
+            let v = arg(0)?;
+            if v.is_null() {
+                return Ok(Value::Null);
+            }
+            let p = if args.len() == 2 { Some(arg(1)?) } else { None };
+            // Bug hook: TidbInternalRoundHuge.
+            if ctx.bugs.active(BugId::TidbInternalRoundHuge)
+                && p.as_ref().and_then(Value::as_i64).is_some_and(|p| p > 10)
+            {
+                return Err(Error::Internal(
+                    "ROUND precision exceeds decimal window".into(),
+                ));
+            }
+            round_value(&v, p.as_ref(), ctx.dialect)
+        }
+        FuncName::Substr => {
+            let s = arg(0)?;
+            let start = arg(1)?;
+            if s.is_null() || start.is_null() {
+                return Ok(Value::Null);
+            }
+            let text = value_to_text(&s, ctx.dialect, "SUBSTR")?;
+            // Bug hook: TidbInternalSubstrNegative.
+            if ctx.bugs.active(BugId::TidbInternalSubstrNegative)
+                && start.as_i64().is_some_and(|st| st < 0)
+            {
+                return Err(Error::Internal(
+                    "negative SUBSTR offset underflows cursor".into(),
+                ));
+            }
+            let take = if args.len() == 3 { Some(arg(2)?) } else { None };
+            Ok(substr_value(&text, &start, take.as_ref()))
+        }
+        _ => match args {
+            [] => func_value(func, &[], ctx.dialect),
+            [a] => func_value(func, &[&eval_bound(a, env.child())?], ctx.dialect),
+            [a, b] => {
+                let a = eval_bound(a, env.child())?;
+                let b = eval_bound(b, env.child())?;
+                func_value(func, &[&a, &b], ctx.dialect)
+            }
+            _ => unreachable!("no eager function takes three arguments"),
+        },
+    }
+}
+
+/// The body of every function but COALESCE and IIF (control flow) and
+/// ROUND and SUBSTR (a NULL leading argument skips the trailing ones;
+/// see [`round_value`] and [`substr_value`]) over its evaluated
+/// arguments, after [`enter_func`].
+pub(crate) fn func_value(func: FuncName, args: &[&Value], dialect: Dialect) -> Result<Value> {
+    use FuncName::*;
+    match (func, args) {
+        (Length | Abs | Upper | Lower | Sign, [Value::Null])
+        | (Instr, [Value::Null, _] | [_, Value::Null]) => Ok(Value::Null),
+        (Length, [v]) => {
+            let s = value_to_text(v, dialect, "LENGTH")?;
+            Ok(Value::Int(s.chars().count() as i64))
+        }
+        (Abs, [v]) => match v {
+            Value::Int(i) => i
+                .checked_abs()
+                .map(Value::Int)
+                .ok_or_else(|| Error::Eval("integer overflow in ABS".into())),
+            Value::Real(r) => Ok(Value::Real(r.abs())),
+            other if !dialect.strict_types() => Ok(Value::Real(other.coerce_f64().abs())),
+            other => Err(Error::Type(format!(
+                "ABS expects a number, got {}",
+                other.data_type()
+            ))),
+        },
+        (Upper | Lower, [v]) => {
+            let s = value_to_text(v, dialect, func.sql_name())?;
+            Ok(Value::Text(if func == Upper {
+                s.to_uppercase()
+            } else {
+                s.to_lowercase()
+            }))
+        }
+        (Nullif, [a, b]) => {
+            if compare(a, b, dialect)? == Some(Ordering::Equal) {
                 Ok(Value::Null)
             } else {
-                Ok(a)
+                Ok((*a).clone())
             }
         }
-        FuncName::Iif => {
-            if args.len() != 3 {
-                return arity_err("3");
-            }
-            ctx.cov.hit(pt::EVAL_FUNC_IIF);
-            let c = eval_bound(&args[0], env.child())?;
-            if truthiness(&c, ctx)? == Some(true) {
-                eval_bound(&args[1], env.child())
-            } else {
-                eval_bound(&args[2], env.child())
-            }
-        }
-        FuncName::Typeof => {
-            if args.len() != 1 {
-                return arity_err("1");
-            }
-            ctx.cov.hit(pt::EVAL_FUNC_TYPEOF);
-            let v = eval_bound(&args[0], env.child())?;
-            let name = match v {
+        (Typeof, [v]) => Ok(Value::Text(
+            match v {
                 Value::Null => "null",
                 Value::Int(_) => "integer",
                 Value::Real(_) => "real",
                 Value::Text(_) => "text",
                 Value::Bool(_) => "boolean",
-            };
-            Ok(Value::Text(name.into()))
-        }
-        FuncName::Version => {
-            if !args.is_empty() {
-                return arity_err("0");
             }
-            ctx.cov.hit(pt::EVAL_FUNC_VERSION);
-            Ok(Value::Text(ctx.dialect.version_string().into()))
-        }
-        FuncName::Round => {
-            if args.is_empty() || args.len() > 2 {
-                return arity_err("1 or 2");
-            }
-            ctx.cov.hit(pt::EVAL_FUNC_ROUND);
-            let v = eval_bound(&args[0], env.child())?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let p = if args.len() == 2 {
-                match eval_bound(&args[1], env.child())? {
-                    Value::Null => return Ok(Value::Null),
-                    pv => pv.as_i64().unwrap_or(0),
-                }
-            } else {
-                0
-            };
-            // Bug hook: TidbInternalRoundHuge.
-            if ctx.bugs.active(BugId::TidbInternalRoundHuge) && p > 10 {
-                return Err(Error::Internal(
-                    "ROUND precision exceeds decimal window".into(),
-                ));
-            }
-            let x = match v.as_f64() {
-                Some(x) => x,
-                None if !ctx.dialect.strict_types() => v.coerce_f64(),
-                None => {
-                    return Err(Error::Type(format!(
-                        "ROUND expects a number, got {}",
-                        v.data_type()
-                    )))
-                }
-            };
-            let p = p.clamp(-15, 15);
-            let factor = 10f64.powi(p as i32);
-            Ok(finite_or_null((x * factor).round() / factor))
-        }
-        FuncName::Sign => {
-            if args.len() != 1 {
-                return arity_err("1");
-            }
-            ctx.cov.hit(pt::EVAL_FUNC_SIGN);
-            let v = eval_bound(&args[0], env.child())?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let x = match v.as_f64() {
-                Some(x) => x,
-                None if !ctx.dialect.strict_types() => v.coerce_f64(),
-                None => {
-                    return Err(Error::Type(format!(
-                        "SIGN expects a number, got {}",
-                        v.data_type()
-                    )))
-                }
-            };
+            .into(),
+        )),
+        (Version, []) => Ok(Value::Text(dialect.version_string().into())),
+        (Sign, [v]) => {
+            let x = numeric_arg(v, "SIGN", dialect)?;
             Ok(Value::Int(if x > 0.0 {
                 1
             } else if x < 0.0 {
@@ -1235,65 +1336,66 @@ fn eval_func(func: FuncName, args: &[BoundExpr], env: EvalEnv) -> Result<Value> 
                 0
             }))
         }
-        FuncName::Instr => {
-            if args.len() != 2 {
-                return arity_err("2");
-            }
-            ctx.cov.hit(pt::EVAL_FUNC_INSTR);
-            let a = eval_bound(&args[0], env.child())?;
-            let b = eval_bound(&args[1], env.child())?;
-            if a.is_null() || b.is_null() {
-                return Ok(Value::Null);
-            }
-            let hay = value_to_text(&a, ctx, "INSTR")?;
-            let needle = value_to_text(&b, ctx, "INSTR")?;
+        (Instr, [a, b]) => {
+            let hay = value_to_text(a, dialect, "INSTR")?;
+            let needle = value_to_text(b, dialect, "INSTR")?;
             let pos = hay
-                .find(&needle)
+                .find(&*needle)
                 .map(|byte| hay[..byte].chars().count() as i64 + 1)
                 .unwrap_or(0);
             Ok(Value::Int(pos))
         }
-        FuncName::Substr => {
-            if args.len() < 2 || args.len() > 3 {
-                return arity_err("2 or 3");
-            }
-            ctx.cov.hit(pt::EVAL_FUNC_SUBSTR);
-            let s = eval_bound(&args[0], env.child())?;
-            let start = eval_bound(&args[1], env.child())?;
-            if s.is_null() || start.is_null() {
-                return Ok(Value::Null);
-            }
-            let text = value_to_text(&s, ctx, "SUBSTR")?;
-            let start = start.as_i64().unwrap_or(1);
-            // Bug hook: TidbInternalSubstrNegative.
-            if ctx.bugs.active(BugId::TidbInternalSubstrNegative) && start < 0 {
-                return Err(Error::Internal(
-                    "negative SUBSTR offset underflows cursor".into(),
-                ));
-            }
-            let chars: Vec<char> = text.chars().collect();
-            let len = chars.len() as i64;
-            // SQLite semantics: 1-based; negative counts from the end.
-            let begin = if start > 0 {
-                start - 1
-            } else if start < 0 {
-                (len + start).max(0)
-            } else {
-                0
-            };
-            let take = if args.len() == 3 {
-                match eval_bound(&args[2], env.child())? {
-                    Value::Null => return Ok(Value::Null),
-                    v => v.as_i64().unwrap_or(0).max(0),
-                }
-            } else {
-                len
-            };
-            let begin = begin.clamp(0, len) as usize;
-            let end = (begin + take as usize).min(chars.len());
-            Ok(Value::Text(chars[begin..end].iter().collect()))
-        }
+        _ => unreachable!("{func:?} is sequenced by its evaluator or has the wrong arity"),
     }
+}
+
+/// A numeric function argument (flexible-typing dialects coerce TEXT).
+fn numeric_arg(v: &Value, func: &str, dialect: Dialect) -> Result<f64> {
+    match v.as_f64() {
+        Some(x) => Ok(x),
+        None if !dialect.strict_types() => Ok(v.coerce_f64()),
+        None => Err(Error::Type(format!(
+            "{func} expects a number, got {}",
+            v.data_type()
+        ))),
+    }
+}
+
+/// ROUND over a non-NULL value and its precision argument, if any; a
+/// NULL precision yields NULL.
+pub(crate) fn round_value(v: &Value, p: Option<&Value>, dialect: Dialect) -> Result<Value> {
+    let p = match p {
+        Some(Value::Null) => return Ok(Value::Null),
+        Some(p) => p.as_i64().unwrap_or(0),
+        None => 0,
+    };
+    let x = numeric_arg(v, "ROUND", dialect)?;
+    let factor = 10f64.powi(p.clamp(-15, 15) as i32);
+    Ok(finite_or_null((x * factor).round() / factor))
+}
+
+/// SUBSTR over the text of a non-NULL string, a non-NULL start and the
+/// length argument, if any; a NULL length yields NULL. SQLite semantics:
+/// 1-based, and a negative start counts from the end.
+pub(crate) fn substr_value(text: &str, start: &Value, take: Option<&Value>) -> Value {
+    let take = match take {
+        Some(Value::Null) => return Value::Null,
+        Some(t) => Some(t.as_i64().unwrap_or(0).max(0)),
+        None => None,
+    };
+    let chars: Vec<char> = text.chars().collect();
+    let len = chars.len() as i64;
+    let start = start.as_i64().unwrap_or(1);
+    let begin = if start > 0 {
+        start - 1
+    } else if start < 0 {
+        (len + start).max(0)
+    } else {
+        0
+    };
+    let begin = begin.clamp(0, len) as usize;
+    let end = (begin + take.unwrap_or(len) as usize).min(chars.len());
+    Value::Text(chars[begin..end].iter().collect())
 }
 
 /// SQL LIKE pattern matching (`%` and `_`), iterative with backtracking.

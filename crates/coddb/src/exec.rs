@@ -468,12 +468,11 @@ fn set_local_row<'a>(frames: &mut [Frame<'a>], schema: &'a Schema, row: &'a [Val
 ///   value it actually read must follow the identical path (including
 ///   reads redirected by the name-collision mutant, which the detector
 ///   tracks at the load site and therefore folds into the key).
-pub fn exec_subquery(query: &Select, env: EvalEnv) -> Result<Rc<Relation>> {
+pub fn exec_subquery(query: &Rc<Select>, env: EvalEnv) -> Result<Rc<Relation>> {
     let ctx = env.ctx;
-    let key = query as *const Select as usize;
     let entry = match ctx
         .caches
-        .subq_get(key, query)
+        .subq_get(query)
         .filter(|e| cte_env_matches(&e.cte_names, env.ctes))
     {
         Some(entry) => {
@@ -484,8 +483,8 @@ pub fn exec_subquery(query: &Select, env: EvalEnv) -> Result<Rc<Relation>> {
             let pctx = ctx.plan_ctx();
             let cte_names = env.ctes.names();
             let plan = Rc::new(plan::plan_select(query, &pctx, &cte_names)?);
-            let entry = Rc::new(SubqEntry::new(query.clone(), cte_names, plan));
-            ctx.caches.subq_insert(key, Rc::clone(&entry));
+            let entry = Rc::new(SubqEntry::new(Rc::clone(query), cte_names, plan));
+            ctx.caches.subq_insert(Rc::clone(&entry));
             entry
         }
     };
@@ -1141,14 +1140,7 @@ fn exec_core(
             let chunk = &rows[start..end];
             if use_vec
                 && ctx.fuel_left() >= chunk.len() as u64
-                && crate::vec_eval::project_chunk(
-                    &bounds,
-                    chunk,
-                    outer_scopes,
-                    ctx,
-                    proj_info,
-                    &mut out_rows,
-                )
+                && crate::vec_eval::project_chunk(&bounds, chunk, outer_scopes, ctx, &mut out_rows)
             {
                 ctx.consume_fuel(chunk.len() as u64)?;
                 start = end;
@@ -1378,7 +1370,6 @@ fn exec_grouped(
                         chunk,
                         outer_scopes,
                         ctx,
-                        key_info,
                         &scratch,
                         col,
                     )
@@ -1583,16 +1574,11 @@ fn exec_grouped(
                     let arg = spec.arg.as_ref().expect("vectorized spec has an argument");
                     let scratch = Coverage::new();
                     let mut out = Vec::with_capacity(members.len());
-                    let arg_info = ExprCtx {
-                        clause: Clause::SelectList,
-                        ..base_info
-                    };
                     if crate::vec_eval::eval_chunk_into(
                         arg,
                         chunk,
                         outer_scopes,
                         ctx,
-                        arg_info,
                         &scratch,
                         &mut out,
                     ) {
@@ -1674,7 +1660,7 @@ fn exec_grouped(
                 },
             };
             let hv = eval_bound(h, env)?;
-            if truthiness(&hv, ctx)? != Some(true) {
+            if truthiness(&hv, ctx.dialect, ctx.cov)? != Some(true) {
                 ctx.cov.hit(pt::EXEC_HAVING_DROP);
                 continue;
             }
@@ -2042,7 +2028,7 @@ fn apply_cmp_filter_fast(
             info,
         };
         let v = pred.eval(env)?;
-        let t = truthiness(&v, ctx)?;
+        let t = truthiness(&v, ctx.dialect, ctx.cov)?;
         ctx.cov.hit(match t {
             Some(true) => pt::EXEC_FILTER_PASS,
             Some(false) => pt::EXEC_FILTER_DROP,
@@ -2076,23 +2062,13 @@ pub(crate) fn apply_filter(
     if let Some(out) = apply_cmp_filter_fast(&rows, schema, pred, ctx, ctes, outer_scopes, info)? {
         return Ok(out);
     }
-    // The comparison/AND shapes the filter-site mutants key on.
-    let cmp_shape = matches!(pred.ast(), Expr::Binary { op, .. } if op.is_comparison());
-    let and_shape = matches!(
-        pred.ast(),
-        Expr::Binary {
-            op: crate::ast::BinaryOp::And,
-            ..
-        }
-    );
-
-    // Vectorize only when no filter-site mutant can fire (the chunk
-    // kernels do not model the keep-on-NULL hooks) and the predicate
-    // classifies as vectorizable under the active mutant set.
+    // An active filter-site mutant keeps the rows whose predicate is
+    // NULL. The chunk filter does not model that, so such a filter runs
+    // row-at-a-time; otherwise vectorize when the predicate classifies.
+    let keeps_null = crate::vec_eval::gates::filter(pred.ast(), info.via_index, ctx.bugs).is_err();
     let use_vec = ctx.vectorize
         && !rows.is_empty()
-        && !(info.via_index && cmp_shape && ctx.bugs.active(BugId::SqliteIndexedCmpNullTrue))
-        && !(and_shape && ctx.bugs.active(BugId::CockroachAndNullTopConjunct))
+        && !keeps_null
         && crate::vec_eval::classify(pred.bound(), ctx).is_ok();
 
     let mut keep = vec![false; rows.len()];
@@ -2112,7 +2088,6 @@ pub(crate) fn apply_filter(
                     chunk,
                     outer_scopes,
                     ctx,
-                    info,
                     &mut keep[start..end],
                 )
             {
@@ -2136,21 +2111,11 @@ pub(crate) fn apply_filter(
                     info,
                 };
                 let v = pred.eval(env)?;
-                let t = truthiness(&v, ctx)?;
+                let t = truthiness(&v, ctx.dialect, ctx.cov)?;
 
-                // Bug hook: SqliteIndexedCmpNullTrue — under an index scan
-                // a NULL comparison keeps the row.
-                if t.is_none()
-                    && info.via_index
-                    && cmp_shape
-                    && ctx.bugs.active(BugId::SqliteIndexedCmpNullTrue)
-                {
-                    keep[start + i] = true;
-                    continue;
-                }
-                // Bug hook: CockroachAndNullTopConjunct — a top-level AND
-                // that evaluates to NULL keeps the row.
-                if t.is_none() && and_shape && ctx.bugs.active(BugId::CockroachAndNullTopConjunct) {
+                // Bug hooks SqliteIndexedCmpNullTrue and
+                // CockroachAndNullTopConjunct (`vec_eval::gates::filter`).
+                if t.is_none() && keeps_null {
                     keep[start + i] = true;
                     continue;
                 }
@@ -2232,7 +2197,7 @@ fn seek_filter(
             info,
         };
         let v = pred.eval(env)?;
-        let t = truthiness(&v, ctx)?;
+        let t = truthiness(&v, ctx.dialect, ctx.cov)?;
         ctx.cov.hit(pt::EXEC_FILTER_DROP);
         if assert_reps {
             assert_eq!(
@@ -2394,7 +2359,7 @@ fn seek_filter(
             info,
         };
         let v = pred.eval(env)?;
-        let t = truthiness(&v, ctx)?;
+        let t = truthiness(&v, ctx.dialect, ctx.cov)?;
         // Bug hook: CockroachAndNullTopConjunct — a top-level AND that
         // evaluates to NULL keeps the row (skipped rows are immune: their
         // clause value is FALSE, never NULL).
@@ -3020,7 +2985,7 @@ fn exec_join(
                             info,
                         };
                         let v = pred.eval(env)?;
-                        truthiness(&v, ctx)? == Some(true)
+                        truthiness(&v, ctx.dialect, ctx.cov)? == Some(true)
                     }
                 }
             };
@@ -3304,7 +3269,7 @@ fn hash_join(
                             info: residual_info,
                         };
                         let v = pred.eval(env)?;
-                        truthiness(&v, ctx)? == Some(true)
+                        truthiness(&v, ctx.dialect, ctx.cov)? == Some(true)
                     }
                 };
                 if keep {

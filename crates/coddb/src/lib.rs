@@ -111,7 +111,11 @@
 //! [`Database::set_access_mode`]) disables index seeks. Each reference
 //! must agree with the default engine on results and coverage bitsets
 //! (`join_differential.rs`), and the latter two on fuel as well
-//! (`eval_differential.rs`, `index_differential.rs`).
+//! (`eval_differential.rs`, `index_differential.rs`). The row
+//! interpreter and the kernels share every value rule ([`eval`]
+//! module docs), so `RowAtATime` checks the vectorized *strategy* —
+//! selection vectors, lazy lanes, chunk abort — not a second copy of
+//! SQL semantics.
 //!
 //! ## Ordered index access paths
 //!

@@ -1354,6 +1354,33 @@ fn vec_note(e: &Expr, ectx: ExplainCtx) -> String {
     }
 }
 
+/// The suffix for a WHERE or pushed filter over `input`: the filter-site
+/// gate first — it reads whether rows arrive through an index scan, the
+/// plan-side twin of `FromResult::via_index` — then the predicate's own
+/// classification.
+fn filter_note(pred: &Expr, input: Option<&FromPlan>, ectx: ExplainCtx) -> String {
+    if let VecNote::Predict { bugs, .. } = ectx.vec {
+        let via_index = input.is_some_and(reads_index_scan);
+        if let Err(reason) = crate::vec_eval::gates::filter(pred, via_index, bugs) {
+            return format!(" [ROW({reason})]");
+        }
+    }
+    vec_note(pred, ectx)
+}
+
+/// Do the rows of `from` arrive through an index scan? The same rule
+/// `exec_from` applies to `FromResult::via_index`: an index scan sets
+/// it, joins and pushed filters pass it on, every other access path
+/// (seeks and derived tables included) clears it.
+fn reads_index_scan(from: &FromPlan) -> bool {
+    match from {
+        FromPlan::IndexScan { .. } => true,
+        FromPlan::Join { left, right, .. } => reads_index_scan(left) || reads_index_scan(right),
+        FromPlan::Filtered { input, .. } => reads_index_scan(input),
+        _ => false,
+    }
+}
+
 /// Vectorization suffix for a clause made of several expressions (a
 /// projection's items, an aggregation's group keys): `[VEC]` only when
 /// every expression classifies, else the first fallback reason.
@@ -1712,7 +1739,8 @@ fn explain_body(body: &BodyPlan, indent: usize, ectx: ExplainCtx, out: &mut Stri
             }
             if let Some(w) = &core.where_clause {
                 pad(indent + 1, out);
-                out.push_str(&format!("FILTER {w}{}\n", vec_note(w, ectx)));
+                let note = filter_note(w, core.from.as_ref(), ectx);
+                out.push_str(&format!("FILTER {w}{note}\n"));
                 memo_notes(w, indent + 2, ectx, out);
             }
             match &core.from {
@@ -1831,7 +1859,8 @@ fn explain_from(from: &FromPlan, indent: usize, ectx: ExplainCtx, out: &mut Stri
         }
         FromPlan::Filtered { input, pred, .. } => {
             pad(indent, out);
-            out.push_str(&format!("PUSHED FILTER {pred}{}\n", vec_note(pred, ectx)));
+            let note = filter_note(pred, Some(input), ectx);
+            out.push_str(&format!("PUSHED FILTER {pred}{note}\n"));
             memo_notes(pred, indent + 1, ectx, out);
             explain_from(input, indent + 1, ectx, out);
         }

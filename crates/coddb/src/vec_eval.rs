@@ -44,21 +44,47 @@
 //! covers the chunk, so exhaustion falls back to the per-row loop and
 //! hangs at exactly the row the scalar pipeline would).
 //!
-//! The lane helpers (`truth_lane`, `arith_lane`, `cast_lane`, ...)
-//! mirror their [`crate::eval`] counterparts; keep them in sync —
-//! `coddb/tests/eval_differential.rs` cross-checks the two paths over
-//! NULL-heavy data, erroring expressions, all dialects and every mutant.
+//! ## One copy of the value rules
+//!
+//! The kernels implement no SQL value rule of their own. Per lane they
+//! call the rule functions the interpreter calls per row
+//! ([`crate::eval`] module docs): [`truthiness`], [`compare`] and
+//! `cmp_value`, `eval_arith`, `eval_cast`, `eval_unary`,
+//! `is_value`, `eval_concat`, `like_operands` and `like_value`,
+//! `between_value`, `in_list_value`, `and_or_value`, and for
+//! function calls `enter_func` (the one arity table), `func_value`,
+//! `round_value` and `substr_value`. A rule's `Err` becomes an
+//! `Abort`; the rerun raises it again from the same rule, so error
+//! text has one source. What this module adds is what makes evaluation
+//! vectorized: classification, selection vectors with lazy
+//! short-circuit lanes, operand fusion, the buffer pool, whole-chunk
+//! abort and the chunk drivers.
+//!
+//! Coverage stays exact because a rule records into the accumulator it
+//! is handed — the statement's coverage from the interpreter, the
+//! chunk's scratch accumulator (`ChunkEval::cov`) from a kernel. The
+//! same value yields the same points whichever evaluator asks, the
+//! kernels ask for exactly the lanes the scalar walk reaches, and bits
+//! are idempotent, so a successful chunk's scratch holds the union of
+//! the per-row hits. `coddb/tests/eval_differential.rs` cross-checks
+//! the two evaluators over NULL-heavy data, erroring expressions, all
+//! dialects and every mutant.
 
 use std::cmp::Ordering;
 
-use crate::ast::{BinaryOp, Expr, FuncName, UnaryOp};
+use crate::ast::{BinaryOp, Expr, FuncName};
 use crate::bind::{BoundColumn, BoundExpr};
 use crate::bugs::{BugId, BugRegistry};
 use crate::coverage::{pt, Coverage};
 use crate::dialect::Dialect;
-use crate::eval::{and3, cmp_matches, compare, like_match, not3, or3, Bool3, ExprCtx};
+use crate::error::Error;
+use crate::eval::{
+    and_or_value, between_value, bool3_to_value, cmp_value, compare, enter_func, eval_arith,
+    eval_cast, eval_concat, eval_unary, func_value, in_list_value, is_value, like_operands,
+    like_value, round_value, short_circuit_truth, substr_value, truthiness, value_to_text, Bool3,
+};
 use crate::exec::{EngineCtx, Frame, StmtKind};
-use crate::value::{DataType, Row, Value};
+use crate::value::{Row, Value};
 
 /// Rows per chunk fed to the vectorized kernels.
 pub(crate) const CHUNK: usize = 1024;
@@ -73,8 +99,35 @@ pub(crate) const CHUNK: usize = 1024;
 /// HERE so the two walkers cannot drift. A gate rejects its shape only
 /// while the hooking mutant is *active*: an inactive hook is a dead
 /// branch the kernels need not model.
-mod gates {
+pub(crate) mod gates {
     use super::*;
+
+    /// The filter-site mutants hook the WHERE stage itself rather than an
+    /// expression node, and `Err` means one keeps the rows whose
+    /// predicate is NULL: `SqliteIndexedCmpNullTrue` a comparison's over
+    /// index-scanned rows, `CockroachAndNullTopConjunct` a top-level
+    /// AND's. The chunk filter models neither, so such a filter runs
+    /// row-at-a-time. `via_index` is whether the filter's input arrives
+    /// through an index scan.
+    pub(crate) fn filter(
+        pred: &Expr,
+        via_index: bool,
+        bugs: &BugRegistry,
+    ) -> Result<(), &'static str> {
+        match pred {
+            Expr::Binary { op, .. }
+                if op.is_comparison()
+                    && via_index
+                    && bugs.active(BugId::SqliteIndexedCmpNullTrue) =>
+            {
+                Err("mutant-hooked indexed comparison")
+            }
+            Expr::Binary {
+                op: BinaryOp::And, ..
+            } if bugs.active(BugId::CockroachAndNullTopConjunct) => Err("mutant-hooked AND filter"),
+            _ => Ok(()),
+        }
+    }
 
     pub(super) fn binary(
         op: BinaryOp,
@@ -336,6 +389,12 @@ pub fn classify_ast(
 /// exact row, with exact coverage and fuel).
 struct Abort;
 
+impl From<Error> for Abort {
+    fn from(_: Error) -> Abort {
+        Abort
+    }
+}
+
 /// Columnar result of one expression node over a chunk's active lanes.
 enum Col {
     /// Lane-invariant (literals, outer-scope columns).
@@ -425,334 +484,6 @@ impl Pool {
     }
 }
 
-/// Truthiness coverage classes observed across a chunk; fired once per
-/// class present (idempotent bits make that equal to per-row hits).
-#[derive(Default)]
-struct TruthFlags {
-    null: bool,
-    boolean: bool,
-    numeric: bool,
-}
-
-impl TruthFlags {
-    fn fire(&self, cov: &Coverage) {
-        if self.null {
-            cov.hit(pt::EVAL_TRUTHY_NULL);
-        }
-        if self.boolean {
-            cov.hit(pt::EVAL_TRUTHY_BOOL);
-        }
-        if self.numeric {
-            cov.hit(pt::EVAL_TRUTHY_NUMERIC);
-        }
-    }
-}
-
-/// Per-lane [`crate::eval::truthiness`]: same classes, strict-dialect
-/// type errors become chunk aborts.
-#[inline]
-fn truth_lane(v: &Value, strict: bool, tf: &mut TruthFlags) -> Result<Bool3, Abort> {
-    match v {
-        Value::Null => {
-            tf.null = true;
-            Ok(None)
-        }
-        Value::Bool(b) => {
-            tf.boolean = true;
-            Ok(Some(*b))
-        }
-        other => {
-            if strict {
-                return Err(Abort);
-            }
-            tf.numeric = true;
-            Ok(Some(other.coerce_f64() != 0.0))
-        }
-    }
-}
-
-/// Per-lane [`crate::eval::bool3_to_value`].
-#[inline]
-fn b3_value(b: Bool3, strict: bool) -> Value {
-    match b {
-        None => Value::Null,
-        Some(t) => {
-            if strict {
-                Value::Bool(t)
-            } else {
-                Value::Int(t as i64)
-            }
-        }
-    }
-}
-
-/// Per-lane `value_to_text` (strict dialects reject non-TEXT operands).
-#[inline]
-fn to_text_lane(v: &Value, strict: bool) -> Result<String, Abort> {
-    match v {
-        Value::Text(s) => Ok(s.clone()),
-        other if !strict => Ok(other.to_string()),
-        _ => Err(Abort),
-    }
-}
-
-/// Mirror of `eval.rs::finite_or_null`.
-#[inline]
-fn finite_or_null(r: f64) -> Value {
-    if r.is_finite() {
-        Value::Real(r)
-    } else {
-        Value::Null
-    }
-}
-
-/// Coverage classes of the arithmetic kernel.
-#[derive(Default)]
-struct ArithFlags {
-    null: bool,
-    int: bool,
-    real: bool,
-    div_zero_null: bool,
-}
-
-impl ArithFlags {
-    fn fire(&self, cov: &Coverage) {
-        if self.null {
-            cov.hit(pt::EVAL_ARITH_NULL);
-        }
-        if self.int {
-            cov.hit(pt::EVAL_ARITH_INT);
-        }
-        if self.real {
-            cov.hit(pt::EVAL_ARITH_REAL);
-        }
-        if self.div_zero_null {
-            cov.hit(pt::EVAL_DIV_ZERO_NULL);
-        }
-    }
-}
-
-/// Per-lane comparison. Numeric/numeric pairs reduce to
-/// [`Value::sql_cmp`] in **every** dialect (strict dialects accept
-/// numeric-numeric operands, MySQL-family coercion only touches TEXT),
-/// so the hot lanes skip [`compare`]'s dialect dispatch; everything
-/// else delegates to it bit for bit.
-#[inline]
-fn cmp_lane(
-    a: &Value,
-    b: &Value,
-    ctx: &EngineCtx,
-    info: ExprCtx,
-) -> Result<Option<Ordering>, Abort> {
-    match (a, b) {
-        (Value::Null, _) | (_, Value::Null) => Ok(None),
-        (Value::Int(x), Value::Int(y)) => Ok(Some(x.cmp(y))),
-        (Value::Int(x), Value::Real(y)) => Ok(Some((*x as f64).total_cmp(y))),
-        (Value::Real(x), Value::Int(y)) => Ok(Some(x.total_cmp(&(*y as f64)))),
-        (Value::Real(x), Value::Real(y)) => Ok(Some(x.total_cmp(y))),
-        _ => compare(a, b, ctx, info).map_err(|_| Abort),
-    }
-}
-
-/// Per-lane mirror of `eval.rs::eval_arith`, minus the mutant hooks
-/// (classification keeps hooked shapes off this path). Every scalar
-/// error condition — strict type errors, overflow, erroring division by
-/// zero — aborts the chunk. The Int/Int arm is the generic path
-/// specialized (both operands numeric, `both_int` true, identical
-/// checked semantics) without the per-lane type dispatch.
-fn arith_lane(
-    op: BinaryOp,
-    lv: &Value,
-    rv: &Value,
-    strict: bool,
-    int_div_real: bool,
-    div0_null: bool,
-    flags: &mut ArithFlags,
-) -> Result<Value, Abort> {
-    if let (Value::Int(a), Value::Int(b)) = (lv, rv) {
-        let (a, b) = (*a, *b);
-        match op {
-            BinaryOp::Add => {
-                flags.int = true;
-                return a.checked_add(b).map(Value::Int).ok_or(Abort);
-            }
-            BinaryOp::Sub => {
-                flags.int = true;
-                return a.checked_sub(b).map(Value::Int).ok_or(Abort);
-            }
-            BinaryOp::Mul => {
-                flags.int = true;
-                return a.checked_mul(b).map(Value::Int).ok_or(Abort);
-            }
-            BinaryOp::Div => {
-                if b == 0 {
-                    if div0_null {
-                        flags.div_zero_null = true;
-                        return Ok(Value::Null);
-                    }
-                    return Err(Abort);
-                }
-                if !int_div_real {
-                    flags.int = true;
-                    return a.checked_div(b).map(Value::Int).ok_or(Abort);
-                }
-                flags.real = true;
-                return Ok(finite_or_null(a as f64 / b as f64));
-            }
-            BinaryOp::Mod => {
-                if b == 0 {
-                    if div0_null {
-                        flags.div_zero_null = true;
-                        return Ok(Value::Null);
-                    }
-                    return Err(Abort);
-                }
-                flags.int = true;
-                return a.checked_rem(b).map(Value::Int).ok_or(Abort);
-            }
-            _ => return Err(Abort),
-        }
-    }
-    if lv.is_null() || rv.is_null() {
-        flags.null = true;
-        return Ok(Value::Null);
-    }
-    if strict {
-        let numeric = |v: &Value| matches!(v, Value::Int(_) | Value::Real(_));
-        if !numeric(lv) || !numeric(rv) {
-            return Err(Abort);
-        }
-    }
-    let both_int = matches!(lv, Value::Int(_) | Value::Bool(_))
-        && matches!(rv, Value::Int(_) | Value::Bool(_));
-    match op {
-        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul => {
-            if both_int {
-                flags.int = true;
-                let a = lv.as_i64().unwrap();
-                let b = rv.as_i64().unwrap();
-                let r = match op {
-                    BinaryOp::Add => a.checked_add(b),
-                    BinaryOp::Sub => a.checked_sub(b),
-                    _ => a.checked_mul(b),
-                };
-                // Overflow errors (and their EVAL_ARITH_OVERFLOW hit)
-                // surface through the row-at-a-time rerun.
-                r.map(Value::Int).ok_or(Abort)
-            } else {
-                flags.real = true;
-                let a = lv.coerce_f64();
-                let b = rv.coerce_f64();
-                let r = match op {
-                    BinaryOp::Add => a + b,
-                    BinaryOp::Sub => a - b,
-                    _ => a * b,
-                };
-                Ok(finite_or_null(r))
-            }
-        }
-        BinaryOp::Div => {
-            let b_num = rv.coerce_f64();
-            if b_num == 0.0 {
-                if div0_null {
-                    flags.div_zero_null = true;
-                    return Ok(Value::Null);
-                }
-                return Err(Abort);
-            }
-            if both_int && !int_div_real {
-                flags.int = true;
-                let a = lv.as_i64().unwrap();
-                let b = rv.as_i64().unwrap();
-                a.checked_div(b).map(Value::Int).ok_or(Abort)
-            } else {
-                flags.real = true;
-                Ok(finite_or_null(lv.coerce_f64() / b_num))
-            }
-        }
-        BinaryOp::Mod => {
-            let a = lv
-                .as_i64()
-                .or_else(|| Some(lv.coerce_f64() as i64))
-                .unwrap();
-            let b = rv
-                .as_i64()
-                .or_else(|| Some(rv.coerce_f64() as i64))
-                .unwrap();
-            if b == 0 {
-                if div0_null {
-                    flags.div_zero_null = true;
-                    return Ok(Value::Null);
-                }
-                return Err(Abort);
-            }
-            flags.int = true;
-            a.checked_rem(b).map(Value::Int).ok_or(Abort)
-        }
-        _ => Err(Abort),
-    }
-}
-
-/// Per-lane mirror of `eval.rs::eval_cast` (null in → null out before any
-/// coverage; strict parse failures abort; the `CockroachInternalCastTextInt`
-/// hook is classification-rejected).
-fn cast_lane(
-    v: &Value,
-    ty: DataType,
-    strict: bool,
-    hit_nonnull: &mut bool,
-) -> Result<Value, Abort> {
-    if v.is_null() {
-        return Ok(Value::Null);
-    }
-    *hit_nonnull = true;
-    match ty {
-        DataType::Int => match v {
-            Value::Int(i) => Ok(Value::Int(*i)),
-            Value::Bool(b) => Ok(Value::Int(*b as i64)),
-            Value::Real(r) => Ok(Value::Int(*r as i64)),
-            Value::Text(s) => {
-                if strict {
-                    s.trim().parse::<i64>().map(Value::Int).map_err(|_| Abort)
-                } else {
-                    Ok(Value::Int(v.coerce_f64() as i64))
-                }
-            }
-            Value::Null => unreachable!(),
-        },
-        DataType::Real => match v {
-            Value::Real(r) => Ok(Value::Real(*r)),
-            Value::Int(i) => Ok(Value::Real(*i as f64)),
-            Value::Bool(b) => Ok(Value::Real(*b as i64 as f64)),
-            Value::Text(s) => {
-                if strict {
-                    s.trim().parse::<f64>().map(Value::Real).map_err(|_| Abort)
-                } else {
-                    Ok(Value::Real(v.coerce_f64()))
-                }
-            }
-            Value::Null => unreachable!(),
-        },
-        DataType::Text => Ok(Value::Text(v.to_string())),
-        DataType::Bool => match v {
-            Value::Bool(b) => Ok(Value::Bool(*b)),
-            Value::Int(i) => Ok(Value::Bool(*i != 0)),
-            Value::Real(r) => Ok(Value::Bool(*r != 0.0)),
-            Value::Text(s) => {
-                let t = s.trim().to_ascii_lowercase();
-                match t.as_str() {
-                    "true" | "t" | "1" => Ok(Value::Bool(true)),
-                    "false" | "f" | "0" => Ok(Value::Bool(false)),
-                    _ if !strict => Ok(Value::Bool(v.coerce_f64() != 0.0)),
-                    _ => Err(Abort),
-                }
-            }
-            Value::Null => unreachable!(),
-        },
-        DataType::Any => Ok(v.clone()),
-    }
-}
-
 /// One chunk's evaluation state: the chunk rows, the (fixed) outer
 /// scopes, the scratch coverage accumulator and the statement's buffer
 /// pool.
@@ -761,27 +492,23 @@ struct ChunkEval<'a, 'e> {
     cov: &'e Coverage,
     rows: &'e [Row],
     outer: &'e [Frame<'e>],
-    info: ExprCtx,
     pool: &'e mut Pool,
 }
 
 impl<'a, 'e> ChunkEval<'a, 'e> {
-    fn strict(&self) -> bool {
-        self.ctx.dialect.strict_types()
-    }
-
     /// Evaluate `e` over the active lanes. `sel` must be non-empty: a
     /// node is entered only when at least one lane reaches it, which is
     /// what keeps per-node coverage hits equal to the scalar union.
     fn eval(&mut self, e: &BoundExpr, sel: &[u32]) -> Result<Col, Abort> {
         debug_assert!(!sel.is_empty(), "kernels require at least one active lane");
+        let (d, cov) = (self.ctx.dialect, self.cov);
         match e {
             BoundExpr::Literal(v) => {
-                self.cov.hit(pt::EVAL_LITERAL);
+                cov.hit(pt::EVAL_LITERAL);
                 Ok(Col::Const(v.clone()))
             }
             BoundExpr::Column(c) => self.load_column(c, sel),
-            BoundExpr::Unary { op, expr } => self.unary(*op, expr, sel),
+            BoundExpr::Unary { op, expr } => self.map1(expr, sel, |v| eval_unary(*op, v, d, cov)),
             BoundExpr::Binary { op, left, right } => self.binary(*op, left, right, sel),
             BoundExpr::Between {
                 expr,
@@ -801,35 +528,23 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
                 ..
             } => self.case(operand.as_deref(), whens, else_expr.as_deref(), sel),
             BoundExpr::Func { func, args } => self.func(*func, args, sel),
-            BoundExpr::Cast { expr, ty } => {
-                let input = self.eval(expr, sel)?;
-                let strict = self.strict();
-                let mut nonnull = false;
-                let out = self.map1(input, sel, |v| cast_lane(v, *ty, strict, &mut nonnull))?;
-                if nonnull {
-                    match ty {
-                        DataType::Int => self.cov.hit(pt::EVAL_CAST_INT),
-                        DataType::Real => self.cov.hit(pt::EVAL_CAST_REAL),
-                        DataType::Text => self.cov.hit(pt::EVAL_CAST_TEXT),
-                        DataType::Bool => self.cov.hit(pt::EVAL_CAST_BOOL),
-                        DataType::Any => {}
-                    }
-                }
-                Ok(out)
-            }
-            BoundExpr::IsNull { expr, negated } => {
-                let input = self.eval(expr, sel)?;
-                let strict = self.strict();
-                let negated = *negated;
-                self.map1(input, sel, |v| {
-                    Ok(b3_value(Some(v.is_null() != negated), strict))
-                })
-            }
+            BoundExpr::Cast { expr, ty } => self.map1(expr, sel, |v| eval_cast(v, *ty, d, cov)),
+            BoundExpr::IsNull { expr, negated } => self.map1(expr, sel, |v| {
+                Ok(bool3_to_value(Some(v.is_null() != *negated), d))
+            }),
             BoundExpr::Like {
                 expr,
                 pattern,
                 negated,
-            } => self.like(expr, pattern, *negated, sel),
+            } => {
+                let ci = d.like_case_insensitive();
+                self.map2(expr, pattern, sel, |v, p| {
+                    Ok(match like_operands(v, p, d, cov)? {
+                        Some((text, pat)) => like_value(&text, &pat, ci, *negated, d, cov),
+                        None => Value::Null,
+                    })
+                })
+            }
             // Classification keeps these off the vectorized path.
             BoundExpr::InSubquery { .. }
             | BoundExpr::Exists { .. }
@@ -868,38 +583,6 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
         }
     }
 
-    fn unary(&mut self, op: UnaryOp, expr: &BoundExpr, sel: &[u32]) -> Result<Col, Abort> {
-        let input = self.eval(expr, sel)?;
-        let strict = self.strict();
-        match op {
-            UnaryOp::Neg => {
-                self.cov.hit(pt::EVAL_NEG);
-                self.map1(input, sel, |v| match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(i) => i.checked_neg().map(Value::Int).ok_or(Abort),
-                    Value::Real(r) => Ok(Value::Real(-r)),
-                    other => {
-                        if strict {
-                            Err(Abort)
-                        } else {
-                            Ok(Value::Real(-other.coerce_f64()))
-                        }
-                    }
-                })
-            }
-            UnaryOp::Not => {
-                self.cov.hit(pt::EVAL_NOT);
-                let mut tf = TruthFlags::default();
-                let out = self.map1(input, sel, |v| {
-                    let b = truth_lane(v, strict, &mut tf)?;
-                    Ok(b3_value(not3(b), strict))
-                })?;
-                tf.fire(self.cov);
-                Ok(out)
-            }
-        }
-    }
-
     fn binary(
         &mut self,
         op: BinaryOp,
@@ -907,109 +590,21 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
         right: &BoundExpr,
         sel: &[u32],
     ) -> Result<Col, Abort> {
+        let (d, cov) = (self.ctx.dialect, self.cov);
         match op {
             BinaryOp::And | BinaryOp::Or => self.and_or(op, left, right, sel),
             BinaryOp::Is | BinaryOp::IsNot => {
-                self.cov.hit(pt::EVAL_IS_OP);
-                let l = self.eval(left, sel)?;
-                let r = self.eval(right, sel)?;
-                let strict = self.strict();
-                self.map2(l, r, sel, |a, b| {
-                    let same = a.is_identical(b);
-                    Ok(b3_value(Some(same == (op == BinaryOp::Is)), strict))
-                })
+                cov.hit(pt::EVAL_IS_OP);
+                self.map2(left, right, sel, |a, b| Ok(is_value(op, a, b, d)))
             }
-            _ if op.is_comparison() => {
-                let lop = self.operand(left, sel)?;
-                let rop = self.operand(right, sel)?;
-                let strict = self.strict();
-                let (ctx, info) = (self.ctx, self.info);
-                let (mut t, mut f, mut n) = (false, false, false);
-                let out = if let (Some(a), Some(b)) = (lop.konst(), rop.konst()) {
-                    let ord = cmp_lane(a, b, ctx, info)?;
-                    let b3 = ord.map(|o| cmp_matches(op, o));
-                    match b3 {
-                        Some(true) => t = true,
-                        Some(false) => f = true,
-                        None => n = true,
-                    }
-                    Col::Const(b3_value(b3, strict))
-                } else {
-                    let mut out = self.pool.vals(self.rows.len());
-                    for &lane in sel {
-                        let a = lop.get(self.rows, lane);
-                        let b = rop.get(self.rows, lane);
-                        let ord = cmp_lane(a, b, ctx, info)?;
-                        let b3 = ord.map(|o| cmp_matches(op, o));
-                        match b3 {
-                            Some(true) => t = true,
-                            Some(false) => f = true,
-                            None => n = true,
-                        }
-                        out[lane as usize] = b3_value(b3, strict);
-                    }
-                    Col::Dense(out)
-                };
-                if t {
-                    self.cov.hit(pt::EVAL_CMP_TRUE);
-                }
-                if f {
-                    self.cov.hit(pt::EVAL_CMP_FALSE);
-                }
-                if n {
-                    self.cov.hit(pt::EVAL_CMP_NULL);
-                }
-                self.release_operand(lop);
-                self.release_operand(rop);
-                Ok(out)
-            }
+            _ if op.is_comparison() => self.map2(left, right, sel, |a, b| {
+                Ok(cmp_value(op, compare(a, b, d)?, d, cov))
+            }),
             BinaryOp::Concat => {
-                self.cov.hit(pt::EVAL_CONCAT);
-                let l = self.eval(left, sel)?;
-                let r = self.eval(right, sel)?;
-                let strict = self.strict();
-                self.map2(l, r, sel, |a, b| {
-                    if a.is_null() || b.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    let ls = to_text_lane(a, strict)?;
-                    let rs = to_text_lane(b, strict)?;
-                    Ok(Value::Text(format!("{ls}{rs}")))
-                })
+                cov.hit(pt::EVAL_CONCAT);
+                self.map2(left, right, sel, |a, b| eval_concat(a, b, d))
             }
-            _ => {
-                debug_assert!(op.is_arithmetic());
-                let lop = self.operand(left, sel)?;
-                let rop = self.operand(right, sel)?;
-                let strict = self.strict();
-                let int_div_real = self.ctx.dialect.int_div_yields_real();
-                let div0_null = self.ctx.dialect.div_by_zero_is_null();
-                let mut flags = ArithFlags::default();
-                let out = if let (Some(a), Some(b)) = (lop.konst(), rop.konst()) {
-                    Col::Const(arith_lane(
-                        op,
-                        a,
-                        b,
-                        strict,
-                        int_div_real,
-                        div0_null,
-                        &mut flags,
-                    )?)
-                } else {
-                    let mut out = self.pool.vals(self.rows.len());
-                    for &lane in sel {
-                        let a = lop.get(self.rows, lane);
-                        let b = rop.get(self.rows, lane);
-                        out[lane as usize] =
-                            arith_lane(op, a, b, strict, int_div_real, div0_null, &mut flags)?;
-                    }
-                    Col::Dense(out)
-                };
-                flags.fire(self.cov);
-                self.release_operand(lop);
-                self.release_operand(rop);
-                Ok(out)
-            }
+            _ => self.map2(left, right, sel, |a, b| eval_arith(op, a, b, d, cov)),
         }
     }
 
@@ -1022,64 +617,40 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
         right: &BoundExpr,
         sel: &[u32],
     ) -> Result<Col, Abort> {
-        let is_and = op == BinaryOp::And;
-        let strict = self.strict();
+        let (d, cov) = (self.ctx.dialect, self.cov);
+        let short = short_circuit_truth(op);
         let l = self.eval(left, sel)?;
-        let mut tf = TruthFlags::default();
         let mut lb = self.pool.b3s(self.rows.len());
         let mut rhs_sel = self.pool.sel();
-        let mut shorted = false;
         for &lane in sel {
-            let t = truth_lane(l.get(lane), strict, &mut tf)?;
+            let t = truthiness(l.get(lane), d, cov)?;
             lb[lane as usize] = t;
-            let short = t == Some(!is_and);
-            if short {
-                shorted = true;
-            } else {
+            if t != short {
                 rhs_sel.push(lane);
             }
         }
         self.pool.give(l);
-        if shorted {
-            self.cov.hit(if is_and {
+        let mut out = self.pool.vals(self.rows.len());
+        if rhs_sel.len() < sel.len() {
+            cov.hit(if op == BinaryOp::And {
                 pt::EVAL_AND_SHORT
             } else {
                 pt::EVAL_OR_SHORT
             });
-        }
-        let mut out = self.pool.vals(self.rows.len());
-        let mut saw_null = false;
-        if !rhs_sel.is_empty() {
-            let r = self.eval(right, &rhs_sel)?;
-            for &lane in &rhs_sel {
-                let rb = truth_lane(r.get(lane), strict, &mut tf)?;
-                let b = if is_and {
-                    and3(lb[lane as usize], rb)
-                } else {
-                    or3(lb[lane as usize], rb)
-                };
-                if b.is_none() {
-                    saw_null = true;
-                }
-                out[lane as usize] = b3_value(b, strict);
-            }
-            self.pool.give(r);
-        }
-        if shorted {
-            let short_val = b3_value(Some(!is_and), strict);
+            let short_val = bool3_to_value(short, d);
             for &lane in sel {
-                if lb[lane as usize] == Some(!is_and) {
+                if lb[lane as usize] == short {
                     out[lane as usize] = short_val.clone();
                 }
             }
         }
-        tf.fire(self.cov);
-        if saw_null {
-            self.cov.hit(if is_and {
-                pt::EVAL_AND_NULL
-            } else {
-                pt::EVAL_OR_NULL
-            });
+        if !rhs_sel.is_empty() {
+            let r = self.eval(right, &rhs_sel)?;
+            for &lane in &rhs_sel {
+                let rb = truthiness(r.get(lane), d, cov)?;
+                out[lane as usize] = and_or_value(op, lb[lane as usize], rb, d, cov);
+            }
+            self.pool.give(r);
         }
         self.pool.give_b3(lb);
         self.pool.give_sel(rhs_sel);
@@ -1102,16 +673,12 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
         let v = self.operand(expr, sel)?;
         let lo = self.operand(low, sel)?;
         let hi = self.operand(high, sel)?;
-        let strict = self.strict();
-        let (ctx, info) = (self.ctx, self.info);
+        let d = self.ctx.dialect;
         let mut out = self.pool.vals(self.rows.len());
+        let rows = self.rows;
         for &lane in sel {
-            let x = v.get(self.rows, lane);
-            let ge = cmp_lane(x, lo.get(self.rows, lane), ctx, info)?.map(|o| o != Ordering::Less);
-            let le =
-                cmp_lane(x, hi.get(self.rows, lane), ctx, info)?.map(|o| o != Ordering::Greater);
-            let b = and3(ge, le);
-            out[lane as usize] = b3_value(if negated { not3(b) } else { b }, strict);
+            let (x, l, h) = (v.get(rows, lane), lo.get(rows, lane), hi.get(rows, lane));
+            out[lane as usize] = between_value(x, l, h, negated, d)?;
         }
         self.release_operand(v);
         self.release_operand(lo);
@@ -1126,57 +693,18 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
         negated: bool,
         sel: &[u32],
     ) -> Result<Col, Abort> {
-        let strict = self.strict();
         let v = self.operand(expr, sel)?;
-        if list.is_empty() {
-            self.cov.hit(pt::EVAL_IN_LIST_MISS);
-            self.release_operand(v);
-            return Ok(Col::Const(b3_value(Some(negated), strict)));
-        }
         // Like the scalar walk, every item evaluates before comparison.
         let mut items = Vec::with_capacity(list.len());
         for item in list {
             items.push(self.eval(item, sel)?);
         }
-        let (ctx, info) = (self.ctx, self.info);
-        let (mut hit_f, mut null_f, mut miss_f) = (false, false, false);
+        let (d, cov) = (self.ctx.dialect, self.cov);
         let mut out = self.pool.vals(self.rows.len());
         for &lane in sel {
             let lv = v.get(self.rows, lane);
-            let mut any_null = lv.is_null();
-            let mut hit = false;
-            if !lv.is_null() {
-                for item in &items {
-                    match cmp_lane(lv, item.get(lane), ctx, info)? {
-                        Some(Ordering::Equal) => {
-                            hit = true;
-                            break;
-                        }
-                        None => any_null = true,
-                        _ => {}
-                    }
-                }
-            }
-            let b = if hit {
-                hit_f = true;
-                Some(true)
-            } else if any_null {
-                null_f = true;
-                None
-            } else {
-                miss_f = true;
-                Some(false)
-            };
-            out[lane as usize] = b3_value(if negated { not3(b) } else { b }, strict);
-        }
-        if hit_f {
-            self.cov.hit(pt::EVAL_IN_LIST_HIT);
-        }
-        if null_f {
-            self.cov.hit(pt::EVAL_IN_LIST_NULL);
-        }
-        if miss_f {
-            self.cov.hit(pt::EVAL_IN_LIST_MISS);
+            let lane_items = items.iter().map(|c| c.get(lane));
+            out[lane as usize] = in_list_value(lv, lane_items, negated, d, cov)?;
         }
         self.release_operand(v);
         for item in items {
@@ -1192,24 +720,22 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
         else_expr: Option<&BoundExpr>,
         sel: &[u32],
     ) -> Result<Col, Abort> {
-        let strict = self.strict();
+        let (d, cov) = (self.ctx.dialect, self.cov);
         let mut out = self.pool.vals(self.rows.len());
         let mut active = self.pool.sel();
         active.extend_from_slice(sel);
         let mut next = self.pool.sel();
         let mut matched = self.pool.sel();
-        let mut tf = TruthFlags::default();
         let base = match operand {
             Some(o) => {
-                self.cov.hit(pt::EVAL_CASE_OPERAND);
+                cov.hit(pt::EVAL_CASE_OPERAND);
                 Some(self.eval(o, sel)?)
             }
             None => {
-                self.cov.hit(pt::EVAL_CASE_SEARCHED);
+                cov.hit(pt::EVAL_CASE_SEARCHED);
                 None
             }
         };
-        let (ctx, info) = (self.ctx, self.info);
         for (w, t) in whens {
             if active.is_empty() {
                 break;
@@ -1219,10 +745,8 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
             matched.clear();
             for &lane in &active {
                 let is_match = match &base {
-                    Some(b) => {
-                        cmp_lane(b.get(lane), wv.get(lane), ctx, info)? == Some(Ordering::Equal)
-                    }
-                    None => truth_lane(wv.get(lane), strict, &mut tf)? == Some(true),
+                    Some(b) => compare(b.get(lane), wv.get(lane), d)? == Some(Ordering::Equal),
+                    None => truthiness(wv.get(lane), d, cov)? == Some(true),
                 };
                 if is_match {
                     matched.push(lane);
@@ -1243,127 +767,25 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
         if !active.is_empty() {
             match else_expr {
                 Some(e) => {
-                    self.cov.hit(pt::EVAL_CASE_ELSE);
+                    cov.hit(pt::EVAL_CASE_ELSE);
                     let ev = self.eval(e, &active)?;
                     self.scatter(ev, &active, &mut out);
                 }
                 // Unmatched lanes stay NULL.
-                None => self.cov.hit(pt::EVAL_CASE_NO_MATCH),
+                None => cov.hit(pt::EVAL_CASE_NO_MATCH),
             }
         }
-        tf.fire(self.cov);
         self.pool.give_sel(active);
         self.pool.give_sel(next);
         self.pool.give_sel(matched);
         Ok(Col::Dense(out))
     }
 
-    fn like(
-        &mut self,
-        expr: &BoundExpr,
-        pattern: &BoundExpr,
-        negated: bool,
-        sel: &[u32],
-    ) -> Result<Col, Abort> {
-        let v = self.eval(expr, sel)?;
-        let p = self.eval(pattern, sel)?;
-        let strict = self.strict();
-        let ci = self.ctx.dialect.like_case_insensitive();
-        let (mut null_f, mut match_f, mut nomatch_f) = (false, false, false);
-        let out = self.map2(v, p, sel, |a, b| {
-            if a.is_null() || b.is_null() {
-                null_f = true;
-                return Ok(Value::Null);
-            }
-            let text = to_text_lane(a, strict)?;
-            let pat = to_text_lane(b, strict)?;
-            let mut m = like_match(&text, &pat, ci);
-            if m {
-                match_f = true;
-            } else {
-                nomatch_f = true;
-            }
-            if negated {
-                m = !m;
-            }
-            Ok(b3_value(Some(m), strict))
-        })?;
-        if null_f {
-            self.cov.hit(pt::EVAL_LIKE_NULL);
-        }
-        if match_f {
-            self.cov.hit(pt::EVAL_LIKE_MATCH);
-        }
-        if nomatch_f {
-            self.cov.hit(pt::EVAL_LIKE_NOMATCH);
-        }
-        Ok(out)
-    }
-
     fn func(&mut self, func: FuncName, args: &[BoundExpr], sel: &[u32]) -> Result<Col, Abort> {
-        let strict = self.strict();
-        // Arity errors surface through the row-at-a-time rerun.
-        let arity_ok = match func {
-            FuncName::Length
-            | FuncName::Abs
-            | FuncName::Upper
-            | FuncName::Lower
-            | FuncName::Typeof
-            | FuncName::Sign => args.len() == 1,
-            FuncName::Nullif | FuncName::Instr => args.len() == 2,
-            FuncName::Iif => args.len() == 3,
-            FuncName::Coalesce => !args.is_empty(),
-            FuncName::Version => args.is_empty(),
-            FuncName::Round => !args.is_empty() && args.len() <= 2,
-            FuncName::Substr => args.len() == 2 || args.len() == 3,
-        };
-        if !arity_ok {
-            return Err(Abort);
-        }
+        let (d, cov) = (self.ctx.dialect, self.cov);
+        enter_func(func, args.len(), cov)?;
         match func {
-            FuncName::Length => {
-                self.cov.hit(pt::EVAL_FUNC_LENGTH);
-                let v = self.eval(&args[0], sel)?;
-                self.map1(v, sel, |v| {
-                    if v.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    let s = to_text_lane(v, strict)?;
-                    Ok(Value::Int(s.chars().count() as i64))
-                })
-            }
-            FuncName::Abs => {
-                self.cov.hit(pt::EVAL_FUNC_ABS);
-                let v = self.eval(&args[0], sel)?;
-                self.map1(v, sel, |v| match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(i) => i.checked_abs().map(Value::Int).ok_or(Abort),
-                    Value::Real(r) => Ok(Value::Real(r.abs())),
-                    other if !strict => Ok(Value::Real(other.coerce_f64().abs())),
-                    _ => Err(Abort),
-                })
-            }
-            FuncName::Upper | FuncName::Lower => {
-                self.cov.hit(if func == FuncName::Upper {
-                    pt::EVAL_FUNC_UPPER
-                } else {
-                    pt::EVAL_FUNC_LOWER
-                });
-                let v = self.eval(&args[0], sel)?;
-                self.map1(v, sel, |v| {
-                    if v.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    let s = to_text_lane(v, strict)?;
-                    Ok(Value::Text(if func == FuncName::Upper {
-                        s.to_uppercase()
-                    } else {
-                        s.to_lowercase()
-                    }))
-                })
-            }
             FuncName::Coalesce => {
-                self.cov.hit(pt::EVAL_FUNC_COALESCE);
                 let mut out = self.pool.vals(self.rows.len());
                 let mut active = self.pool.sel();
                 active.extend_from_slice(sel);
@@ -1389,34 +811,18 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
                 self.pool.give_sel(next);
                 Ok(Col::Dense(out))
             }
-            FuncName::Nullif => {
-                self.cov.hit(pt::EVAL_FUNC_NULLIF);
-                let a = self.eval(&args[0], sel)?;
-                let b = self.eval(&args[1], sel)?;
-                let (ctx, info) = (self.ctx, self.info);
-                self.map2(a, b, sel, |a, b| {
-                    if cmp_lane(a, b, ctx, info)? == Some(Ordering::Equal) {
-                        Ok(Value::Null)
-                    } else {
-                        Ok(a.clone())
-                    }
-                })
-            }
             FuncName::Iif => {
-                self.cov.hit(pt::EVAL_FUNC_IIF);
                 let c = self.eval(&args[0], sel)?;
-                let mut tf = TruthFlags::default();
                 let mut then_sel = self.pool.sel();
                 let mut else_sel = self.pool.sel();
                 for &lane in sel {
-                    if truth_lane(c.get(lane), strict, &mut tf)? == Some(true) {
+                    if truthiness(c.get(lane), d, cov)? == Some(true) {
                         then_sel.push(lane);
                     } else {
                         else_sel.push(lane);
                     }
                 }
                 self.pool.give(c);
-                tf.fire(self.cov);
                 let mut out = self.pool.vals(self.rows.len());
                 if !then_sel.is_empty() {
                     let tv = self.eval(&args[1], &then_sel)?;
@@ -1430,162 +836,44 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
                 self.pool.give_sel(else_sel);
                 Ok(Col::Dense(out))
             }
-            FuncName::Typeof => {
-                self.cov.hit(pt::EVAL_FUNC_TYPEOF);
-                let v = self.eval(&args[0], sel)?;
-                self.map1(v, sel, |v| {
-                    Ok(Value::Text(
-                        match v {
-                            Value::Null => "null",
-                            Value::Int(_) => "integer",
-                            Value::Real(_) => "real",
-                            Value::Text(_) => "text",
-                            Value::Bool(_) => "boolean",
-                        }
-                        .into(),
-                    ))
-                })
-            }
-            FuncName::Version => {
-                self.cov.hit(pt::EVAL_FUNC_VERSION);
-                Ok(Col::Const(Value::Text(
-                    self.ctx.dialect.version_string().into(),
-                )))
-            }
-            FuncName::Round => {
-                self.cov.hit(pt::EVAL_FUNC_ROUND);
-                let v = self.eval(&args[0], sel)?;
-                // The precision argument evaluates only for lanes whose
-                // value is non-NULL (the scalar walk returns early).
-                let mut live = self.pool.sel();
-                for &lane in sel {
-                    if !v.get(lane).is_null() {
-                        live.push(lane);
-                    }
+            // The trailing arguments evaluate only for the lanes whose
+            // leading ones are non-NULL (the scalar walk returns early).
+            FuncName::Round | FuncName::Substr => {
+                let lead = if func == FuncName::Round { 1 } else { 2 };
+                let mut cols = Vec::with_capacity(args.len());
+                for a in &args[..lead] {
+                    cols.push(self.eval(a, sel)?);
                 }
-                let p = if args.len() == 2 && !live.is_empty() {
-                    Some(self.eval(&args[1], &live)?)
-                } else {
-                    None
+                let mut live = self.pool.sel();
+                live.extend(
+                    sel.iter()
+                        .filter(|&&l| cols.iter().all(|c| !c.get(l).is_null())),
+                );
+                let tail = match args.get(lead) {
+                    Some(a) if !live.is_empty() => Some(self.eval(a, &live)?),
+                    _ => None,
                 };
                 let mut out = self.pool.vals(self.rows.len());
                 for &lane in &live {
-                    let pv = match &p {
-                        Some(pc) => match pc.get(lane) {
-                            Value::Null => {
-                                out[lane as usize] = Value::Null;
-                                continue;
-                            }
-                            pv => pv.as_i64().unwrap_or(0),
-                        },
-                        None => 0,
+                    let last = tail.as_ref().map(|c| c.get(lane));
+                    let first = cols[0].get(lane);
+                    out[lane as usize] = if func == FuncName::Round {
+                        round_value(first, last, d)?
+                    } else {
+                        let text = value_to_text(first, d, "SUBSTR")?;
+                        substr_value(&text, cols[1].get(lane), last)
                     };
-                    let x = match v.get(lane).as_f64() {
-                        Some(x) => x,
-                        None if !strict => v.get(lane).coerce_f64(),
-                        None => return Err(Abort),
-                    };
-                    let pv = pv.clamp(-15, 15);
-                    let factor = 10f64.powi(pv as i32);
-                    out[lane as usize] = finite_or_null((x * factor).round() / factor);
                 }
-                self.pool.give(v);
-                if let Some(pc) = p {
-                    self.pool.give(pc);
-                }
+                cols.into_iter().chain(tail).for_each(|c| self.pool.give(c));
                 self.pool.give_sel(live);
                 Ok(Col::Dense(out))
             }
-            FuncName::Sign => {
-                self.cov.hit(pt::EVAL_FUNC_SIGN);
-                let v = self.eval(&args[0], sel)?;
-                self.map1(v, sel, |v| {
-                    if v.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    let x = match v.as_f64() {
-                        Some(x) => x,
-                        None if !strict => v.coerce_f64(),
-                        None => return Err(Abort),
-                    };
-                    Ok(Value::Int(if x > 0.0 {
-                        1
-                    } else if x < 0.0 {
-                        -1
-                    } else {
-                        0
-                    }))
-                })
-            }
-            FuncName::Instr => {
-                self.cov.hit(pt::EVAL_FUNC_INSTR);
-                let a = self.eval(&args[0], sel)?;
-                let b = self.eval(&args[1], sel)?;
-                self.map2(a, b, sel, |a, b| {
-                    if a.is_null() || b.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    let hay = to_text_lane(a, strict)?;
-                    let needle = to_text_lane(b, strict)?;
-                    let pos = hay
-                        .find(&needle)
-                        .map(|byte| hay[..byte].chars().count() as i64 + 1)
-                        .unwrap_or(0);
-                    Ok(Value::Int(pos))
-                })
-            }
-            FuncName::Substr => {
-                self.cov.hit(pt::EVAL_FUNC_SUBSTR);
-                let s = self.eval(&args[0], sel)?;
-                let start = self.eval(&args[1], sel)?;
-                // The length argument evaluates only for lanes where
-                // neither the string nor the start is NULL.
-                let mut live = self.pool.sel();
-                for &lane in sel {
-                    if !s.get(lane).is_null() && !start.get(lane).is_null() {
-                        live.push(lane);
-                    }
-                }
-                let take_col = if args.len() == 3 && !live.is_empty() {
-                    Some(self.eval(&args[2], &live)?)
-                } else {
-                    None
-                };
-                let mut out = self.pool.vals(self.rows.len());
-                for &lane in &live {
-                    let text = to_text_lane(s.get(lane), strict)?;
-                    let st = start.get(lane).as_i64().unwrap_or(1);
-                    let chars: Vec<char> = text.chars().collect();
-                    let len = chars.len() as i64;
-                    let begin = if st > 0 {
-                        st - 1
-                    } else if st < 0 {
-                        (len + st).max(0)
-                    } else {
-                        0
-                    };
-                    let take = match &take_col {
-                        Some(tc) => match tc.get(lane) {
-                            Value::Null => {
-                                out[lane as usize] = Value::Null;
-                                continue;
-                            }
-                            tv => tv.as_i64().unwrap_or(0).max(0),
-                        },
-                        None => len,
-                    };
-                    let begin = begin.clamp(0, len) as usize;
-                    let end = (begin + take as usize).min(chars.len());
-                    out[lane as usize] = Value::Text(chars[begin..end].iter().collect());
-                }
-                self.pool.give(s);
-                self.pool.give(start);
-                if let Some(tc) = take_col {
-                    self.pool.give(tc);
-                }
-                self.pool.give_sel(live);
-                Ok(Col::Dense(out))
-            }
+            _ => match args {
+                [] => Ok(Col::Const(func_value(func, &[], d)?)),
+                [a] => self.map1(a, sel, |v| func_value(func, &[v], d)),
+                [a, b] => self.map2(a, b, sel, |x, y| func_value(func, &[x, y], d)),
+                _ => unreachable!("no eager function takes three arguments"),
+            },
         }
     }
 
@@ -1610,44 +898,51 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
         }
     }
 
-    /// Apply a fallible per-lane map to one column.
+    /// Evaluate one operand and apply a per-lane value rule to it; an
+    /// erroring lane aborts the chunk.
     fn map1(
         &mut self,
-        input: Col,
+        e: &BoundExpr,
         sel: &[u32],
-        mut f: impl FnMut(&Value) -> Result<Value, Abort>,
+        mut f: impl FnMut(&Value) -> crate::error::Result<Value>,
     ) -> Result<Col, Abort> {
-        match input {
-            Col::Const(v) => Ok(Col::Const(f(&v)?)),
-            Col::Dense(vs) => {
+        let v = self.operand(e, sel)?;
+        let out = match v.konst() {
+            Some(a) => Col::Const(f(a)?),
+            None => {
                 let mut out = self.pool.vals(self.rows.len());
                 for &lane in sel {
-                    out[lane as usize] = f(&vs[lane as usize])?;
+                    out[lane as usize] = f(v.get(self.rows, lane))?;
                 }
-                self.pool.give_vals(vs);
-                Ok(Col::Dense(out))
+                Col::Dense(out)
             }
-        }
+        };
+        self.release_operand(v);
+        Ok(out)
     }
 
-    /// Apply a fallible per-lane map to a pair of columns.
+    /// [`Self::map1`] over two operands, evaluated left to right.
     fn map2(
         &mut self,
-        l: Col,
-        r: Col,
+        left: &BoundExpr,
+        right: &BoundExpr,
         sel: &[u32],
-        mut f: impl FnMut(&Value, &Value) -> Result<Value, Abort>,
+        mut f: impl FnMut(&Value, &Value) -> crate::error::Result<Value>,
     ) -> Result<Col, Abort> {
-        if let (Col::Const(a), Col::Const(b)) = (&l, &r) {
-            return Ok(Col::Const(f(a, b)?));
-        }
-        let mut out = self.pool.vals(self.rows.len());
-        for &lane in sel {
-            out[lane as usize] = f(l.get(lane), r.get(lane))?;
-        }
-        self.pool.give(l);
-        self.pool.give(r);
-        Ok(Col::Dense(out))
+        let l = self.operand(left, sel)?;
+        let r = self.operand(right, sel)?;
+        let out = if let (Some(a), Some(b)) = (l.konst(), r.konst()) {
+            Col::Const(f(a, b)?)
+        } else {
+            let mut out = self.pool.vals(self.rows.len());
+            for &lane in sel {
+                out[lane as usize] = f(l.get(self.rows, lane), r.get(self.rows, lane))?;
+            }
+            Col::Dense(out)
+        };
+        self.release_operand(l);
+        self.release_operand(r);
+        Ok(out)
     }
 
     /// Move a column's values into `out` at the given lanes.
@@ -1682,7 +977,6 @@ pub(crate) fn filter_chunk(
     rows: &[Row],
     outer: &[Frame],
     ctx: &EngineCtx,
-    info: ExprCtx,
     keep: &mut [bool],
 ) -> bool {
     debug_assert_eq!(rows.len(), keep.len());
@@ -1695,37 +989,23 @@ pub(crate) fn filter_chunk(
         cov: &scratch,
         rows,
         outer,
-        info,
         pool: &mut pool,
     };
     let Ok(col) = ce.eval(pred, &sel) else {
         return false;
     };
-    let strict = ctx.dialect.strict_types();
-    let mut tf = TruthFlags::default();
-    let (mut pass, mut dropped, mut nul) = (false, false, false);
     for &lane in &sel {
-        let Ok(t) = truth_lane(col.get(lane), strict, &mut tf) else {
+        let Ok(t) = truthiness(col.get(lane), ctx.dialect, &scratch) else {
             return false;
         };
         match t {
             Some(true) => {
-                pass = true;
+                scratch.hit(pt::EXEC_FILTER_PASS);
                 keep[lane as usize] = true;
             }
-            Some(false) => dropped = true,
-            None => nul = true,
+            Some(false) => scratch.hit(pt::EXEC_FILTER_DROP),
+            None => scratch.hit(pt::EXEC_FILTER_NULL),
         }
-    }
-    tf.fire(&scratch);
-    if pass {
-        scratch.hit(pt::EXEC_FILTER_PASS);
-    }
-    if dropped {
-        scratch.hit(pt::EXEC_FILTER_DROP);
-    }
-    if nul {
-        scratch.hit(pt::EXEC_FILTER_NULL);
     }
     pool.give(col);
     pool.give_sel(sel);
@@ -1743,7 +1023,6 @@ pub(crate) fn project_chunk(
     rows: &[Row],
     outer: &[Frame],
     ctx: &EngineCtx,
-    info: ExprCtx,
     out_rows: &mut Vec<Row>,
 ) -> bool {
     let scratch = Coverage::new();
@@ -1755,7 +1034,6 @@ pub(crate) fn project_chunk(
         cov: &scratch,
         rows,
         outer,
-        info,
         pool: &mut pool,
     };
     let mut cols = Vec::with_capacity(bounds.len());
@@ -1792,7 +1070,6 @@ pub(crate) fn eval_chunk_into(
     rows: &[Row],
     outer: &[Frame],
     ctx: &EngineCtx,
-    info: ExprCtx,
     scratch: &Coverage,
     out: &mut Vec<Value>,
 ) -> bool {
@@ -1804,7 +1081,6 @@ pub(crate) fn eval_chunk_into(
         cov: scratch,
         rows,
         outer,
-        info,
         pool: &mut pool,
     };
     let ok = match ce.eval(bound, &sel) {

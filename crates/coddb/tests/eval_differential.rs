@@ -54,6 +54,21 @@ const SCRIPT: &[&str] = &[
     "SELECT ROUND(c, 1), ROUND(c), TYPEOF(a) FROM t",
     "SELECT CAST(a AS TEXT), CAST(c AS INT), CAST(d AS INT) FROM t",
     "SELECT CAST(b AS INT) FROM t",
+    "SELECT CAST(b AS BOOLEAN) FROM t",
+    "SELECT CAST(b AS REAL) FROM t",
+    // Unary operators, binary IS, VERSION() and `||` over non-TEXT
+    // operands (strict dialects reject them).
+    "SELECT -b FROM t",
+    "SELECT NOT a FROM t",
+    "SELECT a IS 2, b IS NOT 'one', VERSION() FROM t",
+    "SELECT * FROM t WHERE a IS NOT 2",
+    "SELECT a || c, d || a FROM t",
+    // Wrong-arity calls: the arity check raises the error.
+    "SELECT LENGTH(b, b) FROM t",
+    "SELECT SUBSTR(b) FROM t",
+    "SELECT ROUND() FROM t",
+    "SELECT COALESCE() FROM t",
+    "SELECT IIF(a, 1) FROM t",
     // Grouped aggregation: single INT key, non-INT key, expression keys,
     // multi-key, HAVING, DISTINCT aggregates, empty input.
     "SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY 1",

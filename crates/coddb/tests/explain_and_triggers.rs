@@ -134,6 +134,48 @@ fn explain_annotates_clause_vectorization() {
     assert!(plan.contains("[ROW(row-at-a-time eval mode)]"), "{plan}");
 }
 
+#[test]
+fn explain_shows_the_top_level_and_filter_mutant_runs_row_at_a_time() {
+    // The mutant keeps a row whose top-level AND is NULL — a filter-site
+    // hook the chunk filter does not model.
+    let mut db = Database::with_bugs(
+        Dialect::Cockroach,
+        BugRegistry::only(BugId::CockroachAndNullTopConjunct),
+    );
+    db.execute_sql("CREATE TABLE t0 (c0 INT, c1 INT)").unwrap();
+    let plan = db
+        .explain_sql("SELECT c0 FROM t0 WHERE c0 > 0 AND c1 > 1")
+        .unwrap();
+    assert!(
+        plan.contains("FILTER ((c0 > 0) AND (c1 > 1)) [ROW(mutant-hooked AND filter)]"),
+        "{plan}"
+    );
+}
+
+#[test]
+fn explain_shows_the_indexed_comparison_mutant_runs_row_at_a_time() {
+    // The mutant keeps a NULL comparison over index-scanned rows: the
+    // FILTER's input is the INDEX SCAN, so the filter runs row-at-a-time.
+    let mut db = Database::with_bugs(
+        Dialect::Sqlite,
+        BugRegistry::only(BugId::SqliteIndexedCmpNullTrue),
+    );
+    db.execute_sql(
+        "CREATE TABLE t0 (c0 INT, c1 INT); INSERT INTO t0 VALUES (1, 10), (NULL, 20);
+         CREATE INDEX i0 ON t0 (c0 > 0)",
+    )
+    .unwrap();
+    let sql = "SELECT c1 FROM t0 WHERE c0 > 0";
+    let plan = db.explain_sql(sql).unwrap();
+    assert!(plan.contains("INDEX SCAN t0 AS t0 USING i0"), "{plan}");
+    assert!(
+        plan.contains("FILTER (c0 > 0) [ROW(mutant-hooked indexed comparison)]"),
+        "{plan}"
+    );
+    // The row path ran: the mutant kept the NULL-key row.
+    assert_eq!(db.query_sql(sql).unwrap().rows.len(), 2);
+}
+
 // ---------------------------------------------------------------------------
 // Negative trigger tests: mutants are silent outside their context.
 // ---------------------------------------------------------------------------

@@ -284,3 +284,32 @@ fn memoized_results_match_expected_rows() {
         assert_eq!(setup().query_sql(sql).unwrap().rows, want, "{sql}");
     }
 }
+
+#[test]
+fn memo_sharing_does_not_depend_on_heap_address_reuse() {
+    // Equal subqueries bound at depth 0 are separate bound forms, freed
+    // when their operator ends. A later bind must never inherit a memo
+    // entry because its copy happened to land on a freed address: the
+    // statement's fuel and memo counts must repeat on every fresh
+    // database, whatever the heap looks like.
+    let setup = "CREATE TABLE t0 (c0 INT, c1 INT, c2 REAL);
+         INSERT INTO t0 VALUES (63, -35, -943.8), (-24, -74, 251.9)";
+    let sql = "SELECT (SELECT AVG(t0.c0) FROM t0) FROM t0 \
+               WHERE ((SELECT AVG(t0.c0) FROM t0) \
+               * (SELECT AVG(t0.c0) FROM t0 WHERE (t0.c0 <> t0.c1))) <> 0";
+    let mut outcomes = std::collections::BTreeSet::new();
+    let mut heap_noise = Vec::new();
+    for run in 0..200 {
+        let mut db = Database::new(Dialect::Sqlite);
+        db.execute_sql(setup).unwrap();
+        heap_noise.push(vec![run as u8; 8 * (1 + run % 5)]);
+        let before = db.fuel_used();
+        let rel = db.query_sql(sql).unwrap();
+        outcomes.insert((
+            db.fuel_used() - before,
+            db.subquery_memo_stats(),
+            format!("{rel:?}"),
+        ));
+    }
+    assert_eq!(outcomes.len(), 1, "{outcomes:?}");
+}

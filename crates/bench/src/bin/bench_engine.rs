@@ -11,7 +11,8 @@
 //! windows for CI smoke runs, which are about compilation + execution
 //! health, not stable numbers; `-- --shapes a,b,c` measures only the
 //! named shapes — unknown names are an error, which is what lets CI
-//! catch a silently renamed or dropped shape).
+//! catch a silently renamed or dropped shape). A measured shape that
+//! lacks one of its `GATED_FIELDS` fails the run, naming shape and field.
 
 use std::time::{Duration, Instant};
 
@@ -23,8 +24,8 @@ use coddb::{AccessMode, Database, Dialect, EvalMode, JoinMode, StorageSite};
 use coddtest::make_oracle;
 use coddtest::runner::{run_campaign, run_campaign_parallel, CampaignConfig};
 use coddtest_bench::{
-    engine_setup as setup, is_indexed_shape, is_join_shape, is_vec_shape, CAMPAIGN_PARALLEL_SHAPE,
-    CHECKPOINT_WRITE_SHAPE, DML_INDEX_MAINTENANCE_SHAPE, QUERY_SHAPES,
+    engine_setup as setup, is_indexed_shape, is_join_shape, is_vec_shape, missing_gated_fields,
+    CAMPAIGN_PARALLEL_SHAPE, CHECKPOINT_WRITE_SHAPE, DML_INDEX_MAINTENANCE_SHAPE, QUERY_SHAPES,
     RECOVERY_REPLAY_CHECKPOINTED_SHAPE, RECOVERY_REPLAY_SHAPE, SCRUB_THROUGHPUT_SHAPE,
     WAL_COMMIT_NOSPACE_SHAPE, WAL_COMMIT_SHAPE,
 };
@@ -534,6 +535,15 @@ fn main() {
         "{{\n  \"benchmark\": \"engine_exec\",\n  \"unit\": \"ns/iter\",\n  \"shapes\": {{\n{}\n  }}\n}}\n",
         entries.join(",\n")
     );
+    // A renamed or dropped gated field fails the run instead of silently
+    // leaving the trajectory.
+    let missing = missing_gated_fields(&json);
+    for (shape, field) in &missing {
+        eprintln!("bench_engine: {shape} output is missing {field}");
+    }
+    if !missing.is_empty() {
+        std::process::exit(1);
+    }
     std::fs::write(&out_path, &json).expect("write BENCH_engine.json");
     println!("wrote {out_path}");
 }

@@ -129,6 +129,53 @@ pub const WAL_COMMIT_NOSPACE_SHAPE: &str = "wal_commit_nospace";
 /// seek speedups. Not a SQL shape, so it lives outside [`QUERY_SHAPES`].
 pub const DML_INDEX_MAINTENANCE_SHAPE: &str = "dml_index_maintenance";
 
+/// The trajectory fields a measurement must record, one (shape, field)
+/// row per acceptance metric: parallel runner, chunk eval, hash join, WAL
+/// and recovery, checkpoints, ordered-index seeks, index maintenance,
+/// scrub and the disk-full abort. `bench_engine` fails when a shape it
+/// measured lacks its row's field ([`missing_gated_fields`]), and the
+/// `coddtest-analyze` bench lint requires every `*_speedup` /
+/// `*_overhead` field of `BENCH_engine.json` to have a row here.
+pub const GATED_FIELDS: &[(&str, &str)] = &[
+    (CAMPAIGN_PARALLEL_SHAPE, "parallel_vs_serial_speedup"),
+    ("seq_filter", "vectorized_vs_row_speedup"),
+    ("join", "hash_vs_nested_speedup"),
+    (WAL_COMMIT_SHAPE, "wal_commit_ns_per_iter"),
+    (WAL_COMMIT_SHAPE, "durable_overhead"),
+    (RECOVERY_REPLAY_SHAPE, "recovery_replay_ns_per_iter"),
+    (CHECKPOINT_WRITE_SHAPE, "checkpoint_write_ns_per_iter"),
+    (
+        RECOVERY_REPLAY_CHECKPOINTED_SHAPE,
+        "recovery_replay_checkpointed_ns_per_iter",
+    ),
+    (
+        RECOVERY_REPLAY_CHECKPOINTED_SHAPE,
+        "checkpointed_vs_genesis_speedup",
+    ),
+    ("index_probe", "indexed_vs_scan_speedup"),
+    ("index_range_scan", "indexed_vs_scan_speedup"),
+    ("order_by_indexed", "indexed_vs_scan_speedup"),
+    (DML_INDEX_MAINTENANCE_SHAPE, "index_maintenance_overhead"),
+    (SCRUB_THROUGHPUT_SHAPE, "scrub_ns_per_iter"),
+    (WAL_COMMIT_NOSPACE_SHAPE, "abort_overhead"),
+];
+
+/// The [`GATED_FIELDS`] rows a `bench_engine` JSON output breaks: the
+/// shape was measured (its object is present) but lacks the field.
+pub fn missing_gated_fields(json: &str) -> Vec<(&'static str, &'static str)> {
+    GATED_FIELDS
+        .iter()
+        .copied()
+        .filter(|(shape, field)| {
+            json.find(&format!("\"{shape}\": {{")).is_some_and(|at| {
+                let object = &json[at..];
+                let object = &object[..object.find('}').unwrap_or(object.len())];
+                !object.contains(&format!("\"{field}\":"))
+            })
+        })
+        .collect()
+}
+
 /// Shapes whose dominant operator is a join — `bench_engine` additionally
 /// times these with [`coddb::JoinMode::NestedLoop`] forced, recording the
 /// hash-join speedup over the bound nested loop.
@@ -361,6 +408,27 @@ mod tests {
         assert_eq!(fmt_count(999), "999");
         assert_eq!(fmt_count(1000), "1,000");
         assert_eq!(fmt_count(2086646), "2,086,646");
+    }
+
+    #[test]
+    fn gated_fields_apply_to_measured_shapes_only() {
+        let json = r#"{
+  "shapes": {
+    "seq_filter": {
+      "bound_ns_per_iter": 5
+    },
+    "join": {
+      "hash_vs_nested_speedup": 2.0
+    },
+    "join_large": {
+      "bound_ns_per_iter": 9
+    }
+  }
+}"#;
+        assert_eq!(
+            missing_gated_fields(json),
+            vec![("seq_filter", "vectorized_vs_row_speedup")]
+        );
     }
 
     #[test]

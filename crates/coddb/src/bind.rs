@@ -52,6 +52,10 @@ pub struct BoundColumn {
 /// table handed to the evaluator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggSpec {
+    /// The aggregate call as written (an [`Expr::Agg`]). Slots are
+    /// deduplicated by it, and the vectorization classifier reads its
+    /// argument.
+    pub call: Expr,
     pub func: AggFunc,
     pub distinct: bool,
     /// Bound argument (`None` for `COUNT(*)` and for malformed calls,
@@ -184,10 +188,9 @@ pub struct Binder<'a> {
     /// Subquery nesting depth of the enclosing SELECT (0 = top statement);
     /// the collision-alt hook only applies inside subqueries.
     depth: u32,
-    /// Distinct aggregate expressions seen so far, in slot order. Dedup is
-    /// by structural equality of the original AST, matching the executor's
-    /// previous "compute each distinct aggregate once per group" rule.
-    agg_exprs: Vec<Expr>,
+    /// Distinct aggregate calls seen so far, in slot order. Dedup is by
+    /// structural equality of the call's AST ([`AggSpec::call`]), so each
+    /// distinct aggregate is computed once per group.
     agg_specs: Vec<AggSpec>,
     /// Whether aggregate calls are legal in the expression being bound.
     in_aggregate_scope: bool,
@@ -198,7 +201,6 @@ impl<'a> Binder<'a> {
         Binder {
             scopes,
             depth,
-            agg_exprs: Vec::new(),
             agg_specs: Vec::new(),
             in_aggregate_scope: false,
         }
@@ -324,7 +326,7 @@ impl<'a> Binder<'a> {
                 if !self.in_aggregate_scope {
                     return Err(Error::Eval("misuse of aggregate function".into()));
                 }
-                let slot = match self.agg_exprs.iter().position(|e| e == expr) {
+                let slot = match self.agg_specs.iter().position(|s| s.call == *expr) {
                     Some(i) => i,
                     None => {
                         // Aggregate arguments evaluate per input row, where
@@ -335,13 +337,13 @@ impl<'a> Binder<'a> {
                             None => None,
                         };
                         self.in_aggregate_scope = true;
-                        self.agg_exprs.push(expr.clone());
                         self.agg_specs.push(AggSpec {
+                            call: expr.clone(),
                             func: *func,
                             distinct: *distinct,
                             arg: bound_arg,
                         });
-                        self.agg_exprs.len() - 1
+                        self.agg_specs.len() - 1
                     }
                 };
                 BoundExpr::Agg {

@@ -845,13 +845,6 @@ impl BugRegistry {
         self.active.contains(&bug)
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.active.is_empty()
-            && self.recovery.is_empty()
-            && self.index.is_empty()
-            && self.media.is_empty()
-    }
-
     pub fn enabled(&self) -> impl Iterator<Item = BugId> + '_ {
         self.active.iter().copied()
     }
@@ -1028,12 +1021,12 @@ mod tests {
     #[test]
     fn registry_enable_disable() {
         let mut reg = BugRegistry::none();
-        assert!(reg.is_empty());
+        assert!(reg.is_clean());
         reg.enable(BugId::SqliteLikeCaseFold);
         assert!(reg.active(BugId::SqliteLikeCaseFold));
         assert!(!reg.active(BugId::MysqlTextIntCompareWhere));
         reg.disable(BugId::SqliteLikeCaseFold);
-        assert!(reg.is_empty());
+        assert!(reg.is_clean());
     }
 
     #[test]
@@ -1083,15 +1076,15 @@ mod tests {
     #[test]
     fn registry_tracks_index_mutants_independently() {
         let mut reg = BugRegistry::none();
-        assert!(reg.is_empty());
+        assert!(reg.is_clean());
         reg.enable_index(IndexBugId::RangeBoundOffByOne);
-        assert!(!reg.is_empty(), "index mutants count as active bugs");
+        assert!(!reg.is_clean(), "index mutants count as active bugs");
         assert!(reg.index_active(IndexBugId::RangeBoundOffByOne));
         assert!(!reg.index_active(IndexBugId::StaleEntryAfterUpdate));
         assert!(!reg.active(BugId::SqliteLikeCaseFold));
         assert!(!reg.recovery_active(RecoveryBugId::DropLastCommit));
         reg.disable_index(IndexBugId::RangeBoundOffByOne);
-        assert!(reg.is_empty());
+        assert!(reg.is_clean());
 
         let only = BugRegistry::only_index(IndexBugId::EqSeekMissesDuplicates);
         assert_eq!(only.enabled().count(), 0);
@@ -1129,16 +1122,16 @@ mod tests {
     #[test]
     fn registry_tracks_media_mutants_independently() {
         let mut reg = BugRegistry::none();
-        assert!(reg.is_empty());
+        assert!(reg.is_clean());
         reg.enable_media(MediaBugId::SkipScrubChecksum);
-        assert!(!reg.is_empty(), "media mutants count as active bugs");
+        assert!(!reg.is_clean(), "media mutants count as active bugs");
         assert!(reg.media_active(MediaBugId::SkipScrubChecksum));
         assert!(!reg.media_active(MediaBugId::RetryCapIgnored));
         assert!(!reg.active(BugId::SqliteLikeCaseFold));
         assert!(!reg.recovery_active(RecoveryBugId::DropLastCommit));
         assert!(!reg.index_active(IndexBugId::RangeBoundOffByOne));
         reg.disable_media(MediaBugId::SkipScrubChecksum);
-        assert!(reg.is_empty());
+        assert!(reg.is_clean());
 
         let only = BugRegistry::only_media(MediaBugId::SalvagePastCorruptCommit);
         assert_eq!(only.enabled().count(), 0);
@@ -1154,14 +1147,14 @@ mod tests {
     #[test]
     fn registry_tracks_recovery_mutants_independently() {
         let mut reg = BugRegistry::none();
-        assert!(reg.is_empty());
+        assert!(reg.is_clean());
         reg.enable_recovery(RecoveryBugId::DropLastCommit);
-        assert!(!reg.is_empty(), "recovery mutants count as active bugs");
+        assert!(!reg.is_clean(), "recovery mutants count as active bugs");
         assert!(reg.recovery_active(RecoveryBugId::DropLastCommit));
         assert!(!reg.recovery_active(RecoveryBugId::SkipChecksumVerify));
         assert!(!reg.active(BugId::SqliteLikeCaseFold));
         reg.disable_recovery(RecoveryBugId::DropLastCommit);
-        assert!(reg.is_empty());
+        assert!(reg.is_clean());
 
         let only = BugRegistry::only_recovery(RecoveryBugId::ReplayUncommitted);
         assert_eq!(only.enabled().count(), 0);

@@ -618,9 +618,10 @@ impl Database {
             crate::plan::VecNote::Predict {
                 bugs: &self.bugs,
                 dialect: self.dialect,
+                access: self.access_mode,
             }
         };
-        Ok(crate::plan::explain_full(&plan, Some(&self.catalog), vec))
+        crate::plan::explain_full(&plan, Some(&self.catalog), vec)
     }
 
     /// Statically verify a SELECT's physical plan against the engine's

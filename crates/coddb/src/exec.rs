@@ -346,10 +346,11 @@ impl<'a> EvalEnv<'a> {
 
 /// A clause expression compiled once per *statement*: the AST is kept
 /// (borrowed — operator inputs outlive their row loops) for the
-/// shape-sensitive bug hooks, the bound form is what the per-row loop
-/// evaluates. The bound form is shared through the per-statement binding
-/// cache, so a subquery's clause expressions are not re-bound for every
-/// outer-row re-instantiation of its operators.
+/// shape-sensitive bug hooks and the vectorization classifier, the bound
+/// form is what the row loop and the chunk kernels evaluate. The bound
+/// form is shared through the per-statement binding cache, so a
+/// subquery's clause expressions are not re-bound for every outer-row
+/// re-instantiation of its operators.
 pub(crate) struct Prepared<'p> {
     ast: &'p Expr,
     bound: Rc<BoundExpr>,
@@ -363,7 +364,8 @@ impl<'p> Prepared<'p> {
     /// index expressions, the executing plan, or a plan retained by the
     /// subquery cache — see [`crate::cache`]), and because a given
     /// expression site always binds against the same scope schemas within
-    /// one statement.
+    /// one statement. Binding decides nothing about vectorization: call
+    /// sites ask the classifier about the clause's AST ([`vectorizable`]).
     pub(crate) fn new(
         expr: &'p Expr,
         scopes: &[&Schema],
@@ -380,10 +382,9 @@ impl<'p> Prepared<'p> {
             },
         )?;
         // Debug builds verify every bound clause at the bind seam: scope
-        // hops and ordinals in bounds, no aggregate slots (this path
-        // rejects aggregates), and agreement between the AST-mirror and
-        // bound-form vectorization classifiers. Clean engines only —
-        // mutant behavior is the campaign's business.
+        // hops and ordinals in bounds, and no aggregate slots (this path
+        // rejects aggregates). Clean engines only — mutant behavior is
+        // the campaign's business.
         #[cfg(debug_assertions)]
         if ctx.bugs.is_clean() {
             let violations = crate::validate::validate_bound(&bound, scopes, None);
@@ -391,15 +392,6 @@ impl<'p> Prepared<'p> {
                 violations.is_empty(),
                 "binder produced an out-of-bounds form for `{expr}`: {violations:?}"
             );
-            if depth == 0 {
-                let bound_ok = crate::vec_eval::classify(&bound, ctx).is_ok();
-                let ast_ok =
-                    crate::vec_eval::classify_ast(expr, ctx.bugs, ctx.dialect, ctx.stmt, 0).is_ok();
-                assert!(
-                    bound_ok == ast_ok,
-                    "vectorization classifiers disagree on `{expr}`"
-                );
-            }
         }
         Ok(Prepared { bound, ast: expr })
     }
@@ -422,6 +414,13 @@ impl<'p> Prepared<'p> {
     pub(crate) fn eval(&self, env: EvalEnv) -> Result<Value> {
         eval_bound(&self.bound, env)
     }
+}
+
+/// May the clause expression `e`, at subquery depth `depth`, take the
+/// vectorized path? The question `EXPLAIN` asks too
+/// ([`crate::vec_eval::classify`]).
+fn vectorizable(e: &Expr, ctx: &EngineCtx, depth: u32) -> bool {
+    crate::vec_eval::classify(e, ctx.bugs, ctx.dialect, ctx.stmt, depth).is_ok()
 }
 
 /// Scope schemas for binding: the schemas of the outer frames plus the
@@ -1008,9 +1007,6 @@ pub(crate) struct SeekInfo {
 pub(crate) struct FromResult {
     schema: Schema,
     rows: Vec<Row>,
-    via_index: bool,
-    has_cte: bool,
-    has_full_join: bool,
     /// `Some` when the rows came from an executed index seek.
     seek: Option<SeekInfo>,
 }
@@ -1032,7 +1028,7 @@ fn exec_core(
                 return Err(Error::Hang);
             }
         }
-        if ctx.bugs.active(BugId::DuckdbHangTripleJoin) && count_joins(from) >= 3 {
+        if ctx.bugs.active(BugId::DuckdbHangTripleJoin) && from.join_count() >= 3 {
             return Err(Error::Hang);
         }
     }
@@ -1042,28 +1038,27 @@ fn exec_core(
         None => Rc::new(FromResult {
             schema: Schema::default(),
             rows: vec![Row::new(Vec::new())],
-            via_index: false,
-            has_cte: false,
-            has_full_join: false,
             seek: None,
         }),
     };
     let schema = &fr.schema;
-    let (via_index, has_cte, has_full_join) = (fr.via_index, fr.has_cte, fr.has_full_join);
     // Shared rows: pulling the input out of a (possibly cached) result is
     // a refcount bump per row, never a value copy.
     let rows = fr.rows.clone();
 
+    let from = core.from.as_ref();
     let base_info = ExprCtx {
         clause: Clause::Where,
         top_level: true,
-        via_index,
-        from_has_cte: has_cte,
+        via_index: from.is_some_and(FromPlan::reads_index_scan),
+        from_has_cte: from.is_some_and(FromPlan::reads_cte),
         depth,
     };
 
     // Bug hook: CockroachHangFullJoinHaving.
-    if ctx.bugs.active(BugId::CockroachHangFullJoinHaving) && core.having.is_some() && has_full_join
+    if ctx.bugs.active(BugId::CockroachHangFullJoinHaving)
+        && core.having.is_some()
+        && from.is_some_and(FromPlan::has_full_join)
     {
         return Err(Error::Hang);
     }
@@ -1095,14 +1090,7 @@ fn exec_core(
         }
     }
 
-    let has_aggregates = !core.group_by.is_empty()
-        || core.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            _ => false,
-        })
-        || core.having.as_ref().is_some_and(|h| h.contains_aggregate());
-
-    if has_aggregates {
+    if core.is_grouped() {
         let (rel, reps) = exec_grouped(core, rows, schema, ctx, ctes, outer_scopes, base_info)?;
         let rel = maybe_distinct(rel, core.distinct, ctx)?;
         return Ok((rel, Some(reps), Some(fr)));
@@ -1113,7 +1101,7 @@ fn exec_core(
     // of a subquery's projection free), then the row loop is pure
     // bound-form evaluation.
     ctx.cov.hit(pt::EXEC_PROJECT);
-    let proj = projection_bindings(core, schema, has_full_join, ctx, outer_scopes, depth)?;
+    let proj = projection_bindings(core, schema, ctx, outer_scopes, depth)?;
     let columns = proj.columns.clone();
     let prepared: Vec<Prepared> = proj
         .exprs
@@ -1129,9 +1117,7 @@ fn exec_core(
         };
         let use_vec = ctx.vectorize
             && !rows.is_empty()
-            && prepared
-                .iter()
-                .all(|p| crate::vec_eval::classify(p.bound(), ctx).is_ok());
+            && prepared.iter().all(|p| vectorizable(p.ast(), ctx, depth));
         let bounds: Vec<&BoundExpr> = prepared.iter().map(|p| p.bound()).collect();
         let mut frames = frame_stack(outer_scopes, schema);
         let mut start = 0usize;
@@ -1187,7 +1173,6 @@ fn maybe_distinct(mut rel: Relation, distinct: bool, ctx: &EngineCtx) -> Result<
 fn expand_items(
     core: &CorePlan,
     schema: &Schema,
-    has_full_join: bool,
     ctx: &EngineCtx,
 ) -> Result<(Vec<String>, Vec<Expr>)> {
     let mut columns = Vec::new();
@@ -1210,7 +1195,9 @@ fn expand_items(
             SelectItem::TableWildcard(t) => {
                 ctx.cov.hit(pt::EXEC_WILDCARD);
                 // Bug hook: CockroachInternalFullJoinWildcard.
-                if ctx.bugs.active(BugId::CockroachInternalFullJoinWildcard) && has_full_join {
+                if ctx.bugs.active(BugId::CockroachInternalFullJoinWildcard)
+                    && core.from.as_ref().is_some_and(FromPlan::has_full_join)
+                {
                     return Err(Error::Internal(
                         "cannot expand table wildcard over FULL JOIN".into(),
                     ));
@@ -1345,7 +1332,7 @@ fn exec_grouped(
             && !rows.is_empty()
             && group_preds
                 .iter()
-                .all(|g| crate::vec_eval::classify(g.bound(), ctx).is_ok());
+                .all(|g| vectorizable(g.ast(), ctx, base_info.depth));
         let mut frames = frame_stack(outer_scopes, schema);
         // Reused across chunks: one value column per group expression.
         let mut key_cols: Vec<Vec<Value>> = vec![Vec::new(); group_preds.len()];
@@ -1519,8 +1506,10 @@ fn exec_grouped(
                     BatchedArg::CountStarFast
                 };
             }
-            match &spec.arg {
-                Some(arg) if crate::vec_eval::classify(arg, ctx).is_ok() => {
+            match (&spec.arg, &spec.call) {
+                (Some(arg), Expr::Agg { arg: Some(ast), .. })
+                    if vectorizable(ast, ctx, base_info.depth) =>
+                {
                     if let BoundExpr::Column(c) = arg {
                         if c.up == 0 {
                             return BatchedArg::ColRef(c.index as usize);
@@ -1736,14 +1725,13 @@ fn expand_items_grouped(core: &CorePlan) -> Result<(Vec<String>, Vec<Expr>)> {
 fn projection_bindings(
     core: &CorePlan,
     schema: &Schema,
-    has_full_join: bool,
     ctx: &EngineCtx,
     outer_scopes: &[Frame],
     depth: u32,
 ) -> Result<Rc<ProjBindings>> {
     let key = core as *const CorePlan as usize;
     get_or_build(&ctx.caches.proj, ctx.bindings_cacheable(depth), key, || {
-        let (columns, exprs) = expand_items(core, schema, has_full_join, ctx)?;
+        let (columns, exprs) = expand_items(core, schema, ctx)?;
         let scopes = bind_scopes(outer_scopes, schema);
         let bound = exprs
             .iter()
@@ -1776,27 +1764,7 @@ fn grouped_bindings(
         ctx.bindings_cacheable(depth),
         key,
         || {
-            // Resolve positional GROUP BY entries to projection expressions.
-            let mut group_exprs: Vec<Expr> = Vec::with_capacity(core.group_by.len());
-            for g in &core.group_by {
-                match g {
-                    Expr::Literal(Value::Int(k)) => {
-                        let idx = (*k - 1) as usize;
-                        let item = core.items.get(idx).ok_or_else(|| {
-                            Error::Eval(format!("GROUP BY position {k} out of range"))
-                        })?;
-                        match item {
-                            SelectItem::Expr { expr, .. } => group_exprs.push(expr.clone()),
-                            _ => {
-                                return Err(Error::Eval(
-                                    "GROUP BY position must reference an expression".into(),
-                                ))
-                            }
-                        }
-                    }
-                    other => group_exprs.push(other.clone()),
-                }
-            }
+            let group_exprs = core.group_keys()?;
             let scopes = bind_scopes(outer_scopes, schema);
             // Group keys bind in non-aggregate scope (aggregates are illegal
             // in GROUP BY), each through its own binder like any clause root.
@@ -2069,7 +2037,7 @@ pub(crate) fn apply_filter(
     let use_vec = ctx.vectorize
         && !rows.is_empty()
         && !keeps_null
-        && crate::vec_eval::classify(pred.bound(), ctx).is_ok();
+        && vectorizable(pred.ast(), ctx, info.depth);
 
     let mut keep = vec![false; rows.len()];
     {
@@ -2334,8 +2302,8 @@ fn seek_filter(
 
     // The per-row branch is the baseline row loop verbatim (the
     // `via_index` comparison hook cannot apply here: seeks are never
-    // selected while that mutant is active, and they report
-    // `via_index: false`).
+    // selected while that mutant is active, and a seek is no index scan,
+    // see `FromPlan::reads_index_scan`).
     let and_shape = matches!(
         pred.ast(),
         Expr::Binary {
@@ -2400,14 +2368,6 @@ fn collect_cte_scans(from: &FromPlan, out: &mut Vec<String>) {
         }
         FromPlan::Filtered { input, .. } => collect_cte_scans(input, out),
         _ => {}
-    }
-}
-
-fn count_joins(from: &FromPlan) -> usize {
-    match from {
-        FromPlan::Join { left, right, .. } => 1 + count_joins(left) + count_joins(right),
-        FromPlan::Filtered { input, .. } => count_joins(input),
-        _ => 0,
     }
 }
 
@@ -2491,9 +2451,6 @@ fn exec_from_uncached(
             Ok(FromResult {
                 schema,
                 rows: t.rows.clone(),
-                via_index: false,
-                has_cte: false,
-                has_full_join: false,
                 seek: None,
             })
         }
@@ -2546,9 +2503,6 @@ fn exec_from_uncached(
             Ok(FromResult {
                 schema,
                 rows: t.rows.clone(),
-                via_index: true,
-                has_cte: false,
-                has_full_join: false,
                 seek: None,
             })
         }
@@ -2598,9 +2552,6 @@ fn exec_from_uncached(
                 return Ok(FromResult {
                     schema,
                     rows: t.rows.clone(),
-                    via_index: false,
-                    has_cte: false,
-                    has_full_join: false,
                     seek: None,
                 });
             }
@@ -2617,9 +2568,6 @@ fn exec_from_uncached(
             Ok(FromResult {
                 schema,
                 rows,
-                via_index: false,
-                has_cte: false,
-                has_full_join: false,
                 seek: Some(SeekInfo {
                     positions: out.emit,
                     total: t.rows.len(),
@@ -2660,9 +2608,6 @@ fn exec_from_uncached(
             Ok(FromResult {
                 schema,
                 rows: rel.rows,
-                via_index: false,
-                has_cte: false,
-                has_full_join: false,
                 seek: None,
             })
         }
@@ -2712,9 +2657,6 @@ fn exec_from_uncached(
             Ok(FromResult {
                 schema,
                 rows: out,
-                via_index: false,
-                has_cte: false,
-                has_full_join: false,
                 seek: None,
             })
         }
@@ -2737,9 +2679,6 @@ fn exec_from_uncached(
             Ok(FromResult {
                 schema,
                 rows: data.rel.rows.clone(),
-                via_index: false,
-                has_cte: true,
-                has_full_join: false,
                 seek: None,
             })
         }
@@ -2753,6 +2692,15 @@ fn exec_from_uncached(
         } => {
             let l = exec_from(left, ctx, ctes, depth)?;
             let r = exec_from(right, ctx, ctes, depth)?;
+            // The ON predicate reads the joined rows: never index-scanned
+            // as such, CTE-sourced when either side is.
+            let info = ExprCtx {
+                clause: Clause::JoinOn,
+                top_level: true,
+                via_index: false,
+                from_has_cte: from.reads_cte(),
+                depth,
+            };
             exec_join(
                 *kind,
                 on.as_ref(),
@@ -2762,7 +2710,7 @@ fn exec_from_uncached(
                 &r,
                 ctx,
                 ctes,
-                depth,
+                info,
             )
         }
         FromPlan::Filtered {
@@ -2782,8 +2730,8 @@ fn exec_from_uncached(
             let info = ExprCtx {
                 clause: Clause::Where,
                 top_level: *is_clause_root,
-                via_index: res.via_index,
-                from_has_cte: res.has_cte,
+                via_index: input.reads_index_scan(),
+                from_has_cte: input.reads_cte(),
                 depth,
             };
             let prepared = Prepared::new(pred, &[&res.schema], depth, ctx)?;
@@ -2838,8 +2786,9 @@ fn exec_join(
     right: &FromResult,
     ctx: &EngineCtx,
     ctes: &CteEnv,
-    depth: u32,
+    info: ExprCtx,
 ) -> Result<FromResult> {
+    let depth = info.depth;
     let schema = left.schema.clone().concat(right.schema.clone());
     let lw = left.schema.cols.len();
     let rw = right.schema.cols.len();
@@ -2923,14 +2872,6 @@ fn exec_join(
         _ => false,
     };
 
-    let info = ExprCtx {
-        clause: Clause::JoinOn,
-        top_level: true,
-        via_index: false,
-        from_has_cte: left.has_cte || right.has_cte,
-        depth,
-    };
-
     // Hash path: the planner recognized equality keys. Falls through to
     // the nested loop when the mutant above forces the ON true (the
     // nested loop implements that), when nested loops are forced for
@@ -2943,9 +2884,6 @@ fn exec_join(
             return Ok(FromResult {
                 schema,
                 rows,
-                via_index: left.via_index || right.via_index,
-                has_cte: left.has_cte || right.has_cte,
-                has_full_join: kind == JoinKind::Full || left.has_full_join || right.has_full_join,
                 seek: None,
             });
         }
@@ -3015,9 +2953,6 @@ fn exec_join(
     Ok(FromResult {
         schema,
         rows,
-        via_index: left.via_index || right.via_index,
-        has_cte: left.has_cte || right.has_cte,
-        has_full_join: kind == JoinKind::Full || left.has_full_join || right.has_full_join,
         seek: None,
     })
 }

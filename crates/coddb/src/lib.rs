@@ -51,9 +51,10 @@
 //!    slots, and bug-hook trigger shapes are precomputed. Name-resolution
 //!    errors (unknown/ambiguous columns) surface here, once per query —
 //!    matching real engines, where name resolution is static.
-//! 3. **vectorize** ([`vec_eval`]): each bound clause expression is
-//!    classified as chunk-vectorizable or not. Vectorizable filters,
-//!    projections, group keys and aggregate arguments then evaluate
+//! 3. **vectorize** ([`vec_eval`]): each clause is classified as
+//!    chunk-vectorizable or not by one classifier over its AST
+//!    ([`vec_eval::classify`]). Vectorizable filters, projections,
+//!    group keys and aggregate arguments then evaluate the bound form
 //!    **column-at-a-time over fixed-size row chunks** (1024 rows),
 //!    with selection vectors keeping `AND`/`OR`/`CASE`/`COALESCE`/`IIF`
 //!    laziness exact and per-chunk scratch coverage merged only on
@@ -63,10 +64,14 @@
 //!    (the hook must run on the authentic interpreter), (c) MySQL
 //!    UPDATE/DELETE comparisons (a per-pair dialect rule), (d) chunks
 //!    containing a lane whose evaluation errors (the rerun raises the
-//!    exact scalar error with exact coverage and fuel), and (e) chunks
-//!    the fuel budget cannot cover whole. `EXPLAIN` annotates each
-//!    clause `[VEC]` or `[ROW(<reason>)]` with the planner's static
-//!    prediction; [`Database::set_eval_mode`]`(`[`EvalMode::RowAtATime`]`)`
+//!    exact scalar error with exact coverage and fuel), (e) chunks the
+//!    fuel budget cannot cover whole, and (f) a WHERE clause over an
+//!    index seek, whose filter stage replays the skipped rows.
+//!    `EXPLAIN` annotates each clause `[VEC]` or `[ROW(<reason>)]` by
+//!    asking the executor's own classifier and plan facts (grouping,
+//!    group keys, index-scan input); only the runtime fallbacks (d),
+//!    (e) and a seek falling back to a scan make the annotation a
+//!    prediction. [`Database::set_eval_mode`]`(`[`EvalMode::RowAtATime`]`)`
 //!    disables the stage wholesale for differential testing
 //!    (`coddb/tests/eval_differential.rs`: byte-identical results,
 //!    coverage bitsets and fuel across modes, dialects and mutants).

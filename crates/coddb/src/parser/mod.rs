@@ -50,16 +50,18 @@ pub fn parse_select(sql: &str) -> Result<Select> {
 }
 
 /// Deepest nesting of expressions, SELECTs and parenthesised join trees
-/// the parser accepts: deeper input is a parse error instead of a stack
-/// overflow, which would abort the process. In a debug build the costliest
-/// shape (a derived table per level) needs about 1.3 MiB of stack to reach
-/// this depth, inside a default 2 MiB thread stack.
+/// the parser accepts, counting each link of an operator, set-operation
+/// or join chain as one level: deeper input is a parse error instead of a
+/// stack overflow, which would abort the process. In a debug build the
+/// costliest shape (a derived table per level) needs about 1.3 MiB of
+/// stack to reach this depth, inside a default 2 MiB thread stack.
 const MAX_DEPTH: usize = 64;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
-    /// Nesting levels entered through [`Parser::nested`].
+    /// Nesting levels entered through [`Parser::nested`] plus the links
+    /// of the chains being parsed.
     depth: usize,
 }
 
@@ -74,15 +76,32 @@ impl Parser {
 
     /// Run `f` one nesting level deeper, failing past [`MAX_DEPTH`].
     fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.chain(|p| {
+            p.link()?;
+            f(p)
+        })
+    }
+
+    /// Run the loop `f` of a left-associative chain (`a + b + c`, a set
+    /// operation or join list), in which each [`Parser::link`] counts one
+    /// nesting level until the loop ends: every link wraps the tree built
+    /// so far in one more node.
+    fn chain<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let depth = self.depth;
+        let out = f(self);
+        self.depth = depth;
+        out
+    }
+
+    /// Count one more level, failing past [`MAX_DEPTH`].
+    fn link(&mut self) -> Result<()> {
         if self.depth == MAX_DEPTH {
             return Err(Error::Parse(format!(
                 "nesting exceeds the maximum depth of {MAX_DEPTH}"
             )));
         }
         self.depth += 1;
-        let out = f(self);
-        self.depth -= 1;
-        out
+        Ok(())
     }
 
     fn at_end(&self) -> bool {
@@ -491,26 +510,29 @@ impl Parser {
     }
 
     fn parse_body(&mut self) -> Result<SelectBody> {
-        let mut left = self.parse_body_atom()?;
-        loop {
-            let (op, all) = if self.eat_kw("UNION") {
-                (SetOp::Union, self.eat_kw("ALL"))
-            } else if self.eat_kw("INTERSECT") {
-                (SetOp::Intersect, false)
-            } else if self.eat_kw("EXCEPT") {
-                (SetOp::Except, false)
-            } else {
-                break;
-            };
-            let right = self.parse_body_atom()?;
-            left = SelectBody::SetOp {
-                op,
-                all,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+        self.chain(|p| {
+            let mut left = p.parse_body_atom()?;
+            loop {
+                let (op, all) = if p.eat_kw("UNION") {
+                    (SetOp::Union, p.eat_kw("ALL"))
+                } else if p.eat_kw("INTERSECT") {
+                    (SetOp::Intersect, false)
+                } else if p.eat_kw("EXCEPT") {
+                    (SetOp::Except, false)
+                } else {
+                    break;
+                };
+                p.link()?;
+                let right = p.parse_body_atom()?;
+                left = SelectBody::SetOp {
+                    op,
+                    all,
+                    left: Box::new(left),
+                    right: Box::new(right),
+                };
+            }
+            Ok(left)
+        })
     }
 
     fn parse_body_atom(&mut self) -> Result<SelectBody> {
@@ -599,54 +621,57 @@ impl Parser {
     // -- FROM -------------------------------------------------------------
 
     fn parse_table_expr(&mut self) -> Result<TableExpr> {
-        let mut left = self.parse_table_primary()?;
-        loop {
-            let kind = if self.eat_sym(Sym::Comma) {
-                Some(JoinKind::Cross)
-            } else if self.eat_kw("CROSS") {
-                self.expect_kw("JOIN")?;
-                Some(JoinKind::Cross)
-            } else if self.eat_kw("INNER") {
-                self.expect_kw("JOIN")?;
-                Some(JoinKind::Inner)
-            } else if self.eat_kw("LEFT") {
-                self.eat_kw("OUTER");
-                self.expect_kw("JOIN")?;
-                Some(JoinKind::Left)
-            } else if self.eat_kw("RIGHT") {
-                self.eat_kw("OUTER");
-                self.expect_kw("JOIN")?;
-                Some(JoinKind::Right)
-            } else if self.eat_kw("FULL") {
-                self.eat_kw("OUTER");
-                self.expect_kw("JOIN")?;
-                Some(JoinKind::Full)
-            } else if self.eat_kw("JOIN") {
-                Some(JoinKind::Inner)
-            } else {
-                None
-            };
-            let Some(kind) = kind else { break };
-            let right = self.parse_table_primary()?;
-            let on = if self.eat_kw("ON") {
-                Some(self.parse_expr()?)
-            } else {
-                None
-            };
-            if on.is_none() && !matches!(kind, JoinKind::Cross) {
-                return Err(Error::Parse(format!(
-                    "{} requires an ON clause",
-                    kind.sql_name()
-                )));
+        self.chain(|p| {
+            let mut left = p.parse_table_primary()?;
+            loop {
+                let kind = if p.eat_sym(Sym::Comma) {
+                    Some(JoinKind::Cross)
+                } else if p.eat_kw("CROSS") {
+                    p.expect_kw("JOIN")?;
+                    Some(JoinKind::Cross)
+                } else if p.eat_kw("INNER") {
+                    p.expect_kw("JOIN")?;
+                    Some(JoinKind::Inner)
+                } else if p.eat_kw("LEFT") {
+                    p.eat_kw("OUTER");
+                    p.expect_kw("JOIN")?;
+                    Some(JoinKind::Left)
+                } else if p.eat_kw("RIGHT") {
+                    p.eat_kw("OUTER");
+                    p.expect_kw("JOIN")?;
+                    Some(JoinKind::Right)
+                } else if p.eat_kw("FULL") {
+                    p.eat_kw("OUTER");
+                    p.expect_kw("JOIN")?;
+                    Some(JoinKind::Full)
+                } else if p.eat_kw("JOIN") {
+                    Some(JoinKind::Inner)
+                } else {
+                    None
+                };
+                let Some(kind) = kind else { break };
+                p.link()?;
+                let right = p.parse_table_primary()?;
+                let on = if p.eat_kw("ON") {
+                    Some(p.parse_expr()?)
+                } else {
+                    None
+                };
+                if on.is_none() && !matches!(kind, JoinKind::Cross) {
+                    return Err(Error::Parse(format!(
+                        "{} requires an ON clause",
+                        kind.sql_name()
+                    )));
+                }
+                left = TableExpr::Join {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    kind,
+                    on,
+                };
             }
-            left = TableExpr::Join {
-                left: Box::new(left),
-                right: Box::new(right),
-                kind,
-                on,
-            };
-        }
-        Ok(left)
+            Ok(left)
+        })
     }
 
     fn parse_table_primary(&mut self) -> Result<TableExpr> {
@@ -717,21 +742,27 @@ impl Parser {
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
-        let mut left = self.parse_and()?;
-        while self.eat_kw("OR") {
-            let right = self.parse_and()?;
-            left = Expr::bin(BinaryOp::Or, left, right);
-        }
-        Ok(left)
+        self.chain(|p| {
+            let mut left = p.parse_and()?;
+            while p.eat_kw("OR") {
+                p.link()?;
+                let right = p.parse_and()?;
+                left = Expr::bin(BinaryOp::Or, left, right);
+            }
+            Ok(left)
+        })
     }
 
     fn parse_and(&mut self) -> Result<Expr> {
-        let mut left = self.parse_not()?;
-        while self.eat_kw("AND") {
-            let right = self.parse_not()?;
-            left = Expr::bin(BinaryOp::And, left, right);
-        }
-        Ok(left)
+        self.chain(|p| {
+            let mut left = p.parse_not()?;
+            while p.eat_kw("AND") {
+                p.link()?;
+                let right = p.parse_not()?;
+                left = Expr::bin(BinaryOp::And, left, right);
+            }
+            Ok(left)
+        })
     }
 
     fn parse_not(&mut self) -> Result<Expr> {
@@ -745,159 +776,171 @@ impl Parser {
     }
 
     fn parse_predicate(&mut self) -> Result<Expr> {
-        let mut left = self.parse_additive()?;
-        loop {
-            // IS [NOT] ...
-            if self.eat_kw("IS") {
-                let negated = self.eat_kw("NOT");
-                if self.eat_kw("NULL") {
-                    left = Expr::IsNull {
-                        expr: Box::new(left),
-                        negated,
-                    };
-                } else {
-                    let right = self.parse_additive()?;
-                    let op = if negated {
-                        BinaryOp::IsNot
+        self.chain(|p| {
+            let mut left = p.parse_additive()?;
+            loop {
+                // IS [NOT] ...
+                if p.eat_kw("IS") {
+                    p.link()?;
+                    let negated = p.eat_kw("NOT");
+                    if p.eat_kw("NULL") {
+                        left = Expr::IsNull {
+                            expr: Box::new(left),
+                            negated,
+                        };
                     } else {
-                        BinaryOp::Is
-                    };
-                    left = Expr::bin(op, left, right);
+                        let right = p.parse_additive()?;
+                        let op = if negated {
+                            BinaryOp::IsNot
+                        } else {
+                            BinaryOp::Is
+                        };
+                        left = Expr::bin(op, left, right);
+                    }
+                    continue;
                 }
-                continue;
-            }
-            let negated = if self.peek_kw("NOT")
-                && self
-                    .peek_at(1)
-                    .is_some_and(|t| t.is_kw("BETWEEN") || t.is_kw("IN") || t.is_kw("LIKE"))
-            {
-                self.pos += 1;
-                true
-            } else {
-                false
-            };
-            if self.eat_kw("BETWEEN") {
-                let low = self.parse_additive()?;
-                self.expect_kw("AND")?;
-                let high = self.parse_additive()?;
-                left = Expr::Between {
-                    expr: Box::new(left),
-                    low: Box::new(low),
-                    high: Box::new(high),
-                    negated,
+                let negated = if p.peek_kw("NOT")
+                    && p.peek_at(1)
+                        .is_some_and(|t| t.is_kw("BETWEEN") || t.is_kw("IN") || t.is_kw("LIKE"))
+                {
+                    p.pos += 1;
+                    true
+                } else {
+                    false
                 };
-                continue;
-            }
-            if self.eat_kw("IN") {
-                self.expect_sym(Sym::LParen)?;
-                if self.peek_kw("SELECT") || self.peek_kw("WITH") || self.peek_kw("VALUES") {
-                    let query = self.parse_subquery()?;
-                    self.expect_sym(Sym::RParen)?;
-                    left = Expr::InSubquery {
+                if p.eat_kw("BETWEEN") {
+                    p.link()?;
+                    let low = p.parse_additive()?;
+                    p.expect_kw("AND")?;
+                    let high = p.parse_additive()?;
+                    left = Expr::Between {
                         expr: Box::new(left),
-                        query,
+                        low: Box::new(low),
+                        high: Box::new(high),
                         negated,
                     };
-                } else {
-                    let mut list = Vec::new();
-                    if !self.peek_sym(Sym::RParen) {
-                        loop {
-                            list.push(self.parse_expr()?);
-                            if !self.eat_sym(Sym::Comma) {
-                                break;
+                    continue;
+                }
+                if p.eat_kw("IN") {
+                    p.link()?;
+                    p.expect_sym(Sym::LParen)?;
+                    if p.peek_kw("SELECT") || p.peek_kw("WITH") || p.peek_kw("VALUES") {
+                        let query = p.parse_subquery()?;
+                        p.expect_sym(Sym::RParen)?;
+                        left = Expr::InSubquery {
+                            expr: Box::new(left),
+                            query,
+                            negated,
+                        };
+                    } else {
+                        let mut list = Vec::new();
+                        if !p.peek_sym(Sym::RParen) {
+                            loop {
+                                list.push(p.parse_expr()?);
+                                if !p.eat_sym(Sym::Comma) {
+                                    break;
+                                }
                             }
                         }
+                        p.expect_sym(Sym::RParen)?;
+                        left = Expr::InList {
+                            expr: Box::new(left),
+                            list,
+                            negated,
+                        };
                     }
-                    self.expect_sym(Sym::RParen)?;
-                    left = Expr::InList {
+                    continue;
+                }
+                if p.eat_kw("LIKE") {
+                    p.link()?;
+                    let pattern = p.parse_additive()?;
+                    left = Expr::Like {
                         expr: Box::new(left),
-                        list,
+                        pattern: Box::new(pattern),
                         negated,
                     };
+                    continue;
                 }
-                continue;
-            }
-            if self.eat_kw("LIKE") {
-                let pattern = self.parse_additive()?;
-                left = Expr::Like {
-                    expr: Box::new(left),
-                    pattern: Box::new(pattern),
-                    negated,
+                if negated {
+                    return Err(Error::Parse(
+                        "expected BETWEEN, IN or LIKE after NOT".into(),
+                    ));
+                }
+                // Comparison, possibly quantified.
+                let op = match p.peek() {
+                    Some(Token::Sym(Sym::Eq)) => Some(CompareOp::Eq),
+                    Some(Token::Sym(Sym::Ne)) => Some(CompareOp::Ne),
+                    Some(Token::Sym(Sym::Lt)) => Some(CompareOp::Lt),
+                    Some(Token::Sym(Sym::Le)) => Some(CompareOp::Le),
+                    Some(Token::Sym(Sym::Gt)) => Some(CompareOp::Gt),
+                    Some(Token::Sym(Sym::Ge)) => Some(CompareOp::Ge),
+                    _ => None,
                 };
-                continue;
-            }
-            if negated {
-                return Err(Error::Parse(
-                    "expected BETWEEN, IN or LIKE after NOT".into(),
-                ));
-            }
-            // Comparison, possibly quantified.
-            let op = match self.peek() {
-                Some(Token::Sym(Sym::Eq)) => Some(CompareOp::Eq),
-                Some(Token::Sym(Sym::Ne)) => Some(CompareOp::Ne),
-                Some(Token::Sym(Sym::Lt)) => Some(CompareOp::Lt),
-                Some(Token::Sym(Sym::Le)) => Some(CompareOp::Le),
-                Some(Token::Sym(Sym::Gt)) => Some(CompareOp::Gt),
-                Some(Token::Sym(Sym::Ge)) => Some(CompareOp::Ge),
-                _ => None,
-            };
-            let Some(op) = op else { break };
-            self.pos += 1;
-            let quantifier = if self.eat_kw("ANY") {
-                Some(Quantifier::Any)
-            } else if self.eat_kw("ALL") {
-                Some(Quantifier::All)
-            } else {
-                None
-            };
-            if let Some(q) = quantifier {
-                self.expect_sym(Sym::LParen)?;
-                let query = self.parse_subquery()?;
-                self.expect_sym(Sym::RParen)?;
-                left = Expr::Quantified {
-                    op,
-                    quantifier: q,
-                    expr: Box::new(left),
-                    query,
+                let Some(op) = op else { break };
+                p.pos += 1;
+                p.link()?;
+                let quantifier = if p.eat_kw("ANY") {
+                    Some(Quantifier::Any)
+                } else if p.eat_kw("ALL") {
+                    Some(Quantifier::All)
+                } else {
+                    None
                 };
-            } else {
-                let right = self.parse_additive()?;
-                left = Expr::bin(op.as_binary(), left, right);
+                if let Some(q) = quantifier {
+                    p.expect_sym(Sym::LParen)?;
+                    let query = p.parse_subquery()?;
+                    p.expect_sym(Sym::RParen)?;
+                    left = Expr::Quantified {
+                        op,
+                        quantifier: q,
+                        expr: Box::new(left),
+                        query,
+                    };
+                } else {
+                    let right = p.parse_additive()?;
+                    left = Expr::bin(op.as_binary(), left, right);
+                }
             }
-        }
-        Ok(left)
+            Ok(left)
+        })
     }
 
     fn parse_additive(&mut self) -> Result<Expr> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Sym(Sym::Plus)) => BinaryOp::Add,
-                Some(Token::Sym(Sym::Minus)) => BinaryOp::Sub,
-                Some(Token::Sym(Sym::Concat)) => BinaryOp::Concat,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.parse_multiplicative()?;
-            left = Expr::bin(op, left, right);
-        }
-        Ok(left)
+        self.chain(|p| {
+            let mut left = p.parse_multiplicative()?;
+            loop {
+                let op = match p.peek() {
+                    Some(Token::Sym(Sym::Plus)) => BinaryOp::Add,
+                    Some(Token::Sym(Sym::Minus)) => BinaryOp::Sub,
+                    Some(Token::Sym(Sym::Concat)) => BinaryOp::Concat,
+                    _ => break,
+                };
+                p.pos += 1;
+                p.link()?;
+                let right = p.parse_multiplicative()?;
+                left = Expr::bin(op, left, right);
+            }
+            Ok(left)
+        })
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Sym(Sym::Star)) => BinaryOp::Mul,
-                Some(Token::Sym(Sym::Slash)) => BinaryOp::Div,
-                Some(Token::Sym(Sym::Percent)) => BinaryOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.parse_unary()?;
-            left = Expr::bin(op, left, right);
-        }
-        Ok(left)
+        self.chain(|p| {
+            let mut left = p.parse_unary()?;
+            loop {
+                let op = match p.peek() {
+                    Some(Token::Sym(Sym::Star)) => BinaryOp::Mul,
+                    Some(Token::Sym(Sym::Slash)) => BinaryOp::Div,
+                    Some(Token::Sym(Sym::Percent)) => BinaryOp::Mod,
+                    _ => break,
+                };
+                p.pos += 1;
+                p.link()?;
+                let right = p.parse_unary()?;
+                left = Expr::bin(op, left, right);
+            }
+            Ok(left)
+        })
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
@@ -1308,14 +1351,26 @@ mod tests {
         assert!(parse_statements("FROB x").is_err());
     }
 
-    /// Every recursive construct counts toward [`MAX_DEPTH`]: input nested
-    /// far past it is a parse error, not a stack overflow that aborts the
-    /// process — on a 2 MiB thread, in a debug build too — while moderately
-    /// nested SQL still parses.
+    /// Every recursive construct and every chain link counts toward
+    /// [`MAX_DEPTH`]: input nested or chained far past it is a parse
+    /// error, not a stack overflow that aborts the process — on a 2 MiB
+    /// thread, in a debug build too — while moderately nested or chained
+    /// SQL still parses.
     #[test]
     fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
-        // (prefix, opening, innermost, closing) of one nesting level.
+        // (prefix, opening, innermost, closing) of one nesting level or
+        // chain link.
         const SHAPES: &[(&str, &str, &str, &str)] = &[
+            ("SELECT ", "1 + ", "1", ""),
+            ("SELECT ", "2 * ", "1", ""),
+            ("SELECT ", "'a' || ", "'a'", ""),
+            ("SELECT ", "1 = ", "1", ""),
+            ("SELECT ", "1 IS ", "1", ""),
+            ("SELECT ", "0 OR ", "1", ""),
+            ("SELECT c0 FROM t WHERE ", "c0 > 1 AND ", "c0 > 1", ""),
+            ("", "SELECT 1 UNION ALL ", "SELECT 1", ""),
+            ("SELECT * FROM ", "t, ", "t", ""),
+            ("SELECT * FROM t", " LEFT JOIN t ON 1", "", ""),
             ("SELECT ", "(", "1", ")"),
             ("SELECT ", "NOT ", "1", ""),
             ("SELECT ", "- ", "c", ""),

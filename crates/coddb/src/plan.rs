@@ -25,6 +25,7 @@ use crate::ast::{
 use crate::bugs::{BugId, BugRegistry, IndexBugId};
 use crate::catalog::{Catalog, RelationKind};
 use crate::coverage::{pt, Coverage};
+use crate::database::AccessMode;
 use crate::dialect::Dialect;
 use crate::error::{Error, Result};
 use crate::value::Value;
@@ -125,6 +126,54 @@ pub enum FromPlan {
     },
 }
 
+impl FromPlan {
+    /// Does any node whose rows flow into this one satisfy `f`? The walk
+    /// follows joins and pushed filters; a derived table's plan is
+    /// opaque.
+    fn any_input(&self, f: &impl Fn(&FromPlan) -> bool) -> bool {
+        f(self)
+            || match self {
+                FromPlan::Join { left, right, .. } => left.any_input(f) || right.any_input(f),
+                FromPlan::Filtered { input, .. } => input.any_input(f),
+                _ => false,
+            }
+    }
+
+    /// Do the rows arrive through an index scan? Seeks do not count:
+    /// they hand the WHERE stage a pre-filtered row set instead.
+    pub fn reads_index_scan(&self) -> bool {
+        self.any_input(&|f| matches!(f, FromPlan::IndexScan { .. }))
+    }
+
+    /// Do the rows come (in part) from a CTE?
+    pub fn reads_cte(&self) -> bool {
+        self.any_input(&|f| matches!(f, FromPlan::CteScan { .. }))
+    }
+
+    /// Does the subtree contain a FULL JOIN?
+    pub fn has_full_join(&self) -> bool {
+        self.any_input(&|f| {
+            matches!(
+                f,
+                FromPlan::Join {
+                    kind: JoinKind::Full,
+                    ..
+                }
+            )
+        })
+    }
+
+    /// Join nodes in the subtree, not counting those inside derived
+    /// tables.
+    pub fn join_count(&self) -> usize {
+        match self {
+            FromPlan::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
+            FromPlan::Filtered { input, .. } => input.join_count(),
+            _ => 0,
+        }
+    }
+}
+
 /// Physical plan of one select core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorePlan {
@@ -134,6 +183,46 @@ pub struct CorePlan {
     pub where_clause: Option<Expr>,
     pub group_by: Vec<Expr>,
     pub having: Option<Expr>,
+}
+
+impl CorePlan {
+    /// Does the core run grouped? A GROUP BY, an aggregate in the select
+    /// list or a HAVING clause makes it so; without a GROUP BY all rows
+    /// form one group (SQLite semantics, bare columns from its first
+    /// row).
+    pub fn is_grouped(&self) -> bool {
+        !self.group_by.is_empty()
+            || self.having.is_some()
+            || self.items.iter().any(|i| match i {
+                SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
+                _ => false,
+            })
+    }
+
+    /// The GROUP BY keys, with a positional entry (`GROUP BY 2`) replaced
+    /// by the select-list expression it names.
+    pub fn group_keys(&self) -> Result<Vec<Expr>> {
+        self.group_by
+            .iter()
+            .map(|g| match g {
+                Expr::Literal(Value::Int(k)) => {
+                    let item = usize::try_from(*k)
+                        .ok()
+                        .and_then(|k| self.items.get(k.checked_sub(1)?))
+                        .ok_or_else(|| {
+                            Error::Eval(format!("GROUP BY position {k} out of range"))
+                        })?;
+                    match item {
+                        SelectItem::Expr { expr, .. } => Ok(expr.clone()),
+                        _ => Err(Error::Eval(
+                            "GROUP BY position must reference an expression".into(),
+                        )),
+                    }
+                }
+                other => Ok(other.clone()),
+            })
+            .collect()
+    }
 }
 
 /// Physical plan of a select body.
@@ -272,15 +361,12 @@ fn plan_core(core: &SelectCore, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> Resu
     let mut having = core.having.clone();
 
     if pctx.optimize {
+        let in_join_query = from.as_ref().is_some_and(|f| f.join_count() > 0);
         if let Some(w) = where_clause.take() {
-            where_clause = Some(fold_expr(
-                w,
-                pctx,
-                from.is_some() && has_join(from.as_ref()),
-            )?);
+            where_clause = Some(fold_expr(w, pctx, in_join_query)?);
         }
         if let Some(h) = having.take() {
-            having = Some(fold_expr(h, pctx, has_join(from.as_ref()))?);
+            having = Some(fold_expr(h, pctx, in_join_query)?);
         }
         // Trivial-filter elimination. Strict dialects only treat BOOLEAN
         // literals as predicates; a numeric filter must still raise its
@@ -321,12 +407,6 @@ fn plan_core(core: &SelectCore, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> Resu
         }
     }
 
-    // INDEXED BY is honoured even without the optimizer (SQLite semantics:
-    // it is a hard directive, and Listing 1's original query relies on it).
-    if let Some(f) = from.take() {
-        from = Some(force_indexed_by(f, pctx)?);
-    }
-
     Ok(CorePlan {
         distinct: core.distinct,
         items: core.items.clone(),
@@ -341,17 +421,6 @@ fn plan_core(core: &SelectCore, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> Resu
 /// folding pass as SELECT filters in a real planner).
 pub fn fold_dml_predicate(expr: Expr, pctx: &PlanCtx) -> Result<Expr> {
     fold_expr(expr, pctx, false)
-}
-
-fn has_join(from: Option<&FromPlan>) -> bool {
-    fn rec(f: &FromPlan) -> bool {
-        match f {
-            FromPlan::Join { .. } => true,
-            FromPlan::Filtered { input, .. } => rec(input),
-            _ => false,
-        }
-    }
-    from.map(rec).unwrap_or(false)
 }
 
 fn plan_table_expr(te: &TableExpr, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> Result<FromPlan> {
@@ -386,8 +455,9 @@ fn plan_table_expr(te: &TableExpr, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> R
                         alias: alias_name.clone(),
                     };
                     if let Some(idx) = indexed_by {
-                        // Validated/applied in force_indexed_by; keep the
-                        // directive by eagerly resolving it here.
+                        // INDEXED BY is a hard directive (SQLite semantics,
+                        // and Listing 1's original query relies on it), so
+                        // it applies with the optimizer off too.
                         let index = pctx
                             .catalog
                             .index(idx)
@@ -488,13 +558,6 @@ fn plan_table_expr(te: &TableExpr, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> R
             })
         }
     }
-}
-
-/// Re-apply `INDEXED BY` on plans built without optimization (it is part
-/// of query semantics in SQLite, not an optimizer decision). A no-op for
-/// plans where index selection already ran.
-fn force_indexed_by(plan: FromPlan, _pctx: &PlanCtx) -> Result<FromPlan> {
-    Ok(plan)
 }
 
 // ---------------------------------------------------------------------------
@@ -1029,13 +1092,7 @@ fn eliminate_sort(plan: &mut SelectPlan, pctx: &PlanCtx) {
     let BodyPlan::Core(core) = &mut plan.body else {
         return;
     };
-    if !core.group_by.is_empty()
-        || core.having.is_some()
-        || core.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            _ => false,
-        })
-    {
+    if core.is_grouped() {
         return;
     }
     let desc = plan.order_by[0].order == crate::ast::SortOrder::Desc;
@@ -1285,8 +1342,10 @@ fn normalize_for_index(expr: &Expr, alias: &str) -> Expr {
 
 /// Render a plan as an indented operator tree (the engine's `EXPLAIN`
 /// output). The text intentionally shows what the fingerprint hashes:
-/// access paths, join kinds, aggregation and subplan structure.
-pub fn explain(plan: &SelectPlan) -> String {
+/// access paths, join kinds, aggregation and subplan structure. Fails
+/// where the executor would fail to lower the plan: a positional GROUP
+/// BY entry that names no select-list expression.
+pub fn explain(plan: &SelectPlan) -> Result<String> {
     explain_full(plan, None, VecNote::Off)
 }
 
@@ -1299,13 +1358,16 @@ pub enum VecNote<'a> {
     /// ([`crate::exec::EvalMode::RowAtATime`]); every clause annotates
     /// `ROW(<reason>)`.
     Disabled(&'static str),
-    /// Classify each clause expression against the active mutant set —
-    /// the static mirror of [`crate::vec_eval::classify`]. Runtime
-    /// conditions (erroring lanes, fuel exhaustion) can still fall back
-    /// per chunk; the annotation is the planner's prediction.
+    /// Classify each clause expression with the executor's own
+    /// classifier ([`crate::vec_eval::classify`]) against the active
+    /// mutant set. Runtime conditions (erroring lanes, fuel exhaustion,
+    /// a seek falling back to a scan) can still fall back; the
+    /// annotation is a prediction.
     Predict {
         bugs: &'a BugRegistry,
         dialect: Dialect,
+        /// Whether index seeks run as seeks or as scans.
+        access: AccessMode,
     },
 }
 
@@ -1326,26 +1388,32 @@ struct ExplainCtx<'a> {
 /// inside the subquery are outer slots and become the memo key (the
 /// runtime detector — which also sees mutant-redirected reads — stays
 /// authoritative).
-pub fn explain_full(plan: &SelectPlan, catalog: Option<&Catalog>, vec: VecNote) -> String {
+pub fn explain_full(plan: &SelectPlan, catalog: Option<&Catalog>, vec: VecNote) -> Result<String> {
     let mut out = String::new();
     let ectx = ExplainCtx { catalog, vec };
-    explain_select(plan, 0, ectx, &mut out);
+    explain_select(plan, 0, ectx, &mut out)?;
     out.pop(); // trailing newline
-    out
+    Ok(out)
 }
 
-/// The `[VEC]` / `[ROW(<reason>)]` suffix for one clause expression.
+/// The `[VEC]` / `[ROW(<reason>)]` suffix for a clause made of `exprs`
+/// (a predicate, a projection's items, an aggregation's group keys):
+/// `[VEC]` only when every expression classifies, else the first
+/// fallback reason.
 ///
 /// Depth 0 is correct for every clause EXPLAIN renders: derived tables
 /// and CTE bodies execute at the enclosing statement's subquery depth,
 /// and expression subqueries — the only depth>0 contexts — surface as
 /// one-line memo notes whose internal clauses are never rendered.
-fn vec_note(e: &Expr, ectx: ExplainCtx) -> String {
+fn vec_note<'e>(exprs: impl IntoIterator<Item = &'e Expr>, ectx: ExplainCtx) -> String {
     match ectx.vec {
         VecNote::Off => String::new(),
         VecNote::Disabled(reason) => format!(" [ROW({reason})]"),
-        VecNote::Predict { bugs, dialect } => {
-            match crate::vec_eval::classify_ast(e, bugs, dialect, crate::exec::StmtKind::Select, 0)
+        VecNote::Predict { bugs, dialect, .. } => {
+            let stmt = crate::exec::StmtKind::Select;
+            match exprs
+                .into_iter()
+                .try_for_each(|e| crate::vec_eval::classify(e, bugs, dialect, stmt, 0))
             {
                 Ok(()) => " [VEC]".into(),
                 Err(reason) => format!(" [ROW({reason})]"),
@@ -1354,55 +1422,22 @@ fn vec_note(e: &Expr, ectx: ExplainCtx) -> String {
     }
 }
 
-/// The suffix for a WHERE or pushed filter over `input`: the filter-site
-/// gate first — it reads whether rows arrive through an index scan, the
-/// plan-side twin of `FromResult::via_index` — then the predicate's own
-/// classification.
+/// The suffix for a WHERE or pushed filter over `input`. A WHERE over an
+/// index seek (the planner puts seeks nowhere else) runs row-at-a-time
+/// in the seek's filter stage, unless the access mode scans instead.
+/// Otherwise the filter-site gate decides first, then the predicate's
+/// own classification.
 fn filter_note(pred: &Expr, input: Option<&FromPlan>, ectx: ExplainCtx) -> String {
-    if let VecNote::Predict { bugs, .. } = ectx.vec {
-        let via_index = input.is_some_and(reads_index_scan);
+    if let VecNote::Predict { bugs, access, .. } = ectx.vec {
+        if matches!(input, Some(FromPlan::IndexSeek { .. })) && access == AccessMode::Indexed {
+            return " [ROW(index seek)]".into();
+        }
+        let via_index = input.is_some_and(FromPlan::reads_index_scan);
         if let Err(reason) = crate::vec_eval::gates::filter(pred, via_index, bugs) {
             return format!(" [ROW({reason})]");
         }
     }
-    vec_note(pred, ectx)
-}
-
-/// Do the rows of `from` arrive through an index scan? The same rule
-/// `exec_from` applies to `FromResult::via_index`: an index scan sets
-/// it, joins and pushed filters pass it on, every other access path
-/// (seeks and derived tables included) clears it.
-fn reads_index_scan(from: &FromPlan) -> bool {
-    match from {
-        FromPlan::IndexScan { .. } => true,
-        FromPlan::Join { left, right, .. } => reads_index_scan(left) || reads_index_scan(right),
-        FromPlan::Filtered { input, .. } => reads_index_scan(input),
-        _ => false,
-    }
-}
-
-/// Vectorization suffix for a clause made of several expressions (a
-/// projection's items, an aggregation's group keys): `[VEC]` only when
-/// every expression classifies, else the first fallback reason.
-fn vec_note_all<'e>(exprs: impl Iterator<Item = &'e Expr>, ectx: ExplainCtx) -> String {
-    match ectx.vec {
-        VecNote::Off => String::new(),
-        VecNote::Disabled(reason) => format!(" [ROW({reason})]"),
-        VecNote::Predict { bugs, dialect } => {
-            for e in exprs {
-                if let Err(reason) = crate::vec_eval::classify_ast(
-                    e,
-                    bugs,
-                    dialect,
-                    crate::exec::StmtKind::Select,
-                    0,
-                ) {
-                    return format!(" [ROW({reason})]");
-                }
-            }
-            " [VEC]".into()
-        }
-    }
+    vec_note([pred], ectx)
 }
 
 /// The output column names a SELECT is statically known to produce.
@@ -1669,11 +1704,16 @@ fn pad(indent: usize, out: &mut String) {
     }
 }
 
-fn explain_select(plan: &SelectPlan, indent: usize, ectx: ExplainCtx, out: &mut String) {
+fn explain_select(
+    plan: &SelectPlan,
+    indent: usize,
+    ectx: ExplainCtx,
+    out: &mut String,
+) -> Result<()> {
     for (name, _, cte) in &plan.ctes {
         pad(indent, out);
         out.push_str(&format!("MATERIALIZE CTE {name}\n"));
-        explain_select(cte, indent + 1, ectx, out);
+        explain_select(cte, indent + 1, ectx, out)?;
     }
     if !plan.order_by.is_empty() {
         pad(indent, out);
@@ -1683,28 +1723,24 @@ fn explain_select(plan: &SelectPlan, indent: usize, ectx: ExplainCtx, out: &mut 
         pad(indent, out);
         out.push_str("LIMIT/OFFSET\n");
     }
-    explain_body(&plan.body, indent, ectx, out);
+    explain_body(&plan.body, indent, ectx, out)
 }
 
-fn explain_body(body: &BodyPlan, indent: usize, ectx: ExplainCtx, out: &mut String) {
+fn explain_body(body: &BodyPlan, indent: usize, ectx: ExplainCtx, out: &mut String) -> Result<()> {
     match body {
         BodyPlan::Core(core) => {
             pad(indent, out);
-            let agg = !core.group_by.is_empty()
-                || core.items.iter().any(|i| match i {
-                    SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-                    _ => false,
-                });
+            let grouped = core.is_grouped();
             let mut label = String::from("PROJECT");
             if core.distinct {
                 label.push_str(" DISTINCT");
             }
-            // Aggregated cores project per group (row-at-a-time by
-            // design); the vectorization note then sits on AGGREGATE.
-            let proj_note = if agg {
+            // Grouped cores project per group (row-at-a-time by design);
+            // the vectorization note then sits on AGGREGATE.
+            let proj_note = if grouped {
                 String::new()
             } else {
-                vec_note_all(
+                vec_note(
                     core.items.iter().filter_map(|i| match i {
                         SelectItem::Expr { expr, .. } => Some(expr),
                         _ => None,
@@ -1721,17 +1757,18 @@ fn explain_body(body: &BodyPlan, indent: usize, ectx: ExplainCtx, out: &mut Stri
                     memo_notes(expr, indent + 1, ectx, out);
                 }
             }
-            if agg {
+            if grouped {
                 pad(indent + 1, out);
+                let keys = core.group_keys()?;
                 out.push_str(&format!(
                     "AGGREGATE (group by {} expr(s){}){}\n",
-                    core.group_by.len(),
+                    keys.len(),
                     if core.having.is_some() {
                         ", having"
                     } else {
                         ""
                     },
-                    vec_note_all(core.group_by.iter(), ectx)
+                    vec_note(&keys, ectx)
                 ));
                 if let Some(h) = &core.having {
                     memo_notes(h, indent + 2, ectx, out);
@@ -1744,7 +1781,7 @@ fn explain_body(body: &BodyPlan, indent: usize, ectx: ExplainCtx, out: &mut Stri
                 memo_notes(w, indent + 2, ectx, out);
             }
             match &core.from {
-                Some(f) => explain_from(f, indent + 1, ectx, out),
+                Some(f) => explain_from(f, indent + 1, ectx, out)?,
                 None => {
                     pad(indent + 1, out);
                     out.push_str("SINGLE ROW\n");
@@ -1763,17 +1800,18 @@ fn explain_body(body: &BodyPlan, indent: usize, ectx: ExplainCtx, out: &mut Stri
                 op.sql_name(),
                 if *all { " ALL" } else { "" }
             ));
-            explain_body(left, indent + 1, ectx, out);
-            explain_body(right, indent + 1, ectx, out);
+            explain_body(left, indent + 1, ectx, out)?;
+            explain_body(right, indent + 1, ectx, out)?;
         }
         BodyPlan::Values(rows) => {
             pad(indent, out);
             out.push_str(&format!("VALUES ({} row(s))\n", rows.len()));
         }
     }
+    Ok(())
 }
 
-fn explain_from(from: &FromPlan, indent: usize, ectx: ExplainCtx, out: &mut String) {
+fn explain_from(from: &FromPlan, indent: usize, ectx: ExplainCtx, out: &mut String) -> Result<()> {
     match from {
         FromPlan::SeqScan { table, alias } => {
             pad(indent, out);
@@ -1822,7 +1860,7 @@ fn explain_from(from: &FromPlan, indent: usize, ectx: ExplainCtx, out: &mut Stri
                 "{} {alias}\n",
                 if *from_view { "VIEW" } else { "DERIVED" }
             ));
-            explain_select(plan, indent + 1, ectx, out);
+            explain_select(plan, indent + 1, ectx, out)?;
         }
         FromPlan::ValuesScan { rows, alias, .. } => {
             pad(indent, out);
@@ -1854,17 +1892,18 @@ fn explain_from(from: &FromPlan, indent: usize, ectx: ExplainCtx, out: &mut Stri
             if let Some(on) = on {
                 memo_notes(on, indent + 1, ectx, out);
             }
-            explain_from(left, indent + 1, ectx, out);
-            explain_from(right, indent + 1, ectx, out);
+            explain_from(left, indent + 1, ectx, out)?;
+            explain_from(right, indent + 1, ectx, out)?;
         }
         FromPlan::Filtered { input, pred, .. } => {
             pad(indent, out);
             let note = filter_note(pred, Some(input), ectx);
             out.push_str(&format!("PUSHED FILTER {pred}{note}\n"));
             memo_notes(pred, indent + 1, ectx, out);
-            explain_from(input, indent + 1, ectx, out);
+            explain_from(input, indent + 1, ectx, out)?;
         }
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

@@ -498,13 +498,7 @@ fn sort_elim_legal(
     if order_by.is_empty() {
         return Err("no ORDER BY to eliminate".into());
     }
-    if !core.group_by.is_empty()
-        || core.having.is_some()
-        || core.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            _ => false,
-        })
-    {
+    if core.is_grouped() {
         return Err("grouping or aggregation re-orders emission".into());
     }
     if consumed != total_conjuncts {
@@ -589,7 +583,11 @@ struct OpCounts {
 /// may *exceed* the walk (SQL text literals can contain operator-shaped
 /// text), so only under-rendering is a violation.
 fn check_explain(plan: &SelectPlan, catalog: &Catalog, out: &mut Vec<Violation>) {
-    let text = explain_full(plan, Some(catalog), VecNote::Off);
+    // EXPLAIN fails only where the executor fails too (a GROUP BY
+    // position naming no expression): there is no rendering to check.
+    let Ok(text) = explain_full(plan, Some(catalog), VecNote::Off) else {
+        return;
+    };
     let mut want = OpCounts::default();
     count_select(plan, &mut want);
     let rendered = |prefix: &str| {

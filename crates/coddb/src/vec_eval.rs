@@ -20,10 +20,13 @@
 //!    walk. Subqueries and aggregate slots are never vectorized (their
 //!    evaluation re-enters the executor), and any shape a currently
 //!    *active* mutant hooks falls back row-at-a-time, so the mutant's
-//!    context-sensitive branch runs on the authentic interpreter.
-//!    [`classify_ast`] is the planner-side mirror used by `EXPLAIN`'s
-//!    `VEC` / `ROW(<reason>)` clause annotations (static prediction;
-//!    the runtime classifier is authoritative).
+//!    context-sensitive branch runs on the authentic interpreter. It is
+//!    one walker over the clause AST, called by the executor before it
+//!    runs a clause's chunks and by `EXPLAIN` for the clause's `VEC` /
+//!    `ROW(<reason>)` note, so the two cannot disagree. It reads the AST
+//!    rather than the bound form because `EXPLAIN` has no runtime
+//!    schemas to bind against, and the bound form mirrors the AST node
+//!    for node ([`crate::bind`]).
 //! 2. **Selection vectors**: `AND`/`OR`, `CASE`, `COALESCE` and `IIF`
 //!    evaluate lazy operands only over the lanes that reach them —
 //!    exactly the rows the scalar short-circuit would evaluate — so an
@@ -93,12 +96,8 @@ pub(crate) const CHUNK: usize = 1024;
 // Classification: which expressions may take the vectorized path.
 // ---------------------------------------------------------------------------
 
-/// One shared table of per-shape mutant gates, consumed by both the
-/// bound-form classifier (authoritative, [`classify`]) and the AST
-/// mirror behind `EXPLAIN` ([`classify_ast`]) — new hook gates belong
-/// HERE so the two walkers cannot drift. A gate rejects its shape only
-/// while the hooking mutant is *active*: an inactive hook is a dead
-/// branch the kernels need not model.
+/// Mutant gates shared by the executor and `EXPLAIN` that sit outside
+/// expression classification.
 pub(crate) mod gates {
     use super::*;
 
@@ -108,7 +107,7 @@ pub(crate) mod gates {
     /// index-scanned rows, `CockroachAndNullTopConjunct` a top-level
     /// AND's. The chunk filter models neither, so such a filter runs
     /// row-at-a-time. `via_index` is whether the filter's input arrives
-    /// through an index scan.
+    /// through an index scan ([`crate::plan::FromPlan::reads_index_scan`]).
     pub(crate) fn filter(
         pred: &Expr,
         via_index: bool,
@@ -128,215 +127,93 @@ pub(crate) mod gates {
             _ => Ok(()),
         }
     }
-
-    pub(super) fn binary(
-        op: BinaryOp,
-        bugs: &BugRegistry,
-        dialect: Dialect,
-        stmt: StmtKind,
-    ) -> Result<(), &'static str> {
-        if op == BinaryOp::Or && bugs.active(BugId::CockroachOrShortCircuitFalse) {
-            return Err("mutant-hooked OR");
-        }
-        if op.is_comparison() {
-            if bugs.active(BugId::MysqlTextIntCompareWhere) {
-                return Err("mutant-hooked comparison");
-            }
-            // MySQL rejects cross-type TEXT/number comparisons in UPDATE
-            // and DELETE (the DQE semantic-error dialect rule) — a
-            // per-pair runtime decision the kernels do not model.
-            if dialect == Dialect::Mysql && matches!(stmt, StmtKind::Update | StmtKind::Delete) {
-                return Err("dialect DML comparison");
-            }
-        }
-        if op == BinaryOp::Concat && bugs.active(BugId::SqliteInternalConcatIndexedExpr) {
-            return Err("mutant-hooked concat");
-        }
-        if op == BinaryOp::Add && bugs.active(BugId::DuckdbInternalOverflowAddProj) {
-            return Err("mutant-hooked addition");
-        }
-        Ok(())
-    }
-
-    pub(super) fn between(bugs: &BugRegistry) -> Result<(), &'static str> {
-        if bugs.active(BugId::SqliteBetweenTextAffinity) {
-            return Err("mutant-hooked BETWEEN");
-        }
-        Ok(())
-    }
-
-    pub(super) fn in_list(bugs: &BugRegistry) -> Result<(), &'static str> {
-        if bugs.active(BugId::TidbInValueListWhere)
-            || bugs.active(BugId::CockroachInBigIntValueList)
-        {
-            return Err("mutant-hooked IN list");
-        }
-        Ok(())
-    }
-
-    pub(super) fn case(bugs: &BugRegistry) -> Result<(), &'static str> {
-        if bugs.active(BugId::TidbInternalCaseManyWhens)
-            || bugs.active(BugId::CockroachCaseNullFromCte)
-            || bugs.active(BugId::DuckdbCaseSubqueryElse)
-        {
-            return Err("mutant-hooked CASE");
-        }
-        Ok(())
-    }
-
-    pub(super) fn func(func: FuncName, bugs: &BugRegistry) -> Result<(), &'static str> {
-        match func {
-            FuncName::Round if bugs.active(BugId::TidbInternalRoundHuge) => {
-                Err("mutant-hooked ROUND")
-            }
-            FuncName::Substr if bugs.active(BugId::TidbInternalSubstrNegative) => {
-                Err("mutant-hooked SUBSTR")
-            }
-            _ => Ok(()),
-        }
-    }
-
-    pub(super) fn cast(bugs: &BugRegistry) -> Result<(), &'static str> {
-        if bugs.active(BugId::CockroachInternalCastTextInt) {
-            return Err("mutant-hooked CAST");
-        }
-        Ok(())
-    }
-
-    pub(super) fn is_null(bugs: &BugRegistry) -> Result<(), &'static str> {
-        if bugs.active(BugId::TidbIsNullTopLevelInverted) {
-            return Err("mutant-hooked IS NULL");
-        }
-        Ok(())
-    }
-
-    pub(super) fn like(bugs: &BugRegistry) -> Result<(), &'static str> {
-        if bugs.active(BugId::TidbInternalLikeEscape)
-            || bugs.active(BugId::DuckdbHangLikePercents)
-            || bugs.active(BugId::SqliteLikeCaseFold)
-            || bugs.active(BugId::DuckdbNotLikeTopLevel)
-        {
-            return Err("mutant-hooked LIKE");
-        }
-        Ok(())
-    }
 }
 
-/// Is the bound expression vectorizable under the current engine state?
-/// `Err` carries the fallback reason (see [`gates`] for the mutant
-/// table; subqueries and aggregate slots are rejected unconditionally
-/// because their evaluation re-enters the executor).
-pub(crate) fn classify(e: &BoundExpr, ctx: &EngineCtx) -> Result<(), &'static str> {
-    let bugs = ctx.bugs;
-    match e {
-        BoundExpr::Literal(_) => Ok(()),
-        BoundExpr::Column(c) => {
-            if c.collision_alt.is_some() && bugs.active(BugId::TidbCorrelatedNameCollision) {
-                Err("name-collision mutant")
-            } else {
-                Ok(())
-            }
-        }
-        BoundExpr::Unary { expr, .. } => classify(expr, ctx),
-        BoundExpr::Binary { op, left, right } => {
-            gates::binary(*op, bugs, ctx.dialect, ctx.stmt)?;
-            classify(left, ctx)?;
-            classify(right, ctx)
-        }
-        BoundExpr::Between {
-            expr, low, high, ..
-        } => {
-            gates::between(bugs)?;
-            classify(expr, ctx)?;
-            classify(low, ctx)?;
-            classify(high, ctx)
-        }
-        BoundExpr::InList { expr, list, .. } => {
-            gates::in_list(bugs)?;
-            classify(expr, ctx)?;
-            list.iter().try_for_each(|i| classify(i, ctx))
-        }
-        BoundExpr::InSubquery { .. }
-        | BoundExpr::Exists { .. }
-        | BoundExpr::Scalar { .. }
-        | BoundExpr::Quantified { .. } => Err("subquery"),
-        BoundExpr::Agg { .. } => Err("aggregate"),
-        BoundExpr::Case {
-            operand,
-            whens,
-            else_expr,
-            ..
-        } => {
-            gates::case(bugs)?;
-            if let Some(o) = operand {
-                classify(o, ctx)?;
-            }
-            for (w, t) in whens {
-                classify(w, ctx)?;
-                classify(t, ctx)?;
-            }
-            else_expr.as_deref().map_or(Ok(()), |e| classify(e, ctx))
-        }
-        BoundExpr::Func { func, args } => {
-            gates::func(*func, bugs)?;
-            args.iter().try_for_each(|a| classify(a, ctx))
-        }
-        BoundExpr::Cast { expr, .. } => {
-            gates::cast(bugs)?;
-            classify(expr, ctx)
-        }
-        BoundExpr::IsNull { expr, .. } => {
-            gates::is_null(bugs)?;
-            classify(expr, ctx)
-        }
-        BoundExpr::Like { expr, pattern, .. } => {
-            gates::like(bugs)?;
-            classify(expr, ctx)?;
-            classify(pattern, ctx)
-        }
-    }
-}
-
-/// Planner-side mirror of [`classify`] over the unbound AST, used by
-/// `EXPLAIN`'s `VEC` / `ROW(<reason>)` clause annotations. Both walkers
-/// consume the same [`gates`] table; the runtime classifier (which sees
-/// bind-time facts like collision-alt columns) stays authoritative —
-/// this is the static prediction.
-pub fn classify_ast(
+/// May the clause expression `e` take the vectorized path? `Err` carries
+/// the fallback reason. This is the one classifier: the executor asks it
+/// before running a clause's chunks, and `EXPLAIN` asks it for each
+/// clause's `[VEC]` / `[ROW(<reason>)]` note. `depth` is the clause's
+/// subquery depth (0 = the top statement).
+///
+/// Subqueries and aggregate slots are rejected unconditionally, because
+/// their evaluation re-enters the executor. Any shape a currently
+/// *active* mutant hooks is rejected too, so the hook runs on the
+/// authentic interpreter; an inactive hook is a dead branch the kernels
+/// need not model.
+pub fn classify(
     e: &Expr,
     bugs: &BugRegistry,
     dialect: Dialect,
     stmt: StmtKind,
     depth: u32,
 ) -> Result<(), &'static str> {
-    let rec = |e: &Expr| classify_ast(e, bugs, dialect, stmt, depth);
+    let rec = |e: &Expr| classify(e, bugs, dialect, stmt, depth);
+    let gate = |hooks: &[BugId], reason: &'static str| {
+        if hooks.iter().any(|&b| bugs.active(b)) {
+            Err(reason)
+        } else {
+            Ok(())
+        }
+    };
     match e {
         Expr::Literal(_) => Ok(()),
-        Expr::Column(_) => {
-            // The binder records collision alternatives only inside
-            // subqueries; a bare column there may be mutant-redirected.
-            if depth > 0 && bugs.active(BugId::TidbCorrelatedNameCollision) {
-                Err("name-collision mutant")
-            } else {
-                Ok(())
-            }
-        }
+        // Inside a subquery the binder may record a collision alternative
+        // for a bare column, which the name-collision mutant switches to
+        // at runtime. Rejecting every bare column there rejects a
+        // superset of those.
+        Expr::Column(c) if c.table.is_none() && depth > 0 => gate(
+            &[BugId::TidbCorrelatedNameCollision],
+            "name-collision mutant",
+        ),
+        Expr::Column(_) => Ok(()),
         Expr::Unary { expr, .. } => rec(expr),
         Expr::Binary { op, left, right } => {
-            gates::binary(*op, bugs, dialect, stmt)?;
+            match op {
+                BinaryOp::Or => gate(&[BugId::CockroachOrShortCircuitFalse], "mutant-hooked OR")?,
+                BinaryOp::Concat => gate(
+                    &[BugId::SqliteInternalConcatIndexedExpr],
+                    "mutant-hooked concat",
+                )?,
+                BinaryOp::Add => gate(
+                    &[BugId::DuckdbInternalOverflowAddProj],
+                    "mutant-hooked addition",
+                )?,
+                op if op.is_comparison() => {
+                    gate(
+                        &[BugId::MysqlTextIntCompareWhere],
+                        "mutant-hooked comparison",
+                    )?;
+                    // MySQL rejects cross-type TEXT/number comparisons in
+                    // UPDATE and DELETE (the DQE semantic-error dialect
+                    // rule) — a per-pair runtime decision the kernels do
+                    // not model.
+                    if dialect == Dialect::Mysql
+                        && matches!(stmt, StmtKind::Update | StmtKind::Delete)
+                    {
+                        return Err("dialect DML comparison");
+                    }
+                }
+                _ => {}
+            }
             rec(left)?;
             rec(right)
         }
         Expr::Between {
             expr, low, high, ..
         } => {
-            gates::between(bugs)?;
+            gate(&[BugId::SqliteBetweenTextAffinity], "mutant-hooked BETWEEN")?;
             rec(expr)?;
             rec(low)?;
             rec(high)
         }
         Expr::InList { expr, list, .. } => {
-            gates::in_list(bugs)?;
+            gate(
+                &[
+                    BugId::TidbInValueListWhere,
+                    BugId::CockroachInBigIntValueList,
+                ],
+                "mutant-hooked IN list",
+            )?;
             rec(expr)?;
             list.iter().try_for_each(rec)
         }
@@ -350,7 +227,14 @@ pub fn classify_ast(
             whens,
             else_expr,
         } => {
-            gates::case(bugs)?;
+            gate(
+                &[
+                    BugId::TidbInternalCaseManyWhens,
+                    BugId::CockroachCaseNullFromCte,
+                    BugId::DuckdbCaseSubqueryElse,
+                ],
+                "mutant-hooked CASE",
+            )?;
             if let Some(o) = operand {
                 rec(o)?;
             }
@@ -361,19 +245,36 @@ pub fn classify_ast(
             else_expr.as_deref().map_or(Ok(()), rec)
         }
         Expr::Func { func, args } => {
-            gates::func(*func, bugs)?;
+            match func {
+                FuncName::Round => gate(&[BugId::TidbInternalRoundHuge], "mutant-hooked ROUND")?,
+                FuncName::Substr => {
+                    gate(&[BugId::TidbInternalSubstrNegative], "mutant-hooked SUBSTR")?
+                }
+                _ => {}
+            }
             args.iter().try_for_each(rec)
         }
         Expr::Cast { expr, .. } => {
-            gates::cast(bugs)?;
+            gate(&[BugId::CockroachInternalCastTextInt], "mutant-hooked CAST")?;
             rec(expr)
         }
         Expr::IsNull { expr, .. } => {
-            gates::is_null(bugs)?;
+            gate(
+                &[BugId::TidbIsNullTopLevelInverted],
+                "mutant-hooked IS NULL",
+            )?;
             rec(expr)
         }
         Expr::Like { expr, pattern, .. } => {
-            gates::like(bugs)?;
+            gate(
+                &[
+                    BugId::TidbInternalLikeEscape,
+                    BugId::DuckdbHangLikePercents,
+                    BugId::SqliteLikeCaseFold,
+                    BugId::DuckdbNotLikeTopLevel,
+                ],
+                "mutant-hooked LIKE",
+            )?;
             rec(expr)?;
             rec(pattern)
         }
@@ -1105,16 +1006,16 @@ mod tests {
     use crate::bugs::BugRegistry;
 
     #[test]
-    fn classify_ast_rejects_subqueries_and_hooked_shapes() {
+    fn classify_rejects_subqueries_hooked_shapes_and_shadowable_columns() {
         let bugs = BugRegistry::none();
         let d = Dialect::Sqlite;
         let ok = Expr::and(
             Expr::eq(Expr::bare_col("a"), Expr::lit(1i64)),
             Expr::bin(BinaryOp::Gt, Expr::bare_col("b"), Expr::lit(2i64)),
         );
-        assert!(classify_ast(&ok, &bugs, d, StmtKind::Select, 0).is_ok());
+        assert!(classify(&ok, &bugs, d, StmtKind::Select, 0).is_ok());
         assert_eq!(
-            classify_ast(&Expr::count_star(), &bugs, d, StmtKind::Select, 0),
+            classify(&Expr::count_star(), &bugs, d, StmtKind::Select, 0),
             Err("aggregate")
         );
         let mut hooked = BugRegistry::none();
@@ -1124,20 +1025,32 @@ mod tests {
             list: vec![Expr::lit(1i64)],
             negated: false,
         };
-        assert!(classify_ast(&in_list, &bugs, d, StmtKind::Select, 0).is_ok());
+        assert!(classify(&in_list, &bugs, d, StmtKind::Select, 0).is_ok());
         assert_eq!(
-            classify_ast(&in_list, &hooked, d, StmtKind::Select, 0),
+            classify(&in_list, &hooked, d, StmtKind::Select, 0),
             Err("mutant-hooked IN list")
         );
+        // Under the name-collision mutant, a bare column inside a
+        // subquery may be redirected to a shadowed outer column; a
+        // qualified one, or any column of the top statement, cannot.
+        let collision = BugRegistry::only(BugId::TidbCorrelatedNameCollision);
+        let (bare, qualified) = (Expr::bare_col("a"), Expr::col("t0", "a"));
+        assert_eq!(
+            classify(&bare, &collision, d, StmtKind::Select, 1),
+            Err("name-collision mutant")
+        );
+        assert!(classify(&qualified, &collision, d, StmtKind::Select, 1).is_ok());
+        assert!(classify(&bare, &collision, d, StmtKind::Select, 0).is_ok());
+        assert!(classify(&bare, &bugs, d, StmtKind::Select, 1).is_ok());
     }
 
     #[test]
-    fn classify_ast_rejects_mysql_dml_comparisons() {
+    fn classify_rejects_mysql_dml_comparisons() {
         let bugs = BugRegistry::none();
         let cmp = Expr::eq(Expr::bare_col("a"), Expr::lit(1i64));
-        assert!(classify_ast(&cmp, &bugs, Dialect::Mysql, StmtKind::Select, 0).is_ok());
+        assert!(classify(&cmp, &bugs, Dialect::Mysql, StmtKind::Select, 0).is_ok());
         assert_eq!(
-            classify_ast(&cmp, &bugs, Dialect::Mysql, StmtKind::Update, 0),
+            classify(&cmp, &bugs, Dialect::Mysql, StmtKind::Update, 0),
             Err("dialect DML comparison")
         );
     }

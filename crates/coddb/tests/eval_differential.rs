@@ -274,6 +274,13 @@ const MUTANT_SCRIPT: &[&str] = &[
     "SELECT COUNT(*) FROM ot0",
     "CREATE INDEX ic ON t0 (c1 || c2)",
     "SELECT * FROM t0 INDEXED BY ic WHERE c1 LIKE 'upd%'",
+    // Subquery clauses whose bare column shadows an outer one (the
+    // name-collision mutant redirects it): a WHERE, a group key, a
+    // projection and an aggregate argument.
+    "SELECT c0 FROM t0 WHERE c0 IN (SELECT c0 FROM t1 WHERE c0 > 1)",
+    "SELECT c0 FROM t0 WHERE c0 IN (SELECT c0 FROM t1 GROUP BY c0)",
+    "SELECT c0, (SELECT c0 + 1 FROM t1 WHERE t1.c0 = 2) FROM t0",
+    "SELECT c0, (SELECT SUM(c0 + 1) FROM t1) FROM t0",
 ];
 
 #[test]

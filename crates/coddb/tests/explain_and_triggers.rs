@@ -176,6 +176,78 @@ fn explain_shows_the_indexed_comparison_mutant_runs_row_at_a_time() {
     assert_eq!(db.query_sql(sql).unwrap().rows.len(), 2);
 }
 
+#[test]
+fn explain_shows_a_filter_over_an_index_seek_runs_row_at_a_time() {
+    // The seek's filter stage evaluates the WHERE clause row by row; in
+    // ScanOnly mode the executor scans and the chunk filter applies.
+    let mut db = Database::new(Dialect::Sqlite);
+    db.execute_sql(
+        "CREATE TABLE t (v INT, w INT); CREATE INDEX i ON t (v);
+         INSERT INTO t VALUES (1, 10), (3, 30), (5, 50)",
+    )
+    .unwrap();
+    let sql = "SELECT w FROM t WHERE v = 3";
+    let plan = db.explain_sql(sql).unwrap();
+    assert!(
+        plan.contains("INDEX SEEK t AS t USING i (1 key(s), point)"),
+        "{plan}"
+    );
+    assert!(plan.contains("FILTER (v = 3) [ROW(index seek)]"), "{plan}");
+    db.set_access_mode(coddb::AccessMode::ScanOnly);
+    let plan = db.explain_sql(sql).unwrap();
+    assert!(plan.contains("FILTER (v = 3) [VEC]"), "{plan}");
+}
+
+#[test]
+fn explain_shows_a_having_only_aggregate_groups() {
+    // An aggregate in HAVING alone makes the core grouped, as it does in
+    // the executor: the projection runs per group, not over chunks.
+    let mut db = Database::new(Dialect::Sqlite);
+    db.execute_sql("CREATE TABLE t (v INT); INSERT INTO t VALUES (1)")
+        .unwrap();
+    let plan = db
+        .explain_sql("SELECT v + 1 FROM t HAVING COUNT(*) > 0")
+        .unwrap();
+    assert!(
+        plan.contains("PROJECT (1 item(s))\n"),
+        "grouped projections carry no note:\n{plan}"
+    );
+    assert!(
+        plan.contains("AGGREGATE (group by 0 expr(s), having)"),
+        "{plan}"
+    );
+}
+
+#[test]
+fn explain_classifies_positional_group_keys_as_the_executor_does() {
+    // `GROUP BY 1` groups by the first select item, here a subquery,
+    // which the executor evaluates row-at-a-time.
+    let mut db = Database::new(Dialect::Sqlite);
+    db.execute_sql("CREATE TABLE t (v INT, w INT); INSERT INTO t VALUES (1, 2)")
+        .unwrap();
+    let plan = db
+        .explain_sql("SELECT (SELECT MAX(w) FROM t), COUNT(*) FROM t GROUP BY 1")
+        .unwrap();
+    assert!(
+        plan.contains("AGGREGATE (group by 1 expr(s)) [ROW(subquery)]"),
+        "{plan}"
+    );
+}
+
+#[test]
+fn explain_of_an_out_of_range_group_position_fails_like_the_executor() {
+    let mut db = Database::new(Dialect::Sqlite);
+    db.execute_sql("CREATE TABLE t (v INT); INSERT INTO t VALUES (1)")
+        .unwrap();
+    let sql = "SELECT v FROM t GROUP BY 2";
+    let explained = db.explain_sql(sql).unwrap_err();
+    assert_eq!(explained, db.query_sql(sql).unwrap_err());
+    assert!(
+        explained.to_string().contains("out of range"),
+        "{explained}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Negative trigger tests: mutants are silent outside their context.
 // ---------------------------------------------------------------------------

@@ -578,3 +578,22 @@ fn having_without_group_by_filters_single_group() {
         .unwrap();
     assert_eq!(q.rows, vec![vec![Value::Int(2)]]);
 }
+
+#[test]
+fn having_without_group_by_or_aggregate_groups_all_rows() {
+    // SQLite ≥ 3.39: a HAVING clause alone makes the query an aggregate
+    // over one group, its bare columns taken from the group's first row.
+    for dialect in [Dialect::Sqlite, Dialect::Mysql, Dialect::Duckdb] {
+        let mut db = Database::new(dialect);
+        db.execute_sql("CREATE TABLE t (v INT); INSERT INTO t VALUES (1), (2), (3)")
+            .unwrap();
+        let rows = |db: &mut Database, sql: &str| db.query_sql(sql).unwrap().rows;
+        assert!(rows(&mut db, "SELECT v FROM t HAVING v > 100").is_empty());
+        assert!(rows(&mut db, "SELECT v FROM t HAVING 1 = 0").is_empty());
+        assert_eq!(
+            rows(&mut db, "SELECT v FROM t HAVING v < 100"),
+            vec![vec![Value::Int(1)]],
+            "{dialect:?}"
+        );
+    }
+}

@@ -18,8 +18,10 @@
 //! * **mutant-untested** — every variant must be referenced by a
 //!   detection test: named in a test file, or swept via the registry's
 //!   `::ALL` array from a test file.
-//! * **bench-field-ungated** — every `*_speedup` / `*_overhead` shape in
-//!   `BENCH_engine.json` must be gated in `scripts/bench_check`.
+//! * **bench-field-ungated** — every `*_speedup` / `*_overhead` field in
+//!   `BENCH_engine.json` must have a row in the `GATED_FIELDS` table of
+//!   `crates/bench/src/lib.rs`, which `bench_engine` enforces on every
+//!   run.
 //!
 //! All parsing is plain text scanning with token-boundary checks — no
 //! external dependencies, deterministic, and fast enough for CI.
@@ -216,6 +218,22 @@ fn parse_all_array(src: &str, enum_name: &str) -> Vec<String> {
     out
 }
 
+/// The string literals of the `GATED_FIELDS` table: its shape and field
+/// names.
+fn parse_gated_fields(src: &str) -> std::collections::BTreeSet<String> {
+    let Some(start) = src.find("pub const GATED_FIELDS") else {
+        return Default::default();
+    };
+    let table = &src[start..];
+    let table = &table[..table.find("];").unwrap_or(table.len())];
+    table
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .map(str::to_string)
+        .collect()
+}
+
 /// Run every lint against the repository at `root`.
 pub fn analyze_repo(root: &Path) -> io::Result<AnalyzeReport> {
     let mut report = AnalyzeReport::default();
@@ -304,7 +322,9 @@ pub fn analyze_repo(root: &Path) -> io::Result<AnalyzeReport> {
 
     // --- bench-field-ungated ---------------------------------------------
     let bench_json = fs::read_to_string(root.join("BENCH_engine.json")).unwrap_or_default();
-    let bench_check = fs::read_to_string(root.join("scripts/bench_check")).unwrap_or_default();
+    let gate_table = parse_gated_fields(
+        &fs::read_to_string(root.join("crates/bench/src/lib.rs")).unwrap_or_default(),
+    );
     // A set: the same shape can recur across nested sections (one gate
     // covers every occurrence of the field name).
     let mut gated_fields = std::collections::BTreeSet::new();
@@ -324,11 +344,12 @@ pub fn analyze_repo(root: &Path) -> io::Result<AnalyzeReport> {
         .checked
         .insert("bench-field-ungated", gated_fields.len());
     for field in &gated_fields {
-        if !token_match(&bench_check, field) {
+        if !gate_table.contains(field) {
             report.findings.push(LintFinding {
                 lint: "bench-field-ungated",
                 subject: field.clone(),
-                detail: "benchmark shape in BENCH_engine.json has no gate in scripts/bench_check"
+                detail: "benchmark field in BENCH_engine.json has no GATED_FIELDS row in \
+                         crates/bench/src/lib.rs"
                     .into(),
             });
         }
@@ -366,7 +387,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("coddtest-analyze-{}", std::process::id()));
         let src = dir.join("crates/coddb/src");
         fs::create_dir_all(&src).unwrap();
-        fs::create_dir_all(dir.join("scripts")).unwrap();
+        let bench_src = dir.join("crates/bench/src");
+        fs::create_dir_all(&bench_src).unwrap();
         fs::write(
             src.join("coverage.rs"),
             "coverage_points! {\n    USED_POINT = \"a\";\n    GHOST_POINT = \"b\";\n}\n",
@@ -395,7 +417,11 @@ mod tests {
             "{\n\"gated_speedup\": 2.0,\n\"ghost_speedup\": 2.0\n}\n",
         )
         .unwrap();
-        fs::write(dir.join("scripts/bench_check"), "check gated_speedup\n").unwrap();
+        fs::write(
+            bench_src.join("lib.rs"),
+            "pub const GATED_FIELDS: &[(&str, &str)] = &[\n    (\"s\", \"gated_speedup\"),\n];\n",
+        )
+        .unwrap();
 
         let report = analyze_repo(&dir).unwrap();
         fs::remove_dir_all(&dir).unwrap();

@@ -25,7 +25,9 @@
 //! The resulting detectability matrix reproduces Table 2 of the paper:
 //! NoREC 11, TLP 12, DQE 4, and 11 logic bugs only CODDTest can find.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::fmt;
 
 use crate::dialect::Dialect;
 
@@ -790,12 +792,80 @@ impl MediaBugId {
 /// recovery mutants ([`RecoveryBugId`]), index mutants ([`IndexBugId`])
 /// and media mutants ([`MediaBugId`]) side by side, so one registry
 /// describes a whole campaign's buggy build.
-#[derive(Debug, Clone, Default)]
+///
+/// # Every read records
+///
+/// The hook accessors [`active`](Self::active),
+/// [`recovery_active`](Self::recovery_active),
+/// [`index_active`](Self::index_active) and
+/// [`media_active`](Self::media_active) record the mutant they were asked
+/// about in a per-thread set, which [`take_consulted`] returns and resets.
+/// Engine and oracle code reads the registry through these four only (the
+/// `mutant-read-unrecorded` lint of `coddtest-analyze` checks it). So a
+/// run that never asks about a mutant runs exactly as it would with that
+/// mutant enabled: enabling a mutant can change nothing until the engine
+/// first asks whether it is on. The runner's `rerun_test` skips replays
+/// on this basis.
+///
+/// Two reads in the engine do not record. Both are debug-build validator
+/// gates and go through one debug-only accessor, `validator_gate`: the
+/// plan and bind validators run only on a clean registry, and the
+/// index-seek replay assertion only when no index mutant is enabled. They
+/// can change a verdict only when the clean engine fails its own
+/// validator. The other non-recording reads ([`enabled`](Self::enabled)
+/// and its siblings, [`is_clean`](Self::is_clean),
+/// [`shares_mutant_with`](Self::shares_mutant_with), `Debug`) serve the
+/// harnesses that configure runs.
+#[derive(Clone, Default)]
 pub struct BugRegistry {
-    active: BTreeSet<BugId>,
-    recovery: BTreeSet<RecoveryBugId>,
-    index: BTreeSet<IndexBugId>,
-    media: BTreeSet<MediaBugId>,
+    /// One bitmask per family, indexed by `ENGINE`, `RECOVERY`, `INDEX`
+    /// and `MEDIA`; bit `i` is the family's `ALL[i]`, which is its
+    /// declaration order.
+    masks: [u64; 4],
+}
+
+const ENGINE: usize = 0;
+const RECOVERY: usize = 1;
+const INDEX: usize = 2;
+const MEDIA: usize = 3;
+
+const _: () = assert!(
+    BugId::ALL.len() <= 64
+        && RecoveryBugId::ALL.len() <= 64
+        && IndexBugId::ALL.len() <= 64
+        && MediaBugId::ALL.len() <= 64
+);
+
+thread_local! {
+    /// The mutants this thread's hook accessors were asked about since the
+    /// last [`take_consulted`], as [`BugRegistry`] masks.
+    static CONSULTED: [Cell<u64>; 4] = const { [const { Cell::new(0) }; 4] };
+}
+
+/// The mutants this thread's hook accessors were asked about since the
+/// last call, as a registry, and reset the record.
+pub fn take_consulted() -> BugRegistry {
+    BugRegistry {
+        masks: CONSULTED.with(|c| c.each_ref().map(Cell::take)),
+    }
+}
+
+/// The members of one family's mask, in declaration order.
+fn members<M: Copy>(mask: u64, all: &'static [M]) -> impl Iterator<Item = M> {
+    all.iter()
+        .enumerate()
+        .filter(move |&(i, _)| (mask >> i) & 1 == 1)
+        .map(|(_, &m)| m)
+}
+
+/// Which mutants a debug-build validator gate checks for.
+#[cfg(debug_assertions)]
+#[derive(Clone, Copy)]
+pub(crate) enum ValidatorScope {
+    /// Any mutant: the plan and bind validators.
+    AnyMutant,
+    /// Index mutants: the index-seek replay assertion.
+    IndexMutants,
 }
 
 impl BugRegistry {
@@ -804,15 +874,43 @@ impl BugRegistry {
         Self::default()
     }
 
-    /// No mutant of any registry is enabled. The debug-mode plan verifier
-    /// ([`crate::validate`]) only asserts on clean engines: mutant-corrupted
-    /// plans are invalid *by design*, and flagging them is the campaign
-    /// oracle's job, not an assertion failure.
+    /// Is mutant `bit` of `family` enabled? Records the question.
+    #[inline]
+    fn read(&self, family: usize, bit: usize) -> bool {
+        let mask = 1u64 << bit;
+        CONSULTED.with(|c| c[family].set(c[family].get() | mask));
+        self.masks[family] & mask != 0
+    }
+
+    fn set(&mut self, family: usize, bit: usize, on: bool) {
+        if on {
+            self.masks[family] |= 1 << bit;
+        } else {
+            self.masks[family] &= !(1 << bit);
+        }
+    }
+
+    /// No mutant of any registry is enabled.
     pub fn is_clean(&self) -> bool {
-        self.active.is_empty()
-            && self.recovery.is_empty()
-            && self.index.is_empty()
-            && self.media.is_empty()
+        self.masks == [0; 4]
+    }
+
+    /// Does any mutant enabled here also appear in `other`?
+    pub fn shares_mutant_with(&self, other: &BugRegistry) -> bool {
+        self.masks.iter().zip(&other.masks).any(|(a, b)| a & b != 0)
+    }
+
+    /// `true` when no mutant in `scope` is enabled, so a debug-build
+    /// validator's clean-engine assertion applies. Mutant-corrupted plans
+    /// are invalid *by design*, and flagging them is the campaign
+    /// oracle's job, not an assertion failure. The one engine read that
+    /// records nothing (see the type docs).
+    #[cfg(debug_assertions)]
+    pub(crate) fn validator_gate(&self, scope: ValidatorScope) -> bool {
+        match scope {
+            ValidatorScope::AnyMutant => self.is_clean(),
+            ValidatorScope::IndexMutants => self.masks[INDEX] == 0,
+        }
     }
 
     /// Enable every mutant belonging to `dialect` (the Table 1 campaign
@@ -833,20 +931,20 @@ impl BugRegistry {
     }
 
     pub fn enable(&mut self, bug: BugId) {
-        self.active.insert(bug);
+        self.set(ENGINE, bug as usize, true);
     }
 
     pub fn disable(&mut self, bug: BugId) {
-        self.active.remove(&bug);
+        self.set(ENGINE, bug as usize, false);
     }
 
     #[inline]
     pub fn active(&self, bug: BugId) -> bool {
-        self.active.contains(&bug)
+        self.read(ENGINE, bug as usize)
     }
 
     pub fn enabled(&self) -> impl Iterator<Item = BugId> + '_ {
-        self.active.iter().copied()
+        members(self.masks[ENGINE], &BugId::ALL)
     }
 
     // --- recovery mutants -----------------------------------------------
@@ -869,20 +967,20 @@ impl BugRegistry {
     }
 
     pub fn enable_recovery(&mut self, bug: RecoveryBugId) {
-        self.recovery.insert(bug);
+        self.set(RECOVERY, bug as usize, true);
     }
 
     pub fn disable_recovery(&mut self, bug: RecoveryBugId) {
-        self.recovery.remove(&bug);
+        self.set(RECOVERY, bug as usize, false);
     }
 
     #[inline]
     pub fn recovery_active(&self, bug: RecoveryBugId) -> bool {
-        self.recovery.contains(&bug)
+        self.read(RECOVERY, bug as usize)
     }
 
     pub fn enabled_recovery(&self) -> impl Iterator<Item = RecoveryBugId> + '_ {
-        self.recovery.iter().copied()
+        members(self.masks[RECOVERY], &RecoveryBugId::ALL)
     }
 
     // --- index mutants ---------------------------------------------------
@@ -905,20 +1003,20 @@ impl BugRegistry {
     }
 
     pub fn enable_index(&mut self, bug: IndexBugId) {
-        self.index.insert(bug);
+        self.set(INDEX, bug as usize, true);
     }
 
     pub fn disable_index(&mut self, bug: IndexBugId) {
-        self.index.remove(&bug);
+        self.set(INDEX, bug as usize, false);
     }
 
     #[inline]
     pub fn index_active(&self, bug: IndexBugId) -> bool {
-        self.index.contains(&bug)
+        self.read(INDEX, bug as usize)
     }
 
     pub fn enabled_index(&self) -> impl Iterator<Item = IndexBugId> + '_ {
-        self.index.iter().copied()
+        members(self.masks[INDEX], &IndexBugId::ALL)
     }
 
     // --- media mutants ----------------------------------------------------
@@ -941,20 +1039,35 @@ impl BugRegistry {
     }
 
     pub fn enable_media(&mut self, bug: MediaBugId) {
-        self.media.insert(bug);
+        self.set(MEDIA, bug as usize, true);
     }
 
     pub fn disable_media(&mut self, bug: MediaBugId) {
-        self.media.remove(&bug);
+        self.set(MEDIA, bug as usize, false);
     }
 
     #[inline]
     pub fn media_active(&self, bug: MediaBugId) -> bool {
-        self.media.contains(&bug)
+        self.read(MEDIA, bug as usize)
     }
 
     pub fn enabled_media(&self) -> impl Iterator<Item = MediaBugId> + '_ {
-        self.media.iter().copied()
+        members(self.masks[MEDIA], &MediaBugId::ALL)
+    }
+}
+
+/// Lists each family's enabled mutants.
+impl fmt::Debug for BugRegistry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BugRegistry")
+            .field("active", &self.enabled().collect::<BTreeSet<_>>())
+            .field(
+                "recovery",
+                &self.enabled_recovery().collect::<BTreeSet<_>>(),
+            )
+            .field("index", &self.enabled_index().collect::<BTreeSet<_>>())
+            .field("media", &self.enabled_media().collect::<BTreeSet<_>>())
+            .finish()
     }
 }
 
@@ -1163,6 +1276,77 @@ mod tests {
             vec![RecoveryBugId::ReplayUncommitted]
         );
         assert_eq!(BugRegistry::all_recovery().enabled_recovery().count(), 10);
+    }
+
+    /// `enabled*()` list mutants in declaration order — the order the
+    /// registry's sets iterated in before they became bitmasks — whatever
+    /// order they were enabled in.
+    #[test]
+    fn enabled_iterates_in_declaration_order() {
+        fn check<M: Copy + Ord + fmt::Debug>(
+            all: &[M],
+            enable: impl Fn(&mut BugRegistry, M),
+            enabled: impl Fn(&BugRegistry) -> Vec<M>,
+        ) {
+            let mut sorted = all.to_vec();
+            sorted.sort();
+            assert_eq!(sorted, all, "ALL is in declaration order");
+            let mut reg = BugRegistry::none();
+            for &m in all.iter().rev().step_by(2) {
+                enable(&mut reg, m);
+            }
+            let mut expected: Vec<M> = all.iter().rev().step_by(2).copied().collect();
+            expected.sort();
+            assert_eq!(enabled(&reg), expected);
+        }
+        check(&BugId::ALL, BugRegistry::enable, |r| r.enabled().collect());
+        check(&RecoveryBugId::ALL, BugRegistry::enable_recovery, |r| {
+            r.enabled_recovery().collect()
+        });
+        check(&IndexBugId::ALL, BugRegistry::enable_index, |r| {
+            r.enabled_index().collect()
+        });
+        check(&MediaBugId::ALL, BugRegistry::enable_media, |r| {
+            r.enabled_media().collect()
+        });
+        assert_eq!(
+            format!("{:?}", BugRegistry::only(BugId::SqliteLikeCaseFold)),
+            "BugRegistry { active: {SqliteLikeCaseFold}, recovery: {}, index: {}, media: {} }"
+        );
+    }
+
+    /// The hook accessors record what they were asked, enabled or not;
+    /// `take_consulted()` hands the record over and starts a new one.
+    #[test]
+    fn take_consulted_returns_the_questions_and_resets() {
+        take_consulted();
+        let reg = BugRegistry::only(BugId::SqliteLikeCaseFold);
+        assert!(reg.active(BugId::SqliteLikeCaseFold));
+        assert!(!reg.active(BugId::TidbInternalSetOpOrderBy));
+        assert!(!reg.recovery_active(RecoveryBugId::DropLastCommit));
+        assert!(!reg.index_active(IndexBugId::RangeBoundOffByOne));
+        assert!(!reg.media_active(MediaBugId::RetryCapIgnored));
+        let consulted = take_consulted();
+        assert_eq!(
+            consulted.enabled().collect::<Vec<_>>(),
+            [BugId::SqliteLikeCaseFold, BugId::TidbInternalSetOpOrderBy]
+        );
+        assert_eq!(
+            consulted.enabled_recovery().collect::<Vec<_>>(),
+            [RecoveryBugId::DropLastCommit]
+        );
+        assert_eq!(
+            consulted.enabled_index().collect::<Vec<_>>(),
+            [IndexBugId::RangeBoundOffByOne]
+        );
+        assert_eq!(
+            consulted.enabled_media().collect::<Vec<_>>(),
+            [MediaBugId::RetryCapIgnored]
+        );
+        assert!(reg.shares_mutant_with(&consulted));
+        assert!(!BugRegistry::only(BugId::SqliteLikeCaseFold)
+            .shares_mutant_with(&BugRegistry::only(BugId::TidbInternalSetOpOrderBy)));
+        assert!(take_consulted().is_clean(), "the take reset the record");
     }
 
     #[test]

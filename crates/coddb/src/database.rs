@@ -130,9 +130,6 @@ impl Database {
     pub fn bugs(&self) -> &BugRegistry {
         &self.bugs
     }
-    pub fn bugs_mut(&mut self) -> &mut BugRegistry {
-        &mut self.bugs
-    }
     pub fn set_fuel_limit(&mut self, fuel: u64) {
         self.fuel_limit = fuel;
     }

@@ -423,7 +423,7 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
             then_subquery,
         } => {
             // Bug hook: TidbInternalCaseManyWhens.
-            if ctx.bugs.active(BugId::TidbInternalCaseManyWhens) && whens.len() > 8 {
+            if whens.len() > 8 && ctx.bugs.active(BugId::TidbInternalCaseManyWhens) {
                 return Err(Error::Internal(
                     "CASE arm limit exceeded in plan cache".into(),
                 ));
@@ -431,9 +431,9 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
             // Bug hook: DuckdbCaseSubqueryElse — a THEN arm containing a
             // subquery makes the CASE take the ELSE arm (shape precomputed
             // by the binder).
-            if ctx.bugs.active(BugId::DuckdbCaseSubqueryElse)
-                && else_expr.is_some()
+            if else_expr.is_some()
                 && *then_subquery
+                && ctx.bugs.active(BugId::DuckdbCaseSubqueryElse)
             {
                 ctx.cov.hit(pt::EVAL_CASE_ELSE);
                 return eval_bound(else_expr.as_ref().unwrap(), env.child());
@@ -455,9 +455,9 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
                         // Bug hook: CockroachCaseNullFromCte (Listing 7) —
                         // `WHEN NULL` takes the THEN branch when the query
                         // reads from a CTE.
-                        if ctx.bugs.active(BugId::CockroachCaseNullFromCte)
-                            && env.info.from_has_cte
+                        if env.info.from_has_cte
                             && matches!(w, BoundExpr::Literal(Value::Null))
+                            && ctx.bugs.active(BugId::CockroachCaseNullFromCte)
                         {
                             return eval_bound(t, env.child());
                         }
@@ -737,7 +737,7 @@ pub(crate) fn eval_unary(
 }
 
 fn coerce_subquery_bool(v: Value, e: &BoundExpr, ctx: &EngineCtx) -> Value {
-    if ctx.bugs.active(BugId::DuckdbSubqueryBoolCoerce) && matches!(e, BoundExpr::Scalar { .. }) {
+    if matches!(e, BoundExpr::Scalar { .. }) && ctx.bugs.active(BugId::DuckdbSubqueryBoolCoerce) {
         // The modelled bug mishandles the subquery's return type before a
         // comparison: booleans invert, integers come back sign-flipped.
         match v {

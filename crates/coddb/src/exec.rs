@@ -26,6 +26,8 @@ use std::rc::Rc;
 
 use crate::ast::{AggFunc, BinaryOp, Expr, JoinKind, Select, SelectItem, SetOp, SortOrder};
 use crate::bind::{bind_join_keys, Binder, BoundExpr};
+#[cfg(debug_assertions)]
+use crate::bugs::ValidatorScope;
 use crate::bugs::{BugId, BugRegistry, IndexBugId};
 use crate::cache::{get_or_build, GroupedBindings, ProjBindings, StmtCaches, SubqEntry};
 use crate::catalog::Catalog;
@@ -384,9 +386,11 @@ impl<'p> Prepared<'p> {
         // Debug builds verify every bound clause at the bind seam: scope
         // hops and ordinals in bounds, and no aggregate slots (this path
         // rejects aggregates). Clean engines only — mutant behavior is
-        // the campaign's business.
+        // the campaign's business. The gate records no consult; it can
+        // change a replay's verdict only when the clean engine fails this
+        // validator.
         #[cfg(debug_assertions)]
-        if ctx.bugs.is_clean() {
+        if ctx.bugs.validator_gate(ValidatorScope::AnyMutant) {
             let violations = crate::validate::validate_bound(&bound, scopes, None);
             assert!(
                 violations.is_empty(),
@@ -599,12 +603,12 @@ pub fn exec_select_plan(
     };
 
     // Bug hook: TidbInternalSetOpOrderBy.
-    if ctx.bugs.active(BugId::TidbInternalSetOpOrderBy)
-        && matches!(plan.body, BodyPlan::SetOp { .. })
+    if matches!(plan.body, BodyPlan::SetOp { .. })
         && plan
             .order_by
             .iter()
             .any(|o| matches!(o.expr, Expr::Literal(Value::Int(_))))
+        && ctx.bugs.active(BugId::TidbInternalSetOpOrderBy)
     {
         return Err(Error::Internal(
             "cannot resolve positional ORDER BY over set operation".into(),
@@ -1020,15 +1024,10 @@ fn exec_core(
 ) -> Result<BodyOutput> {
     // Hang hooks keyed on FROM shape.
     if let Some(from) = &core.from {
-        if ctx.bugs.active(BugId::CockroachHangCteReuse) {
-            let mut names = Vec::new();
-            collect_cte_scans(from, &mut names);
-            names.sort();
-            if names.windows(2).any(|w| w[0] == w[1]) {
-                return Err(Error::Hang);
-            }
+        if from.reuses_cte() && ctx.bugs.active(BugId::CockroachHangCteReuse) {
+            return Err(Error::Hang);
         }
-        if ctx.bugs.active(BugId::DuckdbHangTripleJoin) && from.join_count() >= 3 {
+        if from.join_count() >= 3 && ctx.bugs.active(BugId::DuckdbHangTripleJoin) {
             return Err(Error::Hang);
         }
     }
@@ -1056,9 +1055,9 @@ fn exec_core(
     };
 
     // Bug hook: CockroachHangFullJoinHaving.
-    if ctx.bugs.active(BugId::CockroachHangFullJoinHaving)
-        && core.having.is_some()
+    if core.having.is_some()
         && from.is_some_and(FromPlan::has_full_join)
+        && ctx.bugs.active(BugId::CockroachHangFullJoinHaving)
     {
         return Err(Error::Hang);
     }
@@ -1428,8 +1427,8 @@ fn exec_grouped(
 
     // Bug hook: DuckdbInternalGroupByRealMany (`int_groups` keys are
     // INTs by construction and can never satisfy the REAL condition).
-    if ctx.bugs.active(BugId::DuckdbInternalGroupByRealMany)
-        && groups.len() + single_groups.len() + int_groups.len() > 2
+    if groups.len() + single_groups.len() + int_groups.len() > 2
+        && ctx.bugs.active(BugId::DuckdbInternalGroupByRealMany)
         && (groups
             .keys()
             .any(|k| k.iter().any(|v| matches!(v.0, Value::Real(_))))
@@ -1441,14 +1440,12 @@ fn exec_grouped(
     }
 
     // Bug hook: TidbInternalHavingCorrelated — a subquery under HAVING.
-    if ctx.bugs.active(BugId::TidbInternalHavingCorrelated) {
-        if let Some(h) = &core.having {
-            if h.contains_subquery() {
-                return Err(Error::Internal(
-                    "failed to decorrelate subquery in HAVING".into(),
-                ));
-            }
-        }
+    if core.having.as_ref().is_some_and(Expr::contains_subquery)
+        && ctx.bugs.active(BugId::TidbInternalHavingCorrelated)
+    {
+        return Err(Error::Internal(
+            "failed to decorrelate subquery in HAVING".into(),
+        ));
     }
 
     // A singleton `OrdValue` (or plain `i64`) orders exactly like its
@@ -1472,11 +1469,11 @@ fn exec_grouped(
     // last group. The rewrite rule pattern-matches plain grouping
     // expressions, so a CASE-shaped group key escapes it (which is what
     // lets a folded query expose the discrepancy).
-    if ctx.bugs.active(BugId::DuckdbDistinctGroupByDrop)
-        && core.distinct
+    if core.distinct
         && !core.group_by.is_empty()
         && group_list.len() > 1
         && !matches!(group_exprs.first(), Some(Expr::Case { .. }))
+        && ctx.bugs.active(BugId::DuckdbDistinctGroupByDrop)
     {
         group_list.pop();
     }
@@ -1791,9 +1788,10 @@ fn grouped_bindings(
             let agg_specs = binder.into_agg_specs();
             // Debug builds verify the grouped bound forms: group keys are
             // aggregate-free, and every aggregate slot in the projection /
-            // HAVING indexes the collected spec table.
+            // HAVING indexes the collected spec table. Clean engines only,
+            // through the same unrecorded gate as the bind seam above.
             #[cfg(debug_assertions)]
-            if ctx.bugs.is_clean() {
+            if ctx.bugs.validator_gate(ValidatorScope::AnyMutant) {
                 let mut violations = Vec::new();
                 for g in &group_bound {
                     violations.extend(crate::validate::validate_bound(g, &scopes, None));
@@ -2179,8 +2177,13 @@ fn seek_filter(
 
     // With an index mutant active the skip set is deliberately wrong, so
     // a representative may well evaluate non-FALSE — that divergence is
-    // the campaign's signal, not a replay defect.
-    let assert_reps = cfg!(debug_assertions) && ctx.bugs.enabled_index().next().is_none();
+    // the campaign's signal, not a replay defect. The gate records no
+    // consult; it can change a replay's verdict only when the clean
+    // engine fails this assertion.
+    #[cfg(debug_assertions)]
+    let assert_reps = ctx.bugs.validator_gate(ValidatorScope::IndexMutants);
+    #[cfg(not(debug_assertions))]
+    let assert_reps = false;
 
     // Predicate shapes that [`apply_cmp_filter_fast`] handles charge all
     // rows in one refusable `consume_fuel` call, so a short budget hangs
@@ -2357,18 +2360,6 @@ fn seek_filter(
         }
     }
     Ok(out)
-}
-
-fn collect_cte_scans(from: &FromPlan, out: &mut Vec<String>) {
-    match from {
-        FromPlan::CteScan { name, .. } => out.push(name.clone()),
-        FromPlan::Join { left, right, .. } => {
-            collect_cte_scans(left, out);
-            collect_cte_scans(right, out);
-        }
-        FromPlan::Filtered { input, .. } => collect_cte_scans(input, out),
-        _ => {}
-    }
 }
 
 /// May this FROM subtree's materialized result be shared across operator
@@ -2796,21 +2787,22 @@ fn exec_join(
     // Crash hooks: the DuckDB IEJoin bugs (both fixed upstream; modelled
     // here as Error::Crash instead of a process abort).
     if let Some(on_expr) = on {
-        if ctx.bugs.active(BugId::DuckdbCrashIEJoinRange) {
-            if let Expr::Binary {
-                op: crate::ast::BinaryOp::And,
-                left: a,
-                right: b,
-            } = on_expr
+        if let Expr::Binary {
+            op: crate::ast::BinaryOp::And,
+            left: a,
+            right: b,
+        } = on_expr
+        {
+            if is_inequality(a)
+                && is_inequality(b)
+                && ctx.bugs.active(BugId::DuckdbCrashIEJoinRange)
             {
-                if is_inequality(a) && is_inequality(b) {
-                    return Err(Error::Crash(
-                        "segmentation fault in IEJoin (index out of bounds)".into(),
-                    ));
-                }
+                return Err(Error::Crash(
+                    "segmentation fault in IEJoin (index out of bounds)".into(),
+                ));
             }
         }
-        if ctx.bugs.active(BugId::DuckdbCrashIEJoinTypes) && is_inequality(on_expr) {
+        if is_inequality(on_expr) && ctx.bugs.active(BugId::DuckdbCrashIEJoinTypes) {
             if let (Some(lrow), Some(rrow)) = (left.rows.first(), right.rows.first()) {
                 let combined = concat_row(lrow, rrow);
                 if let Expr::Binary {

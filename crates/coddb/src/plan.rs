@@ -22,6 +22,8 @@ use crate::ast::{
     BinaryOp, Expr, JoinKind, OrderItem, Select, SelectBody, SelectCore, SelectItem, SetOp,
     TableExpr,
 };
+#[cfg(debug_assertions)]
+use crate::bugs::ValidatorScope;
 use crate::bugs::{BugId, BugRegistry, IndexBugId};
 use crate::catalog::{Catalog, RelationKind};
 use crate::coverage::{pt, Coverage};
@@ -130,7 +132,7 @@ impl FromPlan {
     /// Does any node whose rows flow into this one satisfy `f`? The walk
     /// follows joins and pushed filters; a derived table's plan is
     /// opaque.
-    fn any_input(&self, f: &impl Fn(&FromPlan) -> bool) -> bool {
+    fn any_input<'a>(&'a self, f: &mut impl FnMut(&'a FromPlan) -> bool) -> bool {
         f(self)
             || match self {
                 FromPlan::Join { left, right, .. } => left.any_input(f) || right.any_input(f),
@@ -142,17 +144,30 @@ impl FromPlan {
     /// Do the rows arrive through an index scan? Seeks do not count:
     /// they hand the WHERE stage a pre-filtered row set instead.
     pub fn reads_index_scan(&self) -> bool {
-        self.any_input(&|f| matches!(f, FromPlan::IndexScan { .. }))
+        self.any_input(&mut |f| matches!(f, FromPlan::IndexScan { .. }))
     }
 
     /// Do the rows come (in part) from a CTE?
     pub fn reads_cte(&self) -> bool {
-        self.any_input(&|f| matches!(f, FromPlan::CteScan { .. }))
+        self.any_input(&mut |f| matches!(f, FromPlan::CteScan { .. }))
+    }
+
+    /// Is some CTE scanned twice (a CTE joined with itself)?
+    pub fn reuses_cte(&self) -> bool {
+        let mut scanned = Vec::new();
+        self.any_input(&mut |f| match f {
+            FromPlan::CteScan { name, .. } if scanned.contains(&name) => true,
+            FromPlan::CteScan { name, .. } => {
+                scanned.push(name);
+                false
+            }
+            _ => false,
+        })
     }
 
     /// Does the subtree contain a FULL JOIN?
     pub fn has_full_join(&self) -> bool {
-        self.any_input(&|f| {
+        self.any_input(&mut |f| {
             matches!(
                 f,
                 FromPlan::Join {
@@ -308,8 +323,10 @@ pub fn plan_select(
     // produces, so the whole test + fuzz corpus exercises it for free.
     // Clean engines only: mutant-corrupted plans are invalid by design,
     // and flagging them is the campaign oracle's job, not an assertion.
+    // The gate records no consult; it can change a replay's verdict only
+    // when the clean engine fails this validator.
     #[cfg(debug_assertions)]
-    if pctx.bugs.is_clean() {
+    if pctx.bugs.validator_gate(ValidatorScope::AnyMutant) {
         let violations = crate::validate::validate_plan(&plan, pctx.catalog);
         assert!(
             violations.is_empty(),
@@ -570,35 +587,34 @@ fn fold_expr(expr: Expr, pctx: &PlanCtx, in_join_query: bool) -> Result<Expr> {
     // Bug hook: CockroachConstFoldNotBetweenNull — the optimizer "folds"
     // a NOT BETWEEN with a NULL bound to TRUE in join queries, although the
     // expression is not constant at all.
-    if pctx.bugs.active(BugId::CockroachConstFoldNotBetweenNull) && in_join_query {
-        if let Expr::Between {
-            negated: true,
-            low,
-            high,
-            ..
-        } = &expr
+    if let Expr::Between {
+        negated: true,
+        low,
+        high,
+        ..
+    } = &expr
+    {
+        let null_bound = matches!(low.as_ref(), Expr::Literal(Value::Null))
+            || matches!(high.as_ref(), Expr::Literal(Value::Null));
+        if in_join_query && null_bound && pctx.bugs.active(BugId::CockroachConstFoldNotBetweenNull)
         {
-            let null_bound = matches!(low.as_ref(), Expr::Literal(Value::Null))
-                || matches!(high.as_ref(), Expr::Literal(Value::Null));
-            if null_bound {
-                return Ok(Expr::Literal(truthy_literal(pctx.dialect)));
-            }
+            return Ok(Expr::Literal(truthy_literal(pctx.dialect)));
         }
     }
     // Bug hook: CockroachInternalNegMod — folding `x % -k` raises an
     // internal error.
-    if pctx.bugs.active(BugId::CockroachInternalNegMod) {
-        if let Expr::Binary {
-            op: BinaryOp::Mod,
-            right,
-            ..
-        } = &expr
+    if let Expr::Binary {
+        op: BinaryOp::Mod,
+        right,
+        ..
+    } = &expr
+    {
+        if matches!(right.as_ref(), Expr::Literal(Value::Int(k)) if *k < 0)
+            && pctx.bugs.active(BugId::CockroachInternalNegMod)
         {
-            if matches!(right.as_ref(), Expr::Literal(Value::Int(k)) if *k < 0) {
-                return Err(Error::Internal(
-                    "constant folding of % with negative modulus".into(),
-                ));
-            }
+            return Err(Error::Internal(
+                "constant folding of % with negative modulus".into(),
+            ));
         }
     }
 

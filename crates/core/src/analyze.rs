@@ -22,6 +22,13 @@
 //!   `BENCH_engine.json` must have a row in the `GATED_FIELDS` table of
 //!   `crates/bench/src/lib.rs`, which `bench_engine` enforces on every
 //!   run.
+//! * **mutant-read-unrecorded** — engine code (`crates/coddb/src` outside
+//!   `bugs.rs`) and the oracle modules read the mutant registry only
+//!   through its recording hook accessors (`active`, `recovery_active`,
+//!   `index_active`, `media_active`), so every read that can steer a run
+//!   lands in the consult record `rerun_test` prunes replays by. A call of
+//!   any of the registry's other readers there fails the lint, as does
+//!   resetting the record.
 //!
 //! All parsing is plain text scanning with token-boundary checks — no
 //! external dependencies, deterministic, and fast enough for CI.
@@ -140,6 +147,17 @@ fn token_match(hay: &str, needle: &str) -> bool {
     false
 }
 
+/// Does `line` call `name` or refer to it by path (`name(` or `::name`,
+/// with `name` a whole identifier)?
+fn names_fn(line: &str, name: &str) -> bool {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    line.match_indices(name).any(|(at, _)| {
+        let (before, after) = (&line[..at], &line[at + name.len()..]);
+        !before.ends_with(is_ident)
+            && (after.starts_with('(') || (before.ends_with("::") && !after.starts_with(is_ident)))
+    })
+}
+
 /// Recursively collect `.rs` files under `dir` (sorted for determinism).
 fn rs_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
@@ -234,6 +252,30 @@ fn parse_gated_fields(src: &str) -> std::collections::BTreeSet<String> {
         .collect()
 }
 
+/// The oracle modules of `crates/core/src`: the oracles `make_oracle`
+/// builds and the `Session` they run through.
+const ORACLE_MODULES: [&str; 8] = [
+    "lib.rs",
+    "codd.rs",
+    "dqe.rs",
+    "eet.rs",
+    "norec.rs",
+    "recover.rs",
+    "tlp.rs",
+    "verify.rs",
+];
+
+/// The registry's readers that record no consult, and the record's reset.
+const UNRECORDED_READS: [&str; 7] = [
+    "is_clean",
+    "enabled",
+    "enabled_recovery",
+    "enabled_index",
+    "enabled_media",
+    "shares_mutant_with",
+    "take_consulted",
+];
+
 /// Run every lint against the repository at `root`.
 pub fn analyze_repo(root: &Path) -> io::Result<AnalyzeReport> {
     let mut report = AnalyzeReport::default();
@@ -320,6 +362,41 @@ pub fn analyze_repo(root: &Path) -> io::Result<AnalyzeReport> {
     report.checked.insert("mutant-unhooked", hook_checked);
     report.checked.insert("mutant-untested", hook_checked);
 
+    // --- mutant-read-unrecorded ------------------------------------------
+    let oracle_paths: Vec<PathBuf> = ORACLE_MODULES
+        .iter()
+        .map(|m| root.join("crates/core/src").join(m))
+        .filter(|p| p.exists())
+        .collect();
+    let oracle_src = read_files(&oracle_paths)?;
+    let scanned: Vec<&(PathBuf, String)> = engine_src
+        .iter()
+        .filter(|(p, _)| !p.ends_with("bugs.rs"))
+        .chain(&oracle_src)
+        .collect();
+    report
+        .checked
+        .insert("mutant-read-unrecorded", scanned.len());
+    for (path, src) in scanned {
+        for (no, line) in src.lines().enumerate() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            let read = UNRECORDED_READS.iter().find(|m| names_fn(line, m));
+            if let Some(m) = read {
+                let rel = path.strip_prefix(root).unwrap_or(path);
+                report.findings.push(LintFinding {
+                    lint: "mutant-read-unrecorded",
+                    subject: format!("{}:{}", rel.display(), no + 1),
+                    detail: format!(
+                        "`{m}` reads the mutant registry without recording a consult; \
+                         engine and oracle code must use the hook accessors"
+                    ),
+                });
+            }
+        }
+    }
+
     // --- bench-field-ungated ---------------------------------------------
     let bench_json = fs::read_to_string(root.join("BENCH_engine.json")).unwrap_or_default();
     let gate_table = parse_gated_fields(
@@ -377,11 +454,13 @@ mod tests {
         assert!(report.checked["coverage-point-unused"] > 100);
         assert_eq!(report.checked["mutant-unhooked"], 45 + 10 + 5 + 5);
         assert!(report.checked["bench-field-ungated"] >= 8);
+        assert!(report.checked["mutant-read-unrecorded"] > 20);
     }
 
     /// A deliberately-broken fixture repo: an unemitted coverage point,
-    /// an unhooked + untested mutant, and an ungated bench field must
-    /// each produce their finding.
+    /// an unhooked + untested mutant, an ungated bench field and
+    /// unrecorded registry reads in engine and oracle code must each
+    /// produce their finding.
     #[test]
     fn broken_fixture_fails_every_lint() {
         let dir = std::env::temp_dir().join(format!("coddtest-analyze-{}", std::process::id()));
@@ -403,6 +482,18 @@ mod tests {
         fs::write(
             src.join("hooks.rs"),
             "fn g(b: &B) { b.active(BugId::Hooked); }\n",
+        )
+        .unwrap();
+        fs::write(
+            src.join("gate.rs"),
+            "// b.is_clean() in a comment is fine\nfn h(b: &B) -> bool { b.is_clean() }\n",
+        )
+        .unwrap();
+        let oracles = dir.join("crates/core/src");
+        fs::create_dir_all(&oracles).unwrap();
+        fs::write(
+            oracles.join("tlp.rs"),
+            "fn o(b: &B) { let _ = b.enabled_index().count(); take_consulted(); }\n",
         )
         .unwrap();
         let tests = dir.join("crates/coddb/tests");
@@ -447,6 +538,22 @@ mod tests {
             lints.contains(&("bench-field-ungated", "ghost_speedup")),
             "{lints:?}"
         );
+        assert!(
+            lints.contains(&("mutant-read-unrecorded", "crates/coddb/src/gate.rs:2")),
+            "{lints:?}"
+        );
+        assert!(
+            lints.contains(&("mutant-read-unrecorded", "crates/core/src/tlp.rs:1")),
+            "{lints:?}"
+        );
+        assert_eq!(
+            lints
+                .iter()
+                .filter(|(l, _)| *l == "mutant-read-unrecorded")
+                .count(),
+            2,
+            "one finding per offending line, none for comments or hook reads: {lints:?}"
+        );
         // The healthy entries stay clean.
         assert!(!lints.iter().any(|(_, s)| *s == "USED_POINT"));
         assert!(!lints.iter().any(|(_, s)| *s == "BugId::Hooked"));
@@ -456,6 +563,16 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"clean\":false"));
         assert!(json.contains("GHOST_POINT"));
+    }
+
+    #[test]
+    fn unrecorded_read_matching_respects_identifiers() {
+        assert!(names_fn("ctx.bugs.enabled().next()", "enabled"));
+        assert!(names_fn(".map(BugRegistry::enabled)", "enabled"));
+        assert!(names_fn("let c = take_consulted();", "take_consulted"));
+        assert!(!names_fn("ctx.bugs.enabled_index()", "enabled"));
+        assert!(!names_fn("tr.is_enabled()", "enabled"));
+        assert!(!names_fn("let enabled = 1;", "enabled"));
     }
 
     #[test]

@@ -223,6 +223,11 @@ pub fn value_is_true(v: &Value) -> bool {
 /// [`Database::restore`], drops what it creates) or rebuilds its private
 /// tables before reading them, as [`dqe`] does. It keeps no per-test
 /// state, only its fixed configuration.
+///
+/// The active mutants may steer a test only through the registry's
+/// recording hook accessors, called on the thread that runs the test:
+/// [`runner::rerun_test`] skips replays under mutants the test's clean
+/// run never asked about (see [`coddb::bugs::BugRegistry`]).
 pub trait Oracle {
     fn name(&self) -> &'static str;
 

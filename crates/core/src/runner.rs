@@ -22,6 +22,16 @@
 //! before it on the same session (the [`Oracle`] contract). So
 //! [`rerun_test`] reproduces any coordinate by running that test alone.
 //!
+//! A test depends on the mutant set only through the mutants its run
+//! *consults*: the engine asks whether a mutant is on before acting on it,
+//! and every such read records the mutant (see [`BugRegistry`]). A run
+//! under a registry none of whose mutants the clean run consulted is
+//! therefore the clean run, step for step. [`rerun_test`] keeps the last
+//! clean run of each thread — its coordinates, verdict and consulted
+//! mutants — and answers from it without replaying whenever the requested
+//! registry shares no mutant with that consulted set. Attributing a
+//! finding replays it only under the mutants its clean run asked about.
+//!
 //! # Shard/merge determinism scheme
 //!
 //! Per-state work is isolated in [`run_state`]: it builds the state's
@@ -69,11 +79,14 @@
 //! queries issued by `Skipped` tests and by state setup are excluded from
 //! both numerator and denominator.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use coddb::bugs::{BugId, BugKind, BugRegistry, IndexBugId, MediaBugId, RecoveryBugId};
+use coddb::bugs::{
+    take_consulted, BugId, BugKind, BugRegistry, IndexBugId, MediaBugId, RecoveryBugId,
+};
 use coddb::coverage::Coverage;
 use coddb::{Database, Dialect, Severity};
 use rand::rngs::StdRng;
@@ -709,6 +722,30 @@ pub fn run_campaign_parallel(
     Some(result)
 }
 
+/// Everything a test's outcome depends on besides the mutant set.
+#[derive(PartialEq)]
+struct TestCoords {
+    oracle: String,
+    dialect: Dialect,
+    seed: u64,
+    gen: GenConfig,
+    state_idx: u64,
+    test_idx: u64,
+}
+
+/// A test's run with none of its registry's mutants consulted: the clean
+/// run's verdict and consulted mutants.
+struct CleanRun {
+    test: TestCoords,
+    verdict: bool,
+    consulted: BugRegistry,
+}
+
+thread_local! {
+    /// [`rerun_test`]'s one-entry memo: this thread's last clean run.
+    static CLEAN_RUN: RefCell<Option<CleanRun>> = const { RefCell::new(None) };
+}
+
 /// Re-run one specific campaign test under a given mutant configuration;
 /// returns whether it reports a bug.
 ///
@@ -716,7 +753,51 @@ pub fn run_campaign_parallel(
 /// test independence (module docs) the state's earlier tests cannot change
 /// its outcome. A panic counts as reproduced, as the campaign records it
 /// as a `Crash` finding.
+///
+/// When this thread's last clean run was of the same test and consulted
+/// none of `bugs`'s mutants, returns that run's verdict without replaying
+/// (the consult rule in the module docs). A replay that consults none of
+/// `bugs`'s mutants is such a clean run and becomes the memo, so the memo
+/// never costs a replay.
 pub fn rerun_test(
+    oracle_name: &str,
+    cfg: &CampaignConfig,
+    state_idx: u64,
+    test_idx: u64,
+    bugs: &BugRegistry,
+) -> bool {
+    let test = TestCoords {
+        oracle: oracle_name.to_string(),
+        dialect: cfg.dialect,
+        seed: cfg.seed,
+        gen: cfg.gen.clone(),
+        state_idx,
+        test_idx,
+    };
+    let memo = CLEAN_RUN.with_borrow(|clean| match clean {
+        Some(clean) if clean.test == test && !bugs.shares_mutant_with(&clean.consulted) => {
+            Some(clean.verdict)
+        }
+        _ => None,
+    });
+    if let Some(verdict) = memo {
+        return verdict;
+    }
+    take_consulted();
+    let verdict = replay_test(oracle_name, cfg, state_idx, test_idx, bugs);
+    let consulted = take_consulted();
+    if !bugs.shares_mutant_with(&consulted) {
+        CLEAN_RUN.set(Some(CleanRun {
+            test,
+            verdict,
+            consulted,
+        }));
+    }
+    verdict
+}
+
+/// [`rerun_test`]'s replay: apply the state under `bugs` and run the test.
+fn replay_test(
     oracle_name: &str,
     cfg: &CampaignConfig,
     state_idx: u64,
@@ -750,9 +831,11 @@ pub fn attribute_bugs(result: &mut CampaignResult, cfg: &CampaignConfig, oracle_
 
 /// [`attribute_bugs`] fanned out across `threads` workers: every
 /// `(finding, mutant)` re-run is an independent seed-deterministic replay,
-/// so workers pull jobs from a shared counter and the attributions are
-/// written back in the same `(finding, enabled-mutant)` order the
-/// sequential version produces — identical output at any thread count.
+/// so workers pull findings from a shared counter, replay each under all
+/// of its mutants (one worker per finding, so [`rerun_test`]'s per-thread
+/// memo serves the whole finding), and the attributions are written back
+/// in the same `(finding, enabled-mutant)` order the sequential version
+/// produces — identical output at any thread count.
 pub fn attribute_bugs_parallel(
     result: &mut CampaignResult,
     cfg: &CampaignConfig,
@@ -788,34 +871,36 @@ pub fn attribute_bugs_parallel(
         .chain(cfg.bugs.enabled_index().map(Mutant::Index))
         .chain(cfg.bugs.enabled_media().map(Mutant::Media))
         .collect();
-    let jobs: Vec<(usize, Mutant)> = (0..result.findings.len())
-        .flat_map(|fi| enabled.iter().map(move |&bug| (fi, bug)))
+    // `hits[fi * enabled.len() + mi]`: finding `fi` reproduces under
+    // mutant `mi` alone.
+    let next_finding = AtomicUsize::new(0);
+    let hits: Vec<AtomicBool> = (0..result.findings.len() * enabled.len())
+        .map(|_| AtomicBool::new(false))
         .collect();
-
-    let next_job = AtomicUsize::new(0);
-    let hits: Vec<AtomicBool> = jobs.iter().map(|_| AtomicBool::new(false)).collect();
     let findings = &result.findings;
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
             scope.spawn(|| loop {
-                let j = next_job.fetch_add(1, Ordering::Relaxed);
-                let Some(&(fi, bug)) = jobs.get(j) else {
+                let fi = next_finding.fetch_add(1, Ordering::Relaxed);
+                let Some(f) = findings.get(fi) else {
                     break;
                 };
-                let f = &findings[fi];
-                if rerun_test(oracle_name, cfg, f.state_idx, f.test_idx, &bug.registry()) {
-                    hits[j].store(true, Ordering::Relaxed);
+                for (mi, bug) in enabled.iter().enumerate() {
+                    if rerun_test(oracle_name, cfg, f.state_idx, f.test_idx, &bug.registry()) {
+                        hits[fi * enabled.len() + mi].store(true, Ordering::Relaxed);
+                    }
                 }
             });
         }
     });
-    for (j, &(fi, bug)) in jobs.iter().enumerate() {
-        if hits[j].load(Ordering::Relaxed) {
-            match bug {
-                Mutant::Engine(b) => result.findings[fi].attributed.push(b),
-                Mutant::Recovery(b) => result.findings[fi].attributed_recovery.push(b),
-                Mutant::Index(b) => result.findings[fi].attributed_index.push(b),
-                Mutant::Media(b) => result.findings[fi].attributed_media.push(b),
+    for (j, hit) in hits.iter().enumerate() {
+        if hit.load(Ordering::Relaxed) {
+            let f = &mut result.findings[j / enabled.len()];
+            match enabled[j % enabled.len()] {
+                Mutant::Engine(b) => f.attributed.push(b),
+                Mutant::Recovery(b) => f.attributed_recovery.push(b),
+                Mutant::Index(b) => f.attributed_index.push(b),
+                Mutant::Media(b) => f.attributed_media.push(b),
             }
         }
     }

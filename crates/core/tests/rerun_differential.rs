@@ -7,10 +7,15 @@
 //! with and without mutants, and for every attribution replay. The grid
 //! also compares each test's full outcome and fuel, so an oracle that
 //! leaks data into later tests fails it even when no verdict flips.
+//!
+//! `rerun_test` also skips replays by the consult rule: a run depends on
+//! the mutant set only through the mutants it asks about. The suite checks
+//! the rule itself on every oracle, and checks that the memo built on it
+//! answers like the full-prefix replay in any visiting order.
 
 use std::ops::Range;
 
-use coddb::bugs::{BugRegistry, IndexBugId, RecoveryBugId};
+use coddb::bugs::{take_consulted, BugId, BugRegistry, IndexBugId, MediaBugId, RecoveryBugId};
 use coddb::{Database, Dialect};
 use coddtest::runner::{rerun_test, run_campaign, state_seed, test_seed, CampaignConfig};
 use coddtest::{make_oracle, Session, TestOutcome};
@@ -205,4 +210,131 @@ fn index_and_recovery_attribution_match_full_prefix_replay() {
         ..CampaignConfig::new(Dialect::Sqlite)
     };
     assert!(assert_attribution_matches("recover", &cfg, &[bugs]) > 0);
+}
+
+/// Apply state `state_idx` under `bugs` and run test `test_idx` alone.
+/// Returns the outcome (or the setup error), the fuel and coverage words
+/// of the whole run, setup included, and the mutants it consulted.
+fn consult_probe(
+    oracle_name: &str,
+    cfg: &CampaignConfig,
+    bugs: &BugRegistry,
+    state_idx: u64,
+    test_idx: u64,
+) -> ((String, u64, Vec<u64>), BugRegistry) {
+    take_consulted();
+    let mut oracle = make_oracle(oracle_name).unwrap();
+    let mut srng = StdRng::seed_from_u64(state_seed(cfg.seed, state_idx));
+    let (stmts, schema) = generate_state(&mut srng, cfg.dialect, &cfg.gen);
+    let mut db = Database::with_bugs(cfg.dialect, bugs.clone());
+    let outcome = match stmts.iter().try_for_each(|s| db.execute(s).map(drop)) {
+        Err(e) => format!("setup failed: {e:?}"),
+        Ok(()) => {
+            let mut session = Session::new(&mut db);
+            let mut trng = StdRng::seed_from_u64(test_seed(cfg.seed, state_idx, test_idx));
+            format!("{:?}", oracle.run_one(&mut session, &schema, &mut trng))
+        }
+    };
+    let run = (outcome, db.fuel_used(), db.coverage().snapshot());
+    (run, take_consulted())
+}
+
+/// The consult rule: every mutant of the four registries that a clean
+/// run never asked about leaves that run unchanged when enabled alone —
+/// the same outcome, fuel and coverage words — for every oracle on every
+/// dialect.
+#[test]
+fn unconsulted_mutants_leave_the_clean_run_unchanged() {
+    let singles: Vec<BugRegistry> = BugId::ALL
+        .map(BugRegistry::only)
+        .into_iter()
+        .chain(RecoveryBugId::ALL.map(BugRegistry::only_recovery))
+        .chain(IndexBugId::ALL.map(BugRegistry::only_index))
+        .chain(MediaBugId::ALL.map(BugRegistry::only_media))
+        .collect();
+    let (mut compared, mut consulted_total) = (0, 0);
+    for dialect in Dialect::ALL {
+        let cfg = CampaignConfig::new(dialect);
+        for (i, &oracle) in (0u64..).zip(ORACLES) {
+            // Different states and tests per oracle, for more shapes.
+            for (state_idx, test_idx) in (0..3).map(|k| ((i + k) % 4, i + k)) {
+                let (clean, consulted) =
+                    consult_probe(oracle, &cfg, &BugRegistry::none(), state_idx, test_idx);
+                for bugs in &singles {
+                    if bugs.shares_mutant_with(&consulted) {
+                        consulted_total += 1;
+                        continue;
+                    }
+                    let (run, _) = consult_probe(oracle, &cfg, bugs, state_idx, test_idx);
+                    assert_eq!(
+                        run, clean,
+                        "{oracle} {dialect:?} state {state_idx} test {test_idx}: \
+                         {bugs:?} was never consulted but changed the run"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        compared > 5000,
+        "only {compared} unconsulted mutants compared"
+    );
+    assert!(consulted_total > 0, "no clean run consulted any mutant");
+}
+
+/// `rerun_test` answers like the full-prefix replay whatever order a
+/// finding's registries come in: its mutants in reverse, interleaved with
+/// the clean and the full registry, and on a fresh thread whose memo is
+/// cold.
+#[test]
+fn memoized_reruns_match_full_prefix_replay_in_any_order() {
+    let mut checked = 0;
+    for dialect in Dialect::ALL {
+        let cfg = CampaignConfig {
+            bugs: BugRegistry::all_for_dialect(dialect),
+            tests: 60,
+            ..CampaignConfig::new(dialect)
+        };
+        let mut oracle = make_oracle("codd").unwrap();
+        let result = run_campaign(oracle.as_mut(), &cfg);
+        let none = BugRegistry::none();
+        let singles: Vec<BugRegistry> = cfg.bugs.enabled().map(BugRegistry::only).collect();
+        for f in result.findings.iter().take(2) {
+            let (s, t) = (f.state_idx, f.test_idx);
+            let expect = |bugs: &BugRegistry| full_prefix_replay("codd", &cfg, bugs, s, t);
+            let (clean, full) = (expect(&none), expect(&cfg.bugs));
+            let single_refs: Vec<bool> = singles.iter().map(expect).collect();
+            let label = format!("codd {dialect:?} state {s} test {t}");
+
+            for (bugs, &reference) in singles.iter().zip(&single_refs).rev() {
+                let got = rerun_test("codd", &cfg, s, t, bugs);
+                assert_eq!(got, reference, "{label}, reverse order, {bugs:?}");
+            }
+            for (i, (bugs, &reference)) in singles.iter().zip(&single_refs).enumerate() {
+                let (other, other_ref) = if i % 2 == 0 {
+                    (&none, clean)
+                } else {
+                    (&cfg.bugs, full)
+                };
+                assert_eq!(
+                    rerun_test("codd", &cfg, s, t, other),
+                    other_ref,
+                    "{label}, interleaved, {other:?}"
+                );
+                let got = rerun_test("codd", &cfg, s, t, bugs);
+                assert_eq!(got, reference, "{label}, interleaved, {bugs:?}");
+            }
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for (bugs, &reference) in singles.iter().zip(&single_refs) {
+                        let got = rerun_test("codd", &cfg, s, t, bugs);
+                        assert_eq!(got, reference, "{label}, cold memo, {bugs:?}");
+                    }
+                });
+            });
+            checked += 1;
+        }
+    }
+    assert!(checked >= 5, "only {checked} findings checked");
 }

@@ -22,7 +22,7 @@ use coddb::value::DataType;
 use coddb::Dialect;
 
 /// Generation knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenConfig {
     /// Maximum expression depth (the paper's `MaxDepth`, default 3).
     pub max_depth: u32,

@@ -1,18 +1,16 @@
 //! Shared helpers for the table/figure harness binaries.
 //!
 //! Each binary regenerates one artefact of the paper's evaluation section
-//! (see DESIGN.md's experiment index). The binaries print both the
-//! measured values and — where applicable — the paper's reported numbers
-//! side by side, so EXPERIMENTS.md can record paper-vs-measured shape
-//! comparisons directly from their output.
+//! and prints the measured values next to the paper's reported numbers,
+//! where the paper has them. `bench_engine` records the engine perf
+//! trajectory (`BENCH_engine.json`) from the shapes defined here.
 
 use coddb::{Database, Dialect};
 
-/// The engine benchmark query shapes, shared by the `engine_exec`
-/// criterion bench, the `bench_engine` runner that records the
-/// checked-in perf trajectory (`BENCH_engine.json`) and the `durable-sql`
-/// benchmark workload — one definition so the trajectory stays
-/// comparable across PRs.
+/// The engine benchmark query shapes, shared by the `bench_engine` runner
+/// that records the checked-in perf trajectory (`BENCH_engine.json`) and
+/// the `durable-sql` benchmark workload — one definition so the
+/// trajectory stays comparable across PRs.
 pub const QUERY_SHAPES: &[(&str, &str)] = &[
     (
         "seq_filter",

@@ -75,9 +75,6 @@ impl BinaryOp {
             BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod
         )
     }
-    pub fn is_logical(self) -> bool {
-        matches!(self, BinaryOp::And | BinaryOp::Or)
-    }
 }
 
 /// Comparison operator for quantified comparisons (`= ANY`, `> ALL`, ...).

@@ -44,12 +44,6 @@ impl Dialect {
         matches!(self, Dialect::Cockroach | Dialect::Duckdb)
     }
 
-    /// Whether a non-boolean value used as a predicate is implicitly
-    /// interpreted as a truth value (SQLite/MySQL/TiDB numeric truthiness).
-    pub fn implicit_boolean_cast(self) -> bool {
-        !self.strict_types()
-    }
-
     /// `ANY`/`ALL` quantified comparisons (paper: unsupported in SQLite and
     /// DuckDB; MySQL/TiDB accept only subquery operands).
     pub fn supports_quantified(self) -> bool {
@@ -70,15 +64,6 @@ impl Dialect {
     /// ASCII-case-insensitive `LIKE` (SQLite, MySQL, TiDB).
     pub fn like_case_insensitive(self) -> bool {
         matches!(self, Dialect::Sqlite | Dialect::Mysql | Dialect::Tidb)
-    }
-
-    /// The `typeof()` spelling (`pg_typeof` on CockroachDB), kept for
-    /// fidelity with the paper's implementation notes.
-    pub fn typeof_function_name(self) -> &'static str {
-        match self {
-            Dialect::Cockroach => "PG_TYPEOF",
-            _ => "TYPEOF",
-        }
     }
 
     /// `VERSION()` string reported by the engine under this profile.

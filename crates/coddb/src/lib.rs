@@ -189,8 +189,9 @@
 //! snapshots remain on file as fallbacks.
 //!
 //! **The snapshot + suffix contract.** Recovery
-//! ([`recovery::recover_detailed`]) scans the snapshot disk with the
-//! same frame discipline as the log, keeps only *sealed* snapshots
+//! ([`recovery::recover_detailed`]) scans the snapshot disk through the
+//! same frame reader as the log (`wal::frames`, the only one; scrub
+//! reads through it too), keeps only *sealed* snapshots
 //! (matching `stmt_idx` and exact record count), loads the newest one,
 //! and then replays the log suffix — skipping any commit whose statement
 //! index the snapshot already covers (a crash between the marker and the

@@ -1,29 +1,32 @@
 //! Crash recovery: load the newest sealed snapshot, then replay the WAL
 //! suffix into it.
 //!
-//! Recovery is three-phase, like a real checkpointing redo-WAL:
+//! Both scans and [`scrub_images`] read images through `wal::frames`, the
+//! only frame reader, and keep only their own policy for what a damaged
+//! frame means. Recovery is three-phase, like a real checkpointing
+//! redo-WAL:
 //!
-//! 1. **Snapshot scan** ([`scan_snapshots`]) walks the snapshot file with
-//!    the same frame/checksum discipline as the log scan, groups frames
-//!    into [`Snapshot`]s (a `SnapshotBegin` … body … `SnapshotEnd` run is
-//!    *sealed* only when the end marker matches the begin marker's
-//!    `stmt_idx` and its declared record count), and recovery bases itself
-//!    on the **newest sealed** snapshot — an unsealed trailing snapshot is
-//!    a writer that died mid-checkpoint and must be ignored, falling back
+//! 1. **Snapshot scan** ([`scan_snapshots`]) walks the snapshot file's
+//!    frames, groups them into [`Snapshot`]s (a `SnapshotBegin` … body …
+//!    `SnapshotEnd` run is *sealed* only when the end marker matches the
+//!    begin marker's `stmt_idx` and its declared record count; scrub
+//!    checks seals with the same grouping), and recovery bases itself on
+//!    the **newest sealed** snapshot — an unsealed trailing snapshot is a
+//!    writer that died mid-checkpoint and must be ignored, falling back
 //!    to the previous sealed snapshot or genesis.
 //! 2. **Log scan** ([`scan_log`]) walks the surviving log image frame by
-//!    frame, verifying each record's length and checksum. The scan stops —
-//!    truncating the log — at the first incomplete header, truncated
-//!    payload, or checksum mismatch: everything past the damage is, by the
-//!    fault model, the torn tail of the crashing write.
-//! 3. **Replay** ([`replay_into`]) buffers effect records per statement
-//!    and applies them only when the statement's commit marker is reached;
-//!    commits the snapshot already covers (`stmt_idx <` the snapshot's
-//!    coverage) discard their effects instead of double-applying. Effects
-//!    whose commit never became durable are discarded — recovery
-//!    reconstructs *exactly* the committed prefix, byte-identical to a
-//!    never-crashed engine that executed only those statements, whether
-//!    the base is a snapshot or genesis.
+//!    frame. The scan stops — truncating the log — at the first
+//!    incomplete header, truncated payload, or checksum mismatch:
+//!    everything past the damage is, by the fault model, the torn tail of
+//!    the crashing write.
+//! 3. **Replay** buffers effect records per statement and applies them
+//!    only when the statement's commit marker is reached; commits the
+//!    snapshot already covers (`stmt_idx <` the snapshot's coverage)
+//!    discard their effects instead of double-applying. Effects whose
+//!    commit never became durable are discarded — recovery reconstructs
+//!    *exactly* the committed prefix, byte-identical to a never-crashed
+//!    engine that executed only those statements, whether the base is a
+//!    snapshot or genesis.
 //!
 //! The [`RecoveryBugId`] mutants are seeded into these phases the way
 //! [`crate::bugs::BugId`] mutants are seeded into the planner/executor, so
@@ -35,61 +38,55 @@ use crate::dialect::Dialect;
 use crate::error::{Error, Result, StorageError, StorageFaultKind, StorageSite};
 use crate::value::Row;
 use crate::wal::{
-    checksum, decode_record, FaultPlan, MediaMode, MediaPlan, ReadFault, SimDisk, StorageMode,
-    WalRecord, FRAME_HEADER, READ_RETRY_CAP,
+    decode_record, frames, FaultPlan, Frame, MediaPlan, StorageMode, WalRecord, READ_RETRY_CAP,
 };
 
 /// Parse the surviving log image into the sequence of intact records,
 /// truncating at the first sign of damage.
 pub fn scan_log(image: &[u8], bugs: &BugRegistry) -> Result<Vec<WalRecord>> {
     let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < image.len() {
-        if image.len() - pos < FRAME_HEADER {
+    for (_, frame) in frames(image) {
+        match frame {
             // Dangling header bytes: the tail of a write that died before
             // even its length prefix was complete.
-            if bugs.recovery_active(RecoveryBugId::TornTailAsComplete) {
-                return Err(Error::Internal(format!(
-                    "wal scan: {} dangling tail byte(s) decoded as a record",
-                    image.len() - pos
-                )));
+            Frame::DanglingHeader(rest) => {
+                if bugs.recovery_active(RecoveryBugId::TornTailAsComplete) {
+                    return Err(Error::Internal(format!(
+                        "wal scan: {} dangling tail byte(s) decoded as a record",
+                        rest.len()
+                    )));
+                }
             }
-            break;
-        }
-        let len = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored_sum = u32::from_le_bytes(image[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + FRAME_HEADER;
-        if image.len() - body_start < len {
             // Torn payload: the final frame is shorter than its own length
             // prefix claims.
-            if bugs.recovery_active(RecoveryBugId::TornTailAsComplete) {
-                let partial = &image[body_start..];
-                out.push(decode_record(partial).map_err(|e| {
-                    Error::Internal(format!("wal scan: torn tail decoded as complete: {e}"))
-                })?);
+            Frame::TornPayload { present, .. } => {
+                if bugs.recovery_active(RecoveryBugId::TornTailAsComplete) {
+                    out.push(decode_record(present).map_err(|e| {
+                        Error::Internal(format!("wal scan: torn tail decoded as complete: {e}"))
+                    })?);
+                }
             }
-            break;
-        }
-        let payload = &image[body_start..body_start + len];
-        if checksum(payload) != stored_sum
-            && !bugs.recovery_active(RecoveryBugId::SkipChecksumVerify)
-        {
-            if bugs.media_active(MediaBugId::SalvagePastCorruptCommit) {
-                // Mutant: salvage skips the damaged frame and keeps
-                // scanning, replaying records *past* the corruption — the
-                // suffix may now describe effects whose context is gone.
-                pos = body_start + len;
-                continue;
+            Frame::Whole { payload, intact } => {
+                if !intact && !bugs.recovery_active(RecoveryBugId::SkipChecksumVerify) {
+                    if bugs.media_active(MediaBugId::SalvagePastCorruptCommit) {
+                        // Mutant: salvage skips the damaged frame and keeps
+                        // scanning, replaying records *past* the corruption
+                        // — the suffix may now describe effects whose
+                        // context is gone.
+                        continue;
+                    }
+                    // Checksum mismatch: the crashing write landed
+                    // full-length but damaged. Truncate here — salvage may
+                    // drop a suffix, never replay across damage.
+                    break;
+                }
+                out.push(
+                    decode_record(payload).map_err(|e| {
+                        Error::Internal(format!("wal scan: undecodable record: {e}"))
+                    })?,
+                );
             }
-            // Checksum mismatch: the crashing write landed full-length but
-            // damaged. Truncate here — salvage may drop a suffix, never
-            // replay across damage.
-            break;
         }
-        let rec = decode_record(payload)
-            .map_err(|e| Error::Internal(format!("wal scan: undecodable record: {e}")))?;
-        out.push(rec);
-        pos = body_start + len;
     }
     Ok(out)
 }
@@ -109,73 +106,106 @@ pub struct Snapshot {
     pub sealed: bool,
 }
 
-/// Parse the snapshot file into its snapshots, oldest first. Uses the
-/// same frame discipline as [`scan_log`]: the walk truncates at the first
-/// damaged frame (which, by the fault model, can only be the trailing
-/// write of the crashing checkpoint). Stray frames outside a
-/// `SnapshotBegin`/`SnapshotEnd` pair are skipped — a hostile image must
-/// produce an error or a clean parse, never a panic.
+/// Parse the snapshot file into its snapshots, oldest first. The walk
+/// truncates at the first damaged frame (which, by the fault model, can
+/// only be the trailing write of the crashing checkpoint), and stray
+/// frames outside a `SnapshotBegin`/`SnapshotEnd` pair are skipped — a
+/// hostile image must produce an error or a clean parse, never a panic.
 pub fn scan_snapshots(image: &[u8], bugs: &BugRegistry) -> Result<Vec<Snapshot>> {
-    let mut out: Vec<Snapshot> = Vec::new();
-    let mut open: Option<Snapshot> = None;
-    let mut pos = 0usize;
-    while pos < image.len() {
-        if image.len() - pos < FRAME_HEADER {
+    let mut records = Vec::new();
+    for (offset, frame) in frames(image) {
+        // A torn or dangling trailing frame: the checkpoint writer died
+        // mid-write.
+        let Frame::Whole { payload, intact } = frame else {
             break;
-        }
-        let len = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored_sum = u32::from_le_bytes(image[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + FRAME_HEADER;
-        if image.len() - body_start < len {
-            // Torn trailing frame: the checkpoint writer died mid-write.
-            break;
-        }
-        let payload = &image[body_start..body_start + len];
-        if checksum(payload) != stored_sum
-            && !bugs.recovery_active(RecoveryBugId::SkipSnapshotChecksum)
-        {
+        };
+        if !intact && !bugs.recovery_active(RecoveryBugId::SkipSnapshotChecksum) {
             break;
         }
         let rec = decode_record(payload)
             .map_err(|e| Error::Internal(format!("snapshot scan: undecodable record: {e}")))?;
-        pos = body_start + len;
+        records.push((offset, rec));
+    }
+    Ok(group_snapshots(records).0)
+}
+
+/// Group the snapshot file's records, each tagged with its frame's byte
+/// offset, into [`Snapshot`]s, oldest first, and report every break of
+/// the `SnapshotBegin` … body … `SnapshotEnd` structure as a
+/// [`ScrubFinding`] at the offending frame. A begin while a group is open
+/// abandons the open group (it never sealed); an end seals the open group
+/// only when its `stmt_idx` and record count match the group's; stray
+/// ends and body records outside a group are skipped. Only a *trailing*
+/// unsealed group is a crash artifact (reported at its begin frame);
+/// every other finding is damage.
+fn group_snapshots(records: Vec<(usize, WalRecord)>) -> (Vec<Snapshot>, Vec<ScrubFinding>) {
+    let mut snaps = Vec::new();
+    let mut findings = Vec::new();
+    let mut damage = |offset, reason| {
+        findings.push(ScrubFinding {
+            site: StorageSite::Snapshot,
+            offset,
+            reason,
+            tail: false,
+        })
+    };
+    // The open group, with its begin frame's offset.
+    let mut open: Option<(usize, Snapshot)> = None;
+    for (offset, rec) in records {
         match rec {
             WalRecord::SnapshotBegin { stmt_idx } => {
-                // A begin while another snapshot is open abandons the open
-                // one (it never sealed).
-                if let Some(s) = open.take() {
-                    out.push(s);
+                if let Some((_, abandoned)) = open.take() {
+                    damage(
+                        offset,
+                        "snapshot group abandoned by a new begin (never sealed)".into(),
+                    );
+                    snaps.push(abandoned);
                 }
-                open = Some(Snapshot {
+                let snap = Snapshot {
                     stmt_idx,
                     body: Vec::new(),
                     sealed: false,
-                });
+                };
+                open = Some((offset, snap));
             }
-            WalRecord::SnapshotEnd { stmt_idx, records } => {
-                if let Some(mut s) = open.take() {
-                    s.sealed = s.stmt_idx == stmt_idx && s.body.len() as u64 == records;
-                    out.push(s);
+            WalRecord::SnapshotEnd { stmt_idx, records } => match open.take() {
+                Some((_, mut snap)) => {
+                    let (begin, count) = (snap.stmt_idx, snap.body.len() as u64);
+                    snap.sealed = begin == stmt_idx && count == records;
+                    if !snap.sealed {
+                        damage(
+                            offset,
+                            format!(
+                                "snapshot seal mismatch: begin stmt_idx={begin} with {count} \
+                                 record(s), seal declares stmt_idx={stmt_idx} with {records}"
+                            ),
+                        );
+                    }
+                    snaps.push(snap);
                 }
-                // A stray end with no open snapshot is skipped.
-            }
-            body => {
-                if let Some(s) = open.as_mut() {
-                    s.body.push(body);
-                }
-                // Body records outside a snapshot are skipped.
-            }
+                None => damage(offset, "stray snapshot seal with no open group".into()),
+            },
+            body => match open.as_mut() {
+                Some((_, snap)) => snap.body.push(body),
+                None => damage(offset, "stray record outside any snapshot group".into()),
+            },
         }
     }
-    if let Some(s) = open.take() {
-        out.push(s);
+    if let Some((begin, snap)) = open {
+        findings.push(ScrubFinding {
+            site: StorageSite::Snapshot,
+            offset: begin,
+            reason: "trailing unsealed snapshot (writer died mid-checkpoint)".into(),
+            tail: true,
+        });
+        snaps.push(snap);
     }
-    Ok(out)
+    (snaps, findings)
 }
 
 /// Pick the recovery base among the scanned snapshots: the newest sealed
 /// one, or `None` for genesis. The checkpoint-path mutants hook here.
-pub fn choose_snapshot<'a>(snaps: &'a [Snapshot], bugs: &BugRegistry) -> Option<&'a Snapshot> {
+fn choose_snapshot<'a>(snaps: &'a [Snapshot], bugs: &BugRegistry) -> Option<&'a Snapshot> {
     if bugs.recovery_active(RecoveryBugId::AcceptTornSnapshot) {
         // Mutant: a trailing unsealed snapshot (writer died mid-
         // checkpoint) is used as the base anyway.
@@ -195,7 +225,7 @@ pub fn choose_snapshot<'a>(snaps: &'a [Snapshot], bugs: &BugRegistry) -> Option<
 
 /// Rebuild the snapshot's state into `db` by applying its body records in
 /// order: the DDL history re-executes, then the physical rows land.
-pub fn apply_snapshot(db: &mut Database, snap: &Snapshot) -> Result<()> {
+fn apply_snapshot(db: &mut Database, snap: &Snapshot) -> Result<()> {
     for rec in &snap.body {
         apply_effect(db, rec).map_err(|e| Error::Internal(format!("snapshot replay: {e}")))?;
     }
@@ -281,7 +311,7 @@ fn apply_effect(db: &mut Database, rec: &WalRecord) -> Result<()> {
 /// statement and apply at their commit marker; commits the base already
 /// contains discard their effects (a truncation that never happened must
 /// not double-apply); uncommitted effects are discarded.
-pub fn replay_into(
+fn replay_into(
     db: &mut Database,
     base_stmts: Option<u64>,
     records: &[WalRecord],
@@ -349,14 +379,6 @@ pub fn replay_into(
     // byte-identical to the never-crashed reference's.
     db.catalog_mut().rebuild_index_data();
     Ok(())
-}
-
-/// Replay scanned records into a fresh database from genesis (no
-/// snapshot base).
-pub fn replay(records: &[WalRecord], dialect: Dialect, bugs: &BugRegistry) -> Result<Database> {
-    let mut db = Database::new(dialect);
-    replay_into(&mut db, None, records, bugs)?;
-    Ok(db)
 }
 
 /// What [`recover_detailed`] did, for assertions and reports.
@@ -514,26 +536,14 @@ pub fn recovery_divergence(
         }
     }
 
-    // At-rest degradation between shutdown and recovery: bit rot lands in
-    // the images, read faults arm on the faulted site's disk (both are
-    // no-ops without a media fault).
-    let mut log_image = wal.image().to_vec();
-    let mut snap_image = wal.snapshot_image().to_vec();
-    media.rot_images(&mut log_image, &mut snap_image);
-    let mut log_disk = SimDisk::from_bytes(log_image);
-    let mut snap_disk = SimDisk::from_bytes(snap_image);
-    let fault = match media.mode {
-        MediaMode::TransientRead { failures } => Some(ReadFault::Transient { failures }),
-        MediaMode::PermanentRead => Some(ReadFault::Permanent),
-        _ => None,
-    };
-    match media.site {
-        StorageSite::Log => log_disk.set_read_fault(fault),
-        StorageSite::Snapshot => snap_disk.set_read_fault(fault),
-    }
+    // At-rest degradation between shutdown and recovery, on a copy of the
+    // writer's disks: bit rot lands in the images, read faults arm on the
+    // faulted site's disk (both are no-ops without a media fault).
+    let mut at_rest = wal.clone();
+    at_rest.degrade_at_rest();
     let must_fail = media.read_must_fail();
-    let log_read = log_disk.read_with_retry(StorageSite::Log, bugs);
-    let snap_read = snap_disk.read_with_retry(StorageSite::Snapshot, bugs);
+    let log_read = at_rest.read_log_image(bugs).map(<[u8]>::to_vec);
+    let snap_read = at_rest.read_snapshot_image(bugs);
     let (log_bytes, snap_bytes) = match (log_read, snap_read) {
         (Ok(l), Ok(s)) => {
             if must_fail {
@@ -562,9 +572,9 @@ pub fn recovery_divergence(
     // Scrub decides detection, and only under a media fault: a crash's
     // torn tail is a finding too, but it never excuses a crash-only
     // divergence.
-    let detected = faults && !scrub_images(log_bytes, snap_bytes, bugs).clean();
+    let detected = faults && !scrub_images(&log_bytes, snap_bytes, bugs).clean();
 
-    let (recovered, info) = match recover_detailed(log_bytes, snap_bytes, dialect, bugs) {
+    let (recovered, info) = match recover_detailed(&log_bytes, snap_bytes, dialect, bugs) {
         Ok(x) => x,
         // Fail-stop on damage scrub also saw: detected.
         Err(_) if detected => return None,
@@ -654,79 +664,62 @@ impl ScrubReport {
 }
 
 /// Walk one image frame by frame, verifying checksums, and decode what
-/// verifies. Returns the verified frame count plus the decoded records
-/// (for the snapshot structure pass); damage is appended to `findings`.
+/// verifies. Returns the decoded records tagged with their frames' byte
+/// offsets; damage is appended to `findings`.
 fn scrub_frames(
     site: StorageSite,
     image: &[u8],
     bugs: &BugRegistry,
     findings: &mut Vec<ScrubFinding>,
-) -> (usize, Vec<WalRecord>) {
-    let mut frames = 0usize;
+) -> Vec<(usize, WalRecord)> {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < image.len() {
-        if image.len() - pos < FRAME_HEADER {
-            findings.push(ScrubFinding {
-                site,
-                offset: pos,
-                reason: format!("dangling frame header ({} byte(s))", image.len() - pos),
-                tail: true,
-            });
-            break;
-        }
-        let len = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored_sum = u32::from_le_bytes(image[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + FRAME_HEADER;
-        if image.len() - body_start < len {
-            findings.push(ScrubFinding {
-                site,
-                offset: pos,
-                reason: format!(
-                    "torn frame: payload declares {len} byte(s), {} present",
-                    image.len() - body_start
+    let mut walk = frames(image).peekable();
+    while let Some((offset, frame)) = walk.next() {
+        let finding = |reason, tail| ScrubFinding {
+            site,
+            offset,
+            reason,
+            tail,
+        };
+        match frame {
+            Frame::DanglingHeader(rest) => findings.push(finding(
+                format!("dangling frame header ({} byte(s))", rest.len()),
+                true,
+            )),
+            Frame::TornPayload { declared, present } => findings.push(finding(
+                format!(
+                    "torn frame: payload declares {declared} byte(s), {} present",
+                    present.len()
                 ),
-                tail: true,
-            });
-            break;
-        }
-        let payload = &image[body_start..body_start + len];
-        if checksum(payload) != stored_sum && !bugs.media_active(MediaBugId::SkipScrubChecksum) {
-            findings.push(ScrubFinding {
-                site,
-                offset: pos,
-                reason: "frame checksum mismatch".into(),
-                tail: false,
-            });
-            let after = image.len() - (body_start + len);
-            if after > 0 {
-                findings.push(ScrubFinding {
-                    site,
-                    offset: body_start + len,
-                    reason: format!("unverifiable suffix ({after} byte(s) past damaged frame)"),
-                    tail: false,
-                });
-            }
-            break;
-        }
-        match decode_record(payload) {
-            Ok(rec) => {
-                frames += 1;
-                records.push(rec);
-            }
-            Err(e) => {
-                findings.push(ScrubFinding {
-                    site,
-                    offset: pos,
-                    reason: format!("undecodable record: {e}"),
-                    tail: false,
-                });
-                break;
+                true,
+            )),
+            Frame::Whole { payload, intact } => {
+                if !intact && !bugs.media_active(MediaBugId::SkipScrubChecksum) {
+                    findings.push(finding("frame checksum mismatch".into(), false));
+                    if let Some(&(next, _)) = walk.peek() {
+                        findings.push(ScrubFinding {
+                            site,
+                            offset: next,
+                            reason: format!(
+                                "unverifiable suffix ({} byte(s) past damaged frame)",
+                                image.len() - next
+                            ),
+                            tail: false,
+                        });
+                    }
+                    break;
+                }
+                match decode_record(payload) {
+                    Ok(rec) => records.push((offset, rec)),
+                    Err(e) => {
+                        findings.push(finding(format!("undecodable record: {e}"), false));
+                        break;
+                    }
+                }
             }
         }
-        pos = body_start + len;
     }
-    (frames, records)
+    records
 }
 
 /// Verify every frame checksum in both images and every snapshot seal,
@@ -737,68 +730,10 @@ fn scrub_frames(
 /// [`MediaBugId::SkipScrubChecksum`] mutant hooks the checksum step.
 pub fn scrub_images(log_image: &[u8], snap_image: &[u8], bugs: &BugRegistry) -> ScrubReport {
     let mut findings = Vec::new();
-    let (log_frames, _) = scrub_frames(StorageSite::Log, log_image, bugs, &mut findings);
-    let (snapshot_frames, snap_records) =
-        scrub_frames(StorageSite::Snapshot, snap_image, bugs, &mut findings);
-
-    // Structure pass over the snapshot records: every group must be
-    // begin … body … matching seal. Only a *trailing* unsealed group is a
-    // crash artifact; anything else is damage.
-    let mut open: Option<(u64, u64)> = None; // (declared stmt_idx, body count)
-    for (i, rec) in snap_records.iter().enumerate() {
-        match rec {
-            WalRecord::SnapshotBegin { stmt_idx } => {
-                if open.is_some() {
-                    findings.push(ScrubFinding {
-                        site: StorageSite::Snapshot,
-                        offset: i,
-                        reason: "snapshot group abandoned by a new begin (never sealed)".into(),
-                        tail: false,
-                    });
-                }
-                open = Some((*stmt_idx, 0));
-            }
-            WalRecord::SnapshotEnd { stmt_idx, records } => match open.take() {
-                Some((begin, count)) => {
-                    if begin != *stmt_idx || count != *records {
-                        findings.push(ScrubFinding {
-                            site: StorageSite::Snapshot,
-                            offset: i,
-                            reason: format!(
-                                "snapshot seal mismatch: begin stmt_idx={begin} with {count} \
-                                 record(s), seal declares stmt_idx={stmt_idx} with {records}"
-                            ),
-                            tail: false,
-                        });
-                    }
-                }
-                None => findings.push(ScrubFinding {
-                    site: StorageSite::Snapshot,
-                    offset: i,
-                    reason: "stray snapshot seal with no open group".into(),
-                    tail: false,
-                }),
-            },
-            _ => match open.as_mut() {
-                Some((_, count)) => *count += 1,
-                None => findings.push(ScrubFinding {
-                    site: StorageSite::Snapshot,
-                    offset: i,
-                    reason: "stray record outside any snapshot group".into(),
-                    tail: false,
-                }),
-            },
-        }
-    }
-    if open.is_some() {
-        findings.push(ScrubFinding {
-            site: StorageSite::Snapshot,
-            offset: snap_records.len(),
-            reason: "trailing unsealed snapshot (writer died mid-checkpoint)".into(),
-            tail: true,
-        });
-    }
-
+    let log_frames = scrub_frames(StorageSite::Log, log_image, bugs, &mut findings).len();
+    let snap_records = scrub_frames(StorageSite::Snapshot, snap_image, bugs, &mut findings);
+    let snapshot_frames = snap_records.len();
+    findings.extend(group_snapshots(snap_records).1);
     ScrubReport {
         log_frames,
         snapshot_frames,
@@ -848,7 +783,7 @@ pub fn recover_with_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{encode_record, FaultMode, Wal};
+    use crate::wal::{encode_record, FaultMode, Wal, FRAME_HEADER};
 
     fn durable_db() -> Database {
         let mut db = Database::new(Dialect::Sqlite);
@@ -1249,8 +1184,18 @@ mod tests {
     #[test]
     fn scrub_flags_snapshot_seal_violations() {
         // An unsealed trailing group is a crash artifact; a seal whose
-        // declared record count disagrees with the body is damage.
+        // declared record count disagrees with the body is damage. Each
+        // finding sits at its frame's byte offset: the trailing group's
+        // begin, the mismatched seal.
         let mut w = Wal::new(FaultPlan::none());
+        w.append_snapshot(&WalRecord::SnapshotBegin { stmt_idx: 1 })
+            .unwrap();
+        w.append_snapshot(&WalRecord::SnapshotEnd {
+            stmt_idx: 1,
+            records: 0,
+        })
+        .unwrap();
+        let begin = w.snapshot_image().len();
         w.append_snapshot(&WalRecord::SnapshotBegin { stmt_idx: 2 })
             .unwrap();
         w.append_snapshot(&WalRecord::InsertRow {
@@ -1264,7 +1209,8 @@ mod tests {
         assert_eq!(report.damage().count(), 0);
         assert!(report.findings.iter().any(|f| f.tail
             && f.site == StorageSite::Snapshot
-            && f.reason.contains("mid-checkpoint")));
+            && f.reason.contains("mid-checkpoint")
+            && f.offset == begin));
 
         w.append_snapshot(&WalRecord::SnapshotEnd {
             stmt_idx: 2,
@@ -1274,7 +1220,9 @@ mod tests {
         let mismatched = w.snapshot_image().to_vec();
         let report = scrub_images(&[], &mismatched, &BugRegistry::none());
         assert!(
-            report.damage().any(|f| f.reason.contains("seal mismatch")),
+            report
+                .damage()
+                .any(|f| f.reason.contains("seal mismatch") && f.offset == trailing.len()),
             "{:?}",
             report.findings
         );
@@ -1347,7 +1295,8 @@ mod tests {
             },
             WalRecord::Commit { stmt_idx: 2 },
         ];
-        let db = replay(&records, Dialect::Sqlite, &BugRegistry::none()).unwrap();
+        let mut db = Database::new(Dialect::Sqlite);
+        replay_into(&mut db, None, &records, &BugRegistry::none()).unwrap();
         assert_eq!(
             db.catalog().table("t").unwrap().rows.len(),
             0,

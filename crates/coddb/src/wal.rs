@@ -13,7 +13,8 @@
 //! Each record is framed as `[u32 len][u32 fnv1a(payload)][payload]`, all
 //! little-endian. The payload starts with a one-byte tag followed by the
 //! record's fields; values serialize with `Real` as raw IEEE-754 bits so
-//! recovery is bit-exact.
+//! recovery is bit-exact. `frames` is the only reader of this framing:
+//! recovery's log and snapshot scans and scrub all walk images through it.
 //!
 //! # Fault model
 //!
@@ -269,7 +270,7 @@ impl MediaPlan {
     /// Apply at-rest bit rot to the site's byte image (no-op for other
     /// modes or an empty image). Models damage accrued between shutdown
     /// and recovery, outside any write the fault plan could kill.
-    pub fn rot_images(&self, log: &mut [u8], snap: &mut [u8]) {
+    fn rot_images(&self, log: &mut [u8], snap: &mut [u8]) {
         if let MediaMode::Rot { bit_sel } = self.mode {
             let img: &mut [u8] = match self.site {
                 StorageSite::Log => log,
@@ -311,16 +312,6 @@ pub struct SimDisk {
 impl SimDisk {
     pub fn new() -> SimDisk {
         SimDisk::default()
-    }
-
-    /// A disk pre-loaded with an at-rest image (e.g. one that survived a
-    /// crash and possibly rotted), ready for fault-armed reads.
-    pub fn from_bytes(data: Vec<u8>) -> SimDisk {
-        SimDisk {
-            data,
-            read_fault: None,
-            read_attempts: 0,
-        }
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -694,6 +685,55 @@ pub fn checksum(payload: &[u8]) -> u32 {
 /// Size of the `[len][checksum]` frame header.
 pub const FRAME_HEADER: usize = 8;
 
+/// One frame of a log or snapshot image, as [`frames`] reads it.
+#[derive(Debug)]
+pub(crate) enum Frame<'a> {
+    /// A frame whose whole payload landed; `intact` says whether the
+    /// payload matches its stored checksum.
+    Whole { payload: &'a [u8], intact: bool },
+    /// Fewer than [`FRAME_HEADER`] bytes remain: a write died before its
+    /// header was complete. Always the last frame of an image.
+    DanglingHeader(&'a [u8]),
+    /// The payload is shorter than its length prefix declares: a write
+    /// died mid-payload, leaving `present`. Always the last frame of an
+    /// image.
+    TornPayload { declared: usize, present: &'a [u8] },
+}
+
+/// Walk an image written by [`Wal`]'s appends frame by frame, yielding
+/// each frame's byte offset with the frame. The only reader of the frame
+/// format: recovery's log and snapshot scans and scrub each apply their
+/// own policy to what it yields. Never panics, whatever the bytes.
+pub(crate) fn frames(image: &[u8]) -> impl Iterator<Item = (usize, Frame<'_>)> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let at = pos;
+        let rest = &image[at..];
+        if rest.is_empty() {
+            return None;
+        }
+        // Only a whole frame moves on: a dangling or torn one ends the walk.
+        pos = image.len();
+        let Some((header, body)) = rest.split_first_chunk::<FRAME_HEADER>() else {
+            return Some((at, Frame::DanglingHeader(rest)));
+        };
+        let [l0, l1, l2, l3, s0, s1, s2, s3] = *header;
+        let declared = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let Some(payload) = body.get(..declared) else {
+            return Some((
+                at,
+                Frame::TornPayload {
+                    declared,
+                    present: body,
+                },
+            ));
+        };
+        pos = at + FRAME_HEADER + declared;
+        let intact = checksum(payload) == u32::from_le_bytes([s0, s1, s2, s3]);
+        Some((at, Frame::Whole { payload, intact }))
+    })
+}
+
 /// Which durable operation the fault plan killed. Checkpointing threads
 /// snapshot frames and the truncation step through the same op counter as
 /// log appends, so a seeded crash can land in three places; reports name
@@ -947,11 +987,8 @@ impl Wal {
     /// any read fault on the faulted site's disk. Models the time between
     /// shutdown and recovery; call once after the writer is done.
     pub fn degrade_at_rest(&mut self) {
-        let mut log = std::mem::take(&mut self.disk.data);
-        let mut snap = std::mem::take(&mut self.snap.data);
-        self.media.rot_images(&mut log, &mut snap);
-        self.disk.data = log;
-        self.snap.data = snap;
+        self.media
+            .rot_images(&mut self.disk.data, &mut self.snap.data);
         let fault = match self.media.mode {
             MediaMode::TransientRead { failures } => Some(ReadFault::Transient { failures }),
             MediaMode::PermanentRead => Some(ReadFault::Permanent),
@@ -977,6 +1014,17 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimDisk {
+        /// A disk pre-loaded with an at-rest image, ready for fault-armed
+        /// reads.
+        fn from_bytes(data: Vec<u8>) -> SimDisk {
+            SimDisk {
+                data,
+                ..SimDisk::default()
+            }
+        }
+    }
 
     fn sample_records() -> Vec<WalRecord> {
         vec![

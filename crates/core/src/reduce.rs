@@ -77,24 +77,15 @@ pub fn reduce(case: &ReducibleCase, dialect: Dialect, bugs: &BugRegistry) -> Red
     );
     let mut current = case.clone();
 
-    // Phase 1: drop setup statements (greedy, repeated until fixpoint).
-    loop {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < current.setup.len() {
-            let mut candidate = current.clone();
-            candidate.setup.remove(i);
-            if still_failing(&candidate, dialect, bugs) {
-                current = candidate;
-                progressed = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
+    // Phase 1: drop setup statements.
+    drop_to_fixpoint(
+        &mut current,
+        |c| c.setup.len(),
+        |c, i| {
+            c.setup.remove(i);
+        },
+        |c| still_failing(c, dialect, bugs),
+    );
 
     // Phase 2: shrink the original query's WHERE expression; mirror every
     // accepted shrink in the folded query when the same subtree exists.
@@ -251,59 +242,37 @@ pub fn reduce_recovery(case: &RecoveryCase, dialect: Dialect, bugs: &BugRegistry
         "cannot reduce a passing case"
     );
     let mut current = case.clone();
+    let fails = |c: &RecoveryCase| recovery_still_failing(c, dialect, bugs);
     // Statement removal shifts every later operation index, which can move
     // the crash out from under the divergence — and a simpler plan can
     // make more statements droppable (likewise for checkpoint positions).
     // So the phases alternate to a joint fixpoint rather than running once
     // each.
     loop {
-        let mut changed = false;
+        // Phase 1: drop script statements. Dropping statement `i` shifts
+        // the checkpoint schedule with it: positions before `i` are
+        // untouched, later ones slide down one.
+        let mut changed = drop_to_fixpoint(
+            &mut current,
+            |c| c.script.len(),
+            |c, i| {
+                c.script.remove(i);
+                c.checkpoints = remap_checkpoints(&c.checkpoints, i, c.script.len());
+            },
+            fails,
+        );
 
-        // Phase 1: drop script statements (greedy, to fixpoint). Dropping
-        // statement `i` shifts the checkpoint schedule with it: positions
-        // before `i` are untouched, later ones slide down one.
-        loop {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < current.script.len() {
-                let mut candidate = current.clone();
-                candidate.script.remove(i);
-                candidate.checkpoints =
-                    remap_checkpoints(&current.checkpoints, i, candidate.script.len());
-                if recovery_still_failing(&candidate, dialect, bugs) {
-                    current = candidate;
-                    progressed = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !progressed {
-                break;
-            }
-            changed = true;
-        }
-
-        // Phase 2: drop checkpoint positions (greedy, to fixpoint) — a
-        // finding that only needs one of its checkpoints (or none) should
-        // report the simpler schedule.
-        loop {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < current.checkpoints.len() {
-                let mut candidate = current.clone();
-                candidate.checkpoints.remove(i);
-                if recovery_still_failing(&candidate, dialect, bugs) {
-                    current = candidate;
-                    progressed = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !progressed {
-                break;
-            }
-            changed = true;
-        }
+        // Phase 2: drop checkpoint positions — a finding that only needs
+        // one of its checkpoints (or none) should report the simpler
+        // schedule.
+        changed |= drop_to_fixpoint(
+            &mut current,
+            |c| c.checkpoints.len(),
+            |c, i| {
+                c.checkpoints.remove(i);
+            },
+            fails,
+        );
 
         // Phase 3: simplify the fault plan (first — i.e. simplest —
         // candidate that still fails wins).
@@ -312,7 +281,7 @@ pub fn reduce_recovery(case: &RecoveryCase, dialect: Dialect, bugs: &BugRegistry
                 plan,
                 ..current.clone()
             };
-            if recovery_still_failing(&candidate, dialect, bugs) {
+            if fails(&candidate) {
                 current = candidate;
                 changed = true;
                 break;
@@ -325,7 +294,7 @@ pub fn reduce_recovery(case: &RecoveryCase, dialect: Dialect, bugs: &BugRegistry
                 media,
                 ..current.clone()
             };
-            if recovery_still_failing(&candidate, dialect, bugs) {
+            if fails(&candidate) {
                 current = candidate;
                 changed = true;
                 break;
@@ -336,8 +305,40 @@ pub fn reduce_recovery(case: &RecoveryCase, dialect: Dialect, bugs: &BugRegistry
             break;
         }
     }
-    debug_assert!(recovery_still_failing(&current, dialect, bugs));
+    debug_assert!(fails(&current));
     current
+}
+
+/// Greedy one-at-a-time deletion, shared by every list axis the reducers
+/// shrink: for each of the `len(case)` elements, try a copy of `case` with
+/// element `i` removed by `remove`, keep it whenever `fails` accepts it
+/// (the next element then shifts into slot `i`), and repeat whole passes
+/// until one drops nothing. Returns whether anything was dropped.
+fn drop_to_fixpoint<C: Clone>(
+    case: &mut C,
+    len: impl Fn(&C) -> usize,
+    remove: impl Fn(&mut C, usize),
+    fails: impl Fn(&C) -> bool,
+) -> bool {
+    let mut dropped = false;
+    loop {
+        let mut progressed = false;
+        let mut i = 0;
+        while i < len(case) {
+            let mut candidate = case.clone();
+            remove(&mut candidate, i);
+            if fails(&candidate) {
+                *case = candidate;
+                progressed = true;
+            } else {
+                i += 1;
+            }
+        }
+        if !progressed {
+            return dropped;
+        }
+        dropped = true;
+    }
 }
 
 /// Shift a checkpoint schedule across the removal of statement `removed`:

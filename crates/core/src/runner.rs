@@ -221,15 +221,6 @@ impl CampaignResult {
             .collect()
     }
 
-    /// Findings grouped by report kind.
-    pub fn findings_by_kind(&self) -> BTreeMap<&'static str, usize> {
-        let mut out = BTreeMap::new();
-        for f in &self.findings {
-            *out.entry(f.report.kind.label()).or_insert(0) += 1;
-        }
-        out
-    }
-
     fn empty(oracle: String) -> CampaignResult {
         CampaignResult {
             oracle,

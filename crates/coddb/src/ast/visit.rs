@@ -1,5 +1,12 @@
 //! AST traversal and rewriting.
 //!
+//! This module is the one place that knows an [`Expr`]'s children:
+//! [`for_each_child`] and [`for_each_child_mut`] list them, and every
+//! other walker (folding, index matching, plan fingerprints, the
+//! oracles' rewrites) is policy over those two. Subquery bodies are not
+//! children; [`walk_expr_deep`] reaches them separately. The bound form
+//! [`crate::bind::BoundExpr`] lists its own children next to its type.
+//!
 //! [`replace_in_select`] / [`replace_in_statement`] implement the paper's
 //! `ReplaceExpr` (Algorithm 1, line 13): constant propagation swaps the
 //! selected expression `φ` for its folded result `Rφ` *in place* in the AST,
@@ -98,8 +105,11 @@ fn walk_table_exprs(te: &TableExpr, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-/// Apply `f` to each *immediate* child expression (not into subqueries).
-fn for_each_child(expr: &Expr, f: &mut impl FnMut(&Expr)) {
+/// Apply `f` to each *immediate* child expression (not into subqueries),
+/// in source order. The operand of `IN (subquery)` and `ANY`/`ALL` and an
+/// aggregate's argument are children; walkers that must not enter them
+/// say so in their own match arm.
+pub fn for_each_child<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     match expr {
         Expr::Literal(_) | Expr::Column(_) => {}
         Expr::Unary { expr, .. } => f(expr),
@@ -306,7 +316,8 @@ pub fn replace_in_statement(stmt: &mut Statement, target: &Expr, replacement: &E
     }
 }
 
-fn for_each_child_mut(expr: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
+/// [`for_each_child`] over mutable children, for in-place rewrites.
+pub fn for_each_child_mut(expr: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
     match expr {
         Expr::Literal(_) | Expr::Column(_) => {}
         Expr::Unary { expr, .. } => f(expr),

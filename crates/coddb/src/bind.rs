@@ -18,7 +18,9 @@
 //! node for node, so the context-sensitive mutants in [`crate::eval`]
 //! keep pattern-matching the same shapes; subqueries stay as AST
 //! ([`Select`]) and are planned + bound lazily at evaluation time, exactly
-//! like the planner treats them.
+//! like the planner treats them. [`BoundExpr`]'s children are listed in
+//! one place, its `for_each_child`, which the executor's invariance test
+//! and the bound-form checks of [`crate::validate`] walk.
 //!
 //! Name-resolution errors (unknown or ambiguous columns) surface at bind
 //! time — once per query — matching real engines, where name resolution
@@ -141,6 +143,63 @@ pub enum BoundExpr {
         pattern: Box<BoundExpr>,
         negated: bool,
     },
+}
+
+impl BoundExpr {
+    /// Apply `f` to each immediate child, in source order — the one list
+    /// of a bound node's children. Subquery bodies stay AST and are not
+    /// children; the operand of `IN (subquery)` and `ANY`/`ALL` is.
+    pub(crate) fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a BoundExpr)) {
+        match self {
+            BoundExpr::Literal(_)
+            | BoundExpr::Column(_)
+            | BoundExpr::Exists { .. }
+            | BoundExpr::Scalar { .. }
+            | BoundExpr::Agg { .. } => {}
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::InSubquery { expr, .. }
+            | BoundExpr::Quantified { expr, .. }
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::IsNull { expr, .. } => f(expr),
+            BoundExpr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            BoundExpr::Case {
+                operand,
+                whens,
+                else_expr,
+                ..
+            } => {
+                if let Some(o) = operand {
+                    f(o);
+                }
+                for (w, t) in whens {
+                    f(w);
+                    f(t);
+                }
+                if let Some(e) = else_expr {
+                    f(e);
+                }
+            }
+            BoundExpr::Func { args, .. } => args.iter().for_each(f),
+            BoundExpr::Like { expr, pattern, .. } => {
+                f(expr);
+                f(pattern);
+            }
+        }
+    }
 }
 
 /// Bind the recognized hash-join key pairs of a join: each left-side key

@@ -337,27 +337,19 @@ impl Database {
             let logged = w
                 .append(&WalRecord::Ddl { sql: sql.clone() })
                 .and_then(|()| w.commit_statement());
-            if let Err(e) = logged {
-                // Mutant: NoSpaceTreatedAsCommitted — the engine keeps the
-                // statement's effects although the WAL refused the record.
-                if !self
-                    .bugs
-                    .media_active(MediaBugId::NoSpaceTreatedAsCommitted)
-                {
-                    return Err(e.into());
-                }
-            }
+            self.check_logged(logged)?;
         }
         self.ddl_history.push(sql);
         Ok(())
     }
 
-    /// Classify a DML path's WAL-logging outcome. A refused append aborts
-    /// the statement with a structured storage error — unless the
-    /// NoSpaceTreatedAsCommitted mutant is active, in which case the
-    /// failure is swallowed and the caller proceeds to mutate state the
-    /// log never recorded (the bug the media oracle hunts).
-    fn check_dml_logged(&self, logged: std::result::Result<(), StorageError>) -> Result<()> {
+    /// Classify a statement's WAL-logging outcome, for DDL and DML alike.
+    /// A refused append aborts the statement with a structured storage
+    /// error — unless the NoSpaceTreatedAsCommitted mutant is active, in
+    /// which case the failure is swallowed and the caller proceeds to
+    /// keep effects the log never recorded (the bug the media oracle
+    /// hunts). The mutant is consulted only on a refused append.
+    fn check_logged(&self, logged: std::result::Result<(), StorageError>) -> Result<()> {
         match logged {
             Ok(()) => Ok(()),
             Err(_)
@@ -453,8 +445,17 @@ impl Database {
         Ok(stmt_idx)
     }
 
-    /// Build the per-statement execution context.
-    fn engine_ctx(&self, optimize: bool, stmt: StmtKind) -> EngineCtx<'_> {
+    /// Run one statement's fallible work over a fresh execution context,
+    /// then fold the context's fuel and subquery-memo counters into the
+    /// database-lifetime totals whatever the work returned, so an
+    /// erroring statement is accounted like a finished one. The work
+    /// reads the catalog and the mutant registry through the context.
+    fn with_stmt_ctx<T>(
+        &mut self,
+        optimize: bool,
+        stmt: StmtKind,
+        work: impl FnOnce(&EngineCtx) -> Result<T>,
+    ) -> Result<T> {
         let mut ctx = EngineCtx::new(
             &self.catalog,
             self.dialect,
@@ -467,14 +468,13 @@ impl Database {
         ctx.force_nested_loop = self.join_mode == JoinMode::NestedLoop;
         ctx.vectorize = self.eval_mode == EvalMode::Vectorized;
         ctx.scan_only = self.access_mode == AccessMode::ScanOnly;
-        ctx
-    }
-
-    /// Fold a finished statement context's memo accounting into the
-    /// database-lifetime counters.
-    fn absorb_memo_stats(&mut self, hits: u64, misses: u64) {
+        let res = work(&ctx);
+        let used = self.fuel_limit - ctx.fuel_left();
+        let (hits, misses) = (ctx.subq_memo_hits.get(), ctx.subq_memo_misses.get());
+        self.fuel_used += used;
         self.subq_memo_hits += hits;
         self.subq_memo_misses += misses;
+        res
     }
 
     /// Number of statements executed so far (Table 3 accounting).
@@ -681,14 +681,8 @@ impl Database {
     // `query`, `query_unoptimized`) so a SELECT through `execute()` is
     // counted exactly once.
     fn run_select(&mut self, q: &crate::ast::Select, optimize: bool) -> Result<Relation> {
-        let ctx = self.engine_ctx(optimize, StmtKind::Select);
-        let res = exec::run_query(q, &ctx);
-        let (hits, misses) = (ctx.subq_memo_hits.get(), ctx.subq_memo_misses.get());
-        let used = self.fuel_limit - ctx.fuel_left();
-        drop(ctx);
-        self.fuel_used += used;
-        self.absorb_memo_stats(hits, misses);
-        let (rel, fp) = res?;
+        let (rel, fp) =
+            self.with_stmt_ctx(optimize, StmtKind::Select, |ctx| exec::run_query(q, ctx))?;
         self.last_plan_fp = Some(fp);
         Ok(rel)
     }
@@ -719,22 +713,18 @@ impl Database {
             (indices, defs.len(), defs)
         };
 
-        // Evaluate the source rows. Fuel and memo accounting must survive
-        // an erroring source (like `run_select`): the fallible work runs
-        // in an inner closure so the counters are read before `?`
-        // propagates.
-        let (res, memo_hits, memo_misses, fuel): (Result<Vec<Row>>, u64, u64, u64) = match source {
+        // Evaluate the source rows.
+        let source_rows = match source {
             InsertSource::Values(rows) => {
                 self.coverage.hit(pt::EXEC_INSERT_VALUES);
-                let ctx = self.engine_ctx(optimize, StmtKind::Insert);
-                let ctes = CteEnv::root();
-                let res = (|| {
+                self.with_stmt_ctx(optimize, StmtKind::Insert, |ctx| {
+                    let ctes = CteEnv::root();
                     let mut out = Vec::with_capacity(rows.len());
                     for row in rows {
                         let mut vals = Vec::with_capacity(row.len());
                         for e in row {
                             let env = EvalEnv {
-                                ctx: &ctx,
+                                ctx,
                                 scopes: &[],
                                 aggs: None,
                                 ctes: &ctes,
@@ -745,14 +735,7 @@ impl Database {
                         out.push(Row::new(vals));
                     }
                     Ok(out)
-                })();
-                let used = self.fuel_limit - ctx.fuel_left();
-                (
-                    res,
-                    ctx.subq_memo_hits.get(),
-                    ctx.subq_memo_misses.get(),
-                    used,
-                )
+                })?
             }
             InsertSource::Query(q) => {
                 self.coverage.hit(pt::EXEC_INSERT_SELECT);
@@ -771,26 +754,18 @@ impl Database {
                         has_version = true;
                     }
                 });
-                let ctx = self.engine_ctx(optimize, StmtKind::Insert);
-                let res = exec::run_query(q, &ctx).map(|(rel, _)| {
-                    if has_version && self.bugs.active(BugId::TidbInsertSelectVersion) {
-                        Vec::new()
-                    } else {
-                        rel.rows
-                    }
-                });
-                let used = self.fuel_limit - ctx.fuel_left();
-                (
-                    res,
-                    ctx.subq_memo_hits.get(),
-                    ctx.subq_memo_misses.get(),
-                    used,
-                )
+                self.with_stmt_ctx(optimize, StmtKind::Insert, |ctx| {
+                    let (rel, _) = exec::run_query(q, ctx)?;
+                    Ok(
+                        if has_version && ctx.bugs.active(BugId::TidbInsertSelectVersion) {
+                            Vec::new()
+                        } else {
+                            rel.rows
+                        },
+                    )
+                })?
             }
         };
-        self.absorb_memo_stats(memo_hits, memo_misses);
-        self.fuel_used += fuel;
-        let source_rows = res?;
 
         // Type-check and write.
         let mut staged = Vec::with_capacity(source_rows.len());
@@ -842,7 +817,7 @@ impl Database {
                 }
                 w.commit_statement()
             })();
-            self.check_dml_logged(logged)?;
+            self.check_logged(logged)?;
         }
         let t = self.catalog.table_mut(table)?;
         let start = t.rows.len();
@@ -857,66 +832,54 @@ impl Database {
         sets: &[(String, crate::ast::Expr)],
         where_clause: Option<&crate::ast::Expr>,
     ) -> Result<usize> {
-        // Fuel and memo accounting must survive an erroring statement
-        // (just like `run_select`): the fallible work runs in an inner
-        // closure so the counters are read before `?` propagates.
-        let (res, memo_hits, memo_misses, fuel) = {
-            let t = self.catalog.table(table)?;
+        let (matches, updates) = self.with_stmt_ctx(false, StmtKind::Update, |ctx| {
+            let t = ctx.catalog.table(table)?;
             let schema = table_schema(t);
-            let ctx = self.engine_ctx(false, StmtKind::Update);
             let ctes = CteEnv::root();
-            let res: Result<_> = (|| {
-                let set_indices: Vec<usize> = sets
-                    .iter()
-                    .map(|(c, _)| {
-                        t.column_index(c).ok_or_else(|| {
-                            Error::Catalog(format!("no such column {c} in table {table}"))
-                        })
+            let set_indices: Vec<usize> = sets
+                .iter()
+                .map(|(c, _)| {
+                    t.column_index(c).ok_or_else(|| {
+                        Error::Catalog(format!("no such column {c} in table {table}"))
                     })
-                    .collect::<Result<_>>()?;
+                })
+                .collect::<Result<_>>()?;
 
-                // Bind the WHERE predicate and every SET expression once
-                // per statement; the row loop evaluates the bound forms.
-                let pred = prepare_dml_where(where_clause, &schema, &ctx)?;
-                let set_exprs: Vec<Prepared> = sets
-                    .iter()
-                    .map(|(_, e)| Prepared::new(e, &[&schema], 0, &ctx))
-                    .collect::<Result<_>>()?;
+            // Bind the WHERE predicate and every SET expression once per
+            // statement; the row loop evaluates the bound forms.
+            let pred = prepare_dml_where(where_clause, &schema, ctx)?;
+            let set_exprs: Vec<Prepared> = sets
+                .iter()
+                .map(|(_, e)| Prepared::new(e, &[&schema], 0, ctx))
+                .collect::<Result<_>>()?;
 
-                let mut matches = Vec::new();
-                let mut updates = Vec::new();
-                for (i, row) in t.rows.iter().enumerate() {
-                    ctx.consume_fuel(1)?;
-                    if !row_matches(row, &schema, pred.as_ref(), &ctx, &ctes)? {
-                        continue;
-                    }
-                    let frames = [Frame {
-                        schema: &schema,
-                        row,
-                    }];
-                    let mut new_vals = Vec::with_capacity(set_exprs.len());
-                    for e in &set_exprs {
-                        let env = EvalEnv {
-                            ctx: &ctx,
-                            scopes: &frames,
-                            aggs: None,
-                            ctes: &ctes,
-                            info: ExprCtx::new(Clause::SelectList),
-                        };
-                        new_vals.push(e.eval(env)?);
-                    }
-                    matches.push(i);
-                    updates.push((set_indices.clone(), new_vals));
+            let mut matches = Vec::new();
+            let mut updates = Vec::new();
+            for (i, row) in t.rows.iter().enumerate() {
+                ctx.consume_fuel(1)?;
+                if !row_matches(row, &schema, pred.as_ref(), ctx, &ctes)? {
+                    continue;
                 }
-                Ok((matches, updates))
-            })();
-            let stats = (ctx.subq_memo_hits.get(), ctx.subq_memo_misses.get());
-            let used = self.fuel_limit - ctx.fuel_left();
-            (res, stats.0, stats.1, used)
-        };
-        self.absorb_memo_stats(memo_hits, memo_misses);
-        self.fuel_used += fuel;
-        let (matches, updates) = res?;
+                let frames = [Frame {
+                    schema: &schema,
+                    row,
+                }];
+                let mut new_vals = Vec::with_capacity(set_exprs.len());
+                for e in &set_exprs {
+                    let env = EvalEnv {
+                        ctx,
+                        scopes: &frames,
+                        aggs: None,
+                        ctes: &ctes,
+                        info: ExprCtx::new(Clause::SelectList),
+                    };
+                    new_vals.push(e.eval(env)?);
+                }
+                matches.push(i);
+                updates.push((set_indices.clone(), new_vals));
+            }
+            Ok((matches, updates))
+        })?;
 
         self.coverage.hit(if matches.is_empty() {
             pt::EXEC_UPDATE_NOMATCH
@@ -935,7 +898,7 @@ impl Database {
                 }
                 w.commit_statement()
             })();
-            self.check_dml_logged(logged)?;
+            self.check_logged(logged)?;
         }
         // Bug hook: StaleEntryAfterUpdate — the ordered index keeps the
         // pre-update key entries (and misses the new ones).
@@ -961,33 +924,20 @@ impl Database {
         table: &str,
         where_clause: Option<&crate::ast::Expr>,
     ) -> Result<usize> {
-        let (res, memo_hits, memo_misses, fuel) = {
-            let t = self.catalog.table(table)?;
+        let matches = self.with_stmt_ctx(false, StmtKind::Delete, |ctx| {
+            let t = ctx.catalog.table(table)?;
             let schema = table_schema(t);
-            let ctx = self.engine_ctx(false, StmtKind::Delete);
             let ctes = CteEnv::root();
-            let res: Result<_> = (|| {
-                let pred = prepare_dml_where(where_clause, &schema, &ctx)?;
-                let mut out = Vec::new();
-                for (i, row) in t.rows.iter().enumerate() {
-                    ctx.consume_fuel(1)?;
-                    if row_matches(row, &schema, pred.as_ref(), &ctx, &ctes)? {
-                        out.push(i);
-                    }
+            let pred = prepare_dml_where(where_clause, &schema, ctx)?;
+            let mut out = Vec::new();
+            for (i, row) in t.rows.iter().enumerate() {
+                ctx.consume_fuel(1)?;
+                if row_matches(row, &schema, pred.as_ref(), ctx, &ctes)? {
+                    out.push(i);
                 }
-                Ok(out)
-            })();
-            let used = self.fuel_limit - ctx.fuel_left();
-            (
-                res,
-                ctx.subq_memo_hits.get(),
-                ctx.subq_memo_misses.get(),
-                used,
-            )
-        };
-        self.absorb_memo_stats(memo_hits, memo_misses);
-        self.fuel_used += fuel;
-        let matches = res?;
+            }
+            Ok(out)
+        })?;
         self.coverage.hit(if matches.is_empty() {
             pt::EXEC_DELETE_NOMATCH
         } else {
@@ -1003,7 +953,7 @@ impl Database {
                 }
                 w.commit_statement()
             })();
-            self.check_dml_logged(logged)?;
+            self.check_logged(logged)?;
         }
         let t = self.catalog.table_mut(table)?;
         // Pin the removed rows' images (cheap shared-row clones) for

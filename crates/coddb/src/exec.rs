@@ -5,9 +5,9 @@
 //! index or CTE scan hands out refcount bumps to storage instead of
 //! cloning values — and cacheable FROM subtrees are materialized once
 //! per statement and reused across a correlated subquery's
-//! re-instantiations ([`exec_from`]). Joins with
+//! re-instantiations (`exec_from`). Joins with
 //! planner-recognized equality keys run as build/probe hash joins over
-//! bound key ordinals ([`hash_join`]), falling back to the nested loop
+//! bound key ordinals (`hash_join`), falling back to the nested loop
 //! for non-equi predicates, mutant-forced ON rewrites, and runtime
 //! key-class mixes where hash equality cannot reproduce SQL `=`.
 //! Correlated subqueries receive the outer row scopes as a stack of
@@ -15,7 +15,7 @@
 //! non-correlated results are memoized whole, and correlated results are
 //! memoized per outer key — the runtime detector records exactly which
 //! outer slots an evaluation read, and those slots' values key the memo
-//! ([`exec_subquery`], [`crate::cache`]). CTEs are materialized once per
+//! ([`exec_subquery`], `crate::cache`). CTEs are materialized once per
 //! SELECT and shared through a chained [`CteEnv`]. A fuel counter bounds
 //! total row work so that injected hang bugs (and any accidental
 //! blow-ups) surface as [`Error::Hang`] instead of wedging a campaign.
@@ -457,7 +457,7 @@ fn set_local_row<'a>(frames: &mut [Frame<'a>], schema: &'a Schema, row: &'a [Val
 /// scopes as outer context.
 ///
 /// The subquery's plan is compiled once per statement (keyed by AST
-/// identity, verified structurally — see [`crate::cache`]). Result
+/// identity, verified structurally — see `crate::cache`). Result
 /// memoization is two-tier, driven by the runtime correlation detector:
 ///
 /// * an evaluation that reads **no** outer column proves the subquery
@@ -1827,37 +1827,17 @@ fn grouped_bindings(
 /// operator instantiation.
 fn row_invariant(e: &BoundExpr) -> bool {
     match e {
-        BoundExpr::Literal(_) => true,
         BoundExpr::Column(c) => c.up > 0,
-        BoundExpr::Unary { expr, .. }
-        | BoundExpr::Cast { expr, .. }
-        | BoundExpr::IsNull { expr, .. } => row_invariant(expr),
-        BoundExpr::Binary { left, right, .. } => row_invariant(left) && row_invariant(right),
-        BoundExpr::Between {
-            expr, low, high, ..
-        } => row_invariant(expr) && row_invariant(low) && row_invariant(high),
-        BoundExpr::InList { expr, list, .. } => {
-            row_invariant(expr) && list.iter().all(row_invariant)
-        }
         BoundExpr::InSubquery { .. }
         | BoundExpr::Exists { .. }
         | BoundExpr::Scalar { .. }
         | BoundExpr::Quantified { .. }
         | BoundExpr::Agg { .. } => false,
-        BoundExpr::Case {
-            operand,
-            whens,
-            else_expr,
-            ..
-        } => {
-            operand.as_deref().is_none_or(row_invariant)
-                && whens
-                    .iter()
-                    .all(|(w, t)| row_invariant(w) && row_invariant(t))
-                && else_expr.as_deref().is_none_or(row_invariant)
+        _ => {
+            let mut invariant = true;
+            e.for_each_child(&mut |child| invariant = invariant && row_invariant(child));
+            invariant
         }
-        BoundExpr::Func { args, .. } => args.iter().all(row_invariant),
-        BoundExpr::Like { expr, pattern, .. } => row_invariant(expr) && row_invariant(pattern),
     }
 }
 

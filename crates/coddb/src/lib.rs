@@ -292,7 +292,7 @@
 //! * **Seek justification** — the consumed key prefix is exactly what the
 //!   WHERE clause's leading conjuncts probe: key column *j* matched by
 //!   conjunct *j* with the same comparison operator and the same non-NULL
-//!   literal, at most [`plan::MAX_SEEK_KEYS`] keys, at most one trailing
+//!   literal, at most `plan::MAX_SEEK_KEYS` keys, at most one trailing
 //!   range, range operator a real comparison. (Consumed conjuncts stay in
 //!   the WHERE clause, so the plan carries its own justification.)
 //! * **Sort-elimination legality** — an `ordered` seek implies the

@@ -18,6 +18,7 @@
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
+use crate::ast::visit::{for_each_child, for_each_child_mut};
 use crate::ast::{
     BinaryOp, Expr, JoinKind, OrderItem, Select, SelectBody, SelectCore, SelectItem, SetOp,
     TableExpr,
@@ -379,11 +380,11 @@ fn plan_core(core: &SelectCore, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> Resu
 
     if pctx.optimize {
         let in_join_query = from.as_ref().is_some_and(|f| f.join_count() > 0);
-        if let Some(w) = where_clause.take() {
-            where_clause = Some(fold_expr(w, pctx, in_join_query)?);
+        if let Some(w) = &mut where_clause {
+            fold_expr(w, pctx, in_join_query)?;
         }
-        if let Some(h) = having.take() {
-            having = Some(fold_expr(h, pctx, in_join_query)?);
+        if let Some(h) = &mut having {
+            fold_expr(h, pctx, in_join_query)?;
         }
         // Trivial-filter elimination. Strict dialects only treat BOOLEAN
         // literals as predicates; a numeric filter must still raise its
@@ -436,8 +437,9 @@ fn plan_core(core: &SelectCore, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> Resu
 
 /// Constant-fold a DML WHERE predicate (UPDATE/DELETE go through the same
 /// folding pass as SELECT filters in a real planner).
-pub fn fold_dml_predicate(expr: Expr, pctx: &PlanCtx) -> Result<Expr> {
-    fold_expr(expr, pctx, false)
+pub fn fold_dml_predicate(mut expr: Expr, pctx: &PlanCtx) -> Result<Expr> {
+    fold_expr(&mut expr, pctx, false)?;
+    Ok(expr)
 }
 
 fn plan_table_expr(te: &TableExpr, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> Result<FromPlan> {
@@ -581,9 +583,9 @@ fn plan_table_expr(te: &TableExpr, pctx: &PlanCtx, ctes: &BTreeSet<String>) -> R
 // Constant folding
 // ---------------------------------------------------------------------------
 
-/// Fold constant sub-expressions of a filter expression. Mirrors the very
-/// optimization CODDTest emulates from the outside.
-fn fold_expr(expr: Expr, pctx: &PlanCtx, in_join_query: bool) -> Result<Expr> {
+/// Fold constant sub-expressions of a filter expression in place. Mirrors
+/// the very optimization CODDTest emulates from the outside.
+fn fold_expr(expr: &mut Expr, pctx: &PlanCtx, in_join_query: bool) -> Result<()> {
     // Bug hook: CockroachConstFoldNotBetweenNull — the optimizer "folds"
     // a NOT BETWEEN with a NULL bound to TRUE in join queries, although the
     // expression is not constant at all.
@@ -592,13 +594,14 @@ fn fold_expr(expr: Expr, pctx: &PlanCtx, in_join_query: bool) -> Result<Expr> {
         low,
         high,
         ..
-    } = &expr
+    } = &*expr
     {
         let null_bound = matches!(low.as_ref(), Expr::Literal(Value::Null))
             || matches!(high.as_ref(), Expr::Literal(Value::Null));
         if in_join_query && null_bound && pctx.bugs.active(BugId::CockroachConstFoldNotBetweenNull)
         {
-            return Ok(Expr::Literal(truthy_literal(pctx.dialect)));
+            *expr = Expr::Literal(truthy_literal(pctx.dialect));
+            return Ok(());
         }
     }
     // Bug hook: CockroachInternalNegMod — folding `x % -k` raises an
@@ -607,7 +610,7 @@ fn fold_expr(expr: Expr, pctx: &PlanCtx, in_join_query: bool) -> Result<Expr> {
         op: BinaryOp::Mod,
         right,
         ..
-    } = &expr
+    } = &*expr
     {
         if matches!(right.as_ref(), Expr::Literal(Value::Int(k)) if *k < 0)
             && pctx.bugs.active(BugId::CockroachInternalNegMod)
@@ -622,28 +625,47 @@ fn fold_expr(expr: Expr, pctx: &PlanCtx, in_join_query: bool) -> Result<Expr> {
     // value lists with INT8-range members, so it skips constant-folding
     // any subtree containing an IN list — keeping plan-time and run-time
     // behaviour consistent (NoREC therefore sees no asymmetry).
-    if pctx.bugs.active(BugId::CockroachInBigIntValueList) && contains_in_list(&expr) {
+    if pctx.bugs.active(BugId::CockroachInBigIntValueList) && contains_in_list(expr) {
         pctx.cov.hit(pt::PLAN_FOLD_SKIPPED);
-        return map_children(expr, &mut |child| fold_expr(child, pctx, in_join_query));
+        return fold_children(expr, pctx, in_join_query);
     }
 
     if expr.is_constant() {
-        match crate::eval::eval_const(&expr, pctx) {
+        match crate::eval::eval_const(expr, pctx) {
             Ok(v) => {
                 pctx.cov.hit(pt::PLAN_FOLD_CONST);
-                return Ok(Expr::Literal(v));
+                *expr = Expr::Literal(v);
             }
             Err(e) if e.severity() == crate::error::Severity::BugSignal => return Err(e),
             Err(_) => {
                 // Expressions that error at fold time (overflow, strict type
                 // mismatch, ...) are left for runtime, like real planners do.
                 pctx.cov.hit(pt::PLAN_FOLD_SKIPPED);
-                return Ok(expr);
             }
         }
+        return Ok(());
     }
-    // Recurse into children (not into subqueries: they are planned lazily).
-    map_children(expr, &mut |child| fold_expr(child, pctx, in_join_query))
+    fold_children(expr, pctx, in_join_query)
+}
+
+/// Fold each immediate child in source order, stopping at the first
+/// error. Subqueries are planned lazily, so neither they nor the operand
+/// of `IN (subquery)` / `ANY` / `ALL` are folded here; neither are
+/// aggregate arguments.
+fn fold_children(expr: &mut Expr, pctx: &PlanCtx, in_join_query: bool) -> Result<()> {
+    if matches!(
+        expr,
+        Expr::InSubquery { .. } | Expr::Quantified { .. } | Expr::Agg { .. }
+    ) {
+        return Ok(());
+    }
+    let mut folded = Ok(());
+    for_each_child_mut(expr, &mut |child| {
+        if folded.is_ok() {
+            folded = fold_expr(child, pctx, in_join_query);
+        }
+    });
+    folded
 }
 
 fn contains_in_list(expr: &Expr) -> bool {
@@ -662,88 +684,6 @@ fn truthy_literal(dialect: Dialect) -> Value {
     } else {
         Value::Int(1)
     }
-}
-
-/// Rebuild an expression by transforming each immediate child.
-fn map_children(expr: Expr, f: &mut impl FnMut(Expr) -> Result<Expr>) -> Result<Expr> {
-    Ok(match expr {
-        Expr::Unary { op, expr } => Expr::Unary {
-            op,
-            expr: Box::new(f(*expr)?),
-        },
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(f(*left)?),
-            right: Box::new(f(*right)?),
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(f(*expr)?),
-            low: Box::new(f(*low)?),
-            high: Box::new(f(*high)?),
-            negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(f(*expr)?),
-            list: list.into_iter().map(&mut *f).collect::<Result<_>>()?,
-            negated,
-        },
-        Expr::Case {
-            operand,
-            whens,
-            else_expr,
-        } => Expr::Case {
-            operand: match operand {
-                Some(o) => Some(Box::new(f(*o)?)),
-                None => None,
-            },
-            whens: whens
-                .into_iter()
-                .map(|(w, t)| Ok::<_, Error>((f(w)?, f(t)?)))
-                .collect::<Result<_>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(f(*e)?)),
-                None => None,
-            },
-        },
-        Expr::Func { func, args } => Expr::Func {
-            func,
-            args: args.into_iter().map(&mut *f).collect::<Result<_>>()?,
-        },
-        Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(f(*expr)?),
-            ty,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(f(*expr)?),
-            negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(f(*expr)?),
-            pattern: Box::new(f(*pattern)?),
-            negated,
-        },
-        // Leaves and subquery holders are returned unchanged.
-        other @ (Expr::Literal(_)
-        | Expr::Column(_)
-        | Expr::InSubquery { .. }
-        | Expr::Exists { .. }
-        | Expr::Scalar(_)
-        | Expr::Quantified { .. }
-        | Expr::Agg { .. }) => other,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1284,70 +1224,26 @@ fn index_matches(conj: &Expr, index_expr: &Expr, alias: &str) -> bool {
 }
 
 /// Strip table qualifiers equal to `alias` so index expressions (stored
-/// with bare columns) compare structurally with query predicates.
+/// with bare columns) compare structurally with query predicates. The
+/// operand of `IN (subquery)` / `ANY` / `ALL` and aggregate arguments are
+/// left as written.
 fn normalize_for_index(expr: &Expr, alias: &str) -> Expr {
-    let mut e = expr.clone();
     fn rec(e: &mut Expr, alias: &str) {
-        if let Expr::Column(c) = e {
-            if c.table
-                .as_deref()
-                .is_some_and(|t| t.eq_ignore_ascii_case(alias))
-            {
-                c.table = None;
-            }
-            c.column = c.column.to_ascii_lowercase();
-            return;
-        }
-        // Reuse the mutable child traversal from `visit` via a small local
-        // match to avoid exposing it publicly.
         match e {
-            Expr::Unary { expr, .. } => rec(expr, alias),
-            Expr::Binary { left, right, .. } => {
-                rec(left, alias);
-                rec(right, alias);
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                rec(expr, alias);
-                rec(low, alias);
-                rec(high, alias);
-            }
-            Expr::InList { expr, list, .. } => {
-                rec(expr, alias);
-                for i in list {
-                    rec(i, alias);
+            Expr::Column(c) => {
+                if c.table
+                    .as_deref()
+                    .is_some_and(|t| t.eq_ignore_ascii_case(alias))
+                {
+                    c.table = None;
                 }
+                c.column = c.column.to_ascii_lowercase();
             }
-            Expr::Case {
-                operand,
-                whens,
-                else_expr,
-            } => {
-                if let Some(o) = operand {
-                    rec(o, alias);
-                }
-                for (w, t) in whens {
-                    rec(w, alias);
-                    rec(t, alias);
-                }
-                if let Some(el) = else_expr {
-                    rec(el, alias);
-                }
-            }
-            Expr::Func { args, .. } => {
-                for a in args {
-                    rec(a, alias);
-                }
-            }
-            Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => rec(expr, alias),
-            Expr::Like { expr, pattern, .. } => {
-                rec(expr, alias);
-                rec(pattern, alias);
-            }
-            _ => {}
+            Expr::InSubquery { .. } | Expr::Quantified { .. } | Expr::Agg { .. } => {}
+            _ => for_each_child_mut(e, &mut |child| rec(child, alias)),
         }
     }
+    let mut e = expr.clone();
     rec(&mut e, alias);
     e
 }
@@ -2112,77 +2008,20 @@ pub fn hash_expr_shape(expr: &Expr, h: &mut impl Hasher) {
     }
 }
 
-/// Collect the subquery-bearing nodes of an expression (not descending
-/// into the subqueries themselves — their structure is hashed
-/// recursively via `hash_select_shape`).
+/// Collect the subquery-bearing nodes of an expression, each after the
+/// nodes of its own children (not descending into the subqueries
+/// themselves — their structure is hashed recursively via
+/// `hash_select_shape`).
 fn collect_plan_relevant<'a>(expr: &'a Expr, out: &mut Vec<(u8, &'a Select)>) {
+    for_each_child(expr, &mut |child| collect_plan_relevant(child, out));
     match expr {
-        Expr::InSubquery { expr, query, .. } => {
-            collect_plan_relevant(expr, out);
-            out.push((1, query));
-        }
+        Expr::InSubquery { query, .. } => out.push((1, query)),
         Expr::Exists { query, .. } => out.push((2, query)),
         Expr::Scalar(query) => out.push((3, query)),
         Expr::Quantified {
-            quantifier,
-            expr,
-            query,
-            ..
-        } => {
-            collect_plan_relevant(expr, out);
-            out.push((4 + *quantifier as u8, query));
-        }
-        Expr::Literal(_) | Expr::Column(_) => {}
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
-            collect_plan_relevant(expr, out)
-        }
-        Expr::Binary { left, right, .. } => {
-            collect_plan_relevant(left, out);
-            collect_plan_relevant(right, out);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_plan_relevant(expr, out);
-            collect_plan_relevant(low, out);
-            collect_plan_relevant(high, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_plan_relevant(expr, out);
-            for e in list {
-                collect_plan_relevant(e, out);
-            }
-        }
-        Expr::Case {
-            operand,
-            whens,
-            else_expr,
-        } => {
-            if let Some(o) = operand {
-                collect_plan_relevant(o, out);
-            }
-            for (w, t) in whens {
-                collect_plan_relevant(w, out);
-                collect_plan_relevant(t, out);
-            }
-            if let Some(e) = else_expr {
-                collect_plan_relevant(e, out);
-            }
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_plan_relevant(a, out);
-            }
-        }
-        Expr::Agg { arg, .. } => {
-            if let Some(a) = arg {
-                collect_plan_relevant(a, out);
-            }
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_plan_relevant(expr, out);
-            collect_plan_relevant(pattern, out);
-        }
+            quantifier, query, ..
+        } => out.push((4 + *quantifier as u8, query)),
+        _ => {}
     }
 }
 
@@ -2443,6 +2282,28 @@ mod tests {
             BodyPlan::Core(c) => assert!(c.where_clause.is_none(), "TRUE filter eliminated"),
             _ => panic!("expected core"),
         }
+        // Folding enters a comparison's operands, but neither the operand
+        // of an IN subquery nor an aggregate's argument.
+        let folded = |sql: &str| {
+            let sel = crate::parser::parse_select(sql).unwrap();
+            match plan_select(&sel, &ctx, &BTreeSet::new()).unwrap().body {
+                BodyPlan::Core(c) => (c.where_clause, c.having),
+                _ => panic!("expected core"),
+            }
+        };
+        let expr = |sql: &str| Some(crate::parser::parse_expr(sql).unwrap());
+        assert_eq!(
+            folded("SELECT * FROM t0 WHERE c1 > 1 + 1").0,
+            expr("c1 > 2")
+        );
+        assert_eq!(
+            folded("SELECT * FROM t0 WHERE (1 + 1) IN (SELECT c0 FROM t0)").0,
+            expr("(1 + 1) IN (SELECT c0 FROM t0)")
+        );
+        assert_eq!(
+            folded("SELECT COUNT(*) FROM t0 HAVING SUM(1 + 1) > 1 + 1").1,
+            expr("SUM(1 + 1) > 2")
+        );
     }
 
     #[test]

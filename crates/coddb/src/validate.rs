@@ -716,60 +716,13 @@ fn walk_bound(
     agg_slots: Option<usize>,
     out: &mut Vec<Violation>,
 ) {
-    let mut rec = |e: &BoundExpr| walk_bound(e, scopes, agg_slots, out);
     match bound {
-        BoundExpr::Literal(_) => {}
         BoundExpr::Column(c) => {
             check_hop(c.up, c.index, scopes, "bound column", out);
             if let Some((up, index)) = c.collision_alt {
                 check_hop(up, index, scopes, "collision alternative", out);
             }
         }
-        BoundExpr::Unary { expr, .. }
-        | BoundExpr::Cast { expr, .. }
-        | BoundExpr::IsNull { expr, .. } => rec(expr),
-        BoundExpr::Binary { left, right, .. } => {
-            rec(left);
-            rec(right);
-        }
-        BoundExpr::Between {
-            expr, low, high, ..
-        } => {
-            rec(expr);
-            rec(low);
-            rec(high);
-        }
-        BoundExpr::InList { expr, list, .. } => {
-            rec(expr);
-            list.iter().for_each(rec);
-        }
-        // Subquery bodies stay AST; they are planned, bound, and verified
-        // lazily at evaluation time.
-        BoundExpr::InSubquery { expr, .. } => rec(expr),
-        BoundExpr::Exists { .. } | BoundExpr::Scalar { .. } => {}
-        BoundExpr::Quantified { expr, .. } => rec(expr),
-        BoundExpr::Case {
-            operand,
-            whens,
-            else_expr,
-            ..
-        } => {
-            if let Some(o) = operand {
-                rec(o);
-            }
-            for (w, t) in whens {
-                rec(w);
-                rec(t);
-            }
-            if let Some(e) = else_expr {
-                rec(e);
-            }
-        }
-        BoundExpr::Like { expr, pattern, .. } => {
-            rec(expr);
-            rec(pattern);
-        }
-        BoundExpr::Func { args, .. } => args.iter().for_each(rec),
         BoundExpr::Agg { slot, .. } => match agg_slots {
             None => out.push(Violation::new(
                 "bound-agg-slot",
@@ -781,7 +734,11 @@ fn walk_bound(
             )),
             Some(_) => {}
         },
+        _ => {}
     }
+    // Subquery bodies stay AST; they are planned, bound, and verified
+    // lazily at evaluation time.
+    bound.for_each_child(&mut |child| walk_bound(child, scopes, agg_slots, out));
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! The bind-once pipeline compiles clause expressions to [`BoundExpr`]
 //! once per statement; this module evaluates them **column-at-a-time over
-//! fixed-size row chunks** ([`CHUNK`] rows) instead of row-at-a-time
+//! fixed-size row chunks** (`CHUNK` rows) instead of row-at-a-time
 //! through per-row [`crate::exec::Frame`] indirection. Each kernel walks
 //! one expression node once per chunk and loops over the active lanes in
 //! a tight loop, amortizing interpreter dispatch, environment

@@ -19,6 +19,7 @@
 //! relation (INSERT target table, derived table, or CTE) is folded into a
 //! table value constructor.
 
+use coddb::ast::visit::for_each_child_mut;
 use coddb::ast::{
     BinaryOp, Cte, Expr, InsertSource, JoinKind, Quantifier, Select, SelectBody, SelectCore,
     SelectItem, Statement, TableExpr,
@@ -978,61 +979,15 @@ fn mode_name(mode: usize) -> &'static str {
 }
 
 /// Requalify every column reference in an outer predicate to `alias`.
+/// Relation-mode predicates are generated without subqueries; the operand
+/// of `IN (subquery)` / `ANY` / `ALL` and aggregate arguments are left as
+/// written.
 fn requalify(mut p: Expr, alias: &str) -> Expr {
     fn rec(e: &mut Expr, alias: &str) {
-        if let Expr::Column(c) = e {
-            c.table = Some(alias.to_string());
-            return;
-        }
-        // Immediate children only — relation-mode predicates are generated
-        // without subqueries.
         match e {
-            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
-                rec(expr, alias)
-            }
-            Expr::Binary { left, right, .. } => {
-                rec(left, alias);
-                rec(right, alias);
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                rec(expr, alias);
-                rec(low, alias);
-                rec(high, alias);
-            }
-            Expr::InList { expr, list, .. } => {
-                rec(expr, alias);
-                for i in list {
-                    rec(i, alias);
-                }
-            }
-            Expr::Case {
-                operand,
-                whens,
-                else_expr,
-            } => {
-                if let Some(o) = operand {
-                    rec(o, alias);
-                }
-                for (w, t) in whens {
-                    rec(w, alias);
-                    rec(t, alias);
-                }
-                if let Some(e2) = else_expr {
-                    rec(e2, alias);
-                }
-            }
-            Expr::Func { args, .. } => {
-                for a in args {
-                    rec(a, alias);
-                }
-            }
-            Expr::Like { expr, pattern, .. } => {
-                rec(expr, alias);
-                rec(pattern, alias);
-            }
-            _ => {}
+            Expr::Column(c) => c.table = Some(alias.to_string()),
+            Expr::InSubquery { .. } | Expr::Quantified { .. } | Expr::Agg { .. } => {}
+            _ => for_each_child_mut(e, &mut |child| rec(child, alias)),
         }
     }
     rec(&mut p, alias);
@@ -1229,5 +1184,20 @@ mod tests {
             }
         });
         assert!(tables.iter().all(|t| t.as_deref() == Some("ft0")));
+        // Every child arm: CASE operand, WHEN, THEN and ELSE, BETWEEN
+        // bounds, IN-list items, LIKE pattern and function arguments.
+        let p = coddb::parser::parse_expr(
+            "CASE c0 WHEN c1 THEN c2 ELSE c3 END BETWEEN c4 AND c5 \
+             AND c6 IN (c7, c8) AND c9 LIKE c10 AND ABS(c11) > 0",
+        )
+        .unwrap();
+        let q = requalify(p, "ft0");
+        let mut tables = Vec::new();
+        coddb::ast::visit::walk_expr_shallow(&q, &mut |e| {
+            if let Expr::Column(c) = e {
+                tables.push(c.table.clone());
+            }
+        });
+        assert_eq!(tables, vec![Some("ft0".to_string()); 12]);
     }
 }

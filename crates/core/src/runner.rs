@@ -34,7 +34,7 @@
 //!
 //! # Shard/merge determinism scheme
 //!
-//! Per-state work is isolated in [`run_state`]: it builds the state's
+//! Per-state work is isolated in `run_state`: it builds the state's
 //! `Database`, runs the oracle's tests against it, and returns a
 //! [`StateShard`] — a plain-data (`Send`) summary of everything the state
 //! contributed: test outcomes, findings with their test coordinates,
@@ -44,7 +44,7 @@
 //! `Cell`-based), so the shard is the only thing that crosses threads.
 //!
 //! Both runners fold shards into the [`CampaignResult`] through the single
-//! [`merge_shard`] accumulation point, **in ascending `state_idx` order**:
+//! `merge_shard` accumulation point, **in ascending `state_idx` order**:
 //!
 //! * [`run_campaign`] computes each shard in order with the exact
 //!   remaining test budget and merges it immediately.
@@ -261,7 +261,7 @@ fn apply_state(db: &mut Database, stmts: &[coddb::ast::Statement]) -> Result<(),
 
 /// Everything one campaign state contributed, as plain `Send` data — the
 /// unit that crosses worker threads in [`run_campaign_parallel`] and the
-/// unit [`merge_shard`] folds into the result in ascending `state_idx`
+/// unit `merge_shard` folds into the result in ascending `state_idx`
 /// order (see the module docs for the determinism argument).
 #[derive(Debug, Clone, Default)]
 pub struct StateShard {
@@ -556,7 +556,7 @@ pub fn run_campaign(oracle: &mut dyn Oracle, cfg: &CampaignConfig) -> CampaignRe
 /// index in an atomic high-water mark and cancel any state past it.
 ///
 /// Shards stream to the merging thread over a channel while workers run:
-/// the merge (the same [`drive_campaign`] loop as the sequential runner)
+/// the merge (the same `drive_campaign` loop as the sequential runner)
 /// consumes the ascending prefix as it arrives and parks out-of-order
 /// shards in a reorder window. Workers may run at most a fixed window of
 /// states ahead of the merge floor, so resident memory is O(threads), not

@@ -390,6 +390,17 @@ pub enum SelectItem {
     Expr { expr: Expr, alias: Option<String> },
 }
 
+/// The output column name of the select item `expr [AS alias]`: the
+/// alias, else the column name of a bare column, else the rendered
+/// expression.
+pub fn output_column_name(expr: &Expr, alias: Option<&str>) -> String {
+    match (alias, expr) {
+        (Some(a), _) => a.to_ascii_lowercase(),
+        (None, Expr::Column(c)) => c.column.to_ascii_lowercase(),
+        (None, other) => other.to_string(),
+    }
+}
+
 /// `ASC` / `DESC`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SortOrder {

@@ -188,16 +188,6 @@ impl Database {
         (self.subq_memo_hits, self.subq_memo_misses)
     }
 
-    /// Current storage mode: [`StorageMode::Durable`] iff a WAL is
-    /// attached.
-    pub fn storage_mode(&self) -> StorageMode {
-        if self.wal.is_some() {
-            StorageMode::Durable
-        } else {
-            StorageMode::Volatile
-        }
-    }
-
     /// Switch storage modes. Entering `Durable` attaches a fresh WAL
     /// (under a no-fault plan) that logs every subsequent DML/DDL effect;
     /// the in-memory catalog remains the baseline store either way,
@@ -596,16 +586,20 @@ impl Database {
         self.run_select(q, false)
     }
 
-    /// Plan a SELECT and render its physical plan (the engine's EXPLAIN).
-    pub fn explain(&self, q: &crate::ast::Select) -> Result<String> {
-        let pctx = crate::plan::PlanCtx {
+    /// The optimizing planner's view of this database.
+    fn plan_ctx(&self) -> crate::plan::PlanCtx<'_> {
+        crate::plan::PlanCtx {
             catalog: &self.catalog,
             dialect: self.dialect,
             bugs: &self.bugs,
             cov: &self.coverage,
             optimize: true,
-        };
-        let plan = crate::plan::plan_select(q, &pctx, &std::collections::BTreeSet::new())?;
+        }
+    }
+
+    /// Plan a SELECT and render its physical plan (the engine's EXPLAIN).
+    pub fn explain(&self, q: &crate::ast::Select) -> Result<String> {
+        let plan = crate::plan::plan_select(q, &self.plan_ctx(), &Default::default())?;
         // Subqueries are annotated with their predicted memo strategy, and
         // each clause with its predicted evaluation mode: [VEC] or
         // [ROW(<reason>)].
@@ -627,14 +621,7 @@ impl Database {
     /// corruption shows up in the returned violations; a clean engine
     /// must always return an empty list.
     pub fn verify_select(&self, q: &crate::ast::Select) -> Result<Vec<crate::validate::Violation>> {
-        let pctx = crate::plan::PlanCtx {
-            catalog: &self.catalog,
-            dialect: self.dialect,
-            bugs: &self.bugs,
-            cov: &self.coverage,
-            optimize: true,
-        };
-        let plan = crate::plan::plan_select(q, &pctx, &std::collections::BTreeSet::new())?;
+        let plan = crate::plan::plan_select(q, &self.plan_ctx(), &Default::default())?;
         Ok(crate::validate::validate_plan(&plan, &self.catalog))
     }
 
@@ -663,16 +650,10 @@ impl Database {
     ) -> Result<Option<crate::ast::Expr>> {
         match where_clause {
             None => Ok(None),
-            Some(w) if optimize => {
-                let pctx = crate::plan::PlanCtx {
-                    catalog: &self.catalog,
-                    dialect: self.dialect,
-                    bugs: &self.bugs,
-                    cov: &self.coverage,
-                    optimize: true,
-                };
-                Ok(Some(crate::plan::fold_dml_predicate(w.clone(), &pctx)?))
-            }
+            Some(w) if optimize => Ok(Some(crate::plan::fold_dml_predicate(
+                w.clone(),
+                &self.plan_ctx(),
+            )?)),
             Some(w) => Ok(Some(w.clone())),
         }
     }

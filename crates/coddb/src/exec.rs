@@ -1218,14 +1218,7 @@ fn expand_items(
                 }
             }
             SelectItem::Expr { expr, alias } => {
-                let name = match alias {
-                    Some(a) => a.to_ascii_lowercase(),
-                    None => match expr {
-                        Expr::Column(c) => c.column.to_ascii_lowercase(),
-                        other => other.to_string(),
-                    },
-                };
-                columns.push(name);
+                columns.push(crate::ast::output_column_name(expr, alias.as_deref()));
                 exprs.push(expr.clone());
             }
         }
@@ -1691,14 +1684,7 @@ fn expand_items_grouped(core: &CorePlan) -> Result<(Vec<String>, Vec<Expr>)> {
     for item in &core.items {
         match item {
             SelectItem::Expr { expr, alias } => {
-                let name = match alias {
-                    Some(a) => a.to_ascii_lowercase(),
-                    None => match expr {
-                        Expr::Column(c) => c.column.to_ascii_lowercase(),
-                        other => other.to_string(),
-                    },
-                };
-                columns.push(name);
+                columns.push(crate::ast::output_column_name(expr, alias.as_deref()));
                 exprs.push(expr.clone());
             }
             _ => {

@@ -1369,14 +1369,7 @@ fn select_output_columns(
                 for item in &core.items {
                     match item {
                         SelectItem::Expr { expr, alias } => {
-                            let name = match alias {
-                                Some(a) => a.to_ascii_lowercase(),
-                                None => match expr {
-                                    Expr::Column(c) => c.column.to_ascii_lowercase(),
-                                    other => other.to_string().to_ascii_lowercase(),
-                                },
-                            };
-                            out.insert(name);
+                            out.insert(crate::ast::output_column_name(expr, alias.as_deref()));
                         }
                         _ => *unknown = true,
                     }

@@ -29,6 +29,10 @@
 //!   lands in the consult record `rerun_test` prunes replays by. A call of
 //!   any of the registry's other readers there fails the lint, as does
 //!   resetting the record.
+//! * **oracle-report-outside-case** — oracle modules other than `lib.rs`
+//!   build bug reports only through `Case`, so every report lists the
+//!   statements its test ran, in run order. A `BugReport { .. }` struct
+//!   literal there fails the lint.
 //!
 //! All parsing is plain text scanning with token-boundary checks — no
 //! external dependencies, deterministic, and fast enough for CI.
@@ -128,6 +132,11 @@ impl AnalyzeReport {
     }
 }
 
+/// Can `c` continue an identifier?
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
 /// Does `needle` occur in `hay` as a whole token (the character after
 /// each occurrence is not part of an identifier)? Guards against prefix
 /// collisions like `pt::EXEC_SORT` matching `pt::EXEC_SORT_POSITIONAL`.
@@ -135,10 +144,7 @@ fn token_match(hay: &str, needle: &str) -> bool {
     let mut from = 0;
     while let Some(pos) = hay[from..].find(needle) {
         let end = from + pos + needle.len();
-        let boundary = hay[end..]
-            .chars()
-            .next()
-            .is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
+        let boundary = hay[end..].chars().next().is_none_or(|c| !is_ident(c));
         if boundary {
             return true;
         }
@@ -150,12 +156,26 @@ fn token_match(hay: &str, needle: &str) -> bool {
 /// Does `line` call `name` or refer to it by path (`name(` or `::name`,
 /// with `name` a whole identifier)?
 fn names_fn(line: &str, name: &str) -> bool {
-    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
     line.match_indices(name).any(|(at, _)| {
         let (before, after) = (&line[..at], &line[at + name.len()..]);
         !before.ends_with(is_ident)
             && (after.starts_with('(') || (before.ends_with("::") && !after.starts_with(is_ident)))
     })
+}
+
+/// Does `line` open a `BugReport { .. }` struct literal?
+fn opens_report_literal(line: &str) -> bool {
+    line.match_indices("BugReport").any(|(at, name)| {
+        !line[..at].ends_with(is_ident) && line[at + name.len()..].trim_start().starts_with('{')
+    })
+}
+
+/// The 1-based numbered lines of `src` that are not line comments.
+fn code_lines(src: &str) -> impl Iterator<Item = (usize, &str)> {
+    src.lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line))
+        .filter(|(_, line)| !line.trim_start().starts_with("//"))
 }
 
 /// Recursively collect `.rs` files under `dir` (sorted for determinism).
@@ -378,22 +398,40 @@ pub fn analyze_repo(root: &Path) -> io::Result<AnalyzeReport> {
         .checked
         .insert("mutant-read-unrecorded", scanned.len());
     for (path, src) in scanned {
-        for (no, line) in src.lines().enumerate() {
-            if line.trim_start().starts_with("//") {
-                continue;
-            }
+        for (no, line) in code_lines(src) {
             let read = UNRECORDED_READS.iter().find(|m| names_fn(line, m));
             if let Some(m) = read {
                 let rel = path.strip_prefix(root).unwrap_or(path);
                 report.findings.push(LintFinding {
                     lint: "mutant-read-unrecorded",
-                    subject: format!("{}:{}", rel.display(), no + 1),
+                    subject: format!("{}:{no}", rel.display()),
                     detail: format!(
                         "`{m}` reads the mutant registry without recording a consult; \
                          engine and oracle code must use the hook accessors"
                     ),
                 });
             }
+        }
+    }
+
+    // --- oracle-report-outside-case --------------------------------------
+    let oracles: Vec<&(PathBuf, String)> = oracle_src
+        .iter()
+        .filter(|(p, _)| !p.ends_with("lib.rs"))
+        .collect();
+    report
+        .checked
+        .insert("oracle-report-outside-case", oracles.len());
+    for (path, src) in oracles {
+        for (no, _) in code_lines(src).filter(|(_, line)| opens_report_literal(line)) {
+            let rel = path.strip_prefix(root).unwrap_or(path);
+            report.findings.push(LintFinding {
+                lint: "oracle-report-outside-case",
+                subject: format!("{}:{no}", rel.display()),
+                detail: "a `BugReport` literal in an oracle module; oracles report through \
+                         `Case`, which lists the statements the test ran"
+                    .into(),
+            });
         }
     }
 
@@ -455,12 +493,13 @@ mod tests {
         assert_eq!(report.checked["mutant-unhooked"], 45 + 10 + 5 + 5);
         assert!(report.checked["bench-field-ungated"] >= 8);
         assert!(report.checked["mutant-read-unrecorded"] > 20);
+        assert_eq!(report.checked["oracle-report-outside-case"], 7);
     }
 
     /// A deliberately-broken fixture repo: an unemitted coverage point,
-    /// an unhooked + untested mutant, an ungated bench field and
-    /// unrecorded registry reads in engine and oracle code must each
-    /// produce their finding.
+    /// an unhooked + untested mutant, an ungated bench field, unrecorded
+    /// registry reads in engine and oracle code and a bug report built
+    /// outside `Case` must each produce their finding.
     #[test]
     fn broken_fixture_fails_every_lint() {
         let dir = std::env::temp_dir().join(format!("coddtest-analyze-{}", std::process::id()));
@@ -493,7 +532,14 @@ mod tests {
         fs::create_dir_all(&oracles).unwrap();
         fs::write(
             oracles.join("tlp.rs"),
-            "fn o(b: &B) { let _ = b.enabled_index().count(); take_consulted(); }\n",
+            "fn o(b: &B) { let _ = b.enabled_index().count(); take_consulted(); }\n\
+             fn r() -> TestOutcome { TestOutcome::Bug(BugReport { kind: K }) }\n\
+             // BugReport { kind: K } in a comment is fine\n",
+        )
+        .unwrap();
+        fs::write(
+            oracles.join("lib.rs"),
+            "fn report(k: K) -> BugReport { BugReport { kind: k } }\n",
         )
         .unwrap();
         let tests = dir.join("crates/coddb/tests");
@@ -554,6 +600,13 @@ mod tests {
             2,
             "one finding per offending line, none for comments or hook reads: {lints:?}"
         );
+        // Only `Case` in lib.rs builds reports; comments do not count.
+        let outside_case: Vec<&str> = lints
+            .iter()
+            .filter(|(l, _)| *l == "oracle-report-outside-case")
+            .map(|(_, s)| *s)
+            .collect();
+        assert_eq!(outside_case, ["crates/core/src/tlp.rs:2"], "{lints:?}");
         // The healthy entries stay clean.
         assert!(!lints.iter().any(|(_, s)| *s == "USED_POINT"));
         assert!(!lints.iter().any(|(_, s)| *s == "BugId::Hooked"));

@@ -31,7 +31,7 @@ use sqlgen::expr::{ExprGen, GeneratedExpr};
 use sqlgen::query::{build_random_query, gen_from_context, FromContext};
 use sqlgen::{GenConfig, SchemaInfo};
 
-use crate::{error_outcome, BugReport, Oracle, ReportKind, Session, TestOutcome};
+use crate::{Case, Oracle, Session, TestOutcome};
 
 const ORACLE_NAME: &str = "codd";
 
@@ -53,7 +53,6 @@ enum Placement {
 struct Fold {
     target: Expr,
     replacement: Expr,
-    aux: Vec<(String, String)>,
 }
 
 /// The CODDTest oracle.
@@ -115,22 +114,22 @@ impl CoddTest {
     fn fold(
         &self,
         s: &mut Session,
+        case: &mut Case,
         phi: &GeneratedExpr,
         aux_from: Option<&TableExpr>,
         scope_aliases: &[String],
-        dialect: Dialect,
         rng: &mut dyn rand::Rng,
     ) -> Result<Fold, TestOutcome> {
         let candidates = noncorrelated_subquery_nodes(&phi.expr, scope_aliases);
         let node_prob = if phi.is_independent() { 0.5 } else { 0.7 };
         if !candidates.is_empty() && rng.random_bool(node_prob) {
             let node = candidates[rng.random_range(0..candidates.len())].clone();
-            return self.fold_expr_node(s, &node, dialect);
+            return self.fold_expr_node(s, case, &node);
         }
         if phi.is_independent() {
-            self.fold_expr_node(s, &phi.expr, dialect)
+            self.fold_expr_node(s, case, &phi.expr)
         } else {
-            self.fold_dependent(s, phi, aux_from.expect("dependent φ requires a FROM"))
+            self.fold_dependent(s, case, phi, aux_from.expect("dependent φ requires a FROM"))
         }
     }
 
@@ -140,19 +139,18 @@ impl CoddTest {
     fn fold_expr_node(
         &self,
         s: &mut Session,
+        case: &mut Case,
         node: &Expr,
-        dialect: Dialect,
     ) -> Result<Fold, TestOutcome> {
-        let target = node.clone();
-        match node {
+        let dialect = s.dialect();
+        let replacement = match node {
             Expr::InSubquery {
                 expr,
                 query,
                 negated,
             } => {
-                let aux_sql = query.to_string();
-                let rel = run_query(s, query, "auxiliary", &aux_sql)?;
-                let replacement = if rel.rows.is_empty() {
+                let rel = case.query(s, "auxiliary", (**query).clone())?;
+                if rel.rows.is_empty() {
                     // `x IN (∅)` is FALSE; `x NOT IN (∅)` is TRUE.
                     bool_literal(*negated, dialect)
                 } else {
@@ -165,12 +163,7 @@ impl CoddTest {
                             .collect(),
                         negated: *negated,
                     }
-                };
-                Ok(Fold {
-                    target,
-                    replacement,
-                    aux: vec![("auxiliary".into(), aux_sql)],
-                })
+                }
             }
             Expr::Quantified {
                 op,
@@ -178,9 +171,8 @@ impl CoddTest {
                 expr,
                 query,
             } => {
-                let aux_sql = query.to_string();
-                let rel = run_query(s, query, "auxiliary", &aux_sql)?;
-                let replacement = if rel.rows.is_empty() {
+                let rel = case.query(s, "auxiliary", (**query).clone())?;
+                if rel.rows.is_empty() {
                     // ANY over ∅ is FALSE, ALL over ∅ is TRUE.
                     bool_literal(*quantifier == Quantifier::All, dialect)
                 } else {
@@ -204,26 +196,15 @@ impl CoddTest {
                             offset: None,
                         }),
                     }
-                };
-                Ok(Fold {
-                    target,
-                    replacement,
-                    aux: vec![("auxiliary".into(), aux_sql)],
-                })
+                }
             }
             Expr::Exists { query, negated } => {
-                let aux_sql = query.to_string();
-                let rel = run_query(s, query, "auxiliary", &aux_sql)?;
+                let rel = case.query(s, "auxiliary", (**query).clone())?;
                 let exists = !rel.rows.is_empty();
-                Ok(Fold {
-                    target,
-                    replacement: bool_literal(exists != *negated, dialect),
-                    aux: vec![("auxiliary".into(), aux_sql)],
-                })
+                bool_literal(exists != *negated, dialect)
             }
             Expr::Scalar(query) => {
-                let aux_sql = query.to_string();
-                let rel = run_query(s, query, "auxiliary", &aux_sql)?;
+                let rel = case.query(s, "auxiliary", (**query).clone())?;
                 let value = match rel.scalar() {
                     Some(v) => v.clone(),
                     None if rel.rows.is_empty() => Value::Null,
@@ -231,29 +212,24 @@ impl CoddTest {
                         return Err(TestOutcome::Skipped("auxiliary subquery not scalar".into()))
                     }
                 };
-                Ok(Fold {
-                    target,
-                    replacement: Expr::Literal(value),
-                    aux: vec![("auxiliary".into(), aux_sql)],
-                })
+                Expr::Literal(value)
             }
             other => {
                 // Plain independent expression: `SELECT φ` (Algorithm 1,
                 // line 4).
                 let aux = Select::scalar_probe(other.clone());
-                let aux_sql = aux.to_string();
-                let rel = run_query(s, &aux, "auxiliary", &aux_sql)?;
+                let rel = case.query(s, "auxiliary", aux)?;
                 let value = rel
                     .scalar()
                     .cloned()
                     .ok_or_else(|| TestOutcome::Skipped("auxiliary not scalar".into()))?;
-                Ok(Fold {
-                    target,
-                    replacement: Expr::Literal(value),
-                    aux: vec![("auxiliary".into(), aux_sql)],
-                })
+                Expr::Literal(value)
             }
-        }
+        };
+        Ok(Fold {
+            target: node.clone(),
+            replacement,
+        })
     }
 
     /// Dependent expressions fold to a per-row mapping rendered as a CASE
@@ -262,6 +238,7 @@ impl CoddTest {
     fn fold_dependent(
         &self,
         s: &mut Session,
+        case: &mut Case,
         phi: &GeneratedExpr,
         aux_from: &TableExpr,
     ) -> Result<Fold, TestOutcome> {
@@ -282,8 +259,7 @@ impl CoddTest {
             from: Some(aux_from.clone()),
             ..SelectCore::default()
         });
-        let aux_sql = aux.to_string();
-        let rel = run_query(s, &aux, "auxiliary", &aux_sql)?;
+        let rel = case.query(s, "auxiliary", aux)?;
         if rel.rows.is_empty() {
             // E.g. an INNER JOIN with an always-false condition; the paper
             // discards such tests (§3.2).
@@ -330,7 +306,6 @@ impl CoddTest {
                 whens,
                 else_expr: None,
             },
-            aux: vec![("auxiliary".into(), aux_sql)],
         })
     }
 
@@ -393,13 +368,12 @@ impl CoddTest {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn predicate_test(
         &self,
         s: &mut Session,
         schema: &SchemaInfo,
         rng: &mut dyn rand::Rng,
-    ) -> TestOutcome {
+    ) -> Result<TestOutcome, TestOutcome> {
         let dialect = s.dialect();
         let from = gen_from_context(rng, schema, &self.config, dialect);
 
@@ -414,7 +388,7 @@ impl CoddTest {
                 phi = gen.gen_phi(rng);
             }
             if !phi.expr.contains_subquery() {
-                return TestOutcome::Skipped("no subquery generated".into());
+                return Err(TestOutcome::Skipped("no subquery generated".into()));
             }
         }
 
@@ -432,17 +406,15 @@ impl CoddTest {
             .iter()
             .map(|(a, _)| a.to_ascii_lowercase())
             .collect();
-        let fold = match self.fold(s, &phi, Some(&aux_from), &aliases, dialect, rng) {
-            Ok(f) => f,
-            Err(outcome) => return outcome,
-        };
+        let mut case = Case::new(ORACLE_NAME);
+        let fold = self.fold(s, &mut case, &phi, Some(&aux_from), &aliases, rng)?;
 
         // Step ④/⑤: build O, derive F, compare.
         match placement {
             Placement::Where => {
                 let p = self.compose_predicate(rng, &phi.expr, &from, schema, dialect);
                 let original = build_random_query(rng, &from, Some(p));
-                self.check_select_pair(s, original, &fold)
+                self.check_select_pair(s, case, original, &fold)
             }
             Placement::JoinOn => {
                 let p = self.compose_predicate(rng, &phi.expr, &from, schema, dialect);
@@ -450,7 +422,7 @@ impl CoddTest {
                     left, right, kind, ..
                 } = from.table_expr.clone()
                 else {
-                    return TestOutcome::Skipped("join placement without join".into());
+                    return Err(TestOutcome::Skipped("join placement without join".into()));
                 };
                 // CROSS JOIN takes the predicate as an INNER ON (SQLite
                 // accepts this; Listing 8 uses it).
@@ -469,7 +441,7 @@ impl CoddTest {
                     ..from.clone()
                 };
                 let original = build_random_query(rng, &joined, None);
-                self.check_select_pair(s, original, &fold)
+                self.check_select_pair(s, case, original, &fold)
             }
             Placement::GroupBy => {
                 // Group by the folded expression itself when it is a
@@ -500,7 +472,7 @@ impl CoddTest {
                     group_by: vec![key],
                     ..SelectCore::default()
                 });
-                self.check_select_pair(s, original, &fold)
+                self.check_select_pair(s, case, original, &fold)
             }
             Placement::Having => {
                 let key = &from.scope[rng.random_range(0..from.scope.len())];
@@ -514,66 +486,55 @@ impl CoddTest {
                     having: Some(phi.expr.clone()),
                     ..SelectCore::default()
                 });
-                self.check_select_pair(s, original, &fold)
+                self.check_select_pair(s, case, original, &fold)
             }
             Placement::Update | Placement::Delete => {
-                self.check_dml_pair(s, &from, placement, &phi.expr, &fold, schema)
+                self.check_dml_pair(s, case, &from, placement, &phi.expr, &fold, schema)
             }
         }
     }
 
     /// Execute original and folded SELECTs and compare result multisets.
-    fn check_select_pair(&self, s: &mut Session, original: Select, fold: &Fold) -> TestOutcome {
+    fn check_select_pair(
+        &self,
+        s: &mut Session,
+        mut case: Case,
+        original: Select,
+        fold: &Fold,
+    ) -> Result<TestOutcome, TestOutcome> {
         let mut folded = original.clone();
         let replaced =
             coddb::ast::visit::replace_in_select(&mut folded, &fold.target, &fold.replacement);
         if replaced == 0 {
-            return TestOutcome::Skipped("φ not found in original query".into());
+            return Err(TestOutcome::Skipped("φ not found in original query".into()));
         }
-        let o_sql = original.to_string();
-        let f_sql = folded.to_string();
-        let mut case = fold.aux.clone();
-        case.insert(0, ("original".into(), o_sql.clone()));
-        case.push(("folded".into(), f_sql.clone()));
-
-        let o_rel = match s.query(&original) {
-            Ok(r) => r,
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
-        let f_rel = match s.query(&folded) {
-            Ok(r) => r,
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
-        if o_rel.multiset_eq(&f_rel) {
-            TestOutcome::Pass
-        } else {
-            TestOutcome::Bug(BugReport {
-                oracle: ORACLE_NAME,
-                kind: ReportKind::LogicDiscrepancy,
-                queries: case,
-                detail: format!(
-                    "original returned {} row(s), folded returned {} row(s):\nO: {}\nF: {}",
-                    o_rel.row_count(),
-                    f_rel.row_count(),
-                    o_rel.to_table_string(),
-                    f_rel.to_table_string()
-                ),
-            })
-        }
+        let o_rel = case.query(s, "original", original)?;
+        let f_rel = case.query(s, "folded", folded)?;
+        Ok(case.check(o_rel.multiset_eq(&f_rel), || {
+            format!(
+                "original returned {} row(s), folded returned {} row(s):\nO: {}\nF: {}",
+                o_rel.row_count(),
+                f_rel.row_count(),
+                o_rel.to_table_string(),
+                f_rel.to_table_string()
+            )
+        }))
     }
 
     /// §3.3: predicates can be placed in UPDATE/DELETE; compare affected
     /// row counts of the original and folded statements on identical
     /// snapshots.
+    #[allow(clippy::too_many_arguments)]
     fn check_dml_pair(
         &self,
         s: &mut Session,
+        mut case: Case,
         from: &FromContext,
         placement: Placement,
         phi: &Expr,
         fold: &Fold,
         schema: &SchemaInfo,
-    ) -> TestOutcome {
+    ) -> Result<TestOutcome, TestOutcome> {
         let table = from.relations[0].1.clone();
         let first_col = schema
             .table(&table)
@@ -598,36 +559,19 @@ impl CoddTest {
         let replaced =
             coddb::ast::visit::replace_in_statement(&mut folded, &fold.target, &fold.replacement);
         if replaced == 0 {
-            return TestOutcome::Skipped("φ not found in DML statement".into());
+            return Err(TestOutcome::Skipped("φ not found in DML statement".into()));
         }
-
-        let mut case = fold.aux.clone();
-        case.insert(0, ("original".into(), original.to_string()));
-        case.push(("folded".into(), folded.to_string()));
 
         let snapshot = s.db.snapshot();
-        let o_res = s.execute(&original);
+        let o_res = case.execute(s, "original", original);
         s.db.restore(snapshot.clone());
-        let o_n = match o_res {
-            Ok(out) => out.affected().unwrap_or(0),
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
-        let f_res = s.execute(&folded);
+        let o_n = o_res?.affected().unwrap_or(0);
+        let f_res = case.execute(s, "folded", folded);
         s.db.restore(snapshot);
-        let f_n = match f_res {
-            Ok(out) => out.affected().unwrap_or(0),
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
-        if o_n == f_n {
-            TestOutcome::Pass
-        } else {
-            TestOutcome::Bug(BugReport {
-                oracle: ORACLE_NAME,
-                kind: ReportKind::LogicDiscrepancy,
-                queries: case,
-                detail: format!("original affected {o_n} row(s), folded affected {f_n}"),
-            })
-        }
+        let f_n = f_res?.affected().unwrap_or(0);
+        Ok(case.check(o_n == f_n, || {
+            format!("original affected {o_n} row(s), folded affected {f_n}")
+        }))
     }
 
     // -- relation folding (§3.4) -------------------------------------------
@@ -637,11 +581,11 @@ impl CoddTest {
         s: &mut Session,
         schema: &SchemaInfo,
         rng: &mut dyn rand::Rng,
-    ) -> TestOutcome {
+    ) -> Result<TestOutcome, TestOutcome> {
         let dialect = s.dialect();
         let bases = schema.base_tables();
         if bases.is_empty() {
-            return TestOutcome::Skipped("no base table".into());
+            return Err(TestOutcome::Skipped("no base table".into()));
         }
         let base = bases[rng.random_range(0..bases.len())].clone();
 
@@ -689,13 +633,12 @@ impl CoddTest {
         });
 
         // Materialize (this is the constant folding of the relation).
-        let sub_sql = subquery.to_string();
-        let rel = match run_query(s, &subquery, "subquery", &sub_sql) {
-            Ok(r) => r,
-            Err(outcome) => return outcome,
-        };
+        let mut case = Case::new(ORACLE_NAME);
+        let rel = case.query(s, "subquery", subquery.clone())?;
         if rel.rows.is_empty() {
-            return TestOutcome::Skipped("subquery returned no rows (§3.4 needs non-empty)".into());
+            return Err(TestOutcome::Skipped(
+                "subquery returned no rows (§3.4 needs non-empty)".into(),
+            ));
         }
         let mut types = rel.column_types();
         for t in &mut types {
@@ -752,61 +695,35 @@ impl CoddTest {
             .map(|r| r.iter().map(|v| Expr::Literal(v.clone())).collect())
             .collect();
 
-        let result = self.run_relation_side(
+        let o_rel = self.run_relation_side(
             s,
+            &mut case,
             o_mode,
-            "ot0",
             &columns,
             &types,
             RelationSource::Query(&subquery),
             &outer_pred,
             self_join,
-        );
-        let o_rel = match result {
-            Ok(r) => r,
-            Err(outcome) => return outcome,
-        };
-        let result = self.run_relation_side(
+        )?;
+        let f_rel = self.run_relation_side(
             s,
+            &mut case,
             f_mode,
-            "ft0",
             &columns,
             &types,
             RelationSource::Values(&values_rows),
             &outer_pred,
             self_join,
-        );
-        let f_rel = match result {
-            Ok(r) => r,
-            Err(outcome) => return outcome,
-        };
-
-        if o_rel.multiset_eq(&f_rel) {
-            TestOutcome::Pass
-        } else {
-            TestOutcome::Bug(BugReport {
-                oracle: ORACLE_NAME,
-                kind: ReportKind::LogicDiscrepancy,
-                queries: vec![
-                    ("subquery".into(), sub_sql),
-                    ("original-relation-mode".into(), mode_name(o_mode).into()),
-                    ("folded-relation-mode".into(), mode_name(f_mode).into()),
-                    (
-                        "outer-predicate".into(),
-                        outer_pred
-                            .map(|p| p.to_string())
-                            .unwrap_or_else(|| "<none>".into()),
-                    ),
-                ],
-                detail: format!(
-                    "original relation returned {} row(s), folded returned {}:\nO: {}\nF: {}",
-                    o_rel.row_count(),
-                    f_rel.row_count(),
-                    o_rel.to_table_string(),
-                    f_rel.to_table_string()
-                ),
-            })
-        }
+        )?;
+        Ok(case.check(o_rel.multiset_eq(&f_rel), || {
+            format!(
+                "original relation returned {} row(s), folded returned {}:\nO: {}\nF: {}",
+                o_rel.row_count(),
+                f_rel.row_count(),
+                o_rel.to_table_string(),
+                f_rel.to_table_string()
+            )
+        }))
     }
 
     /// Build and query one side of a relation test: a real table filled by
@@ -817,14 +734,19 @@ impl CoddTest {
     fn run_relation_side(
         &self,
         s: &mut Session,
+        case: &mut Case,
         mode: usize,
-        name: &str,
         columns: &[String],
         types: &[DataType],
         source: RelationSource,
         outer_pred: &Option<Expr>,
         self_join: bool,
     ) -> Result<Relation, TestOutcome> {
+        // The original side reads the subquery, the folded side its rows.
+        let (name, label) = match source {
+            RelationSource::Query(_) => ("ot0", "original"),
+            RelationSource::Values(_) => ("ft0", "folded"),
+        };
         let proj_alias = if self_join { "ra" } else { name };
         let items: Vec<SelectItem> = columns
             .iter()
@@ -887,24 +809,15 @@ impl CoddTest {
                     name: name.into(),
                     if_exists: true,
                 };
-                let run = |s: &mut Session| -> coddb::Result<Relation> {
-                    s.execute(&create)?;
-                    s.execute(&insert)?;
-                    let rel = s.query(&select)?;
-                    Ok(rel)
-                };
-                let result = run(s);
+                let result = case
+                    .execute(s, "create", create)
+                    .and_then(|_| case.execute(s, "insert", insert))
+                    .and_then(|_| case.query(s, label, select));
                 // Always restore the state (paper: "additional statements
                 // ... to create and drop tables to maintain the database
                 // state").
-                let _ = s.execute(&drop);
-                result.map_err(|e| {
-                    error_outcome(
-                        ORACLE_NAME,
-                        &e,
-                        vec![("relation-table".into(), format!("{create}; {insert}"))],
-                    )
-                })
+                let _ = case.execute(s, "drop", drop);
+                result
             }
             1 => {
                 // Derived-table mode.
@@ -927,8 +840,7 @@ impl CoddTest {
                     where_clause: pred,
                     ..SelectCore::default()
                 });
-                let sql = select.to_string();
-                run_query(s, &select, "derived", &sql)
+                case.query(s, label, select)
             }
             _ => {
                 // CTE mode.
@@ -958,8 +870,7 @@ impl CoddTest {
                     limit: None,
                     offset: None,
                 };
-                let sql = select.to_string();
-                run_query(s, &select, "cte", &sql)
+                case.query(s, label, select)
             }
         }
     }
@@ -968,14 +879,6 @@ impl CoddTest {
 enum RelationSource<'a> {
     Query(&'a Select),
     Values(&'a [Vec<Expr>]),
-}
-
-fn mode_name(mode: usize) -> &'static str {
-    match mode {
-        0 => "table (CREATE + INSERT)",
-        1 => "derived table",
-        _ => "common table expression",
-    }
 }
 
 /// Requalify every column reference in an outer predicate to `alias`.
@@ -1057,12 +960,6 @@ fn bool_literal(b: bool, dialect: Dialect) -> Expr {
     }
 }
 
-/// Run a query, mapping errors into test outcomes.
-fn run_query(s: &mut Session, q: &Select, label: &str, sql: &str) -> Result<Relation, TestOutcome> {
-    s.query(q)
-        .map_err(|e| error_outcome(ORACLE_NAME, &e, vec![(label.to_string(), sql.to_string())]))
-}
-
 impl Oracle for CoddTest {
     fn name(&self) -> &'static str {
         if self.require_subquery {
@@ -1081,11 +978,12 @@ impl Oracle for CoddTest {
         rng: &mut dyn rand::Rng,
     ) -> TestOutcome {
         let relation_mode = self.relation_prob > 0.0 && rng.random_bool(self.relation_prob);
-        if relation_mode {
+        let outcome = if relation_mode {
             self.relation_test(session, schema, rng)
         } else {
             self.predicate_test(session, schema, rng)
-        }
+        };
+        outcome.unwrap_or_else(|early| early)
     }
 }
 

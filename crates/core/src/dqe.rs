@@ -11,13 +11,13 @@
 use coddb::ast::{
     ColumnDef, Expr, InsertSource, Select, SelectCore, SelectItem, Statement, TableExpr,
 };
-use coddb::value::{DataType, Value};
+use coddb::value::DataType;
 use rand::RngExt;
 use sqlgen::expr::ExprGen;
 use sqlgen::state::{random_column_type, random_value};
 use sqlgen::{ColumnInfo, GenConfig, SchemaInfo, TableInfo};
 
-use crate::{error_outcome, BugReport, Oracle, ReportKind, Session, TestOutcome};
+use crate::{Case, Oracle, Session, TestOutcome};
 
 const ORACLE_NAME: &str = "dqe";
 const TABLE: &str = "dqe0";
@@ -45,6 +45,7 @@ impl Dqe {
     fn ensure_table(
         &self,
         s: &mut Session,
+        case: &mut Case,
         rng: &mut dyn rand::Rng,
     ) -> Result<TableInfo, TestOutcome> {
         let dialect = s.dialect();
@@ -73,21 +74,17 @@ impl Dqe {
             not_null: false,
         });
 
-        let _ = s.execute(&Statement::DropTable {
+        let drop = Statement::DropTable {
             name: TABLE.into(),
             if_exists: true,
-        });
-        if let Err(e) = s.execute(&Statement::CreateTable {
+        };
+        let _ = case.execute(s, "drop", drop);
+        let create = Statement::CreateTable {
             name: TABLE.into(),
             columns: defs,
             if_not_exists: false,
-        }) {
-            return Err(error_outcome(
-                ORACLE_NAME,
-                &e,
-                vec![("create".into(), TABLE.into())],
-            ));
-        }
+        };
+        case.execute(s, "create", create)?;
         // One INSERT per row, mirroring the published tool's row-at-a-time
         // staging (part of why DQE executes the most statements per test).
         let n_rows = rng.random_range(1..=8);
@@ -97,17 +94,12 @@ impl Dqe {
                 row.push(Expr::Literal(random_value(rng, *ty)));
             }
             row.push(Expr::lit(0i64));
-            if let Err(e) = s.execute(&Statement::Insert {
+            let insert = Statement::Insert {
                 table: TABLE.into(),
                 columns: Vec::new(),
                 source: InsertSource::Values(vec![row]),
-            }) {
-                return Err(error_outcome(
-                    ORACLE_NAME,
-                    &e,
-                    vec![("insert".into(), TABLE.into())],
-                ));
-            }
+            };
+            case.execute(s, "insert", insert)?;
         }
         Ok(TableInfo {
             name: TABLE.into(),
@@ -117,7 +109,13 @@ impl Dqe {
         })
     }
 
-    fn select_ids(&self, s: &mut Session, where_clause: Option<Expr>) -> coddb::Result<Vec<i64>> {
+    fn select_ids(
+        &self,
+        s: &mut Session,
+        case: &mut Case,
+        label: &'static str,
+        where_clause: Option<Expr>,
+    ) -> Result<Vec<i64>, TestOutcome> {
         let q = Select::from_core(SelectCore {
             items: vec![SelectItem::Expr {
                 expr: Expr::col(TABLE, "id"),
@@ -127,10 +125,63 @@ impl Dqe {
             where_clause,
             ..SelectCore::default()
         });
-        let rel = s.query(&q)?;
+        let rel = case.query(s, label, q)?;
         let mut ids: Vec<i64> = rel.rows.iter().filter_map(|r| r[0].as_i64()).collect();
         ids.sort_unstable();
         Ok(ids)
+    }
+
+    fn test(&self, s: &mut Session, rng: &mut dyn rand::Rng) -> Result<TestOutcome, TestOutcome> {
+        let mut case = Case::new(ORACLE_NAME);
+        let table = self.ensure_table(s, &mut case, rng)?;
+        let dialect = s.dialect();
+        let scope: Vec<ColumnInfo> = table.columns_as(TABLE);
+        let empty_schema = SchemaInfo::default();
+        let mut gen = ExprGen::new(dialect, &self.config, &empty_schema, &scope);
+        let p = gen.gen_predicate(rng, self.config.max_depth.max(1));
+
+        // SELECT.
+        let ids_select = self.select_ids(s, &mut case, "select", Some(p.clone()))?;
+
+        // UPDATE on a snapshot: the marked rows are the selected rows. The
+        // paper's §4.2 MySQL case: the predicate works in SELECT but raises
+        // a semantic error in UPDATE/DELETE — DQE cannot test it.
+        let update = Statement::Update {
+            table: TABLE.into(),
+            sets: vec![("modified".into(), Expr::lit(1i64))],
+            where_clause: Some(p.clone()),
+        };
+        let snapshot = s.db.snapshot();
+        let marked = case.execute(s, "update", update).and_then(|_| {
+            let modified = Expr::eq(Expr::col(TABLE, "modified"), Expr::lit(1i64));
+            self.select_ids(s, &mut case, "select marked", Some(modified))
+        });
+        s.db.restore(snapshot.clone());
+        let ids_update = marked?;
+
+        // DELETE on a snapshot: the deleted rows are the selected rows.
+        let all_ids = self.select_ids(s, &mut case, "select all", None)?;
+        let delete = Statement::Delete {
+            table: TABLE.into(),
+            where_clause: Some(p),
+        };
+        let remaining = case
+            .execute(s, "delete", delete)
+            .and_then(|_| self.select_ids(s, &mut case, "select remaining", None));
+        s.db.restore(snapshot);
+        let remaining = remaining?;
+        let ids_delete: Vec<i64> = all_ids
+            .into_iter()
+            .filter(|id| !remaining.contains(id))
+            .collect();
+
+        let consistent = ids_select == ids_update && ids_select == ids_delete;
+        Ok(case.check(consistent, || {
+            format!(
+                "SELECT matched {ids_select:?}, UPDATE matched {ids_update:?}, \
+                 DELETE matched {ids_delete:?}"
+            )
+        }))
     }
 }
 
@@ -145,106 +196,9 @@ impl Oracle for Dqe {
         _schema: &SchemaInfo,
         rng: &mut dyn rand::Rng,
     ) -> TestOutcome {
-        let table = match self.ensure_table(s, rng) {
-            Ok(t) => t,
-            Err(outcome) => return outcome,
-        };
-        let dialect = s.dialect();
-        let scope: Vec<ColumnInfo> = table.columns_as(TABLE);
-        let empty_schema = SchemaInfo::default();
-        let mut gen = ExprGen::new(dialect, &self.config, &empty_schema, &scope);
-        let p = gen.gen_predicate(rng, self.config.max_depth.max(1));
-
-        let select_sql = format!("SELECT id FROM {TABLE} WHERE {p}");
-        let update = Statement::Update {
-            table: TABLE.into(),
-            sets: vec![("modified".into(), Expr::lit(1i64))],
-            where_clause: Some(p.clone()),
-        };
-        let delete = Statement::Delete {
-            table: TABLE.into(),
-            where_clause: Some(p.clone()),
-        };
-        let case = vec![
-            ("select".into(), select_sql),
-            ("update".into(), update.to_string()),
-            ("delete".into(), delete.to_string()),
-        ];
-
-        // SELECT.
-        let ids_select = match self.select_ids(s, Some(p.clone())) {
-            Ok(ids) => ids,
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
-
-        // UPDATE on a snapshot: the marked rows are the selected rows.
-        let snapshot = s.db.snapshot();
-        let upd = s.execute(&update);
-        let ids_update = match upd {
-            Ok(_) => {
-                let marked = self.select_ids(
-                    s,
-                    Some(Expr::eq(Expr::col(TABLE, "modified"), Expr::lit(1i64))),
-                );
-                s.db.restore(snapshot.clone());
-                match marked {
-                    Ok(ids) => ids,
-                    Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-                }
-            }
-            Err(e) => {
-                s.db.restore(snapshot);
-                // The paper's §4.2 MySQL case: the predicate works in
-                // SELECT but raises a semantic error in UPDATE/DELETE —
-                // DQE cannot test it.
-                return error_outcome(ORACLE_NAME, &e, case);
-            }
-        };
-
-        // DELETE on a snapshot: the deleted rows are the selected rows.
-        let all_ids = match self.select_ids(s, None) {
-            Ok(ids) => ids,
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
-        let del = s.execute(&delete);
-        let ids_delete = match del {
-            Ok(_) => {
-                let remaining = self.select_ids(s, None);
-                s.db.restore(snapshot);
-                match remaining {
-                    Ok(rem) => all_ids
-                        .iter()
-                        .copied()
-                        .filter(|id| !rem.contains(id))
-                        .collect::<Vec<_>>(),
-                    Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-                }
-            }
-            Err(e) => {
-                s.db.restore(snapshot);
-                return error_outcome(ORACLE_NAME, &e, case);
-            }
-        };
-
-        if ids_select == ids_update && ids_select == ids_delete {
-            TestOutcome::Pass
-        } else {
-            TestOutcome::Bug(BugReport {
-                oracle: ORACLE_NAME,
-                kind: ReportKind::LogicDiscrepancy,
-                queries: case,
-                detail: format!(
-                    "SELECT matched {ids_select:?}, UPDATE matched {ids_update:?}, \
-                     DELETE matched {ids_delete:?}"
-                ),
-            })
-        }
+        self.test(s, rng).unwrap_or_else(|early| early)
     }
 }
-
-// Keep Value in scope for doc examples.
-#[allow(unused_imports)]
-use Value as _ValueDoc;
 
 #[cfg(test)]
 mod tests {

@@ -16,7 +16,7 @@ use sqlgen::expr::ExprGen;
 use sqlgen::query::{build_random_query, gen_from_context};
 use sqlgen::{GenConfig, SchemaInfo};
 
-use crate::{error_outcome, BugReport, Oracle, ReportKind, Session, TestOutcome};
+use crate::{Case, Oracle, Session, TestOutcome};
 
 const ORACLE_NAME: &str = "eet";
 
@@ -68,17 +68,13 @@ pub fn transform(p: &Expr, q: Expr, choice: u32) -> Expr {
     }
 }
 
-impl Oracle for Eet {
-    fn name(&self) -> &'static str {
-        ORACLE_NAME
-    }
-
-    fn run_one(
-        &mut self,
+impl Eet {
+    fn test(
+        &self,
         s: &mut Session,
         schema: &SchemaInfo,
         rng: &mut dyn rand::Rng,
-    ) -> TestOutcome {
+    ) -> Result<TestOutcome, TestOutcome> {
         let dialect = s.dialect();
         let from = gen_from_context(rng, schema, &self.config, dialect);
         let mut gen = ExprGen::new(dialect, &self.config, schema, &from.scope);
@@ -97,32 +93,31 @@ impl Oracle for Eet {
             core.where_clause = Some(transformed);
         }
 
-        let case = vec![
-            ("original".into(), original.to_string()),
-            ("transformed".into(), rewritten.to_string()),
-        ];
-        let o_rel = match s.query(&original) {
-            Ok(r) => r,
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
-        let t_rel = match s.query(&rewritten) {
-            Ok(r) => r,
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
-        if o_rel.multiset_eq(&t_rel) {
-            TestOutcome::Pass
-        } else {
-            TestOutcome::Bug(BugReport {
-                oracle: ORACLE_NAME,
-                kind: ReportKind::LogicDiscrepancy,
-                queries: case,
-                detail: format!(
-                    "original returned {} row(s), transformed returned {}",
-                    o_rel.row_count(),
-                    t_rel.row_count()
-                ),
-            })
-        }
+        let mut case = Case::new(ORACLE_NAME);
+        let o_rel = case.query(s, "original", original)?;
+        let t_rel = case.query(s, "transformed", rewritten)?;
+        Ok(case.check(o_rel.multiset_eq(&t_rel), || {
+            format!(
+                "original returned {} row(s), transformed returned {}",
+                o_rel.row_count(),
+                t_rel.row_count()
+            )
+        }))
+    }
+}
+
+impl Oracle for Eet {
+    fn name(&self) -> &'static str {
+        ORACLE_NAME
+    }
+
+    fn run_one(
+        &mut self,
+        s: &mut Session,
+        schema: &SchemaInfo,
+        rng: &mut dyn rand::Rng,
+    ) -> TestOutcome {
+        self.test(s, schema, rng).unwrap_or_else(|early| early)
     }
 }
 

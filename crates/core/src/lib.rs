@@ -22,6 +22,9 @@
 //!
 //! Every oracle implements [`Oracle`] and consumes a [`Session`], which
 //! tallies successful/unsuccessful queries and collects plan fingerprints.
+//! Each statement a test runs goes through the test's [`Case`], which
+//! records it under a label; a bug report lists those statements in run
+//! order, rendered to SQL only when the test reports.
 
 pub mod analyze;
 pub mod codd;
@@ -34,6 +37,7 @@ pub mod runner;
 pub mod tlp;
 pub mod verify;
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use coddb::ast::{Select, Statement};
@@ -96,8 +100,8 @@ impl ReportKind {
 pub struct BugReport {
     pub oracle: &'static str,
     pub kind: ReportKind,
-    /// Labelled queries, e.g. `("original", ...)`, `("auxiliary", ...)`,
-    /// `("folded", ...)`.
+    /// The statements the test ran, in run order, each with its label,
+    /// e.g. `("auxiliary", ...)`, `("original", ...)`, `("folded", ...)`.
     pub queries: Vec<(String, String)>,
     /// Human-readable explanation of the discrepancy.
     pub detail: String,
@@ -180,21 +184,102 @@ impl<'a> Session<'a> {
     }
 }
 
-/// Convert an engine error into a test outcome: bug-signal errors become
-/// reports, expected errors skip the test.
-pub fn error_outcome(
+/// One statement of a test, under the label its report shows.
+pub type Step = (Cow<'static, str>, Statement);
+
+/// One oracle test's record: every statement the test runs goes through
+/// its `Case`, which keeps the statement's AST under a label. The one
+/// builder of oracle bug reports: a report lists the recorded statements
+/// in run order, and only a report renders them to SQL.
+pub struct Case {
     oracle: &'static str,
-    e: &Error,
-    queries: Vec<(String, String)>,
-) -> TestOutcome {
-    match ReportKind::from_error(e) {
-        Some(kind) => TestOutcome::Bug(BugReport {
+    steps: Vec<Step>,
+}
+
+impl Case {
+    pub fn new(oracle: &'static str) -> Case {
+        Case {
             oracle,
+            steps: Vec::new(),
+        }
+    }
+
+    /// Run a SELECT with the optimizer enabled and record it.
+    pub fn query(
+        &mut self,
+        s: &mut Session,
+        label: impl Into<Cow<'static, str>>,
+        q: Select,
+    ) -> Result<Relation, TestOutcome> {
+        let r = s.query(&q);
+        self.note(label, Statement::Select(q));
+        r.map_err(|e| self.error(&e))
+    }
+
+    /// Run a SELECT with the optimizer disabled and record it.
+    pub fn query_unoptimized(
+        &mut self,
+        s: &mut Session,
+        label: impl Into<Cow<'static, str>>,
+        q: Select,
+    ) -> Result<Relation, TestOutcome> {
+        let r = s.query_unoptimized(&q);
+        self.note(label, Statement::Select(q));
+        r.map_err(|e| self.error(&e))
+    }
+
+    /// Execute any statement and record it.
+    pub fn execute(
+        &mut self,
+        s: &mut Session,
+        label: impl Into<Cow<'static, str>>,
+        stmt: Statement,
+    ) -> Result<coddb::ExecOutcome, TestOutcome> {
+        let r = s.execute(&stmt);
+        self.note(label, stmt);
+        r.map_err(|e| self.error(&e))
+    }
+
+    /// Record a statement the test ran outside the session.
+    pub fn note(&mut self, label: impl Into<Cow<'static, str>>, stmt: Statement) {
+        self.steps.push((label.into(), stmt));
+    }
+
+    /// The outcome of an engine error: bug-signal errors become reports,
+    /// expected errors skip the test.
+    pub fn error(&self, e: &Error) -> TestOutcome {
+        match ReportKind::from_error(e) {
+            Some(kind) => TestOutcome::Bug(self.report(kind, e.to_string())),
+            None => TestOutcome::Skipped(format!("expected error: {e}")),
+        }
+    }
+
+    /// Pass if the metamorphic relation `holds`, else report a logic
+    /// discrepancy explained by `detail`, which is called only then.
+    pub fn check(self, holds: bool, detail: impl FnOnce() -> String) -> TestOutcome {
+        if holds {
+            TestOutcome::Pass
+        } else {
+            self.bug(ReportKind::LogicDiscrepancy, detail())
+        }
+    }
+
+    /// Report a bug of `kind`.
+    pub fn bug(self, kind: ReportKind, detail: String) -> TestOutcome {
+        TestOutcome::Bug(self.report(kind, detail))
+    }
+
+    fn report(&self, kind: ReportKind, detail: String) -> BugReport {
+        BugReport {
+            oracle: self.oracle,
             kind,
-            queries,
-            detail: e.to_string(),
-        }),
-        None => TestOutcome::Skipped(format!("expected error: {e}")),
+            queries: self
+                .steps
+                .iter()
+                .map(|(label, stmt)| (label.to_string(), stmt.to_string()))
+                .collect(),
+            detail,
+        }
     }
 }
 
@@ -212,6 +297,9 @@ pub fn value_is_true(v: &Value) -> bool {
 
 /// A test oracle: generates one metamorphic test against the session's
 /// database (whose state is described by `schema`) per call.
+///
+/// Each statement a test runs goes through its [`Case`], and a report the
+/// test returns lists those statements in run order.
 ///
 /// # Test independence
 ///
@@ -289,6 +377,65 @@ mod tests {
         let bad = coddb::parser::parse_select("SELECT * FROM missing").unwrap();
         assert!(s.query(&bad).is_err());
         assert_eq!(s.err_queries, 1);
+    }
+
+    #[test]
+    fn case_reports_recorded_statements_in_run_order() {
+        let mut db = Database::new(coddb::Dialect::Sqlite);
+        db.execute_sql("CREATE TABLE t (v INT); INSERT INTO t VALUES (1)")
+            .unwrap();
+        let mut s = Session::new(&mut db);
+        let stmt = |sql: &str| coddb::parser::parse_statements(sql).unwrap().remove(0);
+        let select = |sql: &str| coddb::parser::parse_select(sql).unwrap();
+        let sqls = [
+            "SELECT v FROM t",
+            "SELECT v FROM t WHERE v > 0",
+            "DELETE FROM t WHERE v = 2",
+            "SELECT 1",
+            "SELECT * FROM missing",
+        ];
+        let mut record = || {
+            let mut case = Case::new("probe");
+            case.query(&mut s, "first", select(sqls[0])).unwrap();
+            case.query_unoptimized(&mut s, "second", select(sqls[1]))
+                .unwrap();
+            case.execute(&mut s, "third", stmt(sqls[2])).unwrap();
+            case.note("fourth", stmt(sqls[3]));
+            let missing = case.query(&mut s, String::from("fifth"), select(sqls[4]));
+            assert!(matches!(missing, Err(TestOutcome::Skipped(_))));
+            case
+        };
+
+        let passed = record().check(true, || panic!("detail of a passing check"));
+        assert!(matches!(passed, TestOutcome::Pass));
+        let TestOutcome::Bug(report) = record().check(false, || "differs".into()) else {
+            panic!("a failing check reports");
+        };
+        assert_eq!(report.oracle, "probe");
+        assert_eq!(report.kind, ReportKind::LogicDiscrepancy);
+        assert_eq!(report.detail, "differs");
+        let expected: Vec<(String, String)> = ["first", "second", "third", "fourth", "fifth"]
+            .into_iter()
+            .zip(sqls)
+            .map(|(label, sql)| (label.to_string(), stmt(sql).to_string()))
+            .collect();
+        assert_eq!(report.queries, expected);
+
+        let case = Case::new("probe");
+        for (e, kind) in [
+            (Error::Internal("x".into()), ReportKind::InternalError),
+            (Error::Crash("x".into()), ReportKind::Crash),
+            (Error::Hang, ReportKind::Hang),
+        ] {
+            let TestOutcome::Bug(report) = case.error(&e) else {
+                panic!("{e} reports");
+            };
+            assert_eq!((report.kind, report.detail), (kind, e.to_string()));
+        }
+        assert!(matches!(
+            case.error(&Error::Eval("x".into())),
+            TestOutcome::Skipped(_)
+        ));
     }
 
     #[test]

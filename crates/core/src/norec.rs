@@ -15,7 +15,7 @@ use sqlgen::expr::ExprGen;
 use sqlgen::query::{build_count_query, gen_from_context};
 use sqlgen::{GenConfig, SchemaInfo};
 
-use crate::{error_outcome, value_is_true, BugReport, Oracle, ReportKind, Session, TestOutcome};
+use crate::{value_is_true, Case, Oracle, Session, TestOutcome};
 
 const ORACLE_NAME: &str = "norec";
 
@@ -33,17 +33,13 @@ impl Default for NoRec {
     }
 }
 
-impl Oracle for NoRec {
-    fn name(&self) -> &'static str {
-        ORACLE_NAME
-    }
-
-    fn run_one(
-        &mut self,
+impl NoRec {
+    fn test(
+        &self,
         s: &mut Session,
         schema: &SchemaInfo,
         rng: &mut dyn rand::Rng,
-    ) -> TestOutcome {
+    ) -> Result<TestOutcome, TestOutcome> {
         let dialect = s.dialect();
         let from = gen_from_context(rng, schema, &self.config, dialect);
         let mut gen = ExprGen::new(dialect, &self.config, schema, &from.scope);
@@ -56,25 +52,16 @@ impl Oracle for NoRec {
         // the TRUE rows host-side.
         let reference = Select::from_core(SelectCore {
             items: vec![SelectItem::Expr {
-                expr: p.clone(),
+                expr: p,
                 alias: None,
             }],
             from: Some(from.table_expr.clone()),
             ..SelectCore::default()
         });
 
-        let o_sql = optimized.to_string();
-        let r_sql = reference.to_string();
-        let case = vec![("optimized".into(), o_sql), ("unoptimized".into(), r_sql)];
-
-        let o_rel = match s.query(&optimized) {
-            Ok(r) => r,
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
-        let r_rel = match s.query_unoptimized(&reference) {
-            Ok(r) => r,
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
+        let mut case = Case::new(ORACLE_NAME);
+        let o_rel = case.query(s, "optimized", optimized)?;
+        let r_rel = case.query_unoptimized(s, "unoptimized", reference)?;
 
         let optimized_count = o_rel.scalar().and_then(|v| v.as_i64()).unwrap_or(-1);
         let reference_count = r_rel
@@ -83,18 +70,24 @@ impl Oracle for NoRec {
             .filter(|row| value_is_true(&row[0]))
             .count() as i64;
 
-        if optimized_count == reference_count {
-            TestOutcome::Pass
-        } else {
-            TestOutcome::Bug(BugReport {
-                oracle: ORACLE_NAME,
-                kind: ReportKind::LogicDiscrepancy,
-                queries: case,
-                detail: format!(
-                    "optimized count {optimized_count} != unoptimized TRUE count {reference_count}"
-                ),
-            })
-        }
+        Ok(case.check(optimized_count == reference_count, || {
+            format!("optimized count {optimized_count} != unoptimized TRUE count {reference_count}")
+        }))
+    }
+}
+
+impl Oracle for NoRec {
+    fn name(&self) -> &'static str {
+        ORACLE_NAME
+    }
+
+    fn run_one(
+        &mut self,
+        s: &mut Session,
+        schema: &SchemaInfo,
+        rng: &mut dyn rand::Rng,
+    ) -> TestOutcome {
+        self.test(s, schema, rng).unwrap_or_else(|early| early)
     }
 }
 

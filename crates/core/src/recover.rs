@@ -33,7 +33,7 @@ use rand::{Rng, RngExt, SeedableRng};
 use sqlgen::state::{generate_state, random_value};
 use sqlgen::{GenConfig, SchemaInfo};
 
-use crate::{BugReport, Oracle, ReportKind, Session, TestOutcome};
+use crate::{Case, Oracle, ReportKind, Session, TestOutcome};
 
 /// The crash-recovery oracle.
 #[derive(Debug, Default)]
@@ -170,27 +170,26 @@ impl Oracle for Recover {
                 // errors, there is no "expected" way for replaying a log
                 // the engine itself wrote to fail — so it maps straight to
                 // an internal-error report rather than through
-                // `error_outcome`'s severity filter.
+                // `Case::error`'s severity filter.
                 let kind = if detail.starts_with("recovery failed:") {
                     ReportKind::InternalError
                 } else {
                     ReportKind::LogicDiscrepancy
                 };
-                TestOutcome::Bug(BugReport {
-                    oracle: "recover",
+                let mut case = Case::new("recover");
+                for stmt in script {
+                    case.note("script", stmt);
+                }
+                case.bug(
                     kind,
-                    queries: script
-                        .iter()
-                        .map(|s| ("script".into(), s.to_string()))
-                        .collect(),
-                    detail: format!(
+                    format!(
                         "{detail}\nrepro: script_seed={script_seed:#x} fault_seed={fault_seed:#x} \
                          ckpt_seed={ckpt_seed:#x} media_seed={media_seed:#x} {} \
                          checkpoints={checkpoints:?}\n{}",
                         plan.describe(),
                         mplan.describe()
                     ),
-                })
+                )
             }
         }
     }

@@ -81,7 +81,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use coddb::bugs::{
@@ -164,6 +164,21 @@ pub struct Finding {
     /// [`attribute_bugs`]; the media scheme is a fourth mutant family with
     /// its own list for the same reason).
     pub attributed_media: Vec<MediaBugId>,
+}
+
+impl Finding {
+    /// An unattributed finding at `(state_idx, test_idx)`.
+    pub fn new(report: BugReport, state_idx: u64, test_idx: u64) -> Finding {
+        Finding {
+            report,
+            state_idx,
+            test_idx,
+            attributed: Vec::new(),
+            attributed_recovery: Vec::new(),
+            attributed_index: Vec::new(),
+            attributed_media: Vec::new(),
+        }
+    }
 }
 
 /// Aggregated campaign results (one row of Table 3).
@@ -446,15 +461,9 @@ fn merge_shard(
     result.passed += shard.passed;
     result.skipped += shard.skipped;
     for (test_idx, report) in shard.findings {
-        result.findings.push(Finding {
-            report,
-            state_idx: shard.state_idx,
-            test_idx,
-            attributed: Vec::new(),
-            attributed_recovery: Vec::new(),
-            attributed_index: Vec::new(),
-            attributed_media: Vec::new(),
-        });
+        result
+            .findings
+            .push(Finding::new(report, shard.state_idx, test_idx));
     }
     result.successful_queries += shard.ok_queries;
     result.unsuccessful_queries += shard.err_queries;
@@ -499,24 +508,17 @@ fn drive_campaign(
             consecutive_setup_failures += 1;
             if consecutive_setup_failures >= cfg.max_setup_retries.max(1) {
                 let first = state_idx + 1 - consecutive_setup_failures;
-                result.findings.push(Finding {
-                    report: BugReport {
-                        oracle: "campaign",
-                        kind: ReportKind::InternalError,
-                        queries: Vec::new(),
-                        detail: format!(
-                            "state setup failed {consecutive_setup_failures} consecutive \
-                             times (states {first}..={state_idx}); abandoning the \
-                             remaining test budget"
-                        ),
-                    },
-                    state_idx,
-                    test_idx: 0,
-                    attributed: Vec::new(),
-                    attributed_recovery: Vec::new(),
-                    attributed_index: Vec::new(),
-                    attributed_media: Vec::new(),
-                });
+                let report = BugReport {
+                    oracle: "campaign",
+                    kind: ReportKind::InternalError,
+                    queries: Vec::new(),
+                    detail: format!(
+                        "state setup failed {consecutive_setup_failures} consecutive \
+                         times (states {first}..={state_idx}); abandoning the \
+                         remaining test budget"
+                    ),
+                };
+                result.findings.push(Finding::new(report, state_idx, 0));
                 stop = true;
             }
         } else {
@@ -815,85 +817,30 @@ fn replay_test(
 }
 
 /// Attribute every finding of a campaign to the injected mutant(s) that
-/// reproduce it when enabled alone.
+/// reproduce it when enabled alone: each finding is re-run under each
+/// enabled mutant in turn — engine (Table 1), recovery, index and media
+/// mutants, each family into its own list — so [`rerun_test`]'s memo of
+/// the finding's clean run answers for every mutant that run never
+/// consulted.
 pub fn attribute_bugs(result: &mut CampaignResult, cfg: &CampaignConfig, oracle_name: &str) {
-    attribute_bugs_parallel(result, cfg, oracle_name, 1);
-}
-
-/// [`attribute_bugs`] fanned out across `threads` workers: every
-/// `(finding, mutant)` re-run is an independent seed-deterministic replay,
-/// so workers pull findings from a shared counter, replay each under all
-/// of its mutants (one worker per finding, so [`rerun_test`]'s per-thread
-/// memo serves the whole finding), and the attributions are written back
-/// in the same `(finding, enabled-mutant)` order the sequential version
-/// produces — identical output at any thread count.
-pub fn attribute_bugs_parallel(
-    result: &mut CampaignResult,
-    cfg: &CampaignConfig,
-    oracle_name: &str,
-    threads: usize,
-) {
-    /// One mutant to replay a finding under — engine (Table 1) and
-    /// recovery-path schemes attribute through the same machinery but
-    /// stay in separate result lists.
-    #[derive(Clone, Copy)]
-    enum Mutant {
-        Engine(BugId),
-        Recovery(RecoveryBugId),
-        Index(IndexBugId),
-        Media(MediaBugId),
-    }
-    impl Mutant {
-        fn registry(self) -> BugRegistry {
-            match self {
-                Mutant::Engine(b) => BugRegistry::only(b),
-                Mutant::Recovery(b) => BugRegistry::only_recovery(b),
-                Mutant::Index(b) => BugRegistry::only_index(b),
-                Mutant::Media(b) => BugRegistry::only_media(b),
-            }
-        }
-    }
-
-    let enabled: Vec<Mutant> = cfg
-        .bugs
-        .enabled()
-        .map(Mutant::Engine)
-        .chain(cfg.bugs.enabled_recovery().map(Mutant::Recovery))
-        .chain(cfg.bugs.enabled_index().map(Mutant::Index))
-        .chain(cfg.bugs.enabled_media().map(Mutant::Media))
-        .collect();
-    // `hits[fi * enabled.len() + mi]`: finding `fi` reproduces under
-    // mutant `mi` alone.
-    let next_finding = AtomicUsize::new(0);
-    let hits: Vec<AtomicBool> = (0..result.findings.len() * enabled.len())
-        .map(|_| AtomicBool::new(false))
-        .collect();
-    let findings = &result.findings;
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| loop {
-                let fi = next_finding.fetch_add(1, Ordering::Relaxed);
-                let Some(f) = findings.get(fi) else {
-                    break;
-                };
-                for (mi, bug) in enabled.iter().enumerate() {
-                    if rerun_test(oracle_name, cfg, f.state_idx, f.test_idx, &bug.registry()) {
-                        hits[fi * enabled.len() + mi].store(true, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    for (j, hit) in hits.iter().enumerate() {
-        if hit.load(Ordering::Relaxed) {
-            let f = &mut result.findings[j / enabled.len()];
-            match enabled[j % enabled.len()] {
-                Mutant::Engine(b) => f.attributed.push(b),
-                Mutant::Recovery(b) => f.attributed_recovery.push(b),
-                Mutant::Index(b) => f.attributed_index.push(b),
-                Mutant::Media(b) => f.attributed_media.push(b),
-            }
-        }
+    let bugs = &cfg.bugs;
+    for f in &mut result.findings {
+        let (state_idx, test_idx) = (f.state_idx, f.test_idx);
+        let hit = |only: BugRegistry| rerun_test(oracle_name, cfg, state_idx, test_idx, &only);
+        f.attributed
+            .extend(bugs.enabled().filter(|&b| hit(BugRegistry::only(b))));
+        f.attributed_recovery.extend(
+            bugs.enabled_recovery()
+                .filter(|&b| hit(BugRegistry::only_recovery(b))),
+        );
+        f.attributed_index.extend(
+            bugs.enabled_index()
+                .filter(|&b| hit(BugRegistry::only_index(b))),
+        );
+        f.attributed_media.extend(
+            bugs.enabled_media()
+                .filter(|&b| hit(BugRegistry::only_media(b))),
+        );
     }
 }
 
@@ -1151,7 +1098,7 @@ mod tests {
 
     /// Attribution replays a finding with the same panic isolation as the
     /// campaign: re-running a test that panics counts as reproduced instead
-    /// of unwinding out of the attribution workers.
+    /// of unwinding out of `attribute_bugs`.
     #[test]
     fn attributing_a_panic_finding_counts_it_as_reproduced() {
         let bug = BugId::SqliteBetweenTextAffinity;
@@ -1250,7 +1197,7 @@ mod tests {
             !result.findings.is_empty(),
             "recover never caught the mutant"
         );
-        attribute_bugs_parallel(&mut result, &cfg, "recover", 2);
+        attribute_bugs(&mut result, &cfg, "recover");
         assert!(
             result
                 .findings
@@ -1287,7 +1234,7 @@ mod tests {
             !result.findings.is_empty(),
             "recover never caught the checkpoint mutant"
         );
-        attribute_bugs_parallel(&mut result, &cfg, "recover", 2);
+        attribute_bugs(&mut result, &cfg, "recover");
         assert!(
             result
                 .findings
@@ -1320,7 +1267,7 @@ mod tests {
             let mut oracle = make_oracle("codd").unwrap();
             let mut result = run_campaign(oracle.as_mut(), &cfg);
             assert!(!result.findings.is_empty(), "codd never caught {bug:?}");
-            attribute_bugs_parallel(&mut result, &cfg, "codd", 2);
+            attribute_bugs(&mut result, &cfg, "codd");
             assert!(
                 result
                     .findings
@@ -1379,7 +1326,7 @@ mod tests {
             let mut oracle = make_oracle("verify").unwrap();
             let mut result = run_campaign(oracle.as_mut(), &cfg);
             assert!(!result.findings.is_empty(), "verify never caught {bug:?}");
-            attribute_bugs_parallel(&mut result, &cfg, "verify", 2);
+            attribute_bugs(&mut result, &cfg, "verify");
             assert!(
                 result
                     .findings
@@ -1399,23 +1346,5 @@ mod tests {
         let result = run_campaign(oracle.as_mut(), &cfg);
         assert!(result.findings.is_empty(), "{:#?}", result.findings);
         assert_eq!(result.tests_run, 60);
-    }
-
-    #[test]
-    fn parallel_attribution_matches_sequential() {
-        let cfg = CampaignConfig {
-            bugs: BugRegistry::all_for_dialect(Dialect::Tidb),
-            tests: 400,
-            ..CampaignConfig::new(Dialect::Tidb)
-        };
-        let mut oracle = make_oracle("codd").unwrap();
-        let mut seq = run_campaign(oracle.as_mut(), &cfg);
-        let mut par = seq.clone();
-        assert!(!seq.findings.is_empty());
-        attribute_bugs(&mut seq, &cfg, "codd");
-        attribute_bugs_parallel(&mut par, &cfg, "codd", 4);
-        let seq_attr: Vec<_> = seq.findings.iter().map(|f| &f.attributed).collect();
-        let par_attr: Vec<_> = par.findings.iter().map(|f| &f.attributed).collect();
-        assert_eq!(seq_attr, par_attr);
     }
 }

@@ -6,14 +6,14 @@
 //! (`COUNT`/`SUM`/`MIN`/`MAX`), `DISTINCT` and `HAVING` — the scope the
 //! CODDTest paper credits it with. Like NoREC, it has no subquery support.
 
-use coddb::ast::{AggFunc, Expr, Select, SelectBody, SelectCore, SelectItem, SetOp, TableExpr};
+use coddb::ast::{AggFunc, Expr, Select, SelectBody, SelectCore, SelectItem, SetOp};
 use coddb::value::{Relation, Row, Value};
 use rand::RngExt;
 use sqlgen::expr::ExprGen;
 use sqlgen::query::{gen_from_context, FromContext};
 use sqlgen::{GenConfig, SchemaInfo};
 
-use crate::{error_outcome, BugReport, Oracle, ReportKind, Session, TestOutcome};
+use crate::{Case, Oracle, Session, TestOutcome};
 
 const ORACLE_NAME: &str = "tlp";
 
@@ -29,6 +29,9 @@ impl Default for Tlp {
         }
     }
 }
+
+/// The report labels of the three partitioning queries.
+const PARTITION_LABELS: [&str; 3] = ["partition 0", "partition 1", "partition 2"];
 
 /// The three partitioning predicates.
 fn partitions(p: &Expr) -> [Expr; 3] {
@@ -49,7 +52,7 @@ impl Tlp {
         from: &FromContext,
         p: &Expr,
         rng: &mut dyn rand::Rng,
-    ) -> TestOutcome {
+    ) -> Result<TestOutcome, TestOutcome> {
         let items: Vec<SelectItem> = from
             .scope
             .iter()
@@ -66,20 +69,17 @@ impl Tlp {
                 ..SelectCore::default()
             })
         };
-        let all_query = base(None);
         let parts = partitions(p);
 
-        let mut case = vec![("unpartitioned".into(), all_query.to_string())];
-        let all_rel = match s.query(&all_query) {
-            Ok(r) => r,
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
+        let mut case = Case::new(ORACLE_NAME);
+        let all_rel = case.query(s, "unpartitioned", base(None))?;
 
         // Mostly run the partitions as one UNION ALL query, occasionally
         // as three separate queries — the paper measures TLP's QPT at
         // 2.23, i.e. the single-query mode dominates.
         let mut combined = Relation::new(all_rel.columns.clone());
         if rng.random_bool(0.85) {
+            let [p0, p1, p2] = parts;
             let union = Select {
                 with: Vec::new(),
                 body: SelectBody::SetOp {
@@ -88,45 +88,31 @@ impl Tlp {
                     left: Box::new(SelectBody::SetOp {
                         op: SetOp::Union,
                         all: true,
-                        left: Box::new(core_of(base(Some(parts[0].clone())))),
-                        right: Box::new(core_of(base(Some(parts[1].clone())))),
+                        left: Box::new(core_of(base(Some(p0)))),
+                        right: Box::new(core_of(base(Some(p1)))),
                     }),
-                    right: Box::new(core_of(base(Some(parts[2].clone())))),
+                    right: Box::new(core_of(base(Some(p2)))),
                 },
                 order_by: Vec::new(),
                 limit: None,
                 offset: None,
             };
-            case.push(("partitions (UNION ALL)".into(), union.to_string()));
-            match s.query(&union) {
-                Ok(r) => combined.rows = r.rows,
-                Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-            }
+            combined.rows = case.query(s, "partitions (UNION ALL)", union)?.rows;
         } else {
-            for (i, part) in parts.iter().enumerate() {
-                let q = base(Some(part.clone()));
-                case.push((format!("partition {i}"), q.to_string()));
-                match s.query(&q) {
-                    Ok(r) => combined.rows.extend(r.rows),
-                    Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-                }
+            for (label, part) in PARTITION_LABELS.into_iter().zip(parts) {
+                combined
+                    .rows
+                    .extend(case.query(s, label, base(Some(part)))?.rows);
             }
         }
 
-        if all_rel.multiset_eq(&combined) {
-            TestOutcome::Pass
-        } else {
-            TestOutcome::Bug(BugReport {
-                oracle: ORACLE_NAME,
-                kind: ReportKind::LogicDiscrepancy,
-                queries: case,
-                detail: format!(
-                    "unpartitioned {} row(s) != partitions {} row(s)",
-                    all_rel.row_count(),
-                    combined.row_count()
-                ),
-            })
-        }
+        Ok(case.check(all_rel.multiset_eq(&combined), || {
+            format!(
+                "unpartitioned {} row(s) != partitions {} row(s)",
+                all_rel.row_count(),
+                combined.row_count()
+            )
+        }))
     }
 
     fn aggregate_mode(
@@ -135,7 +121,7 @@ impl Tlp {
         from: &FromContext,
         p: &Expr,
         rng: &mut dyn rand::Rng,
-    ) -> TestOutcome {
+    ) -> Result<TestOutcome, TestOutcome> {
         // Pick an aggregate over a column (COUNT also works over any).
         let col = &from.scope[rng.random_range(0..from.scope.len())];
         let func =
@@ -146,7 +132,7 @@ impl Tlp {
                 coddb::DataType::Int | coddb::DataType::Real | coddb::DataType::Any
             )
         {
-            return TestOutcome::Skipped("SUM needs a numeric column".into());
+            return Err(TestOutcome::Skipped("SUM needs a numeric column".into()));
         }
         let agg = Expr::Agg {
             func,
@@ -164,20 +150,12 @@ impl Tlp {
                 ..SelectCore::default()
             })
         };
-        let whole = base(None);
-        let mut case = vec![("whole aggregate".into(), whole.to_string())];
-        let whole_v = match s.query(&whole) {
-            Ok(r) => r.scalar().cloned().unwrap_or(Value::Null),
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
+        let mut case = Case::new(ORACLE_NAME);
+        let scalar = |r: Relation| r.scalar().cloned().unwrap_or(Value::Null);
+        let whole_v = scalar(case.query(s, "whole aggregate", base(None))?);
         let mut parts_vals = Vec::new();
-        for (i, part) in partitions(p).iter().enumerate() {
-            let q = base(Some(part.clone()));
-            case.push((format!("partition {i}"), q.to_string()));
-            match s.query(&q) {
-                Ok(r) => parts_vals.push(r.scalar().cloned().unwrap_or(Value::Null)),
-                Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-            }
+        for (label, part) in PARTITION_LABELS.into_iter().zip(partitions(p)) {
+            parts_vals.push(scalar(case.query(s, label, base(Some(part)))?));
         }
         let combined = match func {
             AggFunc::Count => {
@@ -199,7 +177,9 @@ impl Tlp {
                         .sum();
                     match i64::try_from(total) {
                         Ok(v) => Value::Int(v),
-                        Err(_) => return TestOutcome::Skipped("partition SUM overflow".into()),
+                        Err(_) => {
+                            return Err(TestOutcome::Skipped("partition SUM overflow".into()))
+                        }
                     }
                 } else {
                     Value::Real(nonnull.iter().filter_map(|v| v.as_f64()).sum())
@@ -222,16 +202,9 @@ impl Tlp {
             (Value::Real(a), Value::Real(b)) => (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
             (a, b) => a.is_identical(b),
         };
-        if equal {
-            TestOutcome::Pass
-        } else {
-            TestOutcome::Bug(BugReport {
-                oracle: ORACLE_NAME,
-                kind: ReportKind::LogicDiscrepancy,
-                queries: case,
-                detail: format!("whole {whole_v:?} != combined partitions {combined:?}"),
-            })
-        }
+        Ok(case.check(equal, || {
+            format!("whole {whole_v:?} != combined partitions {combined:?}")
+        }))
     }
 
     fn distinct_mode(
@@ -240,7 +213,7 @@ impl Tlp {
         from: &FromContext,
         p: &Expr,
         rng: &mut dyn rand::Rng,
-    ) -> TestOutcome {
+    ) -> Result<TestOutcome, TestOutcome> {
         let col = &from.scope[0];
         // Half the time also GROUP BY the projected column — the result
         // set is identical, but it exercises the DISTINCT + GROUP BY
@@ -260,46 +233,28 @@ impl Tlp {
                 ..SelectCore::default()
             })
         };
-        let whole = base(None);
-        let mut case = vec![("whole DISTINCT".into(), whole.to_string())];
-        let whole_rel = match s.query(&whole) {
-            Ok(r) => r,
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
+        let mut case = Case::new(ORACLE_NAME);
+        let whole_rel = case.query(s, "whole DISTINCT", base(None))?;
         // Set-union the partition results.
         let mut seen: Vec<Value> = Vec::new();
-        for (i, part) in partitions(p).iter().enumerate() {
-            let q = base(Some(part.clone()));
-            case.push((format!("partition {i}"), q.to_string()));
-            match s.query(&q) {
-                Ok(r) => {
-                    for row in r.rows {
-                        if !seen.iter().any(|v| v.is_identical(&row[0])) {
-                            seen.push(row[0].clone());
-                        }
-                    }
+        for (label, part) in PARTITION_LABELS.into_iter().zip(partitions(p)) {
+            for row in case.query(s, label, base(Some(part)))?.rows {
+                if !seen.iter().any(|v| v.is_identical(&row[0])) {
+                    seen.push(row[0].clone());
                 }
-                Err(e) => return error_outcome(ORACLE_NAME, &e, case),
             }
         }
         let combined = Relation {
             columns: whole_rel.columns.clone(),
             rows: seen.into_iter().map(|v| Row::new(vec![v])).collect(),
         };
-        if whole_rel.multiset_eq(&combined) {
-            TestOutcome::Pass
-        } else {
-            TestOutcome::Bug(BugReport {
-                oracle: ORACLE_NAME,
-                kind: ReportKind::LogicDiscrepancy,
-                queries: case,
-                detail: format!(
-                    "whole DISTINCT {} value(s) != partition union {}",
-                    whole_rel.row_count(),
-                    combined.row_count()
-                ),
-            })
-        }
+        Ok(case.check(whole_rel.multiset_eq(&combined), || {
+            format!(
+                "whole DISTINCT {} value(s) != partition union {}",
+                whole_rel.row_count(),
+                combined.row_count()
+            )
+        }))
     }
 
     fn having_mode(
@@ -307,7 +262,7 @@ impl Tlp {
         s: &mut Session,
         from: &FromContext,
         rng: &mut dyn rand::Rng,
-    ) -> TestOutcome {
+    ) -> Result<TestOutcome, TestOutcome> {
         // HAVING partitions over an aggregate predicate.
         let key = &from.scope[rng.random_range(0..from.scope.len())];
         let key_expr = Expr::col(key.table.clone(), key.column.clone());
@@ -328,35 +283,21 @@ impl Tlp {
                 ..SelectCore::default()
             })
         };
-        let whole = base(None);
-        let mut case = vec![("all groups".into(), whole.to_string())];
-        let whole_rel = match s.query(&whole) {
-            Ok(r) => r,
-            Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-        };
+        let mut case = Case::new(ORACLE_NAME);
+        let whole_rel = case.query(s, "all groups", base(None))?;
         let mut combined = Relation::new(whole_rel.columns.clone());
-        for (i, part) in partitions(&p).iter().enumerate() {
-            let q = base(Some(part.clone()));
-            case.push((format!("HAVING partition {i}"), q.to_string()));
-            match s.query(&q) {
-                Ok(r) => combined.rows.extend(r.rows),
-                Err(e) => return error_outcome(ORACLE_NAME, &e, case),
-            }
+        for (label, part) in PARTITION_LABELS.into_iter().zip(partitions(&p)) {
+            combined
+                .rows
+                .extend(case.query(s, label, base(Some(part)))?.rows);
         }
-        if whole_rel.multiset_eq(&combined) {
-            TestOutcome::Pass
-        } else {
-            TestOutcome::Bug(BugReport {
-                oracle: ORACLE_NAME,
-                kind: ReportKind::LogicDiscrepancy,
-                queries: case,
-                detail: format!(
-                    "all groups {} != HAVING partitions {}",
-                    whole_rel.row_count(),
-                    combined.row_count()
-                ),
-            })
-        }
+        Ok(case.check(whole_rel.multiset_eq(&combined), || {
+            format!(
+                "all groups {} != HAVING partitions {}",
+                whole_rel.row_count(),
+                combined.row_count()
+            )
+        }))
     }
 }
 
@@ -380,18 +321,15 @@ impl Oracle for Tlp {
         let mut gen = ExprGen::new(dialect, &self.config, schema, &from.scope);
         let p = gen.gen_predicate(rng, self.config.max_depth.max(1));
 
-        match rng.random_range(0..10) {
+        let outcome = match rng.random_range(0..10) {
             0..=6 => self.where_mode(s, &from, &p, rng),
             7 => self.aggregate_mode(s, &from, &p, rng),
             8 => self.distinct_mode(s, &from, &p, rng),
             _ => self.having_mode(s, &from, rng),
-        }
+        };
+        outcome.unwrap_or_else(|early| early)
     }
 }
-
-// Silence an unused-import warning on TableExpr kept for doc clarity.
-#[allow(unused_imports)]
-use TableExpr as _TableExprDoc;
 
 #[cfg(test)]
 mod tests {

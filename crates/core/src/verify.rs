@@ -14,12 +14,12 @@
 //! attribute through the standard campaign rerun machinery, exactly like
 //! execution-based findings.
 
-use coddb::ast::{Select, SelectCore, SelectItem};
+use coddb::ast::{Select, SelectCore, SelectItem, Statement};
 use sqlgen::expr::ExprGen;
 use sqlgen::query::gen_from_context;
 use sqlgen::{GenConfig, SchemaInfo};
 
-use crate::{BugReport, Oracle, ReportKind, Session, TestOutcome};
+use crate::{Case, Oracle, Session, TestOutcome};
 
 const ORACLE_NAME: &str = "verify";
 
@@ -92,50 +92,27 @@ impl Oracle for Verify {
             }
         }
 
-        let mut flagged: Vec<(String, Vec<coddb::validate::Violation>)> = Vec::new();
-        let mut verify = |s: &mut Session, q: &Select, sql: String| {
+        let mut case = Case::new(ORACLE_NAME);
+        let mut flagged: Vec<String> = Vec::new();
+        let fixed = PROBES
+            .iter()
+            .map(|probe| coddb::parser::parse_select(probe).expect("fixed probe parses"));
+        for q in fixed.chain(random_probes) {
             // Planning errors are ordinary expected errors (the random
             // probes can reference dropped columns etc.) — the verifier
             // only judges plans that exist.
-            if let Ok(violations) = s.db.verify_select(q) {
+            if let Ok(violations) = s.db.verify_select(&q) {
                 if !violations.is_empty() {
-                    flagged.push((sql, violations));
+                    case.note(format!("probe {}", flagged.len()), Statement::Select(q));
+                    let joined: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+                    flagged.push(joined.join("; "));
                 }
             }
-        };
-        for probe in PROBES {
-            let q = coddb::parser::parse_select(probe).expect("fixed probe parses");
-            verify(s, &q, (*probe).to_string());
-        }
-        for q in &random_probes {
-            verify(s, q, q.to_string());
         }
         teardown(s);
 
-        if flagged.is_empty() {
-            return TestOutcome::Pass;
-        }
-        let queries: Vec<(String, String)> = flagged
-            .iter()
-            .enumerate()
-            .map(|(i, (sql, _))| (format!("probe {i}"), sql.clone()))
-            .collect();
-        let detail = flagged
-            .iter()
-            .map(|(_, violations)| {
-                violations
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            })
-            .collect::<Vec<_>>()
-            .join(" | ");
-        TestOutcome::Bug(BugReport {
-            oracle: ORACLE_NAME,
-            kind: ReportKind::LogicDiscrepancy,
-            queries,
-            detail: format!("statically illegal plan: {detail}"),
+        case.check(flagged.is_empty(), || {
+            format!("statically illegal plan: {}", flagged.join(" | "))
         })
     }
 }

@@ -12,23 +12,42 @@ use rand::SeedableRng;
 use sqlgen::state::generate_state;
 use sqlgen::GenConfig;
 
-/// CODDTest bug reports always carry the original / auxiliary / folded
-/// triple (or the relation-mode equivalents) so a human can replay them.
+/// Bug reports list the statements their test ran, in run order, so a
+/// human can replay them: CODDTest's auxiliary / original / folded triple
+/// (or, in relation mode, the subquery and each side's statements) and
+/// every baseline's queries.
 #[test]
 fn codd_reports_carry_replayable_queries() {
-    let (tests, report) =
-        detects_bug("codd", BugId::TidbInValueListWhere, 2000, 1).expect("detect");
-    assert!(tests > 0);
-    assert_eq!(report.oracle, "codd");
-    assert_eq!(report.kind, ReportKind::LogicDiscrepancy);
-    let labels: Vec<&str> = report.queries.iter().map(|(l, _)| l.as_str()).collect();
-    assert!(labels.contains(&"original"), "{labels:?}");
-    assert!(labels.contains(&"folded"), "{labels:?}");
-    // Every recorded query parses.
-    for (label, sql) in &report.queries {
-        if sql.to_uppercase().starts_with("SELECT") || sql.to_uppercase().starts_with("WITH") {
-            coddb::parser::parse_select(sql)
-                .unwrap_or_else(|e| panic!("{label} does not parse: {sql}\n{e}"));
+    for (oracle, bug, folds_through) in [
+        ("codd", BugId::TidbInValueListWhere, Some("auxiliary")),
+        ("codd", BugId::TidbInsertSelectVersion, Some("subquery")),
+        ("tlp", BugId::SqliteIndexedCmpNullTrue, None),
+        ("norec", BugId::SqliteIndexedCmpNullTrue, None),
+        ("dqe", BugId::CockroachOrShortCircuitFalse, None),
+        ("eet", BugId::SqliteIndexedCmpNullTrue, None),
+    ] {
+        let (tests, report) = detects_bug(oracle, bug, 2000, 1).expect("detect");
+        assert!(tests > 0);
+        assert_eq!(report.oracle, oracle);
+        assert_eq!(report.kind, ReportKind::LogicDiscrepancy);
+        // Every recorded statement parses.
+        for (label, sql) in &report.queries {
+            coddb::parser::parse_statements(sql)
+                .unwrap_or_else(|e| panic!("{oracle} {label} does not parse: {sql}\n{e}"));
+        }
+        // CODDTest folds first, then runs the original, then the folded.
+        if let Some(fold) = folds_through {
+            let labels: Vec<&str> = report.queries.iter().map(|(l, _)| l.as_str()).collect();
+            let at = |label: &str| {
+                labels
+                    .iter()
+                    .position(|l| *l == label)
+                    .unwrap_or_else(|| panic!("{label} missing: {labels:?}"))
+            };
+            assert!(
+                at(fold) < at("original") && at("original") < at("folded"),
+                "{labels:?}"
+            );
         }
     }
 }

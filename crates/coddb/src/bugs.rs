@@ -788,46 +788,95 @@ impl MediaBugId {
     }
 }
 
+/// One family of injectable mutants: [`BugId`], [`RecoveryBugId`],
+/// [`IndexBugId`] or [`MediaBugId`]. A mutant's type names its family,
+/// so [`BugRegistry`] serves all four through one set of generic methods.
+///
+/// Sealed: a registry has one mask slot per family, exactly four, so a
+/// family from outside this module would index past them.
+pub trait Mutant: sealed::Sealed + Copy + 'static {
+    /// The family's slot among a registry's masks.
+    const SLOT: usize;
+    /// Every mutant of the family in declaration order, which is the
+    /// enum's `ALL`: bit `i` of the family's mask is `MEMBERS[i]`.
+    const MEMBERS: &'static [Self];
+    /// This mutant's bit, its index in [`MEMBERS`](Self::MEMBERS).
+    fn bit(self) -> usize;
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+impl sealed::Sealed for BugId {}
+impl Mutant for BugId {
+    const SLOT: usize = 0;
+    const MEMBERS: &'static [Self] = &Self::ALL;
+    fn bit(self) -> usize {
+        self as usize
+    }
+}
+
+impl sealed::Sealed for RecoveryBugId {}
+impl Mutant for RecoveryBugId {
+    const SLOT: usize = 1;
+    const MEMBERS: &'static [Self] = &Self::ALL;
+    fn bit(self) -> usize {
+        self as usize
+    }
+}
+
+impl sealed::Sealed for IndexBugId {}
+impl Mutant for IndexBugId {
+    const SLOT: usize = 2;
+    const MEMBERS: &'static [Self] = &Self::ALL;
+    fn bit(self) -> usize {
+        self as usize
+    }
+}
+
+impl sealed::Sealed for MediaBugId {}
+impl Mutant for MediaBugId {
+    const SLOT: usize = 3;
+    const MEMBERS: &'static [Self] = &Self::ALL;
+    fn bit(self) -> usize {
+        self as usize
+    }
+}
+
 /// The set of currently enabled mutants — engine mutants ([`BugId`]),
 /// recovery mutants ([`RecoveryBugId`]), index mutants ([`IndexBugId`])
 /// and media mutants ([`MediaBugId`]) side by side, so one registry
-/// describes a whole campaign's buggy build.
+/// describes a whole campaign's buggy build. [`only`](Self::only),
+/// [`enable`](Self::enable), [`active`](Self::active) and
+/// [`enabled`](Self::enabled) serve every [`Mutant`] family alike: the
+/// mutant's type names its family.
 ///
 /// # Every read records
 ///
-/// The hook accessors [`active`](Self::active),
-/// [`recovery_active`](Self::recovery_active),
-/// [`index_active`](Self::index_active) and
-/// [`media_active`](Self::media_active) record the mutant they were asked
-/// about in a per-thread set, which [`take_consulted`] returns and resets.
-/// Engine and oracle code reads the registry through these four only (the
-/// `mutant-read-unrecorded` lint of `coddtest-analyze` checks it). So a
-/// run that never asks about a mutant runs exactly as it would with that
-/// mutant enabled: enabling a mutant can change nothing until the engine
-/// first asks whether it is on. The runner's `rerun_test` skips replays
-/// on this basis.
+/// The hook accessor [`active`](Self::active) records the mutant it was
+/// asked about in a per-thread set, which [`take_consulted`] returns and
+/// resets. Engine and oracle code reads the registry through `active`
+/// only (the `mutant-read-unrecorded` lint of `coddtest-analyze` checks
+/// it). So a run that never asks about a mutant runs exactly as it would
+/// with that mutant enabled: enabling a mutant can change nothing until
+/// the engine first asks whether it is on. The runner's `rerun_test`
+/// skips replays on this basis.
 ///
 /// Two reads in the engine do not record. Both are debug-build validator
 /// gates and go through one debug-only accessor, `validator_gate`: the
 /// plan and bind validators run only on a clean registry, and the
 /// index-seek replay assertion only when no index mutant is enabled. They
 /// can change a verdict only when the clean engine fails its own
-/// validator. The other non-recording reads ([`enabled`](Self::enabled)
-/// and its siblings, [`is_clean`](Self::is_clean),
+/// validator. The other non-recording reads ([`enabled`](Self::enabled),
+/// [`is_clean`](Self::is_clean),
 /// [`shares_mutant_with`](Self::shares_mutant_with), `Debug`) serve the
 /// harnesses that configure runs.
 #[derive(Clone, Default)]
 pub struct BugRegistry {
-    /// One bitmask per family, indexed by `ENGINE`, `RECOVERY`, `INDEX`
-    /// and `MEDIA`; bit `i` is the family's `ALL[i]`, which is its
-    /// declaration order.
+    /// One bitmask per family, indexed by [`Mutant::SLOT`].
     masks: [u64; 4],
 }
-
-const ENGINE: usize = 0;
-const RECOVERY: usize = 1;
-const INDEX: usize = 2;
-const MEDIA: usize = 3;
 
 const _: () = assert!(
     BugId::ALL.len() <= 64
@@ -837,25 +886,17 @@ const _: () = assert!(
 );
 
 thread_local! {
-    /// The mutants this thread's hook accessors were asked about since the
+    /// The mutants this thread's hook accessor was asked about since the
     /// last [`take_consulted`], as [`BugRegistry`] masks.
     static CONSULTED: [Cell<u64>; 4] = const { [const { Cell::new(0) }; 4] };
 }
 
-/// The mutants this thread's hook accessors were asked about since the
+/// The mutants this thread's hook accessor was asked about since the
 /// last call, as a registry, and reset the record.
 pub fn take_consulted() -> BugRegistry {
     BugRegistry {
         masks: CONSULTED.with(|c| c.each_ref().map(Cell::take)),
     }
-}
-
-/// The members of one family's mask, in declaration order.
-fn members<M: Copy>(mask: u64, all: &'static [M]) -> impl Iterator<Item = M> {
-    all.iter()
-        .enumerate()
-        .filter(move |&(i, _)| (mask >> i) & 1 == 1)
-        .map(|(_, &m)| m)
 }
 
 /// Which mutants a debug-build validator gate checks for.
@@ -874,23 +915,7 @@ impl BugRegistry {
         Self::default()
     }
 
-    /// Is mutant `bit` of `family` enabled? Records the question.
-    #[inline]
-    fn read(&self, family: usize, bit: usize) -> bool {
-        let mask = 1u64 << bit;
-        CONSULTED.with(|c| c[family].set(c[family].get() | mask));
-        self.masks[family] & mask != 0
-    }
-
-    fn set(&mut self, family: usize, bit: usize, on: bool) {
-        if on {
-            self.masks[family] |= 1 << bit;
-        } else {
-            self.masks[family] &= !(1 << bit);
-        }
-    }
-
-    /// No mutant of any registry is enabled.
+    /// No mutant of any family is enabled.
     pub fn is_clean(&self) -> bool {
         self.masks == [0; 4]
     }
@@ -909,12 +934,12 @@ impl BugRegistry {
     pub(crate) fn validator_gate(&self, scope: ValidatorScope) -> bool {
         match scope {
             ValidatorScope::AnyMutant => self.is_clean(),
-            ValidatorScope::IndexMutants => self.masks[INDEX] == 0,
+            ValidatorScope::IndexMutants => self.masks[IndexBugId::SLOT] == 0,
         }
     }
 
-    /// Enable every mutant belonging to `dialect` (the Table 1 campaign
-    /// configuration).
+    /// Enable every engine mutant belonging to `dialect` (the Table 1
+    /// campaign configuration).
     pub fn all_for_dialect(dialect: Dialect) -> Self {
         let mut reg = Self::default();
         for b in BugId::for_dialect(dialect) {
@@ -923,150 +948,48 @@ impl BugRegistry {
         reg
     }
 
-    /// Enable exactly one mutant (the Table 2 per-bug configuration).
-    pub fn only(bug: BugId) -> Self {
+    /// Enable exactly one mutant (the per-bug configuration of Table 2
+    /// and of attribution).
+    pub fn only<M: Mutant>(bug: M) -> Self {
         let mut reg = Self::default();
         reg.enable(bug);
         reg
     }
 
-    pub fn enable(&mut self, bug: BugId) {
-        self.set(ENGINE, bug as usize, true);
+    pub fn enable<M: Mutant>(&mut self, bug: M) {
+        self.masks[M::SLOT] |= 1 << bug.bit();
     }
 
-    pub fn disable(&mut self, bug: BugId) {
-        self.set(ENGINE, bug as usize, false);
-    }
-
+    /// Is `bug` enabled? The hook accessor: records the question.
     #[inline]
-    pub fn active(&self, bug: BugId) -> bool {
-        self.read(ENGINE, bug as usize)
+    pub fn active<M: Mutant>(&self, bug: M) -> bool {
+        let mask = 1u64 << bug.bit();
+        CONSULTED.with(|c| c[M::SLOT].set(c[M::SLOT].get() | mask));
+        self.masks[M::SLOT] & mask != 0
     }
 
-    pub fn enabled(&self) -> impl Iterator<Item = BugId> + '_ {
-        members(self.masks[ENGINE], &BugId::ALL)
-    }
-
-    // --- recovery mutants -----------------------------------------------
-
-    /// Enable exactly one recovery mutant (the per-bug probe
-    /// configuration, mirroring [`BugRegistry::only`]).
-    pub fn only_recovery(bug: RecoveryBugId) -> Self {
-        let mut reg = Self::default();
-        reg.enable_recovery(bug);
-        reg
-    }
-
-    /// Enable every recovery mutant.
-    pub fn all_recovery() -> Self {
-        let mut reg = Self::default();
-        for b in RecoveryBugId::ALL {
-            reg.enable_recovery(b);
-        }
-        reg
-    }
-
-    pub fn enable_recovery(&mut self, bug: RecoveryBugId) {
-        self.set(RECOVERY, bug as usize, true);
-    }
-
-    pub fn disable_recovery(&mut self, bug: RecoveryBugId) {
-        self.set(RECOVERY, bug as usize, false);
-    }
-
-    #[inline]
-    pub fn recovery_active(&self, bug: RecoveryBugId) -> bool {
-        self.read(RECOVERY, bug as usize)
-    }
-
-    pub fn enabled_recovery(&self) -> impl Iterator<Item = RecoveryBugId> + '_ {
-        members(self.masks[RECOVERY], &RecoveryBugId::ALL)
-    }
-
-    // --- index mutants ---------------------------------------------------
-
-    /// Enable exactly one index mutant (the per-bug probe configuration,
-    /// mirroring [`BugRegistry::only`]).
-    pub fn only_index(bug: IndexBugId) -> Self {
-        let mut reg = Self::default();
-        reg.enable_index(bug);
-        reg
-    }
-
-    /// Enable every index mutant.
-    pub fn all_index() -> Self {
-        let mut reg = Self::default();
-        for b in IndexBugId::ALL {
-            reg.enable_index(b);
-        }
-        reg
-    }
-
-    pub fn enable_index(&mut self, bug: IndexBugId) {
-        self.set(INDEX, bug as usize, true);
-    }
-
-    pub fn disable_index(&mut self, bug: IndexBugId) {
-        self.set(INDEX, bug as usize, false);
-    }
-
-    #[inline]
-    pub fn index_active(&self, bug: IndexBugId) -> bool {
-        self.read(INDEX, bug as usize)
-    }
-
-    pub fn enabled_index(&self) -> impl Iterator<Item = IndexBugId> + '_ {
-        members(self.masks[INDEX], &IndexBugId::ALL)
-    }
-
-    // --- media mutants ----------------------------------------------------
-
-    /// Enable exactly one media mutant (the per-bug probe configuration,
-    /// mirroring [`BugRegistry::only`]).
-    pub fn only_media(bug: MediaBugId) -> Self {
-        let mut reg = Self::default();
-        reg.enable_media(bug);
-        reg
-    }
-
-    /// Enable every media mutant.
-    pub fn all_media() -> Self {
-        let mut reg = Self::default();
-        for b in MediaBugId::ALL {
-            reg.enable_media(b);
-        }
-        reg
-    }
-
-    pub fn enable_media(&mut self, bug: MediaBugId) {
-        self.set(MEDIA, bug as usize, true);
-    }
-
-    pub fn disable_media(&mut self, bug: MediaBugId) {
-        self.set(MEDIA, bug as usize, false);
-    }
-
-    #[inline]
-    pub fn media_active(&self, bug: MediaBugId) -> bool {
-        self.read(MEDIA, bug as usize)
-    }
-
-    pub fn enabled_media(&self) -> impl Iterator<Item = MediaBugId> + '_ {
-        members(self.masks[MEDIA], &MediaBugId::ALL)
+    /// The enabled mutants of family `M`, in declaration order.
+    pub fn enabled<M: Mutant>(&self) -> impl Iterator<Item = M> {
+        let mask = self.masks[M::SLOT];
+        M::MEMBERS
+            .iter()
+            .enumerate()
+            .filter(move |&(i, _)| (mask >> i) & 1 == 1)
+            .map(|(_, &m)| m)
     }
 }
 
 /// Lists each family's enabled mutants.
 impl fmt::Debug for BugRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn set<M: Mutant + Ord>(reg: &BugRegistry) -> BTreeSet<M> {
+            reg.enabled().collect()
+        }
         f.debug_struct("BugRegistry")
-            .field("active", &self.enabled().collect::<BTreeSet<_>>())
-            .field(
-                "recovery",
-                &self.enabled_recovery().collect::<BTreeSet<_>>(),
-            )
-            .field("index", &self.enabled_index().collect::<BTreeSet<_>>())
-            .field("media", &self.enabled_media().collect::<BTreeSet<_>>())
+            .field("active", &set::<BugId>(self))
+            .field("recovery", &set::<RecoveryBugId>(self))
+            .field("index", &set::<IndexBugId>(self))
+            .field("media", &set::<MediaBugId>(self))
             .finish()
     }
 }
@@ -1121,201 +1044,124 @@ mod tests {
         assert_eq!(only_codd, 11, "only-CODDTest");
     }
 
+    /// Each family's members as `(name, description, kind)`, in
+    /// declaration order.
+    fn families() -> [Vec<(&'static str, &'static str, BugKind)>; 4] {
+        [
+            BugId::ALL
+                .map(|m| (m.name(), m.description(), m.kind()))
+                .to_vec(),
+            RecoveryBugId::ALL
+                .map(|m| (m.name(), m.description(), m.kind()))
+                .to_vec(),
+            IndexBugId::ALL
+                .map(|m| (m.name(), m.description(), m.kind()))
+                .to_vec(),
+            MediaBugId::ALL
+                .map(|m| (m.name(), m.description(), m.kind()))
+                .to_vec(),
+        ]
+    }
+
+    /// The four families keep their sizes (the engine family is Table 1's
+    /// 45), and every mutant has a description and a name no other
+    /// mutant of any family shares.
     #[test]
-    fn names_are_unique_and_nonempty() {
+    fn families_have_their_sizes_and_unique_names() {
+        let families = families();
+        assert_eq!(families.each_ref().map(Vec::len), [45, 10, 5, 5]);
         let mut names = BTreeSet::new();
-        for b in BugId::ALL {
-            assert!(!b.name().is_empty());
-            assert!(!b.description().is_empty());
-            assert!(names.insert(b.name()), "duplicate name {}", b.name());
+        for &(name, description, _) in families.iter().flatten() {
+            assert!(!name.is_empty() && !description.is_empty());
+            assert!(names.insert(name), "duplicate name {name}");
         }
+        assert!(
+            families[IndexBugId::SLOT]
+                .iter()
+                .all(|&(_, _, kind)| kind == BugKind::Logic),
+            "every index mutant is a logic bug"
+        );
+    }
+
+    /// How many mutants of each family `reg` enables, where `enabled`
+    /// and `active` must agree.
+    fn sizes(reg: &BugRegistry) -> [usize; 4] {
+        fn size<M: Mutant>(reg: &BugRegistry) -> usize {
+            let n = reg.enabled::<M>().count();
+            assert_eq!(M::MEMBERS.iter().filter(|&&m| reg.active(m)).count(), n);
+            n
+        }
+        [
+            size::<BugId>(reg),
+            size::<RecoveryBugId>(reg),
+            size::<IndexBugId>(reg),
+            size::<MediaBugId>(reg),
+        ]
+    }
+
+    /// `only`, `enable`, `active` and `enabled` serve family `M` without
+    /// touching the other three, and `enabled` lists mutants in
+    /// declaration order whatever order they were enabled in.
+    fn check_family<M: Mutant + Ord + fmt::Debug>() {
+        let all = M::MEMBERS;
+        let mut sorted = all.to_vec();
+        sorted.sort();
+        assert_eq!(sorted, all, "MEMBERS is in declaration order");
+        let mut alone = [0; 4];
+        alone[M::SLOT] = 1;
+
+        let (first, last) = (all[0], all[all.len() - 1]);
+        let only = BugRegistry::only(last);
+        assert!(!only.is_clean());
+        assert!(only.active(last) && !only.active(first));
+        assert_eq!(only.enabled::<M>().collect::<Vec<_>>(), [last]);
+        assert_eq!(sizes(&only), alone);
+
+        let mut reg = BugRegistry::none();
+        assert!(reg.is_clean());
+        for &m in all.iter().rev().step_by(2) {
+            reg.enable(m);
+        }
+        let mut expected: Vec<M> = all.iter().rev().step_by(2).copied().collect();
+        expected.sort();
+        assert_eq!(reg.enabled::<M>().collect::<Vec<_>>(), expected);
+        alone[M::SLOT] = expected.len();
+        assert_eq!(sizes(&reg), alone);
     }
 
     #[test]
-    fn registry_enable_disable() {
-        let mut reg = BugRegistry::none();
-        assert!(reg.is_clean());
+    fn registry_serves_each_family_alone() {
+        check_family::<BugId>();
+        check_family::<RecoveryBugId>();
+        check_family::<IndexBugId>();
+        check_family::<MediaBugId>();
+        assert_eq!(
+            format!("{:?}", BugRegistry::only(BugId::SqliteLikeCaseFold)),
+            "BugRegistry { active: {SqliteLikeCaseFold}, recovery: {}, index: {}, media: {} }"
+        );
+        let mut reg = BugRegistry::only(BugId::TidbInternalSetOpOrderBy);
         reg.enable(BugId::SqliteLikeCaseFold);
-        assert!(reg.active(BugId::SqliteLikeCaseFold));
-        assert!(!reg.active(BugId::MysqlTextIntCompareWhere));
-        reg.disable(BugId::SqliteLikeCaseFold);
-        assert!(reg.is_clean());
+        reg.enable(RecoveryBugId::DropLastCommit);
+        reg.enable(IndexBugId::RangeBoundOffByOne);
+        reg.enable(MediaBugId::RetryCapIgnored);
+        assert_eq!(
+            format!("{reg:?}"),
+            "BugRegistry { active: {SqliteLikeCaseFold, TidbInternalSetOpOrderBy}, \
+             recovery: {DropLastCommit}, index: {RangeBoundOffByOne}, \
+             media: {RetryCapIgnored} }"
+        );
     }
 
     #[test]
     fn all_for_dialect_covers_exactly_that_dialect() {
         let reg = BugRegistry::all_for_dialect(Dialect::Duckdb);
-        assert_eq!(reg.enabled().count(), 12);
-        assert!(reg.enabled().all(|b| b.dialect() == Dialect::Duckdb));
+        assert_eq!(reg.enabled::<BugId>().count(), 12);
+        assert!(reg
+            .enabled::<BugId>()
+            .all(|b| b.dialect() == Dialect::Duckdb));
     }
 
-    #[test]
-    fn recovery_mutants_are_separate_from_the_table1_scheme() {
-        // Table 1/2 invariants stay untouched by the recovery mutants.
-        assert_eq!(BugId::ALL.len(), 45);
-        assert_eq!(RecoveryBugId::ALL.len(), 10);
-        let mut names = BTreeSet::new();
-        for b in RecoveryBugId::ALL {
-            assert!(!b.name().is_empty());
-            assert!(!b.description().is_empty());
-            assert!(names.insert(b.name()), "duplicate name {}", b.name());
-        }
-        // No overlap with engine-mutant names.
-        for b in BugId::ALL {
-            assert!(!names.contains(b.name()));
-        }
-    }
-
-    #[test]
-    fn index_mutants_are_separate_from_the_other_schemes() {
-        assert_eq!(BugId::ALL.len(), 45);
-        assert_eq!(RecoveryBugId::ALL.len(), 10);
-        assert_eq!(IndexBugId::ALL.len(), 5);
-        let mut names = BTreeSet::new();
-        for b in IndexBugId::ALL {
-            assert!(!b.name().is_empty());
-            assert!(!b.description().is_empty());
-            assert_eq!(b.kind(), BugKind::Logic);
-            assert!(names.insert(b.name()), "duplicate name {}", b.name());
-        }
-        for b in BugId::ALL {
-            assert!(!names.contains(b.name()));
-        }
-        for b in RecoveryBugId::ALL {
-            assert!(!names.contains(b.name()));
-        }
-    }
-
-    #[test]
-    fn registry_tracks_index_mutants_independently() {
-        let mut reg = BugRegistry::none();
-        assert!(reg.is_clean());
-        reg.enable_index(IndexBugId::RangeBoundOffByOne);
-        assert!(!reg.is_clean(), "index mutants count as active bugs");
-        assert!(reg.index_active(IndexBugId::RangeBoundOffByOne));
-        assert!(!reg.index_active(IndexBugId::StaleEntryAfterUpdate));
-        assert!(!reg.active(BugId::SqliteLikeCaseFold));
-        assert!(!reg.recovery_active(RecoveryBugId::DropLastCommit));
-        reg.disable_index(IndexBugId::RangeBoundOffByOne);
-        assert!(reg.is_clean());
-
-        let only = BugRegistry::only_index(IndexBugId::EqSeekMissesDuplicates);
-        assert_eq!(only.enabled().count(), 0);
-        assert_eq!(only.enabled_recovery().count(), 0);
-        assert_eq!(
-            only.enabled_index().collect::<Vec<_>>(),
-            vec![IndexBugId::EqSeekMissesDuplicates]
-        );
-        assert_eq!(BugRegistry::all_index().enabled_index().count(), 5);
-    }
-
-    #[test]
-    fn media_mutants_are_separate_from_the_other_schemes() {
-        assert_eq!(BugId::ALL.len(), 45);
-        assert_eq!(RecoveryBugId::ALL.len(), 10);
-        assert_eq!(IndexBugId::ALL.len(), 5);
-        assert_eq!(MediaBugId::ALL.len(), 5);
-        let mut names = BTreeSet::new();
-        for b in MediaBugId::ALL {
-            assert!(!b.name().is_empty());
-            assert!(!b.description().is_empty());
-            assert!(names.insert(b.name()), "duplicate name {}", b.name());
-        }
-        for b in BugId::ALL {
-            assert!(!names.contains(b.name()));
-        }
-        for b in RecoveryBugId::ALL {
-            assert!(!names.contains(b.name()));
-        }
-        for b in IndexBugId::ALL {
-            assert!(!names.contains(b.name()));
-        }
-    }
-
-    #[test]
-    fn registry_tracks_media_mutants_independently() {
-        let mut reg = BugRegistry::none();
-        assert!(reg.is_clean());
-        reg.enable_media(MediaBugId::SkipScrubChecksum);
-        assert!(!reg.is_clean(), "media mutants count as active bugs");
-        assert!(reg.media_active(MediaBugId::SkipScrubChecksum));
-        assert!(!reg.media_active(MediaBugId::RetryCapIgnored));
-        assert!(!reg.active(BugId::SqliteLikeCaseFold));
-        assert!(!reg.recovery_active(RecoveryBugId::DropLastCommit));
-        assert!(!reg.index_active(IndexBugId::RangeBoundOffByOne));
-        reg.disable_media(MediaBugId::SkipScrubChecksum);
-        assert!(reg.is_clean());
-
-        let only = BugRegistry::only_media(MediaBugId::SalvagePastCorruptCommit);
-        assert_eq!(only.enabled().count(), 0);
-        assert_eq!(only.enabled_recovery().count(), 0);
-        assert_eq!(only.enabled_index().count(), 0);
-        assert_eq!(
-            only.enabled_media().collect::<Vec<_>>(),
-            vec![MediaBugId::SalvagePastCorruptCommit]
-        );
-        assert_eq!(BugRegistry::all_media().enabled_media().count(), 5);
-    }
-
-    #[test]
-    fn registry_tracks_recovery_mutants_independently() {
-        let mut reg = BugRegistry::none();
-        assert!(reg.is_clean());
-        reg.enable_recovery(RecoveryBugId::DropLastCommit);
-        assert!(!reg.is_clean(), "recovery mutants count as active bugs");
-        assert!(reg.recovery_active(RecoveryBugId::DropLastCommit));
-        assert!(!reg.recovery_active(RecoveryBugId::SkipChecksumVerify));
-        assert!(!reg.active(BugId::SqliteLikeCaseFold));
-        reg.disable_recovery(RecoveryBugId::DropLastCommit);
-        assert!(reg.is_clean());
-
-        let only = BugRegistry::only_recovery(RecoveryBugId::ReplayUncommitted);
-        assert_eq!(only.enabled().count(), 0);
-        assert_eq!(
-            only.enabled_recovery().collect::<Vec<_>>(),
-            vec![RecoveryBugId::ReplayUncommitted]
-        );
-        assert_eq!(BugRegistry::all_recovery().enabled_recovery().count(), 10);
-    }
-
-    /// `enabled*()` list mutants in declaration order — the order the
-    /// registry's sets iterated in before they became bitmasks — whatever
-    /// order they were enabled in.
-    #[test]
-    fn enabled_iterates_in_declaration_order() {
-        fn check<M: Copy + Ord + fmt::Debug>(
-            all: &[M],
-            enable: impl Fn(&mut BugRegistry, M),
-            enabled: impl Fn(&BugRegistry) -> Vec<M>,
-        ) {
-            let mut sorted = all.to_vec();
-            sorted.sort();
-            assert_eq!(sorted, all, "ALL is in declaration order");
-            let mut reg = BugRegistry::none();
-            for &m in all.iter().rev().step_by(2) {
-                enable(&mut reg, m);
-            }
-            let mut expected: Vec<M> = all.iter().rev().step_by(2).copied().collect();
-            expected.sort();
-            assert_eq!(enabled(&reg), expected);
-        }
-        check(&BugId::ALL, BugRegistry::enable, |r| r.enabled().collect());
-        check(&RecoveryBugId::ALL, BugRegistry::enable_recovery, |r| {
-            r.enabled_recovery().collect()
-        });
-        check(&IndexBugId::ALL, BugRegistry::enable_index, |r| {
-            r.enabled_index().collect()
-        });
-        check(&MediaBugId::ALL, BugRegistry::enable_media, |r| {
-            r.enabled_media().collect()
-        });
-        assert_eq!(
-            format!("{:?}", BugRegistry::only(BugId::SqliteLikeCaseFold)),
-            "BugRegistry { active: {SqliteLikeCaseFold}, recovery: {}, index: {}, media: {} }"
-        );
-    }
-
-    /// The hook accessors record what they were asked, enabled or not;
+    /// The hook accessor records what it was asked, enabled or not;
     /// `take_consulted()` hands the record over and starts a new one.
     #[test]
     fn take_consulted_returns_the_questions_and_resets() {
@@ -1323,24 +1169,24 @@ mod tests {
         let reg = BugRegistry::only(BugId::SqliteLikeCaseFold);
         assert!(reg.active(BugId::SqliteLikeCaseFold));
         assert!(!reg.active(BugId::TidbInternalSetOpOrderBy));
-        assert!(!reg.recovery_active(RecoveryBugId::DropLastCommit));
-        assert!(!reg.index_active(IndexBugId::RangeBoundOffByOne));
-        assert!(!reg.media_active(MediaBugId::RetryCapIgnored));
+        assert!(!reg.active(RecoveryBugId::DropLastCommit));
+        assert!(!reg.active(IndexBugId::RangeBoundOffByOne));
+        assert!(!reg.active(MediaBugId::RetryCapIgnored));
         let consulted = take_consulted();
         assert_eq!(
-            consulted.enabled().collect::<Vec<_>>(),
+            consulted.enabled::<BugId>().collect::<Vec<_>>(),
             [BugId::SqliteLikeCaseFold, BugId::TidbInternalSetOpOrderBy]
         );
         assert_eq!(
-            consulted.enabled_recovery().collect::<Vec<_>>(),
+            consulted.enabled::<RecoveryBugId>().collect::<Vec<_>>(),
             [RecoveryBugId::DropLastCommit]
         );
         assert_eq!(
-            consulted.enabled_index().collect::<Vec<_>>(),
+            consulted.enabled::<IndexBugId>().collect::<Vec<_>>(),
             [IndexBugId::RangeBoundOffByOne]
         );
         assert_eq!(
-            consulted.enabled_media().collect::<Vec<_>>(),
+            consulted.enabled::<MediaBugId>().collect::<Vec<_>>(),
             [MediaBugId::RetryCapIgnored]
         );
         assert!(reg.shares_mutant_with(&consulted));

@@ -6,7 +6,7 @@
 //! [`Database::last_plan_fingerprint`] and the snapshot/restore pair.
 
 use crate::ast::{InsertSource, Statement};
-use crate::bugs::{BugId, BugRegistry, IndexBugId, MediaBugId};
+use crate::bugs::{BugId, BugRegistry, IndexBugId, MediaBugId, RecoveryBugId};
 use crate::catalog::Catalog;
 use crate::coverage::{pt, Coverage};
 use crate::dialect::Dialect;
@@ -342,13 +342,7 @@ impl Database {
     fn check_logged(&self, logged: std::result::Result<(), StorageError>) -> Result<()> {
         match logged {
             Ok(()) => Ok(()),
-            Err(_)
-                if self
-                    .bugs
-                    .media_active(MediaBugId::NoSpaceTreatedAsCommitted) =>
-            {
-                Ok(())
-            }
+            Err(_) if self.bugs.active(MediaBugId::NoSpaceTreatedAsCommitted) => Ok(()),
             Err(e) => Err(e.into()),
         }
     }
@@ -400,9 +394,7 @@ impl Database {
         // Mutant: truncate the log *before* the snapshot exists. Correct
         // order writes snapshot → marker → truncate; truncating first
         // loses the suffix whenever the crash lands inside the snapshot.
-        let truncate_early = self
-            .bugs
-            .recovery_active(crate::bugs::RecoveryBugId::TruncateBeforeMarker);
+        let truncate_early = self.bugs.active(RecoveryBugId::TruncateBeforeMarker);
         let w = self.wal.as_mut().expect("checked above");
         if truncate_early {
             w.truncate_log();
@@ -883,7 +875,7 @@ impl Database {
         }
         // Bug hook: StaleEntryAfterUpdate — the ordered index keeps the
         // pre-update key entries (and misses the new ones).
-        let stale = self.bugs.index_active(IndexBugId::StaleEntryAfterUpdate);
+        let stale = self.bugs.active(IndexBugId::StaleEntryAfterUpdate);
         for (&i, (indices, vals)) in matches.iter().zip(updates.iter()) {
             let t = self.catalog.table_mut(table)?;
             // Copy-on-write: the clone pins the pre-update image (for

@@ -1827,6 +1827,29 @@ fn row_invariant(e: &BoundExpr) -> bool {
     }
 }
 
+/// The `column <cmp> row-invariant` shape of a bound predicate, in either
+/// orientation: its comparison, the local column's ordinal, the invariant
+/// side, and whether the column is the left operand. A local column with
+/// a recorded collision alternative does not fit (the name-collision
+/// mutant may redirect its loads).
+fn column_cmp_invariant(pred: &BoundExpr) -> Option<(BinaryOp, usize, &BoundExpr, bool)> {
+    let BoundExpr::Binary { op, left, right } = pred else {
+        return None;
+    };
+    if !op.is_comparison() {
+        return None;
+    }
+    let local_col = |e: &BoundExpr| match e {
+        BoundExpr::Column(c) if c.up == 0 && c.collision_alt.is_none() => Some(c.index as usize),
+        _ => None,
+    };
+    match (local_col(left), local_col(right)) {
+        (Some(ord), _) if row_invariant(right) => Some((*op, ord, right, true)),
+        (_, Some(ord)) if row_invariant(left) => Some((*op, ord, left, false)),
+        _ => None,
+    }
+}
+
 /// Short-circuit filter for `column <cmp> row-invariant` predicates (and
 /// the flipped orientation) — the dominant shape of correlated subquery
 /// filters, where the invariant side reads only outer columns.
@@ -1872,21 +1895,8 @@ fn apply_cmp_filter_fast(
     if info.via_index && ctx.bugs.active(BugId::SqliteIndexedCmpNullTrue) {
         return Ok(None);
     }
-    let BoundExpr::Binary { op, left, right } = pred.bound() else {
+    let Some((op, ord, invariant, col_is_left)) = column_cmp_invariant(pred.bound()) else {
         return Ok(None);
-    };
-    if !op.is_comparison() {
-        return Ok(None);
-    }
-    // Orient: which side is the local column, which is row-invariant?
-    let local_col = |e: &BoundExpr| match e {
-        BoundExpr::Column(c) if c.up == 0 && c.collision_alt.is_none() => Some(c.index as usize),
-        _ => None,
-    };
-    let (ord, invariant, col_is_left) = match (local_col(left), local_col(right)) {
-        (Some(ord), _) if row_invariant(right) => (ord, &**right, true),
-        (_, Some(ord)) if row_invariant(left) => (ord, &**left, false),
-        _ => return Ok(None),
     };
 
     // Evaluate the invariant side once. Errors surface exactly as the
@@ -1934,7 +1944,7 @@ fn apply_cmp_filter_fast(
                 inv_val.sql_cmp(v)
             };
             match o {
-                Some(o) if cmp_matches(*op, o) => 0,
+                Some(o) if cmp_matches(op, o) => 0,
                 _ => 1,
             }
         };
@@ -2153,18 +2163,13 @@ fn seek_filter(
 
     // Predicate shapes that [`apply_cmp_filter_fast`] handles charge all
     // rows in one refusable `consume_fuel` call, so a short budget hangs
-    // with fuel untouched instead of draining row by row. Mirror that
-    // here: the seek's exactness gate already rules out the fast path's
-    // TEXT-mix fallback (the probe column is class-uniform), so the
-    // structural test alone decides which charging regime the baseline
-    // scan would use. Either regime charges exactly `seek.total`.
-    let local_col =
-        |e: &BoundExpr| matches!(e, BoundExpr::Column(c) if c.up == 0 && c.collision_alt.is_none());
+    // with fuel untouched instead of draining row by row. The seek's
+    // exactness gate already rules out the fast path's TEXT-mix fallback
+    // (the probe column is class-uniform), so the fast path's mutant gate
+    // and shape test alone decide which charging regime the baseline scan
+    // would use. Either regime charges exactly `seek.total`.
     let bulk_charge = !(info.via_index && ctx.bugs.active(BugId::SqliteIndexedCmpNullTrue))
-        && matches!(pred.bound(), BoundExpr::Binary { op, left, right }
-            if op.is_comparison()
-                && ((local_col(left) && row_invariant(right))
-                    || (local_col(right) && row_invariant(left))));
+        && column_cmp_invariant(pred.bound()).is_some();
     if bulk_charge && ctx.fuel_left() < seek.total as u64 {
         return Err(Error::Hang);
     }
@@ -2519,7 +2524,7 @@ fn exec_from_uncached(
             // seek it was handed.
             // Bug hook: EqSeekMissesDuplicates — equality seeks return
             // only the first row of each duplicate key group.
-            let dedup = ctx.bugs.index_active(IndexBugId::EqSeekMissesDuplicates);
+            let dedup = ctx.bugs.active(IndexBugId::EqSeekMissesDuplicates);
             let out = data.seek(eq, range.clone(), *ordered, *reverse, dedup);
             let rows: Vec<Row> = out.emit.iter().map(|&p| t.rows[p].clone()).collect();
             Ok(FromResult {
@@ -2533,7 +2538,7 @@ fn exec_from_uncached(
                     eq: eq.clone(),
                     range_probe: range.clone(),
                     ordered: *ordered,
-                    filter_suppressed: ctx.bugs.index_active(IndexBugId::PrefixSeekIgnoresResidual),
+                    filter_suppressed: ctx.bugs.active(IndexBugId::PrefixSeekIgnoresResidual),
                 }),
             })
         }

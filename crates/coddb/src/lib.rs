@@ -21,9 +21,12 @@
 //! * five dialect profiles emulating the paper's target systems
 //!   ([`dialect`]),
 //! * 45 injectable bug mutants mirroring the paper's Table 1 ([`bugs`]),
-//!   plus separate schemes of recovery-path mutants
+//!   plus separate families of recovery-path mutants
 //!   ([`bugs::RecoveryBugId`]), index mutants ([`bugs::IndexBugId`]) and
-//!   media-fault mutants ([`bugs::MediaBugId`]),
+//!   media-fault mutants ([`bugs::MediaBugId`]); each family is a
+//!   [`bugs::Mutant`], and one [`BugRegistry`] serves all four through
+//!   one hook accessor, [`BugRegistry::active`], which records every
+//!   read,
 //! * a branch-point coverage registry for the Table 3 metric
 //!   ([`coverage`]),
 //! * a durable storage layer: a checksummed redo log written through a

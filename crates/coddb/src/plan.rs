@@ -997,7 +997,7 @@ fn select_seek(plan: FromPlan, where_clause: Option<&Expr>, pctx: &PlanCtx) -> F
                 // inclusive range bounds to exclusive while building the
                 // seek, so the corrupted bound is visible in the plan tree
                 // (the WHERE clause keeps the original operator).
-                let op = if pctx.bugs.index_active(IndexBugId::RangeBoundOffByOne) {
+                let op = if pctx.bugs.active(IndexBugId::RangeBoundOffByOne) {
                     match op {
                         BinaryOp::Ge => BinaryOp::Gt,
                         BinaryOp::Le => BinaryOp::Lt,
@@ -1151,7 +1151,7 @@ fn eliminate_sort(plan: &mut SelectPlan, pctx: &PlanCtx) {
             // Bug hook: SortElimWrongDirection — the planner eliminates a
             // DESC sort but records an ascending seek, so the wrong
             // direction is visible in the plan tree.
-            *reverse = desc && !pctx.bugs.index_active(IndexBugId::SortElimWrongDirection);
+            *reverse = desc && !pctx.bugs.active(IndexBugId::SortElimWrongDirection);
             pctx.cov.hit(pt::PLAN_SORT_ELIM);
         }
         Some(from @ FromPlan::SeqScan { .. }) => {
@@ -1172,7 +1172,7 @@ fn eliminate_sort(plan: &mut SelectPlan, pctx: &PlanCtx) {
                 range: None,
                 ordered: true,
                 // Bug hook: SortElimWrongDirection (see the seek arm above).
-                reverse: desc && !pctx.bugs.index_active(IndexBugId::SortElimWrongDirection),
+                reverse: desc && !pctx.bugs.active(IndexBugId::SortElimWrongDirection),
             };
             pctx.cov.hit(pt::PLAN_INDEX_SEEK);
             pctx.cov.hit(pt::PLAN_SORT_ELIM);

@@ -50,7 +50,7 @@ pub fn scan_log(image: &[u8], bugs: &BugRegistry) -> Result<Vec<WalRecord>> {
             // Dangling header bytes: the tail of a write that died before
             // even its length prefix was complete.
             Frame::DanglingHeader(rest) => {
-                if bugs.recovery_active(RecoveryBugId::TornTailAsComplete) {
+                if bugs.active(RecoveryBugId::TornTailAsComplete) {
                     return Err(Error::Internal(format!(
                         "wal scan: {} dangling tail byte(s) decoded as a record",
                         rest.len()
@@ -60,15 +60,15 @@ pub fn scan_log(image: &[u8], bugs: &BugRegistry) -> Result<Vec<WalRecord>> {
             // Torn payload: the final frame is shorter than its own length
             // prefix claims.
             Frame::TornPayload { present, .. } => {
-                if bugs.recovery_active(RecoveryBugId::TornTailAsComplete) {
+                if bugs.active(RecoveryBugId::TornTailAsComplete) {
                     out.push(decode_record(present).map_err(|e| {
                         Error::Internal(format!("wal scan: torn tail decoded as complete: {e}"))
                     })?);
                 }
             }
             Frame::Whole { payload, intact } => {
-                if !intact && !bugs.recovery_active(RecoveryBugId::SkipChecksumVerify) {
-                    if bugs.media_active(MediaBugId::SalvagePastCorruptCommit) {
+                if !intact && !bugs.active(RecoveryBugId::SkipChecksumVerify) {
+                    if bugs.active(MediaBugId::SalvagePastCorruptCommit) {
                         // Mutant: salvage skips the damaged frame and keeps
                         // scanning, replaying records *past* the corruption
                         // — the suffix may now describe effects whose
@@ -119,7 +119,7 @@ pub fn scan_snapshots(image: &[u8], bugs: &BugRegistry) -> Result<Vec<Snapshot>>
         let Frame::Whole { payload, intact } = frame else {
             break;
         };
-        if !intact && !bugs.recovery_active(RecoveryBugId::SkipSnapshotChecksum) {
+        if !intact && !bugs.active(RecoveryBugId::SkipSnapshotChecksum) {
             break;
         }
         let rec = decode_record(payload)
@@ -206,7 +206,7 @@ fn group_snapshots(records: Vec<(usize, WalRecord)>) -> (Vec<Snapshot>, Vec<Scru
 /// Pick the recovery base among the scanned snapshots: the newest sealed
 /// one, or `None` for genesis. The checkpoint-path mutants hook here.
 fn choose_snapshot<'a>(snaps: &'a [Snapshot], bugs: &BugRegistry) -> Option<&'a Snapshot> {
-    if bugs.recovery_active(RecoveryBugId::AcceptTornSnapshot) {
+    if bugs.active(RecoveryBugId::AcceptTornSnapshot) {
         // Mutant: a trailing unsealed snapshot (writer died mid-
         // checkpoint) is used as the base anyway.
         if let Some(last) = snaps.last() {
@@ -216,7 +216,7 @@ fn choose_snapshot<'a>(snaps: &'a [Snapshot], bugs: &BugRegistry) -> Option<&'a 
         }
     }
     let mut sealed = snaps.iter().filter(|s| s.sealed);
-    if bugs.recovery_active(RecoveryBugId::StaleSnapshotPreferred) {
+    if bugs.active(RecoveryBugId::StaleSnapshotPreferred) {
         // Mutant: the oldest sealed snapshot wins instead of the newest.
         return sealed.next();
     }
@@ -331,9 +331,7 @@ fn replay_into(
         match rec {
             WalRecord::Commit { stmt_idx } => {
                 if let Some(base) = base_stmts {
-                    if *stmt_idx < base
-                        && !bugs.recovery_active(RecoveryBugId::ReplayFromWrongOffset)
-                    {
+                    if *stmt_idx < base && !bugs.active(RecoveryBugId::ReplayFromWrongOffset) {
                         // The snapshot already contains this statement:
                         // the log overlaps the base (a crash landed
                         // between the checkpoint marker and the
@@ -342,7 +340,7 @@ fn replay_into(
                         continue;
                     }
                 }
-                if bugs.recovery_active(RecoveryBugId::DropLastCommit) && Some(i) == last_commit {
+                if bugs.active(RecoveryBugId::DropLastCommit) && Some(i) == last_commit {
                     // Mutant: the final durability point vanishes; its
                     // effects stay pending (i.e. uncommitted).
                     continue;
@@ -353,7 +351,7 @@ fn replay_into(
                     pending.clear();
                     break;
                 }
-                if bugs.recovery_active(RecoveryBugId::ReorderCommitEffects) {
+                if bugs.active(RecoveryBugId::ReorderCommitEffects) {
                     pending.reverse();
                 }
                 for e in pending.drain(..) {
@@ -367,7 +365,7 @@ fn replay_into(
             effect => pending.push(effect),
         }
     }
-    if bugs.recovery_active(RecoveryBugId::ReplayUncommitted) {
+    if bugs.active(RecoveryBugId::ReplayUncommitted) {
         for e in pending.drain(..) {
             apply_effect(db, e)?;
         }
@@ -694,7 +692,7 @@ fn scrub_frames(
                 true,
             )),
             Frame::Whole { payload, intact } => {
-                if !intact && !bugs.media_active(MediaBugId::SkipScrubChecksum) {
+                if !intact && !bugs.active(MediaBugId::SkipScrubChecksum) {
                     findings.push(finding("frame checksum mismatch".into(), false));
                     if let Some(&(next, _)) = walk.peek() {
                         findings.push(ScrubFinding {
@@ -884,7 +882,7 @@ mod tests {
             w.image(),
             &[],
             Dialect::Sqlite,
-            &BugRegistry::only_recovery(RecoveryBugId::ReplayUncommitted),
+            &BugRegistry::only(RecoveryBugId::ReplayUncommitted),
         )
         .unwrap();
         assert_eq!(buggy.catalog().table("t").unwrap().rows.len(), 1);
@@ -902,7 +900,7 @@ mod tests {
             &image,
             &[],
             Dialect::Sqlite,
-            &BugRegistry::only_recovery(RecoveryBugId::ReorderCommitEffects),
+            &BugRegistry::only(RecoveryBugId::ReorderCommitEffects),
         )
         .unwrap();
         let vals: Vec<_> = buggy.catalog().table("t").unwrap().rows.clone();
@@ -928,7 +926,7 @@ mod tests {
             &image,
             &[],
             Dialect::Sqlite,
-            &BugRegistry::only_recovery(RecoveryBugId::DropLastCommit),
+            &BugRegistry::only(RecoveryBugId::DropLastCommit),
         )
         .unwrap();
         assert_eq!(buggy.catalog().table("t").unwrap().rows.len(), 1);
@@ -956,7 +954,7 @@ mod tests {
         assert_eq!(clean.len(), 2, "corrupt record truncated");
         let buggy = scan_log(
             w.image(),
-            &BugRegistry::only_recovery(RecoveryBugId::SkipChecksumVerify),
+            &BugRegistry::only(RecoveryBugId::SkipChecksumVerify),
         );
         match buggy {
             Ok(recs) => assert_ne!(
@@ -1173,7 +1171,7 @@ mod tests {
         let blind = scrub_images(
             &rotted,
             &snap,
-            &BugRegistry::only_media(MediaBugId::SkipScrubChecksum),
+            &BugRegistry::only(MediaBugId::SkipScrubChecksum),
         );
         assert!(
             blind.damage().count() < report.damage().count(),
@@ -1338,7 +1336,7 @@ mod tests {
             &rotted,
             &[],
             Dialect::Sqlite,
-            &BugRegistry::only_media(MediaBugId::SalvagePastCorruptCommit),
+            &BugRegistry::only(MediaBugId::SalvagePastCorruptCommit),
         )
         .unwrap();
         assert_eq!(
@@ -1372,7 +1370,7 @@ mod tests {
             RecoveryBugId::StaleSnapshotPreferred,
             RecoveryBugId::SkipSnapshotChecksum,
         ] {
-            let bugs = BugRegistry::only_recovery(bug);
+            let bugs = BugRegistry::only(bug);
             let mut hit = false;
             for op in 0..=total {
                 for mode in [

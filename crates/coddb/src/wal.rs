@@ -360,7 +360,7 @@ impl SimDisk {
     ) -> Result<&[u8], StorageError> {
         // Mutant: treats the first failed attempt as permanent data loss
         // instead of walking the retry schedule.
-        let max_attempts = if bugs.media_active(MediaBugId::TransientFaultAsPermanentLoss) {
+        let max_attempts = if bugs.active(MediaBugId::TransientFaultAsPermanentLoss) {
             1
         } else {
             READ_RETRY_CAP + 1
@@ -368,7 +368,7 @@ impl SimDisk {
         // Mutant: retries transient faults forever instead of failing
         // stop at the cap (terminates once the fault heals, so the bug is
         // a silent success where the contract demands a structured error).
-        let ignore_cap = bugs.media_active(MediaBugId::RetryCapIgnored);
+        let ignore_cap = bugs.active(MediaBugId::RetryCapIgnored);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -1456,7 +1456,7 @@ mod tests {
     fn read_retry_mutants_break_the_contract_in_opposite_directions() {
         // TransientFaultAsPermanentLoss: gives up on the first failure of
         // a fault the retry schedule must heal.
-        let bugs = BugRegistry::only_media(MediaBugId::TransientFaultAsPermanentLoss);
+        let bugs = BugRegistry::only(MediaBugId::TransientFaultAsPermanentLoss);
         let mut disk = SimDisk::from_bytes(vec![7]);
         disk.set_read_fault(Some(ReadFault::Transient { failures: 1 }));
         let err = disk.read_with_retry(StorageSite::Log, &bugs).unwrap_err();
@@ -1470,7 +1470,7 @@ mod tests {
 
         // RetryCapIgnored: silently retries a transient fault past the cap
         // where the contract demands a structured error...
-        let bugs = BugRegistry::only_media(MediaBugId::RetryCapIgnored);
+        let bugs = BugRegistry::only(MediaBugId::RetryCapIgnored);
         let mut disk = SimDisk::from_bytes(vec![7]);
         disk.set_read_fault(Some(ReadFault::Transient {
             failures: READ_RETRY_CAP + 3,

@@ -213,7 +213,7 @@ fn every_index_mutant_fires_indexed_and_is_silent_scan_only() {
         );
         let buggy = run_script(
             Dialect::Sqlite,
-            BugRegistry::only_index(bug),
+            BugRegistry::only(bug),
             AccessMode::Indexed,
             SCRIPT,
         );
@@ -230,7 +230,7 @@ fn every_index_mutant_fires_indexed_and_is_silent_scan_only() {
         );
         let buggy_scan = run_script(
             Dialect::Sqlite,
-            BugRegistry::only_index(bug),
+            BugRegistry::only(bug),
             AccessMode::ScanOnly,
             SCRIPT,
         );
@@ -274,7 +274,7 @@ fn index_mutant_divergence_scenarios() {
         "SELECT v FROM t WHERE k >= 2 ORDER BY v",
     );
     let buggy = query(
-        BugRegistry::only_index(IndexBugId::RangeBoundOffByOne),
+        BugRegistry::only(IndexBugId::RangeBoundOffByOne),
         setup,
         "SELECT v FROM t WHERE k >= 2 ORDER BY v",
     );
@@ -283,7 +283,7 @@ fn index_mutant_divergence_scenarios() {
 
     // EqSeekMissesDuplicates: only the first duplicate survives.
     let buggy = query(
-        BugRegistry::only_index(IndexBugId::EqSeekMissesDuplicates),
+        BugRegistry::only(IndexBugId::EqSeekMissesDuplicates),
         setup,
         "SELECT v FROM t WHERE k = 2 ORDER BY v",
     );
@@ -291,7 +291,7 @@ fn index_mutant_divergence_scenarios() {
 
     // PrefixSeekIgnoresResidual: NULL-key rows leak through.
     let buggy = query(
-        BugRegistry::only_index(IndexBugId::PrefixSeekIgnoresResidual),
+        BugRegistry::only(IndexBugId::PrefixSeekIgnoresResidual),
         setup,
         "SELECT v FROM t WHERE k > 0",
     );
@@ -299,7 +299,7 @@ fn index_mutant_divergence_scenarios() {
 
     // SortElimWrongDirection: DESC comes back ascending.
     let buggy = query(
-        BugRegistry::only_index(IndexBugId::SortElimWrongDirection),
+        BugRegistry::only(IndexBugId::SortElimWrongDirection),
         setup,
         "SELECT k FROM t WHERE k >= 1 ORDER BY k DESC",
     );
@@ -316,7 +316,7 @@ fn index_mutant_divergence_scenarios() {
     let clean = query(BugRegistry::none(), dml, "SELECT v FROM t WHERE k = 9");
     assert_eq!(clean.len(), 1);
     let buggy = query(
-        BugRegistry::only_index(IndexBugId::StaleEntryAfterUpdate),
+        BugRegistry::only(IndexBugId::StaleEntryAfterUpdate),
         dml,
         "SELECT v FROM t WHERE k = 9",
     );

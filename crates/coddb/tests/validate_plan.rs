@@ -71,7 +71,7 @@ fn statically_detectable_mutants_are_pinned() {
     );
     let static_index: Vec<IndexBugId> = IndexBugId::ALL
         .into_iter()
-        .filter(|&b| !sweep(BugRegistry::only_index(b)).is_empty())
+        .filter(|&b| !sweep(BugRegistry::only(b)).is_empty())
         .collect();
     assert_eq!(
         static_index,
@@ -89,14 +89,14 @@ fn statically_detectable_mutants_are_pinned() {
     assert!(
         codes(sweep(BugRegistry::only(BugId::DuckdbPushdownLeftJoin))).contains(&"filter-position")
     );
-    assert!(codes(sweep(BugRegistry::only_index(
-        IndexBugId::RangeBoundOffByOne
-    )))
-    .contains(&"seek-prefix-mismatch"));
-    assert!(codes(sweep(BugRegistry::only_index(
-        IndexBugId::SortElimWrongDirection
-    )))
-    .contains(&"sort-elim-direction"));
+    assert!(
+        codes(sweep(BugRegistry::only(IndexBugId::RangeBoundOffByOne)))
+            .contains(&"seek-prefix-mismatch")
+    );
+    assert!(
+        codes(sweep(BugRegistry::only(IndexBugId::SortElimWrongDirection)))
+            .contains(&"sort-elim-direction")
+    );
 }
 
 /// Every mutant's verifier output is deterministic: two fresh sweeps
@@ -110,8 +110,8 @@ fn verifier_diagnostics_are_stable_under_every_mutant() {
         assert_eq!(a, b, "unstable diagnostics under {bug:?}");
     }
     for bug in IndexBugId::ALL {
-        let a = sweep(BugRegistry::only_index(bug));
-        let b = sweep(BugRegistry::only_index(bug));
+        let a = sweep(BugRegistry::only(bug));
+        let b = sweep(BugRegistry::only(bug));
         assert_eq!(a, b, "unstable diagnostics under {bug:?}");
     }
 }

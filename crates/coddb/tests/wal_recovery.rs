@@ -222,7 +222,7 @@ fn every_recovery_mutant_diverges_somewhere_in_the_grid() {
     let dialect = Dialect::Sqlite;
     let schedules: [&[usize]; 3] = [&[], SCHEDULES[0], SCHEDULES[1]];
     for bug in RecoveryBugId::ALL {
-        let bugs = BugRegistry::only_recovery(bug);
+        let bugs = BugRegistry::only(bug);
         let mut hit = false;
         'grid: for checkpoints in schedules {
             let total = total_ops_with(&stmts, dialect, checkpoints);
@@ -386,7 +386,7 @@ fn every_media_mutant_diverges_somewhere_in_the_media_grid() {
     let checkpoints: &[usize] = &[3];
     let total = total_ops_with(&stmts, dialect, checkpoints);
     for bug in MediaBugId::ALL {
-        let bugs = BugRegistry::only_media(bug);
+        let bugs = BugRegistry::only(bug);
         let mut witness = None;
         for media in media_cells(total) {
             if recovery_divergence(

@@ -11,12 +11,12 @@
 //!   `coverage_points!` block of `crates/coddb/src/coverage.rs` must be
 //!   emitted (`pt::NAME`) somewhere in the engine outside the registry
 //!   file itself.
-//! * **mutant-unhooked** — every variant in the four bug registries'
-//!   `ALL` arrays (`BugId`, `RecoveryBugId`, `IndexBugId`, `MediaBugId`)
-//!   must be referenced by engine code outside `bugs.rs` (the injection
-//!   hook).
+//! * **mutant-unhooked** — every variant in the `ALL` array of each
+//!   mutant family (each enum with an `impl Mutant for <Enum>` line in
+//!   `bugs.rs`) must be referenced by engine code outside `bugs.rs` (the
+//!   injection hook).
 //! * **mutant-untested** — every variant must be referenced by a
-//!   detection test: named in a test file, or swept via the registry's
+//!   detection test: named in a test file, or swept via its family's
 //!   `::ALL` array from a test file.
 //! * **bench-field-ungated** — every `*_speedup` / `*_overhead` field in
 //!   `BENCH_engine.json` must have a row in the `GATED_FIELDS` table of
@@ -24,11 +24,11 @@
 //!   run.
 //! * **mutant-read-unrecorded** — engine code (`crates/coddb/src` outside
 //!   `bugs.rs`) and the oracle modules read the mutant registry only
-//!   through its recording hook accessors (`active`, `recovery_active`,
-//!   `index_active`, `media_active`), so every read that can steer a run
-//!   lands in the consult record `rerun_test` prunes replays by. A call of
-//!   any of the registry's other readers there fails the lint, as does
-//!   resetting the record.
+//!   through its recording hook accessor `active`, so every read that
+//!   can steer a run lands in the consult record `rerun_test` prunes
+//!   replays by. A call of any of the registry's other readers there
+//!   (with or without a turbofish) fails the lint, as does resetting the
+//!   record.
 //! * **oracle-report-outside-case** — oracle modules other than `lib.rs`
 //!   build bug reports only through `Case`, so every report lists the
 //!   statements its test ran, in run order. A `BugReport { .. }` struct
@@ -153,13 +153,15 @@ fn token_match(hay: &str, needle: &str) -> bool {
     false
 }
 
-/// Does `line` call `name` or refer to it by path (`name(` or `::name`,
-/// with `name` a whole identifier)?
+/// Does `line` call `name` or refer to it by path (`name(`, `name::<` or
+/// `::name`, with `name` a whole identifier)?
 fn names_fn(line: &str, name: &str) -> bool {
     line.match_indices(name).any(|(at, _)| {
         let (before, after) = (&line[..at], &line[at + name.len()..]);
         !before.ends_with(is_ident)
-            && (after.starts_with('(') || (before.ends_with("::") && !after.starts_with(is_ident)))
+            && (after.starts_with('(')
+                || after.starts_with("::<")
+                || (before.ends_with("::") && !after.starts_with(is_ident)))
     })
 }
 
@@ -235,7 +237,16 @@ fn parse_coverage_points(src: &str) -> Vec<String> {
     out
 }
 
-/// Parse one registry's `pub const ALL: [<Enum>; N] = [ ... ];` array,
+/// The mutant families: the enums named by the `impl Mutant for <Enum>`
+/// lines of `bugs.rs`.
+fn parse_mutant_families(src: &str) -> Vec<&str> {
+    src.lines()
+        .filter_map(|line| line.trim().strip_prefix("impl Mutant for "))
+        .map(|rest| &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())])
+        .collect()
+}
+
+/// Parse one family's `pub const ALL: [<Enum>; N] = [ ... ];` array,
 /// returning the variant names.
 fn parse_all_array(src: &str, enum_name: &str) -> Vec<String> {
     let marker = format!("pub const ALL: [{enum_name};");
@@ -286,12 +297,9 @@ const ORACLE_MODULES: [&str; 8] = [
 ];
 
 /// The registry's readers that record no consult, and the record's reset.
-const UNRECORDED_READS: [&str; 7] = [
+const UNRECORDED_READS: [&str; 4] = [
     "is_clean",
     "enabled",
-    "enabled_recovery",
-    "enabled_index",
-    "enabled_media",
     "shares_mutant_with",
     "take_consulted",
 ];
@@ -349,7 +357,7 @@ pub fn analyze_repo(root: &Path) -> io::Result<AnalyzeReport> {
         .map(|(_, s)| s.as_str())
         .unwrap_or("");
     let mut hook_checked = 0;
-    for enum_name in ["BugId", "RecoveryBugId", "IndexBugId", "MediaBugId"] {
+    for enum_name in parse_mutant_families(bugs_src) {
         let variants = parse_all_array(bugs_src, enum_name);
         hook_checked += variants.len();
         let all_swept = test_corpus
@@ -407,7 +415,7 @@ pub fn analyze_repo(root: &Path) -> io::Result<AnalyzeReport> {
                     subject: format!("{}:{no}", rel.display()),
                     detail: format!(
                         "`{m}` reads the mutant registry without recording a consult; \
-                         engine and oracle code must use the hook accessors"
+                         engine and oracle code must use the hook accessor `active`"
                     ),
                 });
             }
@@ -515,7 +523,8 @@ mod tests {
         fs::write(src.join("exec.rs"), "fn f() { hit(pt::USED_POINT); }\n").unwrap();
         fs::write(
             src.join("bugs.rs"),
-            "pub const ALL: [BugId; 2] = [\n    BugId::Hooked,\n    BugId::Ghost,\n];\n",
+            "impl Mutant for BugId {}\n\
+             pub const ALL: [BugId; 2] = [\n    BugId::Hooked,\n    BugId::Ghost,\n];\n",
         )
         .unwrap();
         fs::write(
@@ -532,7 +541,7 @@ mod tests {
         fs::create_dir_all(&oracles).unwrap();
         fs::write(
             oracles.join("tlp.rs"),
-            "fn o(b: &B) { let _ = b.enabled_index().count(); take_consulted(); }\n\
+            "fn o(b: &B) { let _ = b.enabled::<IndexBugId>().count(); take_consulted(); }\n\
              fn r() -> TestOutcome { TestOutcome::Bug(BugReport { kind: K }) }\n\
              // BugReport { kind: K } in a comment is fine\n",
         )
@@ -623,7 +632,8 @@ mod tests {
         assert!(names_fn("ctx.bugs.enabled().next()", "enabled"));
         assert!(names_fn(".map(BugRegistry::enabled)", "enabled"));
         assert!(names_fn("let c = take_consulted();", "take_consulted"));
-        assert!(!names_fn("ctx.bugs.enabled_index()", "enabled"));
+        assert!(names_fn("bugs.enabled::<IndexBugId>().count()", "enabled"));
+        assert!(!names_fn("use m::enabled_set;", "enabled"));
         assert!(!names_fn("tr.is_enabled()", "enabled"));
         assert!(!names_fn("let enabled = 1;", "enabled"));
     }

@@ -313,9 +313,9 @@ pub fn value_is_true(v: &Value) -> bool {
 /// state, only its fixed configuration.
 ///
 /// The active mutants may steer a test only through the registry's
-/// recording hook accessors, called on the thread that runs the test:
-/// [`runner::rerun_test`] skips replays under mutants the test's clean
-/// run never asked about (see [`coddb::bugs::BugRegistry`]).
+/// recording hook accessor [`coddb::BugRegistry::active`], called on the
+/// thread that runs the test: [`runner::rerun_test`] skips replays under
+/// mutants the test's clean run never asked about.
 pub trait Oracle {
     fn name(&self) -> &'static str;
 

@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn recovery_mutant_is_caught() {
-        let bugs = BugRegistry::only_recovery(coddb::RecoveryBugId::ReorderCommitEffects);
+        let bugs = BugRegistry::only(coddb::RecoveryBugId::ReorderCommitEffects);
         let mut db = Database::with_bugs(Dialect::Sqlite, bugs);
         let mut session = Session::new(&mut db);
         let schema = SchemaInfo::default();
@@ -282,7 +282,7 @@ mod tests {
         // A checkpoint-path mutant needs scenarios whose seeded schedule
         // actually checkpoints (and, for this one, twice) — the oracle's
         // cadence must provide them within an ordinary campaign slice.
-        let bugs = BugRegistry::only_recovery(coddb::RecoveryBugId::StaleSnapshotPreferred);
+        let bugs = BugRegistry::only(coddb::RecoveryBugId::StaleSnapshotPreferred);
         let mut db = Database::with_bugs(Dialect::Sqlite, bugs);
         let mut session = Session::new(&mut db);
         let schema = SchemaInfo::default();
@@ -298,7 +298,7 @@ mod tests {
         // campaign slice: seeded media plans cover bit rot, both read-
         // fault regimes and disk-full appends.
         for bug in coddb::bugs::MediaBugId::ALL {
-            let bugs = BugRegistry::only_media(bug);
+            let bugs = BugRegistry::only(bug);
             let mut db = Database::with_bugs(Dialect::Sqlite, bugs);
             let mut session = Session::new(&mut db);
             let schema = SchemaInfo::default();
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn finding_detail_names_the_media_plan() {
-        let bugs = BugRegistry::only_media(coddb::bugs::MediaBugId::SalvagePastCorruptCommit);
+        let bugs = BugRegistry::only(coddb::bugs::MediaBugId::SalvagePastCorruptCommit);
         let mut db = Database::with_bugs(Dialect::Sqlite, bugs);
         let mut session = Session::new(&mut db);
         let schema = SchemaInfo::default();
@@ -337,7 +337,7 @@ mod tests {
 
     #[test]
     fn finding_detail_names_the_fault_plan_and_schedule() {
-        let bugs = BugRegistry::only_recovery(coddb::RecoveryBugId::ReplayUncommitted);
+        let bugs = BugRegistry::only(coddb::RecoveryBugId::ReplayUncommitted);
         let mut db = Database::with_bugs(Dialect::Sqlite, bugs);
         let mut session = Session::new(&mut db);
         let schema = SchemaInfo::default();

@@ -494,7 +494,7 @@ mod tests {
     /// recovering incorrectly at its fault point.
     #[test]
     fn recovery_reduction_shrinks_script_and_fault_plan() {
-        let bugs = BugRegistry::only_recovery(coddb::RecoveryBugId::ReplayUncommitted);
+        let bugs = BugRegistry::only(coddb::RecoveryBugId::ReplayUncommitted);
         let case = RecoveryCase {
             script: parse_statements(
                 "CREATE TABLE t (a INT);
@@ -540,7 +540,7 @@ mod tests {
     /// script down to a single statement.
     #[test]
     fn recovery_reduction_drops_unrelated_statements() {
-        let bugs = BugRegistry::only_recovery(coddb::RecoveryBugId::DropLastCommit);
+        let bugs = BugRegistry::only(coddb::RecoveryBugId::DropLastCommit);
         let case = RecoveryCase {
             script: parse_statements(
                 "CREATE TABLE t (a INT);
@@ -586,7 +586,7 @@ mod tests {
     /// the reducer must keep both while still shrinking the script.
     #[test]
     fn recovery_reduction_shrinks_the_checkpoint_axis() {
-        let bugs = BugRegistry::only_recovery(coddb::RecoveryBugId::StaleSnapshotPreferred);
+        let bugs = BugRegistry::only(coddb::RecoveryBugId::StaleSnapshotPreferred);
         let case = RecoveryCase {
             script: parse_statements(
                 "CREATE TABLE t (a INT);
@@ -640,7 +640,7 @@ mod tests {
     fn recovery_reduction_shrinks_the_media_axis() {
         use coddb::error::StorageSite;
         use coddb::wal::READ_RETRY_CAP;
-        let bugs = BugRegistry::only_media(coddb::bugs::MediaBugId::RetryCapIgnored);
+        let bugs = BugRegistry::only(coddb::bugs::MediaBugId::RetryCapIgnored);
         let case = RecoveryCase {
             script: parse_statements(
                 "CREATE TABLE t (a INT);

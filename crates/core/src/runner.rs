@@ -85,7 +85,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use coddb::bugs::{
-    take_consulted, BugId, BugKind, BugRegistry, IndexBugId, MediaBugId, RecoveryBugId,
+    take_consulted, BugId, BugKind, BugRegistry, IndexBugId, MediaBugId, Mutant, RecoveryBugId,
 };
 use coddb::coverage::Coverage;
 use coddb::{Database, Dialect, Severity};
@@ -823,24 +823,22 @@ fn replay_test(
 /// the finding's clean run answers for every mutant that run never
 /// consulted.
 pub fn attribute_bugs(result: &mut CampaignResult, cfg: &CampaignConfig, oracle_name: &str) {
-    let bugs = &cfg.bugs;
+    /// Append to `into` each mutant of family `M` enabled in `bugs` for
+    /// which `hit` holds when that mutant is enabled alone.
+    fn attribute<M: Mutant>(
+        into: &mut Vec<M>,
+        bugs: &BugRegistry,
+        hit: impl Fn(BugRegistry) -> bool,
+    ) {
+        into.extend(bugs.enabled::<M>().filter(|&b| hit(BugRegistry::only(b))));
+    }
     for f in &mut result.findings {
         let (state_idx, test_idx) = (f.state_idx, f.test_idx);
         let hit = |only: BugRegistry| rerun_test(oracle_name, cfg, state_idx, test_idx, &only);
-        f.attributed
-            .extend(bugs.enabled().filter(|&b| hit(BugRegistry::only(b))));
-        f.attributed_recovery.extend(
-            bugs.enabled_recovery()
-                .filter(|&b| hit(BugRegistry::only_recovery(b))),
-        );
-        f.attributed_index.extend(
-            bugs.enabled_index()
-                .filter(|&b| hit(BugRegistry::only_index(b))),
-        );
-        f.attributed_media.extend(
-            bugs.enabled_media()
-                .filter(|&b| hit(BugRegistry::only_media(b))),
-        );
+        attribute(&mut f.attributed, &cfg.bugs, hit);
+        attribute(&mut f.attributed_recovery, &cfg.bugs, hit);
+        attribute(&mut f.attributed_index, &cfg.bugs, hit);
+        attribute(&mut f.attributed_media, &cfg.bugs, hit);
     }
 }
 
@@ -1187,7 +1185,7 @@ mod tests {
     fn recovery_findings_attribute_to_recovery_mutants() {
         let bug = RecoveryBugId::DropLastCommit;
         let cfg = CampaignConfig {
-            bugs: BugRegistry::only_recovery(bug),
+            bugs: BugRegistry::only(bug),
             tests: 40,
             ..CampaignConfig::new(Dialect::Sqlite)
         };
@@ -1223,7 +1221,7 @@ mod tests {
         // recovery mutant alone and land in `attributed_recovery`.
         let bug = RecoveryBugId::ReplayFromWrongOffset;
         let cfg = CampaignConfig {
-            bugs: BugRegistry::only_recovery(bug),
+            bugs: BugRegistry::only(bug),
             tests: 400,
             stop_on_first_bug: true,
             ..CampaignConfig::new(Dialect::Sqlite)
@@ -1258,7 +1256,7 @@ mod tests {
             (IndexBugId::SortElimWrongDirection, 7, 2000),
         ] {
             let cfg = CampaignConfig {
-                bugs: BugRegistry::only_index(bug),
+                bugs: BugRegistry::only(bug),
                 tests: budget,
                 seed,
                 stop_on_first_bug: true,
@@ -1318,7 +1316,7 @@ mod tests {
             IndexBugId::SortElimWrongDirection,
         ] {
             let cfg = CampaignConfig {
-                bugs: BugRegistry::only_index(bug),
+                bugs: BugRegistry::only(bug),
                 tests: 40,
                 stop_on_first_bug: true,
                 ..CampaignConfig::new(Dialect::Sqlite)

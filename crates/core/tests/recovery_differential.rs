@@ -27,7 +27,7 @@ fn recover_cfg(bugs: BugRegistry, tests: u64) -> CampaignConfig {
 #[test]
 fn every_recovery_mutant_is_detected_and_attributed() {
     for bug in RecoveryBugId::ALL {
-        let cfg = recover_cfg(BugRegistry::only_recovery(bug), 600);
+        let cfg = recover_cfg(BugRegistry::only(bug), 600);
         let mut oracle = make_oracle("recover").unwrap();
         let mut result = run_campaign(oracle.as_mut(), &cfg);
         assert!(
@@ -93,7 +93,7 @@ fn every_recovery_mutant_is_detected_and_attributed() {
 #[test]
 fn every_media_mutant_is_detected_and_attributed() {
     for bug in MediaBugId::ALL {
-        let cfg = recover_cfg(BugRegistry::only_media(bug), 900);
+        let cfg = recover_cfg(BugRegistry::only(bug), 900);
         let mut oracle = make_oracle("recover").unwrap();
         let mut result = run_campaign(oracle.as_mut(), &cfg);
         assert!(
@@ -173,7 +173,7 @@ fn clean_engine_recovery_campaign_is_quiet() {
 #[test]
 fn recover_campaigns_are_parallel_deterministic() {
     let cfg = CampaignConfig {
-        bugs: BugRegistry::only_recovery(RecoveryBugId::ReplayUncommitted),
+        bugs: BugRegistry::only(RecoveryBugId::ReplayUncommitted),
         tests: 200,
         stop_on_first_bug: false,
         ..CampaignConfig::new(Dialect::Mysql)

@@ -185,7 +185,8 @@ fn engine_mutant_attribution_matches_full_prefix_replay() {
             tests: 150,
             ..CampaignConfig::new(dialect)
         };
-        let singles: Vec<BugRegistry> = cfg.bugs.enabled().map(BugRegistry::only).collect();
+        let singles: Vec<BugRegistry> =
+            cfg.bugs.enabled::<BugId>().map(BugRegistry::only).collect();
         hits += assert_attribution_matches("codd", &cfg, &singles);
     }
     assert!(hits > 0, "no finding attributed to any mutant");
@@ -195,7 +196,7 @@ fn engine_mutant_attribution_matches_full_prefix_replay() {
 /// through the same `rerun_test`.
 #[test]
 fn index_and_recovery_attribution_match_full_prefix_replay() {
-    let bugs = BugRegistry::only_index(IndexBugId::PrefixSeekIgnoresResidual);
+    let bugs = BugRegistry::only(IndexBugId::PrefixSeekIgnoresResidual);
     let cfg = CampaignConfig {
         bugs: bugs.clone(),
         tests: 300,
@@ -203,7 +204,7 @@ fn index_and_recovery_attribution_match_full_prefix_replay() {
     };
     assert!(assert_attribution_matches("codd", &cfg, &[bugs]) > 0);
 
-    let bugs = BugRegistry::only_recovery(RecoveryBugId::DropLastCommit);
+    let bugs = BugRegistry::only(RecoveryBugId::DropLastCommit);
     let cfg = CampaignConfig {
         bugs: bugs.clone(),
         tests: 40,
@@ -248,9 +249,9 @@ fn unconsulted_mutants_leave_the_clean_run_unchanged() {
     let singles: Vec<BugRegistry> = BugId::ALL
         .map(BugRegistry::only)
         .into_iter()
-        .chain(RecoveryBugId::ALL.map(BugRegistry::only_recovery))
-        .chain(IndexBugId::ALL.map(BugRegistry::only_index))
-        .chain(MediaBugId::ALL.map(BugRegistry::only_media))
+        .chain(RecoveryBugId::ALL.map(BugRegistry::only))
+        .chain(IndexBugId::ALL.map(BugRegistry::only))
+        .chain(MediaBugId::ALL.map(BugRegistry::only))
         .collect();
     let (mut compared, mut consulted_total) = (0, 0);
     for dialect in Dialect::ALL {
@@ -299,7 +300,8 @@ fn memoized_reruns_match_full_prefix_replay_in_any_order() {
         let mut oracle = make_oracle("codd").unwrap();
         let result = run_campaign(oracle.as_mut(), &cfg);
         let none = BugRegistry::none();
-        let singles: Vec<BugRegistry> = cfg.bugs.enabled().map(BugRegistry::only).collect();
+        let singles: Vec<BugRegistry> =
+            cfg.bugs.enabled::<BugId>().map(BugRegistry::only).collect();
         for f in result.findings.iter().take(2) {
             let (s, t) = (f.state_idx, f.test_idx);
             let expect = |bugs: &BugRegistry| full_prefix_replay("codd", &cfg, bugs, s, t);

@@ -114,7 +114,7 @@ fn main() {
     //    snapshot + log images, and compares against a never-crashed
     //    engine holding exactly the committed prefix.
     let cfg = CampaignConfig {
-        bugs: BugRegistry::only_recovery(bug),
+        bugs: BugRegistry::only(bug),
         tests: 2_000,
         stop_on_first_bug: true,
         ..CampaignConfig::new(Dialect::Sqlite)
@@ -155,7 +155,7 @@ fn main() {
         },
         media: MediaPlan::none(),
     };
-    let bugs = BugRegistry::only_recovery(bug);
+    let bugs = BugRegistry::only(bug);
     assert!(recovery_still_failing(&case, Dialect::Sqlite, &bugs));
     let reduced = reduce_recovery(&case, Dialect::Sqlite, &bugs);
     println!(
@@ -254,7 +254,7 @@ fn main() {
         mbug.description()
     );
     let cfg = CampaignConfig {
-        bugs: BugRegistry::only_media(mbug),
+        bugs: BugRegistry::only(mbug),
         tests: 2_000,
         stop_on_first_bug: true,
         ..CampaignConfig::new(Dialect::Sqlite)

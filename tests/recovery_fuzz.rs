@@ -203,7 +203,7 @@ proptest! {
         // Media mutants weaken scrub and salvage validation, widening the
         // set of bytes that reach the decoders — no panic allowed anywhere.
         let bug = MediaBugId::ALL[(which as usize) % MediaBugId::ALL.len()];
-        let bugs = BugRegistry::only_media(bug);
+        let bugs = BugRegistry::only(bug);
         let _ = scan_log(&log, &bugs);
         let _ = scan_snapshots(&snap, &bugs);
         let _ = scrub_images(&log, &snap, &bugs);
@@ -220,7 +220,7 @@ proptest! {
         // which widens the set of images that reach the decoder — the
         // no-panic guarantee must survive every one of them.
         let bug = coddb::RecoveryBugId::ALL[(which as usize) % coddb::RecoveryBugId::ALL.len()];
-        let bugs = BugRegistry::only_recovery(bug);
+        let bugs = BugRegistry::only(bug);
         let _ = scan_log(&log, &bugs);
         let _ = scan_snapshots(&snap, &bugs);
         let _ = recover(&log, &snap, Dialect::Sqlite, &bugs);

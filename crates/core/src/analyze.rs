@@ -633,6 +633,7 @@ mod tests {
         assert!(names_fn(".map(BugRegistry::enabled)", "enabled"));
         assert!(names_fn("let c = take_consulted();", "take_consulted"));
         assert!(names_fn("bugs.enabled::<IndexBugId>().count()", "enabled"));
+        assert!(!names_fn("ctx.bugs.enabled_index()", "enabled"));
         assert!(!names_fn("use m::enabled_set;", "enabled"));
         assert!(!names_fn("tr.is_enabled()", "enabled"));
         assert!(!names_fn("let enabled = 1;", "enabled"));

@@ -3,8 +3,9 @@
 //! pipeline's speed over time. Join shapes are additionally timed with
 //! the nested loop forced (hash-join speedup), vectorization-dominated
 //! shapes with row-at-a-time evaluation forced
-//! (`vectorized_vs_row_speedup`), and index-seek shapes with
-//! `AccessMode::ScanOnly` forced (`indexed_vs_scan_speedup`).
+//! (`vectorized_vs_row_speedup`), and index-seek shapes, `dml_by_key`
+//! included, with `AccessMode::ScanOnly` forced
+//! (`indexed_vs_scan_speedup`).
 //!
 //! Run with: `cargo run --release -p coddtest-bench --bin bench_engine`
 //! (optionally `-- --out <path>`; `-- --quick` shrinks the measurement
@@ -25,9 +26,9 @@ use coddtest::make_oracle;
 use coddtest::runner::{run_campaign, run_campaign_parallel, CampaignConfig};
 use coddtest_bench::{
     engine_setup as setup, is_indexed_shape, is_join_shape, is_vec_shape, missing_gated_fields,
-    CAMPAIGN_PARALLEL_SHAPE, CHECKPOINT_WRITE_SHAPE, DML_INDEX_MAINTENANCE_SHAPE, QUERY_SHAPES,
-    RECOVERY_REPLAY_CHECKPOINTED_SHAPE, RECOVERY_REPLAY_SHAPE, SCRUB_THROUGHPUT_SHAPE,
-    WAL_COMMIT_NOSPACE_SHAPE, WAL_COMMIT_SHAPE,
+    CAMPAIGN_PARALLEL_SHAPE, CHECKPOINT_WRITE_SHAPE, DML_BY_KEY_SHAPE, DML_INDEX_MAINTENANCE_SHAPE,
+    QUERY_SHAPES, RECOVERY_REPLAY_CHECKPOINTED_SHAPE, RECOVERY_REPLAY_SHAPE,
+    SCRUB_THROUGHPUT_SHAPE, WAL_COMMIT_NOSPACE_SHAPE, WAL_COMMIT_SHAPE,
 };
 
 /// Worker threads for the `campaign_parallel` shape (the evaluation's
@@ -53,13 +54,21 @@ const QUICK: Windows = Windows {
     runs: 3,
 };
 
-/// Median-of-runs ns/iter: warm up, then take the median of several
-/// fixed-duration measurement windows (robust against scheduler noise).
+/// Median-of-runs ns/iter of a repeatable query: see [`measure_iters`].
 fn measure(db: &mut Database, q: &Select, w: &Windows) -> f64 {
+    measure_iters(w, || {
+        std::hint::black_box(db.query(q).unwrap());
+    })
+}
+
+/// Median-of-runs ns/iter of a repeatable unit of work: warm up, then
+/// take the median of several fixed-duration measurement windows (robust
+/// against scheduler noise).
+fn measure_iters(w: &Windows, mut iter: impl FnMut()) -> f64 {
     let warm_start = Instant::now();
     let mut warm_iters = 0u64;
     while warm_start.elapsed() < w.warmup {
-        std::hint::black_box(db.query(q).unwrap());
+        iter();
         warm_iters += 1;
     }
     let per_iter = (w.warmup.as_nanos() as u64 / warm_iters.max(1)).max(1);
@@ -71,7 +80,7 @@ fn measure(db: &mut Database, q: &Select, w: &Windows) -> f64 {
         let start = Instant::now();
         while start.elapsed() < w.window {
             for _ in 0..batch {
-                std::hint::black_box(db.query(q).unwrap());
+                iter();
             }
             iters += batch;
         }
@@ -123,6 +132,7 @@ fn main() {
                 CHECKPOINT_WRITE_SHAPE,
                 RECOVERY_REPLAY_CHECKPOINTED_SHAPE,
                 DML_INDEX_MAINTENANCE_SHAPE,
+                DML_BY_KEY_SHAPE,
                 SCRUB_THROUGHPUT_SHAPE,
                 WAL_COMMIT_NOSPACE_SHAPE,
             ])
@@ -280,7 +290,9 @@ fn main() {
     // dml_index_maintenance: the identical INSERT/UPDATE/DELETE batch
     // against an indexed and an unindexed copy of one table — the
     // write-side price of keeping the ordered index layer current,
-    // recorded per statement like the WAL overhead above.
+    // recorded per statement like the WAL overhead above. The DELETE's
+    // WHERE clause would seek on the indexed copy: both copies scan, so
+    // the ratio prices maintenance alone.
     let run_dml_index_shape = shape_filter
         .as_ref()
         .is_none_or(|f| f.iter().any(|s| s == DML_INDEX_MAINTENANCE_SHAPE));
@@ -296,6 +308,7 @@ fn main() {
         let run_table = |with_index: bool| {
             measure_campaign(windows.runs, || {
                 let mut db = Database::new(Dialect::Sqlite);
+                db.set_access_mode(AccessMode::ScanOnly);
                 db.execute_sql("CREATE TABLE m (k INT, v TEXT)").unwrap();
                 if with_index {
                     db.execute_sql("CREATE INDEX im ON m (k)").unwrap();
@@ -320,6 +333,41 @@ fn main() {
         entries.push(format!(
             "    {:?}: {{\n      \"indexed_dml_ns_per_iter\": {:.0},\n      \"unindexed_dml_ns_per_iter\": {:.0},\n      \"index_maintenance_overhead\": {:.2}\n    }}",
             DML_INDEX_MAINTENANCE_SHAPE, indexed_ns, unindexed_ns, overhead
+        ));
+    }
+
+    // dml_by_key: an UPDATE and a DELETE by key on the 3000-row indexed
+    // t6, per statement. The WHERE clause takes the index seek; the
+    // ScanOnly twin filters every row. The UPDATE rewrites one row to the
+    // same value and the DELETE matches nothing, so every iteration sees
+    // the same table.
+    let run_dml_by_key_shape = shape_filter
+        .as_ref()
+        .is_none_or(|f| f.iter().any(|s| s == DML_BY_KEY_SHAPE));
+    if run_dml_by_key_shape {
+        let dml = coddb::parser::parse_statements(
+            "UPDATE t6 SET v = 'u' WHERE k = 1234;
+             DELETE FROM t6 WHERE k = -1",
+        )
+        .unwrap();
+        let run_mode = |mode: AccessMode| {
+            let mut db = setup();
+            db.set_access_mode(mode);
+            measure_iters(&windows, || {
+                for s in &dml {
+                    std::hint::black_box(db.execute(s).unwrap());
+                }
+            }) / dml.len() as f64
+        };
+        let bound_ns = run_mode(AccessMode::Indexed);
+        let scan_ns = run_mode(AccessMode::ScanOnly);
+        let speedup = scan_ns / bound_ns;
+        println!(
+            "{DML_BY_KEY_SHAPE:<24} bound {bound_ns:>12.0} ns/iter   scan-only {scan_ns:>12.0} ns/iter   seek speedup {speedup:>5.2}x"
+        );
+        entries.push(format!(
+            "    {:?}: {{\n      \"bound_ns_per_iter\": {:.0},\n      \"scan_ns_per_iter\": {:.0},\n      \"indexed_vs_scan_speedup\": {:.2}\n    }}",
+            DML_BY_KEY_SHAPE, bound_ns, scan_ns, speedup
         ));
     }
 

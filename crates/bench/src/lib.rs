@@ -124,15 +124,25 @@ pub const WAL_COMMIT_NOSPACE_SHAPE: &str = "wal_commit_nospace";
 /// against an indexed and an unindexed copy of one table and records the
 /// per-statement `index_maintenance_overhead` — the write-side price of
 /// the ordered index layer, riding the same trajectory as the read-side
-/// seek speedups. Not a SQL shape, so it lives outside [`QUERY_SHAPES`].
+/// seek speedups. Both copies run under [`coddb::AccessMode::ScanOnly`],
+/// so a WHERE clause the index could seek does not mix a read-side saving
+/// into the ratio. Not a SQL shape, so it lives outside [`QUERY_SHAPES`].
 pub const DML_INDEX_MAINTENANCE_SHAPE: &str = "dml_index_maintenance";
+
+/// The DML-by-key shape: `bench_engine` times an UPDATE and a DELETE by
+/// key on the 3000-row indexed `t6` of [`engine_setup`], per statement,
+/// through the index seek their WHERE clauses take (`bound_ns_per_iter`)
+/// and with [`coddb::AccessMode::ScanOnly`] forced (`scan_ns_per_iter`),
+/// and records `indexed_vs_scan_speedup`. Not a SELECT, so it lives
+/// outside [`QUERY_SHAPES`].
+pub const DML_BY_KEY_SHAPE: &str = "dml_by_key";
 
 /// The trajectory fields a measurement must record, one (shape, field)
 /// row per acceptance metric: parallel runner, chunk eval, hash join, WAL
-/// and recovery, checkpoints, ordered-index seeks, index maintenance,
-/// scrub and the disk-full abort. `bench_engine` fails when a shape it
-/// measured lacks its row's field ([`missing_gated_fields`]), and the
-/// `coddtest-analyze` bench lint requires every `*_speedup` /
+/// and recovery, checkpoints, ordered-index seeks (SELECT and DML), index
+/// maintenance, scrub and the disk-full abort. `bench_engine` fails when
+/// a shape it measured lacks its row's field ([`missing_gated_fields`]),
+/// and the `coddtest-analyze` bench lint requires every `*_speedup` /
 /// `*_overhead` field of `BENCH_engine.json` to have a row here.
 pub const GATED_FIELDS: &[(&str, &str)] = &[
     (CAMPAIGN_PARALLEL_SHAPE, "parallel_vs_serial_speedup"),
@@ -154,6 +164,7 @@ pub const GATED_FIELDS: &[(&str, &str)] = &[
     ("index_range_scan", "indexed_vs_scan_speedup"),
     ("order_by_indexed", "indexed_vs_scan_speedup"),
     (DML_INDEX_MAINTENANCE_SHAPE, "index_maintenance_overhead"),
+    (DML_BY_KEY_SHAPE, "indexed_vs_scan_speedup"),
     (SCRUB_THROUGHPUT_SHAPE, "scrub_ns_per_iter"),
     (WAL_COMMIT_NOSPACE_SHAPE, "abort_overhead"),
 ];

@@ -11,10 +11,11 @@ use crate::catalog::Catalog;
 use crate::coverage::{pt, Coverage};
 use crate::dialect::Dialect;
 use crate::error::{Error, Result, StorageError};
-use crate::eval::{eval_expr, truthiness, Clause, ExprCtx};
+use crate::eval::{eval_expr, Clause, ExprCtx};
 use crate::exec::{
-    self, CteEnv, EngineCtx, EvalEnv, EvalMode, Frame, JoinMode, Prepared, Schema, StmtKind,
+    self, CteEnv, EngineCtx, EvalEnv, EvalMode, Frame, JoinMode, Prepared, StmtKind,
 };
+use crate::plan::FromPlan;
 use crate::recovery::ScrubReport;
 use crate::value::{Relation, Row, Value};
 use crate::wal::{FaultPlan, MediaPlan, StorageMode, Wal, WalRecord};
@@ -31,8 +32,9 @@ pub enum AccessMode {
     /// nodes as ordered-index range/point seeks (default).
     #[default]
     Indexed,
-    /// Execute every `IndexSeek` as a full sequential scan with the
-    /// baseline filter — kept for differential testing of the seek path
+    /// Execute every `IndexSeek`, of a SELECT or of an UPDATE/DELETE
+    /// WHERE clause, as a full sequential scan with the baseline filter —
+    /// kept for differential testing of the seek path
     /// (`coddb/tests/index_differential.rs`: byte-identical results,
     /// coverage bitsets and fuel across modes) and as the scan baseline
     /// in `BENCH_engine.json`.
@@ -496,6 +498,13 @@ impl Database {
 
     /// Execute one statement, controlling optimization (NoREC's reference
     /// execution passes `optimize = false`).
+    ///
+    /// UPDATE and DELETE find their rows through the WHERE stage a SELECT
+    /// uses: with the optimizer on, the table is reached by the index seek
+    /// a SELECT with the same WHERE clause would take, and the same filter
+    /// kernels return the storage positions of the rows to change. The
+    /// WHERE clause is evaluated over every row before any SET
+    /// expression, so a statement reports errors in a SELECT's order.
     pub fn execute_with(&mut self, stmt: &Statement, optimize: bool) -> Result<ExecOutcome> {
         self.queries_executed += 1;
         match stmt {
@@ -551,16 +560,16 @@ impl Database {
                 sets,
                 where_clause,
             } => {
-                let w = self.prepare_dml_filter(where_clause.as_ref(), optimize)?;
-                let n = self.run_update(table, sets, w.as_ref())?;
+                let (w, access) = self.plan_dml(table, where_clause.as_ref(), optimize)?;
+                let n = self.run_update(table, sets, w.as_ref(), &access)?;
                 Ok(ExecOutcome::Affected(n))
             }
             Statement::Delete {
                 table,
                 where_clause,
             } => {
-                let w = self.prepare_dml_filter(where_clause.as_ref(), optimize)?;
-                let n = self.run_delete(table, w.as_ref())?;
+                let (w, access) = self.plan_dml(table, where_clause.as_ref(), optimize)?;
+                let n = self.run_delete(table, w.as_ref(), &access)?;
                 Ok(ExecOutcome::Affected(n))
             }
         }
@@ -632,22 +641,31 @@ impl Database {
         }
     }
 
-    /// UPDATE/DELETE predicates run through the same constant-folding pass
-    /// as SELECT filters (a real planner folds all three identically; the
-    /// paper's §4.2 oracle analysis relies on that consistency).
-    fn prepare_dml_filter(
+    /// Plan an UPDATE/DELETE's WHERE clause and access path. With the
+    /// optimizer on, the predicate runs through the same constant-folding
+    /// pass as SELECT filters (a real planner folds all three identically;
+    /// the paper's §4.2 oracle analysis relies on that consistency), and
+    /// the table is reached by the index seek the SELECT rule
+    /// ([`crate::plan::select_seek`]) picks for that predicate, if any.
+    fn plan_dml(
         &self,
+        table: &str,
         where_clause: Option<&crate::ast::Expr>,
         optimize: bool,
-    ) -> Result<Option<crate::ast::Expr>> {
-        match where_clause {
-            None => Ok(None),
-            Some(w) if optimize => Ok(Some(crate::plan::fold_dml_predicate(
-                w.clone(),
-                &self.plan_ctx(),
-            )?)),
-            Some(w) => Ok(Some(w.clone())),
+    ) -> Result<(Option<crate::ast::Expr>, FromPlan)> {
+        let scan = FromPlan::SeqScan {
+            table: table.to_string(),
+            alias: table.to_string(),
+        };
+        if !optimize {
+            return Ok((where_clause.cloned(), scan));
         }
+        let pctx = self.plan_ctx();
+        let w = where_clause
+            .map(|w| crate::plan::fold_dml_predicate(w.clone(), &pctx))
+            .transpose()?;
+        let access = crate::plan::select_seek(scan, w.as_ref(), &pctx);
+        Ok((w, access))
     }
 
     // Statement accounting happens in the callers (`execute_with`,
@@ -804,55 +822,55 @@ impl Database {
         table: &str,
         sets: &[(String, crate::ast::Expr)],
         where_clause: Option<&crate::ast::Expr>,
+        access: &FromPlan,
     ) -> Result<usize> {
-        let (matches, updates) = self.with_stmt_ctx(false, StmtKind::Update, |ctx| {
-            let t = ctx.catalog.table(table)?;
-            let schema = table_schema(t);
-            let ctes = CteEnv::root();
-            let set_indices: Vec<usize> = sets
-                .iter()
-                .map(|(c, _)| {
-                    t.column_index(c).ok_or_else(|| {
-                        Error::Catalog(format!("no such column {c} in table {table}"))
+        let (set_indices, matches, updates) =
+            self.with_stmt_ctx(false, StmtKind::Update, |ctx| {
+                let t = ctx.catalog.table(table)?;
+                let schema = exec::table_schema(t, &t.name);
+                let set_indices: Vec<usize> = sets
+                    .iter()
+                    .map(|(c, _)| {
+                        t.column_index(c).ok_or_else(|| {
+                            Error::Catalog(format!("no such column {c} in table {table}"))
+                        })
                     })
-                })
-                .collect::<Result<_>>()?;
+                    .collect::<Result<_>>()?;
 
-            // Bind the WHERE predicate and every SET expression once per
-            // statement; the row loop evaluates the bound forms.
-            let pred = prepare_dml_where(where_clause, &schema, ctx)?;
-            let set_exprs: Vec<Prepared> = sets
-                .iter()
-                .map(|(_, e)| Prepared::new(e, &[&schema], 0, ctx))
-                .collect::<Result<_>>()?;
+                // Bind the WHERE predicate, then every SET expression, once
+                // per statement; the WHERE stage runs over every row before
+                // any SET expression is evaluated, as in a SELECT.
+                let pred = where_clause
+                    .map(|w| Prepared::new(w, &[&schema], 0, ctx))
+                    .transpose()?;
+                let set_exprs: Vec<Prepared> = sets
+                    .iter()
+                    .map(|(_, e)| Prepared::new(e, &[&schema], 0, ctx))
+                    .collect::<Result<_>>()?;
+                let matches = exec::dml_targets(t, &schema, access, pred.as_ref(), ctx)?;
 
-            let mut matches = Vec::new();
-            let mut updates = Vec::new();
-            for (i, row) in t.rows.iter().enumerate() {
-                ctx.consume_fuel(1)?;
-                if !row_matches(row, &schema, pred.as_ref(), ctx, &ctes)? {
-                    continue;
+                let ctes = CteEnv::root();
+                let mut updates = Vec::with_capacity(matches.len());
+                for &i in &matches {
+                    let frames = [Frame {
+                        schema: &schema,
+                        row: &t.rows[i],
+                    }];
+                    let mut new_vals = Vec::with_capacity(set_exprs.len());
+                    for e in &set_exprs {
+                        let env = EvalEnv {
+                            ctx,
+                            scopes: &frames,
+                            aggs: None,
+                            ctes: &ctes,
+                            info: ExprCtx::new(Clause::SelectList),
+                        };
+                        new_vals.push(e.eval(env)?);
+                    }
+                    updates.push(new_vals);
                 }
-                let frames = [Frame {
-                    schema: &schema,
-                    row,
-                }];
-                let mut new_vals = Vec::with_capacity(set_exprs.len());
-                for e in &set_exprs {
-                    let env = EvalEnv {
-                        ctx,
-                        scopes: &frames,
-                        aggs: None,
-                        ctes: &ctes,
-                        info: ExprCtx::new(Clause::SelectList),
-                    };
-                    new_vals.push(e.eval(env)?);
-                }
-                matches.push(i);
-                updates.push((set_indices.clone(), new_vals));
-            }
-            Ok((matches, updates))
-        })?;
+                Ok((set_indices, matches, updates))
+            })?;
 
         self.coverage.hit(if matches.is_empty() {
             pt::EXEC_UPDATE_NOMATCH
@@ -860,12 +878,13 @@ impl Database {
             pt::EXEC_UPDATE_MATCH
         });
         if let Some(w) = self.wal.as_mut() {
+            let cols: Vec<u32> = set_indices.iter().map(|&c| c as u32).collect();
             let logged = (|| {
-                for (&i, (indices, vals)) in matches.iter().zip(updates.iter()) {
+                for (&i, vals) in matches.iter().zip(updates.iter()) {
                     w.append(&WalRecord::UpdateRow {
                         table: table.to_string(),
                         row_idx: i as u64,
-                        cols: indices.iter().map(|&c| c as u32).collect(),
+                        cols: cols.clone(),
                         vals: vals.clone(),
                     })?;
                 }
@@ -876,13 +895,13 @@ impl Database {
         // Bug hook: StaleEntryAfterUpdate — the ordered index keeps the
         // pre-update key entries (and misses the new ones).
         let stale = self.bugs.active(IndexBugId::StaleEntryAfterUpdate);
-        for (&i, (indices, vals)) in matches.iter().zip(updates.iter()) {
+        for (&i, vals) in matches.iter().zip(updates.iter()) {
             let t = self.catalog.table_mut(table)?;
             // Copy-on-write: the clone pins the pre-update image (for
             // index re-keying) and any snapshots or in-flight shared
             // relations holding this row keep their original values.
             let old = t.rows[i].clone();
-            for (&ci, v) in indices.iter().zip(vals.iter()) {
+            for (&ci, v) in set_indices.iter().zip(vals.iter()) {
                 t.rows[i].set(ci, v.clone());
             }
             if !stale {
@@ -896,20 +915,15 @@ impl Database {
         &mut self,
         table: &str,
         where_clause: Option<&crate::ast::Expr>,
+        access: &FromPlan,
     ) -> Result<usize> {
         let matches = self.with_stmt_ctx(false, StmtKind::Delete, |ctx| {
             let t = ctx.catalog.table(table)?;
-            let schema = table_schema(t);
-            let ctes = CteEnv::root();
-            let pred = prepare_dml_where(where_clause, &schema, ctx)?;
-            let mut out = Vec::new();
-            for (i, row) in t.rows.iter().enumerate() {
-                ctx.consume_fuel(1)?;
-                if row_matches(row, &schema, pred.as_ref(), ctx, &ctes)? {
-                    out.push(i);
-                }
-            }
-            Ok(out)
+            let schema = exec::table_schema(t, &t.name);
+            let pred = where_clause
+                .map(|w| Prepared::new(w, &[&schema], 0, ctx))
+                .transpose()?;
+            exec::dml_targets(t, &schema, access, pred.as_ref(), ctx)
         })?;
         self.coverage.hit(if matches.is_empty() {
             pt::EXEC_DELETE_NOMATCH
@@ -951,60 +965,4 @@ fn dump_value(v: &Value) -> String {
         Value::Text(s) => format!("{s:?}"),
         Value::Bool(b) => b.to_string(),
     }
-}
-
-fn table_schema(t: &crate::catalog::TableDef) -> Schema {
-    Schema {
-        cols: t
-            .columns
-            .iter()
-            .map(|c| crate::exec::ColMeta::new(Some(&t.name), &c.name))
-            .collect(),
-    }
-}
-
-/// Bind a DML WHERE clause once per statement.
-fn prepare_dml_where<'p>(
-    where_clause: Option<&'p crate::ast::Expr>,
-    schema: &Schema,
-    ctx: &EngineCtx,
-) -> Result<Option<Prepared<'p>>> {
-    where_clause
-        .map(|w| Prepared::new(w, &[schema], 0, ctx))
-        .transpose()
-}
-
-fn row_matches(
-    row: &[Value],
-    schema: &Schema,
-    pred: Option<&Prepared>,
-    ctx: &EngineCtx,
-    ctes: &CteEnv,
-) -> Result<bool> {
-    let Some(pred) = pred else { return Ok(true) };
-    let frames = [Frame { schema, row }];
-    let env = EvalEnv {
-        ctx,
-        scopes: &frames,
-        aggs: None,
-        ctes,
-        info: ExprCtx::new(Clause::Where),
-    };
-    let v = pred.eval(env)?;
-    let t = truthiness(&v, ctx.dialect, ctx.cov)?;
-    // Bug hook: CockroachAndNullTopConjunct applies to every statement's
-    // WHERE filter.
-    if t.is_none()
-        && matches!(
-            pred.ast(),
-            crate::ast::Expr::Binary {
-                op: crate::ast::BinaryOp::And,
-                ..
-            }
-        )
-        && ctx.bugs.active(BugId::CockroachAndNullTopConjunct)
-    {
-        return Ok(true);
-    }
-    Ok(t == Some(true))
 }

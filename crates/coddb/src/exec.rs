@@ -19,6 +19,15 @@
 //! SELECT and shared through a chained [`CteEnv`]. A fuel counter bounds
 //! total row work so that injected hang bugs (and any accidental
 //! blow-ups) surface as [`Error::Hang`] instead of wedging a campaign.
+//!
+//! SELECT, UPDATE and DELETE share one WHERE stage (`where_stage`). Its
+//! input is a FROM result or the rows of an ordered-index seek
+//! (`seek_probe`, the access path `plan::select_seek` picks for the
+//! WHERE clause); its kernels — the comparison fast path, the chunk
+//! kernel, the row loop, and `seek_filter`'s fuel and coverage ledger
+//! around a seek — return the positions of the rows they keep. A SELECT
+//! turns those positions into rows; UPDATE and DELETE change the rows at
+//! those storage positions (`dml_targets`).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -30,7 +39,7 @@ use crate::bind::{bind_join_keys, Binder, BoundExpr};
 use crate::bugs::ValidatorScope;
 use crate::bugs::{BugId, BugRegistry, IndexBugId};
 use crate::cache::{get_or_build, GroupedBindings, ProjBindings, StmtCaches, SubqEntry};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableDef};
 use crate::coverage::{pt, Coverage};
 use crate::dialect::Dialect;
 use crate::error::{Error, Result};
@@ -1041,9 +1050,6 @@ fn exec_core(
         }),
     };
     let schema = &fr.schema;
-    // Shared rows: pulling the input out of a (possibly cached) result is
-    // a refcount bump per row, never a value copy.
-    let rows = fr.rows.clone();
 
     let from = core.from.as_ref();
     let base_info = ExprCtx {
@@ -1063,31 +1069,25 @@ fn exec_core(
     }
 
     // WHERE: bound once against the FROM schema plus the outer scopes.
-    let mut rows = rows;
-    if let Some(pred) = &core.where_clause {
-        let prepared = Prepared::new(pred, &bind_scopes(outer_scopes, schema), depth, ctx)?;
-        match fr.seek.as_ref() {
-            // Bug hook: PrefixSeekIgnoresResidual — the seek output is
-            // (wrongly) trusted wholesale. Binding still ran, so name
-            // resolution errors surface as usual.
-            Some(seek) if seek.filter_suppressed => {}
-            Some(seek) => {
-                rows = seek_filter(
-                    rows,
-                    seek,
-                    schema,
-                    &prepared,
-                    ctx,
-                    ctes,
-                    outer_scopes,
-                    base_info,
-                )?;
-            }
-            None => {
-                rows = apply_filter(rows, schema, &prepared, ctx, ctes, outer_scopes, base_info)?;
-            }
+    // Shared rows: pulling the input out of a (possibly cached) result is
+    // a refcount bump per row, never a value copy.
+    let rows: Vec<Row> = match &core.where_clause {
+        Some(pred) => {
+            let prepared = Prepared::new(pred, &bind_scopes(outer_scopes, schema), depth, ctx)?;
+            let kept = where_stage(
+                &fr.rows,
+                fr.seek.as_ref(),
+                schema,
+                &prepared,
+                ctx,
+                ctes,
+                outer_scopes,
+                base_info,
+            )?;
+            kept.into_iter().map(|i| fr.rows[i].clone()).collect()
         }
-    }
+        None => fr.rows.clone(),
+    };
 
     if core.is_grouped() {
         let (rel, reps) = exec_grouped(core, rows, schema, ctx, ctes, outer_scopes, base_info)?;
@@ -1875,8 +1875,8 @@ fn column_cmp_invariant(pred: &BoundExpr) -> Option<(BinaryOp, usize, &BoundExpr
 ///   the (idempotent) coverage bits the plain loop would; fuel is charged
 ///   identically (one unit per row).
 ///
-/// Returns `None` when the predicate does not fit — caller runs the
-/// per-row loop.
+/// Returns the indexes of the kept rows, or `None` when the predicate
+/// does not fit — caller runs the per-row loop.
 #[allow(clippy::too_many_arguments)]
 fn apply_cmp_filter_fast(
     rows: &[Row],
@@ -1886,7 +1886,7 @@ fn apply_cmp_filter_fast(
     ctes: &CteEnv,
     outer_scopes: &[Frame],
     info: ExprCtx,
-) -> Result<Option<Vec<Row>>> {
+) -> Result<Option<Vec<usize>>> {
     use crate::eval::cmp_matches;
 
     if rows.is_empty() {
@@ -1930,7 +1930,7 @@ fn apply_cmp_filter_fast(
     }
 
     ctx.consume_fuel(rows.len() as u64)?;
-    let mut out: Vec<Row> = Vec::new();
+    let mut out: Vec<usize> = Vec::new();
     // Representative row per outcome class: pass, drop, null.
     let mut reps: [Option<usize>; 3] = [None; 3];
     for (i, row) in rows.iter().enumerate() {
@@ -1952,7 +1952,7 @@ fn apply_cmp_filter_fast(
             reps[class] = Some(i);
         }
         if class == 0 {
-            out.push(row.clone());
+            out.push(i);
         }
     }
 
@@ -1985,23 +1985,24 @@ fn apply_cmp_filter_fast(
     Ok(Some(out))
 }
 
-/// Apply a WHERE filter, including the filter-site bug hooks. The
+/// Apply a WHERE filter, including the filter-site bug hooks, and
+/// return the indexes of the kept rows in ascending order. The
 /// predicate is bound once by the caller; classified-vectorizable
 /// predicates evaluate chunk-at-a-time through [`crate::vec_eval`]
 /// (exact per-chunk fallback to the row loop on any erroring lane,
 /// active filter-site mutant, or insufficient fuel); everything else
 /// runs the per-row loop with a reused frame stack.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_filter(
-    rows: Vec<Row>,
+fn apply_filter(
+    rows: &[Row],
     schema: &Schema,
     pred: &Prepared,
     ctx: &EngineCtx,
     ctes: &CteEnv,
     outer_scopes: &[Frame],
     info: ExprCtx,
-) -> Result<Vec<Row>> {
-    if let Some(out) = apply_cmp_filter_fast(&rows, schema, pred, ctx, ctes, outer_scopes, info)? {
+) -> Result<Vec<usize>> {
+    if let Some(out) = apply_cmp_filter_fast(rows, schema, pred, ctx, ctes, outer_scopes, info)? {
         return Ok(out);
     }
     // An active filter-site mutant keeps the rows whose predicate is
@@ -2074,13 +2075,80 @@ pub(crate) fn apply_filter(
             start = end;
         }
     }
-    let mut out = Vec::with_capacity(rows.len());
-    for (row, keep) in rows.into_iter().zip(keep) {
-        if keep {
-            out.push(row);
-        }
+    Ok(kept(&keep))
+}
+
+/// The indexes of the set keep flags, ascending.
+fn kept(keep: &[bool]) -> Vec<usize> {
+    (0..keep.len()).filter(|&i| keep[i]).collect()
+}
+
+/// The WHERE stage of SELECT, UPDATE and DELETE: filter `rows` — a FROM
+/// result, or the rows an index seek emitted (`seek`) — and return the
+/// indexes of the kept rows, in emission order. A seek's rows go through
+/// [`seek_filter`] and its fuel and coverage ledger; every other input
+/// through [`apply_filter`].
+#[allow(clippy::too_many_arguments)]
+fn where_stage(
+    rows: &[Row],
+    seek: Option<&SeekInfo>,
+    schema: &Schema,
+    pred: &Prepared,
+    ctx: &EngineCtx,
+    ctes: &CteEnv,
+    outer_scopes: &[Frame],
+    info: ExprCtx,
+) -> Result<Vec<usize>> {
+    match seek {
+        // Bug hook: PrefixSeekIgnoresResidual — the seek output is
+        // (wrongly) trusted wholesale. Binding still ran, so name
+        // resolution errors surface as usual.
+        Some(seek) if seek.filter_suppressed => Ok((0..rows.len()).collect()),
+        Some(seek) => seek_filter(rows, seek, schema, pred, ctx, ctes, outer_scopes, info),
+        None => apply_filter(rows, schema, pred, ctx, ctes, outer_scopes, info),
     }
-    Ok(out)
+}
+
+/// The rows an UPDATE or DELETE targets: the ascending storage positions
+/// of the rows of `t` (bound to `schema`) that `pred` keeps, every row
+/// when there is no WHERE clause. `access` is the statement's access
+/// path: the `SeqScan` or `IndexSeek` that [`plan::select_seek`] picks
+/// for a SELECT with the same WHERE clause. The seek is probed by the
+/// same [`seek_probe`] as a SELECT's FROM stage, and the rows go through
+/// the same [`where_stage`]; unlike a SELECT, the statement charges no
+/// FROM-stage fuel, only the WHERE stage's one unit per table row.
+pub(crate) fn dml_targets(
+    t: &TableDef,
+    schema: &Schema,
+    access: &FromPlan,
+    pred: Option<&Prepared>,
+    ctx: &EngineCtx,
+) -> Result<Vec<usize>> {
+    let Some(pred) = pred else {
+        ctx.consume_fuel(t.rows.len() as u64)?;
+        return Ok((0..t.rows.len()).collect());
+    };
+    let seek = match access {
+        FromPlan::IndexSeek {
+            index,
+            eq,
+            range,
+            ordered,
+            reverse,
+            ..
+        } => seek_probe(t, index, eq, range, *ordered, *reverse, ctx),
+        _ => None,
+    };
+    let info = ExprCtx::new(Clause::Where);
+    let ctes = CteEnv::root();
+    match seek {
+        Some(seek) => {
+            let rows: Vec<Row> = seek.positions.iter().map(|&p| t.rows[p].clone()).collect();
+            let kept = where_stage(&rows, Some(&seek), schema, pred, ctx, &ctes, &[], info)?;
+            Ok(kept.into_iter().map(|i| seek.positions[i]).collect())
+        }
+        None => where_stage(&t.rows, None, schema, pred, ctx, &ctes, &[], info),
+    }
 }
 
 /// The WHERE stage over an index-seek FROM result: evaluate the filter
@@ -2106,10 +2174,10 @@ pub(crate) fn apply_filter(
 /// exhaustion both surface with exactly the coverage and fuel the
 /// baseline accumulates up to the same row. Ordered seeks only change
 /// the *emission* order: keep flags are collected during the walk and
-/// the kept rows come back in the seek's key order.
+/// the kept indexes come back in the seek's key order.
 #[allow(clippy::too_many_arguments)]
 fn seek_filter(
-    rows: Vec<Row>,
+    rows: &[Row],
     seek: &SeekInfo,
     schema: &Schema,
     pred: &Prepared,
@@ -2117,7 +2185,7 @@ fn seek_filter(
     ctes: &CteEnv,
     outer_scopes: &[Frame],
     info: ExprCtx,
-) -> Result<Vec<Row>> {
+) -> Result<Vec<usize>> {
     // One representative evaluation per skipped outcome class.
     #[allow(clippy::too_many_arguments)]
     fn replay<'a>(
@@ -2323,14 +2391,72 @@ fn seek_filter(
     }
 
     // Emission keeps the seek's own order (storage order, or key order
-    // for sort elimination): filter `rows` in place by the keep flags.
-    let mut out = Vec::with_capacity(rows.len());
-    for (row, keep) in rows.into_iter().zip(keep) {
-        if keep {
-            out.push(row);
-        }
+    // for sort elimination): the kept indexes follow `rows`.
+    Ok(kept(&keep))
+}
+
+/// Probe the ordered index of an `IndexSeek` access path over `t` for
+/// the storage positions its consumed conjuncts can reach. `None` when
+/// the seek is refused at run time — [`EngineCtx::scan_only`], or a probe
+/// whose storage class the index's key values do not share — and the
+/// caller scans instead.
+fn seek_probe(
+    t: &TableDef,
+    index: &str,
+    eq: &[Value],
+    range: &Option<(BinaryOp, Value)>,
+    ordered: bool,
+    reverse: bool,
+    ctx: &EngineCtx,
+) -> Option<SeekInfo> {
+    let data = ctx.catalog.index(index).and_then(|i| i.data.as_ref())?;
+    // Runtime exactness gate, mirroring the fast-filter discipline: for
+    // each consumed key column, the probe's TEXT-ness must be uniform
+    // with every non-NULL key value, or ordered-key comparison could
+    // disagree with SQL comparison.
+    let exact = eq
+        .iter()
+        .chain(range.iter().map(|(_, v)| v))
+        .enumerate()
+        .all(|(j, v)| {
+            let s = &data.stats[j];
+            if matches!(v, Value::Text(_)) {
+                s.text == s.nonnull
+            } else {
+                s.text == 0
+            }
+        });
+    if ctx.scan_only || !exact {
+        return None;
     }
-    Ok(out)
+    // The RangeBoundOffByOne and SortElimWrongDirection hooks corrupt the
+    // *plan* (see `plan::select_seek` and `plan::eliminate_sort`): the
+    // executor faithfully runs the seek it was handed.
+    // Bug hook: EqSeekMissesDuplicates — equality seeks return only the
+    // first row of each duplicate key group.
+    let dedup = ctx.bugs.active(IndexBugId::EqSeekMissesDuplicates);
+    let out = data.seek(eq, range.clone(), ordered, reverse, dedup);
+    Some(SeekInfo {
+        positions: out.emit,
+        total: t.rows.len(),
+        index: index.to_string(),
+        key_cols: data.cols.clone(),
+        eq: eq.to_vec(),
+        range_probe: range.clone(),
+        ordered,
+        filter_suppressed: ctx.bugs.active(IndexBugId::PrefixSeekIgnoresResidual),
+    })
+}
+
+/// The schema of a base table's rows, qualified by `alias`.
+pub(crate) fn table_schema(t: &TableDef, alias: &str) -> Schema {
+    Schema {
+        cols: t
+            .columns
+            .iter()
+            .map(|c| ColMeta::new(Some(alias), &c.name))
+            .collect(),
+    }
 }
 
 /// May this FROM subtree's materialized result be shared across operator
@@ -2402,16 +2528,9 @@ fn exec_from_uncached(
         FromPlan::SeqScan { table, alias } => {
             let t = ctx.catalog.table(table)?;
             ctx.consume_fuel(t.rows.len() as u64)?;
-            let schema = Schema {
-                cols: t
-                    .columns
-                    .iter()
-                    .map(|c| ColMeta::new(Some(alias), &c.name))
-                    .collect(),
-            };
             // Zero-copy scan: hand out shared references to table storage.
             Ok(FromResult {
-                schema,
+                schema: table_schema(t, alias),
                 rows: t.rows.clone(),
                 seek: None,
             })
@@ -2427,13 +2546,7 @@ fn exec_from_uncached(
                 .index(index)
                 .ok_or_else(|| Error::Catalog(format!("no such index: {index}")))?;
             ctx.consume_fuel(2 * t.rows.len() as u64)?;
-            let schema = Schema {
-                cols: t
-                    .columns
-                    .iter()
-                    .map(|c| ColMeta::new(Some(alias), &c.name))
-                    .collect(),
-            };
+            let schema = table_schema(t, alias);
             // Evaluate the indexed expressions (bound once) per row — their
             // errors and coverage are the scan's observable index work —
             // but emit rows in storage order, row- and order-identical to
@@ -2483,63 +2596,17 @@ fn exec_from_uncached(
             // filter units are replayed there), keeping the total ledger
             // identical to the ScanOnly baseline.
             ctx.consume_fuel(t.rows.len() as u64)?;
-            let schema = Schema {
-                cols: t
-                    .columns
-                    .iter()
-                    .map(|c| ColMeta::new(Some(alias), &c.name))
-                    .collect(),
+            let seek = seek_probe(t, index, eq, range, *ordered, *reverse, ctx);
+            // A refused seek is a plain scan with no seek metadata — the
+            // filter runs the baseline path and ORDER BY still sorts.
+            let rows = match &seek {
+                Some(seek) => seek.positions.iter().map(|&p| t.rows[p].clone()).collect(),
+                None => t.rows.clone(),
             };
-            let data = ctx.catalog.index(index).and_then(|i| i.data.as_ref());
-            // Runtime exactness gate, mirroring the fast-filter
-            // discipline: for each consumed key column, the probe's
-            // TEXT-ness must be uniform with every non-NULL key value, or
-            // ordered-key comparison could disagree with SQL comparison.
-            let exact = data.is_some_and(|d| {
-                eq.iter()
-                    .chain(range.iter().map(|(_, v)| v))
-                    .enumerate()
-                    .all(|(j, v)| {
-                        let s = &d.stats[j];
-                        if matches!(v, Value::Text(_)) {
-                            s.text == s.nonnull
-                        } else {
-                            s.text == 0
-                        }
-                    })
-            });
-            if ctx.scan_only || !exact {
-                // Plain scan, no seek metadata — the filter runs the
-                // baseline path and ORDER BY still sorts.
-                return Ok(FromResult {
-                    schema,
-                    rows: t.rows.clone(),
-                    seek: None,
-                });
-            }
-            let data = data.unwrap();
-            // The RangeBoundOffByOne and SortElimWrongDirection hooks
-            // corrupt the *plan* (see `plan::select_seek` and
-            // `plan::eliminate_sort`): the executor faithfully runs the
-            // seek it was handed.
-            // Bug hook: EqSeekMissesDuplicates — equality seeks return
-            // only the first row of each duplicate key group.
-            let dedup = ctx.bugs.active(IndexBugId::EqSeekMissesDuplicates);
-            let out = data.seek(eq, range.clone(), *ordered, *reverse, dedup);
-            let rows: Vec<Row> = out.emit.iter().map(|&p| t.rows[p].clone()).collect();
             Ok(FromResult {
-                schema,
+                schema: table_schema(t, alias),
                 rows,
-                seek: Some(SeekInfo {
-                    positions: out.emit,
-                    total: t.rows.len(),
-                    index: index.clone(),
-                    key_cols: data.cols.clone(),
-                    eq: eq.clone(),
-                    range_probe: range.clone(),
-                    ordered: *ordered,
-                    filter_suppressed: ctx.bugs.active(IndexBugId::PrefixSeekIgnoresResidual),
-                }),
+                seek,
             })
         }
         FromPlan::Derived {
@@ -2697,8 +2764,8 @@ fn exec_from_uncached(
                 depth,
             };
             let prepared = Prepared::new(pred, &[&res.schema], depth, ctx)?;
-            let rows = std::mem::take(&mut res.rows);
-            res.rows = apply_filter(rows, &res.schema, &prepared, ctx, ctes, &[], info)?;
+            let kept = apply_filter(&res.rows, &res.schema, &prepared, ctx, ctes, &[], info)?;
+            res.rows = kept.into_iter().map(|i| res.rows[i].clone()).collect();
             Ok(res)
         }
     }

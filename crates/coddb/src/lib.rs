@@ -136,7 +136,8 @@
 //! most one range — into a [`plan::FromPlan::IndexSeek`] access path,
 //! and satisfies a matching `ORDER BY` by emitting in key order and
 //! skipping the sort (sort elimination; `EXPLAIN` prints the seek shape
-//! and `ordered` / `reverse` flags).
+//! and `ordered` / `reverse` flags). UPDATE and DELETE reach their rows
+//! through the same seek and the same WHERE stage.
 //!
 //! The path is **observation-exact**, not merely result-exact: a runtime
 //! gate falls back to the scan unless every probed key column's stored

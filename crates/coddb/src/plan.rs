@@ -959,7 +959,7 @@ pub(crate) fn sargable(conj: &Expr, alias: &str) -> Option<(String, BinaryOp, Va
 /// for skipped rows relies on every conjunct *before* the failing one
 /// reading key columns only. The consumed conjuncts stay in the WHERE
 /// clause — the seek is a pre-filter, not a substitute.
-fn select_seek(plan: FromPlan, where_clause: Option<&Expr>, pctx: &PlanCtx) -> FromPlan {
+pub(crate) fn select_seek(plan: FromPlan, where_clause: Option<&Expr>, pctx: &PlanCtx) -> FromPlan {
     if seek_gated(pctx) {
         return plan;
     }
@@ -972,11 +972,16 @@ fn select_seek(plan: FromPlan, where_clause: Option<&Expr>, pctx: &PlanCtx) -> F
     let Ok(t) = pctx.catalog.table(table) else {
         return plan;
     };
+    // Splitting clones the clause: skip it when no index could be probed.
+    let indexes = pctx.catalog.indexes_for_table(table);
+    if indexes.iter().all(|i| i.data.is_none()) {
+        return plan;
+    }
     let conjs = split_conjuncts(filter);
     // (consumed conjuncts, index name, eq-prefix values, trailing range)
     type SeekCandidate = (usize, String, Vec<Value>, Option<(BinaryOp, Value)>);
     let mut best: Option<SeekCandidate> = None;
-    for index in pctx.catalog.indexes_for_table(table) {
+    for index in indexes {
         let Some(data) = &index.data else { continue };
         let mut eq = Vec::new();
         let mut range = None;

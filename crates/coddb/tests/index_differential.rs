@@ -76,6 +76,21 @@ const SCRIPT: &[&str] = &[
     "DELETE FROM t WHERE k IS NULL",
     "SELECT COUNT(*) FROM t",
     "SELECT * FROM t WHERE k >= 0 ORDER BY k",
+    // DML through seeks: UPDATE and DELETE take the access path a SELECT
+    // with the same WHERE clause takes — point, range with a residual,
+    // re-keying the seeked column, duplicate keys, erroring residuals.
+    "UPDATE t SET v = v + 100 WHERE k = 3",
+    "DELETE FROM t WHERE k = 0",
+    "UPDATE t SET s = 'r' WHERE k > 1 AND v < 60",
+    "UPDATE t SET s = 'w' WHERE k = 2 AND v > 20 AND s IS NOT NULL",
+    "UPDATE t SET k = k + 10 WHERE k = 4",
+    "SELECT * FROM t WHERE k = 14",
+    "INSERT INTO t VALUES (6, 1, 'x'), (6, 2, 'y'), (6, NULL, 'z'), (6, 3, NULL), (8, 0, 'o')",
+    "DELETE FROM t WHERE k = 6 AND v > 1",
+    "SELECT * FROM t WHERE k = 6",
+    "DELETE FROM t WHERE k = 8 AND 100 / v > 1",
+    "DELETE FROM t WHERE k >= 0 AND 100 / v > 1",
+    "SELECT * FROM t WHERE k >= 0 ORDER BY k",
     // DROP INDEX: probes fall back to scans and still agree.
     "DROP INDEX ikv",
     "SELECT * FROM t WHERE k = 4 AND v = 30",
@@ -359,5 +374,46 @@ fn fuel_exhaustion_agrees_across_access_modes() {
         let scan = run(AccessMode::ScanOnly);
         assert_eq!(idx.0, scan.0, "outcomes diverge at fuel limit {fuel}");
         assert_eq!(idx.1, scan.1, "fuel accounting diverges at limit {fuel}");
+    }
+}
+
+/// The workout script, DML seeks included, at the fuel limits above:
+/// every statement must exhaust or finish identically in both modes, with
+/// the same totals.
+#[test]
+fn script_fuel_exhaustion_agrees_across_access_modes() {
+    for fuel in [11u64, 37, 83, 300] {
+        for dialect in [Dialect::Sqlite, Dialect::Cockroach] {
+            let run = |mode: AccessMode| {
+                let mut db = Database::new(dialect);
+                db.set_access_mode(mode);
+                db.set_fuel_limit(fuel);
+                let mut outcomes = Vec::new();
+                // DROP INDEX does not parse: skip it, so both indexes stay.
+                for stmts in SCRIPT
+                    .iter()
+                    .filter_map(|sql| coddb::parser::parse_statements(sql).ok())
+                {
+                    for stmt in &stmts {
+                        outcomes.push(match db.execute(stmt) {
+                            Ok(out) => format!("{out:?}"),
+                            Err(e) => format!("error: {e}"),
+                        });
+                    }
+                }
+                (outcomes, db.coverage().hit_points(), db.fuel_used())
+            };
+            let idx = run(AccessMode::Indexed);
+            let scan = run(AccessMode::ScanOnly);
+            assert_eq!(
+                idx.0, scan.0,
+                "{dialect:?} outcomes diverge at fuel limit {fuel}"
+            );
+            assert_eq!(
+                idx.1, scan.1,
+                "{dialect:?} coverage diverges at fuel limit {fuel}"
+            );
+            assert_eq!(idx.2, scan.2, "{dialect:?} fuel diverges at limit {fuel}");
+        }
     }
 }

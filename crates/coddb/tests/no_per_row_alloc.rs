@@ -228,9 +228,52 @@ fn vectorized_filter_allocates_o_chunks_not_o_rows() {
     );
 }
 
+/// UPDATE and DELETE filter through the same WHERE stage as a SELECT:
+/// a statement whose WHERE clause keeps no row allocates a constant
+/// amount however many rows it filters — one through the comparison fast
+/// path, one through the chunk kernel.
+fn dml_where_stage_allocates_nothing_per_row() {
+    let build = |n: i64| {
+        let mut db = Database::new(Dialect::Sqlite);
+        db.execute_sql("CREATE TABLE t (c0 INT, c1 TEXT, c2 REAL)")
+            .unwrap();
+        for chunk in (0..n).collect::<Vec<_>>().chunks(500) {
+            let rows: Vec<String> = chunk
+                .iter()
+                .map(|v| format!("({v}, 'r{v}', {v}.5)"))
+                .collect();
+            db.execute_sql(&format!("INSERT INTO t VALUES {}", rows.join(",")))
+                .unwrap();
+        }
+        db
+    };
+    for sql in [
+        "UPDATE t SET c1 = 'u' WHERE c0 < 0",
+        "DELETE FROM t WHERE c0 % 3 = 7 AND c2 > 10.5",
+    ] {
+        let stmt = &coddb::parser::parse_statements(sql).unwrap()[0];
+        let measure = |db: &mut Database| {
+            assert_eq!(db.execute(stmt).unwrap().affected(), Some(0));
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let out = db.execute(stmt).unwrap();
+            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            assert_eq!(out.affected(), Some(0));
+            after - before
+        };
+        let small_allocs = measure(&mut build(5_000));
+        let large_allocs = measure(&mut build(20_000));
+        assert!(
+            large_allocs <= small_allocs + 16,
+            "`{sql}` must not allocate per row: \
+             {small_allocs} allocs at 5k rows vs {large_allocs} at 20k"
+        );
+    }
+}
+
 #[test]
 fn hot_row_loops_allocate_nothing_per_row() {
     expression_path_allocates_nothing_per_row();
     scan_path_allocates_nothing_per_row();
     vectorized_filter_allocates_o_chunks_not_o_rows();
+    dml_where_stage_allocates_nothing_per_row();
 }

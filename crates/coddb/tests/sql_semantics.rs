@@ -313,6 +313,30 @@ fn update_sets_evaluate_against_pre_state() {
     );
 }
 
+/// UPDATE runs its WHERE stage over every row before it evaluates any
+/// SET expression, as a SELECT filters before it projects: row 2's
+/// division by zero in the WHERE clause is reported, not row 1's integer
+/// overflow in the SET. Binding still resolves the WHERE clause first.
+#[test]
+fn update_reports_errors_in_select_order() {
+    let mut db = Database::new(Dialect::Cockroach);
+    db.execute_sql("CREATE TABLE t (a INT, b INT); INSERT INTO t VALUES (1, 1), (0, 5)")
+        .unwrap();
+    let select = db
+        .execute_sql("SELECT 9223372036854775807 + b FROM t WHERE 10 / a > 0")
+        .unwrap_err();
+    let update = db
+        .execute_sql("UPDATE t SET b = 9223372036854775807 + b WHERE 10 / a > 0")
+        .unwrap_err();
+    assert_eq!(update, select);
+    assert!(update.to_string().contains("division by zero"), "{update}");
+
+    let unbound = db
+        .execute_sql("UPDATE t SET b = nope2 WHERE nope1 = 1")
+        .unwrap_err();
+    assert!(unbound.to_string().contains("nope1"), "{unbound}");
+}
+
 #[test]
 fn delete_without_where_empties_table() {
     let mut db = db();

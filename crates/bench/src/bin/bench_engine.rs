@@ -3,9 +3,9 @@
 //! pipeline's speed over time. Join shapes are additionally timed with
 //! the nested loop forced (hash-join speedup), vectorization-dominated
 //! shapes with row-at-a-time evaluation forced
-//! (`vectorized_vs_row_speedup`), and index-seek shapes, `dml_by_key`
-//! included, with `AccessMode::ScanOnly` forced
-//! (`indexed_vs_scan_speedup`).
+//! (`vectorized_vs_row_speedup`), and index-seek shapes,
+//! `index_seek_residual` and `dml_by_key` included, with
+//! `AccessMode::ScanOnly` forced (`indexed_vs_scan_speedup`).
 //!
 //! Run with: `cargo run --release -p coddtest-bench --bin bench_engine`
 //! (optionally `-- --out <path>`; `-- --quick` shrinks the measurement
@@ -27,8 +27,8 @@ use coddtest::runner::{run_campaign, run_campaign_parallel, CampaignConfig};
 use coddtest_bench::{
     engine_setup as setup, is_indexed_shape, is_join_shape, is_vec_shape, missing_gated_fields,
     CAMPAIGN_PARALLEL_SHAPE, CHECKPOINT_WRITE_SHAPE, DML_BY_KEY_SHAPE, DML_INDEX_MAINTENANCE_SHAPE,
-    QUERY_SHAPES, RECOVERY_REPLAY_CHECKPOINTED_SHAPE, RECOVERY_REPLAY_SHAPE,
-    SCRUB_THROUGHPUT_SHAPE, WAL_COMMIT_NOSPACE_SHAPE, WAL_COMMIT_SHAPE,
+    INDEX_SEEK_RESIDUAL_SHAPE, QUERY_SHAPES, RECOVERY_REPLAY_CHECKPOINTED_SHAPE,
+    RECOVERY_REPLAY_SHAPE, SCRUB_THROUGHPUT_SHAPE, WAL_COMMIT_NOSPACE_SHAPE, WAL_COMMIT_SHAPE,
 };
 
 /// Worker threads for the `campaign_parallel` shape (the evaluation's
@@ -124,6 +124,7 @@ fn main() {
     if let Some(filter) = &shape_filter {
         let known: Vec<&str> = QUERY_SHAPES
             .iter()
+            .chain([&INDEX_SEEK_RESIDUAL_SHAPE])
             .map(|(name, _)| *name)
             .chain([
                 CAMPAIGN_PARALLEL_SHAPE,
@@ -149,7 +150,7 @@ fn main() {
     }
 
     let mut entries = Vec::new();
-    for (name, sql) in QUERY_SHAPES {
+    for (name, sql) in QUERY_SHAPES.iter().chain([&INDEX_SEEK_RESIDUAL_SHAPE]) {
         if let Some(filter) = &shape_filter {
             if !filter.iter().any(|f| f == name) {
                 continue;

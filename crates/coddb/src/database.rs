@@ -610,7 +610,6 @@ impl Database {
             crate::plan::VecNote::Predict {
                 bugs: &self.bugs,
                 dialect: self.dialect,
-                access: self.access_mode,
             }
         };
         crate::plan::explain_full(&plan, Some(&self.catalog), vec)

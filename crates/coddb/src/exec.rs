@@ -23,12 +23,15 @@
 //! SELECT, UPDATE and DELETE share one WHERE stage (`where_stage`). Its
 //! input is a FROM result or the rows of an ordered-index seek
 //! (`seek_probe`, the access path `plan::select_seek` picks for the
-//! WHERE clause); its kernels — the comparison fast path, the chunk
-//! kernel, the row loop, and `seek_filter`'s fuel and coverage ledger
-//! around a seek — return the positions of the rows they keep. A SELECT
-//! turns those positions into rows; UPDATE and DELETE change the rows at
-//! those storage positions (`dml_targets`).
+//! WHERE clause). One set of kernels evaluates the clause over either
+//! input (`apply_filter`: the filter-site mutant gate, then the
+//! comparison fast path, the chunk kernel or the row loop); around a
+//! seek's rows, `seek_filter` adds only a fuel and coverage ledger for
+//! the rows the seek skipped. The kernels return the positions of the
+//! rows they keep. A SELECT turns those positions into rows; UPDATE and
+//! DELETE change the rows at those storage positions (`dml_targets`).
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -179,6 +182,20 @@ impl<'a> EngineCtx<'a> {
     pub fn consume_fuel(&self, n: u64) -> Result<()> {
         let left = self.fuel.get();
         if left < n {
+            return Err(Error::Hang);
+        }
+        self.fuel.set(left - n);
+        Ok(())
+    }
+
+    /// Spend `n` units of row work one row at a time, as a row loop does:
+    /// when the budget runs out partway, the rows before that point are
+    /// still charged, so the fuel drains to zero before the hang.
+    #[inline]
+    pub(crate) fn drain_fuel(&self, n: u64) -> Result<()> {
+        let left = self.fuel.get();
+        if left < n {
+            self.fuel.set(0);
             return Err(Error::Hang);
         }
         self.fuel.set(left - n);
@@ -1074,16 +1091,15 @@ fn exec_core(
     let rows: Vec<Row> = match &core.where_clause {
         Some(pred) => {
             let prepared = Prepared::new(pred, &bind_scopes(outer_scopes, schema), depth, ctx)?;
-            let kept = where_stage(
-                &fr.rows,
-                fr.seek.as_ref(),
+            let f = Filter {
+                pred: &prepared,
                 schema,
-                &prepared,
                 ctx,
                 ctes,
                 outer_scopes,
-                base_info,
-            )?;
+                info: base_info,
+            };
+            let kept = where_stage(f, &fr.rows, fr.seek.as_ref())?;
             kept.into_iter().map(|i| fr.rows[i].clone()).collect()
         }
         None => fr.rows.clone(),
@@ -1850,6 +1866,38 @@ fn column_cmp_invariant(pred: &BoundExpr) -> Option<(BinaryOp, usize, &BoundExpr
     }
 }
 
+/// A WHERE clause bound for one input — the predicate, the schema of the
+/// rows it filters, the outer scopes and CTEs it may read, and its
+/// evaluation context — as the WHERE-stage kernels take it.
+#[derive(Clone, Copy)]
+struct Filter<'f> {
+    pred: &'f Prepared<'f>,
+    schema: &'f Schema,
+    ctx: &'f EngineCtx<'f>,
+    ctes: &'f CteEnv<'f>,
+    outer_scopes: &'f [Frame<'f>],
+    info: ExprCtx,
+}
+
+impl<'f> Filter<'f> {
+    /// The predicate's truth value on `row`, evaluated on `frames` (a
+    /// [`frame_stack`] over this filter's scopes).
+    fn truth<'r>(&self, frames: &mut [Frame<'r>], row: &'r [Value]) -> Result<Option<bool>>
+    where
+        'f: 'r,
+    {
+        set_local_row(frames, self.schema, row);
+        let env = EvalEnv {
+            ctx: self.ctx,
+            scopes: frames,
+            aggs: None,
+            ctes: self.ctes,
+            info: self.info,
+        };
+        truthiness(&self.pred.eval(env)?, self.ctx.dialect, self.ctx.cov)
+    }
+}
+
 /// Short-circuit filter for `column <cmp> row-invariant` predicates (and
 /// the flipped orientation) — the dominant shape of correlated subquery
 /// filters, where the invariant side reads only outer columns.
@@ -1864,38 +1912,29 @@ fn column_cmp_invariant(pred: &BoundExpr) -> Option<(BinaryOp, usize, &BoundExpr
 ///   non-TEXT mix among non-NULL operands falls back to the per-row loop
 ///   (which then reproduces MySQL-family coercion, strict-dialect type
 ///   errors and the `MysqlTextIntCompareWhere` hook bit for bit).
-/// * The `SqliteIndexedCmpNullTrue` filter-site hook is gated off here;
-///   `CockroachAndNullTopConjunct` needs an AND root, never a bare
-///   comparison; `DuckdbSubqueryBoolCoerce` needs a subquery operand,
-///   which `row_invariant` excludes; local columns with a recorded
-///   collision alternative are rejected (the name-collision mutant may
-///   redirect their loads).
+/// * The filter-site mutants are gated off by the caller: [`apply_filter`]
+///   asks `vec_eval::gates::filter` before it tries this path, and an
+///   active `SqliteIndexedCmpNullTrue` over index-scanned rows sends the
+///   comparison to the row loop. `CockroachAndNullTopConjunct` needs an
+///   AND root, never a bare comparison; `DuckdbSubqueryBoolCoerce` needs
+///   a subquery operand, which `row_invariant` excludes; local columns
+///   with a recorded collision alternative are rejected (the
+///   name-collision mutant may redirect their loads).
 /// * Coverage parity: one representative row per outcome class
 ///   (pass/drop/null) re-runs the full per-row evaluation, firing exactly
-///   the (idempotent) coverage bits the plain loop would; fuel is charged
-///   identically (one unit per row).
+///   the (idempotent) coverage bits the plain loop would. Fuel: the whole
+///   input's charge (`fuel`, one unit per row of a scan) in one refusable
+///   call, so a short budget hangs with its fuel untouched.
 ///
 /// Returns the indexes of the kept rows, or `None` when the predicate
 /// does not fit — caller runs the per-row loop.
-#[allow(clippy::too_many_arguments)]
-fn apply_cmp_filter_fast(
-    rows: &[Row],
-    schema: &Schema,
-    pred: &Prepared,
-    ctx: &EngineCtx,
-    ctes: &CteEnv,
-    outer_scopes: &[Frame],
-    info: ExprCtx,
-) -> Result<Option<Vec<usize>>> {
+fn apply_cmp_filter_fast(f: Filter, rows: &[Row], fuel: u64) -> Result<Option<Vec<usize>>> {
     use crate::eval::cmp_matches;
 
     if rows.is_empty() {
         return Ok(None);
     }
-    if info.via_index && ctx.bugs.active(BugId::SqliteIndexedCmpNullTrue) {
-        return Ok(None);
-    }
-    let Some((op, ord, invariant, col_is_left)) = column_cmp_invariant(pred.bound()) else {
+    let Some((op, ord, invariant, col_is_left)) = column_cmp_invariant(f.pred.bound()) else {
         return Ok(None);
     };
 
@@ -1903,14 +1942,14 @@ fn apply_cmp_filter_fast(
     // per-row loop's first row would (rows is non-empty); its coverage
     // bits and outer-read records are the same every row, so once is
     // enough.
-    let mut frames = frame_stack(outer_scopes, schema);
-    set_local_row(&mut frames, schema, &rows[0]);
+    let mut frames = frame_stack(f.outer_scopes, f.schema);
+    set_local_row(&mut frames, f.schema, &rows[0]);
     let env = EvalEnv {
-        ctx,
+        ctx: f.ctx,
         scopes: &frames,
         aggs: None,
-        ctes,
-        info,
+        ctes: f.ctes,
+        info: f.info,
     };
     let inv_val = eval_bound(invariant, env.child())?;
 
@@ -1929,7 +1968,7 @@ fn apply_cmp_filter_fast(
         }
     }
 
-    ctx.consume_fuel(rows.len() as u64)?;
+    f.ctx.consume_fuel(fuel)?;
     let mut out: Vec<usize> = Vec::new();
     // Representative row per outcome class: pass, drop, null.
     let mut reps: [Option<usize>; 3] = [None; 3];
@@ -1961,17 +2000,8 @@ fn apply_cmp_filter_fast(
     // idempotent, and within a class every row takes the identical path).
     for (class, rep) in reps.iter().enumerate() {
         let Some(ri) = *rep else { continue };
-        set_local_row(&mut frames, schema, &rows[ri]);
-        let env = EvalEnv {
-            ctx,
-            scopes: &frames,
-            aggs: None,
-            ctes,
-            info,
-        };
-        let v = pred.eval(env)?;
-        let t = truthiness(&v, ctx.dialect, ctx.cov)?;
-        ctx.cov.hit(match t {
+        let t = f.truth(&mut frames, &rows[ri])?;
+        f.ctx.cov.hit(match t {
             Some(true) => pt::EXEC_FILTER_PASS,
             Some(false) => pt::EXEC_FILTER_DROP,
             None => pt::EXEC_FILTER_NULL,
@@ -1985,95 +2015,119 @@ fn apply_cmp_filter_fast(
     Ok(Some(out))
 }
 
-/// Apply a WHERE filter, including the filter-site bug hooks, and
-/// return the indexes of the kept rows in ascending order. The
-/// predicate is bound once by the caller; classified-vectorizable
-/// predicates evaluate chunk-at-a-time through [`crate::vec_eval`]
-/// (exact per-chunk fallback to the row loop on any erroring lane,
-/// active filter-site mutant, or insufficient fuel); everything else
-/// runs the per-row loop with a reused frame stack.
-#[allow(clippy::too_many_arguments)]
-fn apply_filter(
-    rows: &[Row],
-    schema: &Schema,
-    pred: &Prepared,
-    ctx: &EngineCtx,
-    ctes: &CteEnv,
-    outer_scopes: &[Frame],
-    info: ExprCtx,
-) -> Result<Vec<usize>> {
-    if let Some(out) = apply_cmp_filter_fast(rows, schema, pred, ctx, ctes, outer_scopes, info)? {
-        return Ok(out);
+/// Where the input rows of a WHERE-stage kernel sit in storage, which
+/// sets their fuel charge: what the ScanOnly twin's row loop charges for
+/// the same stretch of storage.
+#[derive(Clone, Copy)]
+enum Placement<'p> {
+    /// A FROM result: one unit per row.
+    Contiguous,
+    /// A run of rows an index seek emitted, at the ascending storage
+    /// positions `pos`, after the rows the seek's ledger has charged up
+    /// to position `from`. A scan charges the skipped rows in between one
+    /// unit each, so each row costs one unit plus one per skipped row
+    /// before it.
+    SeekRun { pos: &'p [usize], from: usize },
+}
+
+impl Placement<'_> {
+    /// The fuel charge of input rows `a..b`.
+    fn cost(self, a: usize, b: usize) -> u64 {
+        match self {
+            _ if a == b => 0,
+            Placement::Contiguous => (b - a) as u64,
+            Placement::SeekRun { pos, from } => {
+                let start = if a == 0 { from } else { pos[a - 1] + 1 };
+                (pos[b - 1] + 1 - start) as u64
+            }
+        }
     }
+}
+
+/// Apply a WHERE filter, including the filter-site bug hooks, to `rows`
+/// placed in storage as `at`, and return the indexes of the kept rows in
+/// ascending order. Its kernels are the only code that evaluates a WHERE
+/// clause over rows, for scans and seeks alike. A `column <cmp>
+/// row-invariant` predicate takes [`apply_cmp_filter_fast`]; a
+/// classified-vectorizable one evaluates chunk-at-a-time through
+/// [`crate::vec_eval`], with an exact per-chunk fallback to the row loop
+/// on any erroring lane or insufficient fuel; everything else, and any
+/// filter an active filter-site mutant hooks (`vec_eval::gates::filter`),
+/// runs the row loop with a reused frame stack.
+///
+/// A run of seek rows ([`Placement::SeekRun`]) is charged as the scan
+/// twin charges the same stretch of storage: a chunk costs its rows plus
+/// the skipped rows between them, and the row loop charges each row
+/// together with the skipped rows before it, draining the fuel to zero
+/// when the budget runs out partway ([`EngineCtx::drain_fuel`]). So a
+/// hang lands on the row where the scan's does.
+fn apply_filter(f: Filter, rows: &[Row], at: Placement) -> Result<Vec<usize>> {
+    let ctx = f.ctx;
     // An active filter-site mutant keeps the rows whose predicate is
-    // NULL. The chunk filter does not model that, so such a filter runs
-    // row-at-a-time; otherwise vectorize when the predicate classifies.
-    let keeps_null = crate::vec_eval::gates::filter(pred.ast(), info.via_index, ctx.bugs).is_err();
+    // NULL. Neither the fast path nor the chunk filter models that, so
+    // such a filter runs row-at-a-time.
+    let keeps_null =
+        crate::vec_eval::gates::filter(f.pred.ast(), f.info.via_index, ctx.bugs).is_err();
+    if !keeps_null {
+        if let Some(out) = apply_cmp_filter_fast(f, rows, at.cost(0, rows.len()))? {
+            return Ok(out);
+        }
+    }
     let use_vec = ctx.vectorize
         && !rows.is_empty()
         && !keeps_null
-        && vectorizable(pred.ast(), ctx, info.depth);
+        && vectorizable(f.pred.ast(), ctx, f.info.depth);
 
     let mut keep = vec![false; rows.len()];
-    {
-        let mut frames = frame_stack(outer_scopes, schema);
-        let mut start = 0usize;
-        while start < rows.len() {
-            let end = (start + crate::vec_eval::CHUNK).min(rows.len());
-            let chunk = &rows[start..end];
-            // The budget must cover the whole chunk up front: a fuel
-            // exhaustion must hang at exactly the row the per-row loop
-            // would reach, so short-budget chunks take the scalar loop.
-            if use_vec
-                && ctx.fuel_left() >= chunk.len() as u64
-                && crate::vec_eval::filter_chunk(
-                    pred.bound(),
-                    chunk,
-                    outer_scopes,
-                    ctx,
-                    &mut keep[start..end],
-                )
-            {
-                ctx.consume_fuel(chunk.len() as u64)?;
-                start = end;
+    let mut frames = frame_stack(f.outer_scopes, f.schema);
+    let mut start = 0usize;
+    while start < rows.len() {
+        let end = (start + crate::vec_eval::CHUNK).min(rows.len());
+        let chunk = &rows[start..end];
+        // The budget must cover the whole chunk up front: a fuel
+        // exhaustion must hang at exactly the row the per-row loop
+        // would reach, so short-budget chunks take the scalar loop.
+        let fuel = at.cost(start, end);
+        if use_vec
+            && ctx.fuel_left() >= fuel
+            && crate::vec_eval::filter_chunk(
+                f.pred.bound(),
+                chunk,
+                f.outer_scopes,
+                ctx,
+                &mut keep[start..end],
+            )
+        {
+            ctx.consume_fuel(fuel)?;
+            start = end;
+            continue;
+        }
+        // Row-at-a-time (fallback) loop for this chunk. A failed
+        // vectorized attempt may have set some keep flags: reset.
+        for k in &mut keep[start..end] {
+            *k = false;
+        }
+        for (i, row) in chunk.iter().enumerate() {
+            ctx.drain_fuel(at.cost(start + i, start + i + 1))?;
+            let t = f.truth(&mut frames, row)?;
+
+            // Bug hooks SqliteIndexedCmpNullTrue and
+            // CockroachAndNullTopConjunct (`vec_eval::gates::filter`).
+            if t.is_none() && keeps_null {
+                keep[start + i] = true;
                 continue;
             }
-            // Row-at-a-time (fallback) loop for this chunk. A failed
-            // vectorized attempt may have set some keep flags: reset.
-            for k in &mut keep[start..end] {
-                *k = false;
-            }
-            for (i, row) in chunk.iter().enumerate() {
-                ctx.consume_fuel(1)?;
-                set_local_row(&mut frames, schema, row);
-                let env = EvalEnv {
-                    ctx,
-                    scopes: &frames,
-                    aggs: None,
-                    ctes,
-                    info,
-                };
-                let v = pred.eval(env)?;
-                let t = truthiness(&v, ctx.dialect, ctx.cov)?;
 
-                // Bug hooks SqliteIndexedCmpNullTrue and
-                // CockroachAndNullTopConjunct (`vec_eval::gates::filter`).
-                if t.is_none() && keeps_null {
+            match t {
+                Some(true) => {
+                    ctx.cov.hit(pt::EXEC_FILTER_PASS);
                     keep[start + i] = true;
-                    continue;
                 }
-
-                match t {
-                    Some(true) => {
-                        ctx.cov.hit(pt::EXEC_FILTER_PASS);
-                        keep[start + i] = true;
-                    }
-                    Some(false) => ctx.cov.hit(pt::EXEC_FILTER_DROP),
-                    None => ctx.cov.hit(pt::EXEC_FILTER_NULL),
-                }
+                Some(false) => ctx.cov.hit(pt::EXEC_FILTER_DROP),
+                None => ctx.cov.hit(pt::EXEC_FILTER_NULL),
             }
-            start = end;
         }
+        start = end;
     }
     Ok(kept(&keep))
 }
@@ -2085,27 +2139,17 @@ fn kept(keep: &[bool]) -> Vec<usize> {
 
 /// The WHERE stage of SELECT, UPDATE and DELETE: filter `rows` — a FROM
 /// result, or the rows an index seek emitted (`seek`) — and return the
-/// indexes of the kept rows, in emission order. A seek's rows go through
-/// [`seek_filter`] and its fuel and coverage ledger; every other input
-/// through [`apply_filter`].
-#[allow(clippy::too_many_arguments)]
-fn where_stage(
-    rows: &[Row],
-    seek: Option<&SeekInfo>,
-    schema: &Schema,
-    pred: &Prepared,
-    ctx: &EngineCtx,
-    ctes: &CteEnv,
-    outer_scopes: &[Frame],
-    info: ExprCtx,
-) -> Result<Vec<usize>> {
+/// indexes of the kept rows, in emission order. Both go through
+/// [`apply_filter`]'s kernels: a FROM result directly, a seek's rows
+/// inside [`seek_filter`]'s fuel and coverage ledger.
+fn where_stage(f: Filter, rows: &[Row], seek: Option<&SeekInfo>) -> Result<Vec<usize>> {
     match seek {
         // Bug hook: PrefixSeekIgnoresResidual — the seek output is
         // (wrongly) trusted wholesale. Binding still ran, so name
         // resolution errors surface as usual.
         Some(seek) if seek.filter_suppressed => Ok((0..rows.len()).collect()),
-        Some(seek) => seek_filter(rows, seek, schema, pred, ctx, ctes, outer_scopes, info),
-        None => apply_filter(rows, schema, pred, ctx, ctes, outer_scopes, info),
+        Some(seek) => seek_filter(f, rows, seek),
+        None => apply_filter(f, rows, Placement::Contiguous),
     }
 }
 
@@ -2139,86 +2183,55 @@ pub(crate) fn dml_targets(
         } => seek_probe(t, index, eq, range, *ordered, *reverse, ctx),
         _ => None,
     };
-    let info = ExprCtx::new(Clause::Where);
     let ctes = CteEnv::root();
+    let f = Filter {
+        pred,
+        schema,
+        ctx,
+        ctes: &ctes,
+        outer_scopes: &[],
+        info: ExprCtx::new(Clause::Where),
+    };
     match seek {
         Some(seek) => {
             let rows: Vec<Row> = seek.positions.iter().map(|&p| t.rows[p].clone()).collect();
-            let kept = where_stage(&rows, Some(&seek), schema, pred, ctx, &ctes, &[], info)?;
+            let kept = where_stage(f, &rows, Some(&seek))?;
             Ok(kept.into_iter().map(|i| seek.positions[i]).collect())
         }
-        None => where_stage(&t.rows, None, schema, pred, ctx, &ctes, &[], info),
+        None => where_stage(f, &t.rows, None),
     }
 }
 
-/// The WHERE stage over an index-seek FROM result: evaluate the filter
-/// over the emitted rows and replay, for every row the seek skipped, the
-/// observable effects the ScanOnly baseline produces — one fuel unit per
-/// row, plus the authentic drop-path coverage bits, fired once per
-/// skipped outcome class by evaluating the predicate on the class's
-/// representative row (the same within-class invariant
-/// [`apply_cmp_filter_fast`] rests on). Every skipped row has a FALSE
-/// consumed conjunct, which short-circuits the rest of the clause, so a
-/// representative evaluation never reads non-key columns and never
-/// errors.
+/// The WHERE stage over an index seek's rows: a fuel and coverage ledger
+/// around [`apply_filter`]'s kernels, which evaluate the emitted rows.
+/// For every row the seek skipped, the ledger replays the observable
+/// effects the ScanOnly twin produces: one fuel unit per row, and the
+/// authentic drop-path coverage bits, fired once per skipped outcome
+/// class by evaluating the predicate on the class's representative row
+/// (the same within-class invariant [`apply_cmp_filter_fast`] rests on).
+/// The representatives are the only rows this function evaluates itself.
+/// Every skipped row has a FALSE consumed conjunct, and the consumed
+/// conjuncts are a prefix of the clause, so a representative evaluation
+/// never reads non-key columns and never errors.
 ///
-/// When the predicate is the infallible bulk-charging comparison shape,
-/// the stage collapses to one fuel deduction plus the replays and row
-/// evaluations in any order (nothing observable distinguishes the
-/// interleavings once exhaustion and errors are impossible). Otherwise
-/// the whole ledger runs as ONE walk in **storage order** — gap
-/// stretches deduct their fuel in bulk (draining to zero on exhaustion,
-/// like the per-row loop), representatives replay exactly at their
-/// storage position, emitted rows charge-then-evaluate like the baseline
-/// row loop — so an erroring residual conjunct *and* a mid-filter fuel
-/// exhaustion both surface with exactly the coverage and fuel the
-/// baseline accumulates up to the same row. Ordered seeks only change
-/// the *emission* order: keep flags are collected during the walk and
-/// the kept indexes come back in the seek's key order.
-#[allow(clippy::too_many_arguments)]
-fn seek_filter(
-    rows: &[Row],
-    seek: &SeekInfo,
-    schema: &Schema,
-    pred: &Prepared,
-    ctx: &EngineCtx,
-    ctes: &CteEnv,
-    outer_scopes: &[Frame],
-    info: ExprCtx,
-) -> Result<Vec<usize>> {
-    // One representative evaluation per skipped outcome class.
-    #[allow(clippy::too_many_arguments)]
-    fn replay<'a>(
-        frames: &mut Vec<Frame<'a>>,
-        schema: &'a Schema,
-        rep: &'a Row,
-        pred: &Prepared,
-        ctx: &EngineCtx,
-        ctes: &CteEnv,
-        info: ExprCtx,
-        assert_reps: bool,
-    ) -> Result<()> {
-        set_local_row(frames, schema, rep);
-        let env = EvalEnv {
-            ctx,
-            scopes: frames,
-            aggs: None,
-            ctes,
-            info,
-        };
-        let v = pred.eval(env)?;
-        let t = truthiness(&v, ctx.dialect, ctx.cov)?;
-        ctx.cov.hit(pt::EXEC_FILTER_DROP);
-        if assert_reps {
-            assert_eq!(
-                t,
-                Some(false),
-                "index seek skipped a row the WHERE clause keeps"
-            );
-        }
-        Ok(())
-    }
-
+/// Where the scan twin takes the comparison fast path (a bare
+/// `column <cmp> row-invariant` predicate), the stage cannot fail once
+/// its whole charge is granted. So it refuses a short budget with the
+/// fuel untouched, as the fast path does, then charges the skipped rows
+/// in one deduction, replays any member of each class, and hands all
+/// emitted rows to `apply_filter` at once. Otherwise an erroring
+/// residual conjunct or a fuel exhaustion can stop the stage partway,
+/// and the ledger walks storage order: the emitted rows go to
+/// `apply_filter` as the runs between representatives
+/// ([`Placement::SeekRun`]), each representative is charged and
+/// replayed at its storage position, and the skipped rows after the last
+/// of them are charged at the end. An error and an exhaustion then both
+/// surface with exactly the coverage and fuel the scan twin accumulates
+/// up to the same row. An ordered seek changes only the emission order:
+/// its rows are sorted into storage order for the walk, and the kept
+/// indexes come back in the seek's key order.
+fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
+    let ctx = f.ctx;
     // With an index mutant active the skip set is deliberately wrong, so
     // a representative may well evaluate non-FALSE — that divergence is
     // the campaign's signal, not a replay defect. The gate records no
@@ -2229,170 +2242,121 @@ fn seek_filter(
     #[cfg(not(debug_assertions))]
     let assert_reps = false;
 
-    // Predicate shapes that [`apply_cmp_filter_fast`] handles charge all
-    // rows in one refusable `consume_fuel` call, so a short budget hangs
-    // with fuel untouched instead of draining row by row. The seek's
-    // exactness gate already rules out the fast path's TEXT-mix fallback
-    // (the probe column is class-uniform), so the fast path's mutant gate
-    // and shape test alone decide which charging regime the baseline scan
-    // would use. Either regime charges exactly `seek.total`.
-    let bulk_charge = !(info.via_index && ctx.bugs.active(BugId::SqliteIndexedCmpNullTrue))
-        && column_cmp_invariant(pred.bound()).is_some();
-    if bulk_charge && ctx.fuel_left() < seek.total as u64 {
+    // The scan twin's charging regime. A seek's rows are no index scan,
+    // so the filter-site gate never sends a bare comparison to the row
+    // loop here, and the seek's exactness gate rules out the fast path's
+    // TEXT-mix fallback (the probe column is class-uniform): the shape
+    // alone decides. Either regime charges exactly `seek.total`.
+    debug_assert!(!f.info.via_index, "an index seek's rows are no index scan");
+    let bulk = column_cmp_invariant(f.pred.bound()).is_some();
+    if bulk && ctx.fuel_left() < seek.total as u64 {
         return Err(Error::Hang);
     }
 
     // Skipped-class representatives, synthesized on demand: the class
     // key's values at the key columns, NULL elsewhere — safe because
     // consumed conjuncts read key columns only and the FALSE one
-    // short-circuits the rest of the clause. On the bulk-charge path the
-    // whole stage is infallible (the refusal above was the only exit),
-    // so replay order against the walk is unobservable and any class
-    // member serves (`lazy`, one bounded index probe per class); the
-    // per-row path needs each class's first row in storage order, where
-    // a mid-walk fuel exhaustion would cut the baseline's ledger.
+    // short-circuits the rest of the clause. On the bulk path the whole
+    // stage is infallible, so replay order against the emitted rows is
+    // unobservable and any class member serves (`lazy`, one bounded
+    // index probe per class); the storage-order walk needs each class's
+    // first row in storage order, where a fuel exhaustion would cut the
+    // scan twin's ledger.
     let data = ctx
         .catalog
         .index(&seek.index)
         .and_then(|i| i.data.as_ref())
         .expect("seeked index vanished mid-statement");
     let reps: Vec<(usize, Row)> = data
-        .skip_reps(&seek.eq, seek.range_probe.clone(), bulk_charge)
+        .skip_reps(&seek.eq, seek.range_probe.clone(), bulk)
         .into_iter()
         .map(|(p, key)| {
-            let mut vals = vec![Value::Null; schema.cols.len()];
+            let mut vals = vec![Value::Null; f.schema.cols.len()];
             for (&c, ov) in seek.key_cols.iter().zip(key) {
                 vals[c] = ov.0;
             }
             (p, Row::new(vals))
         })
         .collect();
-    let mut frames = frame_stack(outer_scopes, schema);
-
-    // Walk order: `positions[i]` is the storage position of `rows[i]`.
-    // Unordered seeks already emit ascending; ordered ones emit in key
-    // order, so sort a view back into storage order for the ledger.
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    if seek.ordered {
-        order.sort_unstable_by_key(|&i| seek.positions[i]);
-    }
-
-    // Bulk path: one deduction for the whole stage (it cannot fail — the
-    // refusal above already ruled that out), then every replay and row
-    // evaluation in sequence. With no exhaustion or error possible, the
-    // interleaving the per-row walk reconstructs is unobservable.
-    if bulk_charge {
-        ctx.consume_fuel(seek.total as u64)?;
-        for (_, rep) in &reps {
-            replay(&mut frames, schema, rep, pred, ctx, ctes, info, assert_reps)?;
+    let mut frames = frame_stack(f.outer_scopes, f.schema);
+    let mut replay = |k: usize| -> Result<()> {
+        let t = f.truth(&mut frames, &reps[k].1)?;
+        ctx.cov.hit(pt::EXEC_FILTER_DROP);
+        if assert_reps {
+            assert_eq!(
+                t,
+                Some(false),
+                "index seek skipped a row the WHERE clause keeps"
+            );
         }
-    }
-
-    // One gap stretch: the baseline charges each skipped row one fuel
-    // unit, and a stretch with no representative inside has no other
-    // observable effect — so deduct it in a single call. On exhaustion
-    // the per-row loop drains fuel to zero before erroring, so the bulk
-    // deduction mirrors that drain exactly instead of refusing intact.
-    let charge_rows = |n: u64| -> Result<()> {
-        if n == 0 {
-            return Ok(());
-        }
-        let left = ctx.fuel_left();
-        if left < n {
-            ctx.consume_fuel(left)?;
-            return Err(Error::Hang);
-        }
-        ctx.consume_fuel(n)
+        Ok(())
     };
-    // A representative fires exactly when the walk meets its storage
-    // position; one whose position an (mutant-skewed) emission already
-    // passed stays stuck and silences every later replay, same as the
-    // per-row walk's equality test.
-    let mut rep_i = 0usize;
-    let mut cursor = 0usize;
-    macro_rules! walk_gap_to {
-        ($p:expr) => {{
-            let p: usize = $p;
-            while cursor < p {
-                match reps.get(rep_i) {
-                    Some(&(rp, _)) if (cursor..p).contains(&rp) => {
-                        // Charge through the representative's own row,
-                        // then replay it — the baseline meets the row
-                        // right after that charge.
-                        charge_rows((rp + 1 - cursor) as u64)?;
-                        replay(
-                            &mut frames,
-                            schema,
-                            &reps[rep_i].1,
-                            pred,
-                            ctx,
-                            ctes,
-                            info,
-                            assert_reps,
-                        )?;
-                        rep_i += 1;
-                        cursor = rp + 1;
-                    }
-                    _ => {
-                        charge_rows((p - cursor) as u64)?;
-                        cursor = p;
-                    }
-                }
-            }
-        }};
+
+    if bulk {
+        // Cannot fail: the refusal above granted the whole charge.
+        ctx.consume_fuel((seek.total - rows.len()) as u64)?;
+        for k in 0..reps.len() {
+            replay(k)?;
+        }
+        return apply_filter(f, rows, Placement::Contiguous);
     }
 
-    // The per-row branch is the baseline row loop verbatim (the
-    // `via_index` comparison hook cannot apply here: seeks are never
-    // selected while that mutant is active, and a seek is no index scan,
-    // see `FromPlan::reads_index_scan`).
-    let and_shape = matches!(
-        pred.ast(),
-        Expr::Binary {
-            op: crate::ast::BinaryOp::And,
-            ..
-        }
-    );
-    let mut keep = vec![false; rows.len()];
-    for &i in &order {
-        if !bulk_charge {
-            walk_gap_to!(seek.positions[i]);
-            cursor = seek.positions[i] + 1;
-            ctx.consume_fuel(1)?;
-        }
-        set_local_row(&mut frames, schema, &rows[i]);
-        let env = EvalEnv {
-            ctx,
-            scopes: &frames,
-            aggs: None,
-            ctes,
-            info,
+    // Storage order: an unordered seek emits in it; an ordered seek's
+    // rows are sorted back into it, and `order` maps them to emission
+    // order.
+    let order: Option<Vec<usize>> = seek.ordered.then(|| {
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_unstable_by_key(|&i| seek.positions[i]);
+        order
+    });
+    let (rows, pos): (Cow<[Row]>, Cow<[usize]>) = match &order {
+        Some(order) => (
+            order.iter().map(|&i| rows[i].clone()).collect(),
+            order.iter().map(|&i| seek.positions[i]).collect(),
+        ),
+        None => (Cow::Borrowed(rows), Cow::Borrowed(&seek.positions)),
+    };
+
+    // The walk: before each representative (and the table's end), the
+    // run of emitted rows below it; then the skipped rows up to it, its
+    // own row and its replay.
+    let mut kept_rows = Vec::new();
+    let mut a = 0; // first row of the next run
+    let mut from = 0; // storage position after the last charged row
+    for k in 0..=reps.len() {
+        let end = reps.get(k).map_or(seek.total, |&(p, _)| p);
+        let b = a + pos[a..].partition_point(|&p| p < end);
+        let run = Placement::SeekRun {
+            pos: &pos[a..b],
+            from,
         };
-        let v = pred.eval(env)?;
-        let t = truthiness(&v, ctx.dialect, ctx.cov)?;
-        // Bug hook: CockroachAndNullTopConjunct — a top-level AND that
-        // evaluates to NULL keeps the row (skipped rows are immune: their
-        // clause value is FALSE, never NULL).
-        if t.is_none() && and_shape && ctx.bugs.active(BugId::CockroachAndNullTopConjunct) {
-            keep[i] = true;
-            continue;
+        let run_kept = apply_filter(f, &rows[a..b], run)?;
+        kept_rows.extend(run_kept.into_iter().map(|i| a + i));
+        if b > a {
+            from = pos[b - 1] + 1;
         }
-        match t {
-            Some(true) => {
-                ctx.cov.hit(pt::EXEC_FILTER_PASS);
-                keep[i] = true;
-            }
-            Some(false) => ctx.cov.hit(pt::EXEC_FILTER_DROP),
-            None => ctx.cov.hit(pt::EXEC_FILTER_NULL),
+        if k < reps.len() {
+            ctx.drain_fuel((end + 1 - from) as u64)?;
+            replay(k)?;
+            from = end + 1;
+        } else {
+            ctx.drain_fuel((end - from) as u64)?;
         }
-    }
-    if !bulk_charge {
-        walk_gap_to!(seek.total);
+        a = b;
     }
 
     // Emission keeps the seek's own order (storage order, or key order
-    // for sort elimination): the kept indexes follow `rows`.
-    Ok(kept(&keep))
+    // for sort elimination): the kept indexes follow the seek's rows.
+    Ok(match order {
+        Some(order) => {
+            let mut keep = vec![false; order.len()];
+            for j in kept_rows {
+                keep[order[j]] = true;
+            }
+            kept(&keep)
+        }
+        None => kept_rows,
+    })
 }
 
 /// Probe the ordered index of an `IndexSeek` access path over `t` for
@@ -2764,7 +2728,15 @@ fn exec_from_uncached(
                 depth,
             };
             let prepared = Prepared::new(pred, &[&res.schema], depth, ctx)?;
-            let kept = apply_filter(&res.rows, &res.schema, &prepared, ctx, ctes, &[], info)?;
+            let f = Filter {
+                pred: &prepared,
+                schema: &res.schema,
+                ctx,
+                ctes,
+                outer_scopes: &[],
+                info,
+            };
+            let kept = apply_filter(f, &res.rows, Placement::Contiguous)?;
             res.rows = kept.into_iter().map(|i| res.rows[i].clone()).collect();
             Ok(res)
         }

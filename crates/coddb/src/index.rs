@@ -199,32 +199,21 @@ impl OrdIndex {
             _ => unreachable!("a seek consumes at most two key columns"),
         }
 
-        let postings = |ps: &Vec<usize>| -> Vec<usize> {
-            if dedup {
-                ps[..1].to_vec()
-            } else {
-                ps.clone()
-            }
-        };
-        let emit: Vec<usize> = if ordered {
-            if reverse {
-                // DESC: key groups in reverse, storage order within each
-                // group (a stable descending sort leaves ties in input
-                // order).
-                groups
-                    .iter()
-                    .rev()
-                    .flat_map(|(_, ps)| postings(ps))
-                    .collect()
-            } else {
-                groups.iter().flat_map(|(_, ps)| postings(ps)).collect()
-            }
+        // The postings are flattened straight into one buffer: a seek
+        // allocates nothing per key group it emits.
+        let take = |ps: &[usize]| if dedup { 1 } else { ps.len() };
+        let mut emit = Vec::with_capacity(groups.iter().map(|(_, ps)| take(ps)).sum());
+        let mut push = |ps: &[usize]| emit.extend_from_slice(&ps[..take(ps)]);
+        if ordered && reverse {
+            // DESC: key groups in reverse, storage order within each group
+            // (a stable descending sort leaves ties in input order).
+            groups.iter().rev().for_each(|(_, ps)| push(ps));
         } else {
-            let mut ps: Vec<usize> = groups.iter().flat_map(|(_, ps)| postings(ps)).collect();
-            ps.sort_unstable();
-            ps
-        };
-
+            groups.iter().for_each(|(_, ps)| push(ps));
+        }
+        if !ordered {
+            emit.sort_unstable();
+        }
         SeekOut { emit }
     }
 

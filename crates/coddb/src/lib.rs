@@ -142,7 +142,8 @@
 //! The path is **observation-exact**, not merely result-exact: a runtime
 //! gate falls back to the scan unless every probed key column's stored
 //! values are comparison-uniform with the probe (the same TEXT/non-TEXT
-//! discipline as the fast filter), and the filter stage replays what the
+//! discipline as the fast filter), and the filter stage runs the emitted
+//! rows through the scan's own filter kernels and replays what the
 //! baseline would have observed for the rows the seek skipped — their
 //! fuel, and the authentic drop-path coverage bits fired once per
 //! skipped outcome class via a representative evaluation

@@ -28,7 +28,6 @@ use crate::bugs::ValidatorScope;
 use crate::bugs::{BugId, BugRegistry, IndexBugId};
 use crate::catalog::{Catalog, RelationKind};
 use crate::coverage::{pt, Coverage};
-use crate::database::AccessMode;
 use crate::dialect::Dialect;
 use crate::error::{Error, Result};
 use crate::value::Value;
@@ -1277,14 +1276,11 @@ pub enum VecNote<'a> {
     Disabled(&'static str),
     /// Classify each clause expression with the executor's own
     /// classifier ([`crate::vec_eval::classify`]) against the active
-    /// mutant set. Runtime conditions (erroring lanes, fuel exhaustion,
-    /// a seek falling back to a scan) can still fall back; the
-    /// annotation is a prediction.
+    /// mutant set. Runtime conditions (erroring lanes, fuel exhaustion)
+    /// can still fall back; the annotation is a prediction.
     Predict {
         bugs: &'a BugRegistry,
         dialect: Dialect,
-        /// Whether index seeks run as seeks or as scans.
-        access: AccessMode,
     },
 }
 
@@ -1326,7 +1322,7 @@ fn vec_note<'e>(exprs: impl IntoIterator<Item = &'e Expr>, ectx: ExplainCtx) -> 
     match ectx.vec {
         VecNote::Off => String::new(),
         VecNote::Disabled(reason) => format!(" [ROW({reason})]"),
-        VecNote::Predict { bugs, dialect, .. } => {
+        VecNote::Predict { bugs, dialect } => {
             let stmt = crate::exec::StmtKind::Select;
             match exprs
                 .into_iter()
@@ -1339,16 +1335,12 @@ fn vec_note<'e>(exprs: impl IntoIterator<Item = &'e Expr>, ectx: ExplainCtx) -> 
     }
 }
 
-/// The suffix for a WHERE or pushed filter over `input`. A WHERE over an
-/// index seek (the planner puts seeks nowhere else) runs row-at-a-time
-/// in the seek's filter stage, unless the access mode scans instead.
-/// Otherwise the filter-site gate decides first, then the predicate's
-/// own classification.
+/// The suffix for a WHERE or pushed filter over `input`: the filter-site
+/// gate decides first, then the predicate's own classification. A WHERE
+/// over an index seek runs the same filter kernels as one over a scan,
+/// so the note does not depend on the access mode.
 fn filter_note(pred: &Expr, input: Option<&FromPlan>, ectx: ExplainCtx) -> String {
-    if let VecNote::Predict { bugs, access, .. } = ectx.vec {
-        if matches!(input, Some(FromPlan::IndexSeek { .. })) && access == AccessMode::Indexed {
-            return " [ROW(index seek)]".into();
-        }
+    if let VecNote::Predict { bugs, .. } = ectx.vec {
         let via_index = input.is_some_and(FromPlan::reads_index_scan);
         if let Err(reason) = crate::vec_eval::gates::filter(pred, via_index, bugs) {
             return format!(" [ROW({reason})]");

@@ -177,9 +177,10 @@ fn explain_shows_the_indexed_comparison_mutant_runs_row_at_a_time() {
 }
 
 #[test]
-fn explain_shows_a_filter_over_an_index_seek_runs_row_at_a_time() {
-    // The seek's filter stage evaluates the WHERE clause row by row; in
-    // ScanOnly mode the executor scans and the chunk filter applies.
+fn explain_notes_a_filter_over_an_index_seek_as_over_a_scan() {
+    // A seek's rows go through the scan's filter kernels, so the WHERE
+    // clause's note is the same whether the executor seeks (Indexed) or
+    // scans (ScanOnly).
     let mut db = Database::new(Dialect::Sqlite);
     db.execute_sql(
         "CREATE TABLE t (v INT, w INT); CREATE INDEX i ON t (v);
@@ -192,10 +193,35 @@ fn explain_shows_a_filter_over_an_index_seek_runs_row_at_a_time() {
         plan.contains("INDEX SEEK t AS t USING i (1 key(s), point)"),
         "{plan}"
     );
-    assert!(plan.contains("FILTER (v = 3) [ROW(index seek)]"), "{plan}");
+    assert!(plan.contains("FILTER (v = 3) [VEC]"), "{plan}");
     db.set_access_mode(coddb::AccessMode::ScanOnly);
     let plan = db.explain_sql(sql).unwrap();
     assert!(plan.contains("FILTER (v = 3) [VEC]"), "{plan}");
+
+    // The filter-site gate applies to a seek's rows too: under the AND
+    // mutant the seeked WHERE clause runs row-at-a-time in both modes.
+    let mut db = Database::with_bugs(
+        Dialect::Cockroach,
+        BugRegistry::only(BugId::CockroachAndNullTopConjunct),
+    );
+    db.execute_sql(
+        "CREATE TABLE t (v INT, w INT); CREATE INDEX i ON t (v);
+         INSERT INTO t VALUES (1, 10), (3, 30), (5, 50)",
+    )
+    .unwrap();
+    let sql = "SELECT w FROM t WHERE v = 3 AND w > 0";
+    for mode in [coddb::AccessMode::Indexed, coddb::AccessMode::ScanOnly] {
+        db.set_access_mode(mode);
+        let plan = db.explain_sql(sql).unwrap();
+        assert!(
+            plan.contains("INDEX SEEK t AS t USING i (1 key(s), point)"),
+            "{plan}"
+        );
+        assert!(
+            plan.contains("FILTER ((v = 3) AND (w > 0)) [ROW(mutant-hooked AND filter)]"),
+            "{mode:?}: {plan}"
+        );
+    }
 }
 
 #[test]

@@ -417,3 +417,102 @@ fn script_fuel_exhaustion_agrees_across_access_modes() {
         }
     }
 }
+
+/// Seek runs longer than one chunk: a 3,000-row indexed table whose keys
+/// are scattered in storage order (`k = n * 7919 % 3000`, a permutation),
+/// with NULLs in the residual columns. A range's emitted rows then reach
+/// the filter kernels as runs of more than 1,024 rows with skipped rows
+/// between them, and the two-column index gives a seek three skipped
+/// classes, so a run also ends at each class's representative. Outcomes,
+/// coverage and fuel must agree between the access modes with unlimited
+/// fuel and at limits that stop a SELECT's WHERE stage at its start (its
+/// FROM stage charges 3,000 first), after one row, inside a run, one row
+/// before its end and in the stage after it, and that stop an UPDATE's or
+/// DELETE's WHERE stage (no FROM charge) halfway. The one `100 / v` row
+/// with `v = 0` sits at storage position 1,777.
+#[test]
+fn seek_runs_longer_than_a_chunk_agree_across_access_modes() {
+    let values: Vec<String> = (0..3000)
+        .map(|n| {
+            let k = n * 7919 % 3000;
+            let g = match n {
+                _ if n % 9 == 0 => "NULL".to_string(),
+                _ if n % 4 == 0 => "0".to_string(),
+                _ => "1".to_string(),
+            };
+            let v = match n {
+                _ if n % 11 == 0 => "NULL".to_string(),
+                1777 => "0".to_string(),
+                _ => (n % 49 + 1).to_string(),
+            };
+            let s = match n {
+                _ if n % 13 == 0 => "NULL".to_string(),
+                _ => format!("'s{}'", n % 7),
+            };
+            format!("({k}, {g}, {v}, {s})")
+        })
+        .collect();
+    let mut setup = vec!["CREATE TABLE t (k INT, g INT, v INT, s TEXT)".to_string()];
+    for chunk in values.chunks(500) {
+        setup.push(format!("INSERT INTO t VALUES {}", chunk.join(", ")));
+    }
+    setup.push("CREATE INDEX ik ON t (k)".to_string());
+    setup.push("CREATE INDEX igk ON t (g, k)".to_string());
+    let script: &[&str] = &[
+        // Ranges with residual conjuncts, emitting 1,900 to 2,800 rows.
+        "SELECT COUNT(*), SUM(k) FROM t WHERE k >= 500 AND v > 10",
+        "SELECT COUNT(*), SUM(v) FROM t WHERE k < 2800 AND s <> 's3'",
+        "SELECT COUNT(*), SUM(k) FROM t WHERE g = 1 AND k >= 100 AND v IS NOT NULL",
+        "SELECT k, v FROM t WHERE k >= 200 AND v % 7 = 3 AND s IS NOT NULL",
+        // A residual that errors partway through (on strict dialects).
+        "SELECT COUNT(*) FROM t WHERE k > 200 AND 100 / v > 2",
+        "SELECT COUNT(*) FROM t WHERE g = 1 AND k < 2900 AND 100 / v > 2",
+        // ORDER BY k with a residual, with and without LIMIT; and ordered
+        // seeks over the two-column index.
+        "SELECT k, v FROM t WHERE k > 1000 AND v > 40 ORDER BY k",
+        "SELECT k FROM t WHERE k > 1500 AND v < 5 ORDER BY k LIMIT 7",
+        "SELECT g, k FROM t WHERE g = 1 AND k > 100 ORDER BY g, k",
+        "SELECT g, k FROM t WHERE g = 1 AND k <= 2900 ORDER BY g DESC, k DESC LIMIT 9",
+        // UPDATE and DELETE with residuals, then the state they left.
+        "UPDATE t SET s = 'u' WHERE k >= 1000 AND v > 25",
+        "UPDATE t SET s = 'e' WHERE k >= 0 AND 100 / v > 3",
+        "DELETE FROM t WHERE k < 2000 AND v < 8",
+        "DELETE FROM t WHERE g = 1 AND k > 50 AND s = 's2'",
+        "SELECT COUNT(*), SUM(k), SUM(v) FROM t WHERE k >= 0 AND s = 'u'",
+        "SELECT COUNT(*), SUM(k) FROM t",
+    ];
+    let run = |dialect: Dialect, bugs: BugRegistry, mode: AccessMode, fuel: Option<u64>| {
+        let mut db = Database::with_bugs(dialect, bugs);
+        db.set_access_mode(mode);
+        for sql in &setup {
+            db.execute_sql(sql).unwrap();
+        }
+        if let Some(fuel) = fuel {
+            db.set_fuel_limit(fuel);
+        }
+        let outcomes: Vec<String> = script
+            .iter()
+            .map(|sql| match db.execute_sql(sql) {
+                Ok(out) => format!("{out:?}"),
+                Err(e) => format!("error: {e}"),
+            })
+            .collect();
+        (outcomes, db.coverage().hit_points(), db.fuel_used())
+    };
+    for dialect in [Dialect::Sqlite, Dialect::Cockroach] {
+        for bug in [None, Some(BugId::CockroachAndNullTopConjunct)] {
+            let bugs = || bug.map_or_else(BugRegistry::none, BugRegistry::only);
+            let limits = [1500, 3000, 3001, 4500, 5999, 6001].map(Some);
+            for fuel in [None].into_iter().chain(limits) {
+                let idx = run(dialect, bugs(), AccessMode::Indexed, fuel);
+                let scan = run(dialect, bugs(), AccessMode::ScanOnly, fuel);
+                let tag = format!("{dialect:?}, mutant {bug:?}, fuel {fuel:?}");
+                for (i, (a, b)) in idx.0.iter().zip(&scan.0).enumerate() {
+                    assert_eq!(a, b, "[{tag}] access modes disagree on {:?}", script[i]);
+                }
+                assert_eq!(idx.1, scan.1, "[{tag}] coverage diverges");
+                assert_eq!(idx.2, scan.2, "[{tag}] fuel diverges");
+            }
+        }
+    }
+}

@@ -270,10 +270,60 @@ fn dml_where_stage_allocates_nothing_per_row() {
     }
 }
 
+/// An index seek allocates a constant amount however many rows it emits:
+/// the index flattens the matching postings into one buffer, and the
+/// emitted rows go through the scan's filter kernels — all at once when
+/// the comparison alone is the WHERE clause, in storage-ordered runs when
+/// a residual conjunct follows it.
+fn seek_allocates_nothing_per_row() {
+    let build = |n: i64| {
+        let mut db = Database::new(Dialect::Sqlite);
+        db.execute_sql("CREATE TABLE t (c0 INT, c1 TEXT, c2 REAL); CREATE INDEX i0 ON t (c0)")
+            .unwrap();
+        for chunk in (0..n).collect::<Vec<_>>().chunks(500) {
+            let rows: Vec<String> = chunk
+                .iter()
+                .map(|v| format!("({v}, 'r{v}', {v}.5)"))
+                .collect();
+            db.execute_sql(&format!("INSERT INTO t VALUES {}", rows.join(",")))
+                .unwrap();
+        }
+        db
+    };
+    for (sql, keeps_all) in [
+        ("SELECT COUNT(*) FROM t WHERE c0 >= 0", true),
+        ("SELECT COUNT(*) FROM t WHERE c0 >= 0 AND c2 < 0", false),
+    ] {
+        let q = coddb::parser::parse_select(sql).unwrap();
+        let measure = |db: &mut Database, n: i64| {
+            let expected = if keeps_all { n } else { 0 };
+            assert!(
+                db.explain(&q).unwrap().contains("INDEX SEEK"),
+                "`{sql}` must seek"
+            );
+            let warm = db.query(&q).unwrap();
+            assert_eq!(warm.scalar().unwrap().as_i64(), Some(expected));
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let rel = db.query(&q).unwrap();
+            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            assert_eq!(rel.scalar().unwrap().as_i64(), Some(expected));
+            after - before
+        };
+        let small_allocs = measure(&mut build(5_000), 5_000);
+        let large_allocs = measure(&mut build(20_000), 20_000);
+        assert!(
+            large_allocs <= small_allocs + 16,
+            "`{sql}` must not allocate per row: \
+             {small_allocs} allocs at 5k rows vs {large_allocs} at 20k"
+        );
+    }
+}
+
 #[test]
 fn hot_row_loops_allocate_nothing_per_row() {
     expression_path_allocates_nothing_per_row();
     scan_path_allocates_nothing_per_row();
     vectorized_filter_allocates_o_chunks_not_o_rows();
     dml_where_stage_allocates_nothing_per_row();
+    seek_allocates_nothing_per_row();
 }

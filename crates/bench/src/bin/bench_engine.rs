@@ -5,7 +5,10 @@
 //! shapes with row-at-a-time evaluation forced
 //! (`vectorized_vs_row_speedup`), and index-seek shapes,
 //! `index_seek_residual` and `dml_by_key` included, with
-//! `AccessMode::ScanOnly` forced (`indexed_vs_scan_speedup`).
+//! `AccessMode::ScanOnly` forced (`indexed_vs_scan_speedup`). The
+//! output's one-line `provenance` object names the commit (with `-dirty`
+//! for uncommitted changes), the rustc version, the available cores and
+//! the mode (quick or full) of the run.
 //!
 //! Run with: `cargo run --release -p coddtest-bench --bin bench_engine`
 //! (optionally `-- --out <path>`; `-- --quick` shrinks the measurement
@@ -19,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use coddb::ast::Select;
 use coddb::bugs::BugRegistry;
-use coddb::recovery::scrub_images;
+use coddb::recovery::{recover_detailed, scrub_images};
 use coddb::wal::{MediaMode, MediaPlan, StorageMode};
 use coddb::{AccessMode, Database, Dialect, EvalMode, JoinMode, StorageSite};
 use coddtest::make_oracle;
@@ -27,8 +30,9 @@ use coddtest::runner::{run_campaign, run_campaign_parallel, CampaignConfig};
 use coddtest_bench::{
     engine_setup as setup, is_indexed_shape, is_join_shape, is_vec_shape, missing_gated_fields,
     CAMPAIGN_PARALLEL_SHAPE, CHECKPOINT_WRITE_SHAPE, DML_BY_KEY_SHAPE, DML_INDEX_MAINTENANCE_SHAPE,
-    INDEX_SEEK_RESIDUAL_SHAPE, QUERY_SHAPES, RECOVERY_REPLAY_CHECKPOINTED_SHAPE,
-    RECOVERY_REPLAY_SHAPE, SCRUB_THROUGHPUT_SHAPE, WAL_COMMIT_NOSPACE_SHAPE, WAL_COMMIT_SHAPE,
+    INDEX_SEEK_RESIDUAL_SHAPE, QUERY_SHAPES, RECOVERY_LONG_RUN_SHAPE,
+    RECOVERY_REPLAY_CHECKPOINTED_SHAPE, RECOVERY_REPLAY_SHAPE, SCRUB_THROUGHPUT_SHAPE,
+    WAL_COMMIT_NOSPACE_SHAPE, WAL_COMMIT_SHAPE,
 };
 
 /// Worker threads for the `campaign_parallel` shape (the evaluation's
@@ -103,6 +107,18 @@ fn measure_campaign(runs: usize, mut work: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// The trimmed stdout of a command, or `"unknown"` when it cannot run or
+/// fails.
+fn command_output(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let out_path = args
@@ -132,6 +148,7 @@ fn main() {
                 RECOVERY_REPLAY_SHAPE,
                 CHECKPOINT_WRITE_SHAPE,
                 RECOVERY_REPLAY_CHECKPOINTED_SHAPE,
+                RECOVERY_LONG_RUN_SHAPE,
                 DML_INDEX_MAINTENANCE_SHAPE,
                 DML_BY_KEY_SHAPE,
                 SCRUB_THROUGHPUT_SHAPE,
@@ -379,9 +396,10 @@ fn main() {
         .as_ref()
         .is_none_or(|f| f.iter().any(|s| s == RECOVERY_REPLAY_SHAPE));
     // The shared churn workload for the replay shapes: 120 iterations of
-    // INSERT/UPDATE/DELETE traffic, optionally checkpointed late in the
-    // history so the log holds only a short suffix past the snapshot.
-    let build_churn = |checkpoint_at: Option<usize>| {
+    // INSERT/UPDATE/DELETE traffic, checkpointed after the listed
+    // iterations (late in the history, the log holds only a short suffix
+    // past the snapshot).
+    let build_churn = |checkpoints: &[usize]| {
         let mut db = Database::new(Dialect::Sqlite);
         db.set_storage_mode(StorageMode::Durable);
         db.execute_sql("CREATE TABLE r0 (a INT, b TEXT); CREATE TABLE r1 (a INT)")
@@ -397,14 +415,14 @@ fn main() {
                 i * 3 - 30
             ))
             .unwrap();
-            if checkpoint_at == Some(i) {
+            if checkpoints.contains(&i) {
                 db.checkpoint().unwrap();
             }
         }
         db
     };
     if run_recovery_shape {
-        let db = build_churn(None);
+        let db = build_churn(&[]);
         let image = db.wal().expect("durable").image().to_vec();
         let batch = if quick { 10 } else { 60 };
         let replay_ns = measure_campaign(windows.runs, || {
@@ -434,10 +452,10 @@ fn main() {
         .as_ref()
         .is_none_or(|f| f.iter().any(|s| s == CHECKPOINT_WRITE_SHAPE));
     if run_ckpt_write_shape {
-        let mut once = build_churn(None);
+        let mut once = build_churn(&[]);
         once.checkpoint().unwrap();
         let snapshot_bytes = once.wal().expect("durable").snapshot_image().len();
-        let mut db = build_churn(None);
+        let mut db = build_churn(&[]);
         let batch = if quick { 5 } else { 30 };
         let ckpt_ns = measure_campaign(windows.runs, || {
             for _ in 0..batch {
@@ -461,9 +479,9 @@ fn main() {
         .as_ref()
         .is_none_or(|f| f.iter().any(|s| s == RECOVERY_REPLAY_CHECKPOINTED_SHAPE));
     if run_ckpt_replay_shape {
-        let genesis_db = build_churn(None);
+        let genesis_db = build_churn(&[]);
         let genesis_image = genesis_db.wal().expect("durable").image().to_vec();
-        let ckpt_db = build_churn(Some(110));
+        let ckpt_db = build_churn(&[110]);
         let wal = ckpt_db.wal().expect("durable");
         let (log_image, snap_image) = (wal.image().to_vec(), wal.snapshot_image().to_vec());
         let batch = if quick { 10 } else { 60 };
@@ -508,6 +526,56 @@ fn main() {
         ));
     }
 
+    // recovery_long_run: scrub + recovery of the final images of the
+    // churn workload checkpointed every 10 iterations (12 checkpoints,
+    // the last after iteration 110), against the same workload
+    // checkpointed once after iteration 110. Both recover the same state
+    // from the same log suffix, so the ratio is what the run's earlier
+    // checkpoints left on the snapshot file for a restart to read.
+    let run_long_run_shape = shape_filter
+        .as_ref()
+        .is_none_or(|f| f.iter().any(|s| s == RECOVERY_LONG_RUN_SHAPE));
+    if run_long_run_shape {
+        let every_10: Vec<usize> = (0..120).step_by(10).collect();
+        let images = |db: &Database| {
+            let wal = db.wal().expect("durable");
+            (wal.image().to_vec(), wal.snapshot_image().to_vec())
+        };
+        let (long_log, long_snap) = images(&build_churn(&every_10));
+        let (single_log, single_snap) = images(&build_churn(&[110]));
+        let batch = if quick { 10 } else { 60 };
+        let restart = |log: &[u8], snap: &[u8]| {
+            measure_campaign(windows.runs, || {
+                for _ in 0..batch {
+                    let report = scrub_images(log, snap, &BugRegistry::none());
+                    assert!(report.clean(), "churn images must scrub clean");
+                    std::hint::black_box(
+                        recover_detailed(log, snap, Dialect::Sqlite, &BugRegistry::none()).unwrap(),
+                    );
+                }
+            }) / batch as f64
+        };
+        let long_ns = restart(&long_log, &long_snap);
+        let single_ns = restart(&single_log, &single_snap);
+        let overhead = long_ns / single_ns;
+        let (_, info) =
+            recover_detailed(&long_log, &long_snap, Dialect::Sqlite, &BugRegistry::none()).unwrap();
+        println!(
+            "{RECOVERY_LONG_RUN_SHAPE:<24} long {long_ns:>12.0} ns/iter   single {single_ns:>12.0} ns/iter   overhead {overhead:>5.2}x   {} snapshot(s), {} bytes",
+            info.snapshots_scanned,
+            long_snap.len()
+        );
+        entries.push(format!(
+            "    {:?}: {{\n      \"long_run_ns_per_iter\": {:.0},\n      \"single_checkpoint_ns_per_iter\": {:.0},\n      \"run_length_overhead\": {:.2},\n      \"snapshots_scanned\": {},\n      \"snapshot_bytes\": {}\n    }}",
+            RECOVERY_LONG_RUN_SHAPE,
+            long_ns,
+            single_ns,
+            overhead,
+            info.snapshots_scanned,
+            long_snap.len()
+        ));
+    }
+
     // scrub_throughput: a full offline integrity pass (frame walk +
     // checksum verification + snapshot-seal structure check) over the
     // checkpointed churn images — the cost of asking "is this disk
@@ -516,7 +584,7 @@ fn main() {
         .as_ref()
         .is_none_or(|f| f.iter().any(|s| s == SCRUB_THROUGHPUT_SHAPE));
     if run_scrub_shape {
-        let db = build_churn(Some(110));
+        let db = build_churn(&[110]);
         let wal = db.wal().expect("durable");
         let (log_image, snap_image) = (wal.image().to_vec(), wal.snapshot_image().to_vec());
         let scrub_bytes = log_image.len() + snap_image.len();
@@ -580,8 +648,17 @@ fn main() {
         ));
     }
 
+    // On one line: scripts/bench_check reads every key indented by four
+    // spaces as a shape name.
+    let provenance = format!(
+        "{{\"commit\": {:?}, \"rustc\": {:?}, \"nproc\": {}, \"mode\": {:?}}}",
+        command_output("git", &["describe", "--always", "--dirty", "--abbrev=12"]),
+        command_output("rustc", &["--version"]),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        if quick { "quick" } else { "full" }
+    );
     let json = format!(
-        "{{\n  \"benchmark\": \"engine_exec\",\n  \"unit\": \"ns/iter\",\n  \"shapes\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"engine_exec\",\n  \"unit\": \"ns/iter\",\n  \"provenance\": {provenance},\n  \"shapes\": {{\n{}\n  }}\n}}\n",
         entries.join(",\n")
     );
     // A renamed or dropped gated field fails the run instead of silently

@@ -110,6 +110,16 @@ pub const RECOVERY_REPLAY_SHAPE: &str = "recovery_replay";
 pub const CHECKPOINT_WRITE_SHAPE: &str = "checkpoint_write";
 pub const RECOVERY_REPLAY_CHECKPOINTED_SHAPE: &str = "recovery_replay_checkpointed";
 
+/// The run-length shape: `bench_engine` times scrub + recovery of the
+/// final images of a workload checkpointed every 10 iterations
+/// (`long_run_ns_per_iter`) and of the same workload checkpointed once,
+/// at its last checkpoint (`single_checkpoint_ns_per_iter`), and records
+/// their ratio as `run_length_overhead`, with the long run's
+/// `snapshots_scanned` and `snapshot_bytes`. A snapshot file that grows
+/// with the number of checkpoints shows as an overhead that grows with
+/// it. Not a SQL shape, so it lives outside [`QUERY_SHAPES`].
+pub const RECOVERY_LONG_RUN_SHAPE: &str = "recovery_long_run";
+
 /// The media-fault shapes: `bench_engine` times a full
 /// [`coddb::recovery::scrub_images`] pass over a checkpointed log +
 /// snapshot pair (`scrub_ns_per_iter`, with the scanned byte count as
@@ -153,11 +163,12 @@ pub const INDEX_SEEK_RESIDUAL_SHAPE: (&str, &str) = (
 
 /// The trajectory fields a measurement must record, one (shape, field)
 /// row per acceptance metric: parallel runner, chunk eval, hash join, WAL
-/// and recovery, checkpoints, ordered-index seeks (SELECT and DML), index
-/// maintenance, scrub and the disk-full abort. `bench_engine` fails when
-/// a shape it measured lacks its row's field ([`missing_gated_fields`]),
-/// and the `coddtest-analyze` bench lint requires every `*_speedup` /
-/// `*_overhead` field of `BENCH_engine.json` to have a row here.
+/// and recovery, checkpoints and run length, ordered-index seeks (SELECT
+/// and DML), index maintenance, scrub and the disk-full abort.
+/// `bench_engine` fails when a shape it measured lacks its row's field
+/// ([`missing_gated_fields`]), and the `coddtest-analyze` bench lint
+/// requires every `*_speedup` / `*_overhead` field of `BENCH_engine.json`
+/// to have a row here.
 pub const GATED_FIELDS: &[(&str, &str)] = &[
     (CAMPAIGN_PARALLEL_SHAPE, "parallel_vs_serial_speedup"),
     ("seq_filter", "vectorized_vs_row_speedup"),
@@ -174,6 +185,7 @@ pub const GATED_FIELDS: &[(&str, &str)] = &[
         RECOVERY_REPLAY_CHECKPOINTED_SHAPE,
         "checkpointed_vs_genesis_speedup",
     ),
+    (RECOVERY_LONG_RUN_SHAPE, "run_length_overhead"),
     ("index_probe", "indexed_vs_scan_speedup"),
     ("index_range_scan", "indexed_vs_scan_speedup"),
     ("order_by_indexed", "indexed_vs_scan_speedup"),

@@ -549,11 +549,17 @@ pub enum RecoveryBugId {
     /// Snapshot scan accepts snapshot frames whose checksum does not
     /// match, rebuilding the base state from corrupted payloads.
     SkipSnapshotChecksum,
+    /// Checkpoint's snapshot reclaim drops the newest sealed snapshot
+    /// along with the older generations: until the new snapshot seals,
+    /// the file holds no snapshot to recover from while the log holds
+    /// only the suffix after it, so a crash inside the snapshot write
+    /// loses every statement that snapshot covered.
+    ReclaimNewestSnapshot,
 }
 
 impl RecoveryBugId {
     /// Every recovery mutant, in a stable order.
-    pub const ALL: [RecoveryBugId; 10] = [
+    pub const ALL: [RecoveryBugId; 11] = [
         RecoveryBugId::SkipChecksumVerify,
         RecoveryBugId::TornTailAsComplete,
         RecoveryBugId::ReplayUncommitted,
@@ -564,6 +570,7 @@ impl RecoveryBugId {
         RecoveryBugId::AcceptTornSnapshot,
         RecoveryBugId::StaleSnapshotPreferred,
         RecoveryBugId::SkipSnapshotChecksum,
+        RecoveryBugId::ReclaimNewestSnapshot,
     ];
 
     /// The dominant symptom category: a wrong-data recovery is a logic
@@ -591,6 +598,7 @@ impl RecoveryBugId {
             RecoveryBugId::AcceptTornSnapshot => "recovery-accept-torn-snapshot",
             RecoveryBugId::StaleSnapshotPreferred => "recovery-stale-snapshot-preferred",
             RecoveryBugId::SkipSnapshotChecksum => "recovery-skip-snapshot-checksum",
+            RecoveryBugId::ReclaimNewestSnapshot => "recovery-reclaim-newest-snapshot",
         }
     }
 
@@ -620,6 +628,9 @@ impl RecoveryBugId {
             }
             RecoveryBugId::SkipSnapshotChecksum => {
                 "snapshot scan skips checksum verification on snapshot frames"
+            }
+            RecoveryBugId::ReclaimNewestSnapshot => {
+                "checkpoint reclaims the newest sealed snapshot before the next one seals"
             }
         }
     }
@@ -1069,7 +1080,7 @@ mod tests {
     #[test]
     fn families_have_their_sizes_and_unique_names() {
         let families = families();
-        assert_eq!(families.each_ref().map(Vec::len), [45, 10, 5, 5]);
+        assert_eq!(families.each_ref().map(Vec::len), [45, 11, 5, 5]);
         let mut names = BTreeSet::new();
         for &(name, description, _) in families.iter().flatten() {
             assert!(!name.is_empty() && !description.is_empty());

@@ -372,12 +372,15 @@ impl Database {
         Ok(ExecOutcome::Ddl)
     }
 
-    /// Checkpoint the durable state: serialize the full catalog (schema
-    /// history + every base-table row) as a framed snapshot to the WAL's
-    /// snapshot file, record the [`WalRecord::CheckpointComplete`]
-    /// durability marker in the log, and truncate the log to the suffix
-    /// after the marker. Recovery then loads the newest sealed snapshot
-    /// and replays only that suffix.
+    /// Checkpoint the durable state: reclaim the snapshot generations
+    /// older than the newest sealed one ([`Wal::reclaim_snapshots`]),
+    /// serialize the full catalog (schema history + every base-table row)
+    /// as a framed snapshot to the WAL's snapshot file, record the
+    /// [`WalRecord::CheckpointComplete`] durability marker in the log, and
+    /// truncate the log to the suffix after the marker. Recovery then
+    /// loads the newest sealed snapshot and replays only that suffix. The
+    /// snapshot file holds at most two snapshots, the previous one and
+    /// the newest, however many checkpoints a run takes.
     ///
     /// The snapshot body is deterministic: the DDL history in execution
     /// order, then each table's rows in catalog (name) order — so two
@@ -397,7 +400,11 @@ impl Database {
         // order writes snapshot → marker → truncate; truncating first
         // loses the suffix whenever the crash lands inside the snapshot.
         let truncate_early = self.bugs.active(RecoveryBugId::TruncateBeforeMarker);
+        // Mutant: the reclaim drops the newest sealed snapshot as well, so
+        // until the new snapshot seals there is none to recover from.
+        let drop_newest = self.bugs.active(RecoveryBugId::ReclaimNewestSnapshot);
         let w = self.wal.as_mut().expect("checked above");
+        w.reclaim_snapshots(drop_newest);
         if truncate_early {
             w.truncate_log();
         }

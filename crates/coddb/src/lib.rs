@@ -190,8 +190,11 @@
 //! to the *log* and the log get truncated — each of these is its own
 //! crashable disk operation, sharing the log's operation counter so one
 //! [`wal::FaultPlan`] range covers DML traffic, snapshot writes and the
-//! truncation step alike. The snapshot disk is append-only: older
-//! snapshots remain on file as fallbacks.
+//! truncation step alike. The snapshot disk keeps two generations: each
+//! checkpoint first reclaims every snapshot older than the newest sealed
+//! one ([`wal::Wal::reclaim_snapshots`], one more crashable operation
+//! once it has bytes to free), so the previous snapshot stays on file as
+//! the fallback and the file does not grow with the run's length.
 //!
 //! **The snapshot + suffix contract.** Recovery
 //! ([`recovery::recover_detailed`]) scans the snapshot disk through the

@@ -13,7 +13,11 @@
 //!    checks seals with the same grouping), and recovery bases itself on
 //!    the **newest sealed** snapshot — an unsealed trailing snapshot is a
 //!    writer that died mid-checkpoint and must be ignored, falling back
-//!    to the previous sealed snapshot or genesis.
+//!    to the previous sealed snapshot or genesis. Each checkpoint
+//!    reclaims the generations older than the newest sealed snapshot
+//!    before writing its own (`Wal::reclaim_snapshots`), so the file
+//!    holds at most two snapshots and the scan's cost does not grow with
+//!    the number of checkpoints a run took.
 //! 2. **Log scan** ([`scan_log`]) walks the surviving log image frame by
 //!    frame. The scan stops — truncating the log — at the first
 //!    incomplete header, truncated payload, or checksum mismatch:
@@ -385,7 +389,9 @@ pub struct RecoveryInfo {
     /// Statement coverage of the snapshot recovery based itself on, or
     /// `None` when it replayed from genesis.
     pub snapshot_stmts: Option<u64>,
-    /// Snapshots parsed out of the snapshot file (sealed or not).
+    /// Snapshots parsed out of the snapshot file (sealed or not): at
+    /// most two for a file a checkpointing writer left, because each
+    /// checkpoint reclaims the generations before the newest sealed one.
     pub snapshots_scanned: usize,
     /// Intact records parsed out of the log image.
     pub log_records: usize,

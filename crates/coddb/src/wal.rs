@@ -54,6 +54,19 @@
 //! (every fault mode behaves the same there — truncation either happened
 //! or it did not).
 //!
+//! The snapshot file holds at most **two generations**. Before it writes
+//! a new snapshot, a checkpoint reclaims every byte in front of the
+//! newest durable sealed snapshot ([`Wal::reclaim_snapshots`]), so the
+//! file holds [newest, in flight] while the new snapshot is written and
+//! [previous, newest] once it is sealed. The older generation is what
+//! recovery falls back to when the newest one is torn or damaged. The
+//! reclaim is one more operation on the shared counter, all-or-nothing
+//! like the truncation (a crash there leaves the file as it was), and it
+//! writes nothing, so a full disk never refuses it. A reclaim that would
+//! free no byte is no operation at all: the first two checkpoints of a
+//! run reclaim nothing, so a run with at most two checkpoints numbers its
+//! operations as if the step did not exist.
+//!
 //! [`Database`]: crate::Database
 
 use crate::bugs::{BugRegistry, MediaBugId};
@@ -735,9 +748,10 @@ pub(crate) fn frames(image: &[u8]) -> impl Iterator<Item = (usize, Frame<'_>)> {
 }
 
 /// Which durable operation the fault plan killed. Checkpointing threads
-/// snapshot frames and the truncation step through the same op counter as
-/// log appends, so a seeded crash can land in three places; reports name
-/// the site so a repro is readable without decoding the op index by hand.
+/// snapshot frames, the snapshot reclaim and the truncation step through
+/// the same op counter as log appends, so a seeded crash can land in four
+/// places; reports name the site so a repro is readable without decoding
+/// the op index by hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSite {
     /// A log append (DML/DDL effect, commit, or checkpoint marker).
@@ -746,6 +760,8 @@ pub enum CrashSite {
     Snapshot,
     /// The log-truncation step after a checkpoint marker.
     Truncate,
+    /// The snapshot-reclaim step at the start of a checkpoint.
+    Reclaim,
 }
 
 impl CrashSite {
@@ -755,6 +771,7 @@ impl CrashSite {
             CrashSite::Log => "log append",
             CrashSite::Snapshot => "snapshot write",
             CrashSite::Truncate => "log truncation",
+            CrashSite::Reclaim => "snapshot reclaim",
         }
     }
 }
@@ -785,6 +802,14 @@ pub struct Wal {
     /// [`WalRecord::SnapshotEnd`] that became durable before the crash —
     /// the snapshot a correct recovery must load (None = genesis).
     last_snapshot_stmts: Option<u64>,
+    /// Snapshot-file offset of the newest durable
+    /// [`WalRecord::SnapshotBegin`] frame: where the snapshot being
+    /// written starts.
+    open_begin: usize,
+    /// Snapshot-file offset of the begin frame of the newest durable
+    /// sealed snapshot, noted when its seal lands. Every byte before it
+    /// is an older generation that [`Wal::reclaim_snapshots`] drops.
+    sealed_begin: usize,
     crashed: bool,
     crash_site: Option<CrashSite>,
 }
@@ -800,6 +825,8 @@ impl Wal {
             committed: 0,
             stmts_logged: 0,
             last_snapshot_stmts: None,
+            open_begin: 0,
+            sealed_begin: 0,
             crashed: false,
             crash_site: None,
         }
@@ -873,21 +900,18 @@ impl Wal {
         self.crash_site
     }
 
-    /// Append one framed record to `site`'s disk through the fault plan
+    /// Append one framed record to `site`'s file through the fault plan
     /// and the media plan. `Err(NoSpace)` means the disk refused the
     /// append: nothing was written, the op counter did not advance, and
     /// the caller must abort the in-flight statement cleanly.
-    fn append_frame(&mut self, rec: &WalRecord, site: CrashSite) -> Result<(), StorageError> {
+    fn append_frame(&mut self, rec: &WalRecord, site: StorageSite) -> Result<(), StorageError> {
         if self.crashed {
             return Ok(());
         }
         if let MediaMode::NoSpace { at_op } = self.media.mode {
             if self.ops >= at_op {
                 return Err(StorageError {
-                    site: match site {
-                        CrashSite::Log | CrashSite::Truncate => StorageSite::Log,
-                        CrashSite::Snapshot => StorageSite::Snapshot,
-                    },
+                    site,
                     kind: StorageFaultKind::NoSpace { op: self.ops },
                 });
             }
@@ -899,17 +923,20 @@ impl Wal {
         put_u32(&mut frame, payload.len() as u32);
         put_u32(&mut frame, checksum(&payload));
         frame.extend_from_slice(&payload);
+        let disk = match site {
+            StorageSite::Log => &mut self.disk,
+            StorageSite::Snapshot => &mut self.snap,
+        };
 
         if op < self.plan.crash_op {
-            match site {
-                CrashSite::Log => self.disk.write(&frame),
-                CrashSite::Snapshot => self.snap.write(&frame),
-                CrashSite::Truncate => unreachable!("truncation writes no frame"),
-            }
+            let at = disk.len();
+            disk.write(&frame);
             match (site, rec) {
-                (CrashSite::Log, WalRecord::Commit { .. }) => self.committed += 1,
-                (CrashSite::Snapshot, WalRecord::SnapshotEnd { stmt_idx, .. }) => {
+                (StorageSite::Log, WalRecord::Commit { .. }) => self.committed += 1,
+                (StorageSite::Snapshot, WalRecord::SnapshotBegin { .. }) => self.open_begin = at,
+                (StorageSite::Snapshot, WalRecord::SnapshotEnd { stmt_idx, .. }) => {
                     self.last_snapshot_stmts = Some(*stmt_idx);
+                    self.sealed_begin = self.open_begin;
                 }
                 _ => {}
             }
@@ -918,7 +945,10 @@ impl Wal {
         // This append is the crash point: the simulated process dies
         // during the write. Nothing from this op counts as durable.
         self.crashed = true;
-        self.crash_site = Some(site);
+        self.crash_site = Some(match site {
+            StorageSite::Log => CrashSite::Log,
+            StorageSite::Snapshot => CrashSite::Snapshot,
+        });
         let written: Option<Vec<u8>> = match self.plan.mode {
             FaultMode::Lost => None,
             FaultMode::Torn { keep_sel } => {
@@ -932,25 +962,52 @@ impl Wal {
             }
         };
         if let Some(bytes) = written {
-            match site {
-                CrashSite::Log => self.disk.write(&bytes),
-                CrashSite::Snapshot => self.snap.write(&bytes),
-                CrashSite::Truncate => unreachable!("truncation writes no frame"),
-            }
+            disk.write(&bytes);
         }
         Ok(())
     }
 
     /// Append one record to the log through the fault plan.
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), StorageError> {
-        self.append_frame(rec, CrashSite::Log)
+        self.append_frame(rec, StorageSite::Log)
     }
 
     /// Append one record to the snapshot file through the fault plan.
     /// Rides the same op counter as log appends, so seeded crash points
     /// land inside snapshot writes.
     pub fn append_snapshot(&mut self, rec: &WalRecord) -> Result<(), StorageError> {
-        self.append_frame(rec, CrashSite::Snapshot)
+        self.append_frame(rec, StorageSite::Snapshot)
+    }
+
+    /// Drop every snapshot-file byte before the begin frame of the newest
+    /// durable sealed snapshot, so that a checkpoint writing its snapshot
+    /// next leaves two generations on file. With `drop_newest` (the
+    /// [`crate::bugs::RecoveryBugId::ReclaimNewestSnapshot`] mutant) that
+    /// snapshot goes too: the whole file is dropped.
+    ///
+    /// Like [`Wal::truncate_log`], the reclaim is one fault-plan
+    /// operation and all-or-nothing: a crash here means the process died
+    /// before reclaiming, and the file survives whole. It writes nothing,
+    /// so a full disk never refuses it. A reclaim that would free no byte
+    /// is not an operation: the op counter does not move.
+    pub fn reclaim_snapshots(&mut self, drop_newest: bool) {
+        let cut = if drop_newest {
+            self.snap.len()
+        } else {
+            self.sealed_begin
+        };
+        if self.crashed || cut == 0 {
+            return;
+        }
+        let op = self.ops;
+        self.ops += 1;
+        if op < self.plan.crash_op {
+            self.snap.data.drain(..cut);
+            self.sealed_begin = 0;
+        } else {
+            self.crashed = true;
+            self.crash_site = Some(CrashSite::Reclaim);
+        }
     }
 
     /// Discard the replayable log after a durable checkpoint marker. The
@@ -1255,6 +1312,35 @@ mod tests {
             assert_eq!(wal.crash_site(), Some(CrashSite::Truncate));
             assert_eq!(wal.image(), &before[..], "truncation must be lost");
         }
+    }
+
+    #[test]
+    fn reclaim_keeps_the_newest_seal_and_counts_an_op_only_when_it_frees_bytes() {
+        let seal = |wal: &mut Wal, stmt_idx| {
+            wal.append_snapshot(&WalRecord::SnapshotBegin { stmt_idx })
+                .unwrap();
+            wal.append_snapshot(&WalRecord::SnapshotEnd {
+                stmt_idx,
+                records: 0,
+            })
+            .unwrap();
+        };
+        let mut wal = Wal::new(FaultPlan::none());
+        wal.reclaim_snapshots(false);
+        seal(&mut wal, 1);
+        wal.reclaim_snapshots(false);
+        assert_eq!(wal.ops(), 2, "nothing older than the newest seal: no op");
+        let first = wal.snapshot_image().len();
+        seal(&mut wal, 2);
+        let newest = wal.snapshot_image()[first..].to_vec();
+        wal.reclaim_snapshots(false);
+        assert_eq!(wal.ops(), 5);
+        assert_eq!(wal.snapshot_image(), &newest[..], "only the newest is left");
+        assert_eq!(wal.durable_snapshot_stmts(), Some(2));
+        // The ReclaimNewestSnapshot mutant's reclaim empties the file.
+        wal.reclaim_snapshots(true);
+        assert!(wal.snapshot_image().is_empty());
+        assert_eq!(wal.ops(), 6);
     }
 
     #[test]

@@ -193,6 +193,91 @@ fn torn_second_snapshot_falls_back_to_the_first() {
 }
 
 #[test]
+fn the_snapshot_file_keeps_at_most_two_generations() {
+    // Each checkpoint reclaims every snapshot before the newest sealed
+    // one: after k checkpoints the file holds min(k, 2) sealed snapshots,
+    // the newest two, and the cut lands exactly on a begin frame.
+    use coddb::wal::{decode_record, WalRecord, FRAME_HEADER};
+
+    let mut db = durable(Dialect::Sqlite);
+    db.execute_sql("CREATE TABLE t (a INT)").unwrap();
+    for k in 1..=6u64 {
+        db.execute_sql(&format!("INSERT INTO t VALUES ({k})"))
+            .unwrap();
+        let covered = db.checkpoint().unwrap();
+        let w = db.wal().unwrap();
+        let image = w.snapshot_image();
+        let snaps = scan_snapshots(image, &BugRegistry::none()).unwrap();
+        assert!(snaps.iter().all(|s| s.sealed), "k={k}: unsealed snapshot");
+        let stmts: Vec<u64> = snaps.iter().map(|s| s.stmt_idx).collect();
+        // Checkpoint i covers i + 1 statements: the CREATE and i inserts.
+        let want: Vec<u64> = (k.max(2) - 1..=k).map(|i| i + 1).collect();
+        assert_eq!(stmts, want, "k={k}: the newest min(k, 2) snapshots");
+        assert_eq!(stmts.last(), Some(&covered));
+        let len = u32::from_le_bytes(image[..4].try_into().unwrap()) as usize;
+        let first = decode_record(&image[FRAME_HEADER..FRAME_HEADER + len]).unwrap();
+        assert!(
+            matches!(first, WalRecord::SnapshotBegin { .. }),
+            "k={k}: the file starts with {first:?}"
+        );
+        let (rec, info) =
+            recover_detailed(w.image(), image, Dialect::Sqlite, &BugRegistry::none()).unwrap();
+        assert_eq!(info.snapshot_stmts, Some(covered));
+        assert_eq!(rec.dump_state(), db.dump_state());
+    }
+}
+
+#[test]
+fn crash_at_the_reclaim_leaves_the_snapshot_file_unchanged() {
+    use coddb::wal::CrashSite;
+
+    let script = parse(
+        "CREATE TABLE t (a INT);
+         INSERT INTO t VALUES (1);
+         INSERT INTO t VALUES (2);
+         INSERT INTO t VALUES (3)",
+    );
+    // The third checkpoint's reclaim is its first op, right after the
+    // ops of everything before it.
+    let before = run_with(&script[..3], &[0, 1], FaultPlan::none(), Dialect::Sqlite);
+    let reclaim_op = before.wal().unwrap().ops();
+    let image_before = before.wal().unwrap().snapshot_image().to_vec();
+    for mode in [
+        FaultMode::Lost,
+        FaultMode::Torn { keep_sel: 3 },
+        FaultMode::Corrupt { byte_sel: 3 },
+    ] {
+        let crashed = run_with(
+            &script,
+            &[0, 1, 2],
+            FaultPlan {
+                crash_op: reclaim_op,
+                mode,
+            },
+            Dialect::Sqlite,
+        );
+        let w = crashed.wal().unwrap();
+        assert_eq!(w.crash_site(), Some(CrashSite::Reclaim), "{mode:?}");
+        assert_eq!(
+            w.snapshot_image(),
+            &image_before[..],
+            "{mode:?}: a crash at the reclaim must reclaim nothing"
+        );
+        assert_eq!(w.durable_snapshot_stmts(), Some(2));
+        let (rec, info) = recover_detailed(
+            w.image(),
+            w.snapshot_image(),
+            Dialect::Sqlite,
+            &BugRegistry::none(),
+        )
+        .unwrap();
+        assert_eq!(info.snapshot_stmts, Some(2), "{mode:?}: base is the newest");
+        assert_eq!(info.snapshots_scanned, 2);
+        assert_eq!(rec.dump_state(), before.dump_state());
+    }
+}
+
+#[test]
 fn snapshot_plus_suffix_rebuilds_indexes_that_seek_like_scan_only() {
     // Ordered-index data is never serialized — not in WAL records, not in
     // snapshots — so a database rebuilt from snapshot+suffix must

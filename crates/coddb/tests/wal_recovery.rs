@@ -215,7 +215,7 @@ fn grid_recovers_from_snapshot_exactly_when_one_is_durable() {
 
 #[test]
 fn every_recovery_mutant_diverges_somewhere_in_the_grid() {
-    // All ten mutants — the five log-replay ones and the five
+    // Every recovery mutant — the five log-replay ones and the
     // checkpoint-path ones — across the genesis schedule and both
     // checkpointed schedules. Each must diverge in at least one cell.
     let stmts = script();
@@ -602,4 +602,110 @@ fn seeded_fault_plans_reproduce_their_scenario_exactly() {
         let rec_b = coddb::recovery::recover(&img_b, &[], dialect, &BugRegistry::none()).unwrap();
         assert_eq!(rec_a.dump_state(), rec_b.dump_state());
     }
+}
+
+/// A schedule long enough to reclaim: the third and fourth checkpoints
+/// each drop the oldest snapshot before writing their own, so the grid's
+/// op range holds two reclaim ops (the first two checkpoints reclaim
+/// nothing, and a reclaim that frees nothing is no op).
+const LONG_SCHEDULE: &[usize] = &[0, 3, 6, 9];
+
+#[test]
+fn long_schedule_grid_recovers_exactly_and_crashes_at_the_reclaim() {
+    // Every crash point × fault mode × dialect over four checkpoints:
+    // the committed-prefix and newest-durable-snapshot contracts hold
+    // when the crash lands on a snapshot reclaim too, and the grid
+    // really has cells that crash there.
+    let stmts = script();
+    let mut reclaim_cells = 0u32;
+    for dialect in DIALECTS {
+        let total = total_ops_with(&stmts, dialect, LONG_SCHEDULE);
+        for op in 0..=total {
+            for mode in modes_at(op) {
+                let plan = FaultPlan { crash_op: op, mode };
+                let diverged = recovery_divergence(
+                    &stmts,
+                    LONG_SCHEDULE,
+                    &plan,
+                    &MediaPlan::none(),
+                    dialect,
+                    &BugRegistry::none(),
+                );
+                assert_eq!(
+                    diverged,
+                    None,
+                    "{dialect}: recovery diverged under {} (checkpoints {LONG_SCHEDULE:?})",
+                    plan.describe()
+                );
+                let db = faulted_run(&stmts, dialect, LONG_SCHEDULE, plan);
+                if db.wal().unwrap().crash_site() == Some(coddb::wal::CrashSite::Reclaim) {
+                    reclaim_cells += 1;
+                }
+            }
+        }
+    }
+    // Two reclaim ops × three fault modes × five dialects.
+    assert_eq!(reclaim_cells, 30, "cells crashing at a snapshot reclaim");
+}
+
+#[test]
+fn long_schedule_media_grid_is_detected_or_identical() {
+    // The media grid over four checkpoints: rot and read faults strike a
+    // snapshot file the reclaims keep at two generations, and disk-full
+    // lands on every op, reclaims included. Every fault is detected or
+    // harmless.
+    let stmts = script();
+    for dialect in DIALECTS {
+        let total = total_ops_with(&stmts, dialect, LONG_SCHEDULE);
+        for media in media_cells(total) {
+            let diverged = recovery_divergence(
+                &stmts,
+                LONG_SCHEDULE,
+                &FaultPlan::none(),
+                &media,
+                dialect,
+                &BugRegistry::none(),
+            );
+            assert_eq!(
+                diverged,
+                None,
+                "{dialect}: media fault neither detected nor harmless under {} \
+                 (checkpoints {LONG_SCHEDULE:?})",
+                media.describe()
+            );
+        }
+    }
+}
+
+#[test]
+fn reclaiming_the_newest_snapshot_diverges_on_the_long_schedule() {
+    // The ReclaimNewestSnapshot mutant leaves no sealed snapshot on file
+    // while the next one is written: a crash there recovers from genesis
+    // over a truncated log.
+    let stmts = script();
+    let dialect = Dialect::Sqlite;
+    let bugs = BugRegistry::only(RecoveryBugId::ReclaimNewestSnapshot);
+    let total = total_ops_with(&stmts, dialect, LONG_SCHEDULE);
+    let mut diverged = 0u32;
+    for op in 0..=total {
+        for mode in modes_at(op) {
+            let plan = FaultPlan { crash_op: op, mode };
+            if recovery_divergence(
+                &stmts,
+                LONG_SCHEDULE,
+                &plan,
+                &MediaPlan::none(),
+                dialect,
+                &bugs,
+            )
+            .is_some()
+            {
+                diverged += 1;
+            }
+        }
+    }
+    assert!(
+        diverged > 0,
+        "the mutant never diverged on {LONG_SCHEDULE:?}"
+    );
 }

@@ -498,7 +498,7 @@ mod tests {
         assert!(report.is_clean(), "{}", report.to_text());
         // And the run actually examined every registry.
         assert!(report.checked["coverage-point-unused"] > 100);
-        assert_eq!(report.checked["mutant-unhooked"], 45 + 10 + 5 + 5);
+        assert_eq!(report.checked["mutant-unhooked"], 45 + 11 + 5 + 5);
         assert!(report.checked["bench-field-ungated"] >= 8);
         assert!(report.checked["mutant-read-unrecorded"] > 20);
         assert_eq!(report.checked["oracle-report-outside-case"], 7);

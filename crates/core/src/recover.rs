@@ -2,10 +2,11 @@
 //!
 //! Each test is a self-contained crash scenario: generate a schema-plus-
 //! data script with a DML tail, draw a deterministic checkpoint schedule
-//! (0–2 [`Database::checkpoint`] calls at seeded statement positions),
+//! (0–3 [`Database::checkpoint`] calls at seeded statement positions),
 //! count the WAL operations the checkpointed run produces, draw a
 //! deterministic [`FaultPlan`] over that range — so seeded crashes land
-//! inside snapshot writes and the truncation step, not just DML traffic —
+//! inside snapshot writes, the snapshot reclaim and the truncation step,
+//! not just DML traffic —
 //! and check, via [`coddb::recovery::recovery_divergence`], that recovering
 //! the surviving snapshot + log-suffix images reconstructs *exactly* the
 //! committed prefix a never-crashed engine would hold, from exactly the
@@ -129,16 +130,13 @@ impl Oracle for Recover {
         let (mut script, script_schema) = generate_state(&mut srng, dialect, &script_gen_config());
         push_dml_tail(&mut script, &script_schema, &mut srng);
 
-        // Draw the checkpoint schedule: most scenarios checkpoint once or
-        // twice mid-script so crashes land in snapshot writes and the
-        // truncation step too; some stay checkpoint-free so the pure
-        // genesis path keeps its coverage.
+        // Draw the checkpoint schedule: 0–3 checkpoints, uniformly. Most
+        // scenarios checkpoint mid-script so crashes land in snapshot
+        // writes and the truncation step too, and from the third
+        // checkpoint on in the snapshot reclaim; a quarter stay
+        // checkpoint-free so the pure genesis path keeps its coverage.
         let mut crng = StdRng::seed_from_u64(ckpt_seed);
-        let n_ckpts = match crng.random_range(0..4u32) {
-            0 => 0,
-            1 => 1,
-            _ => 2,
-        };
+        let n_ckpts = crng.random_range(0..4u32);
         let mut checkpoints: Vec<usize> = (0..n_ckpts)
             .map(|_| crng.random_range(0..script.len()))
             .collect();

@@ -5,7 +5,10 @@
 //! shapes with row-at-a-time evaluation forced
 //! (`vectorized_vs_row_speedup`), and index-seek shapes,
 //! `index_seek_residual` and `dml_by_key` included, with
-//! `AccessMode::ScanOnly` forced (`indexed_vs_scan_speedup`). The
+//! `AccessMode::ScanOnly` forced (`indexed_vs_scan_speedup`). Each query
+//! shape records the median of its measurement windows
+//! (`bound_ns_per_iter`) followed by the fastest and slowest window
+//! (`bound_ns_min`, `bound_ns_max`). The
 //! output's one-line `provenance` object names the commit (with `-dirty`
 //! for uncommitted changes), the rustc version, the available cores and
 //! the mode (quick or full) of the run.
@@ -58,17 +61,18 @@ const QUICK: Windows = Windows {
     runs: 3,
 };
 
-/// Median-of-runs ns/iter of a repeatable query: see [`measure_iters`].
-fn measure(db: &mut Database, q: &Select, w: &Windows) -> f64 {
+/// Per-window ns/iter of a repeatable query: see [`measure_iters`].
+fn measure(db: &mut Database, q: &Select, w: &Windows) -> Vec<f64> {
     measure_iters(w, || {
         std::hint::black_box(db.query(q).unwrap());
     })
 }
 
-/// Median-of-runs ns/iter of a repeatable unit of work: warm up, then
-/// take the median of several fixed-duration measurement windows (robust
-/// against scheduler noise).
-fn measure_iters(w: &Windows, mut iter: impl FnMut()) -> f64 {
+/// Per-window ns/iter of a repeatable unit of work, fastest first: warm
+/// up, then time several fixed-duration measurement windows. Their
+/// [`median`] is the recorded figure (robust against scheduler noise);
+/// the first and last window give its spread.
+fn measure_iters(w: &Windows, mut iter: impl FnMut()) -> Vec<f64> {
     let warm_start = Instant::now();
     let mut warm_iters = 0u64;
     while warm_start.elapsed() < w.warmup {
@@ -91,7 +95,12 @@ fn measure_iters(w: &Windows, mut iter: impl FnMut()) -> f64 {
         samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
     }
     samples.sort_by(|a, b| a.total_cmp(b));
-    samples[w.runs / 2]
+    samples
+}
+
+/// The median of samples sorted fastest first.
+fn median(samples: &[f64]) -> f64 {
+    samples[samples.len() / 2]
 }
 
 /// Median-of-runs wall clock for a one-shot workload (a whole campaign,
@@ -104,7 +113,7 @@ fn measure_campaign(runs: usize, mut work: impl FnMut()) -> f64 {
         samples.push(start.elapsed().as_nanos() as f64);
     }
     samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
+    median(&samples)
 }
 
 /// The trimmed stdout of a command, or `"unknown"` when it cannot run or
@@ -176,7 +185,8 @@ fn main() {
         let q = coddb::parser::parse_select(sql).unwrap();
 
         let mut bound_db = setup();
-        let bound_ns = measure(&mut bound_db, &q, &windows);
+        let bound = measure(&mut bound_db, &q, &windows);
+        let (bound_ns, bound_min, bound_max) = (median(&bound), bound[0], bound[bound.len() - 1]);
 
         let mut extra = String::new();
         let mut extra_log = String::new();
@@ -185,7 +195,7 @@ fn main() {
             // contribution.
             let mut nested_db = setup();
             nested_db.set_join_mode(JoinMode::NestedLoop);
-            let nested_ns = measure(&mut nested_db, &q, &windows);
+            let nested_ns = median(&measure(&mut nested_db, &q, &windows));
             let hash_speedup = nested_ns / bound_ns;
             extra.push_str(&format!(
                 ",\n      \"bound_nested_loop_ns_per_iter\": {nested_ns:.0},\n      \"hash_vs_nested_speedup\": {hash_speedup:.2}"
@@ -201,7 +211,7 @@ fn main() {
             // order satisfied ORDER BY).
             let mut scan_db = setup();
             scan_db.set_access_mode(AccessMode::ScanOnly);
-            let scan_ns = measure(&mut scan_db, &q, &windows);
+            let scan_ns = median(&measure(&mut scan_db, &q, &windows));
             let idx_speedup = scan_ns / bound_ns;
             extra.push_str(&format!(
                 ",\n      \"scan_ns_per_iter\": {scan_ns:.0},\n      \"indexed_vs_scan_speedup\": {idx_speedup:.2}"
@@ -215,7 +225,7 @@ fn main() {
             // evaluator's contribution on otherwise identical machinery.
             let mut row_db = setup();
             row_db.set_eval_mode(EvalMode::RowAtATime);
-            let row_ns = measure(&mut row_db, &q, &windows);
+            let row_ns = median(&measure(&mut row_db, &q, &windows));
             let vec_speedup = row_ns / bound_ns;
             extra.push_str(&format!(
                 ",\n      \"row_eval_ns_per_iter\": {row_ns:.0},\n      \"vectorized_vs_row_speedup\": {vec_speedup:.2}"
@@ -224,10 +234,14 @@ fn main() {
                 "   row-eval {row_ns:>12.0} ns/iter   vec speedup {vec_speedup:>5.2}x"
             ));
         }
-        println!("{name:<24} bound {bound_ns:>12.0} ns/iter{extra_log}");
+        println!(
+            "{name:<24} bound {bound_ns:>12.0} ns/iter ({bound_min:.0}-{bound_max:.0}){extra_log}"
+        );
+        // The median first: scripts/bench_check reads the line after the
+        // shape name.
         entries.push(format!(
-            "    {:?}: {{\n      \"bound_ns_per_iter\": {:.0}{}\n    }}",
-            name, bound_ns, extra
+            "    {:?}: {{\n      \"bound_ns_per_iter\": {:.0},\n      \"bound_ns_min\": {:.0},\n      \"bound_ns_max\": {:.0}{}\n    }}",
+            name, bound_ns, bound_min, bound_max, extra
         ));
     }
 
@@ -371,11 +385,11 @@ fn main() {
         let run_mode = |mode: AccessMode| {
             let mut db = setup();
             db.set_access_mode(mode);
-            measure_iters(&windows, || {
+            median(&measure_iters(&windows, || {
                 for s in &dml {
                     std::hint::black_box(db.execute(s).unwrap());
                 }
-            }) / dml.len() as f64
+            })) / dml.len() as f64
         };
         let bound_ns = run_mode(AccessMode::Indexed);
         let scan_ns = run_mode(AccessMode::ScanOnly);

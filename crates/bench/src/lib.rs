@@ -173,6 +173,7 @@ pub const GATED_FIELDS: &[(&str, &str)] = &[
     (CAMPAIGN_PARALLEL_SHAPE, "parallel_vs_serial_speedup"),
     ("seq_filter", "vectorized_vs_row_speedup"),
     ("join", "hash_vs_nested_speedup"),
+    ("join_large", "hash_vs_nested_speedup"),
     (WAL_COMMIT_SHAPE, "wal_commit_ns_per_iter"),
     (WAL_COMMIT_SHAPE, "durable_overhead"),
     (RECOVERY_REPLAY_SHAPE, "recovery_replay_ns_per_iter"),
@@ -457,7 +458,7 @@ mod tests {
     "join": {
       "hash_vs_nested_speedup": 2.0
     },
-    "join_large": {
+    "set_op": {
       "bound_ns_per_iter": 9
     }
   }

@@ -7,7 +7,9 @@
 //! per statement and reused across a correlated subquery's
 //! re-instantiations (`exec_from`). Joins with
 //! planner-recognized equality keys run as build/probe hash joins over
-//! bound key ordinals (`hash_join`), falling back to the nested loop
+//! bound key ordinals (`hash_join`: one flat key buffer per side, a
+//! table from each right key to its first row, and per-key chains in
+//! ascending row order), falling back to the nested loop
 //! for non-equi predicates, mutant-forced ON rewrites, and runtime
 //! key-class mixes where hash equality cannot reproduce SQL `=`.
 //! Correlated subqueries receive the outer row scopes as a stack of
@@ -34,6 +36,7 @@
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use crate::ast::{AggFunc, BinaryOp, Expr, JoinKind, Select, SelectItem, SetOp, SortOrder};
@@ -2971,34 +2974,86 @@ const MAX_EXACT_INT: u64 = 1 << 53;
 
 /// A join-key value normalized so that `JoinKey` equality coincides with
 /// SQL `=` (when [`KeyClassStats::hashable`] holds for the key column).
-/// NULL has no key: a NULL never equals anything, so NULL-keyed rows skip
-/// the table entirely (and surface only as outer-join padding).
+/// `Null` stands for a NULL component: a NULL never equals anything, so
+/// a key holding one never enters the build table and never probes it
+/// (such rows surface only as outer-join padding), although `Null ==
+/// Null` as a `JoinKey`.
 #[derive(PartialEq, Eq, Hash)]
 enum JoinKey {
+    Null,
     Int(i64),
     Real(u64),
     Text(String),
     Bool(bool),
 }
 
-fn join_key(v: &Value) -> Option<JoinKey> {
+/// Normalize an evaluated key component. Takes the value by move, so a
+/// TEXT key keeps the string its evaluation produced.
+fn join_key(v: Value) -> JoinKey {
     match v {
-        Value::Null => None,
-        Value::Int(i) => Some(JoinKey::Int(*i)),
-        Value::Bool(b) => Some(JoinKey::Bool(*b)),
-        Value::Text(s) => Some(JoinKey::Text(s.clone())),
+        Value::Null => JoinKey::Null,
+        Value::Int(i) => JoinKey::Int(i),
+        Value::Bool(b) => JoinKey::Bool(b),
+        Value::Text(s) => JoinKey::Text(s),
         Value::Real(r) => {
             // An integral real keys with the ints it compares equal to.
             // The bit-exact round trip keeps -0.0 (not SQL-equal to
             // integer 0 under `total_cmp`) and out-of-range reals (not
             // equal to the saturated int) on distinct keys.
-            let i = *r as i64;
+            let i = r as i64;
             if (i as f64).to_bits() == r.to_bits() {
-                Some(JoinKey::Int(i))
+                JoinKey::Int(i)
             } else {
-                Some(JoinKey::Real(r.to_bits()))
+                JoinKey::Real(r.to_bits())
             }
         }
+    }
+}
+
+/// The build table's hasher: an Fx-style hash (as in rustc's `FxHasher`)
+/// that folds each word into the state with one rotate, xor and
+/// multiply. It is unkeyed, so keys crafted to collide could degrade the
+/// table to a list; that is acceptable here because the keys are the
+/// engine's own table data, and a collision costs time, never a wrong
+/// row (candidates still compare whole keys). `finish` rotates the state
+/// so the well-mixed high bits of the last multiply reach the low bits
+/// the table indexes buckets with (keys that differ only above bit k
+/// would otherwise share their low k bits).
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
     }
 }
 
@@ -3042,12 +3097,23 @@ impl KeyClassStats {
     }
 }
 
-/// Build/probe hash join over the bound key ordinals: build a `Value`-keyed
-/// table on the right input, probe it with the left input, and evaluate
-/// the residual ON conjuncts per key-matching candidate. Emits rows in
-/// the exact order of the nested loop (left-major, right index ascending)
-/// so the two strategies are row-for-row interchangeable. Returns
+/// Build/probe hash join over the bound key ordinals: build a table on
+/// the right input, probe it with the left input, and evaluate the
+/// residual ON conjuncts per key-matching candidate. Emits rows in the
+/// exact order of the nested loop (left-major, right index ascending) so
+/// the two strategies are row-for-row interchangeable. Returns
 /// `Ok(None)` when runtime key classes force the nested-loop fallback.
+///
+/// Layout: each side's keys are evaluated straight into one flat
+/// `Vec<JoinKey>`, `nkeys` entries per row, so row `i`'s key is the slice
+/// `[i * nkeys, (i + 1) * nkeys)`. The table maps a right key slice to
+/// the first right row holding it, and `next[ri]` links each right row to
+/// the next one with the same key. The chains are filled back to front,
+/// so every chain runs in ascending row order and a probe walks its
+/// candidates in the nested loop's order. Apart from the output rows
+/// (and the candidate rows a residual rejects), a join allocates a
+/// fixed number of buffers whatever its input sizes; only a TEXT key
+/// component still owns the string its evaluation produced.
 #[allow(clippy::too_many_arguments)]
 fn hash_join(
     kind: JoinKind,
@@ -3061,6 +3127,8 @@ fn hash_join(
     depth: u32,
     info: ExprCtx,
 ) -> Result<Option<Vec<Row>>> {
+    /// Chain terminator: no further right row shares the key.
+    const END: usize = usize::MAX;
     let lw = left.schema.cols.len();
     let rw = right.schema.cols.len();
     let nkeys = hash_keys.len();
@@ -3096,12 +3164,11 @@ fn hash_join(
                      side_schema: &Schema,
                      bound: &[BoundExpr],
                      stats: &mut [KeyClassStats]|
-     -> Option<Vec<Vec<Value>>> {
-        let mut out = Vec::with_capacity(rows.len());
+     -> Option<Vec<JoinKey>> {
+        let mut out = Vec::with_capacity(rows.len() * bound.len());
         let mut frames = frame_stack(&[], side_schema);
         for row in rows {
             set_local_row(&mut frames, side_schema, row);
-            let mut keys = Vec::with_capacity(bound.len());
             for (k, b) in bound.iter().enumerate() {
                 let env = EvalEnv {
                     ctx,
@@ -3110,22 +3177,17 @@ fn hash_join(
                     ctes,
                     info: key_info,
                 };
-                match eval_bound(b, env) {
-                    Ok(v) => {
-                        stats[k].note(&v);
-                        keys.push(v);
-                    }
-                    Err(_) => return None,
-                }
+                let v = eval_bound(b, env).ok()?;
+                stats[k].note(&v);
+                out.push(join_key(v));
             }
-            out.push(keys);
         }
         Some(out)
     };
-    let Some(rvals) = eval_keys(&right.rows, &right.schema, rbound, &mut stats) else {
+    let Some(rkeys) = eval_keys(&right.rows, &right.schema, rbound, &mut stats) else {
         return Ok(None);
     };
-    let Some(lvals) = eval_keys(&left.rows, &left.schema, lbound, &mut stats) else {
+    let Some(lkeys) = eval_keys(&left.rows, &left.schema, lbound, &mut stats) else {
         return Ok(None);
     };
     if stats.iter().any(|s| !s.hashable()) {
@@ -3144,22 +3206,20 @@ fn hash_join(
     // would have.
     ctx.consume_fuel((left.rows.len() + right.rows.len()) as u64)?;
 
-    // Build on the right side; duplicate keys chain in row order.
+    // Build on the right side, back to front: each insert makes its row
+    // the key's first and links the previous first behind it.
     ctx.cov.hit(pt::EXEC_HASH_JOIN_BUILD);
-    let mut table: HashMap<Vec<JoinKey>, Vec<usize>> = HashMap::with_capacity(right.rows.len());
+    let has_null = |key: &[JoinKey]| key.iter().any(|k| matches!(k, JoinKey::Null));
+    let mut table: HashMap<&[JoinKey], usize, BuildHasherDefault<FxHasher>> =
+        HashMap::with_capacity_and_hasher(right.rows.len(), Default::default());
+    let mut next = vec![END; right.rows.len()];
     let mut saw_null_key = false;
-    'build: for (ri, keys) in rvals.iter().enumerate() {
-        let mut norm = Vec::with_capacity(nkeys);
-        for v in keys {
-            match join_key(v) {
-                Some(k) => norm.push(k),
-                None => {
-                    saw_null_key = true;
-                    continue 'build;
-                }
-            }
+    for (ri, key) in rkeys.chunks_exact(nkeys).enumerate().rev() {
+        if has_null(key) {
+            saw_null_key = true;
+        } else if let Some(first) = table.insert(key, ri) {
+            next[ri] = first;
         }
-        table.entry(norm).or_default().push(ri);
     }
 
     // Residual ON conjuncts, bound once against the combined schema.
@@ -3172,23 +3232,13 @@ fn hash_join(
 
     let mut rows: Vec<Row> = Vec::new();
     let mut right_matched = vec![false; right.rows.len()];
-    for (li, lrow) in left.rows.iter().enumerate() {
+    for (lrow, key) in left.rows.iter().zip(lkeys.chunks_exact(nkeys)) {
         let mut matched = false;
-        let mut norm = Vec::with_capacity(nkeys);
-        let mut has_null = false;
-        for v in &lvals[li] {
-            match join_key(v) {
-                Some(k) => norm.push(k),
-                None => {
-                    has_null = true;
-                    break;
-                }
-            }
-        }
-        if has_null {
+        if has_null(key) {
             saw_null_key = true;
-        } else if let Some(candidates) = table.get(&norm) {
-            for &ri in candidates {
+        } else if let Some(&first) = table.get(key) {
+            let mut ri = first;
+            while ri != END {
                 ctx.consume_fuel(1)?;
                 let combined = concat_row(lrow, &right.rows[ri]);
                 let keep = match &residual_prepared {
@@ -3215,6 +3265,7 @@ fn hash_join(
                     right_matched[ri] = true;
                     rows.push(combined);
                 }
+                ri = next[ri];
             }
         }
         if !matched {

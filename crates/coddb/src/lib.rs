@@ -87,7 +87,9 @@
 //!    into shared slices, and DML writes copy only when a snapshot or
 //!    in-flight relation still holds the row. Joins with recognized
 //!    equality keys run as build/probe hash joins over the bound key
-//!    ordinals (SQL NULL-key semantics; duplicates chain; the nested
+//!    ordinals (SQL NULL-key semantics; duplicates chain in right-row
+//!    order, so the output keeps the nested loop's order; no allocation
+//!    per input row beyond TEXT keys; the nested
 //!    loop remains for non-equi predicates, runtime mixed-class keys,
 //!    and differential testing via [`Database::set_join_mode`]).
 //!    `column <cmp> row-invariant` filters classify rows by direct value

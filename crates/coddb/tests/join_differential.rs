@@ -288,3 +288,69 @@ fn seeded_value_grid_differential() {
         }
     }
 }
+
+#[test]
+fn int_key_grid_stays_on_the_hash_path() {
+    // INT keys only, so the key classes never force the nested loop: every
+    // query below runs the build table and its duplicate-key chains. Keys
+    // come from small ranges, so duplicates interleave on both sides; `k`
+    // and `j` hold NULLs, `n` and `m` never do, and the residual cases key
+    // on `n` and `m` alone (a NULL key beside a residual falls back by
+    // design).
+    let mut state = 0x1D_0C0DDu64;
+    let mut next = move |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    let mut lit = |m: u64, nulls: bool| match next(m + u64::from(nulls)) {
+        x if x == m => "NULL".to_string(),
+        x => x.to_string(),
+    };
+    let mut rows = |n: usize| {
+        (0..n)
+            .map(|_| {
+                format!(
+                    "({}, {}, {}, {}, {})",
+                    lit(4, true),
+                    lit(3, true),
+                    lit(4, false),
+                    lit(2, false),
+                    lit(5, true)
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let (l_rows, r_rows) = (rows(30), rows(24));
+    let setup = format!(
+        "CREATE TABLE il (k INT, j INT, n INT, m INT, v INT);
+         CREATE TABLE ir (k INT, j INT, n INT, m INT, v INT);
+         INSERT INTO il VALUES {l_rows};
+         INSERT INTO ir VALUES {r_rows};"
+    );
+    for dialect in [Dialect::Sqlite, Dialect::Cockroach] {
+        for kind in ["INNER", "LEFT", "RIGHT", "FULL"] {
+            for on in [
+                "il.k = ir.k",
+                "il.k = ir.k AND il.j = ir.j",
+                "il.n = ir.n",
+                "il.n = ir.n AND il.m = ir.m",
+                "il.n = ir.n AND il.v < ir.v",
+                "il.n = ir.n AND il.m = ir.m AND il.v <> ir.v",
+            ] {
+                let sql = format!("SELECT * FROM il {kind} JOIN ir ON {on}");
+                assert_join_differential(dialect, &setup, &sql);
+                let mut db = db_with(dialect, JoinMode::Auto, &setup);
+                assert!(db.query_sql(&sql).is_ok(), "{dialect:?}: {sql}");
+                let hits = db.coverage().hit_points();
+                assert!(
+                    hits.contains(&"exec::hash_join_build")
+                        && !hits.contains(&"exec::hash_join_fallback"),
+                    "{dialect:?}: {sql} left the hash path: {hits:?}"
+                );
+            }
+        }
+    }
+}

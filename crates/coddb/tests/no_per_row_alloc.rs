@@ -3,7 +3,8 @@
 //! over a bound predicate — the expression path — and (2) the full
 //! plan→bind→exec pipeline of a pure filter scan, whose allocation count
 //! must not grow with the row count now that scans hand out shared rows
-//! instead of cloning table storage.
+//! instead of cloning table storage. Later cases cover the vectorized
+//! filter, the DML WHERE stage, the index seek and the hash join.
 //!
 //! This file deliberately contains a single test — the allocation counter
 //! is process-global, and a concurrently running test would inflate it.
@@ -319,6 +320,68 @@ fn seek_allocates_nothing_per_row() {
     }
 }
 
+/// A hash join allocates its output rows and a fixed number of buffers,
+/// whatever its input sizes: both sides' keys go into one flat buffer
+/// each, and the build table chains duplicate keys through one array.
+/// The key columns overlap in exactly 100 values at either size, so the
+/// output (and, with the residual, the candidate pairs it evaluates) is
+/// the same size too.
+fn hash_join_allocates_nothing_per_row() {
+    // a.k = 0..n; b.k = n-100..2n-100, so keys n-100..n-1 match. b.w is
+    // above a.v exactly for odd keys, so the residual keeps half.
+    let build = |n: i64| {
+        let mut db = Database::new(Dialect::Sqlite);
+        db.execute_sql("CREATE TABLE a (k INT, v INT); CREATE TABLE b (k INT, w INT)")
+            .unwrap();
+        for chunk in (0..n).collect::<Vec<_>>().chunks(500) {
+            let a: Vec<String> = chunk.iter().map(|k| format!("({k}, {k})")).collect();
+            let b: Vec<String> = chunk
+                .iter()
+                .map(|i| {
+                    let k = i + n - 100;
+                    format!("({k}, {})", k + k % 2)
+                })
+                .collect();
+            db.execute_sql(&format!(
+                "INSERT INTO a VALUES {}; INSERT INTO b VALUES {}",
+                a.join(","),
+                b.join(",")
+            ))
+            .unwrap();
+        }
+        db
+    };
+    for (sql, expected) in [
+        ("SELECT COUNT(*) FROM a INNER JOIN b ON a.k = b.k", 100),
+        (
+            "SELECT COUNT(*) FROM a INNER JOIN b ON a.k = b.k AND a.v < b.w",
+            50,
+        ),
+    ] {
+        let q = coddb::parser::parse_select(sql).unwrap();
+        let measure = |db: &mut Database| {
+            assert!(
+                db.explain(&q).unwrap().contains("HASH (1 key(s))"),
+                "`{sql}` must hash join"
+            );
+            let warm = db.query(&q).unwrap();
+            assert_eq!(warm.scalar().unwrap().as_i64(), Some(expected));
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let rel = db.query(&q).unwrap();
+            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            assert_eq!(rel.scalar().unwrap().as_i64(), Some(expected));
+            after - before
+        };
+        let small_allocs = measure(&mut build(5_000));
+        let large_allocs = measure(&mut build(20_000));
+        assert!(
+            large_allocs <= small_allocs + 16,
+            "`{sql}` must not allocate per row: \
+             {small_allocs} allocs at 5k rows vs {large_allocs} at 20k"
+        );
+    }
+}
+
 #[test]
 fn hot_row_loops_allocate_nothing_per_row() {
     expression_path_allocates_nothing_per_row();
@@ -326,4 +389,5 @@ fn hot_row_loops_allocate_nothing_per_row() {
     vectorized_filter_allocates_o_chunks_not_o_rows();
     dml_where_stage_allocates_nothing_per_row();
     seek_allocates_nothing_per_row();
+    hash_join_allocates_nothing_per_row();
 }

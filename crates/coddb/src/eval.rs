@@ -786,15 +786,17 @@ pub(crate) fn cmp_value(
 /// * SQLite compares across storage classes by class rank.
 #[inline]
 pub fn compare(a: &Value, b: &Value, dialect: Dialect) -> Result<Option<Ordering>> {
-    // Numeric pairs compare the same way in every dialect (strict
-    // dialects accept them, MySQL-family coercion only touches TEXT):
-    // these arms are `sql_cmp` without the class dispatch below.
+    // Numeric pairs and TEXT pairs compare the same way in every dialect
+    // (strict dialects accept them, MySQL-family coercion only touches
+    // TEXT against a number): these arms are `sql_cmp` without the class
+    // dispatch below.
     match (a, b) {
         (Value::Null, _) | (_, Value::Null) => return Ok(None),
         (Value::Int(x), Value::Int(y)) => return Ok(Some(x.cmp(y))),
         (Value::Int(x), Value::Real(y)) => return Ok(Some((*x as f64).total_cmp(y))),
         (Value::Real(x), Value::Int(y)) => return Ok(Some(x.total_cmp(&(*y as f64)))),
         (Value::Real(x), Value::Real(y)) => return Ok(Some(x.total_cmp(y))),
+        (Value::Text(x), Value::Text(y)) => return Ok(Some(x.cmp(y))),
         _ => {}
     }
     let (at, bt) = (a.data_type(), b.data_type());

@@ -26,11 +26,10 @@
 //! input is a FROM result or the rows of an ordered-index seek
 //! (`seek_probe`, the access path `plan::select_seek` picks for the
 //! WHERE clause). One set of kernels evaluates the clause over either
-//! input (`apply_filter`: the filter-site mutant gate, then the
-//! comparison fast path, the chunk kernel or the row loop); around a
-//! seek's rows, `seek_filter` adds only a fuel and coverage ledger for
-//! the rows the seek skipped. The kernels return the positions of the
-//! rows they keep. A SELECT turns those positions into rows; UPDATE and
+//! input (`apply_filter`: the filter-site mutant gate, then the chunk
+//! kernel or the row loop); around a seek's rows, `seek_filter` adds
+//! only a fuel and coverage ledger for the rows the seek skipped. The
+//! kernels return the positions of the rows they keep. A SELECT turns those positions into rows; UPDATE and
 //! DELETE change the rows at those storage positions (`dml_targets`).
 
 use std::borrow::Cow;
@@ -46,11 +45,11 @@ use crate::bugs::ValidatorScope;
 use crate::bugs::{BugId, BugRegistry, IndexBugId};
 use crate::cache::{get_or_build, GroupedBindings, ProjBindings, StmtCaches, SubqEntry};
 use crate::catalog::{Catalog, TableDef};
-use crate::coverage::{pt, Coverage};
+use crate::coverage::{pt, Coverage, PointId};
 use crate::dialect::Dialect;
 use crate::error::{Error, Result};
 use crate::eval::{
-    compute_aggregate, eval_bound, eval_expr, truthiness, AggValues, Clause, ExprCtx,
+    compute_aggregate, eval_bound, eval_expr, truthiness, AggValues, Bool3, Clause, ExprCtx,
 };
 use crate::plan::{self, BodyPlan, CorePlan, FromPlan, PlanCtx, SelectPlan};
 use crate::value::{OrdRow, OrdValue, Relation, Row, Value};
@@ -1825,50 +1824,6 @@ fn grouped_bindings(
     )
 }
 
-/// Is a bound expression invariant across the rows of the local frame —
-/// no local column loads, no aggregate slots, and no subqueries (whose
-/// bodies this walker does not analyze)? An invariant expression
-/// evaluates to the same value (or the same error) for every row of one
-/// operator instantiation.
-fn row_invariant(e: &BoundExpr) -> bool {
-    match e {
-        BoundExpr::Column(c) => c.up > 0,
-        BoundExpr::InSubquery { .. }
-        | BoundExpr::Exists { .. }
-        | BoundExpr::Scalar { .. }
-        | BoundExpr::Quantified { .. }
-        | BoundExpr::Agg { .. } => false,
-        _ => {
-            let mut invariant = true;
-            e.for_each_child(&mut |child| invariant = invariant && row_invariant(child));
-            invariant
-        }
-    }
-}
-
-/// The `column <cmp> row-invariant` shape of a bound predicate, in either
-/// orientation: its comparison, the local column's ordinal, the invariant
-/// side, and whether the column is the left operand. A local column with
-/// a recorded collision alternative does not fit (the name-collision
-/// mutant may redirect its loads).
-fn column_cmp_invariant(pred: &BoundExpr) -> Option<(BinaryOp, usize, &BoundExpr, bool)> {
-    let BoundExpr::Binary { op, left, right } = pred else {
-        return None;
-    };
-    if !op.is_comparison() {
-        return None;
-    }
-    let local_col = |e: &BoundExpr| match e {
-        BoundExpr::Column(c) if c.up == 0 && c.collision_alt.is_none() => Some(c.index as usize),
-        _ => None,
-    };
-    match (local_col(left), local_col(right)) {
-        (Some(ord), _) if row_invariant(right) => Some((*op, ord, right, true)),
-        (_, Some(ord)) if row_invariant(left) => Some((*op, ord, left, false)),
-        _ => None,
-    }
-}
-
 /// A WHERE clause bound for one input — the predicate, the schema of the
 /// rows it filters, the outer scopes and CTEs it may read, and its
 /// evaluation context — as the WHERE-stage kernels take it.
@@ -1901,123 +1856,6 @@ impl<'f> Filter<'f> {
     }
 }
 
-/// Short-circuit filter for `column <cmp> row-invariant` predicates (and
-/// the flipped orientation) — the dominant shape of correlated subquery
-/// filters, where the invariant side reads only outer columns.
-///
-/// The invariant side is evaluated **once**; each row then classifies by
-/// a direct [`Value::sql_cmp`], skipping the per-row interpreter walk.
-/// Exactness:
-///
-/// * For operand pairs that never mix TEXT with another storage class,
-///   [`crate::eval::compare`] reduces to `sql_cmp` — a pure function with
-///   no dialect coercion, no errors and no mutant hooks. Any TEXT /
-///   non-TEXT mix among non-NULL operands falls back to the per-row loop
-///   (which then reproduces MySQL-family coercion, strict-dialect type
-///   errors and the `MysqlTextIntCompareWhere` hook bit for bit).
-/// * The filter-site mutants are gated off by the caller: [`apply_filter`]
-///   asks `vec_eval::gates::filter` before it tries this path, and an
-///   active `SqliteIndexedCmpNullTrue` over index-scanned rows sends the
-///   comparison to the row loop. `CockroachAndNullTopConjunct` needs an
-///   AND root, never a bare comparison; `DuckdbSubqueryBoolCoerce` needs
-///   a subquery operand, which `row_invariant` excludes; local columns
-///   with a recorded collision alternative are rejected (the
-///   name-collision mutant may redirect their loads).
-/// * Coverage parity: one representative row per outcome class
-///   (pass/drop/null) re-runs the full per-row evaluation, firing exactly
-///   the (idempotent) coverage bits the plain loop would. Fuel: the whole
-///   input's charge (`fuel`, one unit per row of a scan) in one refusable
-///   call, so a short budget hangs with its fuel untouched.
-///
-/// Returns the indexes of the kept rows, or `None` when the predicate
-/// does not fit — caller runs the per-row loop.
-fn apply_cmp_filter_fast(f: Filter, rows: &[Row], fuel: u64) -> Result<Option<Vec<usize>>> {
-    use crate::eval::cmp_matches;
-
-    if rows.is_empty() {
-        return Ok(None);
-    }
-    let Some((op, ord, invariant, col_is_left)) = column_cmp_invariant(f.pred.bound()) else {
-        return Ok(None);
-    };
-
-    // Evaluate the invariant side once. Errors surface exactly as the
-    // per-row loop's first row would (rows is non-empty); its coverage
-    // bits and outer-read records are the same every row, so once is
-    // enough.
-    let mut frames = frame_stack(f.outer_scopes, f.schema);
-    set_local_row(&mut frames, f.schema, &rows[0]);
-    let env = EvalEnv {
-        ctx: f.ctx,
-        scopes: &frames,
-        aggs: None,
-        ctes: f.ctes,
-        info: f.info,
-    };
-    let inv_val = eval_bound(invariant, env.child())?;
-
-    // Any TEXT / non-TEXT mix among non-NULL operands leaves `sql_cmp`
-    // territory (coercion, strict errors, mutants) — exact path instead.
-    // This pre-pass runs before fuel is charged so a fallback consumes
-    // exactly what the per-row loop will.
-    let inv_null = inv_val.is_null();
-    let inv_text = matches!(inv_val, Value::Text(_));
-    if !inv_null {
-        for row in rows {
-            let v = &row[ord];
-            if !v.is_null() && matches!(v, Value::Text(_)) != inv_text {
-                return Ok(None);
-            }
-        }
-    }
-
-    f.ctx.consume_fuel(fuel)?;
-    let mut out: Vec<usize> = Vec::new();
-    // Representative row per outcome class: pass, drop, null.
-    let mut reps: [Option<usize>; 3] = [None; 3];
-    for (i, row) in rows.iter().enumerate() {
-        let v = &row[ord];
-        let class = if inv_null || v.is_null() {
-            2
-        } else {
-            let o = if col_is_left {
-                v.sql_cmp(&inv_val)
-            } else {
-                inv_val.sql_cmp(v)
-            };
-            match o {
-                Some(o) if cmp_matches(op, o) => 0,
-                _ => 1,
-            }
-        };
-        if reps[class].is_none() {
-            reps[class] = Some(i);
-        }
-        if class == 0 {
-            out.push(i);
-        }
-    }
-
-    // Fire the authentic per-row coverage bits once per outcome class by
-    // running the real evaluation on a representative row (bits are
-    // idempotent, and within a class every row takes the identical path).
-    for (class, rep) in reps.iter().enumerate() {
-        let Some(ri) = *rep else { continue };
-        let t = f.truth(&mut frames, &rows[ri])?;
-        f.ctx.cov.hit(match t {
-            Some(true) => pt::EXEC_FILTER_PASS,
-            Some(false) => pt::EXEC_FILTER_DROP,
-            None => pt::EXEC_FILTER_NULL,
-        });
-        debug_assert_eq!(
-            t,
-            [Some(true), Some(false), None][class],
-            "fast filter classification diverged from evaluation"
-        );
-    }
-    Ok(Some(out))
-}
-
 /// Where the input rows of a WHERE-stage kernel sit in storage, which
 /// sets their fuel charge: what the ScanOnly twin's row loop charges for
 /// the same stretch of storage.
@@ -2047,12 +1885,20 @@ impl Placement<'_> {
     }
 }
 
+/// The WHERE stage's coverage point for a row whose predicate is `t`.
+pub(crate) fn filter_point(t: Bool3) -> PointId {
+    match t {
+        Some(true) => pt::EXEC_FILTER_PASS,
+        Some(false) => pt::EXEC_FILTER_DROP,
+        None => pt::EXEC_FILTER_NULL,
+    }
+}
+
 /// Apply a WHERE filter, including the filter-site bug hooks, to `rows`
 /// placed in storage as `at`, and return the indexes of the kept rows in
 /// ascending order. Its kernels are the only code that evaluates a WHERE
-/// clause over rows, for scans and seeks alike. A `column <cmp>
-/// row-invariant` predicate takes [`apply_cmp_filter_fast`]; a
-/// classified-vectorizable one evaluates chunk-at-a-time through
+/// clause over rows, for scans and seeks, SELECT and DML alike. A
+/// classified-vectorizable predicate evaluates chunk-at-a-time through
 /// [`crate::vec_eval`], with an exact per-chunk fallback to the row loop
 /// on any erroring lane or insufficient fuel; everything else, and any
 /// filter an active filter-site mutant hooks (`vec_eval::gates::filter`),
@@ -2067,21 +1913,16 @@ impl Placement<'_> {
 fn apply_filter(f: Filter, rows: &[Row], at: Placement) -> Result<Vec<usize>> {
     let ctx = f.ctx;
     // An active filter-site mutant keeps the rows whose predicate is
-    // NULL. Neither the fast path nor the chunk filter models that, so
-    // such a filter runs row-at-a-time.
+    // NULL. The chunk filter does not model that, so such a filter runs
+    // row-at-a-time.
     let keeps_null =
         crate::vec_eval::gates::filter(f.pred.ast(), f.info.via_index, ctx.bugs).is_err();
-    if !keeps_null {
-        if let Some(out) = apply_cmp_filter_fast(f, rows, at.cost(0, rows.len()))? {
-            return Ok(out);
-        }
-    }
     let use_vec = ctx.vectorize
         && !rows.is_empty()
         && !keeps_null
         && vectorizable(f.pred.ast(), ctx, f.info.depth);
 
-    let mut keep = vec![false; rows.len()];
+    let mut kept = Vec::new();
     let mut frames = frame_stack(f.outer_scopes, f.schema);
     let mut start = 0usize;
     while start < rows.len() {
@@ -2096,20 +1937,17 @@ fn apply_filter(f: Filter, rows: &[Row], at: Placement) -> Result<Vec<usize>> {
             && crate::vec_eval::filter_chunk(
                 f.pred.bound(),
                 chunk,
+                start,
                 f.outer_scopes,
                 ctx,
-                &mut keep[start..end],
+                &mut kept,
             )
         {
             ctx.consume_fuel(fuel)?;
             start = end;
             continue;
         }
-        // Row-at-a-time (fallback) loop for this chunk. A failed
-        // vectorized attempt may have set some keep flags: reset.
-        for k in &mut keep[start..end] {
-            *k = false;
-        }
+        // Row-at-a-time (fallback) loop for this chunk.
         for (i, row) in chunk.iter().enumerate() {
             ctx.drain_fuel(at.cost(start + i, start + i + 1))?;
             let t = f.truth(&mut frames, row)?;
@@ -2117,27 +1955,18 @@ fn apply_filter(f: Filter, rows: &[Row], at: Placement) -> Result<Vec<usize>> {
             // Bug hooks SqliteIndexedCmpNullTrue and
             // CockroachAndNullTopConjunct (`vec_eval::gates::filter`).
             if t.is_none() && keeps_null {
-                keep[start + i] = true;
+                kept.push(start + i);
                 continue;
             }
 
-            match t {
-                Some(true) => {
-                    ctx.cov.hit(pt::EXEC_FILTER_PASS);
-                    keep[start + i] = true;
-                }
-                Some(false) => ctx.cov.hit(pt::EXEC_FILTER_DROP),
-                None => ctx.cov.hit(pt::EXEC_FILTER_NULL),
+            ctx.cov.hit(filter_point(t));
+            if t == Some(true) {
+                kept.push(start + i);
             }
         }
         start = end;
     }
-    Ok(kept(&keep))
-}
-
-/// The indexes of the set keep flags, ascending.
-fn kept(keep: &[bool]) -> Vec<usize> {
-    (0..keep.len()).filter(|&i| keep[i]).collect()
+    Ok(kept)
 }
 
 /// The WHERE stage of SELECT, UPDATE and DELETE: filter `rows` — a FROM
@@ -2211,20 +2040,20 @@ pub(crate) fn dml_targets(
 /// effects the ScanOnly twin produces: one fuel unit per row, and the
 /// authentic drop-path coverage bits, fired once per skipped outcome
 /// class by evaluating the predicate on the class's representative row
-/// (the same within-class invariant [`apply_cmp_filter_fast`] rests on).
-/// The representatives are the only rows this function evaluates itself.
+/// (within a class every row takes the same evaluation path). The
+/// representatives are the only rows this function evaluates itself.
 /// Every skipped row has a FALSE consumed conjunct, and the consumed
 /// conjuncts are a prefix of the clause, so a representative evaluation
 /// never reads non-key columns and never errors.
 ///
-/// Where the scan twin takes the comparison fast path (a bare
-/// `column <cmp> row-invariant` predicate), the stage cannot fail once
-/// its whole charge is granted. So it refuses a short budget with the
-/// fuel untouched, as the fast path does, then charges the skipped rows
-/// in one deduction, replays any member of each class, and hands all
-/// emitted rows to `apply_filter` at once. Otherwise an erroring
-/// residual conjunct or a fuel exhaustion can stop the stage partway,
-/// and the ledger walks storage order: the emitted rows go to
+/// When the clause is a bare comparison, the seek consumed all of it,
+/// and the exactness gate keeps it from erroring on the emitted rows. So
+/// once the budget covers the whole charge (`seek.total`), the stage
+/// cannot fail: it charges the skipped rows in one deduction, replays any
+/// member of each class, and hands all emitted rows to `apply_filter` at
+/// once. Otherwise an erroring residual conjunct or a fuel exhaustion can
+/// stop the stage partway, and the ledger walks storage order: the
+/// emitted rows go to
 /// `apply_filter` as the runs between representatives
 /// ([`Placement::SeekRun`]), each representative is charged and
 /// replayed at its storage position, and the skipped rows after the last
@@ -2245,16 +2074,10 @@ fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
     #[cfg(not(debug_assertions))]
     let assert_reps = false;
 
-    // The scan twin's charging regime. A seek's rows are no index scan,
-    // so the filter-site gate never sends a bare comparison to the row
-    // loop here, and the seek's exactness gate rules out the fast path's
-    // TEXT-mix fallback (the probe column is class-uniform): the shape
-    // alone decides. Either regime charges exactly `seek.total`.
+    // Either path charges exactly `seek.total`.
     debug_assert!(!f.info.via_index, "an index seek's rows are no index scan");
-    let bulk = column_cmp_invariant(f.pred.bound()).is_some();
-    if bulk && ctx.fuel_left() < seek.total as u64 {
-        return Err(Error::Hang);
-    }
+    let bulk = matches!(f.pred.bound(), BoundExpr::Binary { op, .. } if op.is_comparison())
+        && ctx.fuel_left() >= seek.total as u64;
 
     // Skipped-class representatives, synthesized on demand: the class
     // key's values at the key columns, NULL elsewhere — safe because
@@ -2296,7 +2119,7 @@ fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
     };
 
     if bulk {
-        // Cannot fail: the refusal above granted the whole charge.
+        // Cannot fail: the budget covers the whole charge.
         ctx.consume_fuel((seek.total - rows.len()) as u64)?;
         for k in 0..reps.len() {
             replay(k)?;
@@ -2350,16 +2173,13 @@ fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
 
     // Emission keeps the seek's own order (storage order, or key order
     // for sort elimination): the kept indexes follow the seek's rows.
-    Ok(match order {
-        Some(order) => {
-            let mut keep = vec![false; order.len()];
-            for j in kept_rows {
-                keep[order[j]] = true;
-            }
-            kept(&keep)
+    if let Some(order) = order {
+        for j in &mut kept_rows {
+            *j = order[*j];
         }
-        None => kept_rows,
-    })
+        kept_rows.sort_unstable();
+    }
+    Ok(kept_rows)
 }
 
 /// Probe the ordered index of an `IndexSeek` access path over `t` for

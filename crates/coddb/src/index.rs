@@ -23,7 +23,8 @@
 //! values are non-NULL and how many of those are TEXT: the executor's
 //! exactness gate refuses to seek when a probe literal's TEXT-ness is
 //! not uniform with every non-NULL key (dialect coercion / strict-type
-//! territory — the same discipline as the fast filter's fallback).
+//! territory, where dialect rules, not the key order, decide a
+//! comparison).
 
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included, Unbounded};

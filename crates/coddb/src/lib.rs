@@ -61,20 +61,20 @@
 //!    **column-at-a-time over fixed-size row chunks** (1024 rows),
 //!    with selection vectors keeping `AND`/`OR`/`CASE`/`COALESCE`/`IIF`
 //!    laziness exact and per-chunk scratch coverage merged only on
-//!    success. The fallback taxonomy — evaluated row-at-a-time exactly
-//!    as before — is: (a) subqueries and aggregate slots (they re-enter
-//!    the executor), (b) any shape a currently *active* mutant hooks
-//!    (the hook must run on the authentic interpreter), (c) MySQL
-//!    UPDATE/DELETE comparisons (a per-pair dialect rule), (d) chunks
-//!    containing a lane whose evaluation errors (the rerun raises the
-//!    exact scalar error with exact coverage and fuel), (e) chunks the
-//!    fuel budget cannot cover whole, and (f) a WHERE clause over an
-//!    index seek, whose filter stage replays the skipped rows.
-//!    `EXPLAIN` annotates each clause `[VEC]` or `[ROW(<reason>)]` by
-//!    asking the executor's own classifier and plan facts (grouping,
-//!    group keys, index-scan input); only the runtime fallbacks (d),
-//!    (e) and a seek falling back to a scan make the annotation a
-//!    prediction. [`Database::set_eval_mode`]`(`[`EvalMode::RowAtATime`]`)`
+//!    success; a WHERE clause whose root is a comparison classifies each
+//!    row straight from the comparison's two operands. The fallback
+//!    taxonomy — evaluated row-at-a-time exactly as before — is: (a)
+//!    subqueries and aggregate slots (they re-enter the executor), (b)
+//!    any shape a currently *active* mutant hooks (the hook must run on
+//!    the authentic interpreter), (c) MySQL UPDATE/DELETE comparisons (a
+//!    per-pair dialect rule), (d) chunks containing a lane whose
+//!    evaluation errors (the rerun raises the exact scalar error with
+//!    exact coverage and fuel), and (e) chunks the fuel budget cannot
+//!    cover whole. `EXPLAIN` annotates each clause `[VEC]` or
+//!    `[ROW(<reason>)]` by asking the executor's own classifier and plan
+//!    facts (grouping, group keys, index-scan input); only the runtime
+//!    fallbacks (d), (e) and a seek falling back to a scan make the
+//!    annotation a prediction. [`Database::set_eval_mode`]`(`[`EvalMode::RowAtATime`]`)`
 //!    disables the stage wholesale for differential testing
 //!    (`coddb/tests/eval_differential.rs`: byte-identical results,
 //!    coverage bitsets and fuel across modes, dialects and mutants).
@@ -92,10 +92,7 @@
 //!    per input row beyond TEXT keys; the nested
 //!    loop remains for non-equi predicates, runtime mixed-class keys,
 //!    and differential testing via [`Database::set_join_mode`]).
-//!    `column <cmp> row-invariant` filters classify rows by direct value
-//!    comparison after evaluating the invariant side once (exact: any
-//!    TEXT/non-TEXT mix or hooked context falls back to the per-row
-//!    interpreter). Subqueries are planned and bound lazily at
+//!    Subqueries are planned and bound lazily at
 //!    evaluation time (with the outer scopes in place) — but only
 //!    **once per statement**: a per-statement cache keyed by subquery
 //!    AST identity reuses the compiled plan and bindings across
@@ -124,8 +121,8 @@
 //! (`eval_differential.rs`, `index_differential.rs`). The row
 //! interpreter and the kernels share every value rule ([`eval`]
 //! module docs), so `RowAtATime` checks the vectorized *strategy* —
-//! selection vectors, lazy lanes, chunk abort — not a second copy of
-//! SQL semantics.
+//! selection vectors, lazy lanes, root-comparison classes, chunk abort —
+//! not a second copy of SQL semantics.
 //!
 //! ## Ordered index access paths
 //!
@@ -143,9 +140,10 @@
 //!
 //! The path is **observation-exact**, not merely result-exact: a runtime
 //! gate falls back to the scan unless every probed key column's stored
-//! values are comparison-uniform with the probe (the same TEXT/non-TEXT
-//! discipline as the fast filter), and the filter stage runs the emitted
-//! rows through the scan's own filter kernels and replays what the
+//! values are comparison-uniform with the probe (no TEXT against a
+//! number, where dialect rules, not the key order, decide a comparison),
+//! and the filter stage runs the emitted rows through the scan's own
+//! filter kernels and replays what the
 //! baseline would have observed for the rows the seek skipped — their
 //! fuel, and the authentic drop-path coverage bits fired once per
 //! skipped outcome class via a representative evaluation

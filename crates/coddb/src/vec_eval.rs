@@ -47,6 +47,13 @@
 //! covers the chunk, so exhaustion falls back to the per-row loop and
 //! hangs at exactly the row the scalar pipeline would).
 //!
+//! The WHERE driver (`filter_chunk`) appends the positions of the rows it
+//! keeps to the executor's one position buffer. A root comparison builds
+//! no value per lane: each lane is classified straight from the two
+//! operands, and the comparison, truthiness and filter points fire once
+//! per outcome class present, which by idempotence is the union of the
+//! per-row hits.
+//!
 //! ## One copy of the value rules
 //!
 //! The kernels implement no SQL value rule of their own. Per lane they
@@ -82,11 +89,12 @@ use crate::coverage::{pt, Coverage};
 use crate::dialect::Dialect;
 use crate::error::Error;
 use crate::eval::{
-    and_or_value, between_value, bool3_to_value, cmp_value, compare, enter_func, eval_arith,
-    eval_cast, eval_concat, eval_unary, func_value, in_list_value, is_value, like_operands,
-    like_value, round_value, short_circuit_truth, substr_value, truthiness, value_to_text, Bool3,
+    and_or_value, between_value, bool3_to_value, cmp_matches, cmp_value, compare, enter_func,
+    eval_arith, eval_cast, eval_concat, eval_unary, func_value, in_list_value, is_value,
+    like_operands, like_value, round_value, short_circuit_truth, substr_value, truthiness,
+    value_to_text, Bool3,
 };
-use crate::exec::{EngineCtx, Frame, StmtKind};
+use crate::exec::{filter_point, EngineCtx, Frame, StmtKind};
 use crate::value::{Row, Value};
 
 /// Rows per chunk fed to the vectorized kernels.
@@ -846,6 +854,88 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
         Ok(out)
     }
 
+    /// The WHERE stage over a predicate that is not a root comparison:
+    /// its value per lane, tested for truth. `sel` holds every lane.
+    fn filter_truth(
+        &mut self,
+        pred: &BoundExpr,
+        sel: &[u32],
+        base: usize,
+        kept: &mut Vec<usize>,
+    ) -> Result<(), Abort> {
+        let (d, cov) = (self.ctx.dialect, self.cov);
+        let col = self.eval(pred, sel)?;
+        for &lane in sel {
+            let t = truthiness(col.get(lane), d, cov)?;
+            cov.hit(filter_point(t));
+            if t == Some(true) {
+                kept.push(base + lane as usize);
+            }
+        }
+        self.pool.give(col);
+        Ok(())
+    }
+
+    /// The WHERE stage over a root comparison, classified per lane from
+    /// its operands (`compare`, then `cmp_matches`): a pass, a drop, or
+    /// NULL for a NULL operand. The scalar walk fires one comparison,
+    /// one truthiness and one filter point per row, all determined by
+    /// the row's class, so they fire here once per class present, from
+    /// the same rules ([`cmp_value`], [`truthiness`]) on one ordering of
+    /// that class. A fused local column against a lane-invariant value
+    /// runs a plain loop over the rows. `sel` holds every lane.
+    fn filter_cmp(
+        &mut self,
+        op: BinaryOp,
+        left: &BoundExpr,
+        right: &BoundExpr,
+        sel: &[u32],
+        base: usize,
+        kept: &mut Vec<usize>,
+    ) -> Result<(), Abort> {
+        let (d, cov, rows) = (self.ctx.dialect, self.cov, self.rows);
+        let l = self.operand(left, sel)?;
+        let r = self.operand(right, sel)?;
+        // One ordering of each class present: pass, drop, NULL.
+        let mut seen: [Option<Option<Ordering>>; 3] = [None; 3];
+        let mut note = |lane: usize, ord: Option<Ordering>| {
+            let class = match ord {
+                Some(o) if cmp_matches(op, o) => {
+                    kept.push(base + lane);
+                    0
+                }
+                Some(_) => 1,
+                None => 2,
+            };
+            seen[class] = Some(ord);
+        };
+        match (&l, &r) {
+            (Operand::ColRef(c), Operand::Mat(Col::Const(k))) => {
+                for (lane, row) in rows.iter().enumerate() {
+                    note(lane, compare(&row[*c], k, d)?);
+                }
+            }
+            (Operand::Mat(Col::Const(k)), Operand::ColRef(c)) => {
+                for (lane, row) in rows.iter().enumerate() {
+                    note(lane, compare(k, &row[*c], d)?);
+                }
+            }
+            _ => {
+                for &lane in sel {
+                    let ord = compare(l.get(rows, lane), r.get(rows, lane), d)?;
+                    note(lane as usize, ord);
+                }
+            }
+        }
+        self.release_operand(l);
+        self.release_operand(r);
+        for ord in seen.into_iter().flatten() {
+            let t = truthiness(&cmp_value(op, ord, d, cov), d, cov)?;
+            cov.hit(filter_point(t));
+        }
+        Ok(())
+    }
+
     /// Move a column's values into `out` at the given lanes.
     fn scatter(&mut self, src: Col, lanes: &[u32], out: &mut [Value]) {
         match src {
@@ -868,19 +958,26 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
 // Chunk drivers (called from the executor).
 // ---------------------------------------------------------------------------
 
-/// Vectorized WHERE filter over one chunk: sets `keep[lane]` for passing
-/// lanes and fires the exact filter/truthiness coverage. `false` means
-/// the chunk must re-run row-at-a-time (an erroring lane, or a strict
-/// truthiness error); nothing has been merged into the real coverage and
-/// `keep` contents are unspecified in that case.
+/// Vectorized WHERE filter over one chunk, the filter's input rows from
+/// `base` on: appends the input index of each passing lane to `kept`, in
+/// ascending order, and fires the exact comparison, truthiness and filter
+/// coverage. `false` means the chunk must re-run row-at-a-time (an
+/// erroring lane, or a strict truthiness error); nothing has then been
+/// merged into the real coverage, and `kept` is truncated back to its
+/// length on entry.
+///
+/// A root comparison classifies each lane straight from its two operands
+/// (`ChunkEval::filter_cmp`) instead of building a value per lane; any
+/// other predicate is evaluated, then each lane's value tested for truth.
 pub(crate) fn filter_chunk(
     pred: &BoundExpr,
     rows: &[Row],
+    base: usize,
     outer: &[Frame],
     ctx: &EngineCtx,
-    keep: &mut [bool],
+    kept: &mut Vec<usize>,
 ) -> bool {
-    debug_assert_eq!(rows.len(), keep.len());
+    let mark = kept.len();
     let scratch = Coverage::new();
     let mut pool = ctx.vec_pool.borrow_mut();
     let mut sel = pool.sel();
@@ -892,24 +989,17 @@ pub(crate) fn filter_chunk(
         outer,
         pool: &mut pool,
     };
-    let Ok(col) = ce.eval(pred, &sel) else {
-        return false;
-    };
-    for &lane in &sel {
-        let Ok(t) = truthiness(col.get(lane), ctx.dialect, &scratch) else {
-            return false;
-        };
-        match t {
-            Some(true) => {
-                scratch.hit(pt::EXEC_FILTER_PASS);
-                keep[lane as usize] = true;
-            }
-            Some(false) => scratch.hit(pt::EXEC_FILTER_DROP),
-            None => scratch.hit(pt::EXEC_FILTER_NULL),
+    let done = match pred {
+        BoundExpr::Binary { op, left, right } if op.is_comparison() => {
+            ce.filter_cmp(*op, left, right, &sel, base, kept)
         }
-    }
-    pool.give(col);
+        _ => ce.filter_truth(pred, &sel, base, kept),
+    };
     pool.give_sel(sel);
+    if done.is_err() {
+        kept.truncate(mark);
+        return false;
+    }
     ctx.cov.merge(&scratch);
     true
 }

@@ -5,7 +5,7 @@
 //! covered separately in `bug_witnesses.rs`.
 
 use coddb::value::Value;
-use coddb::{Database, Dialect, Error, ExecOutcome};
+use coddb::{Database, Dialect, Error, EvalMode, ExecOutcome};
 
 fn db() -> Database {
     Database::new(Dialect::Sqlite)
@@ -752,6 +752,51 @@ fn fuel_exhaustion_reports_hang() {
         .query_sql("SELECT COUNT(*) FROM t AS a CROSS JOIN t AS b")
         .unwrap_err();
     assert!(matches!(err, Error::Hang));
+}
+
+/// A bare comparison is charged like any other WHERE clause, in both
+/// eval modes: it hangs after the same fuel as the same comparison over
+/// an arithmetic operand, and an erroring operand fails after the same
+/// fuel too (the first row's unit is charged before its error).
+#[test]
+fn bare_comparison_charges_fuel_like_any_where_clause() {
+    for mode in [EvalMode::Vectorized, EvalMode::RowAtATime] {
+        let mut db = db();
+        db.set_eval_mode(mode);
+        db.execute_sql("CREATE TABLE t (a INT)").unwrap();
+        db.execute_sql("INSERT INTO t VALUES (1), (2), (3), (4), (5), (6), (7), (8), (9), (10)")
+            .unwrap();
+        // How a query fails, and the fuel it used.
+        let fail = |db: &mut Database, sql: &str| {
+            let before = db.fuel_used();
+            let err = db.query_sql(sql).unwrap_err();
+            (err.to_string(), db.fuel_used() - before)
+        };
+        db.set_fuel_limit(15);
+        let bare = fail(&mut db, "SELECT COUNT(*) FROM t WHERE a > 3");
+        let arith = fail(&mut db, "SELECT COUNT(*) FROM t WHERE a + 0 > 3");
+        assert_eq!(bare.0, Error::Hang.to_string(), "{mode:?}");
+        assert_eq!(
+            bare, arith,
+            "{mode:?}: a bare comparison hangs like any clause"
+        );
+        assert_eq!(bare.1, 15, "{mode:?}: the hang drains the budget");
+
+        db.set_fuel_limit(1_000);
+        let bare = fail(
+            &mut db,
+            "SELECT COUNT(*) FROM t WHERE a > 9223372036854775807 + 1",
+        );
+        let arith = fail(
+            &mut db,
+            "SELECT COUNT(*) FROM t WHERE a + 0 > 9223372036854775807 + 1",
+        );
+        assert_eq!(
+            bare, arith,
+            "{mode:?}: a bare comparison fails like any clause"
+        );
+        assert_eq!(bare.1, 11, "{mode:?}: the scan, then the first row");
+    }
 }
 
 #[test]

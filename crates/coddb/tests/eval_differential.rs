@@ -393,6 +393,32 @@ fn error_scenarios_agree_on_fresh_databases() {
             "INSERT INTO t SELECT 10 / a FROM t",
             "SELECT COUNT(*) FROM t",
         ],
+        // Bare comparisons over more than one chunk: the 8-row table
+        // doubled to 1,024 rows fills the first chunk, a TEXT value
+        // (strict dialects refuse it) and a NULL open the second, and one
+        // more doubling fills it and spills into a third. Both
+        // orientations, a TEXT literal and an erroring invariant side.
+        &[
+            "CREATE TABLE t (a INT, b TEXT)",
+            "INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, NULL), (4, 'four'), \
+             (5, 'one'), (6, ''), (7, 'seven'), (8, 'one')",
+            "INSERT INTO t SELECT * FROM t",
+            "INSERT INTO t SELECT * FROM t",
+            "INSERT INTO t SELECT * FROM t",
+            "INSERT INTO t SELECT * FROM t",
+            "INSERT INTO t SELECT * FROM t",
+            "INSERT INTO t SELECT * FROM t",
+            "INSERT INTO t SELECT * FROM t",
+            "INSERT INTO t VALUES ('x', 'one')",
+            "INSERT INTO t VALUES (NULL, NULL)",
+            "INSERT INTO t SELECT * FROM t",
+            "SELECT * FROM t WHERE a > 5",
+            "SELECT * FROM t WHERE 5 < a",
+            "SELECT COUNT(*) FROM t WHERE b = 'one'",
+            "SELECT COUNT(*) FROM t WHERE a > 9223372036854775807 + 1",
+            "DELETE FROM t WHERE 5 < a",
+            "SELECT COUNT(*) FROM t",
+        ],
     ];
     for dialect in Dialect::ALL {
         for (i, scenario) in scenarios.iter().enumerate() {
@@ -432,6 +458,7 @@ fn fuel_exhaustion_agrees_across_eval_modes() {
                 "CREATE TABLE t (a INT)",
                 "INSERT INTO t VALUES (1), (2), (3), (4), (5), (6), (7), (8), (9), (10)",
                 "SELECT COUNT(*) FROM t WHERE a % 2 = 1",
+                "SELECT COUNT(*) FROM t WHERE a > 3",
                 "SELECT a * 2 FROM t",
                 "SELECT a, COUNT(*) FROM t GROUP BY a",
             ] {

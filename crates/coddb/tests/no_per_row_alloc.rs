@@ -178,10 +178,12 @@ fn scan_path_allocates_nothing_per_row() {
 /// The vectorized filter path must allocate O(chunks), not O(rows): its
 /// kernel buffers come from a per-statement pool that is recycled across
 /// chunks, so a 4x larger table (4x the chunks) must not cost
-/// proportionally more allocations. The predicate here is
-/// classified-vectorizable (AND/OR selection vectors, arithmetic and
-/// comparison kernels) and runs through the public query API under the
-/// default [`coddb::EvalMode::Vectorized`].
+/// proportionally more allocations. The predicates here are
+/// classified-vectorizable and run through the public query API under the
+/// default [`coddb::EvalMode::Vectorized`]: one through AND/OR selection
+/// vectors, arithmetic and comparison kernels, and a bare comparison
+/// through the root-comparison kernel, which keeps all but 11 rows in
+/// the WHERE stage's one kept-position buffer.
 fn vectorized_filter_allocates_o_chunks_not_o_rows() {
     let build = |n: i64| {
         let mut db = Database::new(Dialect::Sqlite);
@@ -197,42 +199,54 @@ fn vectorized_filter_allocates_o_chunks_not_o_rows() {
         }
         db
     };
-    // Or + And + arithmetic + comparisons: several kernel nodes, so a
-    // per-node-per-chunk buffer leak would multiply visibly.
-    let sql = "SELECT COUNT(*) FROM t WHERE (c0 % 3 = 1 OR c0 % 5 = 2) AND c2 + 1.5 > 12.0";
-    let expected = |n: i64| {
+    let mut small = build(5_000); // 5 chunks of 1024
+    let mut large = build(20_000); // 20 chunks
+    let mixed = |n: i64| {
         (0..n)
             .filter(|v| (v % 3 == 1 || v % 5 == 2) && (*v as f64 + 0.5) + 1.5 > 12.0)
             .count() as i64
     };
-    let measure = |db: &mut Database, expected: i64| {
+    for (sql, small_kept, large_kept) in [
+        // Or + And + arithmetic + comparisons: several kernel nodes, so
+        // a per-node-per-chunk buffer leak would multiply visibly.
+        (
+            "SELECT COUNT(*) FROM t WHERE (c0 % 3 = 1 OR c0 % 5 = 2) AND c2 + 1.5 > 12.0",
+            mixed(5_000),
+            mixed(20_000),
+        ),
+        (
+            "SELECT COUNT(*) FROM t WHERE c0 > 10",
+            5_000 - 11,
+            20_000 - 11,
+        ),
+    ] {
         let q = coddb::parser::parse_select(sql).unwrap();
-        let warm = db.query(&q).unwrap();
-        assert_eq!(warm.scalar().unwrap().as_i64(), Some(expected));
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let rel = db.query(&q).unwrap();
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(rel.scalar().unwrap().as_i64(), Some(expected));
-        after - before
-    };
-    let mut small = build(5_000); // 5 chunks of 1024
-    let mut large = build(20_000); // 20 chunks
-    let small_allocs = measure(&mut small, expected(5_000));
-    let large_allocs = measure(&mut large, expected(20_000));
-    // 15 extra chunks x several kernel nodes: an O(rows) — or even an
-    // unpooled O(chunks x nodes) — implementation would add hundreds of
-    // allocations; the pooled pipeline adds a constant few.
-    assert!(
-        large_allocs <= small_allocs + 16,
-        "vectorized filter must allocate O(chunks) with pooled buffers: \
-         {small_allocs} allocs at 5k rows vs {large_allocs} at 20k"
-    );
+        let measure = |db: &mut Database, expected: i64| {
+            let warm = db.query(&q).unwrap();
+            assert_eq!(warm.scalar().unwrap().as_i64(), Some(expected));
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let rel = db.query(&q).unwrap();
+            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            assert_eq!(rel.scalar().unwrap().as_i64(), Some(expected));
+            after - before
+        };
+        let small_allocs = measure(&mut small, small_kept);
+        let large_allocs = measure(&mut large, large_kept);
+        // 15 extra chunks x several kernel nodes: an O(rows) — or even an
+        // unpooled O(chunks x nodes) — implementation would add hundreds
+        // of allocations; the pooled pipeline adds a constant few.
+        assert!(
+            large_allocs <= small_allocs + 16,
+            "`{sql}`: vectorized filter must allocate O(chunks) with pooled buffers: \
+             {small_allocs} allocs at 5k rows vs {large_allocs} at 20k"
+        );
+    }
 }
 
 /// UPDATE and DELETE filter through the same WHERE stage as a SELECT:
 /// a statement whose WHERE clause keeps no row allocates a constant
-/// amount however many rows it filters — one through the comparison fast
-/// path, one through the chunk kernel.
+/// amount however many rows it filters — one through the root-comparison
+/// kernel, one through the chunk kernel's general path.
 fn dml_where_stage_allocates_nothing_per_row() {
     let build = |n: i64| {
         let mut db = Database::new(Dialect::Sqlite);

@@ -817,6 +817,14 @@ pub fn compare(a: &Value, b: &Value, dialect: Dialect) -> Result<Option<Ordering
     Ok(a.sql_cmp(b))
 }
 
+/// Does the pair compare TEXT with a number? The pairs the MySQL
+/// cross-type rules of `compare_with_bugs` act on.
+pub(crate) fn text_number_pair(a: &Value, b: &Value) -> bool {
+    let is_text = |v: &Value| matches!(v, Value::Text(_));
+    let is_num = |v: &Value| matches!(v, Value::Int(_) | Value::Real(_));
+    (is_text(a) && is_num(b)) || (is_num(a) && is_text(b))
+}
+
 fn compare_with_bugs(
     a: &Value,
     b: &Value,
@@ -825,12 +833,10 @@ fn compare_with_bugs(
 ) -> Result<Option<Ordering>> {
     // MySQL dialect rule (not a bug): cross-type TEXT/number comparisons
     // are rejected in UPDATE/DELETE (§4.2: the DQE semantic-error case).
-    let is_text = |v: &Value| matches!(v, Value::Text(_));
-    let is_num = |v: &Value| matches!(v, Value::Int(_) | Value::Real(_));
     if ctx.dialect == Dialect::Mysql
         && matches!(ctx.stmt, StmtKind::Update | StmtKind::Delete)
         && env.info.clause == Clause::Where
-        && ((is_text(a) && is_num(b)) || (is_num(a) && is_text(b)))
+        && text_number_pair(a, b)
     {
         return Err(Error::Type(
             "cross-type comparison is not permitted in UPDATE/DELETE".into(),
@@ -842,7 +848,7 @@ fn compare_with_bugs(
     if ctx.bugs.active(BugId::MysqlTextIntCompareWhere)
         && env.info.top_level
         && env.info.clause == Clause::Where
-        && ((is_text(a) && is_num(b)) || (is_num(a) && is_text(b)))
+        && text_number_pair(a, b)
     {
         return Ok(a.sql_cmp(b)); // class-rank comparison: text > number
     }

@@ -29,8 +29,9 @@
 //! input (`apply_filter`: the filter-site mutant gate, then the chunk
 //! kernel or the row loop); around a seek's rows, `seek_filter` adds
 //! only a fuel and coverage ledger for the rows the seek skipped. The
-//! kernels return the positions of the rows they keep. A SELECT turns those positions into rows; UPDATE and
-//! DELETE change the rows at those storage positions (`dml_targets`).
+//! kernels return the positions of the rows they keep. A SELECT turns
+//! those positions into rows; UPDATE and DELETE change the rows at
+//! those storage positions (`dml_targets`).
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
@@ -1920,7 +1921,14 @@ fn apply_filter(f: Filter, rows: &[Row], at: Placement) -> Result<Vec<usize>> {
     let use_vec = ctx.vectorize
         && !rows.is_empty()
         && !keeps_null
-        && vectorizable(f.pred.ast(), ctx, f.info.depth);
+        && crate::vec_eval::classify_filter(
+            f.pred.ast(),
+            ctx.bugs,
+            ctx.dialect,
+            ctx.stmt,
+            f.info.depth,
+        )
+        .is_ok();
 
     let mut kept = Vec::new();
     let mut frames = frame_stack(f.outer_scopes, f.schema);

@@ -70,12 +70,16 @@
 //!    per-pair dialect rule), (d) chunks containing a lane whose
 //!    evaluation errors (the rerun raises the exact scalar error with
 //!    exact coverage and fuel), and (e) chunks the fuel budget cannot
-//!    cover whole. `EXPLAIN` annotates each clause `[VEC]` or
-//!    `[ROW(<reason>)]` by asking the executor's own classifier and plan
-//!    facts (grouping, group keys, index-scan input); only the runtime
-//!    fallbacks (d), (e) and a seek falling back to a scan make the
-//!    annotation a prediction. [`Database::set_eval_mode`]`(`[`EvalMode::RowAtATime`]`)`
-//!    disables the stage wholesale for differential testing
+//!    cover whole. A WHERE clause's root comparison is exempt from the
+//!    comparison gates of (b) and (c), whose MySQL rules act only on a
+//!    lane that pairs TEXT with a number: its chunk kernel aborts on such
+//!    a lane, and the chunk falls back as in (d). `EXPLAIN` annotates
+//!    each clause `[VEC]` or `[ROW(<reason>)]` by asking the executor's
+//!    own classifier and plan facts (grouping, group keys, index-scan
+//!    input); only the runtime fallbacks (d), (e) and a seek falling back
+//!    to a scan make the annotation a prediction.
+//!    [`Database::set_eval_mode`]`(`[`EvalMode::RowAtATime`]`)` disables
+//!    the stage wholesale for differential testing
 //!    (`coddb/tests/eval_differential.rs`: byte-identical results,
 //!    coverage bitsets and fuel across modes, dialects and mutants).
 //! 4. **exec** ([`exec`]): row loops evaluate bound expressions via
@@ -89,21 +93,20 @@
 //!    equality keys run as build/probe hash joins over the bound key
 //!    ordinals (SQL NULL-key semantics; duplicates chain in right-row
 //!    order, so the output keeps the nested loop's order; no allocation
-//!    per input row beyond TEXT keys; the nested
-//!    loop remains for non-equi predicates, runtime mixed-class keys,
-//!    and differential testing via [`Database::set_join_mode`]).
-//!    Subqueries are planned and bound lazily at
-//!    evaluation time (with the outer scopes in place) — but only
-//!    **once per statement**: a per-statement cache keyed by subquery
-//!    AST identity reuses the compiled plan and bindings across
-//!    evaluations, and result memoization is two-tier, driven by a
-//!    runtime correlation detector that records exactly which outer
-//!    slots an evaluation read. No outer reads → the full result
+//!    per input row beyond TEXT keys; the nested loop remains for
+//!    non-equi predicates, runtime mixed-class keys, and differential
+//!    testing via [`Database::set_join_mode`]). Subqueries are planned
+//!    and bound lazily at evaluation time (with the outer scopes in
+//!    place) — but only **once per statement**: a per-statement cache
+//!    keyed by subquery AST identity reuses the compiled plan and
+//!    bindings across evaluations, and result memoization is two-tier,
+//!    driven by a runtime correlation detector that records exactly which
+//!    outer slots an evaluation read. No outer reads → the full result
 //!    relation is memoized; outer reads → results are **memoized per
-//!    outer key** (the values of precisely those slots), so a
-//!    correlated subquery over K distinct outer keys executes K times,
-//!    not once per outer row — `EXPLAIN` annotates the predicted
-//!    strategy (`MEMO(full)` / `MEMO(keyed: n slots)`) and
+//!    outer key** (the values of precisely those slots), so a correlated
+//!    subquery over K distinct outer keys executes K times, not once per
+//!    outer row — `EXPLAIN` annotates the predicted strategy
+//!    (`MEMO(full)` / `MEMO(keyed: n slots)`) and
 //!    [`Database::subquery_memo_stats`] counts hits and misses.
 //!    Cacheable FROM subtrees (no CTE scans, derived tables or embedded
 //!    subqueries) also materialize once per statement and are shared
@@ -138,19 +141,19 @@
 //! and `ordered` / `reverse` flags). UPDATE and DELETE reach their rows
 //! through the same seek and the same WHERE stage.
 //!
-//! The path is **observation-exact**, not merely result-exact: a runtime
-//! gate falls back to the scan unless every probed key column's stored
-//! values are comparison-uniform with the probe (no TEXT against a
-//! number, where dialect rules, not the key order, decide a comparison),
-//! and the filter stage runs the emitted rows through the scan's own
-//! filter kernels and replays what the
-//! baseline would have observed for the rows the seek skipped — their
-//! fuel, and the authentic drop-path coverage bits fired once per
-//! skipped outcome class via a representative evaluation
-//! ([`exec`]'s `seek_filter`). Because consumed conjuncts are a prefix
-//! of a left-associated `AND`, a skipped row's clause value is FALSE
-//! before any residual conjunct runs, so residual errors, coverage and
-//! fuel land identically in both modes.
+//! The path is **observation-exact**, not merely result-exact: a
+//! runtime gate falls back to the scan unless every probed key column's
+//! stored values are comparison-uniform with the probe (no TEXT against
+//! a number, where dialect rules, not the key order, decide a
+//! comparison), and the filter stage runs the emitted rows through the
+//! scan's own filter kernels and replays what the baseline would have
+//! observed for the rows the seek skipped — their fuel, and the
+//! authentic drop-path coverage bits fired once per skipped outcome
+//! class via a representative evaluation ([`exec`]'s `seek_filter`).
+//! Because consumed conjuncts are a prefix of a left-associated `AND`,
+//! a skipped row's clause value is FALSE before any residual conjunct
+//! runs, so residual errors, coverage and fuel land identically in both
+//! modes.
 //! [`Database::set_access_mode`]`(`[`AccessMode::ScanOnly`]`)` forces
 //! every seek back to the baseline scan for differential testing
 //! (`coddb/tests/index_differential.rs`: byte-identical results,

@@ -1309,16 +1309,29 @@ pub fn explain_full(plan: &SelectPlan, catalog: Option<&Catalog>, vec: VecNote) 
     Ok(out)
 }
 
+/// The signature of [`crate::vec_eval::classify`] and `classify_filter`.
+type Classifier = fn(
+    &Expr,
+    &BugRegistry,
+    Dialect,
+    crate::exec::StmtKind,
+    u32,
+) -> std::result::Result<(), &'static str>;
+
 /// The `[VEC]` / `[ROW(<reason>)]` suffix for a clause made of `exprs`
 /// (a predicate, a projection's items, an aggregation's group keys):
-/// `[VEC]` only when every expression classifies, else the first
+/// `[VEC]` only when `classify` accepts every expression, else the first
 /// fallback reason.
 ///
 /// Depth 0 is correct for every clause EXPLAIN renders: derived tables
 /// and CTE bodies execute at the enclosing statement's subquery depth,
 /// and expression subqueries — the only depth>0 contexts — surface as
 /// one-line memo notes whose internal clauses are never rendered.
-fn vec_note<'e>(exprs: impl IntoIterator<Item = &'e Expr>, ectx: ExplainCtx) -> String {
+fn vec_note<'e>(
+    exprs: impl IntoIterator<Item = &'e Expr>,
+    classify: Classifier,
+    ectx: ExplainCtx,
+) -> String {
     match ectx.vec {
         VecNote::Off => String::new(),
         VecNote::Disabled(reason) => format!(" [ROW({reason})]"),
@@ -1326,7 +1339,7 @@ fn vec_note<'e>(exprs: impl IntoIterator<Item = &'e Expr>, ectx: ExplainCtx) -> 
             let stmt = crate::exec::StmtKind::Select;
             match exprs
                 .into_iter()
-                .try_for_each(|e| crate::vec_eval::classify(e, bugs, dialect, stmt, 0))
+                .try_for_each(|e| classify(e, bugs, dialect, stmt, 0))
             {
                 Ok(()) => " [VEC]".into(),
                 Err(reason) => format!(" [ROW({reason})]"),
@@ -1336,7 +1349,7 @@ fn vec_note<'e>(exprs: impl IntoIterator<Item = &'e Expr>, ectx: ExplainCtx) -> 
 }
 
 /// The suffix for a WHERE or pushed filter over `input`: the filter-site
-/// gate decides first, then the predicate's own classification. A WHERE
+/// gate decides first, then the executor's WHERE classifier. A WHERE
 /// over an index seek runs the same filter kernels as one over a scan,
 /// so the note does not depend on the access mode.
 fn filter_note(pred: &Expr, input: Option<&FromPlan>, ectx: ExplainCtx) -> String {
@@ -1346,7 +1359,7 @@ fn filter_note(pred: &Expr, input: Option<&FromPlan>, ectx: ExplainCtx) -> Strin
             return format!(" [ROW({reason})]");
         }
     }
-    vec_note([pred], ectx)
+    vec_note([pred], crate::vec_eval::classify_filter, ectx)
 }
 
 /// The output column names a SELECT is statically known to produce.
@@ -1647,6 +1660,7 @@ fn explain_body(body: &BodyPlan, indent: usize, ectx: ExplainCtx, out: &mut Stri
                         SelectItem::Expr { expr, .. } => Some(expr),
                         _ => None,
                     }),
+                    crate::vec_eval::classify,
                     ectx,
                 )
             };
@@ -1670,7 +1684,7 @@ fn explain_body(body: &BodyPlan, indent: usize, ectx: ExplainCtx, out: &mut Stri
                     } else {
                         ""
                     },
-                    vec_note(&keys, ectx)
+                    vec_note(&keys, crate::vec_eval::classify, ectx)
                 ));
                 if let Some(h) = &core.having {
                     memo_notes(h, indent + 2, ectx, out);

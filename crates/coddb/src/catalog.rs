@@ -6,16 +6,19 @@
 //! the paper's Listing 1 uses `CREATE INDEX i0 ON t0 (c0 > 0)`), which the
 //! planner may choose (or be forced via `INDEXED BY`) for scans. Indexes
 //! whose expressions are all bare columns additionally carry a physical
-//! ordered structure ([`OrdIndex`]) that the planner's seek path probes;
-//! the `index_*` maintenance hooks keep those structures in lockstep with
-//! DML on the base table.
+//! ordered structure ([`OrdIndex`]) that the planner's seek path probes.
+//! A base table's rows change only through `append_rows`, `set_cells`
+//! and `remove_rows`, which DML and recovery both call. Each keeps every
+//! [`OrdIndex`] of the table in step and checks its input first: a row
+//! of the wrong width, a position or column out of range, or delete
+//! positions out of order end in an [`Error`] that changed nothing.
 
 use std::collections::BTreeMap;
 
 use crate::ast::{ColumnDef, Expr, Select};
 use crate::error::{Error, Result};
 use crate::index::OrdIndex;
-use crate::value::Row;
+use crate::value::{Row, Value};
 
 /// A base table with its rows.
 #[derive(Debug, Clone)]
@@ -143,12 +146,6 @@ impl Catalog {
             .ok_or_else(|| Error::Catalog(format!("no such table: {name}")))
     }
 
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut TableDef> {
-        self.tables
-            .get_mut(&key(name))
-            .ok_or_else(|| Error::Catalog(format!("no such table: {name}")))
-    }
-
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.values().map(|t| t.name.as_str()).collect()
     }
@@ -231,73 +228,103 @@ impl Catalog {
         self.indexes.values().map(|i| i.name.as_str()).collect()
     }
 
-    // --- physical index maintenance -------------------------------------
-    //
-    // DML on a base table drives these hooks so every bare-column index's
-    // OrdIndex tracks the rows exactly. Recovery replay applies row
-    // effects physically (bypassing the hooks) and calls
-    // `rebuild_index_data` once at the end instead.
+    // --- row writes -----------------------------------------------------
 
-    /// Index the rows appended at positions `start..` of `table`.
-    pub(crate) fn index_insert_rows(&mut self, table: &str, start: usize) {
-        let k = key(table);
-        let Catalog {
-            tables, indexes, ..
-        } = self;
-        let Some(t) = tables.get(&k) else { return };
-        for idx in indexes.values_mut() {
-            if key(&idx.table) == k {
-                if let Some(data) = idx.data.as_mut() {
-                    for pos in start..t.rows.len() {
-                        data.insert_row(pos, &t.rows[pos]);
-                    }
-                }
-            }
-        }
+    /// `table`'s definition and the ordered structures of its indexes.
+    fn table_and_indexes(&mut self, table: &str) -> Result<(&mut TableDef, Vec<&mut OrdIndex>)> {
+        let Some(t) = self.tables.get_mut(&key(table)) else {
+            return Err(Error::Catalog(format!("no such table: {table}")));
+        };
+        let data = self
+            .indexes
+            .values_mut()
+            .filter(|i| i.table.eq_ignore_ascii_case(table))
+            .filter_map(|i| i.data.as_mut());
+        Ok((t, data.collect()))
     }
 
-    /// Re-key row `pos` of `table` after an in-place update; `old` is the
-    /// pre-update row image.
-    pub(crate) fn index_update_row(&mut self, table: &str, pos: usize, old: &Row) {
-        let k = key(table);
-        let Catalog {
-            tables, indexes, ..
-        } = self;
-        let Some(t) = tables.get(&k) else { return };
-        for idx in indexes.values_mut() {
-            if key(&idx.table) == k {
-                if let Some(data) = idx.data.as_mut() {
-                    data.update_row(pos, old, &t.rows[pos]);
-                }
+    /// Append `rows` to `table` and index each one.
+    pub(crate) fn append_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<()> {
+        let (t, data) = self.table_and_indexes(table)?;
+        let width = t.columns.len();
+        if let Some(r) = rows.iter().find(|r| r.len() != width) {
+            let n = r.len();
+            return misfit(format!(
+                "insert of {n} values but table {table} has {width} columns"
+            ));
+        }
+        let start = t.rows.len();
+        t.rows.extend(rows);
+        for idx in data {
+            for pos in start..t.rows.len() {
+                idx.insert_row(pos, &t.rows[pos]);
             }
         }
+        Ok(())
     }
 
-    /// Unindex deleted rows. `removed` is sorted ascending; `old_rows`
-    /// are the removed rows' pre-delete images.
-    pub(crate) fn index_delete_rows(&mut self, table: &str, removed: &[usize], old_rows: &[Row]) {
-        let k = key(table);
-        for idx in self.indexes.values_mut() {
-            if key(&idx.table) == k {
-                if let Some(data) = idx.data.as_mut() {
-                    data.delete_rows(removed, old_rows);
-                }
+    /// Set cells of row `pos` of `table`, each a `(column, value)` pair.
+    /// With `rekey` every ordered index of the table moves the row to its
+    /// new key; without it they keep the old one (the
+    /// `StaleEntryAfterUpdate` mutant).
+    pub(crate) fn set_cells(
+        &mut self,
+        table: &str,
+        pos: usize,
+        cells: Vec<(usize, Value)>,
+        rekey: bool,
+    ) -> Result<()> {
+        let (t, data) = self.table_and_indexes(table)?;
+        let (rows, width) = (t.rows.len(), t.columns.len());
+        if pos >= rows {
+            return misfit(format!(
+                "update of row {pos} but table {table} has {rows} rows"
+            ));
+        }
+        if let Some((c, _)) = cells.iter().find(|(c, _)| *c >= width) {
+            return misfit(format!(
+                "update of column {c} but table {table} has {width} columns"
+            ));
+        }
+        // Copy-on-write: the clone pins the pre-update image for re-keying,
+        // and snapshots or in-flight relations holding the row keep its
+        // old values.
+        let old = t.rows[pos].clone();
+        for (c, v) in cells {
+            t.rows[pos].set(c, v);
+        }
+        if rekey {
+            for idx in data {
+                idx.update_row(pos, &old, &t.rows[pos]);
             }
         }
+        Ok(())
     }
 
-    /// Rebuild every physical index structure from current table rows —
-    /// the deterministic post-recovery path (WAL replay and snapshot
-    /// loading mutate rows physically, bypassing the per-DML hooks).
-    pub(crate) fn rebuild_index_data(&mut self) {
-        let Catalog {
-            tables, indexes, ..
-        } = self;
-        for idx in indexes.values_mut() {
-            idx.data = tables
-                .get(&key(&idx.table))
-                .and_then(|t| bare_key_cols(t, &idx.exprs).map(|cols| OrdIndex::build(t, cols)));
+    /// Remove the rows at `positions`, which must strictly ascend, from
+    /// `table`: unindex them and shift every later row down.
+    pub(crate) fn remove_rows(&mut self, table: &str, positions: &[usize]) -> Result<()> {
+        let (t, data) = self.table_and_indexes(table)?;
+        if let Some(w) = positions.windows(2).find(|w| w[0] >= w[1]) {
+            return misfit(format!(
+                "delete of row {} after row {} in table {table}",
+                w[1], w[0]
+            ));
         }
+        if let Some(&last) = positions.last().filter(|&&p| p >= t.rows.len()) {
+            let n = t.rows.len();
+            return misfit(format!(
+                "delete of row {last} but table {table} has {n} rows"
+            ));
+        }
+        let old_rows: Vec<Row> = positions.iter().map(|&p| t.rows[p].clone()).collect();
+        for idx in data {
+            idx.delete_rows(positions, &old_rows);
+        }
+        for &p in positions.iter().rev() {
+            t.rows.remove(p);
+        }
+        Ok(())
     }
 
     // --- resolution -----------------------------------------------------
@@ -318,6 +345,11 @@ impl Catalog {
     pub fn total_rows(&self) -> usize {
         self.tables.values().map(|t| t.rows.len()).sum()
     }
+}
+
+/// A row write whose row, position or column does not fit the table.
+fn misfit<T>(msg: String) -> Result<T> {
+    Err(Error::Internal(msg))
 }
 
 /// If every key expression is a bare (optionally alias-free) column of
@@ -421,14 +453,10 @@ mod tests {
         let mut cat = Catalog::new();
         cat.create_table("t", vec![col("c", DataType::Int)], false)
             .unwrap();
-        cat.table_mut("t")
-            .unwrap()
-            .rows
-            .push(vec![Value::Int(1)].into());
-        cat.table_mut("t")
-            .unwrap()
-            .rows
-            .push(vec![Value::Int(2)].into());
+        cat.append_rows("t", vec![vec![Value::Int(1)].into()])
+            .unwrap();
+        cat.append_rows("t", vec![vec![Value::Int(2)].into()])
+            .unwrap();
         assert_eq!(cat.total_rows(), 2);
     }
 }

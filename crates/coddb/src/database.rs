@@ -10,7 +10,7 @@ use crate::bugs::{BugId, BugRegistry, IndexBugId, MediaBugId, RecoveryBugId};
 use crate::catalog::Catalog;
 use crate::coverage::{pt, Coverage};
 use crate::dialect::Dialect;
-use crate::error::{Error, Result, StorageError};
+use crate::error::{Error, Result};
 use crate::eval::{eval_expr, Clause, ExprCtx};
 use crate::exec::{
     self, CteEnv, EngineCtx, EvalEnv, EvalMode, Frame, JoinMode, Prepared, StmtKind,
@@ -253,9 +253,17 @@ impl Database {
         self.wal.as_ref()
     }
 
+    /// Detach the write-ahead log and return to volatile mode. A volatile
+    /// database has logged nothing, so it hands back an empty log.
+    pub(crate) fn detach_wal(&mut self) -> Wal {
+        self.wal
+            .take()
+            .unwrap_or_else(|| Wal::new(FaultPlan::none()))
+    }
+
     /// Mutable catalog access for the recovery replayer (same-crate
-    /// only): replay applies logged DML effects physically, bypassing the
-    /// executor.
+    /// only): replay applies logged row effects through the catalog's row
+    /// writes, bypassing the executor.
     pub(crate) fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
     }
@@ -318,30 +326,20 @@ impl Database {
         out
     }
 
-    /// Log a completed DDL statement and its durability point. DDL records
-    /// carry the statement's SQL text (the Display round-trip); replay
-    /// re-parses and re-executes it against the recovered catalog. On a
-    /// refused append (`NoSpace`) nothing is recorded — the caller must
-    /// undo the catalog mutation so the statement aborts cleanly.
-    fn wal_log_ddl(&mut self, stmt: &Statement) -> Result<()> {
-        let sql = stmt.to_string();
-        if let Some(w) = self.wal.as_mut() {
-            let logged = w
-                .append(&WalRecord::Ddl { sql: sql.clone() })
-                .and_then(|()| w.commit_statement());
-            self.check_logged(logged)?;
-        }
-        self.ddl_history.push(sql);
-        Ok(())
-    }
-
-    /// Classify a statement's WAL-logging outcome, for DDL and DML alike.
-    /// A refused append aborts the statement with a structured storage
-    /// error — unless the NoSpaceTreatedAsCommitted mutant is active, in
-    /// which case the failure is swallowed and the caller proceeds to
-    /// keep effects the log never recorded (the bug the media oracle
-    /// hunts). The mutant is consulted only on a refused append.
-    fn check_logged(&self, logged: std::result::Result<(), StorageError>) -> Result<()> {
+    /// Log one statement's effect records (drawn only in durable mode),
+    /// then its commit marker, its durability point. A refused append
+    /// (disk full) aborts the statement with a storage error, and the
+    /// caller leaves the catalog as it was — unless the
+    /// NoSpaceTreatedAsCommitted mutant, consulted only then, swallows the
+    /// failure so the caller keeps effects the log never recorded.
+    fn log_statement(&mut self, records: impl IntoIterator<Item = WalRecord>) -> Result<()> {
+        let Some(w) = self.wal.as_mut() else {
+            return Ok(());
+        };
+        let logged = records
+            .into_iter()
+            .try_for_each(|r| w.append(&r))
+            .and_then(|()| w.commit_statement());
         match logged {
             Ok(()) => Ok(()),
             Err(_) if self.bugs.active(MediaBugId::NoSpaceTreatedAsCommitted) => Ok(()),
@@ -352,7 +350,9 @@ impl Database {
     /// Run a DDL statement's catalog mutation with WAL-abort rollback: in
     /// durable mode the pre-statement catalog is pinned, and a refused
     /// WAL append (disk full) restores it so the session keeps serving
-    /// with the statement cleanly aborted.
+    /// with the statement cleanly aborted. DDL records carry the
+    /// statement's SQL text (the Display round-trip); replay re-parses
+    /// and re-executes it against the recovered catalog.
     fn run_ddl<F>(&mut self, stmt: &Statement, apply: F) -> Result<ExecOutcome>
     where
         F: FnOnce(&mut Catalog) -> Result<()>,
@@ -363,12 +363,15 @@ impl Database {
             None
         };
         apply(&mut self.catalog)?;
-        if let Err(e) = self.wal_log_ddl(stmt) {
+        let sql = stmt.to_string();
+        let record = || WalRecord::Ddl { sql: sql.clone() };
+        if let Err(e) = self.log_statement(std::iter::once_with(record)) {
             if let Some(prev) = undo {
                 self.catalog = prev;
             }
             return Err(e);
         }
+        self.ddl_history.push(sql);
         Ok(ExecOutcome::Ddl)
     }
 
@@ -391,11 +394,11 @@ impl Database {
     /// Returns the statement coverage of the snapshot (the `stmt_idx` the
     /// checkpoint marker declares). Errors in volatile mode.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        if self.wal.is_none() {
+        let Some(w) = self.wal.as_mut() else {
             return Err(Error::Internal(
                 "checkpoint requires durable storage mode".into(),
             ));
-        }
+        };
         // Mutant: truncate the log *before* the snapshot exists. Correct
         // order writes snapshot → marker → truncate; truncating first
         // loses the suffix whenever the crash lands inside the snapshot.
@@ -403,7 +406,6 @@ impl Database {
         // Mutant: the reclaim drops the newest sealed snapshot as well, so
         // until the new snapshot seals there is none to recover from.
         let drop_newest = self.bugs.active(RecoveryBugId::ReclaimNewestSnapshot);
-        let w = self.wal.as_mut().expect("checked above");
         w.reclaim_snapshots(drop_newest);
         if truncate_early {
             w.truncate_log();
@@ -804,22 +806,11 @@ impl Database {
         // A refused append (disk full) aborts the statement *before* any
         // catalog mutation: nothing to roll back, the session keeps
         // serving, and recovery sees exactly the committed prefix.
-        if let Some(w) = self.wal.as_mut() {
-            let logged = (|| {
-                for row in &staged {
-                    w.append(&WalRecord::InsertRow {
-                        table: table.to_string(),
-                        row: row.to_vec(),
-                    })?;
-                }
-                w.commit_statement()
-            })();
-            self.check_logged(logged)?;
-        }
-        let t = self.catalog.table_mut(table)?;
-        let start = t.rows.len();
-        t.rows.extend(staged);
-        self.catalog.index_insert_rows(table, start);
+        self.log_statement(staged.iter().map(|row| WalRecord::InsertRow {
+            table: table.to_string(),
+            row: row.to_vec(),
+        }))?;
+        self.catalog.append_rows(table, staged)?;
         Ok(n)
     }
 
@@ -830,89 +821,70 @@ impl Database {
         where_clause: Option<&crate::ast::Expr>,
         access: &FromPlan,
     ) -> Result<usize> {
-        let (set_indices, matches, updates) =
-            self.with_stmt_ctx(false, StmtKind::Update, |ctx| {
-                let t = ctx.catalog.table(table)?;
-                let schema = exec::table_schema(t, &t.name);
-                let set_indices: Vec<usize> = sets
-                    .iter()
-                    .map(|(c, _)| {
-                        t.column_index(c).ok_or_else(|| {
-                            Error::Catalog(format!("no such column {c} in table {table}"))
-                        })
+        let (matches, updates) = self.with_stmt_ctx(false, StmtKind::Update, |ctx| {
+            let t = ctx.catalog.table(table)?;
+            let schema = exec::table_schema(t, &t.name);
+            let set_indices: Vec<usize> = sets
+                .iter()
+                .map(|(c, _)| {
+                    t.column_index(c).ok_or_else(|| {
+                        Error::Catalog(format!("no such column {c} in table {table}"))
                     })
-                    .collect::<Result<_>>()?;
+                })
+                .collect::<Result<_>>()?;
 
-                // Bind the WHERE predicate, then every SET expression, once
-                // per statement; the WHERE stage runs over every row before
-                // any SET expression is evaluated, as in a SELECT.
-                let pred = where_clause
-                    .map(|w| Prepared::new(w, &[&schema], 0, ctx))
-                    .transpose()?;
-                let set_exprs: Vec<Prepared> = sets
-                    .iter()
-                    .map(|(_, e)| Prepared::new(e, &[&schema], 0, ctx))
-                    .collect::<Result<_>>()?;
-                let matches = exec::dml_targets(t, &schema, access, pred.as_ref(), ctx)?;
+            // Bind the WHERE predicate, then every SET expression, once
+            // per statement; the WHERE stage runs over every row before
+            // any SET expression is evaluated, as in a SELECT.
+            let pred = where_clause
+                .map(|w| Prepared::new(w, &[&schema], 0, ctx))
+                .transpose()?;
+            let set_exprs: Vec<Prepared> = sets
+                .iter()
+                .map(|(_, e)| Prepared::new(e, &[&schema], 0, ctx))
+                .collect::<Result<_>>()?;
+            let matches = exec::dml_targets(t, &schema, access, pred.as_ref(), ctx)?;
 
-                let ctes = CteEnv::root();
-                let mut updates = Vec::with_capacity(matches.len());
-                for &i in &matches {
-                    let frames = [Frame {
-                        schema: &schema,
-                        row: &t.rows[i],
-                    }];
-                    let mut new_vals = Vec::with_capacity(set_exprs.len());
-                    for e in &set_exprs {
-                        let env = EvalEnv {
-                            ctx,
-                            scopes: &frames,
-                            aggs: None,
-                            ctes: &ctes,
-                            info: ExprCtx::new(Clause::SelectList),
-                        };
-                        new_vals.push(e.eval(env)?);
-                    }
-                    updates.push(new_vals);
+            let ctes = CteEnv::root();
+            let mut updates = Vec::with_capacity(matches.len());
+            for &i in &matches {
+                let frames = [Frame {
+                    schema: &schema,
+                    row: &t.rows[i],
+                }];
+                let mut cells = Vec::with_capacity(set_exprs.len());
+                for (e, &c) in set_exprs.iter().zip(&set_indices) {
+                    let env = EvalEnv {
+                        ctx,
+                        scopes: &frames,
+                        aggs: None,
+                        ctes: &ctes,
+                        info: ExprCtx::new(Clause::SelectList),
+                    };
+                    cells.push((c, e.eval(env)?));
                 }
-                Ok((set_indices, matches, updates))
-            })?;
+                updates.push(cells);
+            }
+            Ok((matches, updates))
+        })?;
 
         self.coverage.hit(if matches.is_empty() {
             pt::EXEC_UPDATE_NOMATCH
         } else {
             pt::EXEC_UPDATE_MATCH
         });
-        if let Some(w) = self.wal.as_mut() {
-            let cols: Vec<u32> = set_indices.iter().map(|&c| c as u32).collect();
-            let logged = (|| {
-                for (&i, vals) in matches.iter().zip(updates.iter()) {
-                    w.append(&WalRecord::UpdateRow {
-                        table: table.to_string(),
-                        row_idx: i as u64,
-                        cols: cols.clone(),
-                        vals: vals.clone(),
-                    })?;
-                }
-                w.commit_statement()
-            })();
-            self.check_logged(logged)?;
-        }
+        let record = |(&i, cells): (&usize, &Vec<(usize, Value)>)| WalRecord::UpdateRow {
+            table: table.to_string(),
+            row_idx: i as u64,
+            cols: cells.iter().map(|&(c, _)| c as u32).collect(),
+            vals: cells.iter().map(|(_, v)| v.clone()).collect(),
+        };
+        self.log_statement(matches.iter().zip(&updates).map(record))?;
         // Bug hook: StaleEntryAfterUpdate — the ordered index keeps the
         // pre-update key entries (and misses the new ones).
         let stale = self.bugs.active(IndexBugId::StaleEntryAfterUpdate);
-        for (&i, vals) in matches.iter().zip(updates.iter()) {
-            let t = self.catalog.table_mut(table)?;
-            // Copy-on-write: the clone pins the pre-update image (for
-            // index re-keying) and any snapshots or in-flight shared
-            // relations holding this row keep their original values.
-            let old = t.rows[i].clone();
-            for (&ci, v) in set_indices.iter().zip(vals.iter()) {
-                t.rows[i].set(ci, v.clone());
-            }
-            if !stale {
-                self.catalog.index_update_row(table, i, &old);
-            }
+        for (&i, cells) in matches.iter().zip(updates) {
+            self.catalog.set_cells(table, i, cells, !stale)?;
         }
         Ok(matches.len())
     }
@@ -936,26 +908,12 @@ impl Database {
         } else {
             pt::EXEC_DELETE_MATCH
         });
-        if let Some(w) = self.wal.as_mut() {
-            let logged = (|| {
-                if !matches.is_empty() {
-                    w.append(&WalRecord::DeleteRows {
-                        table: table.to_string(),
-                        rows: matches.iter().map(|&i| i as u64).collect(),
-                    })?;
-                }
-                w.commit_statement()
-            })();
-            self.check_logged(logged)?;
-        }
-        let t = self.catalog.table_mut(table)?;
-        // Pin the removed rows' images (cheap shared-row clones) for
-        // index unkeying before physically removing them.
-        let old_rows: Vec<Row> = matches.iter().map(|&i| t.rows[i].clone()).collect();
-        for &i in matches.iter().rev() {
-            t.rows.remove(i);
-        }
-        self.catalog.index_delete_rows(table, &matches, &old_rows);
+        let record = || WalRecord::DeleteRows {
+            table: table.to_string(),
+            rows: matches.iter().map(|&i| i as u64).collect(),
+        };
+        self.log_statement((!matches.is_empty()).then(record))?;
+        self.catalog.remove_rows(table, &matches)?;
         Ok(matches.len())
     }
 }

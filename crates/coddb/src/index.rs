@@ -9,11 +9,12 @@
 //! the legacy ordered-scan path.
 //!
 //! The maintenance contract: structures are built at CREATE INDEX,
-//! updated incrementally by every INSERT/UPDATE/DELETE on the base table
-//! (see the `index_*` hooks on [`crate::catalog::Catalog`]), dropped
-//! with the index/table, cloned with catalog snapshots, and rebuilt
-//! wholesale after WAL/snapshot recovery (replay applies row effects
-//! physically, bypassing the hooks).
+//! updated incrementally by every row write on the base table, dropped
+//! with the index/table and cloned with catalog snapshots. The row
+//! writes are the three methods of [`crate::catalog::Catalog`] that
+//! change rows (`append_rows`, `set_cells`, `remove_rows`); DML and
+//! recovery (snapshot load and log replay) both go through them, so
+//! nothing rebuilds an index after recovery.
 //!
 //! Postings are storage positions sorted ascending, so a seek that
 //! unions posting lists and sorts the result emits rows in **storage
@@ -437,11 +438,16 @@ impl OrdIndex {
             let key = self.key_of(row);
             self.sub_stats(&key);
         }
+        // A surviving position moves down by the number of removed
+        // positions below it: the insertion point its failed search finds.
         self.map.retain(|_, ps| {
-            ps.retain(|p| removed.binary_search(p).is_err());
-            for p in ps.iter_mut() {
-                *p -= removed.partition_point(|&x| x < *p);
-            }
+            ps.retain_mut(|p| match removed.binary_search(p) {
+                Ok(_) => false,
+                Err(below) => {
+                    *p -= below;
+                    true
+                }
+            });
             !ps.is_empty()
         });
         self.rows -= removed.len();

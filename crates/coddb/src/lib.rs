@@ -131,9 +131,10 @@
 //!
 //! `CREATE INDEX` on bare columns additionally builds a physical ordered
 //! structure ([`index::OrdIndex`]: a B-tree map from composite key to
-//! storage positions), maintained exactly by INSERT / UPDATE / DELETE
-//! and rebuilt deterministically after WAL or snapshot recovery. The
-//! planner ([`plan`]) turns a **prefix** of the WHERE clause's
+//! storage positions), maintained exactly by the catalog's row writes
+//! (`append_rows`, `set_cells`, `remove_rows`), which INSERT / UPDATE /
+//! DELETE and WAL or snapshot recovery alike go through. The planner
+//! ([`plan`]) turns a **prefix** of the WHERE clause's
 //! conjuncts — `col <cmp> constant` on the index's leading columns, at
 //! most one range — into a [`plan::FromPlan::IndexSeek`] access path,
 //! and satisfies a matching `ORDER BY` by emitting in key order and

@@ -30,7 +30,10 @@
 //!    commit never became durable are discarded — recovery reconstructs
 //!    *exactly* the committed prefix, byte-identical to a never-crashed
 //!    engine that executed only those statements, whether the base is a
-//!    snapshot or genesis.
+//!    snapshot or genesis. Row effects, snapshot rows included, go
+//!    through the catalog's row writes, as DML's do: they keep every
+//!    ordered index in step, and a record that does not fit its table
+//!    fails recovery with an error.
 //!
 //! The [`RecoveryBugId`] mutants are seeded into these phases the way
 //! [`crate::bugs::BugId`] mutants are seeded into the planner/executor, so
@@ -42,7 +45,7 @@ use crate::dialect::Dialect;
 use crate::error::{Error, Result, StorageError, StorageFaultKind, StorageSite};
 use crate::value::Row;
 use crate::wal::{
-    decode_record, frames, FaultPlan, Frame, MediaPlan, StorageMode, WalRecord, READ_RETRY_CAP,
+    decode_record, frames, FaultPlan, Frame, MediaPlan, StorageMode, Wal, WalRecord, READ_RETRY_CAP,
 };
 
 /// Parse the surviving log image into the sequence of intact records,
@@ -228,86 +231,74 @@ fn choose_snapshot<'a>(snaps: &'a [Snapshot], bugs: &BugRegistry) -> Option<&'a 
 }
 
 /// Rebuild the snapshot's state into `db` by applying its body records in
-/// order: the DDL history re-executes, then the physical rows land.
+/// order: the DDL history re-executes, then the rows are appended.
 fn apply_snapshot(db: &mut Database, snap: &Snapshot) -> Result<()> {
-    for rec in &snap.body {
-        apply_effect(db, rec).map_err(|e| Error::Internal(format!("snapshot replay: {e}")))?;
-    }
-    Ok(())
+    apply_effects(db, &snap.body).map_err(|e| Error::Internal(format!("snapshot replay: {e}")))
 }
 
-/// Apply one effect record to the recovered store. DML effects are
-/// physical; DDL re-executes its logged SQL against the recovered catalog.
-fn apply_effect(db: &mut Database, rec: &WalRecord) -> Result<()> {
-    match rec {
-        WalRecord::Ddl { sql } => {
-            let stmts = crate::parser::parse_statements(sql)
-                .map_err(|e| Error::Internal(format!("wal replay: DDL does not re-parse: {e}")))?;
-            for s in &stmts {
-                db.execute(s).map_err(|e| {
-                    Error::Internal(format!("wal replay: DDL does not re-execute: {e}"))
+/// Apply effect records to the recovered store, in order: row effects
+/// through the catalog's row writes (a run of inserts into one table, as
+/// a snapshot or a multi-row INSERT holds, is one write), DDL by
+/// re-executing its logged SQL against the recovered catalog.
+fn apply_effects<'a>(
+    db: &mut Database,
+    recs: impl IntoIterator<Item = &'a WalRecord>,
+) -> Result<()> {
+    let rejected = |e| match e {
+        Error::Internal(m) => Error::Internal(format!("wal replay: {m}")),
+        e => e,
+    };
+    let marker = |m| Error::Internal(format!("wal replay: {m} marker reached apply_effects"));
+    let mut recs = recs.into_iter().peekable();
+    while let Some(rec) = recs.next() {
+        let cat = db.catalog_mut();
+        match rec {
+            WalRecord::Ddl { sql } => {
+                let stmts = crate::parser::parse_statements(sql).map_err(|e| {
+                    Error::Internal(format!("wal replay: DDL does not re-parse: {e}"))
                 })?;
-            }
-            Ok(())
-        }
-        WalRecord::InsertRow { table, row } => {
-            let t = db.catalog_mut().table_mut(table)?;
-            t.rows.push(Row::new(row.clone()));
-            Ok(())
-        }
-        WalRecord::UpdateRow {
-            table,
-            row_idx,
-            cols,
-            vals,
-        } => {
-            let t = db.catalog_mut().table_mut(table)?;
-            let i = *row_idx as usize;
-            if i >= t.rows.len() {
-                return Err(Error::Internal(format!(
-                    "wal replay: update of row {i} but table {table} has {} rows",
-                    t.rows.len()
-                )));
-            }
-            for (c, v) in cols.iter().zip(vals.iter()) {
-                let ci = *c as usize;
-                if ci >= t.columns.len() {
-                    return Err(Error::Internal(format!(
-                        "wal replay: update of column {ci} but table {table} has {} columns",
-                        t.columns.len()
-                    )));
+                for s in &stmts {
+                    db.execute(s).map_err(|e| {
+                        Error::Internal(format!("wal replay: DDL does not re-execute: {e}"))
+                    })?;
                 }
-                t.rows[i].set(ci, v.clone());
             }
-            Ok(())
-        }
-        WalRecord::DeleteRows { table, rows } => {
-            let t = db.catalog_mut().table_mut(table)?;
-            for &r in rows.iter().rev() {
-                let i = r as usize;
-                if i >= t.rows.len() {
-                    return Err(Error::Internal(format!(
-                        "wal replay: delete of row {i} but table {table} has {} rows",
-                        t.rows.len()
-                    )));
+            WalRecord::InsertRow { table, row } => {
+                let mut rows = vec![Row::new(row.clone())];
+                let same_table = |r: &&WalRecord| match r {
+                    WalRecord::InsertRow { table: t, .. } => t == table,
+                    _ => false,
+                };
+                while let Some(WalRecord::InsertRow { row, .. }) = recs.next_if(same_table) {
+                    rows.push(Row::new(row.clone()));
                 }
-                t.rows.remove(i);
+                cat.append_rows(table, rows).map_err(rejected)?;
             }
-            Ok(())
+            WalRecord::UpdateRow {
+                table,
+                row_idx,
+                cols,
+                vals,
+            } => {
+                let cells = cols.iter().map(|&c| c as usize).zip(vals.iter().cloned());
+                cat.set_cells(table, *row_idx as usize, cells.collect(), true)
+                    .map_err(rejected)?;
+            }
+            WalRecord::DeleteRows { table, rows } => {
+                let rows: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
+                cat.remove_rows(table, &rows).map_err(rejected)?;
+            }
+            WalRecord::Commit { .. } => return Err(marker("commit")),
+            // Checkpoint and snapshot markers are never effects; a hostile
+            // image that smuggles one into an effect position must produce
+            // an error, not a panic or a silent state change.
+            WalRecord::CheckpointComplete { .. } => return Err(marker("checkpoint")),
+            WalRecord::SnapshotBegin { .. } | WalRecord::SnapshotEnd { .. } => {
+                return Err(marker("snapshot"))
+            }
         }
-        WalRecord::Commit { .. } => Err(Error::Internal(
-            "wal replay: commit marker reached apply_effect".into(),
-        )),
-        // Checkpoint and snapshot markers are never effects; a hostile
-        // image that smuggles one into an effect position must produce an
-        // error, not a panic or a silent state change.
-        WalRecord::CheckpointComplete { .. } => Err(Error::Internal(
-            "wal replay: checkpoint marker reached apply_effect".into(),
-        )),
-        WalRecord::SnapshotBegin { .. } | WalRecord::SnapshotEnd { .. } => Err(Error::Internal(
-            "wal replay: snapshot marker reached apply_effect".into(),
-        )),
     }
+    Ok(())
 }
 
 /// Replay scanned log records into `db` on top of a base state covering
@@ -358,9 +349,7 @@ fn replay_into(
                 if bugs.active(RecoveryBugId::ReorderCommitEffects) {
                     pending.reverse();
                 }
-                for e in pending.drain(..) {
-                    apply_effect(db, e)?;
-                }
+                apply_effects(db, pending.drain(..))?;
                 next = stmt_idx + 1;
             }
             // The checkpoint durability marker carries no effect; it
@@ -370,16 +359,8 @@ fn replay_into(
         }
     }
     if bugs.active(RecoveryBugId::ReplayUncommitted) {
-        for e in pending.drain(..) {
-            apply_effect(db, e)?;
-        }
+        apply_effects(db, pending.drain(..))?;
     }
-    // Row effects were applied physically, bypassing the per-DML index
-    // maintenance hooks: rebuild every ordered index from the recovered
-    // rows. Deterministic — build order is catalog order, key order is
-    // value order — so a recovered engine's seek behaviour is
-    // byte-identical to the never-crashed reference's.
-    db.catalog_mut().rebuild_index_data();
     Ok(())
 }
 
@@ -433,13 +414,42 @@ pub fn recover_detailed(
     Ok((db, info))
 }
 
+/// The write phase of a recovery scenario: run `script` on a fresh
+/// durable engine under `bugs`, the crash `plan` and the `media` plan,
+/// calling [`Database::checkpoint`] after each 0-based statement index in
+/// `checkpoints`, and stop once `stop_at` statements have committed. A
+/// failed statement or checkpoint is part of the scenario. Returns the
+/// engine, detached from its log, and the log it wrote.
+pub fn write_phase(
+    script: &[crate::ast::Statement],
+    checkpoints: &[usize],
+    plan: &FaultPlan,
+    media: &MediaPlan,
+    dialect: Dialect,
+    bugs: &BugRegistry,
+    stop_at: Option<u64>,
+) -> (Database, Wal) {
+    let mut db = Database::with_bugs(dialect, bugs.clone());
+    db.set_storage_mode(StorageMode::Durable);
+    db.set_fault_plan(plan.clone());
+    db.set_media_plan(*media);
+    for (i, s) in script.iter().enumerate() {
+        if stop_at.is_some() && db.wal().map(|w| w.committed_statements()) == stop_at {
+            break;
+        }
+        let _ = db.execute(s);
+        if checkpoints.contains(&i) {
+            let _ = db.checkpoint();
+        }
+    }
+    let wal = db.detach_wal();
+    (db, wal)
+}
+
 /// The crash-recovery differential, shared by the `recover` oracle, the
-/// reducer and the recovery suites: execute `script` on a durable engine
-/// under the write-path crash `plan` and the orthogonal `media` plan,
-/// calling [`Database::checkpoint`] after each statement index listed in
-/// `checkpoints` (0-based; indices past the script are ignored), recover
-/// the surviving images, and compare against a never-crashed, never-
-/// checkpointed engine that executed only the committed prefix.
+/// reducer and the recovery suites: run the scenario's [`write_phase`],
+/// recover the surviving images, and compare against a never-crashed,
+/// never-checkpointed engine that executed only the committed prefix.
 /// Returns `Some(detail)` on a divergence, `None` otherwise.
 ///
 /// Both executions run under the same `bugs` registry, so injected
@@ -471,36 +481,17 @@ pub fn recovery_divergence(
     dialect: Dialect,
     bugs: &BugRegistry,
 ) -> Option<String> {
-    let durable_run =
-        |plan: FaultPlan, media: MediaPlan, ckpts: &[usize], stop_at: Option<u64>| -> Database {
-            let mut db = Database::with_bugs(dialect, bugs.clone());
-            db.set_storage_mode(StorageMode::Durable);
-            db.set_fault_plan(plan);
-            db.set_media_plan(media);
-            for (i, s) in script.iter().enumerate() {
-                if let Some(c) = stop_at {
-                    if db.wal().map(|w| w.committed_statements()) == Some(c) {
-                        break;
-                    }
-                }
-                let _ = db.execute(s);
-                if ckpts.contains(&i) {
-                    let _ = db.checkpoint();
-                }
-            }
-            db
-        };
     // The committed-prefix oracle: the same script with no faults and no
     // checkpoints (a pure storage-layer operation), stopped after `k`
     // commits.
     let reference = |k: u64| -> Option<Database> {
-        let db = durable_run(FaultPlan::none(), MediaPlan::none(), &[], Some(k));
-        (db.wal().expect("durable").committed_statements() == k).then_some(db)
+        let (none, no_media) = (FaultPlan::none(), MediaPlan::none());
+        let (db, wal) = write_phase(script, &[], &none, &no_media, dialect, bugs, Some(k));
+        (wal.committed_statements() == k).then_some(db)
     };
 
     let faults = media.faults();
-    let faulted = durable_run(plan.clone(), *media, checkpoints, None);
-    let wal = faulted.wal().expect("durable");
+    let (faulted, wal) = write_phase(script, checkpoints, plan, media, dialect, bugs, None);
     let committed = wal.committed_statements();
     let durable_snap = wal.durable_snapshot_stmts();
     let context = {
@@ -540,10 +531,10 @@ pub fn recovery_divergence(
         }
     }
 
-    // At-rest degradation between shutdown and recovery, on a copy of the
-    // writer's disks: bit rot lands in the images, read faults arm on the
-    // faulted site's disk (both are no-ops without a media fault).
-    let mut at_rest = wal.clone();
+    // At-rest degradation between shutdown and recovery, on the writer's
+    // disks: bit rot lands in the images, read faults arm on the faulted
+    // site's disk (both are no-ops without a media fault).
+    let mut at_rest = wal;
     at_rest.degrade_at_rest();
     let must_fail = media.read_must_fail();
     let log_read = at_rest.read_log_image(bugs).map(<[u8]>::to_vec);

@@ -709,3 +709,90 @@ fn reclaiming_the_newest_snapshot_diverges_on_the_long_schedule() {
         "the mutant never diverged on {LONG_SCHEDULE:?}"
     );
 }
+
+#[test]
+fn row_records_that_do_not_fit_their_table_fail_recovery_without_panicking() {
+    // Every frame of these images verifies and every statement commits,
+    // yet one row record does not fit its table: a row narrower than the
+    // table (whose index keys the missing column), an update of a column
+    // past the table's width, and deletes whose positions are out of
+    // order, repeated or out of range. Replay must end in an error, never
+    // a panic or a silently wrong table. The row also goes through a
+    // sealed snapshot, which recovery loads through the same writes.
+    use coddb::value::Value;
+    use coddb::wal::{Wal, WalRecord};
+    let t = || "t".to_string();
+    let schema = ["CREATE TABLE t (a INT, b INT)", "CREATE INDEX ib ON t (b)"];
+    let rows: Vec<Vec<Value>> = (1..=3)
+        .map(|i| vec![Value::Int(i), Value::Int(10 * i)])
+        .collect();
+    let bad = [
+        WalRecord::InsertRow {
+            table: t(),
+            row: vec![Value::Int(4)],
+        },
+        WalRecord::UpdateRow {
+            table: t(),
+            row_idx: 0,
+            cols: vec![2],
+            vals: vec![Value::Int(9)],
+        },
+        WalRecord::DeleteRows {
+            table: t(),
+            rows: vec![1, 0],
+        },
+        WalRecord::DeleteRows {
+            table: t(),
+            rows: vec![0, 0],
+        },
+        WalRecord::DeleteRows {
+            table: t(),
+            rows: vec![0, 3],
+        },
+    ];
+    for rec in &bad {
+        let mut w = Wal::new(FaultPlan::none());
+        for sql in schema {
+            w.append(&WalRecord::Ddl { sql: sql.into() }).unwrap();
+            w.commit_statement().unwrap();
+        }
+        for row in &rows {
+            w.append(&WalRecord::InsertRow {
+                table: t(),
+                row: row.clone(),
+            })
+            .unwrap();
+        }
+        w.commit_statement().unwrap();
+        w.append(rec).unwrap();
+        w.commit_statement().unwrap();
+        let got = coddb::recovery::recover(w.image(), &[], Dialect::Sqlite, &BugRegistry::none());
+        assert!(got.is_err(), "log replay accepted {rec:?}");
+    }
+
+    let mut w = Wal::new(FaultPlan::none());
+    let mut body: Vec<WalRecord> = schema
+        .iter()
+        .map(|sql| WalRecord::Ddl {
+            sql: sql.to_string(),
+        })
+        .collect();
+    body.push(bad[0].clone());
+    w.append_snapshot(&WalRecord::SnapshotBegin { stmt_idx: 2 })
+        .unwrap();
+    for rec in &body {
+        w.append_snapshot(rec).unwrap();
+    }
+    w.append_snapshot(&WalRecord::SnapshotEnd {
+        stmt_idx: 2,
+        records: body.len() as u64,
+    })
+    .unwrap();
+    let got = coddb::recovery::recover(
+        &[],
+        w.snapshot_image(),
+        Dialect::Sqlite,
+        &BugRegistry::none(),
+    );
+    assert!(got.is_err(), "snapshot load accepted {:?}", bad[0]);
+}

@@ -2,11 +2,12 @@
 //!
 //! Each test is a self-contained crash scenario: generate a schema-plus-
 //! data script with a DML tail, draw a deterministic checkpoint schedule
-//! (0–3 [`Database::checkpoint`] calls at seeded statement positions),
-//! count the WAL operations the checkpointed run produces, draw a
-//! deterministic [`FaultPlan`] over that range — so seeded crashes land
-//! inside snapshot writes, the snapshot reclaim and the truncation step,
-//! not just DML traffic —
+//! (0–3 [`coddb::Database::checkpoint`] calls at seeded statement
+//! positions), count the WAL operations the checkpointed run produces
+//! (a fault-free [`coddb::recovery::write_phase`]), draw a deterministic
+//! [`FaultPlan`] over that range — so seeded crashes land inside snapshot
+//! writes, the snapshot reclaim and the truncation step, not just DML
+//! traffic —
 //! and check, via [`coddb::recovery::recovery_divergence`], that recovering
 //! the surviving snapshot + log-suffix images reconstructs *exactly* the
 //! committed prefix a never-crashed engine would hold, from exactly the
@@ -26,9 +27,8 @@
 //! and every finding records both seeds.
 
 use coddb::ast::{Expr, InsertSource, Statement};
-use coddb::recovery::recovery_divergence;
-use coddb::wal::{FaultPlan, MediaPlan, StorageMode};
-use coddb::Database;
+use coddb::recovery::{recovery_divergence, write_phase};
+use coddb::wal::{FaultPlan, MediaPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use sqlgen::state::{generate_state, random_value};
@@ -146,15 +146,16 @@ impl Oracle for Recover {
         // Count the crash points this scenario exposes: a durable dry run
         // under the same mutants and the same checkpoint schedule, no
         // faults — snapshot frames and truncations count as ops too.
-        let mut probe = Database::with_bugs(dialect, bugs.clone());
-        probe.set_storage_mode(StorageMode::Durable);
-        for (i, s) in script.iter().enumerate() {
-            let _ = probe.execute(s);
-            if checkpoints.contains(&i) {
-                let _ = probe.checkpoint();
-            }
-        }
-        let total_ops = probe.wal().expect("durable").ops();
+        let (_, probe) = write_phase(
+            &script,
+            &checkpoints,
+            &FaultPlan::none(),
+            &MediaPlan::none(),
+            dialect,
+            &bugs,
+            None,
+        );
+        let total_ops = probe.ops();
         if total_ops == 0 {
             return TestOutcome::Skipped("script produced no durable operations".into());
         }
@@ -222,7 +223,7 @@ impl Oracle for PanicProbe {
 mod tests {
     use super::*;
     use coddb::bugs::BugRegistry;
-    use coddb::Dialect;
+    use coddb::{Database, Dialect};
 
     #[test]
     fn clean_engine_passes_many_seeded_scenarios() {

@@ -87,8 +87,11 @@ pub fn reduce(case: &ReducibleCase, dialect: Dialect, bugs: &BugRegistry) -> Red
         |c| still_failing(c, dialect, bugs),
     );
 
-    // Phase 2: shrink the original query's WHERE expression; mirror every
-    // accepted shrink in the folded query when the same subtree exists.
+    // Phase 2: shrink the original query's WHERE expression. Only the
+    // original changes; the folded query keeps its WHERE. A shrink is
+    // still sound: `still_failing` accepts it only if the clean engine
+    // still finds the two queries equal, so the pair stays a valid
+    // CODDTest pair and only the mutant separates them.
     if let Some(where_clause) = current.original.core().and_then(|c| c.where_clause.clone()) {
         let shrunk = shrink_expr(&where_clause, &mut |e| {
             let mut candidate = current.clone();

@@ -36,8 +36,6 @@ pub struct GenConfig {
     pub max_rows: usize,
     /// Probability of creating an index per table.
     pub index_probability: f64,
-    /// Probability of creating a view.
-    pub view_probability: f64,
 }
 
 impl Default for GenConfig {
@@ -49,7 +47,6 @@ impl Default for GenConfig {
             max_tables: 3,
             max_rows: 6,
             index_probability: 0.5,
-            view_probability: 0.4,
         }
     }
 }

@@ -13,6 +13,9 @@ use rand::{Rng, RngExt};
 
 use crate::{GenConfig, SchemaInfo, TableInfo};
 
+/// Probability that a generated state gets a view.
+pub const VIEW_PROBABILITY: f64 = 0.4;
+
 /// Generate a random database state for `dialect`.
 pub fn generate_state(
     rng: &mut (impl Rng + ?Sized),
@@ -157,7 +160,7 @@ pub fn generate_state(
 
     // Maybe a view over one of the tables: either a simple projection or
     // an aggregate-with-GROUP-BY view (feeding the Listing-1 shape).
-    if rng.random_bool(config.view_probability) {
+    if rng.random_bool(VIEW_PROBABILITY) {
         let base_idx = rng.random_range(0..schema.tables.len());
         let base = schema.tables[base_idx].clone();
         let view_name = "v0".to_string();

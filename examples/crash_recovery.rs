@@ -21,10 +21,11 @@
 
 use coddb::bugs::BugRegistry;
 use coddb::recovery::{
-    recover_detailed, recover_with_policy, recovery_divergence, scrub_images, RecoveryPolicy,
+    recover_detailed, recover_with_policy, recovery_divergence, scrub_images, write_phase,
+    RecoveryPolicy,
 };
-use coddb::wal::{FaultMode, FaultPlan, MediaPlan, StorageMode, FRAME_HEADER};
-use coddb::{Database, Dialect, MediaBugId, RecoveryBugId};
+use coddb::wal::{FaultMode, FaultPlan, MediaPlan, FRAME_HEADER};
+use coddb::{Dialect, MediaBugId, RecoveryBugId};
 use coddtest::reduce::{recovery_still_failing, reduce_recovery, RecoveryCase};
 use coddtest::runner::{attribute_bugs, run_campaign, CampaignConfig};
 
@@ -43,29 +44,26 @@ fn main() {
 
     // Dry run to learn how many disk operations the checkpointed run
     // makes, then crash on the very last one (stmt 4's commit marker).
-    let mut dry = Database::new(Dialect::Sqlite);
-    dry.set_storage_mode(StorageMode::Durable);
-    for (i, s) in script.iter().enumerate() {
-        dry.execute(s).unwrap();
-        if checkpoints.contains(&i) {
-            dry.checkpoint().unwrap();
-        }
-    }
-    let total_ops = dry.wal().unwrap().ops();
-
-    let mut db = Database::new(Dialect::Sqlite);
-    db.set_storage_mode(StorageMode::Durable);
-    db.set_fault_plan(FaultPlan {
+    let run = |plan: &FaultPlan| {
+        let (media, bugs) = (MediaPlan::none(), BugRegistry::none());
+        let (_, wal) = write_phase(
+            &script,
+            &checkpoints,
+            plan,
+            &media,
+            Dialect::Sqlite,
+            &bugs,
+            None,
+        );
+        wal
+    };
+    let dry = run(&FaultPlan::none());
+    assert_eq!(dry.committed_statements(), script.len() as u64);
+    let total_ops = dry.ops();
+    let wal = run(&FaultPlan {
         crash_op: total_ops - 1,
         mode: FaultMode::Lost,
     });
-    for (i, s) in script.iter().enumerate() {
-        let _ = db.execute(s);
-        if checkpoints.contains(&i) {
-            let _ = db.checkpoint();
-        }
-    }
-    let wal = db.wal().unwrap();
     println!(
         "crashed at op {}/{}: log {} bytes, snapshot {} bytes, durable snapshot at stmt {:?}",
         total_ops - 1,
@@ -185,9 +183,8 @@ fn main() {
     //    kind of corruption no write-path check could have seen — then
     //    scrub, and contrast the two recovery policies. The clean run
     //    from step 1's dry engine committed all five statements.
-    let wal = dry.wal().unwrap();
-    let mut log = wal.image().to_vec();
-    let snap = wal.snapshot_image().to_vec();
+    let mut log = dry.image().to_vec();
+    let snap = dry.snapshot_image().to_vec();
     log[FRAME_HEADER] ^= 0x04; // first payload byte of the first suffix frame
     let report = scrub_images(&log, &snap, &BugRegistry::none());
     println!(

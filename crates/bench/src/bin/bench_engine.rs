@@ -4,7 +4,8 @@
 //! the nested loop forced (hash-join speedup), vectorization-dominated
 //! shapes with row-at-a-time evaluation forced
 //! (`vectorized_vs_row_speedup`), and index-seek shapes,
-//! `index_seek_residual` and `dml_by_key` included, with
+//! `index_seek_residual`, `dml_by_key` and `subquery_correlated` (whose
+//! subquery seeks by its outer key) included, with
 //! `AccessMode::ScanOnly` forced (`indexed_vs_scan_speedup`). Each query
 //! shape records the median of its measurement windows
 //! (`bound_ns_per_iter`) followed by the fastest and slowest window

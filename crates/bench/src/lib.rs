@@ -163,8 +163,9 @@ pub const INDEX_SEEK_RESIDUAL_SHAPE: (&str, &str) = (
 
 /// The trajectory fields a measurement must record, one (shape, field)
 /// row per acceptance metric: parallel runner, chunk eval, hash join, WAL
-/// and recovery, checkpoints and run length, ordered-index seeks (SELECT
-/// and DML), index maintenance, scrub and the disk-full abort.
+/// and recovery, checkpoints and run length, ordered-index seeks (SELECT,
+/// correlated subquery and DML), index maintenance, scrub and the
+/// disk-full abort.
 /// `bench_engine` fails when a shape it measured lacks its row's field
 /// ([`missing_gated_fields`]), and the `coddtest-analyze` bench lint
 /// requires every `*_speedup` / `*_overhead` field of `BENCH_engine.json`
@@ -190,6 +191,7 @@ pub const GATED_FIELDS: &[(&str, &str)] = &[
     ("index_probe", "indexed_vs_scan_speedup"),
     ("index_range_scan", "indexed_vs_scan_speedup"),
     ("order_by_indexed", "indexed_vs_scan_speedup"),
+    ("subquery_correlated", "indexed_vs_scan_speedup"),
     (INDEX_SEEK_RESIDUAL_SHAPE.0, "indexed_vs_scan_speedup"),
     (DML_INDEX_MAINTENANCE_SHAPE, "index_maintenance_overhead"),
     (DML_BY_KEY_SHAPE, "indexed_vs_scan_speedup"),
@@ -224,12 +226,14 @@ pub fn is_join_shape(name: &str) -> bool {
 /// additionally times these with [`coddb::AccessMode::ScanOnly`] forced,
 /// recording `scan_ns_per_iter` and the `indexed_vs_scan_speedup` of the
 /// planner-selected seek over the full-scan pipeline (for
-/// `order_by_indexed` that includes the eliminated sort).
+/// `order_by_indexed` that includes the eliminated sort). In
+/// `subquery_correlated` the seek is the correlated subquery's: each of
+/// its runs seeks `i0` by the outer row's key.
 pub fn is_indexed_shape(name: &str) -> bool {
     name == INDEX_SEEK_RESIDUAL_SHAPE.0
         || matches!(
             name,
-            "index_probe" | "index_range_scan" | "order_by_indexed"
+            "index_probe" | "index_range_scan" | "order_by_indexed" | "subquery_correlated"
         )
 }
 
@@ -467,6 +471,55 @@ mod tests {
             missing_gated_fields(json),
             vec![("seq_filter", "vectorized_vs_row_speedup")]
         );
+    }
+
+    #[test]
+    fn subquery_correlated_seeks_i0_by_its_outer_key() {
+        use coddb::ast::{ColumnRef, Expr};
+        use coddb::bugs::BugRegistry;
+        use coddb::coverage::Coverage;
+        use coddb::plan::{plan_select, BodyPlan, FromPlan, PlanCtx, SeekProbe};
+
+        let db = engine_setup();
+        let (_, sql) = QUERY_SHAPES
+            .iter()
+            .find(|(name, _)| *name == "subquery_correlated")
+            .unwrap();
+        let query = coddb::parser::parse_select(sql).unwrap();
+        let Some(Expr::Binary { right, .. }) = &query.core().unwrap().where_clause else {
+            panic!("expected `t1.c0 < (subquery)`");
+        };
+        let Expr::Scalar(sub) = right.as_ref() else {
+            panic!("expected a scalar subquery, got {right}");
+        };
+        let (bugs, cov) = (BugRegistry::none(), Coverage::new());
+        let pctx = PlanCtx {
+            catalog: db.catalog(),
+            dialect: Dialect::Sqlite,
+            bugs: &bugs,
+            cov: &cov,
+            optimize: true,
+        };
+        let plan = plan_select(sub, &pctx, &Default::default()).unwrap();
+        let BodyPlan::Core(core) = &plan.body else {
+            panic!("expected a core body");
+        };
+        match &core.from {
+            Some(FromPlan::IndexSeek {
+                index, eq, range, ..
+            }) => {
+                assert_eq!(index, "i0");
+                assert_eq!(
+                    eq[..],
+                    [SeekProbe::Outer(ColumnRef {
+                        table: Some("t1".into()),
+                        column: "c0".into(),
+                    })]
+                );
+                assert!(range.is_none());
+            }
+            other => panic!("expected an index seek on i0, got {other:?}"),
+        }
     }
 
     #[test]

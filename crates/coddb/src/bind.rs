@@ -435,7 +435,7 @@ impl<'a> Binder<'a> {
     /// scope first. Comparison is case-insensitive without allocating:
     /// schema names are normalized to lowercase at construction
     /// ([`crate::exec::ColMeta::new`]).
-    fn resolve(&self, c: &ColumnRef) -> Result<BoundColumn> {
+    pub(crate) fn resolve(&self, c: &ColumnRef) -> Result<BoundColumn> {
         let mut found: Option<(usize, usize)> = None; // (hops up, ordinal)
         for (up, frame) in self.scopes.iter().rev().enumerate() {
             let mut matches = frame.cols.iter().enumerate().filter(|(_, col)| {

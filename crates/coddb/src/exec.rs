@@ -24,19 +24,22 @@
 //!
 //! SELECT, UPDATE and DELETE share one WHERE stage (`where_stage`). Its
 //! input is a FROM result or the rows of an ordered-index seek
-//! (`seek_probe`, the access path `plan::select_seek` picks for the
-//! WHERE clause). One set of kernels evaluates the clause over either
-//! input (`apply_filter`: the filter-site mutant gate, then the chunk
-//! kernel or the row loop); around a seek's rows, `seek_filter` adds
-//! only a fuel and coverage ledger for the rows the seek skipped. The
-//! kernels return the positions of the rows they keep. A SELECT turns
-//! those positions into rows; UPDATE and DELETE change the rows at
-//! those storage positions (`dml_targets`).
+//! (`seek_input`, over the access path `plan::select_seek` picks for the
+//! WHERE clause). A seek runs at the WHERE stage, once per run of its
+//! statement or subquery: `seek_probe` resolves each probe (a literal,
+//! or an outer column read from the outer row, so a correlated subquery
+//! seeks by its current outer key) and probes the index, or refuses and
+//! the stage filters every row. One set of kernels evaluates the clause
+//! over either input (`apply_filter`: the filter-site mutant gate, then
+//! the chunk kernel or the row loop); around a seek's rows,
+//! `seek_filter` adds only a fuel and coverage ledger for the rows the
+//! seek skipped. The kernels return the positions of the rows they
+//! keep. A SELECT turns those positions into rows; UPDATE and DELETE
+//! change the rows at those storage positions (`dml_targets`).
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use crate::ast::{AggFunc, BinaryOp, Expr, JoinKind, Select, SelectItem, SetOp, SortOrder};
@@ -44,7 +47,7 @@ use crate::bind::{bind_join_keys, Binder, BoundExpr};
 #[cfg(debug_assertions)]
 use crate::bugs::ValidatorScope;
 use crate::bugs::{BugId, BugRegistry, IndexBugId};
-use crate::cache::{get_or_build, GroupedBindings, ProjBindings, StmtCaches, SubqEntry};
+use crate::cache::{get_or_build, FxBuild, GroupedBindings, ProjBindings, StmtCaches, SubqEntry};
 use crate::catalog::{Catalog, TableDef};
 use crate::coverage::{pt, Coverage, PointId};
 use crate::dialect::Dialect;
@@ -52,7 +55,8 @@ use crate::error::{Error, Result};
 use crate::eval::{
     compute_aggregate, eval_bound, eval_expr, truthiness, AggValues, Bool3, Clause, ExprCtx,
 };
-use crate::plan::{self, BodyPlan, CorePlan, FromPlan, PlanCtx, SelectPlan};
+use crate::index::{KeyCmp, KeyProbes, OrdIndex};
+use crate::plan::{self, BodyPlan, CorePlan, FromPlan, PlanCtx, SeekProbe, SelectPlan};
 use crate::value::{OrdRow, OrdValue, Relation, Row, Value};
 
 /// Physical join strategy selection.
@@ -644,22 +648,18 @@ pub fn exec_select_plan(
         ));
     }
 
-    let (mut rel, pre_rows, pre_from) = exec_body(&plan.body, ctx, &ctes, outer_scopes, depth)?;
+    let (mut rel, pre_rows, pre_from, presorted) =
+        exec_body(&plan.body, ctx, &ctes, outer_scopes, depth)?;
 
-    // ORDER BY. When the FROM result is an index seek that ran in key
-    // order (`SeekInfo::ordered` — the *runtime* signal, absent whenever
-    // the exactness gate or ScanOnly mode fell back to a plain scan),
-    // the rows already carry the planner-proven output order and the
-    // sort is skipped. `sort_relation` charges no fuel and the
-    // branch-point bit is hit either way, so the elimination is
-    // observation-free.
+    // ORDER BY. When the rows came from an index seek that ran in key
+    // order (the *runtime* signal, absent whenever the run refused the
+    // seek or ScanOnly mode scanned instead), they already carry the
+    // planner-proven output order and the sort is skipped.
+    // `sort_relation` charges no fuel and the branch-point bit is hit
+    // either way, so the elimination is observation-free.
     if !plan.order_by.is_empty() {
         ctx.cov.hit(pt::EXEC_SORT);
-        let pre_ordered = pre_from
-            .as_ref()
-            .and_then(|f| f.seek.as_ref())
-            .is_some_and(|s| s.ordered);
-        if !pre_ordered {
+        if !presorted {
             sort_relation(
                 &mut rel,
                 pre_rows,
@@ -840,8 +840,10 @@ fn sort_relation<'p>(
 }
 
 /// A body's output: the relation plus, when available, the pre-projection
-/// rows and FROM result (whose schema ORDER BY expressions bind against).
-type BodyOutput = (Relation, Option<Vec<Row>>, Option<Rc<FromResult>>);
+/// rows and FROM result (whose schema ORDER BY expressions bind against),
+/// and whether the rows came from an index seek that ran in key order
+/// ([`SeekInfo::ordered`]), so that the ORDER BY sort may be skipped.
+type BodyOutput = (Relation, Option<Vec<Row>>, Option<Rc<FromResult>>, bool);
 
 /// Execute a body plan.
 fn exec_body(
@@ -859,10 +861,10 @@ fn exec_body(
             left,
             right,
         } => {
-            let (l, _, _) = exec_body(left, ctx, ctes, outer_scopes, depth)?;
-            let (r, _, _) = exec_body(right, ctx, ctes, outer_scopes, depth)?;
+            let (l, ..) = exec_body(left, ctx, ctes, outer_scopes, depth)?;
+            let (r, ..) = exec_body(right, ctx, ctes, outer_scopes, depth)?;
             let rel = exec_set_op(*op, *all, l, r, ctx, left, right)?;
-            Ok((rel, None, None))
+            Ok((rel, None, None, false))
         }
         BodyPlan::Values(rows) => {
             ctx.cov.hit(pt::EXEC_VALUES_ROWS);
@@ -887,7 +889,7 @@ fn exec_body(
             }
             let arity = rows.first().map(|r| r.len()).unwrap_or(0);
             let columns = (1..=arity).map(|i| format!("column{i}")).collect();
-            Ok((Relation { columns, rows: out }, None, None))
+            Ok((Relation { columns, rows: out }, None, None, false))
         }
     }
 }
@@ -1006,26 +1008,21 @@ fn dedup_rows(rows: Vec<Row>) -> Vec<Row> {
     out
 }
 
-/// Runtime record of an executed index seek, consumed by [`exec_core`]'s
-/// WHERE stage for coverage/fuel parity with the ScanOnly baseline (see
+/// Runtime record of one run's index seek, consumed by the WHERE stage
+/// for coverage/fuel parity with the ScanOnly baseline (see
 /// [`seek_filter`]).
-#[derive(Clone)]
-pub(crate) struct SeekInfo {
+pub(crate) struct SeekInfo<'c> {
     /// Storage positions of the emitted rows, aligned with the result
     /// rows (ascending when the seek is unordered).
     positions: Vec<usize>,
     /// Table row count at seek time (`positions.len()` + skipped rows).
     total: usize,
-    /// Catalog name of the seeked index — [`seek_filter`] computes the
-    /// skipped-class representatives from it on demand, exact or lazy
-    /// depending on which charging regime the baseline filter would use.
-    index: String,
-    /// Key-column ordinals of that index (for synthetic rep rows).
-    key_cols: Vec<usize>,
-    /// The consumed equality probes, post bug hooks.
-    eq: Vec<Value>,
-    /// The consumed range probe, post bug hooks.
-    range_probe: Option<(BinaryOp, Value)>,
+    /// The seeked index — [`seek_filter`] computes the skipped-class
+    /// representatives from it on demand, exact or lazy depending on
+    /// which charging regime the baseline filter would use.
+    data: &'c OrdIndex,
+    /// The probe values this run consumed, post bug hooks.
+    probes: KeyProbes,
     /// Rows arrived in index-key order: the ORDER BY sort may be skipped.
     ordered: bool,
     /// Bug hook [`IndexBugId::PrefixSeekIgnoresResidual`]: the WHERE
@@ -1040,8 +1037,6 @@ pub(crate) struct SeekInfo {
 pub(crate) struct FromResult {
     schema: Schema,
     rows: Vec<Row>,
-    /// `Some` when the rows came from an executed index seek.
-    seek: Option<SeekInfo>,
 }
 
 fn exec_core(
@@ -1066,10 +1061,20 @@ fn exec_core(
         None => Rc::new(FromResult {
             schema: Schema::default(),
             rows: vec![Row::new(Vec::new())],
-            seek: None,
         }),
     };
     let schema = &fr.schema;
+    // The WHERE stage's input: under an index seek, the rows this run's
+    // seek reaches (every row of the table when the run scans instead);
+    // otherwise the FROM result's rows.
+    let (input, seek) = match &core.from {
+        Some(access @ FromPlan::IndexSeek { table, .. }) => {
+            let t = ctx.catalog.table(table)?;
+            seek_input(t, access, outer_scopes, schema, depth, ctx)?
+        }
+        _ => (Cow::Borrowed(fr.rows.as_slice()), None),
+    };
+    let presorted = seek.as_ref().is_some_and(|s| s.ordered);
 
     let from = core.from.as_ref();
     let base_info = ExprCtx {
@@ -1102,16 +1107,16 @@ fn exec_core(
                 outer_scopes,
                 info: base_info,
             };
-            let kept = where_stage(f, &fr.rows, fr.seek.as_ref())?;
-            kept.into_iter().map(|i| fr.rows[i].clone()).collect()
+            let kept = where_stage(f, &input, seek.as_ref())?;
+            kept.into_iter().map(|i| input[i].clone()).collect()
         }
-        None => fr.rows.clone(),
+        None => input.into_owned(),
     };
 
     if core.is_grouped() {
         let (rel, reps) = exec_grouped(core, rows, schema, ctx, ctes, outer_scopes, base_info)?;
         let rel = maybe_distinct(rel, core.distinct, ctx)?;
-        return Ok((rel, Some(reps), Some(fr)));
+        return Ok((rel, Some(reps), Some(fr), false));
     }
 
     // Plain projection: every output expression is expanded and bound
@@ -1174,7 +1179,7 @@ fn exec_core(
         rows: out_rows,
     };
     let rel = maybe_distinct(rel, core.distinct, ctx)?;
-    Ok((rel, Some(rows), Some(fr)))
+    Ok((rel, Some(rows), Some(fr), presorted))
 }
 
 fn maybe_distinct(mut rel: Relation, distinct: bool, ctx: &EngineCtx) -> Result<Relation> {
@@ -2012,17 +2017,7 @@ pub(crate) fn dml_targets(
         ctx.consume_fuel(t.rows.len() as u64)?;
         return Ok((0..t.rows.len()).collect());
     };
-    let seek = match access {
-        FromPlan::IndexSeek {
-            index,
-            eq,
-            range,
-            ordered,
-            reverse,
-            ..
-        } => seek_probe(t, index, eq, range, *ordered, *reverse, ctx),
-        _ => None,
-    };
+    let (rows, seek) = seek_input(t, access, &[], schema, 0, ctx)?;
     let ctes = CteEnv::root();
     let f = Filter {
         pred,
@@ -2032,14 +2027,11 @@ pub(crate) fn dml_targets(
         outer_scopes: &[],
         info: ExprCtx::new(Clause::Where),
     };
-    match seek {
-        Some(seek) => {
-            let rows: Vec<Row> = seek.positions.iter().map(|&p| t.rows[p].clone()).collect();
-            let kept = where_stage(f, &rows, Some(&seek))?;
-            Ok(kept.into_iter().map(|i| seek.positions[i]).collect())
-        }
-        None => where_stage(f, &t.rows, None),
-    }
+    let kept = where_stage(f, &rows, seek.as_ref())?;
+    Ok(match seek {
+        Some(seek) => kept.into_iter().map(|i| seek.positions[i]).collect(),
+        None => kept,
+    })
 }
 
 /// The WHERE stage over an index seek's rows: a fuel and coverage ledger
@@ -2096,17 +2088,13 @@ fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
     // index probe per class); the storage-order walk needs each class's
     // first row in storage order, where a fuel exhaustion would cut the
     // scan twin's ledger.
-    let data = ctx
-        .catalog
-        .index(&seek.index)
-        .and_then(|i| i.data.as_ref())
-        .expect("seeked index vanished mid-statement");
-    let reps: Vec<(usize, Row)> = data
-        .skip_reps(&seek.eq, seek.range_probe.clone(), bulk)
+    let reps: Vec<(usize, Row)> = seek
+        .data
+        .skip_reps(&seek.probes, bulk)
         .into_iter()
         .map(|(p, key)| {
             let mut vals = vec![Value::Null; f.schema.cols.len()];
-            for (&c, ov) in seek.key_cols.iter().zip(key) {
+            for (&c, ov) in seek.data.cols.iter().zip(key) {
                 vals[c] = ov.0;
             }
             (p, Row::new(vals))
@@ -2190,57 +2178,139 @@ fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
     Ok(kept_rows)
 }
 
-/// Probe the ordered index of an `IndexSeek` access path over `t` for
-/// the storage positions its consumed conjuncts can reach. `None` when
-/// the seek is refused at run time — [`EngineCtx::scan_only`], or a probe
-/// whose storage class the index's key values do not share — and the
-/// caller scans instead.
-fn seek_probe(
+/// The WHERE stage's input over base table `t`, reached through
+/// `access`: for an `IndexSeek`, the rows its seek reaches in this run
+/// with the seek's record ([`seek_probe`]); every row of `t` and no
+/// record when `access` is a scan or the run refuses the seek.
+fn seek_input<'c>(
+    t: &'c TableDef,
+    access: &FromPlan,
+    outer_scopes: &[Frame],
+    local: &Schema,
+    depth: u32,
+    ctx: &EngineCtx<'c>,
+) -> Result<(Cow<'c, [Row]>, Option<SeekInfo<'c>>)> {
+    let Some(seek) = seek_probe(t, access, outer_scopes, local, depth, ctx)? else {
+        return Ok((Cow::Borrowed(t.rows.as_slice()), None));
+    };
+    let rows = seek.positions.iter().map(|&p| t.rows[p].clone()).collect();
+    Ok((Cow::Owned(rows), Some(seek)))
+}
+
+/// Probe the ordered index of an `IndexSeek` access path over `t` (bound
+/// to `local`) for the storage positions its consumed conjuncts can
+/// reach in this run. Each probe is resolved first: a literal as
+/// planned, an outer column read straight from the frame of
+/// `outer_scopes` it binds to. That read is no evaluation and enters no
+/// correlation detector: the WHERE stage evaluates the consumed conjunct
+/// itself, on the emitted rows and on the skipped classes'
+/// representatives, and so notes the outer slot exactly when the scan
+/// twin would. `Ok(None)` when the run refuses the seek and the caller
+/// scans instead: [`EngineCtx::scan_only`], a probe that is NULL or does
+/// not resolve, or a probe whose storage class the index's key values
+/// do not share. A plan whose probes do not fit the index is an
+/// internal error.
+fn seek_probe<'c>(
     t: &TableDef,
-    index: &str,
-    eq: &[Value],
-    range: &Option<(BinaryOp, Value)>,
-    ordered: bool,
-    reverse: bool,
-    ctx: &EngineCtx,
-) -> Option<SeekInfo> {
-    let data = ctx.catalog.index(index).and_then(|i| i.data.as_ref())?;
+    access: &FromPlan,
+    outer_scopes: &[Frame],
+    local: &Schema,
+    depth: u32,
+    ctx: &EngineCtx<'c>,
+) -> Result<Option<SeekInfo<'c>>> {
+    let FromPlan::IndexSeek {
+        index,
+        eq,
+        range,
+        ordered,
+        reverse,
+        ..
+    } = access
+    else {
+        return Ok(None);
+    };
+    let Some(data) = ctx.catalog.index(index).and_then(|i| i.data.as_ref()) else {
+        return Ok(None);
+    };
+    if ctx.scan_only {
+        return Ok(None);
+    }
+    let resolve = |p: &SeekProbe| -> Option<Value> {
+        let v = match p {
+            SeekProbe::Literal(v) => v.clone(),
+            SeekProbe::Outer(c) => {
+                let scopes = bind_scopes(outer_scopes, local);
+                let col = Binder::new(&scopes, depth).resolve(c).ok()?;
+                let fi = outer_scopes.len().checked_sub(usize::from(col.up))?;
+                outer_scopes
+                    .get(fi)?
+                    .row
+                    .get(usize::from(col.index))?
+                    .clone()
+            }
+        };
+        (!v.is_null()).then_some(v)
+    };
+    let mut vals = Vec::with_capacity(plan::MAX_SEEK_KEYS);
+    for p in eq.iter().chain(range.iter().map(|(_, p)| p)) {
+        match resolve(p) {
+            Some(v) => vals.push(OrdValue(v)),
+            None => return Ok(None),
+        }
+    }
+    if vals.len() > data.stats.len() {
+        return Err(Error::Internal(format!(
+            "index seek probes {} key columns of {index}, which has {}",
+            vals.len(),
+            data.stats.len()
+        )));
+    }
     // Runtime exactness gate, mirroring the fast-filter discipline: for
     // each consumed key column, the probe's TEXT-ness must be uniform
     // with every non-NULL key value, or ordered-key comparison could
     // disagree with SQL comparison.
-    let exact = eq
-        .iter()
-        .chain(range.iter().map(|(_, v)| v))
-        .enumerate()
-        .all(|(j, v)| {
-            let s = &data.stats[j];
-            if matches!(v, Value::Text(_)) {
-                s.text == s.nonnull
-            } else {
-                s.text == 0
-            }
-        });
-    if ctx.scan_only || !exact {
-        return None;
+    let exact = vals.iter().zip(&data.stats).all(|(v, s)| {
+        if matches!(v.0, Value::Text(_)) {
+            s.text == s.nonnull
+        } else {
+            s.text == 0
+        }
+    });
+    if !exact {
+        return Ok(None);
     }
+    let cmp = |op: BinaryOp| {
+        KeyCmp::of(op).ok_or_else(|| Error::Internal(format!("index seek range probe with {op:?}")))
+    };
+    let probes = match (vals.as_slice(), range) {
+        ([], None) => KeyProbes::All,
+        ([v], None) => KeyProbes::One(KeyCmp::Eq, v.clone()),
+        ([v], Some((op, _))) => KeyProbes::One(cmp(*op)?, v.clone()),
+        ([v0, v1], None) => KeyProbes::Two(v0.clone(), KeyCmp::Eq, v1.clone()),
+        ([v0, v1], Some((op, _))) => KeyProbes::Two(v0.clone(), cmp(*op)?, v1.clone()),
+        _ => {
+            return Err(Error::Internal(format!(
+                "index seek probes {} key columns, at most {}",
+                vals.len(),
+                plan::MAX_SEEK_KEYS
+            )))
+        }
+    };
     // The RangeBoundOffByOne and SortElimWrongDirection hooks corrupt the
     // *plan* (see `plan::select_seek` and `plan::eliminate_sort`): the
     // executor faithfully runs the seek it was handed.
     // Bug hook: EqSeekMissesDuplicates — equality seeks return only the
     // first row of each duplicate key group.
     let dedup = ctx.bugs.active(IndexBugId::EqSeekMissesDuplicates);
-    let out = data.seek(eq, range.clone(), ordered, reverse, dedup);
-    Some(SeekInfo {
+    let out = data.seek(&probes, *ordered, *reverse, dedup);
+    Ok(Some(SeekInfo {
         positions: out.emit,
         total: t.rows.len(),
-        index: index.to_string(),
-        key_cols: data.cols.clone(),
-        eq: eq.to_vec(),
-        range_probe: range.clone(),
-        ordered,
+        data,
+        probes,
+        ordered: *ordered,
         filter_suppressed: ctx.bugs.active(IndexBugId::PrefixSeekIgnoresResidual),
-    })
+    }))
 }
 
 /// The schema of a base table's rows, qualified by `alias`.
@@ -2297,7 +2367,9 @@ fn from_result_cacheable(from: &FromPlan, ctx: &EngineCtx) -> bool {
 /// function of table state — for cacheable subtrees (see
 /// [`from_result_cacheable`]) it is materialized once per statement and
 /// shared across the per-outer-key re-instantiations of a correlated
-/// subquery.
+/// subquery. An index seek, whose rows can depend on the outer key, is
+/// no part of it: its FROM result holds the charge and the schema only,
+/// and each run seeks at the WHERE stage ([`seek_input`]).
 fn exec_from(
     from: &FromPlan,
     ctx: &EngineCtx,
@@ -2327,7 +2399,6 @@ fn exec_from_uncached(
             Ok(FromResult {
                 schema: table_schema(t, alias),
                 rows: t.rows.clone(),
-                seek: None,
             })
         }
         FromPlan::IndexScan {
@@ -2373,35 +2444,23 @@ fn exec_from_uncached(
             Ok(FromResult {
                 schema,
                 rows: t.rows.clone(),
-                seek: None,
             })
         }
-        FromPlan::IndexSeek {
-            table,
-            alias,
-            index,
-            eq,
-            range,
-            ordered,
-            reverse,
-        } => {
+        // A seek's FROM stage is a seq scan's charge, paid once per
+        // statement by a correlated subquery too (this result is cached):
+        // the seek's fuel saving is accounted at the WHERE stage (the
+        // skipped rows' filter units are replayed there), keeping the
+        // total ledger identical to the ScanOnly baseline. The rows come
+        // from each run's seek, or the whole table when the run scans
+        // (`seek_input`, called by `exec_core`: a seek is only ever a
+        // core's FROM root, plan invariant `seek-position`), so this
+        // result holds none.
+        FromPlan::IndexSeek { table, alias, .. } => {
             let t = ctx.catalog.table(table)?;
-            // Same FROM-stage charge as a seq scan: the seek's fuel
-            // saving is accounted at the filter stage (the skipped rows'
-            // filter units are replayed there), keeping the total ledger
-            // identical to the ScanOnly baseline.
             ctx.consume_fuel(t.rows.len() as u64)?;
-            let seek = seek_probe(t, index, eq, range, *ordered, *reverse, ctx);
-            // A refused seek is a plain scan with no seek metadata — the
-            // filter runs the baseline path and ORDER BY still sorts.
-            let rows = match &seek {
-                Some(seek) => seek.positions.iter().map(|&p| t.rows[p].clone()).collect(),
-                None => t.rows.clone(),
-            };
             Ok(FromResult {
                 schema: table_schema(t, alias),
-                rows,
-                seek,
+                rows: Vec::new(),
             })
         }
         FromPlan::Derived {
@@ -2432,7 +2491,6 @@ fn exec_from_uncached(
             Ok(FromResult {
                 schema,
                 rows: rel.rows,
-                seek: None,
             })
         }
         FromPlan::ValuesScan {
@@ -2478,11 +2536,7 @@ fn exec_from_uncached(
                     .map(|name| ColMeta::new(Some(alias), name))
                     .collect(),
             };
-            Ok(FromResult {
-                schema,
-                rows: out,
-                seek: None,
-            })
+            Ok(FromResult { schema, rows: out })
         }
         FromPlan::CteScan { name, alias } => {
             let data = ctes
@@ -2503,7 +2557,6 @@ fn exec_from_uncached(
             Ok(FromResult {
                 schema,
                 rows: data.rel.rows.clone(),
-                seek: None,
             })
         }
         FromPlan::Join {
@@ -2714,11 +2767,7 @@ fn exec_join(
         if let Some(rows) = hash_join(
             kind, hash_keys, residual, left, right, &schema, ctx, ctes, depth, info,
         )? {
-            return Ok(FromResult {
-                schema,
-                rows,
-                seek: None,
-            });
+            return Ok(FromResult { schema, rows });
         }
         ctx.cov.hit(pt::EXEC_HASH_JOIN_FALLBACK);
     }
@@ -2783,11 +2832,7 @@ fn exec_join(
         }
     }
 
-    Ok(FromResult {
-        schema,
-        rows,
-        seek: None,
-    })
+    Ok(FromResult { schema, rows })
 }
 
 // ---------------------------------------------------------------------------
@@ -2835,53 +2880,6 @@ fn join_key(v: Value) -> JoinKey {
                 JoinKey::Real(r.to_bits())
             }
         }
-    }
-}
-
-/// The build table's hasher: an Fx-style hash (as in rustc's `FxHasher`)
-/// that folds each word into the state with one rotate, xor and
-/// multiply. It is unkeyed, so keys crafted to collide could degrade the
-/// table to a list; that is acceptable here because the keys are the
-/// engine's own table data, and a collision costs time, never a wrong
-/// row (candidates still compare whole keys). `finish` rotates the state
-/// so the well-mixed high bits of the last multiply reach the low bits
-/// the table indexes buckets with (keys that differ only above bit k
-/// would otherwise share their low k bits).
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash.rotate_left(26)
     }
 }
 
@@ -3038,8 +3036,8 @@ fn hash_join(
     // the key's first and links the previous first behind it.
     ctx.cov.hit(pt::EXEC_HASH_JOIN_BUILD);
     let has_null = |key: &[JoinKey]| key.iter().any(|k| matches!(k, JoinKey::Null));
-    let mut table: HashMap<&[JoinKey], usize, BuildHasherDefault<FxHasher>> =
-        HashMap::with_capacity_and_hasher(right.rows.len(), Default::default());
+    let mut table: HashMap<&[JoinKey], usize, FxBuild> =
+        HashMap::with_capacity_and_hasher(right.rows.len(), FxBuild::default());
     let mut next = vec![END; right.rows.len()];
     let mut saw_null_key = false;
     for (ri, key) in rkeys.chunks_exact(nkeys).enumerate().rev() {

@@ -22,10 +22,12 @@
 //! lets the seek path stay byte-identical to the ScanOnly baseline.
 //! Per-key-column tallies ([`KeyColStats`]) record how many indexed
 //! values are non-NULL and how many of those are TEXT: the executor's
-//! exactness gate refuses to seek when a probe literal's TEXT-ness is
+//! exactness gate refuses to seek when a probe value's TEXT-ness is
 //! not uniform with every non-NULL key (dialect coercion / strict-type
 //! territory, where dialect rules, not the key order, decide a
-//! comparison).
+//! comparison). A probe value is a literal of the plan or, in a
+//! correlated subquery, the current value of an outer column
+//! ([`KeyProbes`] holds either once resolved).
 
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included, Unbounded};
@@ -42,6 +44,55 @@ use crate::value::{OrdValue, Row, Value};
 /// storage positions on the fallible filter path.
 pub struct SeekOut {
     pub emit: Vec<usize>,
+}
+
+/// A consumed conjunct's comparison, `key <op> probe`: the five
+/// comparisons a seek can consume.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyCmp {
+    Eq,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+impl KeyCmp {
+    /// The seek comparison of a binary operator, `None` for any other
+    /// operator.
+    pub fn of(op: BinaryOp) -> Option<KeyCmp> {
+        Some(match op {
+            BinaryOp::Eq => KeyCmp::Eq,
+            BinaryOp::Lt => KeyCmp::Lt,
+            BinaryOp::Le => KeyCmp::Le,
+            BinaryOp::Gt => KeyCmp::Gt,
+            BinaryOp::Ge => KeyCmp::Ge,
+            _ => return None,
+        })
+    }
+}
+
+/// The probe values of one seek, one per consumed key column: a leading
+/// run of equality probes and an optional trailing comparison of any
+/// kind, over at most two key columns (`plan::MAX_SEEK_KEYS`).
+#[derive(Debug, Clone, PartialEq)]
+pub enum KeyProbes {
+    /// No conjunct consumed: the whole key range (an ordered full seek).
+    All,
+    /// `key0 <op> v`.
+    One(KeyCmp, OrdValue),
+    /// `key0 = v0 AND key1 <op> v1`.
+    Two(OrdValue, KeyCmp, OrdValue),
+}
+
+impl KeyProbes {
+    /// Does every consumed conjunct compare by equality (a point seek)?
+    fn eq_only(&self) -> bool {
+        matches!(
+            self,
+            KeyProbes::One(KeyCmp::Eq, _) | KeyProbes::Two(_, KeyCmp::Eq, _)
+        )
+    }
 }
 
 /// Per-key-column value-class tallies over every indexed row.
@@ -148,8 +199,7 @@ impl OrdIndex {
     /// Range/point seek: emit every row **no consumed conjunct makes
     /// FALSE** (NULL keys stay in — the WHERE clause re-evaluates over
     /// the emitted rows and drops them itself). The consumed conjuncts
-    /// are `eq` equality probes on the leading key columns plus an
-    /// optional `range` probe on the next one, compared in the map's
+    /// are the `probes` on the leading key columns, compared in the map's
     /// total order — callers gate on [`KeyColStats`] so that total-order
     /// outcomes equal SQL comparison outcomes.
     ///
@@ -164,41 +214,25 @@ impl OrdIndex {
     ///
     /// `dedup` is the `EqSeekMissesDuplicates` bug hook: an eq-only seek
     /// emits only the first posting of each key group.
-    pub fn seek(
-        &self,
-        eq: &[Value],
-        range: Option<(BinaryOp, Value)>,
-        ordered: bool,
-        reverse: bool,
-        dedup: bool,
-    ) -> SeekOut {
-        let mut conjs: Vec<(BinaryOp, OrdValue)> = eq
-            .iter()
-            .map(|v| (BinaryOp::Eq, OrdValue(v.clone())))
-            .collect();
-        let dedup = dedup && range.is_none() && !eq.is_empty();
-        if let Some((op, v)) = range {
-            conjs.push((op, OrdValue(v)));
-        }
+    pub fn seek(&self, probes: &KeyProbes, ordered: bool, reverse: bool, dedup: bool) -> SeekOut {
+        let dedup = dedup && probes.eq_only();
 
         // Kept key groups, in global key order.
         let mut groups: Vec<(&Vec<OrdValue>, &Vec<usize>)> = Vec::new();
-        let null = OrdValue(Value::Null);
-        match conjs.len() {
-            0 => groups.extend(self.map.iter()),
-            1 => {
+        match probes {
+            KeyProbes::All => groups.extend(self.map.iter()),
+            KeyProbes::One(op, v) => {
                 self.null_segment(&[], &mut groups);
-                self.match_segment(&[], conjs[0].0, &conjs[0].1, &mut groups);
+                self.match_segment(&[], *op, v, &mut groups);
             }
-            2 => {
-                let n0 = [null.clone()];
-                let m0 = [conjs[0].1.clone()];
+            KeyProbes::Two(v0, op, v1) => {
+                let n0 = [OrdValue(Value::Null)];
+                let m0 = std::slice::from_ref(v0);
                 self.null_segment(&n0, &mut groups);
-                self.match_segment(&n0, conjs[1].0, &conjs[1].1, &mut groups);
-                self.null_segment(&m0, &mut groups);
-                self.match_segment(&m0, conjs[1].0, &conjs[1].1, &mut groups);
+                self.match_segment(&n0, *op, v1, &mut groups);
+                self.null_segment(m0, &mut groups);
+                self.match_segment(m0, *op, v1, &mut groups);
             }
-            _ => unreachable!("a seek consumes at most two key columns"),
         }
 
         // The postings are flattened straight into one buffer: a seek
@@ -232,36 +266,16 @@ impl OrdIndex {
     /// member-independent; the exact storage position only matters on
     /// the fallible filter path, where replay order against fuel
     /// exhaustion is observable.
-    pub fn skip_reps(
-        &self,
-        eq: &[Value],
-        range: Option<(BinaryOp, Value)>,
-        lazy: bool,
-    ) -> Vec<(usize, Vec<OrdValue>)> {
-        let mut conjs: Vec<(BinaryOp, OrdValue)> = eq
-            .iter()
-            .map(|v| (BinaryOp::Eq, OrdValue(v.clone())))
-            .collect();
-        if let Some((op, v)) = range {
-            conjs.push((op, OrdValue(v)));
-        }
-        let null = OrdValue(Value::Null);
+    pub fn skip_reps(&self, probes: &KeyProbes, lazy: bool) -> Vec<(usize, Vec<OrdValue>)> {
         let mut reps: Vec<(usize, Vec<OrdValue>)> = Vec::new();
-        match conjs.len() {
-            0 => {}
-            1 => self.skip_class(&[], conjs[0].0, &conjs[0].1, lazy, &mut reps),
-            2 => {
-                self.skip_class(&[], conjs[0].0, &conjs[0].1, lazy, &mut reps);
-                self.skip_class(&[null], conjs[1].0, &conjs[1].1, lazy, &mut reps);
-                self.skip_class(
-                    &[conjs[0].1.clone()],
-                    conjs[1].0,
-                    &conjs[1].1,
-                    lazy,
-                    &mut reps,
-                );
+        match probes {
+            KeyProbes::All => {}
+            KeyProbes::One(op, v) => self.skip_class(&[], *op, v, lazy, &mut reps),
+            KeyProbes::Two(v0, op, v1) => {
+                self.skip_class(&[], KeyCmp::Eq, v0, lazy, &mut reps);
+                self.skip_class(&[OrdValue(Value::Null)], *op, v1, lazy, &mut reps);
+                self.skip_class(std::slice::from_ref(v0), *op, v1, lazy, &mut reps);
             }
-            _ => unreachable!("a seek consumes at most two key columns"),
         }
         reps.sort_by_key(|(p, _)| *p);
         reps
@@ -293,7 +307,7 @@ impl OrdIndex {
     fn match_segment<'a>(
         &'a self,
         prefix: &[OrdValue],
-        op: BinaryOp,
+        op: KeyCmp,
         v: &OrdValue,
         out: &mut Vec<(&'a Vec<OrdValue>, &'a Vec<usize>)>,
     ) {
@@ -301,9 +315,9 @@ impl OrdIndex {
         let j = prefix.len();
         let mut lo = prefix.to_vec();
         match op {
-            BinaryOp::Eq | BinaryOp::Ge | BinaryOp::Gt => {
+            KeyCmp::Eq | KeyCmp::Ge | KeyCmp::Gt => {
                 lo.push(v.clone());
-                let bound = if op == BinaryOp::Gt {
+                let bound = if op == KeyCmp::Gt {
                     Excluded(&lo[..])
                 } else {
                     Included(&lo[..])
@@ -313,16 +327,16 @@ impl OrdIndex {
                         break;
                     }
                     match (op, k[j].cmp(v)) {
-                        (BinaryOp::Eq, Equal) => out.push((k, ps)),
-                        (BinaryOp::Eq, _) => break,
+                        (KeyCmp::Eq, Equal) => out.push((k, ps)),
+                        (KeyCmp::Eq, _) => break,
                         // `[v, suffix]` keys sort just above `[v]`: skip
                         // the probe's own group under a strict `>`.
-                        (BinaryOp::Gt, Equal) => continue,
+                        (KeyCmp::Gt, Equal) => continue,
                         _ => out.push((k, ps)),
                     }
                 }
             }
-            BinaryOp::Lt | BinaryOp::Le => {
+            KeyCmp::Lt | KeyCmp::Le => {
                 lo.push(OrdValue(Value::Null));
                 for (k, ps) in self
                     .map
@@ -338,12 +352,11 @@ impl OrdIndex {
                     }
                     match k[j].cmp(v) {
                         Less => out.push((k, ps)),
-                        Equal if op == BinaryOp::Le => out.push((k, ps)),
+                        Equal if op == KeyCmp::Le => out.push((k, ps)),
                         _ => break,
                     }
                 }
             }
-            _ => unreachable!("non-comparison op in a seek"),
         }
     }
 
@@ -354,7 +367,7 @@ impl OrdIndex {
     fn skip_class(
         &self,
         prefix: &[OrdValue],
-        op: BinaryOp,
+        op: KeyCmp,
         v: &OrdValue,
         lazy: bool,
         out: &mut Vec<(usize, Vec<OrdValue>)>,
@@ -375,7 +388,7 @@ impl OrdIndex {
         }
         // Low side: non-NULL keys below the probe (the failing side for
         // Gt/Ge and the below-v half for Eq; empty for Lt/Le).
-        if matches!(op, BinaryOp::Eq | BinaryOp::Gt | BinaryOp::Ge) {
+        if matches!(op, KeyCmp::Eq | KeyCmp::Gt | KeyCmp::Ge) {
             let mut lo = prefix.to_vec();
             lo.push(OrdValue(Value::Null));
             for (k, ps) in self
@@ -390,7 +403,7 @@ impl OrdIndex {
                 }
                 match (k[j].cmp(v), op) {
                     (Less, _) => consider(&mut best, k, ps),
-                    (Equal, BinaryOp::Gt) => consider(&mut best, k, ps),
+                    (Equal, KeyCmp::Gt) => consider(&mut best, k, ps),
                     _ => break,
                 }
                 if lazy {
@@ -400,7 +413,7 @@ impl OrdIndex {
         }
         // High side: keys above the probe (the failing side for Lt/Le
         // and the above-v half for Eq; empty for Gt/Ge).
-        if matches!(op, BinaryOp::Eq | BinaryOp::Lt | BinaryOp::Le) && !(lazy && best.is_some()) {
+        if matches!(op, KeyCmp::Eq | KeyCmp::Lt | KeyCmp::Le) && !(lazy && best.is_some()) {
             let mut hi = prefix.to_vec();
             hi.push(v.clone());
             for (k, ps) in self
@@ -410,7 +423,7 @@ impl OrdIndex {
                 if k[..j] != *prefix {
                     break;
                 }
-                if k[j].cmp(v) == Equal && !matches!(op, BinaryOp::Lt) {
+                if k[j].cmp(v) == Equal && !matches!(op, KeyCmp::Lt) {
                     // `[v, suffix]` keys: still equal at position j, so
                     // they only fail a strict `<`.
                     continue;

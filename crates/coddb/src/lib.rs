@@ -135,20 +135,28 @@
 //! (`append_rows`, `set_cells`, `remove_rows`), which INSERT / UPDATE /
 //! DELETE and WAL or snapshot recovery alike go through. The planner
 //! ([`plan`]) turns a **prefix** of the WHERE clause's
-//! conjuncts — `col <cmp> constant` on the index's leading columns, at
+//! conjuncts — `col <cmp> probe` on the index's leading columns, at
 //! most one range — into a [`plan::FromPlan::IndexSeek`] access path,
 //! and satisfies a matching `ORDER BY` by emitting in key order and
 //! skipping the sort (sort elimination; `EXPLAIN` prints the seek shape
-//! and `ordered` / `reverse` flags). UPDATE and DELETE reach their rows
+//! and `ordered` / `reverse` flags). A probe is a literal or, inside a
+//! correlated subquery, an outer column ([`plan::SeekProbe`]): each run
+//! of the subquery seeks by the current outer key, so a subquery over K
+//! outer keys reads the rows of K key groups instead of filtering the
+//! whole inner table K times. UPDATE and DELETE reach their rows
 //! through the same seek and the same WHERE stage.
 //!
 //! The path is **observation-exact**, not merely result-exact: a
-//! runtime gate falls back to the scan unless every probed key column's
-//! stored values are comparison-uniform with the probe (no TEXT against
-//! a number, where dialect rules, not the key order, decide a
-//! comparison), and the filter stage runs the emitted rows through the
-//! scan's own filter kernels and replays what the baseline would have
-//! observed for the rows the seek skipped — their fuel, and the
+//! runtime gate falls back to the scan for a run whose probe value is
+//! NULL or is not comparison-uniform with every probed key column's
+//! stored values (no TEXT against a number, where dialect rules, not
+//! the key order, decide a comparison), an outer probe's value is read
+//! from the outer row without entering the subquery memo's correlation
+//! detector (the filter stage's own evaluation of the consumed conjunct
+//! notes the outer slot, exactly when the scan's would), and the filter
+//! stage runs the emitted rows through the scan's own filter kernels and
+//! replays what the baseline would have observed for the rows the seek
+//! skipped — their fuel, and the
 //! authentic drop-path coverage bits fired once per skipped outcome
 //! class via a representative evaluation ([`exec`]'s `seek_filter`).
 //! Because consumed conjuncts are a prefix of a left-associated `AND`,
@@ -303,8 +311,9 @@
 //!   of the scanned table.
 //! * **Seek justification** — the consumed key prefix is exactly what the
 //!   WHERE clause's leading conjuncts probe: key column *j* matched by
-//!   conjunct *j* with the same comparison operator and the same non-NULL
-//!   literal, at most `plan::MAX_SEEK_KEYS` keys, at most one trailing
+//!   conjunct *j* with the same comparison operator and the same probe (a
+//!   non-NULL literal or an outer column, [`plan::SeekProbe`]), at most
+//!   `plan::MAX_SEEK_KEYS` keys, at most one trailing
 //!   range, range operator a real comparison. (Consumed conjuncts stay in
 //!   the WHERE clause, so the plan carries its own justification.)
 //! * **Sort-elimination legality** — an `ordered` seek implies the

@@ -20,8 +20,8 @@ use std::hash::{Hash, Hasher};
 
 use crate::ast::visit::{for_each_child, for_each_child_mut};
 use crate::ast::{
-    BinaryOp, Expr, JoinKind, OrderItem, Select, SelectBody, SelectCore, SelectItem, SetOp,
-    TableExpr,
+    BinaryOp, ColumnRef, Expr, JoinKind, OrderItem, Select, SelectBody, SelectCore, SelectItem,
+    SetOp, TableExpr,
 };
 #[cfg(debug_assertions)]
 use crate::bugs::ValidatorScope;
@@ -62,18 +62,21 @@ pub enum FromPlan {
     /// still evaluated over them, so consumed conjuncts stay in
     /// `CorePlan::where_clause` and the seek only has to be a superset-
     /// exact pre-filter (rows a consumed conjunct makes FALSE are the only
-    /// ones it may skip). Unordered seeks emit rows in storage order;
-    /// `ordered` seeks emit in index-key order and license the executor to
-    /// skip the ORDER BY sort.
+    /// ones it may skip). Each probe is a literal or an outer column
+    /// ([`SeekProbe`]): a correlated subquery seeks by the current outer
+    /// key on every run, and a run whose probe value is NULL or of the
+    /// wrong class scans instead. Unordered seeks emit rows in storage
+    /// order; `ordered` seeks emit in index-key order and license the
+    /// executor to skip the ORDER BY sort.
     IndexSeek {
         table: String,
         alias: String,
         /// Index name (lowercase catalog key).
         index: String,
-        /// Equality-probe values for the leading key columns.
-        eq: Vec<Value>,
+        /// Equality probes for the leading key columns.
+        eq: Vec<SeekProbe>,
         /// Optional range probe on the next key column.
-        range: Option<(BinaryOp, Value)>,
+        range: Option<(BinaryOp, SeekProbe)>,
         /// Emit in index-key order (sort elimination) instead of storage
         /// order.
         ordered: bool,
@@ -126,6 +129,18 @@ pub enum FromPlan {
         pred: Expr,
         is_clause_root: bool,
     },
+}
+
+/// The value side of a seek's consumed conjunct `col <cmp> probe`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SeekProbe {
+    /// A non-NULL literal.
+    Literal(Value),
+    /// A column qualified by an alias other than the scanned table's: it
+    /// cannot resolve in the seek's own scope, so it names a column of an
+    /// enclosing query (or none, and binding the WHERE clause fails). The
+    /// executor reads its current value from the outer row on each run.
+    Outer(ColumnRef),
 }
 
 impl FromPlan {
@@ -913,11 +928,12 @@ fn seek_gated(pctx: &PlanCtx) -> bool {
         || pctx.bugs.active(BugId::TidbCorrelatedNameCollision)
 }
 
-/// A sargable conjunct: `col <cmp> non-NULL-literal` (either operand
-/// order) over a bare or `alias`-qualified column. Returns the lowercase
-/// column name, the comparison normalized to column-on-the-left, and the
-/// probe literal.
-pub(crate) fn sargable(conj: &Expr, alias: &str) -> Option<(String, BinaryOp, Value)> {
+/// A sargable conjunct: `col <cmp> probe` (either operand order) over a
+/// bare or `alias`-qualified column, where the probe is a non-NULL
+/// literal or a column qualified by another alias, an outer reference
+/// ([`SeekProbe`]). Returns the lowercase column name, the comparison
+/// normalized to column-on-the-left, and the probe.
+pub(crate) fn sargable(conj: &Expr, alias: &str) -> Option<(String, BinaryOp, SeekProbe)> {
     let Expr::Binary { op, left, right } = conj else {
         return None;
     };
@@ -927,11 +943,20 @@ pub(crate) fn sargable(conj: &Expr, alias: &str) -> Option<(String, BinaryOp, Va
     ) {
         return None;
     }
+    let local = |c: &ColumnRef| {
+        c.table
+            .as_deref()
+            .is_none_or(|t| t.eq_ignore_ascii_case(alias))
+    };
     let col_of = |e: &Expr| -> Option<String> {
         let Expr::Column(c) = e else { return None };
-        match c.table.as_deref() {
-            Some(t) if !t.eq_ignore_ascii_case(alias) => None,
-            _ => Some(c.column.to_ascii_lowercase()),
+        local(c).then(|| c.column.to_ascii_lowercase())
+    };
+    let probe_of = |e: &Expr| -> Option<SeekProbe> {
+        match e {
+            Expr::Literal(v) if !v.is_null() => Some(SeekProbe::Literal(v.clone())),
+            Expr::Column(c) if !local(c) => Some(SeekProbe::Outer(c.clone())),
+            _ => None,
         }
     };
     let flip = |op: BinaryOp| match op {
@@ -941,23 +966,19 @@ pub(crate) fn sargable(conj: &Expr, alias: &str) -> Option<(String, BinaryOp, Va
         BinaryOp::Ge => BinaryOp::Le,
         other => other,
     };
-    match (left.as_ref(), right.as_ref()) {
-        (col @ Expr::Column(_), Expr::Literal(v)) if !v.is_null() => {
-            Some((col_of(col)?, *op, v.clone()))
-        }
-        (Expr::Literal(v), col @ Expr::Column(_)) if !v.is_null() => {
-            Some((col_of(col)?, flip(*op), v.clone()))
-        }
-        _ => None,
+    if let (Some(col), Some(probe)) = (col_of(left), probe_of(right)) {
+        return Some((col, *op, probe));
     }
+    Some((col_of(right)?, flip(*op), probe_of(left)?))
 }
 
 /// Turn a bare single-table scan into an [`FromPlan::IndexSeek`] when a
 /// *prefix* of the WHERE conjuncts probes a physical index's leading key
-/// columns. Only a prefix qualifies: the executor's coverage/fuel replay
-/// for skipped rows relies on every conjunct *before* the failing one
-/// reading key columns only. The consumed conjuncts stay in the WHERE
-/// clause — the seek is a pre-filter, not a substitute.
+/// columns, each with a literal or an outer column ([`sargable`]). Only a
+/// prefix qualifies: the executor's coverage/fuel replay for skipped rows
+/// relies on every conjunct *before* the failing one reading key columns
+/// only. The consumed conjuncts stay in the WHERE clause — the seek is a
+/// pre-filter, not a substitute.
 pub(crate) fn select_seek(plan: FromPlan, where_clause: Option<&Expr>, pctx: &PlanCtx) -> FromPlan {
     if seek_gated(pctx) {
         return plan;
@@ -977,8 +998,8 @@ pub(crate) fn select_seek(plan: FromPlan, where_clause: Option<&Expr>, pctx: &Pl
         return plan;
     }
     let conjs = split_conjuncts(filter);
-    // (consumed conjuncts, index name, eq-prefix values, trailing range)
-    type SeekCandidate = (usize, String, Vec<Value>, Option<(BinaryOp, Value)>);
+    // (consumed conjuncts, index name, eq-prefix probes, trailing range)
+    type SeekCandidate = (usize, String, Vec<SeekProbe>, Option<(BinaryOp, SeekProbe)>);
     let mut best: Option<SeekCandidate> = None;
     for index in indexes {
         let Some(data) = &index.data else { continue };
@@ -2209,7 +2230,10 @@ mod tests {
                     ..
                 }) => {
                     assert!(eq.is_empty());
-                    assert!(matches!(range, Some((BinaryOp::Gt, Value::Int(5)))));
+                    assert!(matches!(
+                        range,
+                        Some((BinaryOp::Gt, SeekProbe::Literal(Value::Int(5))))
+                    ));
                     assert!(!ordered);
                     assert!(!reverse);
                 }

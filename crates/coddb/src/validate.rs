@@ -34,9 +34,8 @@ use crate::exec::Schema;
 use crate::index::OrdIndex;
 use crate::plan::{
     collect_aliases, conjoin, explain_full, refers_only_to, sargable, split_conjuncts, BodyPlan,
-    CorePlan, FromPlan, SelectPlan, VecNote, MAX_SEEK_KEYS,
+    CorePlan, FromPlan, SeekProbe, SelectPlan, VecNote, MAX_SEEK_KEYS,
 };
-use crate::value::Value;
 
 /// One invariant breach. `code` is a stable machine-readable identifier
 /// (campaign findings and golden tests key on it); `detail` is the
@@ -309,16 +308,17 @@ struct SeekView<'a> {
     table: &'a str,
     alias: &'a str,
     index: &'a str,
-    eq: &'a [Value],
-    range: Option<&'a (BinaryOp, Value)>,
+    eq: &'a [SeekProbe],
+    range: Option<&'a (BinaryOp, SeekProbe)>,
     ordered: bool,
     reverse: bool,
 }
 
 /// Re-derive the seek's justification: the consumed key prefix must be
 /// exactly what the WHERE clause's leading conjuncts probe (same columns,
-/// same comparison operators, same literals), within the engine's key
-/// budget, over a physical index of the scanned table.
+/// same comparison operators, same probes: the literal or the outer
+/// column), within the engine's key budget, over a physical index of the
+/// scanned table.
 fn check_seek(
     seek: SeekView,
     core: &CorePlan,
@@ -377,8 +377,8 @@ fn check_seek(
     if seek
         .eq
         .iter()
-        .chain(seek.range.iter().map(|(_, v)| v))
-        .any(Value::is_null)
+        .chain(seek.range.iter().map(|(_, p)| p))
+        .any(|p| matches!(p, SeekProbe::Literal(v) if v.is_null()))
     {
         out.push(Violation::new("seek-null-probe", "NULL seek probe value"));
     }
@@ -397,7 +397,7 @@ fn check_seek(
     // The consumed conjuncts stay in the WHERE clause (the seek is a
     // pre-filter, not a substitute), so the plan itself carries its own
     // justification: leading conjunct j must probe key column j with the
-    // seek's exact operator and literal.
+    // seek's exact operator and probe.
     let conjs = core
         .where_clause
         .as_ref()
@@ -750,7 +750,7 @@ mod tests {
     use crate::coverage::Coverage;
     use crate::exec::ColMeta;
     use crate::plan::{plan_select, PlanCtx};
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -833,10 +833,36 @@ mod tests {
         let c = catalog();
         let mut p = plan(&c, "SELECT v FROM t WHERE k = 2");
         match root_from(&mut p) {
-            FromPlan::IndexSeek { eq, .. } => eq[0] = Value::Int(3),
+            FromPlan::IndexSeek { eq, .. } => eq[0] = SeekProbe::Literal(Value::Int(3)),
             other => panic!("expected an eq seek, got {other:?}"),
         }
         assert!(codes(&validate_plan(&p, &c)).contains(&"seek-prefix-mismatch"));
+    }
+
+    #[test]
+    fn correlated_probe_naming_another_outer_column_is_rejected() {
+        // The subquery's own alias is `x`, so `o.k` is an outer reference
+        // and the seek probes by it on every run.
+        let c = catalog();
+        let mut p = plan(&c, "SELECT v FROM t AS x WHERE x.k = o.k");
+        assert!(validate_plan(&p, &c).is_empty());
+        match root_from(&mut p) {
+            FromPlan::IndexSeek { eq, .. } => {
+                assert_eq!(
+                    eq[..],
+                    [SeekProbe::Outer(ColumnRef {
+                        table: Some("o".into()),
+                        column: "k".into(),
+                    })]
+                );
+                eq[0] = SeekProbe::Outer(ColumnRef {
+                    table: Some("o".into()),
+                    column: "v".into(),
+                });
+            }
+            other => panic!("expected a correlated eq seek, got {other:?}"),
+        }
+        assert_eq!(codes(&validate_plan(&p, &c)), ["seek-prefix-mismatch"]);
     }
 
     #[test]
@@ -845,7 +871,7 @@ mod tests {
         let mut p = plan(&c, "SELECT v FROM t WHERE k = 2");
         match root_from(&mut p) {
             FromPlan::IndexSeek { eq, .. } => {
-                eq.extend([Value::Int(3), Value::Int(4)]);
+                eq.extend([3, 4].map(|i| SeekProbe::Literal(Value::Int(i))));
             }
             other => panic!("expected an eq seek, got {other:?}"),
         }

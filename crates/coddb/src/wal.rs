@@ -650,11 +650,21 @@ pub fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
             for _ in 0..ncols {
                 cols.push(r.u32()?);
             }
+            let vals = r.values()?;
+            // Each named column receives one value: an update whose lists
+            // differ in length is torn, not a partial update.
+            if vals.len() != cols.len() {
+                return Err(format!(
+                    "update names {} column(s) but carries {} value(s)",
+                    cols.len(),
+                    vals.len()
+                ));
+            }
             WalRecord::UpdateRow {
                 table,
                 row_idx,
                 cols,
-                vals: r.values()?,
+                vals,
             }
         }
         TAG_DELETE => {

@@ -516,3 +516,175 @@ fn seek_runs_longer_than_a_chunk_agree_across_access_modes() {
         }
     }
 }
+
+/// Correlated subqueries over indexed inner tables: a comparison of an
+/// inner key column with an outer column is a seek probe, read from the
+/// outer row on every run of the subquery. Equality and range probes
+/// (either operand order), two-column prefixes that mix a literal probe
+/// with an outer one, a probe from two levels up, an inner alias that
+/// shadows the outer table's name, NULL and TEXT outer values against INT
+/// keys, an empty inner table, outer references that do not bind
+/// (SELECT and DML), sort elimination under LIMIT, erroring residuals,
+/// subqueries under HAVING, in ON and behind ORDER BY, and DML whose SET
+/// or WHERE subquery seeks by the target row.
+const CORRELATED_SCRIPT: &[&str] = &[
+    "CREATE TABLE t (k INT, v INT, s TEXT)",
+    "INSERT INTO t VALUES (1, 10, 'a'), (NULL, 20, 'b'), (2, NULL, NULL), \
+     (2, 30, 'c'), (5, 40, 'd'), (NULL, NULL, 'e'), (3, 50, 'a'), (0, 60, 'f'), \
+     (2, 70, 'g'), (5, 80, NULL), (4, 0, 'h')",
+    "CREATE INDEX ik ON t (k)",
+    "CREATE INDEX ikv ON t (k, v)",
+    "CREATE TABLE o (a INT, b INT, c TEXT)",
+    "INSERT INTO o VALUES (2, 30, 'x'), (5, 40, 'y'), (NULL, 20, 'z'), (1, NULL, '2'), \
+     (2, 25, NULL), (9, 10, 'w'), (3, 50, 'x'), (2, 30, 'a')",
+    "CREATE INDEX ioa ON o (a)",
+    "CREATE TABLE e (k INT, v INT)",
+    "CREATE INDEX iek ON e (k)",
+    // Equality probes, outer column on either side; duplicate outer keys
+    // hit the keyed memo.
+    "SELECT a, (SELECT COUNT(*) FROM t WHERE t.k = o.a) FROM o",
+    "SELECT a, (SELECT SUM(v) FROM t WHERE o.a = t.k) FROM o",
+    "SELECT * FROM o WHERE EXISTS (SELECT 1 FROM t WHERE t.k = o.a AND t.s = o.c)",
+    "SELECT * FROM o WHERE o.b IN (SELECT v FROM t WHERE t.k = o.a)",
+    // Range probes, flipped operators, residual conjuncts and a residual
+    // that errors on strict dialects (`100 / 0`).
+    "SELECT a, (SELECT COUNT(*) FROM t WHERE t.k > o.a) FROM o",
+    "SELECT a, (SELECT COUNT(*) FROM t WHERE t.k >= o.a) FROM o",
+    "SELECT a, (SELECT MIN(v) FROM t WHERE o.a >= t.k) FROM o",
+    "SELECT a, (SELECT MAX(s) FROM t WHERE t.k < o.a AND t.v <> 30) FROM o",
+    "SELECT a, (SELECT COUNT(*) FROM t WHERE t.k >= o.a AND 100 / t.v > 1) FROM o",
+    // Two-column prefixes mixing literal and outer probes.
+    "SELECT a, b, (SELECT COUNT(*) FROM t WHERE t.k = 2 AND t.v > o.b) FROM o",
+    "SELECT a, (SELECT COUNT(*) FROM t WHERE t.k = o.a AND t.v = 30) FROM o",
+    "SELECT a, b, (SELECT COUNT(*) FROM t WHERE t.k = o.a AND t.v <= o.b) FROM o",
+    // A probe from two levels up.
+    "SELECT a, (SELECT COUNT(*) FROM o AS p WHERE p.b > \
+     (SELECT COUNT(*) FROM t WHERE t.k = o.a)) FROM o",
+    "SELECT a FROM o WHERE EXISTS (SELECT 1 FROM o AS p WHERE p.a = o.a \
+     AND p.b IN (SELECT v FROM t WHERE t.k = o.a))",
+    // An inner alias that shadows the outer table's name.
+    "SELECT k, (SELECT COUNT(*) FROM t AS x WHERE x.k = t.k) FROM t",
+    "SELECT k, (SELECT SUM(x.v) FROM t AS x WHERE x.k > t.k AND x.s <> t.s) FROM t",
+    // NULL and TEXT outer values against INT keys.
+    "SELECT c, (SELECT COUNT(*) FROM t WHERE t.k = o.c) FROM o",
+    "SELECT c, (SELECT COUNT(*) FROM t WHERE t.k < o.c) FROM o",
+    "SELECT a, (SELECT COUNT(*) FROM t WHERE t.k <= o.a AND t.k = o.a) FROM o",
+    // An empty inner table.
+    "SELECT a, (SELECT COUNT(*) FROM e WHERE e.k = o.a) FROM o",
+    "SELECT a FROM o WHERE NOT EXISTS (SELECT 1 FROM e WHERE e.k < o.a)",
+    // Outer references that do not bind.
+    "SELECT a, (SELECT COUNT(*) FROM t WHERE t.k = zz.a) FROM o",
+    "SELECT COUNT(*) FROM t WHERE t.k = o.a",
+    "UPDATE t SET v = v WHERE t.k = o.a",
+    "DELETE FROM t WHERE t.k > o.a",
+    // Sort elimination: the ordered seek runs per outer key, under LIMIT.
+    "SELECT a, (SELECT k FROM t WHERE t.k > o.a ORDER BY k LIMIT 1) FROM o",
+    "SELECT a, (SELECT k FROM t WHERE t.k <= o.a ORDER BY k DESC LIMIT 1) FROM o",
+    "SELECT * FROM o WHERE o.a IN (SELECT k FROM t WHERE t.k >= o.b / 10 ORDER BY k)",
+    // Correlated seeks under HAVING, in a join's ON clause and behind
+    // ORDER BY.
+    "SELECT a, COUNT(*) FROM o GROUP BY a \
+     HAVING COUNT(*) < (SELECT COUNT(*) FROM t WHERE t.k = o.a)",
+    "SELECT o.a, p.b FROM o JOIN o AS p ON p.b = (SELECT MAX(v) FROM t WHERE t.k = o.a)",
+    "SELECT a, (SELECT COUNT(*) FROM t WHERE t.k >= o.a) AS n FROM o ORDER BY n, a",
+    // DML whose SET or WHERE subquery seeks by the target row, then the
+    // probes again over the changed tables.
+    "UPDATE t SET v = (SELECT MAX(b) FROM o WHERE o.a = t.k) WHERE k = 2",
+    "DELETE FROM o WHERE EXISTS (SELECT 1 FROM t WHERE t.k = o.a AND t.v > 75)",
+    "INSERT INTO t VALUES (2, 90, 'i'), (9, 5, 'j')",
+    "INSERT INTO e VALUES (1, 1), (NULL, 2), (3, 3)",
+    "SELECT a, (SELECT COUNT(*) FROM t WHERE t.k = o.a) FROM o",
+    "SELECT a, (SELECT COUNT(*) FROM e WHERE e.k <= o.a) FROM o",
+    "SELECT a, (SELECT k FROM t WHERE t.k > o.a ORDER BY k LIMIT 1) FROM o",
+];
+
+/// Outcome of every statement of `script` (its memo stats after it
+/// included), the coverage bitset and the fuel used.
+fn run_correlated(
+    dialect: Dialect,
+    bugs: BugRegistry,
+    mode: AccessMode,
+    fuel: Option<u64>,
+) -> (Vec<String>, Vec<&'static str>, u64) {
+    let mut db = Database::with_bugs(dialect, bugs);
+    db.set_access_mode(mode);
+    if let Some(fuel) = fuel {
+        db.set_fuel_limit(fuel);
+    }
+    let outcomes = CORRELATED_SCRIPT
+        .iter()
+        .map(|sql| {
+            let out = match db.execute_sql(sql) {
+                Ok(out) => format!("{out:?}"),
+                Err(e) => format!("error: {e}"),
+            };
+            format!("{out} memo {:?}", db.subquery_memo_stats())
+        })
+        .collect();
+    (outcomes, db.coverage().hit_points(), db.fuel_used())
+}
+
+fn assert_correlated_modes_agree(dialect: Dialect, bugs: &dyn Fn() -> BugRegistry, tag: &str) {
+    for fuel in [None, Some(15), Some(29), Some(44), Some(71), Some(120)] {
+        let idx = run_correlated(dialect, bugs(), AccessMode::Indexed, fuel);
+        let scan = run_correlated(dialect, bugs(), AccessMode::ScanOnly, fuel);
+        for (i, (a, b)) in idx.0.iter().zip(&scan.0).enumerate() {
+            assert_eq!(
+                a, b,
+                "[{tag}, {dialect:?}, fuel {fuel:?}] access modes disagree on {:?}",
+                CORRELATED_SCRIPT[i]
+            );
+        }
+        assert_eq!(
+            idx.1, scan.1,
+            "[{tag}, {dialect:?}, fuel {fuel:?}] coverage diverges"
+        );
+        assert_eq!(
+            idx.2, scan.2,
+            "[{tag}, {dialect:?}, fuel {fuel:?}] fuel diverges"
+        );
+    }
+}
+
+#[test]
+fn correlated_seeks_match_scan_only_on_every_dialect() {
+    for dialect in Dialect::ALL {
+        assert_correlated_modes_agree(dialect, &BugRegistry::none, "clean");
+    }
+}
+
+#[test]
+fn correlated_seeks_match_scan_only_under_every_engine_mutant() {
+    for bug in BugId::ALL {
+        assert_correlated_modes_agree(
+            bug.dialect(),
+            &|| BugRegistry::only(bug),
+            &format!("{bug:?}"),
+        );
+    }
+}
+
+/// The script does seek by outer keys: the duplicate-dropping and the
+/// bound-tightening seek mutants change its results on the indexed
+/// engine, and stay silent under ScanOnly.
+#[test]
+fn correlated_seek_mutants_fire_indexed_and_are_silent_scan_only() {
+    for bug in [
+        IndexBugId::EqSeekMissesDuplicates,
+        IndexBugId::RangeBoundOffByOne,
+    ] {
+        let run = |bugs: BugRegistry, mode: AccessMode| {
+            run_correlated(Dialect::Sqlite, bugs, mode, None).0
+        };
+        assert_ne!(
+            run(BugRegistry::none(), AccessMode::Indexed),
+            run(BugRegistry::only(bug), AccessMode::Indexed),
+            "{bug:?} never fires in the correlated script"
+        );
+        assert_eq!(
+            run(BugRegistry::none(), AccessMode::ScanOnly),
+            run(BugRegistry::only(bug), AccessMode::ScanOnly),
+            "{bug:?} fired under ScanOnly"
+        );
+    }
+}

@@ -796,3 +796,38 @@ fn row_records_that_do_not_fit_their_table_fail_recovery_without_panicking() {
     );
     assert!(got.is_err(), "snapshot load accepted {:?}", bad[0]);
 }
+
+#[test]
+fn an_update_with_fewer_values_than_columns_fails_recovery() {
+    // A checksummed, committed UpdateRow that names columns [0, 1] but
+    // carries one value: replay must not apply it as a partial update
+    // (the row (1, 2) coming back as (9, 2)); the record fails to decode.
+    use coddb::value::Value;
+    use coddb::wal::{Wal, WalRecord};
+    let mut w = Wal::new(FaultPlan::none());
+    w.append(&WalRecord::Ddl {
+        sql: "CREATE TABLE t (a INT, b INT)".into(),
+    })
+    .unwrap();
+    w.commit_statement().unwrap();
+    w.append(&WalRecord::InsertRow {
+        table: "t".into(),
+        row: vec![Value::Int(1), Value::Int(2)],
+    })
+    .unwrap();
+    w.commit_statement().unwrap();
+    w.append(&WalRecord::UpdateRow {
+        table: "t".into(),
+        row_idx: 0,
+        cols: vec![0, 1],
+        vals: vec![Value::Int(9)],
+    })
+    .unwrap();
+    w.commit_statement().unwrap();
+    let got = coddb::recovery::recover(w.image(), &[], Dialect::Sqlite, &BugRegistry::none());
+    assert!(
+        got.is_err(),
+        "a torn update recovered: {:?}",
+        got.map(|db| db.dump_state())
+    );
+}

@@ -54,13 +54,9 @@
 //!    outer column, so its rows belong to one run and are never cached
 //!    (`exec::seek_input` seeks again on every run, and no outer key's
 //!    rows reach a run for another key).
-//!
-//! Every map here hashes with [`FxHasher`], which the hash join's build
-//! table uses too.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use crate::ast::{Expr, Select};
@@ -73,59 +69,6 @@ use crate::value::{Relation, Value};
 /// against statements with pathological key cardinality; beyond it the
 /// subquery simply re-executes (lookups still serve the stored keys).
 const MAX_KEYED_RESULTS: usize = 1 << 16;
-
-/// The hasher of the executor's maps (the hash join's build table) and of
-/// every map in this module: an Fx-style hash (as in rustc's `FxHasher`)
-/// that folds each word into the state with one rotate, xor and
-/// multiply. It is unkeyed, so keys crafted to collide could degrade a
-/// map to a list; that is acceptable here because the keys are the
-/// engine's own table data, memo values and addresses, and a collision
-/// costs time, never a wrong answer (a lookup still compares whole
-/// keys). Nothing iterates these maps, so the hash order is never
-/// observable. `finish` rotates the state so the well-mixed high bits of
-/// the last multiply reach the low bits the table indexes buckets with
-/// (keys that differ only above bit k would otherwise share their low k
-/// bits).
-#[derive(Default)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash.rotate_left(26)
-    }
-}
-
-/// Builds [`FxHasher`]s: the `S` parameter of the engine's hash maps.
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// A memo key component: *exact* value identity, deliberately stricter
 /// than SQL `=` (`2` and `2.0` compare SQL-equal but can behave
@@ -161,7 +104,7 @@ pub(crate) struct KeyedMemo {
     /// `(absolute frame index, column ordinal)` — indices into the outer
     /// scope stack the subquery evaluates under.
     slots: Vec<(u32, u32)>,
-    map: HashMap<Vec<MemoKey>, Rc<Relation>, FxBuild>,
+    map: HashMap<Vec<MemoKey>, Rc<Relation>>,
 }
 
 /// One cached subquery: the compiled plan plus the result memo — the full
@@ -261,11 +204,10 @@ impl SubqEntry {
                     group.map.insert(key, rel);
                 }
             }
-            None => {
-                let mut map = HashMap::default();
-                map.insert(key, rel);
-                keyed.push(KeyedMemo { slots, map });
-            }
+            None => keyed.push(KeyedMemo {
+                slots,
+                map: HashMap::from([(key, rel)]),
+            }),
         }
     }
 }
@@ -291,7 +233,7 @@ pub(crate) struct GroupedBindings {
 }
 
 /// A pointer-keyed binding cache (see [`get_or_build`]).
-pub(crate) type PtrCache<T> = RefCell<HashMap<usize, Rc<T>, FxBuild>>;
+pub(crate) type PtrCache<T> = RefCell<HashMap<usize, Rc<T>>>;
 
 /// The single get-or-build used by every pointer-keyed binding cache.
 /// `cacheable` must come from `EngineCtx::bindings_cacheable` — it owns
@@ -318,7 +260,7 @@ pub(crate) fn get_or_build<T>(
 /// the engine context.
 #[derive(Default)]
 pub(crate) struct StmtCaches {
-    subq: RefCell<HashMap<usize, Rc<SubqEntry>, FxBuild>>,
+    subq: RefCell<HashMap<usize, Rc<SubqEntry>>>,
     /// Clause expressions, keyed by AST node address.
     pub bound: PtrCache<BoundExpr>,
     /// Plain projections, keyed by core-plan address.

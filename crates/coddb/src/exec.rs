@@ -40,6 +40,7 @@
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use crate::ast::{AggFunc, BinaryOp, Expr, JoinKind, Select, SelectItem, SetOp, SortOrder};
@@ -47,7 +48,7 @@ use crate::bind::{bind_join_keys, Binder, BoundExpr};
 #[cfg(debug_assertions)]
 use crate::bugs::ValidatorScope;
 use crate::bugs::{BugId, BugRegistry, IndexBugId};
-use crate::cache::{get_or_build, FxBuild, GroupedBindings, ProjBindings, StmtCaches, SubqEntry};
+use crate::cache::{get_or_build, GroupedBindings, ProjBindings, StmtCaches, SubqEntry};
 use crate::catalog::{Catalog, TableDef};
 use crate::coverage::{pt, Coverage, PointId};
 use crate::dialect::Dialect;
@@ -2002,10 +2003,10 @@ fn where_stage(f: Filter, rows: &[Row], seek: Option<&SeekInfo>) -> Result<Vec<u
 /// of the rows of `t` (bound to `schema`) that `pred` keeps, every row
 /// when there is no WHERE clause. `access` is the statement's access
 /// path: the `SeqScan` or `IndexSeek` that [`plan::select_seek`] picks
-/// for a SELECT with the same WHERE clause. The seek is probed by the
-/// same [`seek_probe`] as a SELECT's FROM stage, and the rows go through
-/// the same [`where_stage`]; unlike a SELECT, the statement charges no
-/// FROM-stage fuel, only the WHERE stage's one unit per table row.
+/// for a SELECT with the same WHERE clause. The statement reaches its
+/// rows through the same [`seek_input`] and [`where_stage`] as a
+/// SELECT's WHERE stage; unlike a SELECT, it charges no FROM-stage fuel,
+/// only the WHERE stage's one unit per table row.
 pub(crate) fn dml_targets(
     t: &TableDef,
     schema: &Schema,
@@ -2883,6 +2884,53 @@ fn join_key(v: Value) -> JoinKey {
     }
 }
 
+/// The build table's hasher: an Fx-style hash (as in rustc's `FxHasher`)
+/// that folds each word into the state with one rotate, xor and
+/// multiply. It is unkeyed, so keys crafted to collide could degrade the
+/// table to a list; that is acceptable here because the keys are the
+/// engine's own table data, and a collision costs time, never a wrong
+/// row (candidates still compare whole keys). `finish` rotates the state
+/// so the well-mixed high bits of the last multiply reach the low bits
+/// the table indexes buckets with (keys that differ only above bit k
+/// would otherwise share their low k bits).
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
 /// Storage classes observed across both sides of one key column. The
 /// hash table is usable only when per-pair comparison is guaranteed to
 /// agree with key equality in every dialect: text mixed with any other
@@ -3036,8 +3084,8 @@ fn hash_join(
     // the key's first and links the previous first behind it.
     ctx.cov.hit(pt::EXEC_HASH_JOIN_BUILD);
     let has_null = |key: &[JoinKey]| key.iter().any(|k| matches!(k, JoinKey::Null));
-    let mut table: HashMap<&[JoinKey], usize, FxBuild> =
-        HashMap::with_capacity_and_hasher(right.rows.len(), FxBuild::default());
+    let mut table: HashMap<&[JoinKey], usize, BuildHasherDefault<FxHasher>> =
+        HashMap::with_capacity_and_hasher(right.rows.len(), Default::default());
     let mut next = vec![END; right.rows.len()];
     let mut saw_null_key = false;
     for (ri, key) in rkeys.chunks_exact(nkeys).enumerate().rev() {

@@ -65,6 +65,35 @@ pub struct AggSpec {
     pub arg: Option<BoundExpr>,
 }
 
+/// A subquery operand of a bound expression. Its body stays AST and is
+/// planned at evaluation time; the node also keeps the statement's cache
+/// entry for it once its first evaluation has made one, so later
+/// evaluations reach the plan and the result memo directly. Clones of a
+/// bound expression share the node (it sits behind an `Rc`), and with it
+/// the entry.
+#[derive(Debug)]
+pub struct BoundSubquery {
+    /// The subquery as written.
+    pub ast: Select,
+    pub(crate) entry: crate::cache::SubqCell,
+}
+
+impl BoundSubquery {
+    fn new(ast: &Select) -> Rc<BoundSubquery> {
+        Rc::new(BoundSubquery {
+            ast: ast.clone(),
+            entry: Default::default(),
+        })
+    }
+}
+
+/// Two bound subqueries are equal when they were bound from equal ASTs.
+impl PartialEq for BoundSubquery {
+    fn eq(&self, other: &Self) -> bool {
+        self.ast == other.ast
+    }
+}
+
 /// An [`Expr`] with all name resolution and per-row bookkeeping
 /// precomputed. Shapes mirror [`Expr`] so the injected bug hooks keep
 /// matching structurally.
@@ -94,15 +123,15 @@ pub enum BoundExpr {
     },
     InSubquery {
         expr: Box<BoundExpr>,
-        query: Rc<Select>,
+        query: Rc<BoundSubquery>,
         negated: bool,
     },
     Exists {
-        query: Rc<Select>,
+        query: Rc<BoundSubquery>,
         negated: bool,
     },
     Scalar {
-        query: Rc<Select>,
+        query: Rc<BoundSubquery>,
         /// Precomputed trigger shape for `SqliteAggSubqueryIndexedWhere`
         /// (the evaluator previously re-walked the subquery per row).
         has_aggregate: bool,
@@ -111,7 +140,7 @@ pub enum BoundExpr {
         op: CompareOp,
         quantifier: Quantifier,
         expr: Box<BoundExpr>,
-        query: Rc<Select>,
+        query: Rc<BoundSubquery>,
     },
     Case {
         operand: Option<Box<BoundExpr>>,
@@ -329,16 +358,16 @@ impl<'a> Binder<'a> {
                 negated,
             } => BoundExpr::InSubquery {
                 expr: Box::new(self.bind_expr(expr)?),
-                query: Rc::new(Select::clone(query)),
+                query: BoundSubquery::new(query),
                 negated: *negated,
             },
             Expr::Exists { query, negated } => BoundExpr::Exists {
-                query: Rc::new(Select::clone(query)),
+                query: BoundSubquery::new(query),
                 negated: *negated,
             },
             Expr::Scalar(query) => BoundExpr::Scalar {
                 has_aggregate: subquery_has_aggregate(query),
-                query: Rc::new(Select::clone(query)),
+                query: BoundSubquery::new(query),
             },
             Expr::Quantified {
                 op,
@@ -349,7 +378,7 @@ impl<'a> Binder<'a> {
                 op: *op,
                 quantifier: *quantifier,
                 expr: Box::new(self.bind_expr(expr)?),
-                query: Rc::new(Select::clone(query)),
+                query: BoundSubquery::new(query),
             },
             Expr::Case {
                 operand,

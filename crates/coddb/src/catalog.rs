@@ -13,6 +13,7 @@
 //! of the wrong width, a position or column out of range, or delete
 //! positions out of order end in an [`Error`] that changed nothing.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::ast::{ColumnDef, Expr, Select};
@@ -77,8 +78,15 @@ pub struct Catalog {
     indexes: BTreeMap<String, IndexDef>,
 }
 
-fn key(name: &str) -> String {
-    name.to_ascii_lowercase()
+/// The catalog key of `name`: its ASCII lowercase form, copied only when
+/// `name` has a capital, so a lookup by a lowercase name allocates
+/// nothing.
+fn key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 impl Catalog {
@@ -94,7 +102,7 @@ impl Catalog {
         columns: Vec<ColumnDef>,
         if_not_exists: bool,
     ) -> Result<()> {
-        let k = key(name);
+        let k = key(name).into_owned();
         if self.tables.contains_key(&k) || self.views.contains_key(&k) {
             if if_not_exists {
                 return Ok(());
@@ -127,8 +135,7 @@ impl Catalog {
     }
 
     pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<()> {
-        let k = key(name);
-        if self.tables.remove(&k).is_none() {
+        if self.tables.remove(&*key(name)).is_none() {
             if if_exists {
                 return Ok(());
             }
@@ -142,7 +149,7 @@ impl Catalog {
 
     pub fn table(&self, name: &str) -> Result<&TableDef> {
         self.tables
-            .get(&key(name))
+            .get(&*key(name))
             .ok_or_else(|| Error::Catalog(format!("no such table: {name}")))
     }
 
@@ -157,7 +164,7 @@ impl Catalog {
     // --- views ----------------------------------------------------------
 
     pub fn create_view(&mut self, name: &str, columns: Vec<String>, query: Select) -> Result<()> {
-        let k = key(name);
+        let k = key(name).into_owned();
         if self.tables.contains_key(&k) || self.views.contains_key(&k) {
             return Err(Error::Catalog(format!("relation {name} already exists")));
         }
@@ -173,7 +180,7 @@ impl Catalog {
     }
 
     pub fn view(&self, name: &str) -> Option<&ViewDef> {
-        self.views.get(&key(name))
+        self.views.get(&*key(name))
     }
 
     pub fn view_names(&self) -> Vec<&str> {
@@ -189,7 +196,7 @@ impl Catalog {
         exprs: Vec<Expr>,
         unique: bool,
     ) -> Result<()> {
-        let k = key(name);
+        let k = key(name).into_owned();
         if self.indexes.contains_key(&k) {
             return Err(Error::Catalog(format!("index {name} already exists")));
         }
@@ -214,7 +221,7 @@ impl Catalog {
     }
 
     pub fn index(&self, name: &str) -> Option<&IndexDef> {
-        self.indexes.get(&key(name))
+        self.indexes.get(&*key(name))
     }
 
     pub fn indexes_for_table(&self, table: &str) -> Vec<&IndexDef> {
@@ -232,7 +239,7 @@ impl Catalog {
 
     /// `table`'s definition and the ordered structures of its indexes.
     fn table_and_indexes(&mut self, table: &str) -> Result<(&mut TableDef, Vec<&mut OrdIndex>)> {
-        let Some(t) = self.tables.get_mut(&key(table)) else {
+        let Some(t) = self.tables.get_mut(&*key(table)) else {
             return Err(Error::Catalog(format!("no such table: {table}")));
         };
         let data = self
@@ -332,9 +339,9 @@ impl Catalog {
     /// Resolve a FROM-clause name to a table or view.
     pub fn resolve_relation(&self, name: &str) -> Result<RelationKind> {
         let k = key(name);
-        if self.tables.contains_key(&k) {
+        if self.tables.contains_key(&*k) {
             Ok(RelationKind::Table)
-        } else if self.views.contains_key(&k) {
+        } else if self.views.contains_key(&*k) {
             Ok(RelationKind::View)
         } else {
             Err(Error::Catalog(format!("no such table or view: {name}")))

@@ -837,11 +837,11 @@ impl Database {
             // per statement; the WHERE stage runs over every row before
             // any SET expression is evaluated, as in a SELECT.
             let pred = where_clause
-                .map(|w| Prepared::new(w, &[&schema], 0, ctx))
+                .map(|w| Prepared::new(w, &[], &schema, 0, ctx))
                 .transpose()?;
             let set_exprs: Vec<Prepared> = sets
                 .iter()
-                .map(|(_, e)| Prepared::new(e, &[&schema], 0, ctx))
+                .map(|(_, e)| Prepared::new(e, &[], &schema, 0, ctx))
                 .collect::<Result<_>>()?;
             let matches = exec::dml_targets(t, &schema, access, pred.as_ref(), ctx)?;
 
@@ -899,7 +899,7 @@ impl Database {
             let t = ctx.catalog.table(table)?;
             let schema = exec::table_schema(t, &t.name);
             let pred = where_clause
-                .map(|w| Prepared::new(w, &[&schema], 0, ctx))
+                .map(|w| Prepared::new(w, &[], &schema, 0, ctx))
                 .transpose()?;
             exec::dml_targets(t, &schema, access, pred.as_ref(), ctx)
         })?;

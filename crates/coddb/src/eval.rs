@@ -269,28 +269,38 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
                 ctx.cov.hit(pt::EVAL_IN_SUBQ_MISS);
                 return Ok(bool3_to_value(Some(*negated), ctx.dialect));
             }
-            let mut any_null = false;
-            let mut hit = false;
-            for row in &rel.rows {
-                match compare(&v, &row[0], ctx.dialect)? {
-                    Some(Ordering::Equal) => {
-                        hit = true;
-                        break;
+            // A fully memoized result answers by binary search where the
+            // value classes allow it (`cache::Membership`).
+            let memo = ctx.caches.subq_entry(&query.entry);
+            let b = match memo.and_then(|m| m.memo_in(&rel, &v)) {
+                Some(b) => b,
+                None => {
+                    let mut any_null = false;
+                    let mut hit = false;
+                    for row in &rel.rows {
+                        match compare(&v, &row[0], ctx.dialect)? {
+                            Some(Ordering::Equal) => {
+                                hit = true;
+                                break;
+                            }
+                            None => any_null = true,
+                            _ => {}
+                        }
                     }
-                    None => any_null = true,
-                    _ => {}
+                    if hit {
+                        Some(true)
+                    } else if v.is_null() || any_null {
+                        None
+                    } else {
+                        Some(false)
+                    }
                 }
-            }
-            let b = if hit {
-                ctx.cov.hit(pt::EVAL_IN_SUBQ_HIT);
-                Some(true)
-            } else if v.is_null() || any_null {
-                ctx.cov.hit(pt::EVAL_IN_SUBQ_NULL);
-                None
-            } else {
-                ctx.cov.hit(pt::EVAL_IN_SUBQ_MISS);
-                Some(false)
             };
+            ctx.cov.hit(match b {
+                Some(true) => pt::EVAL_IN_SUBQ_HIT,
+                None => pt::EVAL_IN_SUBQ_NULL,
+                Some(false) => pt::EVAL_IN_SUBQ_MISS,
+            });
             Ok(bool3_to_value(
                 if *negated { not3(b) } else { b },
                 ctx.dialect,
@@ -371,7 +381,7 @@ pub fn eval_bound(expr: &BoundExpr, env: EvalEnv) -> Result<Value> {
             // ALL semantics unless the subquery is a bare VALUES list.
             if ctx.bugs.active(BugId::CockroachAnyNonValuesSubquery)
                 && quant == Quantifier::Any
-                && !matches!(query.body, SelectBody::Values(_))
+                && !matches!(query.ast.body, SelectBody::Values(_))
             {
                 quant = Quantifier::All;
             }
@@ -1453,11 +1463,12 @@ pub type AggValues = Vec<Value>;
 
 /// Compute one aggregate over the values of its argument for a group.
 /// `values` holds the evaluated argument per row (empty for COUNT(*), which
-/// passes one dummy entry per row).
+/// passes one dummy entry per row); the computation may reorder or drain
+/// it, and leaves the buffer to the caller for reuse.
 pub fn compute_aggregate(
     func: AggFunc,
     distinct: bool,
-    mut values: Vec<Value>,
+    values: &mut Vec<Value>,
     env: EvalEnv,
 ) -> Result<Value> {
     let ctx = env.ctx;
@@ -1484,7 +1495,7 @@ pub fn compute_aggregate(
                 pt::AGG_MAX
             });
             let mut best: Option<Value> = None;
-            for v in values {
+            for v in values.drain(..) {
                 if v.is_null() {
                     continue;
                 }
@@ -1515,7 +1526,7 @@ pub fn compute_aggregate(
             // every error and overflow site) is unchanged.
             let mut nonnull_count = 0usize;
             let mut all_int = true;
-            for v in &values {
+            for v in values.iter() {
                 if !v.is_null() {
                     nonnull_count += 1;
                     if !matches!(v, Value::Int(_) | Value::Bool(_)) {
@@ -1552,7 +1563,7 @@ pub fn compute_aggregate(
             // Real accumulation: fold over *sorted* values so that the
             // result is a deterministic function of the input multiset
             // regardless of scan order.
-            let mut reals: Vec<f64> = Vec::with_capacity(nonnull_count);
+            let mut reals = ctx.bufs.reals.take();
             for v in values.iter().filter(|v| !v.is_null()) {
                 match v.as_f64() {
                     Some(x) => reals.push(x),
@@ -1582,6 +1593,8 @@ pub fn compute_aggregate(
             }
             reals.sort_by(|a, b| a.total_cmp(b));
             let sum: f64 = reals.iter().sum();
+            let n = reals.len();
+            ctx.bufs.reals.give(reals);
             match func {
                 AggFunc::Sum => {
                     ctx.cov.hit(pt::AGG_SUM_REAL);
@@ -1593,7 +1606,7 @@ pub fn compute_aggregate(
                 }
                 AggFunc::Avg => {
                     ctx.cov.hit(pt::AGG_AVG);
-                    Ok(finite_or_null(sum / reals.len() as f64))
+                    Ok(finite_or_null(sum / n as f64))
                 }
                 _ => unreachable!(),
             }

@@ -27,9 +27,13 @@
 //! (`seek_input`, over the access path `plan::select_seek` picks for the
 //! WHERE clause). A seek runs at the WHERE stage, once per run of its
 //! statement or subquery: `seek_probe` resolves each probe (a literal,
-//! or an outer column read from the outer row, so a correlated subquery
-//! seeks by its current outer key) and probes the index, or refuses and
-//! the stage filters every row. One set of kernels evaluates the clause
+//! or an outer column read from the outer row at a frame slot resolved
+//! once per statement, so a correlated subquery seeks by its current
+//! outer key) and probes the index, or refuses and the stage filters
+//! every row. A run takes its bookkeeping buffers (kept positions, a
+//! seek's postings and rows, aggregate values) from the statement's
+//! spares (`RunBuffers`), so a correlated subquery's run allocates
+//! little beyond its result. One set of kernels evaluates the clause
 //! over either input (`apply_filter`: the filter-site mutant gate, then
 //! the chunk kernel or the row loop); around a seek's rows,
 //! `seek_filter` adds only a fuel and coverage ledger for the rows the
@@ -44,11 +48,11 @@ use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use crate::ast::{AggFunc, BinaryOp, Expr, JoinKind, Select, SelectItem, SetOp, SortOrder};
-use crate::bind::{bind_join_keys, Binder, BoundExpr};
+use crate::bind::{bind_join_keys, Binder, BoundExpr, BoundSubquery};
 #[cfg(debug_assertions)]
 use crate::bugs::ValidatorScope;
 use crate::bugs::{BugId, BugRegistry, IndexBugId};
-use crate::cache::{get_or_build, GroupedBindings, ProjBindings, StmtCaches, SubqEntry};
+use crate::cache::{get_or_build, GroupedBindings, ProjBindings, StmtCaches};
 use crate::catalog::{Catalog, TableDef};
 use crate::coverage::{pt, Coverage, PointId};
 use crate::dialect::Dialect;
@@ -113,6 +117,10 @@ pub struct EngineCtx<'a> {
     /// Reusable buffers for the vectorized kernels — one pool per
     /// statement, so chunk evaluation allocates O(1) buffers total.
     pub(crate) vec_pool: RefCell<crate::vec_eval::Pool>,
+    /// Reusable buffers for the operators' own bookkeeping, so that a
+    /// correlated subquery's run allocates only its result and its memo
+    /// entry (see [`RunBuffers`]).
+    pub(crate) bufs: RunBuffers,
     fuel: Cell<u64>,
     /// Per-statement plan / binding / result caches.
     pub(crate) caches: StmtCaches,
@@ -152,6 +160,7 @@ impl<'a> EngineCtx<'a> {
             scan_only: false,
             vectorize: true,
             vec_pool: RefCell::new(crate::vec_eval::Pool::default()),
+            bufs: RunBuffers::default(),
             fuel: Cell::new(fuel),
             caches: StmtCaches::default(),
             outer_floor: Cell::new(0),
@@ -243,6 +252,44 @@ impl<'a> EngineCtx<'a> {
             optimize: self.optimize,
         }
     }
+}
+
+/// Spare vectors of one element type: an operator takes one for a run
+/// and gives it back when the run is done, so the next run reuses its
+/// capacity. A buffer an error drops is simply not reused.
+pub(crate) struct Spares<T>(RefCell<Vec<Vec<T>>>);
+
+impl<T> Default for Spares<T> {
+    fn default() -> Self {
+        Spares(RefCell::new(Vec::new()))
+    }
+}
+
+impl<T> Spares<T> {
+    /// An empty vector, with the capacity of one given back earlier.
+    pub(crate) fn take(&self) -> Vec<T> {
+        self.0.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// Keep `v`'s capacity for a later [`Spares::take`].
+    pub(crate) fn give(&self, mut v: Vec<T>) {
+        v.clear();
+        self.0.borrow_mut().push(v);
+    }
+}
+
+/// The statement's spare buffers (like the kernels' `vec_pool`): kept
+/// row positions of a WHERE stage and a seek's postings, row handles,
+/// value rows (aggregate arguments and values, skipped-class
+/// representatives), AVG's accumulation buffer and the correlation
+/// detector's slot lists.
+#[derive(Default)]
+pub(crate) struct RunBuffers {
+    pub(crate) positions: Spares<usize>,
+    pub(crate) rows: Spares<Row>,
+    pub(crate) values: Spares<Value>,
+    pub(crate) reals: Spares<f64>,
+    pub(crate) slots: Spares<(u32, u32)>,
 }
 
 /// Metadata of one output column of a relation in flight.
@@ -393,18 +440,20 @@ pub(crate) struct Prepared<'p> {
 }
 
 impl<'p> Prepared<'p> {
-    /// Bind `expr` against the scope stack (outermost schema first),
+    /// Bind `expr` against the schemas of `outer_scopes` and `local`,
     /// reusing the statement's binding cache when possible. Cache keys
     /// are expression addresses: sound because every expression routed
     /// through here lives for the whole statement (statement AST, catalog
     /// index expressions, the executing plan, or a plan retained by the
     /// subquery cache — see [`crate::cache`]), and because a given
     /// expression site always binds against the same scope schemas within
-    /// one statement. Binding decides nothing about vectorization: call
-    /// sites ask the classifier about the clause's AST ([`vectorizable`]).
+    /// one statement. The scope list is built only when the expression
+    /// binds. Binding decides nothing about vectorization: call sites ask
+    /// the classifier about the clause's AST ([`vectorizable`]).
     pub(crate) fn new(
         expr: &'p Expr,
-        scopes: &[&Schema],
+        outer_scopes: &[Frame],
+        local: &Schema,
         depth: u32,
         ctx: &EngineCtx,
     ) -> Result<Prepared<'p>> {
@@ -413,7 +462,8 @@ impl<'p> Prepared<'p> {
             ctx.bindings_cacheable(depth),
             expr as *const Expr as usize,
             || {
-                let mut binder = Binder::new(scopes, depth);
+                let scopes = bind_scopes(outer_scopes, local);
+                let mut binder = Binder::new(&scopes, depth);
                 Ok(Rc::new(binder.bind(expr)?))
             },
         )?;
@@ -425,7 +475,8 @@ impl<'p> Prepared<'p> {
         // validator.
         #[cfg(debug_assertions)]
         if ctx.bugs.validator_gate(ValidatorScope::AnyMutant) {
-            let violations = crate::validate::validate_bound(&bound, scopes, None);
+            let scopes = bind_scopes(outer_scopes, local);
+            let violations = crate::validate::validate_bound(&bound, &scopes, None);
             assert!(
                 violations.is_empty(),
                 "binder produced an out-of-bounds form for `{expr}`: {violations:?}"
@@ -463,23 +514,66 @@ fn vectorizable(e: &Expr, ctx: &EngineCtx, depth: u32) -> bool {
 
 /// Scope schemas for binding: the schemas of the outer frames plus the
 /// local schema, outermost first.
-fn bind_scopes<'a>(outer_scopes: &'a [Frame<'a>], local: &'a Schema) -> Vec<&'a Schema> {
+fn bind_scopes<'a>(outer_scopes: &[Frame<'a>], local: &'a Schema) -> Vec<&'a Schema> {
     let mut scopes: Vec<&Schema> = Vec::with_capacity(outer_scopes.len() + 1);
     scopes.extend(outer_scopes.iter().map(|f| f.schema));
     scopes.push(local);
     scopes
 }
 
+/// Frames a [`FrameStack`] holds without allocating: more than seven
+/// nested subquery levels spill to the heap.
+const INLINE_FRAMES: usize = 8;
+
+/// The schema of an unused inline frame slot.
+static NO_SCHEMA: Schema = Schema { cols: Vec::new() };
+
 /// A reusable frame stack: the outer frames plus one local slot that
-/// [`set_local_row`] repoints per row — no per-row allocation.
-fn frame_stack<'a>(outer_scopes: &'a [Frame<'a>], local: &'a Schema) -> Vec<Frame<'a>> {
-    let mut frames = Vec::with_capacity(outer_scopes.len() + 1);
-    frames.extend_from_slice(outer_scopes);
-    frames.push(Frame {
+/// [`set_local_row`] repoints per row — no per-row allocation, and none
+/// at all up to [`INLINE_FRAMES`] frames.
+enum FrameStack<'a> {
+    Inline([Frame<'a>; INLINE_FRAMES], usize),
+    Heap(Vec<Frame<'a>>),
+}
+
+impl<'a> std::ops::Deref for FrameStack<'a> {
+    type Target = [Frame<'a>];
+    fn deref(&self) -> &[Frame<'a>] {
+        match self {
+            FrameStack::Inline(frames, len) => &frames[..*len],
+            FrameStack::Heap(frames) => frames,
+        }
+    }
+}
+
+impl std::ops::DerefMut for FrameStack<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            FrameStack::Inline(frames, len) => &mut frames[..*len],
+            FrameStack::Heap(frames) => frames,
+        }
+    }
+}
+
+fn frame_stack<'a>(outer_scopes: &[Frame<'a>], local: &'a Schema) -> FrameStack<'a> {
+    let local = Frame {
         schema: local,
         row: &[],
-    });
-    frames
+    };
+    let len = outer_scopes.len() + 1;
+    if len > INLINE_FRAMES {
+        let mut frames = Vec::with_capacity(len);
+        frames.extend_from_slice(outer_scopes);
+        frames.push(local);
+        return FrameStack::Heap(frames);
+    }
+    let mut frames = [Frame {
+        schema: &NO_SCHEMA,
+        row: &[],
+    }; INLINE_FRAMES];
+    frames[..outer_scopes.len()].copy_from_slice(outer_scopes);
+    frames[outer_scopes.len()] = local;
+    FrameStack::Inline(frames, len)
 }
 
 #[inline]
@@ -490,8 +584,8 @@ fn set_local_row<'a>(frames: &mut [Frame<'a>], schema: &'a Schema, row: &'a [Val
 /// Execute a subquery from inside expression evaluation, with the current
 /// scopes as outer context.
 ///
-/// The subquery's plan is compiled once per statement (keyed by AST
-/// identity, verified structurally — see `crate::cache`). Result
+/// The subquery's plan is compiled once per statement and kept in the
+/// bound node's own cache entry (`crate::cache`, layer 1). Result
 /// memoization is two-tier, driven by the runtime correlation detector:
 ///
 /// * an evaluation that reads **no** outer column proves the subquery
@@ -505,11 +599,11 @@ fn set_local_row<'a>(frames: &mut [Frame<'a>], schema: &'a Schema, row: &'a [Val
 ///   value it actually read must follow the identical path (including
 ///   reads redirected by the name-collision mutant, which the detector
 ///   tracks at the load site and therefore folds into the key).
-pub fn exec_subquery(query: &Rc<Select>, env: EvalEnv) -> Result<Rc<Relation>> {
+pub fn exec_subquery(query: &BoundSubquery, env: EvalEnv) -> Result<Rc<Relation>> {
     let ctx = env.ctx;
     let entry = match ctx
         .caches
-        .subq_get(query)
+        .subq_entry(&query.entry)
         .filter(|e| cte_env_matches(&e.cte_names, env.ctes))
     {
         Some(entry) => {
@@ -519,10 +613,8 @@ pub fn exec_subquery(query: &Rc<Select>, env: EvalEnv) -> Result<Rc<Relation>> {
         None => {
             let pctx = ctx.plan_ctx();
             let cte_names = env.ctes.names();
-            let plan = Rc::new(plan::plan_select(query, &pctx, &cte_names)?);
-            let entry = Rc::new(SubqEntry::new(Rc::clone(query), cte_names, plan));
-            ctx.caches.subq_insert(Rc::clone(&entry));
-            entry
+            let plan = Rc::new(plan::plan_select(&query.ast, &pctx, &cte_names)?);
+            ctx.caches.subq_fill(&query.entry, cte_names, plan)
         }
     };
 
@@ -549,9 +641,9 @@ pub fn exec_subquery(query: &Rc<Select>, env: EvalEnv) -> Result<Rc<Relation>> {
     // redirected by the name-collision mutant).
     let floor = env.scopes.len();
     let prev_floor = ctx.outer_floor.replace(floor);
-    let prev_reads = ctx.outer_reads.take();
+    let prev_reads = ctx.outer_reads.replace(ctx.bufs.slots.take());
     let out = exec_select_plan(&entry.plan, ctx, env.ctes, env.scopes, env.info.depth + 1);
-    let observed = ctx.outer_reads.replace(prev_reads);
+    let mut observed = ctx.outer_reads.replace(prev_reads);
     ctx.outer_floor.set(prev_floor);
     // Propagate outer reads to the enclosing subquery's detector (its
     // floor check drops reads that are local to it).
@@ -565,8 +657,9 @@ pub fn exec_subquery(query: &Rc<Select>, env: EvalEnv) -> Result<Rc<Relation>> {
         // which cannot change within the statement — memoize fully.
         *entry.result.borrow_mut() = Some(Rc::clone(&rel));
     } else {
-        entry.keyed_insert(observed, env.scopes, Rc::clone(&rel));
+        entry.keyed_insert(&mut observed, env.scopes, Rc::clone(&rel));
     }
+    ctx.bufs.slots.give(observed);
     Ok(rel)
 }
 
@@ -663,7 +756,7 @@ pub fn exec_select_plan(
         if !presorted {
             sort_relation(
                 &mut rel,
-                pre_rows,
+                pre_rows.as_deref(),
                 pre_from.as_ref().map(|f| &f.schema),
                 plan,
                 ctx,
@@ -672,6 +765,10 @@ pub fn exec_select_plan(
                 depth,
             )?;
         }
+    }
+
+    if let Some(rows) = pre_rows {
+        ctx.bufs.rows.give(rows);
     }
 
     // OFFSET / LIMIT.
@@ -731,7 +828,7 @@ enum SortKey<'p> {
 #[allow(clippy::too_many_arguments)]
 fn sort_relation<'p>(
     rel: &mut Relation,
-    pre_rows: Option<Vec<Row>>,
+    pre_rows: Option<&[Row]>,
     pre_schema: Option<&Schema>,
     plan: &'p SelectPlan,
     ctx: &EngineCtx,
@@ -749,10 +846,13 @@ fn sort_relation<'p>(
         let desc = item.order == SortOrder::Desc;
         let prepare_expr = |e: &'p Expr| -> Result<SortKey<'p>> {
             match pre_schema {
-                Some(schema) => {
-                    let scopes = bind_scopes(outer_scopes, schema);
-                    Ok(SortKey::Expr(Prepared::new(e, &scopes, depth, ctx)?))
-                }
+                Some(schema) => Ok(SortKey::Expr(Prepared::new(
+                    e,
+                    outer_scopes,
+                    schema,
+                    depth,
+                    ctx,
+                )?)),
                 None => Err(Error::Eval(format!(
                     "cannot resolve ORDER BY expression {e}"
                 ))),
@@ -789,16 +889,13 @@ fn sort_relation<'p>(
     // Compute sort keys per output row.
     let mut keyed: Vec<(Vec<(OrdValue, bool)>, Row)> = Vec::with_capacity(rel.rows.len());
     {
-        let mut frames = match pre_schema {
-            Some(schema) => frame_stack(outer_scopes, schema),
-            None => Vec::new(),
-        };
+        let mut frames = frame_stack(outer_scopes, pre_schema.unwrap_or(&NO_SCHEMA));
         for (i, row) in rel.rows.iter().enumerate() {
             let mut keys = Vec::with_capacity(key_sources.len());
             for (src, desc) in &key_sources {
                 let v = match src {
                     SortKey::Positional(idx) | SortKey::Output(idx) => row[*idx].clone(),
-                    SortKey::Expr(prepared) => match (&pre_rows, pre_schema) {
+                    SortKey::Expr(prepared) => match (pre_rows, pre_schema) {
                         (Some(rows), Some(schema)) if i < rows.len() => {
                             set_local_row(&mut frames, schema, &rows[i]);
                             let env = EvalEnv {
@@ -1099,7 +1196,7 @@ fn exec_core(
     // a refcount bump per row, never a value copy.
     let rows: Vec<Row> = match &core.where_clause {
         Some(pred) => {
-            let prepared = Prepared::new(pred, &bind_scopes(outer_scopes, schema), depth, ctx)?;
+            let prepared = Prepared::new(pred, outer_scopes, schema, depth, ctx)?;
             let f = Filter {
                 pred: &prepared,
                 schema,
@@ -1109,10 +1206,18 @@ fn exec_core(
                 info: base_info,
             };
             let kept = where_stage(f, &input, seek.as_ref())?;
-            kept.into_iter().map(|i| input[i].clone()).collect()
+            let mut rows = ctx.bufs.rows.take();
+            rows.extend(kept.iter().map(|&i| input[i].clone()));
+            ctx.bufs.positions.give(kept);
+            rows
         }
-        None => input.into_owned(),
+        None => {
+            let mut rows = ctx.bufs.rows.take();
+            rows.extend_from_slice(&input);
+            rows
+        }
     };
+    give_back_input(ctx, input, seek);
 
     if core.is_grouped() {
         let (rel, reps) = exec_grouped(core, rows, schema, ctx, ctes, outer_scopes, base_info)?;
@@ -1257,43 +1362,71 @@ fn expand_items(
 }
 
 /// How each aggregate argument evaluates inside the group loop when
-/// vectorized evaluation is enabled. Decided once per statement, applied
-/// per group — batching is **per group** so that coverage merges exactly
-/// when the row-at-a-time walk would have evaluated that group's
-/// members (a mid-loop error in `compute_aggregate` or HAVING must not
-/// leave bits from groups the scalar walk never reaches).
-enum BatchedArg {
+/// vectorized evaluation is enabled. Decided once per statement (cached
+/// with the grouped bindings), applied per group — batching is **per
+/// group** so that coverage merges exactly when the row-at-a-time walk
+/// would have evaluated that group's members (a mid-loop error in
+/// `compute_aggregate` or HAVING must not leave bits from groups the
+/// scalar walk never reaches).
+pub(crate) enum BatchedArg {
     /// Non-distinct `COUNT(*)`: member count, no value vector.
     CountStarFast,
     /// `COUNT(DISTINCT *)`: the dummy-1 vector the scalar loop builds.
     CountStarValues,
     /// Bare local column: gather members' values straight from the rows.
     ColRef(usize),
-    /// Classified-vectorizable argument: the group's member rows form
-    /// one chunk, with per-group scratch merge and per-group fallback.
-    Vectorized,
+    /// Classified-vectorizable argument, bound: the group's member rows
+    /// form one chunk, with per-group scratch merge and per-group
+    /// fallback.
+    Vectorized(BoundExpr),
     /// Row-at-a-time member loop (unclassified, or `RowAtATime` mode).
     Scalar,
 }
 
-/// Grouped execution: grouping, aggregate computation, HAVING, projection.
-/// Returns the output relation and one representative pre-projection row
-/// per output row (for ORDER BY expressions).
+/// The [`BatchedArg`] of each aggregate spec.
+fn batched_args(specs: &[crate::bind::AggSpec], ctx: &EngineCtx, depth: u32) -> Vec<BatchedArg> {
+    specs
+        .iter()
+        .map(|spec| {
+            if !ctx.vectorize {
+                return BatchedArg::Scalar;
+            }
+            if spec.func == AggFunc::CountStar {
+                return if spec.distinct {
+                    BatchedArg::CountStarValues
+                } else {
+                    BatchedArg::CountStarFast
+                };
+            }
+            match (&spec.arg, &spec.call) {
+                (Some(arg), Expr::Agg { arg: Some(ast), .. }) if vectorizable(ast, ctx, depth) => {
+                    match arg {
+                        BoundExpr::Column(c) if c.up == 0 => BatchedArg::ColRef(c.index as usize),
+                        _ => BatchedArg::Vectorized(arg.clone()),
+                    }
+                }
+                _ => BatchedArg::Scalar,
+            }
+        })
+        .collect()
+}
+
+/// The groups of a GROUP BY: each group's key and its members' positions
+/// in `rows`, in key order.
+type GroupList = Vec<(Vec<OrdValue>, Vec<usize>)>;
+
+/// Partition `rows` into the groups of `gb`'s (non-empty) group keys,
+/// and apply the grouping's bug hook.
 #[allow(clippy::too_many_arguments)]
-fn exec_grouped(
-    core: &CorePlan,
-    rows: Vec<Row>,
+fn group_rows(
+    gb: &GroupedBindings,
+    rows: &[Row],
     schema: &Schema,
     ctx: &EngineCtx,
     ctes: &CteEnv,
     outer_scopes: &[Frame],
     base_info: ExprCtx,
-) -> Result<(Relation, Vec<Row>)> {
-    // Group keys, projection, HAVING and aggregate slots are resolved and
-    // bound once per statement (cached across re-instantiations of a
-    // subquery's grouping operator).
-    let gb = grouped_bindings(core, schema, ctx, outer_scopes, base_info.depth)?;
-    let group_exprs = &gb.group_exprs;
+) -> Result<GroupList> {
     let group_preds: Vec<Prepared> = gb
         .group_exprs
         .iter()
@@ -1332,144 +1465,105 @@ fn exec_grouped(
         }
         single_groups.entry(OrdValue(v)).or_default().push(idx);
     }
-    if group_preds.is_empty() {
-        if rows.is_empty() {
-            ctx.cov.hit(pt::EXEC_GROUP_EMPTY_INPUT);
-        } else {
-            ctx.cov.hit(pt::EXEC_GROUP_SINGLE);
-        }
-        groups.insert(Vec::new(), (0..rows.len()).collect());
-    } else {
-        ctx.cov.hit(pt::EXEC_GROUP_MULTI);
-        let key_info = ExprCtx {
-            clause: Clause::GroupBy,
-            ..base_info
-        };
-        let use_vec = ctx.vectorize
-            && !rows.is_empty()
-            && group_preds
-                .iter()
-                .all(|g| vectorizable(g.ast(), ctx, base_info.depth));
-        let mut frames = frame_stack(outer_scopes, schema);
-        // Reused across chunks: one value column per group expression.
-        let mut key_cols: Vec<Vec<Value>> = vec![Vec::new(); group_preds.len()];
-        // Single-key grouping keys the map by a bare `OrdValue`, skipping
-        // the per-row key-vector allocation (the dominant grouping cost);
-        // the singleton wrapper is rebuilt once per *group* when the
-        // group list materializes.
-        let single = use_vec && group_preds.len() == 1;
-        let mut start = 0usize;
-        while start < rows.len() {
-            let end = (start + crate::vec_eval::CHUNK).min(rows.len());
-            let chunk = &rows[start..end];
-            let mut vectorized = false;
-            if use_vec && ctx.fuel_left() >= chunk.len() as u64 {
-                // One scratch accumulator for every key expression of the
-                // chunk — merged only when all of them succeed.
-                let scratch = Coverage::new();
-                key_cols.iter_mut().for_each(Vec::clear);
-                vectorized = group_preds.iter().zip(key_cols.iter_mut()).all(|(g, col)| {
-                    crate::vec_eval::eval_chunk_into(
-                        g.bound(),
-                        chunk,
-                        outer_scopes,
-                        ctx,
-                        &scratch,
-                        col,
-                    )
-                });
-                if vectorized {
-                    ctx.cov.merge(&scratch);
-                    ctx.consume_fuel(chunk.len() as u64)?;
-                    if single {
-                        for (lane, v) in key_cols[0].drain(..).enumerate() {
-                            single_key_insert(
-                                v,
-                                start + lane,
-                                &mut int_ok,
-                                &mut int_groups,
-                                &mut single_groups,
-                            );
-                        }
-                    } else {
-                        for lane in 0..chunk.len() {
-                            let mut key = Vec::with_capacity(group_preds.len());
-                            for col in &mut key_cols {
-                                key.push(OrdValue(std::mem::replace(&mut col[lane], Value::Null)));
-                            }
-                            groups.entry(key).or_default().push(start + lane);
-                        }
-                    }
-                }
-            }
-            if !vectorized {
-                for (i, row) in chunk.iter().enumerate() {
-                    ctx.consume_fuel(1)?;
-                    set_local_row(&mut frames, schema, row);
-                    if single {
-                        let env = EvalEnv {
-                            ctx,
-                            scopes: &frames,
-                            aggs: None,
-                            ctes,
-                            info: key_info,
-                        };
-                        let v = group_preds[0].eval(env)?;
+    ctx.cov.hit(pt::EXEC_GROUP_MULTI);
+    let key_info = ExprCtx {
+        clause: Clause::GroupBy,
+        ..base_info
+    };
+    let use_vec = ctx.vectorize
+        && !rows.is_empty()
+        && group_preds
+            .iter()
+            .all(|g| vectorizable(g.ast(), ctx, base_info.depth));
+    let mut frames = frame_stack(outer_scopes, schema);
+    // Reused across chunks: one value column per group expression.
+    let mut key_cols: Vec<Vec<Value>> = vec![Vec::new(); group_preds.len()];
+    // Single-key grouping keys the map by a bare `OrdValue`, skipping
+    // the per-row key-vector allocation (the dominant grouping cost);
+    // the singleton wrapper is rebuilt once per *group* when the
+    // group list materializes.
+    let single = use_vec && group_preds.len() == 1;
+    let mut start = 0usize;
+    while start < rows.len() {
+        let end = (start + crate::vec_eval::CHUNK).min(rows.len());
+        let chunk = &rows[start..end];
+        let mut vectorized = false;
+        if use_vec && ctx.fuel_left() >= chunk.len() as u64 {
+            // One scratch accumulator for every key expression of the
+            // chunk — merged only when all of them succeed.
+            let scratch = Coverage::new();
+            key_cols.iter_mut().for_each(Vec::clear);
+            vectorized = group_preds.iter().zip(key_cols.iter_mut()).all(|(g, col)| {
+                crate::vec_eval::eval_chunk_into(g.bound(), chunk, outer_scopes, ctx, &scratch, col)
+            });
+            if vectorized {
+                ctx.cov.merge(&scratch);
+                ctx.consume_fuel(chunk.len() as u64)?;
+                if single {
+                    for (lane, v) in key_cols[0].drain(..).enumerate() {
                         single_key_insert(
                             v,
-                            start + i,
+                            start + lane,
                             &mut int_ok,
                             &mut int_groups,
                             &mut single_groups,
                         );
-                        continue;
                     }
-                    let mut key = Vec::with_capacity(group_preds.len());
-                    for g in &group_preds {
-                        let env = EvalEnv {
-                            ctx,
-                            scopes: &frames,
-                            aggs: None,
-                            ctes,
-                            info: key_info,
-                        };
-                        key.push(OrdValue(g.eval(env)?));
+                } else {
+                    for lane in 0..chunk.len() {
+                        let mut key = Vec::with_capacity(group_preds.len());
+                        for col in &mut key_cols {
+                            key.push(OrdValue(std::mem::replace(&mut col[lane], Value::Null)));
+                        }
+                        groups.entry(key).or_default().push(start + lane);
                     }
-                    groups.entry(key).or_default().push(start + i);
                 }
             }
-            start = end;
         }
-        // Grouping over an empty input with GROUP BY yields no groups.
+        if !vectorized {
+            for (i, row) in chunk.iter().enumerate() {
+                ctx.consume_fuel(1)?;
+                set_local_row(&mut frames, schema, row);
+                if single {
+                    let env = EvalEnv {
+                        ctx,
+                        scopes: &frames,
+                        aggs: None,
+                        ctes,
+                        info: key_info,
+                    };
+                    let v = group_preds[0].eval(env)?;
+                    single_key_insert(
+                        v,
+                        start + i,
+                        &mut int_ok,
+                        &mut int_groups,
+                        &mut single_groups,
+                    );
+                    continue;
+                }
+                let mut key = Vec::with_capacity(group_preds.len());
+                for g in &group_preds {
+                    let env = EvalEnv {
+                        ctx,
+                        scopes: &frames,
+                        aggs: None,
+                        ctes,
+                        info: key_info,
+                    };
+                    key.push(OrdValue(g.eval(env)?));
+                }
+                groups.entry(key).or_default().push(start + i);
+            }
+        }
+        start = end;
     }
-
-    // Bug hook: DuckdbInternalGroupByRealMany (`int_groups` keys are
-    // INTs by construction and can never satisfy the REAL condition).
-    if groups.len() + single_groups.len() + int_groups.len() > 2
-        && ctx.bugs.active(BugId::DuckdbInternalGroupByRealMany)
-        && (groups
-            .keys()
-            .any(|k| k.iter().any(|v| matches!(v.0, Value::Real(_))))
-            || single_groups.keys().any(|k| matches!(k.0, Value::Real(_))))
-    {
-        return Err(Error::Internal(
-            "REAL group key misaligned in hash table".into(),
-        ));
-    }
-
-    // Bug hook: TidbInternalHavingCorrelated — a subquery under HAVING.
-    if core.having.as_ref().is_some_and(Expr::contains_subquery)
-        && ctx.bugs.active(BugId::TidbInternalHavingCorrelated)
-    {
-        return Err(Error::Internal(
-            "failed to decorrelate subquery in HAVING".into(),
-        ));
-    }
+    // Grouping over an empty input with GROUP BY yields no groups.
 
     // A singleton `OrdValue` (or plain `i64`) orders exactly like its
     // one-element key vector, so every source yields the identical group
     // order.
-    let mut group_list: Vec<(Vec<OrdValue>, Vec<usize>)> = if !int_groups.is_empty() {
+    let group_list: GroupList = if !int_groups.is_empty() {
         int_groups
             .into_iter()
             .map(|(k, m)| (vec![OrdValue(Value::Int(k))], m))
@@ -1483,74 +1577,123 @@ fn exec_grouped(
         groups.into_iter().collect()
     };
 
+    // Bug hook: DuckdbInternalGroupByRealMany (INT keys can never satisfy
+    // the REAL condition).
+    if group_list.len() > 2
+        && ctx.bugs.active(BugId::DuckdbInternalGroupByRealMany)
+        && group_list
+            .iter()
+            .any(|(k, _)| k.iter().any(|v| matches!(v.0, Value::Real(_))))
+    {
+        return Err(Error::Internal(
+            "REAL group key misaligned in hash table".into(),
+        ));
+    }
+    Ok(group_list)
+}
+
+/// Grouped execution: grouping, aggregate computation, HAVING, projection.
+/// Returns the output relation and one representative pre-projection row
+/// per output row (for ORDER BY expressions). An aggregate without GROUP
+/// BY has one group, every input row, and builds no grouping maps.
+#[allow(clippy::too_many_arguments)]
+fn exec_grouped(
+    core: &CorePlan,
+    rows: Vec<Row>,
+    schema: &Schema,
+    ctx: &EngineCtx,
+    ctes: &CteEnv,
+    outer_scopes: &[Frame],
+    base_info: ExprCtx,
+) -> Result<(Relation, Vec<Row>)> {
+    // Group keys, projection, HAVING and aggregate slots are resolved and
+    // bound once per statement (cached across re-instantiations of a
+    // subquery's grouping operator).
+    let gb = grouped_bindings(core, schema, ctx, outer_scopes, base_info.depth)?;
+    // `None`: no GROUP BY.
+    let mut group_list = if gb.group_bound.is_empty() {
+        ctx.cov.hit(if rows.is_empty() {
+            pt::EXEC_GROUP_EMPTY_INPUT
+        } else {
+            pt::EXEC_GROUP_SINGLE
+        });
+        None
+    } else {
+        Some(group_rows(
+            &gb,
+            &rows,
+            schema,
+            ctx,
+            ctes,
+            outer_scopes,
+            base_info,
+        )?)
+    };
+
+    // Bug hook: TidbInternalHavingCorrelated — a subquery under HAVING.
+    if core.having.as_ref().is_some_and(Expr::contains_subquery)
+        && ctx.bugs.active(BugId::TidbInternalHavingCorrelated)
+    {
+        return Err(Error::Internal(
+            "failed to decorrelate subquery in HAVING".into(),
+        ));
+    }
+
     // Bug hook: DuckdbDistinctGroupByDrop — DISTINCT + GROUP BY drops the
     // last group. The rewrite rule pattern-matches plain grouping
     // expressions, so a CASE-shaped group key escapes it (which is what
     // lets a folded query expose the discrepancy).
-    if core.distinct
-        && !core.group_by.is_empty()
-        && group_list.len() > 1
-        && !matches!(group_exprs.first(), Some(Expr::Case { .. }))
-        && ctx.bugs.active(BugId::DuckdbDistinctGroupByDrop)
-    {
-        group_list.pop();
+    if let Some(list) = &mut group_list {
+        if core.distinct
+            && list.len() > 1
+            && !matches!(gb.group_exprs.first(), Some(Expr::Case { .. }))
+            && ctx.bugs.active(BugId::DuckdbDistinctGroupByDrop)
+        {
+            list.pop();
+        }
     }
 
-    let columns = gb.columns.clone();
-    let bound_projs = &gb.bound_projs;
-    let bound_having = &gb.bound_having;
+    // Batched aggregate-argument evaluation mode, decided once per spec
+    // on the first run that gets here. Evaluation itself happens per
+    // group inside the loop below, so its coverage merges exactly when
+    // the scalar walk evaluates that group's members, and a dropped group
+    // (`DuckdbDistinctGroupByDrop`) or a mid-loop error leaves later
+    // groups untouched in both modes. Argument evaluation charges no fuel
+    // in either path (the group loop's per-group charge is unchanged).
+    let spec_modes = gb
+        .spec_modes
+        .get_or_init(|| batched_args(&gb.agg_specs, ctx, base_info.depth));
     let agg_specs = &gb.agg_specs;
+    let sel_info = ExprCtx {
+        clause: Clause::SelectList,
+        ..base_info
+    };
 
-    // Batched aggregate-argument evaluation mode, decided once per spec.
-    // Evaluation itself happens per group inside the loop below, so its
-    // coverage merges exactly when the scalar walk evaluates that
-    // group's members, and a dropped group (`DuckdbDistinctGroupByDrop`)
-    // or a mid-loop error leaves later groups untouched in both modes.
-    // Argument evaluation charges no fuel in either path (the group
-    // loop's per-group charge is unchanged).
-    let spec_modes: Vec<BatchedArg> = agg_specs
-        .iter()
-        .map(|spec| {
-            if !ctx.vectorize {
-                return BatchedArg::Scalar;
-            }
-            if spec.func == AggFunc::CountStar {
-                return if spec.distinct {
-                    BatchedArg::CountStarValues
-                } else {
-                    BatchedArg::CountStarFast
-                };
-            }
-            match (&spec.arg, &spec.call) {
-                (Some(arg), Expr::Agg { arg: Some(ast), .. })
-                    if vectorizable(ast, ctx, base_info.depth) =>
-                {
-                    if let BoundExpr::Column(c) = arg {
-                        if c.up == 0 {
-                            return BatchedArg::ColRef(c.index as usize);
-                        }
-                    }
-                    BatchedArg::Vectorized
-                }
-                _ => BatchedArg::Scalar,
-            }
-        })
-        .collect();
-
-    let mut out_rows: Vec<Row> = Vec::with_capacity(group_list.len());
-    let mut rep_rows: Vec<Row> = Vec::with_capacity(group_list.len());
-    let empty_row = Row::new(vec![Value::Null; schema.cols.len()]);
-    let mut frames = frame_stack(outer_scopes, schema);
-
-    for (_key, members) in &group_list {
+    let mut out_rows: Vec<Row> = Vec::with_capacity(group_list.as_ref().map_or(1, Vec::len));
+    let mut rep_rows = ctx.bufs.rows.take();
+    // One aggregate value table, cleared per group.
+    let mut aggs: AggValues = ctx.bufs.values.take();
+    let mut group = |members: &[usize]| -> Result<()> {
         ctx.consume_fuel(1 + members.len() as u64)?;
+        let mut frames = frame_stack(outer_scopes, schema);
+        // Representative row: bare columns take the group's first row
+        // (SQLite "bare column in aggregate query" semantics); the one
+        // group of an empty input has all-NULL columns.
+        let empty_row;
+        let rep: &Row = match members.first() {
+            Some(&i) => &rows[i],
+            None => {
+                empty_row = Row::new(vec![Value::Null; schema.cols.len()]);
+                &empty_row
+            }
+        };
         // Compute aggregates for this group, one value per slot. The
         // group's member rows form one chunk for vectorized arguments,
         // built lazily (shared refcount bumps) and reused across specs.
         let mut member_chunk: Option<Vec<Row>> = None;
-        let mut aggs: AggValues = Vec::with_capacity(agg_specs.len());
-        for (si, spec) in agg_specs.iter().enumerate() {
-            let mut values: Option<Vec<Value>> = match &spec_modes[si] {
+        aggs.clear();
+        for (spec, mode) in agg_specs.iter().zip(spec_modes) {
+            let batched: Option<Vec<Value>> = match mode {
                 // Non-distinct COUNT(*) needs only the member count —
                 // `compute_aggregate`'s arm hits one bit and returns
                 // the length, reproduced here without the value vec.
@@ -1559,7 +1702,11 @@ fn exec_grouped(
                     aggs.push(Value::Int(members.len() as i64));
                     continue;
                 }
-                BatchedArg::CountStarValues => Some(vec![Value::Int(1); members.len()]),
+                BatchedArg::CountStarValues => {
+                    let mut values = ctx.bufs.values.take();
+                    values.resize(members.len(), Value::Int(1));
+                    Some(values)
+                }
                 BatchedArg::ColRef(idx) => {
                     // The scalar loop hits the column's coverage point
                     // (and records the correlation read) once per
@@ -1569,15 +1716,18 @@ fn exec_grouped(
                         ctx.cov.hit(pt::EVAL_COLUMN_LOCAL);
                         ctx.note_column_read(outer_scopes.len(), *idx);
                     }
-                    Some(members.iter().map(|&ri| rows[ri][*idx].clone()).collect())
+                    let mut values = ctx.bufs.values.take();
+                    values.extend(members.iter().map(|&ri| rows[ri][*idx].clone()));
+                    Some(values)
                 }
-                BatchedArg::Vectorized if !members.is_empty() => {
+                BatchedArg::Vectorized(arg) if !members.is_empty() => {
                     let chunk = member_chunk.get_or_insert_with(|| {
-                        members.iter().map(|&ri| rows[ri].clone()).collect()
+                        let mut chunk = ctx.bufs.rows.take();
+                        chunk.extend(members.iter().map(|&ri| rows[ri].clone()));
+                        chunk
                     });
-                    let arg = spec.arg.as_ref().expect("vectorized spec has an argument");
                     let scratch = Coverage::new();
-                    let mut out = Vec::with_capacity(members.len());
+                    let mut out = ctx.bufs.values.take();
                     if crate::vec_eval::eval_chunk_into(
                         arg,
                         chunk,
@@ -1591,15 +1741,16 @@ fn exec_grouped(
                     } else {
                         // An erroring lane: this spec re-runs its member
                         // loop row-at-a-time (exact error and coverage).
+                        ctx.bufs.values.give(out);
                         None
                     }
                 }
-                BatchedArg::Vectorized | BatchedArg::Scalar => None,
+                BatchedArg::Vectorized(_) | BatchedArg::Scalar => None,
             };
-            let values = match values.take() {
+            let mut values = match batched {
                 Some(v) => v,
                 None => {
-                    let mut values = Vec::with_capacity(members.len());
+                    let mut values = ctx.bufs.values.take();
                     for &ri in members {
                         set_local_row(&mut frames, schema, &rows[ri]);
                         let v = match (spec.func, &spec.arg) {
@@ -1610,10 +1761,7 @@ fn exec_grouped(
                                     scopes: &frames,
                                     aggs: None,
                                     ctes,
-                                    info: ExprCtx {
-                                        clause: Clause::SelectList,
-                                        ..base_info
-                                    },
+                                    info: sel_info,
                                 };
                                 eval_bound(a, env)?
                             }
@@ -1629,29 +1777,25 @@ fn exec_grouped(
                     values
                 }
             };
-            let rep = members.first().map(|&i| &rows[i]).unwrap_or(&empty_row);
             set_local_row(&mut frames, schema, rep);
             let env = EvalEnv {
                 ctx,
                 scopes: &frames,
                 aggs: None,
                 ctes,
-                info: ExprCtx {
-                    clause: Clause::SelectList,
-                    ..base_info
-                },
+                info: sel_info,
             };
-            let v = compute_aggregate(spec.func, spec.distinct, values, env)?;
+            let v = compute_aggregate(spec.func, spec.distinct, &mut values, env)?;
+            ctx.bufs.values.give(values);
             aggs.push(v);
         }
-
-        // Representative row: bare columns take the group's first row
-        // (SQLite "bare column in aggregate query" semantics).
-        let rep: &Row = members.first().map(|&i| &rows[i]).unwrap_or(&empty_row);
+        if let Some(chunk) = member_chunk {
+            ctx.bufs.rows.give(chunk);
+        }
 
         // HAVING.
-        if let Some(h) = bound_having {
-            set_local_row(&mut frames, schema, rep);
+        set_local_row(&mut frames, schema, rep);
+        if let Some(h) = &gb.bound_having {
             let env = EvalEnv {
                 ctx,
                 scopes: &frames,
@@ -1666,34 +1810,45 @@ fn exec_grouped(
             let hv = eval_bound(h, env)?;
             if truthiness(&hv, ctx.dialect, ctx.cov)? != Some(true) {
                 ctx.cov.hit(pt::EXEC_HAVING_DROP);
-                continue;
+                return Ok(());
             }
             ctx.cov.hit(pt::EXEC_HAVING_PASS);
         }
 
         // Projection.
-        set_local_row(&mut frames, schema, rep);
-        let mut out = Vec::with_capacity(bound_projs.len());
-        for e in bound_projs {
+        let mut out = Vec::with_capacity(gb.bound_projs.len());
+        for e in &gb.bound_projs {
             let env = EvalEnv {
                 ctx,
                 scopes: &frames,
                 aggs: Some(&aggs),
                 ctes,
-                info: ExprCtx {
-                    clause: Clause::SelectList,
-                    ..base_info
-                },
+                info: sel_info,
             };
             out.push(eval_bound(e, env)?);
         }
         out_rows.push(Row::new(out));
         rep_rows.push(rep.clone());
+        Ok(())
+    };
+    match &group_list {
+        None => {
+            let mut all = ctx.bufs.positions.take();
+            all.extend(0..rows.len());
+            group(&all)?;
+            ctx.bufs.positions.give(all);
+        }
+        Some(list) => {
+            for (_, members) in list {
+                group(members)?;
+            }
+        }
     }
-
+    ctx.bufs.values.give(aggs);
+    ctx.bufs.rows.give(rows);
     Ok((
         Relation {
-            columns,
+            columns: gb.columns.clone(),
             rows: out_rows,
         },
         rep_rows,
@@ -1826,6 +1981,7 @@ fn grouped_bindings(
                 bound_projs,
                 bound_having,
                 agg_specs,
+                spec_modes: std::cell::OnceCell::new(),
             }))
         },
     )
@@ -1903,8 +2059,9 @@ pub(crate) fn filter_point(t: Bool3) -> PointId {
 
 /// Apply a WHERE filter, including the filter-site bug hooks, to `rows`
 /// placed in storage as `at`, and return the indexes of the kept rows in
-/// ascending order. Its kernels are the only code that evaluates a WHERE
-/// clause over rows, for scans and seeks, SELECT and DML alike. A
+/// ascending order, in a buffer taken from the statement's spares. Its
+/// kernels are the only code that evaluates a WHERE clause over rows,
+/// for scans and seeks, SELECT and DML alike. A
 /// classified-vectorizable predicate evaluates chunk-at-a-time through
 /// [`crate::vec_eval`], with an exact per-chunk fallback to the row loop
 /// on any erroring lane or insufficient fuel; everything else, and any
@@ -1936,7 +2093,7 @@ fn apply_filter(f: Filter, rows: &[Row], at: Placement) -> Result<Vec<usize>> {
         )
         .is_ok();
 
-    let mut kept = Vec::new();
+    let mut kept = ctx.bufs.positions.take();
     let mut frames = frame_stack(f.outer_scopes, f.schema);
     let mut start = 0usize;
     while start < rows.len() {
@@ -1993,7 +2150,11 @@ fn where_stage(f: Filter, rows: &[Row], seek: Option<&SeekInfo>) -> Result<Vec<u
         // Bug hook: PrefixSeekIgnoresResidual — the seek output is
         // (wrongly) trusted wholesale. Binding still ran, so name
         // resolution errors surface as usual.
-        Some(seek) if seek.filter_suppressed => Ok((0..rows.len()).collect()),
+        Some(seek) if seek.filter_suppressed => {
+            let mut kept = f.ctx.bufs.positions.take();
+            kept.extend(0..rows.len());
+            Ok(kept)
+        }
         Some(seek) => seek_filter(f, rows, seek),
         None => apply_filter(f, rows, Placement::Contiguous),
     }
@@ -2028,11 +2189,14 @@ pub(crate) fn dml_targets(
         outer_scopes: &[],
         info: ExprCtx::new(Clause::Where),
     };
-    let kept = where_stage(f, &rows, seek.as_ref())?;
-    Ok(match seek {
-        Some(seek) => kept.into_iter().map(|i| seek.positions[i]).collect(),
-        None => kept,
-    })
+    let mut kept = where_stage(f, &rows, seek.as_ref())?;
+    if let Some(seek) = &seek {
+        for i in &mut kept {
+            *i = seek.positions[*i];
+        }
+    }
+    give_back_input(ctx, rows, seek);
+    Ok(kept)
 }
 
 /// The WHERE stage over an index seek's rows: a fuel and coverage ledger
@@ -2089,21 +2253,16 @@ fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
     // index probe per class); the storage-order walk needs each class's
     // first row in storage order, where a fuel exhaustion would cut the
     // scan twin's ledger.
-    let reps: Vec<(usize, Row)> = seek
-        .data
-        .skip_reps(&seek.probes, bulk)
-        .into_iter()
-        .map(|(p, key)| {
-            let mut vals = vec![Value::Null; f.schema.cols.len()];
-            for (&c, ov) in seek.data.cols.iter().zip(key) {
-                vals[c] = ov.0;
-            }
-            (p, Row::new(vals))
-        })
-        .collect();
-    let mut frames = frame_stack(f.outer_scopes, f.schema);
+    let reps = seek.data.skip_reps(&seek.probes, bulk);
+    // One value row serves every representative: each writes all key
+    // columns, and the others stay NULL.
+    let mut rep_row = ctx.bufs.values.take();
+    rep_row.resize(f.schema.cols.len(), Value::Null);
     let mut replay = |k: usize| -> Result<()> {
-        let t = f.truth(&mut frames, &reps[k].1)?;
+        for (&c, key) in seek.data.cols.iter().zip(reps[k].1) {
+            rep_row[c] = key.0.clone();
+        }
+        let t = f.truth(&mut frame_stack(f.outer_scopes, f.schema), &rep_row)?;
         ctx.cov.hit(pt::EXEC_FILTER_DROP);
         if assert_reps {
             assert_eq!(
@@ -2121,6 +2280,7 @@ fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
         for k in 0..reps.len() {
             replay(k)?;
         }
+        ctx.bufs.values.give(rep_row);
         return apply_filter(f, rows, Placement::Contiguous);
     }
 
@@ -2143,7 +2303,7 @@ fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
     // The walk: before each representative (and the table's end), the
     // run of emitted rows below it; then the skipped rows up to it, its
     // own row and its replay.
-    let mut kept_rows = Vec::new();
+    let mut kept_rows = ctx.bufs.positions.take();
     let mut a = 0; // first row of the next run
     let mut from = 0; // storage position after the last charged row
     for k in 0..=reps.len() {
@@ -2154,7 +2314,8 @@ fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
             from,
         };
         let run_kept = apply_filter(f, &rows[a..b], run)?;
-        kept_rows.extend(run_kept.into_iter().map(|i| a + i));
+        kept_rows.extend(run_kept.iter().map(|i| a + i));
+        ctx.bufs.positions.give(run_kept);
         if b > a {
             from = pos[b - 1] + 1;
         }
@@ -2168,6 +2329,7 @@ fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
         a = b;
     }
 
+    ctx.bufs.values.give(rep_row);
     // Emission keeps the seek's own order (storage order, or key order
     // for sort elimination): the kept indexes follow the seek's rows.
     if let Some(order) = order {
@@ -2182,7 +2344,9 @@ fn seek_filter(f: Filter, rows: &[Row], seek: &SeekInfo) -> Result<Vec<usize>> {
 /// The WHERE stage's input over base table `t`, reached through
 /// `access`: for an `IndexSeek`, the rows its seek reaches in this run
 /// with the seek's record ([`seek_probe`]); every row of `t` and no
-/// record when `access` is a scan or the run refuses the seek.
+/// record when `access` is a scan or the run refuses the seek. A seek's
+/// rows and positions sit in the statement's spare buffers, which
+/// [`give_back_input`] returns them to.
 fn seek_input<'c>(
     t: &'c TableDef,
     access: &FromPlan,
@@ -2194,15 +2358,66 @@ fn seek_input<'c>(
     let Some(seek) = seek_probe(t, access, outer_scopes, local, depth, ctx)? else {
         return Ok((Cow::Borrowed(t.rows.as_slice()), None));
     };
-    let rows = seek.positions.iter().map(|&p| t.rows[p].clone()).collect();
+    let mut rows = ctx.bufs.rows.take();
+    rows.extend(seek.positions.iter().map(|&p| t.rows[p].clone()));
     Ok((Cow::Owned(rows), Some(seek)))
+}
+
+/// Return a [`seek_input`]'s buffers to the statement's spares.
+fn give_back_input(ctx: &EngineCtx, input: Cow<[Row]>, seek: Option<SeekInfo>) {
+    if let Cow::Owned(rows) = input {
+        ctx.bufs.rows.give(rows);
+    }
+    if let Some(seek) = seek {
+        ctx.bufs.positions.give(seek.positions);
+    }
+}
+
+/// The frame slot `(frame index, column ordinal)` of each probe of an
+/// index seek, in probe order: `Some` for an outer column that resolves
+/// against the outer scopes, `None` for a literal and for an outer
+/// column that does not resolve.
+pub(crate) type ProbeSlots = Vec<Option<(usize, usize)>>;
+
+/// Resolve the outer probes of `access` (an `IndexSeek` over a table
+/// bound to `local`) to their frame slots in `outer_scopes`. A seek site
+/// runs under the same scope schemas all statement long, so the slots
+/// are resolved once per statement, like a clause's bound form, and
+/// cached by the plan node's address (sound for the reasons
+/// [`Prepared::new`] gives).
+fn outer_probe_slots<'p>(
+    access: &FromPlan,
+    probes: impl Iterator<Item = &'p SeekProbe>,
+    outer_scopes: &[Frame],
+    local: &Schema,
+    depth: u32,
+    ctx: &EngineCtx,
+) -> Result<Rc<ProbeSlots>> {
+    get_or_build(
+        &ctx.caches.seek_slots,
+        ctx.bindings_cacheable(depth),
+        access as *const FromPlan as usize,
+        || {
+            let scopes = bind_scopes(outer_scopes, local);
+            let binder = Binder::new(&scopes, depth);
+            let slot = |p: &SeekProbe| {
+                let SeekProbe::Outer(c) = p else { return None };
+                let col = binder.resolve(c).ok()?;
+                let fi = outer_scopes.len().checked_sub(usize::from(col.up))?;
+                Some((fi, usize::from(col.index)))
+            };
+            Ok(Rc::new(probes.map(slot).collect()))
+        },
+    )
 }
 
 /// Probe the ordered index of an `IndexSeek` access path over `t` (bound
 /// to `local`) for the storage positions its consumed conjuncts can
 /// reach in this run. Each probe is resolved first: a literal as
 /// planned, an outer column read straight from the frame of
-/// `outer_scopes` it binds to. That read is no evaluation and enters no
+/// `outer_scopes` it binds to. The frame slot of an outer column is
+/// resolved once per statement ([`outer_probe_slots`]), so a run only
+/// reads the value there. That read is no evaluation and enters no
 /// correlation detector: the WHERE stage evaluates the consumed conjunct
 /// itself, on the emitted rows and on the skipped classes'
 /// representatives, and so notes the outer slot exactly when the scan
@@ -2210,7 +2425,8 @@ fn seek_input<'c>(
 /// scans instead: [`EngineCtx::scan_only`], a probe that is NULL or does
 /// not resolve, or a probe whose storage class the index's key values
 /// do not share. A plan whose probes do not fit the index is an
-/// internal error.
+/// internal error. The emitted positions go into a spare buffer of the
+/// statement, so a run allocates nothing here.
 fn seek_probe<'c>(
     t: &TableDef,
     access: &FromPlan,
@@ -2236,27 +2452,34 @@ fn seek_probe<'c>(
     if ctx.scan_only {
         return Ok(None);
     }
-    let resolve = |p: &SeekProbe| -> Option<Value> {
-        let v = match p {
-            SeekProbe::Literal(v) => v.clone(),
-            SeekProbe::Outer(c) => {
-                let scopes = bind_scopes(outer_scopes, local);
-                let col = Binder::new(&scopes, depth).resolve(c).ok()?;
-                let fi = outer_scopes.len().checked_sub(usize::from(col.up))?;
-                outer_scopes
-                    .get(fi)?
-                    .row
-                    .get(usize::from(col.index))?
-                    .clone()
-            }
-        };
-        (!v.is_null()).then_some(v)
+    let probes = || eq.iter().chain(range.iter().map(|(_, p)| p));
+    let slots = if probes().any(|p| matches!(p, SeekProbe::Outer(_))) {
+        Some(outer_probe_slots(
+            access,
+            probes(),
+            outer_scopes,
+            local,
+            depth,
+            ctx,
+        )?)
+    } else {
+        None
     };
-    let mut vals = Vec::with_capacity(plan::MAX_SEEK_KEYS);
-    for p in eq.iter().chain(range.iter().map(|(_, p)| p)) {
-        match resolve(p) {
-            Some(v) => vals.push(OrdValue(v)),
-            None => return Ok(None),
+    let mut vals = ctx.bufs.values.take();
+    for (i, p) in probes().enumerate() {
+        let v = match p {
+            SeekProbe::Literal(v) => Some(v),
+            SeekProbe::Outer(_) => slots
+                .as_ref()
+                .and_then(|s| s[i])
+                .and_then(|(fi, ci)| outer_scopes.get(fi)?.row.get(ci)),
+        };
+        match v {
+            Some(v) if !v.is_null() => vals.push(v.clone()),
+            _ => {
+                ctx.bufs.values.give(vals);
+                return Ok(None);
+            }
         }
     }
     if vals.len() > data.stats.len() {
@@ -2271,24 +2494,26 @@ fn seek_probe<'c>(
     // with every non-NULL key value, or ordered-key comparison could
     // disagree with SQL comparison.
     let exact = vals.iter().zip(&data.stats).all(|(v, s)| {
-        if matches!(v.0, Value::Text(_)) {
+        if matches!(v, Value::Text(_)) {
             s.text == s.nonnull
         } else {
             s.text == 0
         }
     });
     if !exact {
+        ctx.bufs.values.give(vals);
         return Ok(None);
     }
     let cmp = |op: BinaryOp| {
         KeyCmp::of(op).ok_or_else(|| Error::Internal(format!("index seek range probe with {op:?}")))
     };
+    let key = |v: &Value| OrdValue(v.clone());
     let probes = match (vals.as_slice(), range) {
         ([], None) => KeyProbes::All,
-        ([v], None) => KeyProbes::One(KeyCmp::Eq, v.clone()),
-        ([v], Some((op, _))) => KeyProbes::One(cmp(*op)?, v.clone()),
-        ([v0, v1], None) => KeyProbes::Two(v0.clone(), KeyCmp::Eq, v1.clone()),
-        ([v0, v1], Some((op, _))) => KeyProbes::Two(v0.clone(), cmp(*op)?, v1.clone()),
+        ([v], None) => KeyProbes::One(KeyCmp::Eq, key(v)),
+        ([v], Some((op, _))) => KeyProbes::One(cmp(*op)?, key(v)),
+        ([v0, v1], None) => KeyProbes::Two(key(v0), KeyCmp::Eq, key(v1)),
+        ([v0, v1], Some((op, _))) => KeyProbes::Two(key(v0), cmp(*op)?, key(v1)),
         _ => {
             return Err(Error::Internal(format!(
                 "index seek probes {} key columns, at most {}",
@@ -2297,15 +2522,17 @@ fn seek_probe<'c>(
             )))
         }
     };
+    ctx.bufs.values.give(vals);
     // The RangeBoundOffByOne and SortElimWrongDirection hooks corrupt the
     // *plan* (see `plan::select_seek` and `plan::eliminate_sort`): the
     // executor faithfully runs the seek it was handed.
     // Bug hook: EqSeekMissesDuplicates — equality seeks return only the
-    // first row of each duplicate key group.
+    // first posting of each duplicate key group.
     let dedup = ctx.bugs.active(IndexBugId::EqSeekMissesDuplicates);
-    let out = data.seek(&probes, *ordered, *reverse, dedup);
+    let mut positions = ctx.bufs.positions.take();
+    data.seek(&probes, *ordered, *reverse, dedup, &mut positions);
     Ok(Some(SeekInfo {
-        positions: out.emit,
+        positions,
         total: t.rows.len(),
         data,
         probes,
@@ -2421,7 +2648,7 @@ fn exec_from_uncached(
             let prepared: Vec<Prepared> = idx
                 .exprs
                 .iter()
-                .map(|e| Prepared::new(e, &[&schema], depth, ctx))
+                .map(|e| Prepared::new(e, &[], &schema, depth, ctx))
                 .collect::<Result<_>>()?;
             let info = ExprCtx {
                 depth,
@@ -2612,7 +2839,7 @@ fn exec_from_uncached(
                 from_has_cte: input.reads_cte(),
                 depth,
             };
-            let prepared = Prepared::new(pred, &[&res.schema], depth, ctx)?;
+            let prepared = Prepared::new(pred, &[], &res.schema, depth, ctx)?;
             let f = Filter {
                 pred: &prepared,
                 schema: &res.schema,
@@ -2776,7 +3003,7 @@ fn exec_join(
     // Bind the ON predicate once against the combined schema; the probe
     // loop below evaluates the bound form per row pair.
     let on_prepared = match on {
-        Some(pred) => Some(Prepared::new(pred, &[&schema], depth, ctx)?),
+        Some(pred) => Some(Prepared::new(pred, &[], &schema, depth, ctx)?),
         None => None,
     };
 
@@ -3099,7 +3326,7 @@ fn hash_join(
     // Residual ON conjuncts, bound once against the combined schema.
     // Fragments of the original conjunction are never the clause root.
     let residual_prepared = match residual {
-        Some(pred) => Some(Prepared::new(pred, &[schema], depth, ctx)?),
+        Some(pred) => Some(Prepared::new(pred, &[], schema, depth, ctx)?),
         None => None,
     };
     let residual_info = info.child();

@@ -29,6 +29,8 @@
 //! correlated subquery, the current value of an outer column
 //! ([`KeyProbes`] holds either once resolved).
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included, Unbounded};
 
@@ -36,15 +38,78 @@ use crate::ast::BinaryOp;
 use crate::catalog::TableDef;
 use crate::value::{OrdValue, Row, Value};
 
-/// Output of [`OrdIndex::seek`]: storage positions to emit, already in
-/// emission order — ascending storage order for unordered seeks,
-/// index-key order (optionally reversed key groups) for ordered ones.
-/// Skipped-class representatives are a separate, on-demand computation
-/// ([`OrdIndex::skip_reps`]): the executor only needs their exact
-/// storage positions on the fallible filter path.
-pub struct SeekOut {
-    pub emit: Vec<usize>,
+/// The skipped outcome classes of one seek ([`OrdIndex::skip_reps`]):
+/// one `(position, key)` representative per non-empty class, sorted by
+/// position. There are at most three classes, one per way the consumed
+/// conjuncts of a [`KeyProbes::Two`] seek can fail; the keys are
+/// borrowed from the index.
+pub struct SkipReps<'a> {
+    reps: [(usize, &'a [OrdValue]); 3],
+    len: usize,
 }
+
+impl<'a> std::ops::Deref for SkipReps<'a> {
+    type Target = [(usize, &'a [OrdValue])];
+    fn deref(&self) -> &Self::Target {
+        &self.reps[..self.len]
+    }
+}
+
+/// A composite key that ranges over [`OrdIndex::map`] without being built
+/// as one: a [`SeekBound`] stands for its `prefix` followed by `last`,
+/// and orders exactly as that `Vec<OrdValue>` key would.
+trait RangeKey {
+    /// The key's values, as two runs to read in sequence.
+    fn runs(&self) -> (&[OrdValue], &[OrdValue]);
+}
+
+impl RangeKey for Vec<OrdValue> {
+    fn runs(&self) -> (&[OrdValue], &[OrdValue]) {
+        (self, &[])
+    }
+}
+
+/// A range bound: the key `prefix ++ [last]`, borrowed.
+struct SeekBound<'k> {
+    prefix: &'k [OrdValue],
+    last: &'k OrdValue,
+}
+
+impl RangeKey for SeekBound<'_> {
+    fn runs(&self) -> (&[OrdValue], &[OrdValue]) {
+        (self.prefix, std::slice::from_ref(self.last))
+    }
+}
+
+impl Ord for dyn RangeKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let ((a0, a1), (b0, b1)) = (self.runs(), other.runs());
+        a0.iter().chain(a1).cmp(b0.iter().chain(b1))
+    }
+}
+
+impl PartialOrd for dyn RangeKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn RangeKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn RangeKey + '_ {}
+
+impl<'k> Borrow<dyn RangeKey + 'k> for Vec<OrdValue> {
+    fn borrow(&self) -> &(dyn RangeKey + 'k) {
+        self
+    }
+}
+
+/// The NULL value that bounds the segments of NULL keys.
+static NULL: OrdValue = OrdValue(Value::Null);
 
 /// A consumed conjunct's comparison, `key <op> probe`: the five
 /// comparisons a seek can consume.
@@ -196,12 +261,15 @@ impl OrdIndex {
         ps.insert(at, pos);
     }
 
-    /// Range/point seek: emit every row **no consumed conjunct makes
-    /// FALSE** (NULL keys stay in — the WHERE clause re-evaluates over
-    /// the emitted rows and drops them itself). The consumed conjuncts
-    /// are the `probes` on the leading key columns, compared in the map's
-    /// total order — callers gate on [`KeyColStats`] so that total-order
-    /// outcomes equal SQL comparison outcomes.
+    /// Range/point seek: fill `emit` with every row **no consumed
+    /// conjunct makes FALSE** (NULL keys stay in — the WHERE clause
+    /// re-evaluates over the emitted rows and drops them itself), in
+    /// emission order: ascending storage order for unordered seeks,
+    /// index-key order (optionally reversed key groups) for ordered ones.
+    /// The consumed conjuncts are the `probes` on the leading key
+    /// columns, compared in the map's total order — callers gate on
+    /// [`KeyColStats`] so that total-order outcomes equal SQL comparison
+    /// outcomes.
     ///
     /// The kept keys fall into ≤ 4 contiguous key ranges: one per
     /// NULL/matching combination of the consumed positions, enumerated
@@ -210,54 +278,65 @@ impl OrdIndex {
     /// conjunct failed, and whether the earlier position was NULL or
     /// matching); [`OrdIndex::skip_reps`] hands the executor one
     /// representative per class to replay the baseline's per-row drop
-    /// effects against.
+    /// effects against. The ranges are bounded by borrowed keys, and the
+    /// postings go straight into `emit`: a seek allocates nothing beyond
+    /// `emit`'s growth, except a list of key groups for a reversed
+    /// ordered seek.
     ///
     /// `dedup` is the `EqSeekMissesDuplicates` bug hook: an eq-only seek
     /// emits only the first posting of each key group.
-    pub fn seek(&self, probes: &KeyProbes, ordered: bool, reverse: bool, dedup: bool) -> SeekOut {
+    pub fn seek(
+        &self,
+        probes: &KeyProbes,
+        ordered: bool,
+        reverse: bool,
+        dedup: bool,
+        emit: &mut Vec<usize>,
+    ) {
         let dedup = dedup && probes.eq_only();
-
-        // Kept key groups, in global key order.
-        let mut groups: Vec<(&Vec<OrdValue>, &Vec<usize>)> = Vec::new();
-        match probes {
-            KeyProbes::All => groups.extend(self.map.iter()),
-            KeyProbes::One(op, v) => {
-                self.null_segment(&[], &mut groups);
-                self.match_segment(&[], *op, v, &mut groups);
-            }
-            KeyProbes::Two(v0, op, v1) => {
-                let n0 = [OrdValue(Value::Null)];
-                let m0 = std::slice::from_ref(v0);
-                self.null_segment(&n0, &mut groups);
-                self.match_segment(&n0, *op, v1, &mut groups);
-                self.null_segment(m0, &mut groups);
-                self.match_segment(m0, *op, v1, &mut groups);
-            }
-        }
-
-        // The postings are flattened straight into one buffer: a seek
-        // allocates nothing per key group it emits.
         let take = |ps: &[usize]| if dedup { 1 } else { ps.len() };
-        let mut emit = Vec::with_capacity(groups.iter().map(|(_, ps)| take(ps)).sum());
-        let mut push = |ps: &[usize]| emit.extend_from_slice(&ps[..take(ps)]);
+        emit.clear();
         if ordered && reverse {
             // DESC: key groups in reverse, storage order within each group
             // (a stable descending sort leaves ties in input order).
-            groups.iter().rev().for_each(|(_, ps)| push(ps));
+            let mut groups = Vec::new();
+            self.kept_groups(probes, &mut |ps| groups.push(ps));
+            for ps in groups.iter().rev() {
+                emit.extend_from_slice(&ps[..take(ps)]);
+            }
         } else {
-            groups.iter().for_each(|(_, ps)| push(ps));
+            self.kept_groups(probes, &mut |ps| emit.extend_from_slice(&ps[..take(ps)]));
+            if !ordered {
+                emit.sort_unstable();
+            }
         }
-        if !ordered {
-            emit.sort_unstable();
+    }
+
+    /// Hand `out` the postings of every key group [`OrdIndex::seek`]
+    /// keeps, in global key order.
+    fn kept_groups<'a>(&'a self, probes: &KeyProbes, out: &mut impl FnMut(&'a [usize])) {
+        match probes {
+            KeyProbes::All => self.map.values().for_each(|ps| out(ps)),
+            KeyProbes::One(op, v) => {
+                self.null_segment(&[], out);
+                self.match_segment(&[], *op, v, out);
+            }
+            KeyProbes::Two(v0, op, v1) => {
+                let n0 = std::slice::from_ref(&NULL);
+                let m0 = std::slice::from_ref(v0);
+                self.null_segment(n0, out);
+                self.match_segment(n0, *op, v1, out);
+                self.null_segment(m0, out);
+                self.match_segment(m0, *op, v1, out);
+            }
         }
-        SeekOut { emit }
     }
 
     /// Skipped outcome classes for the probes of a [`OrdIndex::seek`]:
-    /// one `(position, key)` entry per non-empty class, sorted by
-    /// position. Evaluation is left-to-right with AND short-circuit at
-    /// the first FALSE conjunct, so a class is the failing position plus
-    /// the NULL/matching pattern before it.
+    /// one representative per non-empty class. Evaluation is
+    /// left-to-right with AND short-circuit at the first FALSE conjunct,
+    /// so a class is the failing position plus the NULL/matching pattern
+    /// before it.
     ///
     /// `lazy` picks **any** member per class (one bounded probe each)
     /// instead of the class's first row in storage order (a scan of the
@@ -266,39 +345,55 @@ impl OrdIndex {
     /// member-independent; the exact storage position only matters on
     /// the fallible filter path, where replay order against fuel
     /// exhaustion is observable.
-    pub fn skip_reps(&self, probes: &KeyProbes, lazy: bool) -> Vec<(usize, Vec<OrdValue>)> {
-        let mut reps: Vec<(usize, Vec<OrdValue>)> = Vec::new();
-        match probes {
-            KeyProbes::All => {}
-            KeyProbes::One(op, v) => self.skip_class(&[], *op, v, lazy, &mut reps),
-            KeyProbes::Two(v0, op, v1) => {
-                self.skip_class(&[], KeyCmp::Eq, v0, lazy, &mut reps);
-                self.skip_class(&[OrdValue(Value::Null)], *op, v1, lazy, &mut reps);
-                self.skip_class(std::slice::from_ref(v0), *op, v1, lazy, &mut reps);
-            }
+    pub fn skip_reps(&self, probes: &KeyProbes, lazy: bool) -> SkipReps<'_> {
+        let mut reps = SkipReps {
+            reps: [(0, &[]); 3],
+            len: 0,
+        };
+        let classes = match probes {
+            KeyProbes::All => [None, None, None],
+            KeyProbes::One(op, v) => [self.skip_class(&[], *op, v, lazy), None, None],
+            KeyProbes::Two(v0, op, v1) => [
+                self.skip_class(&[], KeyCmp::Eq, v0, lazy),
+                self.skip_class(std::slice::from_ref(&NULL), *op, v1, lazy),
+                self.skip_class(std::slice::from_ref(v0), *op, v1, lazy),
+            ],
+        };
+        for (p, k) in classes.into_iter().flatten() {
+            reps.reps[reps.len] = (p, k);
+            reps.len += 1;
         }
-        reps.sort_by_key(|(p, _)| *p);
+        reps.reps[..reps.len].sort_by_key(|(p, _)| *p);
         reps
+    }
+
+    /// The map's entries from the key `prefix ++ [last]` on, that key
+    /// included or not.
+    fn range_from<'a>(
+        &'a self,
+        prefix: &[OrdValue],
+        last: &OrdValue,
+        inclusive: bool,
+    ) -> std::collections::btree_map::Range<'a, Vec<OrdValue>, Vec<usize>> {
+        let key = SeekBound { prefix, last };
+        let key: &dyn RangeKey = &key;
+        let lo = if inclusive {
+            Included(key)
+        } else {
+            Excluded(key)
+        };
+        self.map.range::<dyn RangeKey, _>((lo, Unbounded))
     }
 
     /// Keys whose position `prefix.len()` is NULL under the exact
     /// `prefix` (a contiguous range: NULL sorts first within the group).
-    fn null_segment<'a>(
-        &'a self,
-        prefix: &[OrdValue],
-        out: &mut Vec<(&'a Vec<OrdValue>, &'a Vec<usize>)>,
-    ) {
+    fn null_segment<'a>(&'a self, prefix: &[OrdValue], out: &mut impl FnMut(&'a [usize])) {
         let j = prefix.len();
-        let mut lo = prefix.to_vec();
-        lo.push(OrdValue(Value::Null));
-        for (k, ps) in self
-            .map
-            .range::<[OrdValue], _>((Included(&lo[..]), Unbounded))
-        {
+        for (k, ps) in self.range_from(prefix, &NULL, true) {
             if k[..j] != *prefix || !k[j].0.is_null() {
                 break;
             }
-            out.push((k, ps));
+            out(ps);
         }
     }
 
@@ -309,39 +404,28 @@ impl OrdIndex {
         prefix: &[OrdValue],
         op: KeyCmp,
         v: &OrdValue,
-        out: &mut Vec<(&'a Vec<OrdValue>, &'a Vec<usize>)>,
+        out: &mut impl FnMut(&'a [usize]),
     ) {
         use std::cmp::Ordering::*;
         let j = prefix.len();
-        let mut lo = prefix.to_vec();
         match op {
             KeyCmp::Eq | KeyCmp::Ge | KeyCmp::Gt => {
-                lo.push(v.clone());
-                let bound = if op == KeyCmp::Gt {
-                    Excluded(&lo[..])
-                } else {
-                    Included(&lo[..])
-                };
-                for (k, ps) in self.map.range::<[OrdValue], _>((bound, Unbounded)) {
+                for (k, ps) in self.range_from(prefix, v, op != KeyCmp::Gt) {
                     if k[..j] != *prefix {
                         break;
                     }
                     match (op, k[j].cmp(v)) {
-                        (KeyCmp::Eq, Equal) => out.push((k, ps)),
+                        (KeyCmp::Eq, Equal) => out(ps),
                         (KeyCmp::Eq, _) => break,
                         // `[v, suffix]` keys sort just above `[v]`: skip
                         // the probe's own group under a strict `>`.
                         (KeyCmp::Gt, Equal) => continue,
-                        _ => out.push((k, ps)),
+                        _ => out(ps),
                     }
                 }
             }
             KeyCmp::Lt | KeyCmp::Le => {
-                lo.push(OrdValue(Value::Null));
-                for (k, ps) in self
-                    .map
-                    .range::<[OrdValue], _>((Excluded(&lo[..]), Unbounded))
-                {
+                for (k, ps) in self.range_from(prefix, &NULL, false) {
                     if k[..j] != *prefix {
                         break;
                     }
@@ -351,8 +435,8 @@ impl OrdIndex {
                         continue;
                     }
                     match k[j].cmp(v) {
-                        Less => out.push((k, ps)),
-                        Equal if op == KeyCmp::Le => out.push((k, ps)),
+                        Less => out(ps),
+                        Equal if op == KeyCmp::Le => out(ps),
                         _ => break,
                     }
                 }
@@ -363,21 +447,21 @@ impl OrdIndex {
     /// Find, among keys with the exact `prefix` whose position
     /// `prefix.len()` is non-NULL and FAILS `<op> v`, the one owning the
     /// smallest storage position — the class's first row in a sequential
-    /// scan. Walks only the failing side(s) of the probe.
+    /// scan — with that position. Walks only the failing side(s) of the
+    /// probe.
     fn skip_class(
         &self,
         prefix: &[OrdValue],
         op: KeyCmp,
         v: &OrdValue,
         lazy: bool,
-        out: &mut Vec<(usize, Vec<OrdValue>)>,
-    ) {
+    ) -> Option<(usize, &[OrdValue])> {
         use std::cmp::Ordering::*;
         let j = prefix.len();
-        let mut best: Option<(usize, &Vec<OrdValue>)> = None;
+        let mut best: Option<(usize, &[OrdValue])> = None;
         fn consider<'m>(
-            best: &mut Option<(usize, &'m Vec<OrdValue>)>,
-            k: &'m Vec<OrdValue>,
+            best: &mut Option<(usize, &'m [OrdValue])>,
+            k: &'m [OrdValue],
             ps: &[usize],
         ) {
             // Safe: postings are never empty (empty groups are removed).
@@ -389,12 +473,7 @@ impl OrdIndex {
         // Low side: non-NULL keys below the probe (the failing side for
         // Gt/Ge and the below-v half for Eq; empty for Lt/Le).
         if matches!(op, KeyCmp::Eq | KeyCmp::Gt | KeyCmp::Ge) {
-            let mut lo = prefix.to_vec();
-            lo.push(OrdValue(Value::Null));
-            for (k, ps) in self
-                .map
-                .range::<[OrdValue], _>((Excluded(&lo[..]), Unbounded))
-            {
+            for (k, ps) in self.range_from(prefix, &NULL, false) {
                 if k[..j] != *prefix {
                     break;
                 }
@@ -414,12 +493,7 @@ impl OrdIndex {
         // High side: keys above the probe (the failing side for Lt/Le
         // and the above-v half for Eq; empty for Gt/Ge).
         if matches!(op, KeyCmp::Eq | KeyCmp::Lt | KeyCmp::Le) && !(lazy && best.is_some()) {
-            let mut hi = prefix.to_vec();
-            hi.push(v.clone());
-            for (k, ps) in self
-                .map
-                .range::<[OrdValue], _>((Included(&hi[..]), Unbounded))
-            {
+            for (k, ps) in self.range_from(prefix, v, true) {
                 if k[..j] != *prefix {
                     break;
                 }
@@ -434,9 +508,7 @@ impl OrdIndex {
                 }
             }
         }
-        if let Some((p, k)) = best {
-            out.push((p, k.clone()));
-        }
+        best
     }
 
     /// Unindex deleted rows and shift the surviving positions down.

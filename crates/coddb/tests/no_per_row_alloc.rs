@@ -4,7 +4,8 @@
 //! plan→bind→exec pipeline of a pure filter scan, whose allocation count
 //! must not grow with the row count now that scans hand out shared rows
 //! instead of cloning table storage. Later cases cover the vectorized
-//! filter, the DML WHERE stage, the index seek and the hash join.
+//! filter, the DML WHERE stage, the index seek, the hash join and
+//! subqueries, whose runs allocate only their result.
 //!
 //! This file deliberately contains a single test — the allocation counter
 //! is process-global, and a concurrently running test would inflate it.
@@ -396,6 +397,81 @@ fn hash_join_allocates_nothing_per_row() {
     }
 }
 
+/// A subquery pays only for its result. Each run of a correlated
+/// subquery that seeks by its outer key allocates at most 12 times: its
+/// result relation, its memo entry and the memo's amortized growth, and
+/// nothing for the seek, the skipped-class replay, the filter or the
+/// aggregate around them. A memo hit, keyed or full, allocates nothing
+/// per outer row.
+fn subquery_runs_allocate_only_their_result() {
+    // `t0`: 200 rows indexed on `c0`. `o`: `keys` distinct keys `k`,
+    // each on `per_key` rows.
+    let build = |keys: i64, per_key: i64| {
+        let mut db = Database::new(Dialect::Sqlite);
+        db.execute_sql(
+            "CREATE TABLE t0 (c0 INT, c1 TEXT); CREATE INDEX i0 ON t0 (c0);
+             CREATE TABLE o (k INT, v INT)",
+        )
+        .unwrap();
+        let inner: Vec<String> = (0..200).map(|v| format!("({v}, 'r{v}')")).collect();
+        let outer: Vec<String> = (0..keys * per_key)
+            .map(|i| format!("({}, {})", i % keys, i % 7))
+            .collect();
+        db.execute_sql(&format!(
+            "INSERT INTO t0 VALUES {}; INSERT INTO o VALUES {}",
+            inner.join(","),
+            outer.join(",")
+        ))
+        .unwrap();
+        db
+    };
+    let measure = |db: &mut Database, sql: &str| {
+        let q = coddb::parser::parse_select(sql).unwrap();
+        let warm = db.query(&q).unwrap();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let rel = db.query(&q).unwrap();
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(rel, warm, "`{sql}`");
+        after - before
+    };
+
+    // The correlated subquery seeks `i0` by `o.k` on every run: 10
+    // against 40 distinct keys, one outer row each.
+    let correlated =
+        "SELECT COUNT(*) FROM o WHERE o.v < (SELECT AVG(t0.c0) FROM t0 WHERE t0.c0 = o.k)";
+    let mut few = build(10, 1);
+    let body = coddb::parser::parse_select("SELECT AVG(t0.c0) FROM t0 WHERE t0.c0 = o.k").unwrap();
+    assert!(
+        few.explain(&body).unwrap().contains("INDEX SEEK"),
+        "the correlated subquery must seek"
+    );
+    let few_allocs = measure(&mut few, correlated);
+    let many_allocs = measure(&mut build(40, 1), correlated);
+    eprintln!("PROBE {few_allocs} {many_allocs}");
+    assert!(
+        many_allocs <= few_allocs + 12 * 30,
+        "a correlated run must allocate at most 12 times: \
+         {few_allocs} allocs at 10 keys vs {many_allocs} at 40"
+    );
+
+    // Memo hits: 6 keys on 40 against 160 outer rows each, for the keyed
+    // memo, and the full memo of a non-correlated IN and scalar subquery.
+    for sql in [
+        correlated,
+        "SELECT COUNT(*) FROM o WHERE v IN (SELECT c0 FROM t0 WHERE c0 > 3)",
+        "SELECT COUNT(*) FROM o WHERE v < (SELECT AVG(c0) FROM t0)",
+    ] {
+        let small_allocs = measure(&mut build(6, 40), sql);
+        let large_allocs = measure(&mut build(6, 160), sql);
+        eprintln!("PROBE {sql} {small_allocs} {large_allocs}");
+        assert!(
+            large_allocs <= small_allocs + 8,
+            "`{sql}`: a memo hit must not allocate per outer row: \
+             {small_allocs} allocs at 240 rows vs {large_allocs} at 960"
+        );
+    }
+}
+
 #[test]
 fn hot_row_loops_allocate_nothing_per_row() {
     expression_path_allocates_nothing_per_row();
@@ -404,4 +480,5 @@ fn hot_row_loops_allocate_nothing_per_row() {
     dml_where_stage_allocates_nothing_per_row();
     seek_allocates_nothing_per_row();
     hash_join_allocates_nothing_per_row();
+    subquery_runs_allocate_only_their_result();
 }

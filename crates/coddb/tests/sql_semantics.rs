@@ -621,3 +621,60 @@ fn having_without_group_by_or_aggregate_groups_all_rows() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// IN (subquery) over a memoized result.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn in_subquery_over_a_full_memo_matches_the_comparison_loop() {
+    // A non-correlated `IN (subquery)` answers every outer row after the
+    // first from its full memo, by binary search where the value classes
+    // allow; the correlated form re-runs per outer row and compares the
+    // probe with each value. Both must agree on every mix of classes and
+    // probe, in every dialect: the same rows or the same error, and the
+    // same IN coverage points.
+    let results = [
+        "(1), (2), (3)",
+        "(3), (NULL), (1)",
+        "('b'), (NULL), ('a')",
+        "(NULL), (NULL)",
+        "(1), (2.5), (NULL)",
+        "(2.0), (3.5)",
+        "(1), ('1'), (NULL)",
+        "('a'), (1)",
+        "(TRUE), (NULL)",
+        "(1), (TRUE)",
+    ];
+    let probes = [
+        "1", "2", "4", "'a'", "'1'", "'c'", "2.0", "2.5", "NULL", "TRUE",
+    ];
+    for dialect in Dialect::ALL {
+        for values in results {
+            for probe in probes {
+                let full = format!("SELECT id, {probe} IN (VALUES {values}) FROM o ORDER BY id");
+                let looped = format!(
+                    "SELECT id, {probe} IN (SELECT column1 FROM (VALUES {values}) AS v \
+                     WHERE o.id = o.id) FROM o ORDER BY id"
+                );
+                let run = |sql: &str| {
+                    let mut db = Database::new(dialect);
+                    db.execute_sql("CREATE TABLE o (id INT); INSERT INTO o VALUES (1), (2), (3)")
+                        .unwrap();
+                    let out = db
+                        .query_sql(sql)
+                        .map(|rel| rel.rows)
+                        .map_err(|e| e.to_string());
+                    let points: Vec<&str> = db
+                        .coverage()
+                        .hit_points()
+                        .into_iter()
+                        .filter(|p| p.starts_with("eval::in_subq"))
+                        .collect();
+                    (out, points)
+                };
+                assert_eq!(run(&full), run(&looped), "{dialect}: {full}");
+            }
+        }
+    }
+}

@@ -114,12 +114,9 @@ pub struct EngineCtx<'a> {
     pub scan_only: bool,
     /// Vectorized chunk evaluation enabled (see [`EvalMode`]).
     pub vectorize: bool,
-    /// Reusable buffers for the vectorized kernels — one pool per
-    /// statement, so chunk evaluation allocates O(1) buffers total.
-    pub(crate) vec_pool: RefCell<crate::vec_eval::Pool>,
-    /// Reusable buffers for the operators' own bookkeeping, so that a
-    /// correlated subquery's run allocates only its result and its memo
-    /// entry (see [`RunBuffers`]).
+    /// The statement's reusable buffers (see [`RunBuffers`]): chunk
+    /// evaluation allocates O(1) buffers in total, and a correlated
+    /// subquery's run allocates only its result and its memo entry.
     pub(crate) bufs: RunBuffers,
     fuel: Cell<u64>,
     /// Per-statement plan / binding / result caches.
@@ -159,7 +156,6 @@ impl<'a> EngineCtx<'a> {
             force_nested_loop: false,
             scan_only: false,
             vectorize: true,
-            vec_pool: RefCell::new(crate::vec_eval::Pool::default()),
             bufs: RunBuffers::default(),
             fuel: Cell::new(fuel),
             caches: StmtCaches::default(),
@@ -278,11 +274,12 @@ impl<T> Spares<T> {
     }
 }
 
-/// The statement's spare buffers (like the kernels' `vec_pool`): kept
-/// row positions of a WHERE stage and a seek's postings, row handles,
-/// value rows (aggregate arguments and values, skipped-class
-/// representatives), AVG's accumulation buffer and the correlation
-/// detector's slot lists.
+/// The statement's spare buffers, one list per element type: kept row
+/// positions of a WHERE stage and a seek's postings, row handles, value
+/// rows (the kernels' dense columns, aggregate arguments and values,
+/// skipped-class representatives), AVG's accumulation buffer, the
+/// correlation detector's slot lists, and the kernels' lane selections
+/// and three-valued truth columns.
 #[derive(Default)]
 pub(crate) struct RunBuffers {
     pub(crate) positions: Spares<usize>,
@@ -290,6 +287,8 @@ pub(crate) struct RunBuffers {
     pub(crate) values: Spares<Value>,
     pub(crate) reals: Spares<f64>,
     pub(crate) slots: Spares<(u32, u32)>,
+    pub(crate) lanes: Spares<u32>,
+    pub(crate) truths: Spares<Bool3>,
 }
 
 /// Metadata of one output column of a relation in flight.
@@ -2425,8 +2424,9 @@ fn outer_probe_slots<'p>(
 /// scans instead: [`EngineCtx::scan_only`], a probe that is NULL or does
 /// not resolve, or a probe whose storage class the index's key values
 /// do not share. A plan whose probes do not fit the index is an
-/// internal error. The emitted positions go into a spare buffer of the
-/// statement, so a run allocates nothing here.
+/// internal error. The probe values are borrowed until the seek's own
+/// probes copy them once, and the emitted positions go into a spare
+/// buffer of the statement, so a run allocates nothing else here.
 fn seek_probe<'c>(
     t: &TableDef,
     access: &FromPlan,
@@ -2465,8 +2465,18 @@ fn seek_probe<'c>(
     } else {
         None
     };
-    let mut vals = ctx.bufs.values.take();
-    for (i, p) in probes().enumerate() {
+    let n = probes().count();
+    if n > data.stats.len().min(plan::MAX_SEEK_KEYS) {
+        return Err(Error::Internal(format!(
+            "index seek probes {n} key columns of {index}, which has {} (a seek takes at most {})",
+            data.stats.len(),
+            plan::MAX_SEEK_KEYS
+        )));
+    }
+    // The probe values, borrowed from the plan and the outer frames.
+    static UNSET: Value = Value::Null;
+    let mut vals = [&UNSET; plan::MAX_SEEK_KEYS];
+    for (slot, (i, p)) in vals.iter_mut().zip(probes().enumerate()) {
         let v = match p {
             SeekProbe::Literal(v) => Some(v),
             SeekProbe::Outer(_) => slots
@@ -2474,21 +2484,12 @@ fn seek_probe<'c>(
                 .and_then(|s| s[i])
                 .and_then(|(fi, ci)| outer_scopes.get(fi)?.row.get(ci)),
         };
-        match v {
-            Some(v) if !v.is_null() => vals.push(v.clone()),
-            _ => {
-                ctx.bufs.values.give(vals);
-                return Ok(None);
-            }
-        }
+        let Some(v) = v.filter(|v| !v.is_null()) else {
+            return Ok(None);
+        };
+        *slot = v;
     }
-    if vals.len() > data.stats.len() {
-        return Err(Error::Internal(format!(
-            "index seek probes {} key columns of {index}, which has {}",
-            vals.len(),
-            data.stats.len()
-        )));
-    }
+    let vals = &vals[..n];
     // Runtime exactness gate, mirroring the fast-filter discipline: for
     // each consumed key column, the probe's TEXT-ness must be uniform
     // with every non-NULL key value, or ordered-key comparison could
@@ -2501,14 +2502,13 @@ fn seek_probe<'c>(
         }
     });
     if !exact {
-        ctx.bufs.values.give(vals);
         return Ok(None);
     }
     let cmp = |op: BinaryOp| {
         KeyCmp::of(op).ok_or_else(|| Error::Internal(format!("index seek range probe with {op:?}")))
     };
     let key = |v: &Value| OrdValue(v.clone());
-    let probes = match (vals.as_slice(), range) {
+    let probes = match (vals, range) {
         ([], None) => KeyProbes::All,
         ([v], None) => KeyProbes::One(KeyCmp::Eq, key(v)),
         ([v], Some((op, _))) => KeyProbes::One(cmp(*op)?, key(v)),
@@ -2522,7 +2522,6 @@ fn seek_probe<'c>(
             )))
         }
     };
-    ctx.bufs.values.give(vals);
     // The RangeBoundOffByOne and SortElimWrongDirection hooks corrupt the
     // *plan* (see `plan::select_seek` and `plan::eliminate_sort`): the
     // executor faithfully runs the seek it was handed.

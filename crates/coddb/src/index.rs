@@ -29,8 +29,6 @@
 //! correlated subquery, the current value of an outer column
 //! ([`KeyProbes`] holds either once resolved).
 
-use std::borrow::Borrow;
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included, Unbounded};
 
@@ -52,59 +50,6 @@ impl<'a> std::ops::Deref for SkipReps<'a> {
     type Target = [(usize, &'a [OrdValue])];
     fn deref(&self) -> &Self::Target {
         &self.reps[..self.len]
-    }
-}
-
-/// A composite key that ranges over [`OrdIndex::map`] without being built
-/// as one: a [`SeekBound`] stands for its `prefix` followed by `last`,
-/// and orders exactly as that `Vec<OrdValue>` key would.
-trait RangeKey {
-    /// The key's values, as two runs to read in sequence.
-    fn runs(&self) -> (&[OrdValue], &[OrdValue]);
-}
-
-impl RangeKey for Vec<OrdValue> {
-    fn runs(&self) -> (&[OrdValue], &[OrdValue]) {
-        (self, &[])
-    }
-}
-
-/// A range bound: the key `prefix ++ [last]`, borrowed.
-struct SeekBound<'k> {
-    prefix: &'k [OrdValue],
-    last: &'k OrdValue,
-}
-
-impl RangeKey for SeekBound<'_> {
-    fn runs(&self) -> (&[OrdValue], &[OrdValue]) {
-        (self.prefix, std::slice::from_ref(self.last))
-    }
-}
-
-impl Ord for dyn RangeKey + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let ((a0, a1), (b0, b1)) = (self.runs(), other.runs());
-        a0.iter().chain(a1).cmp(b0.iter().chain(b1))
-    }
-}
-
-impl PartialOrd for dyn RangeKey + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for dyn RangeKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for dyn RangeKey + '_ {}
-
-impl<'k> Borrow<dyn RangeKey + 'k> for Vec<OrdValue> {
-    fn borrow(&self) -> &(dyn RangeKey + 'k) {
-        self
     }
 }
 
@@ -278,10 +223,10 @@ impl OrdIndex {
     /// conjunct failed, and whether the earlier position was NULL or
     /// matching); [`OrdIndex::skip_reps`] hands the executor one
     /// representative per class to replay the baseline's per-row drop
-    /// effects against. The ranges are bounded by borrowed keys, and the
-    /// postings go straight into `emit`: a seek allocates nothing beyond
-    /// `emit`'s growth, except a list of key groups for a reversed
-    /// ordered seek.
+    /// effects against. The ranges are bounded by keys on the stack, and
+    /// the postings go straight into `emit`: a seek allocates nothing
+    /// beyond `emit`'s growth, except a list of key groups for a reversed
+    /// ordered seek and a copy of each TEXT value in a two-column bound.
     ///
     /// `dedup` is the `EqSeekMissesDuplicates` bug hook: an eq-only seek
     /// emits only the first posting of each key group.
@@ -368,21 +313,34 @@ impl OrdIndex {
     }
 
     /// The map's entries from the key `prefix ++ [last]` on, that key
-    /// included or not.
+    /// included or not. The bound key is built on the stack: a
+    /// one-column bound borrows `last`, and a two-column bound copies its
+    /// two values (no allocation unless one is a TEXT).
     fn range_from<'a>(
         &'a self,
         prefix: &[OrdValue],
         last: &OrdValue,
         inclusive: bool,
     ) -> std::collections::btree_map::Range<'a, Vec<OrdValue>, Vec<usize>> {
-        let key = SeekBound { prefix, last };
-        let key: &dyn RangeKey = &key;
+        let pair: [OrdValue; 2];
+        let longer: Vec<OrdValue>;
+        let key: &[OrdValue] = match prefix {
+            [] => std::slice::from_ref(last),
+            [p] => {
+                pair = [p.clone(), last.clone()];
+                &pair
+            }
+            _ => {
+                longer = prefix.iter().chain([last]).cloned().collect();
+                &longer
+            }
+        };
         let lo = if inclusive {
             Included(key)
         } else {
             Excluded(key)
         };
-        self.map.range::<dyn RangeKey, _>((lo, Unbounded))
+        self.map.range::<[OrdValue], _>((lo, Unbounded))
     }
 
     /// Keys whose position `prefix.len()` is NULL under the exact

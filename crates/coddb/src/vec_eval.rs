@@ -97,7 +97,7 @@ use crate::eval::{
     like_operands, like_value, round_value, short_circuit_truth, substr_value, text_number_pair,
     truthiness, value_to_text, Bool3,
 };
-use crate::exec::{filter_point, EngineCtx, Frame, StmtKind};
+use crate::exec::{filter_point, EngineCtx, Frame, RunBuffers, StmtKind};
 use crate::value::{Row, Value};
 
 /// Rows per chunk fed to the vectorized kernels.
@@ -375,59 +375,39 @@ impl Operand {
     }
 }
 
-/// Reusable buffers: one pool per statement (held by the engine context),
-/// so the vectorized pipeline allocates O(1) buffers per operator rather
-/// than O(chunks) — `coddb/tests/no_per_row_alloc.rs` pins this down.
-#[derive(Default)]
-pub(crate) struct Pool {
-    vals: Vec<Vec<Value>>,
-    sels: Vec<Vec<u32>>,
-    b3s: Vec<Vec<Bool3>>,
-}
-
-impl Pool {
-    fn vals(&mut self, len: usize) -> Vec<Value> {
-        let mut v = self.vals.pop().unwrap_or_default();
-        v.clear();
+/// The kernels' buffers come from the statement's spares (held by the
+/// engine context), so the vectorized pipeline allocates O(1) buffers
+/// per operator rather than O(chunks) — `coddb/tests/no_per_row_alloc.rs`
+/// pins this down.
+impl RunBuffers {
+    /// A dense column of `len` NULLs.
+    fn vals(&self, len: usize) -> Vec<Value> {
+        let mut v = self.values.take();
         v.resize(len, Value::Null);
         v
     }
-    fn sel(&mut self) -> Vec<u32> {
-        let mut s = self.sels.pop().unwrap_or_default();
-        s.clear();
-        s
-    }
-    fn b3s(&mut self, len: usize) -> Vec<Bool3> {
-        let mut b = self.b3s.pop().unwrap_or_default();
-        b.clear();
+    /// A truth column of `len` unknowns.
+    fn b3s(&self, len: usize) -> Vec<Bool3> {
+        let mut b = self.truths.take();
         b.resize(len, None);
         b
     }
-    fn give(&mut self, col: Col) {
+    fn give(&self, col: Col) {
         if let Col::Dense(v) = col {
-            self.vals.push(v);
+            self.values.give(v);
         }
-    }
-    fn give_vals(&mut self, v: Vec<Value>) {
-        self.vals.push(v);
-    }
-    fn give_sel(&mut self, s: Vec<u32>) {
-        self.sels.push(s);
-    }
-    fn give_b3(&mut self, b: Vec<Bool3>) {
-        self.b3s.push(b);
     }
 }
 
 /// One chunk's evaluation state: the chunk rows, the (fixed) outer
-/// scopes, the scratch coverage accumulator and the statement's buffer
-/// pool.
+/// scopes, the scratch coverage accumulator and the statement's spare
+/// buffers.
 struct ChunkEval<'a, 'e> {
     ctx: &'e EngineCtx<'a>,
     cov: &'e Coverage,
     rows: &'e [Row],
     outer: &'e [Frame<'e>],
-    pool: &'e mut Pool,
+    pool: &'e RunBuffers,
 }
 
 impl<'a, 'e> ChunkEval<'a, 'e> {
@@ -556,7 +536,7 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
         let short = short_circuit_truth(op);
         let l = self.eval(left, sel)?;
         let mut lb = self.pool.b3s(self.rows.len());
-        let mut rhs_sel = self.pool.sel();
+        let mut rhs_sel = self.pool.lanes.take();
         for &lane in sel {
             let t = truthiness(l.get(lane), d, cov)?;
             lb[lane as usize] = t;
@@ -587,8 +567,8 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
             }
             self.pool.give(r);
         }
-        self.pool.give_b3(lb);
-        self.pool.give_sel(rhs_sel);
+        self.pool.truths.give(lb);
+        self.pool.lanes.give(rhs_sel);
         Ok(Col::Dense(out))
     }
 
@@ -657,10 +637,10 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
     ) -> Result<Col, Abort> {
         let (d, cov) = (self.ctx.dialect, self.cov);
         let mut out = self.pool.vals(self.rows.len());
-        let mut active = self.pool.sel();
+        let mut active = self.pool.lanes.take();
         active.extend_from_slice(sel);
-        let mut next = self.pool.sel();
-        let mut matched = self.pool.sel();
+        let mut next = self.pool.lanes.take();
+        let mut matched = self.pool.lanes.take();
         let base = match operand {
             Some(o) => {
                 cov.hit(pt::EVAL_CASE_OPERAND);
@@ -710,9 +690,9 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
                 None => cov.hit(pt::EVAL_CASE_NO_MATCH),
             }
         }
-        self.pool.give_sel(active);
-        self.pool.give_sel(next);
-        self.pool.give_sel(matched);
+        self.pool.lanes.give(active);
+        self.pool.lanes.give(next);
+        self.pool.lanes.give(matched);
         Ok(Col::Dense(out))
     }
 
@@ -722,9 +702,9 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
         match func {
             FuncName::Coalesce => {
                 let mut out = self.pool.vals(self.rows.len());
-                let mut active = self.pool.sel();
+                let mut active = self.pool.lanes.take();
                 active.extend_from_slice(sel);
-                let mut next = self.pool.sel();
+                let mut next = self.pool.lanes.take();
                 for a in args {
                     if active.is_empty() {
                         break;
@@ -742,14 +722,14 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
                     self.pool.give(v);
                     std::mem::swap(&mut active, &mut next);
                 }
-                self.pool.give_sel(active);
-                self.pool.give_sel(next);
+                self.pool.lanes.give(active);
+                self.pool.lanes.give(next);
                 Ok(Col::Dense(out))
             }
             FuncName::Iif => {
                 let c = self.eval(&args[0], sel)?;
-                let mut then_sel = self.pool.sel();
-                let mut else_sel = self.pool.sel();
+                let mut then_sel = self.pool.lanes.take();
+                let mut else_sel = self.pool.lanes.take();
                 for &lane in sel {
                     if truthiness(c.get(lane), d, cov)? == Some(true) {
                         then_sel.push(lane);
@@ -767,8 +747,8 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
                     let ev = self.eval(&args[2], &else_sel)?;
                     self.scatter(ev, &else_sel, &mut out);
                 }
-                self.pool.give_sel(then_sel);
-                self.pool.give_sel(else_sel);
+                self.pool.lanes.give(then_sel);
+                self.pool.lanes.give(else_sel);
                 Ok(Col::Dense(out))
             }
             // The trailing arguments evaluate only for the lanes whose
@@ -779,7 +759,7 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
                 for a in &args[..lead] {
                     cols.push(self.eval(a, sel)?);
                 }
-                let mut live = self.pool.sel();
+                let mut live = self.pool.lanes.take();
                 live.extend(
                     sel.iter()
                         .filter(|&&l| cols.iter().all(|c| !c.get(l).is_null())),
@@ -800,7 +780,7 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
                     };
                 }
                 cols.into_iter().chain(tail).for_each(|c| self.pool.give(c));
-                self.pool.give_sel(live);
+                self.pool.lanes.give(live);
                 Ok(Col::Dense(out))
             }
             _ => match args {
@@ -991,7 +971,7 @@ impl<'a, 'e> ChunkEval<'a, 'e> {
                 for &lane in lanes {
                     out[lane as usize] = std::mem::replace(&mut vs[lane as usize], Value::Null);
                 }
-                self.pool.give_vals(vs);
+                self.pool.values.give(vs);
             }
         }
     }
@@ -1024,15 +1004,15 @@ pub(crate) fn filter_chunk(
 ) -> bool {
     let mark = kept.len();
     let scratch = Coverage::new();
-    let mut pool = ctx.vec_pool.borrow_mut();
-    let mut sel = pool.sel();
+    let pool = &ctx.bufs;
+    let mut sel = pool.lanes.take();
     sel.extend(0..rows.len() as u32);
     let mut ce = ChunkEval {
         ctx,
         cov: &scratch,
         rows,
         outer,
-        pool: &mut pool,
+        pool,
     };
     let done = match pred {
         BoundExpr::Binary { op, left, right } if op.is_comparison() => {
@@ -1040,7 +1020,7 @@ pub(crate) fn filter_chunk(
         }
         _ => ce.filter_truth(pred, &sel, base, kept),
     };
-    pool.give_sel(sel);
+    pool.lanes.give(sel);
     if done.is_err() {
         kept.truncate(mark);
         return false;
@@ -1062,15 +1042,15 @@ pub(crate) fn project_chunk(
     out_rows: &mut Vec<Row>,
 ) -> bool {
     let scratch = Coverage::new();
-    let mut pool = ctx.vec_pool.borrow_mut();
-    let mut sel = pool.sel();
+    let pool = &ctx.bufs;
+    let mut sel = pool.lanes.take();
     sel.extend(0..rows.len() as u32);
     let mut ce = ChunkEval {
         ctx,
         cov: &scratch,
         rows,
         outer,
-        pool: &mut pool,
+        pool,
     };
     let mut cols = Vec::with_capacity(bounds.len());
     for b in bounds {
@@ -1092,7 +1072,7 @@ pub(crate) fn project_chunk(
     for c in cols {
         pool.give(c);
     }
-    pool.give_sel(sel);
+    pool.lanes.give(sel);
     ctx.cov.merge(&scratch);
     true
 }
@@ -1109,15 +1089,15 @@ pub(crate) fn eval_chunk_into(
     scratch: &Coverage,
     out: &mut Vec<Value>,
 ) -> bool {
-    let mut pool = ctx.vec_pool.borrow_mut();
-    let mut sel = pool.sel();
+    let pool = &ctx.bufs;
+    let mut sel = pool.lanes.take();
     sel.extend(0..rows.len() as u32);
     let mut ce = ChunkEval {
         ctx,
         cov: scratch,
         rows,
         outer,
-        pool: &mut pool,
+        pool,
     };
     let ok = match ce.eval(bound, &sel) {
         Ok(Col::Const(v)) => {
@@ -1126,12 +1106,12 @@ pub(crate) fn eval_chunk_into(
         }
         Ok(Col::Dense(mut vs)) => {
             out.append(&mut vs);
-            pool.give_vals(vs);
+            pool.values.give(vs);
             true
         }
         Err(Abort) => false,
     };
-    pool.give_sel(sel);
+    pool.lanes.give(sel);
     ok
 }
 

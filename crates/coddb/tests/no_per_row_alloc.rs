@@ -447,7 +447,6 @@ fn subquery_runs_allocate_only_their_result() {
     );
     let few_allocs = measure(&mut few, correlated);
     let many_allocs = measure(&mut build(40, 1), correlated);
-    eprintln!("PROBE {few_allocs} {many_allocs}");
     assert!(
         many_allocs <= few_allocs + 12 * 30,
         "a correlated run must allocate at most 12 times: \
@@ -463,7 +462,6 @@ fn subquery_runs_allocate_only_their_result() {
     ] {
         let small_allocs = measure(&mut build(6, 40), sql);
         let large_allocs = measure(&mut build(6, 160), sql);
-        eprintln!("PROBE {sql} {small_allocs} {large_allocs}");
         assert!(
             large_allocs <= small_allocs + 8,
             "`{sql}`: a memo hit must not allocate per outer row: \
